@@ -48,6 +48,10 @@ fn bench_metastore(c: &mut Criterion) {
         })
     });
 
+    // Both nodes received every write, so this times the in-sync fast path
+    // of anti-entropy: two node-digest reads, whatever the row count. The
+    // cost of a round that finds divergence is counted, not timed (see the
+    // work-count test in `replication.rs`).
     group.bench_function("anti_entropy_1000_rows", |b| {
         let store = ReplicatedStore::with_datacenters(2);
         for i in 0..1000u64 {

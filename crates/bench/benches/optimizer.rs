@@ -75,9 +75,8 @@ fn populated_cluster() -> (ScaliaCluster, Vec<(String, ByteSize)>, u64) {
 
 /// Advances the clock and flushes the access-log pipeline into the
 /// statistics tables — the slice of `ScaliaCluster::tick` an optimisation
-/// cycle depends on. The full tick additionally runs database anti-entropy,
-/// which re-replicates every stored cell and would dominate (identically)
-/// both sides of this comparison; a single-node deployment needs none.
+/// cycle depends on. The rest of the tick (repair-queue drain, database
+/// anti-entropy) has nothing to do on this healthy single-node deployment.
 fn advance_and_flush(cluster: &ScaliaCluster, hour: u64) {
     cluster.infra().advance_clock(SimTime::from_hours(hour));
     let agents = (0..cluster.engine_count())

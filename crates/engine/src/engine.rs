@@ -1152,6 +1152,21 @@ mod tests {
             )
             .unwrap();
 
+        // An hour passes: the log aggregator writes the objects' statistics
+        // rows, so the delete below has every kind of row to drop.
+        cluster.tick(scalia_types::time::SimTime::from_hours(1));
+        let doomed_rows = |node: &scalia_metastore::NoSqlNode| -> Vec<String> {
+            node.scan_prefix("")
+                .into_iter()
+                .filter(|row| row.contains(&doomed.row_key()))
+                .collect()
+        };
+        assert_eq!(
+            doomed_rows(&db.nodes()[0]).len(),
+            2,
+            "the metadata row (meta, digest and debt columns) and the statistics row"
+        );
+
         // The local datacenter's node misses a put and a delete...
         db.nodes()[0].set_up(false);
         engine
@@ -1182,6 +1197,19 @@ mod tests {
         let mut listed = engine.list("pics");
         listed.sort();
         assert_eq!(listed, vec![fresh, kept]);
+
+        // The delete was hinted like the put: the lagging replica dropped
+        // the object's rows instead of handing them back to the others, so
+        // no replica serves metadata whose chunks are gone.
+        for local in 0..2 {
+            assert!(matches!(
+                cluster.engine(local * 2).get(&doomed),
+                Err(ScaliaError::ObjectNotFound(_))
+            ));
+        }
+        for node in db.nodes() {
+            assert_eq!(doomed_rows(node), Vec::<String>::new());
+        }
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! executor, so a seeded trace produces a bit-identical report — the
 //! [`FrontendReport::digest`] is what the traffic tests pin across rayon
 //! pool sizes. The digest deliberately covers only *outcome-level* state
-//! (counters, percentiles, bytes): object version ids draw from a
-//! process-global counter and must stay out of it.
+//! (counters, percentiles, bytes). Object version ids are minted from each
+//! deployment's own sequence (`Infrastructure::next_version`), so they too
+//! repeat for a seeded trace; they stay out of the digest because they name
+//! storage, not what a tenant observed.
 
 use scalia_types::latency::LatencyHistogram;
 use scalia_types::md5::md5_hex;

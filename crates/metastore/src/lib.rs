@@ -14,11 +14,11 @@
 //!
 //! * [`model`] — the wide-row data model: rows of columns of timestamped
 //!   versioned cells.
-//! * [`store`] — a single database node with put/get/scan and
-//!   modified-since queries.
+//! * [`store`] — a single database node with put/get/scan,
+//!   modified-since queries and an incrementally maintained content digest.
 //! * [`mvcc`] — conflict detection and latest-timestamp resolution.
 //! * [`replication`] — a multi-datacenter replicated store with partition
-//!   tolerance, hinted handoff and anti-entropy synchronisation.
+//!   tolerance, hinted handoff and digest-driven anti-entropy.
 //! * [`stats`] — the statistics tables: per-object access history,
 //!   per-class resource usage and lifetime distributions.
 //! * [`logagg`] — the log agent / log aggregator pipeline that moves access
@@ -44,7 +44,7 @@ pub mod store;
 pub use journal::{JournalOp, JournalRecord, StoreCheckpoint, WriteAheadJournal};
 pub use logagg::{AccessLogRecord, LogAgent, LogAggregator};
 pub use model::{Cell, Timestamp};
-pub use replication::ReplicatedStore;
+pub use replication::{AntiEntropyReport, ReplicatedStore};
 pub use stats::StatisticsStore;
 pub use store::NoSqlNode;
 

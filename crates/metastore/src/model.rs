@@ -59,11 +59,18 @@ pub type Row = BTreeMap<String, Column>;
 
 /// Inserts a cell into a column, keeping versions sorted by timestamp and
 /// dropping an exact-duplicate timestamp write (last write wins for the same
-/// timestamp).
-pub fn insert_version(column: &mut Column, cell: Cell) {
+/// timestamp). Returns `true` if the column gained a version, `false` if the
+/// cell replaced the one already stored under its timestamp.
+pub fn insert_version(column: &mut Column, cell: Cell) -> bool {
     match column.binary_search_by(|c| c.timestamp.cmp(&cell.timestamp)) {
-        Ok(pos) => column[pos] = cell,
-        Err(pos) => column.insert(pos, cell),
+        Ok(pos) => {
+            column[pos] = cell;
+            false
+        }
+        Err(pos) => {
+            column.insert(pos, cell);
+            true
+        }
     }
 }
 
@@ -99,8 +106,14 @@ mod tests {
     #[test]
     fn same_timestamp_overwrites() {
         let mut col = Column::new();
-        insert_version(&mut col, Cell::new(json!("a"), Timestamp::new(1, 0)));
-        insert_version(&mut col, Cell::new(json!("b"), Timestamp::new(1, 0)));
+        assert!(insert_version(
+            &mut col,
+            Cell::new(json!("a"), Timestamp::new(1, 0))
+        ));
+        assert!(!insert_version(
+            &mut col,
+            Cell::new(json!("b"), Timestamp::new(1, 0))
+        ));
         assert_eq!(col.len(), 1);
         assert_eq!(col[0].value, json!("b"));
     }

@@ -5,9 +5,54 @@
 //! succeed "as long as a single database node is up and running", with the
 //! datacenters becoming eventually consistent after a partition heals
 //! (§III-D3). [`ReplicatedStore`] implements that behaviour over a set of
-//! [`NoSqlNode`]s: writes go to every reachable node, misses are recorded as
-//! hinted handoffs, and [`ReplicatedStore::anti_entropy`] reconciles nodes
-//! pairwise by merging version sets.
+//! [`NoSqlNode`]s: every mutation goes to every reachable node, a node that
+//! is down gets the mutation queued as a hinted handoff, and
+//! [`ReplicatedStore::anti_entropy`] replays the hints and reconciles
+//! whatever still differs.
+//!
+//! # Anti-entropy costs O(divergence)
+//!
+//! Replicas that received the same writes hold the same cell versions, so
+//! the common round — no partition since the last one — should move no
+//! data. Each node therefore maintains a **content digest** (see
+//! [`crate::store`]): per row, the XOR of a 64-bit hash of `(row_key,
+//! column, timestamp)` over the stored cell versions; per node, the XOR of
+//! its row digests. Both are updated inside the write that changes the
+//! version set. A round then
+//!
+//! 1. replays hinted handoffs, oldest first, to the nodes that are back;
+//! 2. compares the node digests of the reachable nodes and **stops if they
+//!    are equal** — no lock held longer than one word read, no row cloned,
+//!    nothing written;
+//! 3. otherwise merge-joins the nodes' `(row_key, row_digest)` sequences and
+//!    merges version sets only for the rows whose digests differ, copying
+//!    each such row's cells into the nodes that lack them.
+//!
+//! **Why `(row, column, timestamp)` is enough.** A timestamp names one
+//! write: every writer draws it from `Infrastructure::next_timestamp`, which
+//! is unique per deployment, and replication hands the same cell to every
+//! node. Two nodes holding a version with the same coordinates hold the
+//! same value, so the value need not be hashed — which keeps the digest
+//! update off the payload and lets `restore` rebuild it from timestamps
+//! alone.
+//!
+//! **What equal digests prove.** That the nodes store the same *set of
+//! version coordinates*, up to a 2⁻⁶⁴ collision. They do not prove the
+//! values are equal: a writer that bypasses the store and puts different
+//! values under one timestamp on two nodes is not detected (the merge of a
+//! row that diverged for another reason still resolves such a pair, last
+//! node wins). They also say nothing about unreachable nodes, which are
+//! reconciled when they return.
+//!
+//! **Deletes are hinted too.** A hint carries the [`JournalOp`] the node
+//! missed, whatever its kind, and hints replay in arrival order. A node
+//! that was down for a `DeleteRow`, `DeleteColumn` or `Prune` would
+//! otherwise come back holding versions every other replica dropped, and
+//! the merge — which only ever adds versions — would copy them back to all
+//! of them: a deleted object's metadata would reappear with its chunks
+//! gone. A row that diverged *without* a hint (a write applied to one node
+//! directly, a hint queue lost in a crash) still merges to the union of its
+//! versions, pruned ones included.
 //!
 //! Every mutation is additionally recorded in a [`WriteAheadJournal`] so the
 //! store survives a crash: [`ReplicatedStore::checkpoint`] snapshots the
@@ -27,19 +72,62 @@ use serde_json::Value;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// A pending write that could not reach a node (hinted handoff).
+/// A mutation that could not reach a node (hinted handoff).
 #[derive(Debug, Clone)]
 struct Hint {
     datacenter: DatacenterId,
-    row_key: String,
-    column: String,
-    cell: Cell,
+    op: JournalOp,
+}
+
+/// What one [`ReplicatedStore::anti_entropy`] round did — its work counts,
+/// so tests and operators can see that an in-sync round moved nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AntiEntropyReport {
+    /// Hinted handoffs delivered to nodes that are back up.
+    pub hints_replayed: usize,
+    /// Hinted handoffs still queued for nodes that are down.
+    pub hints_remaining: usize,
+    /// Distinct row keys whose digests were compared across the reachable
+    /// nodes (0 when the node digests already matched).
+    pub rows_compared: usize,
+    /// Rows whose digests differed and whose version sets were merged.
+    pub rows_merged: usize,
+    /// Cell versions written into nodes that lacked them.
+    pub cells_copied: usize,
 }
 
 /// A crash-injection hook: called with a crash-point label, returns `true`
 /// when the operation must abort *right there* with no cleanup (the chaos
 /// harness arms these through a fault plan).
 pub type CrashHook = Arc<dyn Fn(&str) -> bool + Send + Sync>;
+
+/// Applies one journal op to one node. Returns `None` if the node is down
+/// (nothing applied), otherwise the cells a `Prune` removed (empty for the
+/// other op kinds).
+fn apply_to_node(node: &NoSqlNode, op: &JournalOp) -> Option<Vec<Cell>> {
+    if !node.is_up() {
+        return None;
+    }
+    match op {
+        JournalOp::Put {
+            row_key,
+            column,
+            value,
+            timestamp,
+        } => node
+            .put(row_key, column, value.clone(), *timestamp)
+            .then(Vec::new),
+        JournalOp::DeleteRow { row_key } => {
+            node.delete_row(row_key);
+            Some(Vec::new())
+        }
+        JournalOp::DeleteColumn { row_key, column } => {
+            node.delete_column(row_key, column);
+            Some(Vec::new())
+        }
+        JournalOp::Prune { row_key, column } => Some(node.prune_old_versions(row_key, column)),
+    }
+}
 
 /// A store replicated across every datacenter's database node.
 pub struct ReplicatedStore {
@@ -78,7 +166,7 @@ impl ReplicatedStore {
         self.nodes.iter().find(|n| n.datacenter() == datacenter)
     }
 
-    /// Number of queued hinted-handoff writes.
+    /// Number of queued hinted-handoff mutations.
     pub fn pending_hints(&self) -> usize {
         self.hints.lock().len()
     }
@@ -98,85 +186,47 @@ impl ReplicatedStore {
         let op = JournalOp::Put {
             row_key: row_key.to_string(),
             column: column.to_string(),
-            value: value.clone(),
+            value,
             timestamp,
         };
-        self.apply_put(row_key, column, value, timestamp)?;
+        self.apply_op(&op)?;
         self.journal.log_apply(op);
         Ok(())
     }
 
-    /// Applies a cell write to the nodes (hinting the down ones) without
-    /// touching the journal — shared by the journaling front doors and the
-    /// recovery replay.
-    fn apply_put(
-        &self,
-        row_key: &str,
-        column: &str,
-        value: Value,
-        timestamp: Timestamp,
-    ) -> Result<()> {
-        let cell = Cell::new(value, timestamp);
-        let mut accepted = 0;
-        for node in &self.nodes {
-            if node.put(row_key, column, cell.value.clone(), cell.timestamp) {
-                accepted += 1;
-            } else {
-                self.hints.lock().push_back(Hint {
-                    datacenter: node.datacenter(),
-                    row_key: row_key.to_string(),
-                    column: column.to_string(),
-                    cell: cell.clone(),
-                });
-            }
-        }
-        if accepted == 0 {
-            Err(ScaliaError::DatacenterUnavailable(
-                self.nodes.first().map(|n| n.datacenter().0).unwrap_or(0),
-            ))
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Applies one journal op to the nodes (no journaling). Returns the
-    /// cells a `Prune` removed (union across nodes, deduplicated), empty for
-    /// the other op kinds.
+    /// Applies one journal op to every reachable node and queues it as a
+    /// hinted handoff for every node that is down (no journaling — shared
+    /// by the journaling front doors and the recovery replay). Returns the
+    /// cells a `Prune` removed (union across nodes, deduplicated by
+    /// timestamp, sorted), empty for the other op kinds. Only a `Put` that
+    /// no node accepted is an error: a delete or prune of data no reachable
+    /// node holds has nothing to fail at.
     fn apply_op(&self, op: &JournalOp) -> Result<Vec<Cell>> {
-        match op {
-            JournalOp::Put {
-                row_key,
-                column,
-                value,
-                timestamp,
-            } => self
-                .apply_put(row_key, column, value.clone(), *timestamp)
-                .map(|()| Vec::new()),
-            JournalOp::DeleteRow { row_key } => {
-                for node in &self.nodes {
-                    node.delete_row(row_key);
-                }
-                Ok(Vec::new())
-            }
-            JournalOp::DeleteColumn { row_key, column } => {
-                for node in &self.nodes {
-                    node.delete_column(row_key, column);
-                }
-                Ok(Vec::new())
-            }
-            JournalOp::Prune { row_key, column } => {
-                let mut removed: Vec<Cell> = Vec::new();
-                for node in &self.nodes {
-                    for cell in node.prune_old_versions(row_key, column) {
+        let mut accepted = 0;
+        let mut removed: Vec<Cell> = Vec::new();
+        for node in &self.nodes {
+            match apply_to_node(node, op) {
+                Some(cells) => {
+                    accepted += 1;
+                    for cell in cells {
                         if !removed.iter().any(|c| c.timestamp == cell.timestamp) {
                             removed.push(cell);
                         }
                     }
                 }
-                removed.sort_by_key(|c| c.timestamp);
-                Ok(removed)
+                None => self.hints.lock().push_back(Hint {
+                    datacenter: node.datacenter(),
+                    op: op.clone(),
+                }),
             }
         }
+        if accepted == 0 && matches!(op, JournalOp::Put { .. }) {
+            return Err(ScaliaError::DatacenterUnavailable(
+                self.nodes.first().map(|n| n.datacenter().0).unwrap_or(0),
+            ));
+        }
+        removed.sort_by_key(|c| c.timestamp);
+        Ok(removed)
     }
 
     /// Atomically applies a batch of operations under write-ahead logging:
@@ -344,49 +394,47 @@ impl ReplicatedStore {
             .and_then(|n| n.with_latest(row_key, column, read))
     }
 
-    /// Reads every version of a column from the first reachable node.
+    /// Reads every version of a column from the first reachable node
+    /// (preferring the caller's local datacenter).
     pub fn get_versions(&self, local: DatacenterId, row_key: &str, column: &str) -> Vec<Cell> {
-        for node in self.ordered_nodes(local) {
-            if node.is_up() {
-                return node.get_versions(row_key, column);
-            }
-        }
-        Vec::new()
+        self.read_node(local)
+            .map(|n| n.get_versions(row_key, column))
+            .unwrap_or_default()
     }
 
-    /// Deletes a row on every reachable node (journaled).
-    pub fn delete_row(&self, row_key: &str) {
-        for node in &self.nodes {
-            node.delete_row(row_key);
-        }
-        self.journal.log_apply(JournalOp::DeleteRow {
-            row_key: row_key.to_string(),
-        });
-    }
-
-    /// Deletes a single column of a row on every reachable node (statistics
-    /// garbage collection: dropping over-retention samples). Journaled.
-    pub fn delete_column(&self, row_key: &str, column: &str) {
-        for node in &self.nodes {
-            node.delete_column(row_key, column);
-        }
-        self.journal.log_apply(JournalOp::DeleteColumn {
-            row_key: row_key.to_string(),
-            column: column.to_string(),
-        });
-    }
-
-    /// Prunes deprecated versions of a column on every reachable node and
-    /// returns the union of removed cells (deduplicated by timestamp).
-    /// Journaled.
-    pub fn prune_old_versions(&self, row_key: &str, column: &str) -> Vec<Cell> {
-        let op = JournalOp::Prune {
-            row_key: row_key.to_string(),
-            column: column.to_string(),
-        };
+    /// Applies an auto-committed single op and journals it.
+    fn apply_and_log(&self, op: JournalOp) -> Vec<Cell> {
         let removed = self.apply_op(&op).unwrap_or_default();
         self.journal.log_apply(op);
         removed
+    }
+
+    /// Deletes a row on every reachable node, hinting the ones that are
+    /// down (journaled).
+    pub fn delete_row(&self, row_key: &str) {
+        self.apply_and_log(JournalOp::DeleteRow {
+            row_key: row_key.to_string(),
+        });
+    }
+
+    /// Deletes a single column of a row on every reachable node, hinting
+    /// the ones that are down (statistics garbage collection: dropping
+    /// over-retention samples). Journaled.
+    pub fn delete_column(&self, row_key: &str, column: &str) {
+        self.apply_and_log(JournalOp::DeleteColumn {
+            row_key: row_key.to_string(),
+            column: column.to_string(),
+        });
+    }
+
+    /// Prunes deprecated versions of a column on every reachable node
+    /// (hinting the ones that are down) and returns the union of removed
+    /// cells (deduplicated by timestamp). Journaled.
+    pub fn prune_old_versions(&self, row_key: &str, column: &str) -> Vec<Cell> {
+        self.apply_and_log(JournalOp::Prune {
+            row_key: row_key.to_string(),
+            column: column.to_string(),
+        })
     }
 
     /// Row keys modified since `since` on any reachable node (deduplicated).
@@ -401,33 +449,73 @@ impl ReplicatedStore {
         keys
     }
 
-    /// Replays hinted handoffs to recovered nodes and merges every row of
-    /// every reachable node into every other reachable node, making the
-    /// datacenters eventually consistent.
-    pub fn anti_entropy(&self) {
-        // Replay hints to nodes that are back up.
+    /// Delivers queued hinted handoffs, oldest first, to the nodes that are
+    /// back up; hints for nodes still down stay queued in order.
+    fn replay_hints(&self, report: &mut AntiEntropyReport) {
         let mut hints = self.hints.lock();
         let mut remaining = VecDeque::new();
         while let Some(hint) = hints.pop_front() {
             let delivered = self
                 .node(hint.datacenter)
-                .map(|node| {
-                    node.put(
-                        &hint.row_key,
-                        &hint.column,
-                        hint.cell.value.clone(),
-                        hint.cell.timestamp,
-                    )
-                })
-                .unwrap_or(false);
-            if !delivered {
+                .is_some_and(|node| apply_to_node(node, &hint.op).is_some());
+            if delivered {
+                report.hints_replayed += 1;
+            } else {
                 remaining.push_back(hint);
             }
         }
+        report.hints_remaining = remaining.len();
         *hints = remaining;
-        drop(hints);
+    }
 
-        // Pairwise merge of reachable nodes.
+    /// One anti-entropy round, making the reachable datacenters eventually
+    /// consistent at a cost proportional to how far they diverged (see the
+    /// module docs): replays hinted handoffs, returns at once if the
+    /// reachable nodes' digests agree, and otherwise merges the version
+    /// sets of exactly the rows whose digests differ — every reachable node
+    /// ends up with the union of the versions any of them held for those
+    /// rows.
+    pub fn anti_entropy(&self) -> AntiEntropyReport {
+        let mut report = AntiEntropyReport::default();
+        self.replay_hints(&mut report);
+
+        let up: Vec<&NoSqlNode> = self
+            .nodes
+            .iter()
+            .filter(|n| n.is_up())
+            .map(Arc::as_ref)
+            .collect();
+        let Some((first, rest)) = up.split_first() else {
+            return report;
+        };
+        let digest = first.digest();
+        if rest.iter().all(|n| n.digest() == digest) {
+            return report;
+        }
+
+        let (compared, divergent) = NoSqlNode::divergent_rows(&up);
+        report.rows_compared = compared;
+        report.rows_merged = divergent.len();
+        for row_key in &divergent {
+            let copies: Vec<_> = up.iter().map(|n| n.get_row(row_key)).collect();
+            for (source, copy) in copies.iter().enumerate() {
+                let Some(row) = copy else { continue };
+                for (target, node) in up.iter().enumerate() {
+                    if target != source {
+                        report.cells_copied += node.merge_row(row_key, row);
+                    }
+                }
+            }
+        }
+        report
+    }
+
+    /// The differential oracle for [`Self::anti_entropy`]: the full merge
+    /// it replaced — every cell version of every reachable node re-put into
+    /// every reachable node. O(store) per round; tests only.
+    #[cfg(test)]
+    fn anti_entropy_full_merge(&self) {
+        self.replay_hints(&mut AntiEntropyReport::default());
         let snapshots: Vec<_> = self
             .nodes
             .iter()
@@ -445,12 +533,6 @@ impl ReplicatedStore {
                 }
             }
         }
-    }
-
-    fn ordered_nodes(&self, local: DatacenterId) -> Vec<Arc<NoSqlNode>> {
-        let mut ordered: Vec<Arc<NoSqlNode>> = self.nodes.clone();
-        ordered.sort_by_key(|n| if n.datacenter() == local { 0 } else { 1 });
-        ordered
     }
 }
 
@@ -524,6 +606,177 @@ mod tests {
             assert_eq!(versions.len(), 2, "both versions present after merge");
             assert_eq!(node.get_latest("r", "c").unwrap().value, json!("b"));
         }
+    }
+
+    #[test]
+    fn deletes_and_prunes_a_down_node_missed_are_hinted_and_not_resurrected() {
+        let s = store();
+        s.put("r", "meta", json!("v1"), Timestamp::new(1, 0))
+            .unwrap();
+        s.put("r", "meta", json!("v2"), Timestamp::new(2, 0))
+            .unwrap();
+        s.put("r", "debt", json!(true), Timestamp::new(2, 1))
+            .unwrap();
+        s.put("gone", "c", json!(1), Timestamp::new(3, 0)).unwrap();
+
+        // dc_1 misses one op of every kind, and a put + delete of one row.
+        s.nodes()[1].set_up(false);
+        s.delete_row("gone");
+        s.delete_column("r", "debt");
+        assert_eq!(s.prune_old_versions("r", "meta").len(), 1);
+        s.put("r", "meta", json!("v3"), Timestamp::new(4, 0))
+            .unwrap();
+        s.put("brief", "c", json!(1), Timestamp::new(5, 0)).unwrap();
+        s.delete_row("brief");
+        assert_eq!(s.pending_hints(), 6);
+
+        // Still down: nothing is delivered, nothing is dropped.
+        let report = s.anti_entropy();
+        assert_eq!((report.hints_replayed, report.hints_remaining), (0, 6));
+
+        // Back up, lagging: it still holds what the others deleted.
+        s.nodes()[1].set_up(true);
+        assert!(s.nodes()[1].get_row("gone").is_some());
+        let report = s.anti_entropy();
+        assert_eq!((report.hints_replayed, report.hints_remaining), (6, 0));
+        assert_eq!(
+            (report.rows_merged, report.cells_copied),
+            (0, 0),
+            "replaying the hints in order converges the nodes by itself"
+        );
+        for node in s.nodes() {
+            assert!(node.get_row("gone").is_none(), "deleted row stays deleted");
+            assert!(node.get_row("brief").is_none(), "put-then-delete in order");
+            assert!(node.get_versions("r", "debt").is_empty());
+            let versions: Vec<Value> = node
+                .get_versions("r", "meta")
+                .into_iter()
+                .map(|c| c.value)
+                .collect();
+            assert_eq!(versions, vec![json!("v2"), json!("v3")]);
+        }
+        assert_eq!(s.nodes()[0].digest(), s.nodes()[1].digest());
+    }
+
+    #[test]
+    fn anti_entropy_work_is_proportional_to_divergence() {
+        let s = store();
+        for i in 0..10_000u64 {
+            s.put(&format!("row-{i:05}"), "c", json!(i), Timestamp::new(1, i))
+                .unwrap();
+        }
+        // In sync: the node digests match and nothing else is looked at.
+        assert_eq!(s.anti_entropy(), AntiEntropyReport::default());
+
+        // Diverge 7 rows: extra versions on either node, and a row only
+        // dc_1 has.
+        for i in 0..4u64 {
+            s.nodes()[0].put(
+                &format!("row-{i:05}"),
+                "c",
+                json!("a"),
+                Timestamp::new(2, i),
+            );
+        }
+        for i in 4..6u64 {
+            s.nodes()[1].put(
+                &format!("row-{i:05}"),
+                "d",
+                json!("b"),
+                Timestamp::new(2, i),
+            );
+        }
+        s.nodes()[1].put("row-new", "c", json!("b"), Timestamp::new(2, 6));
+        assert_eq!(
+            s.anti_entropy(),
+            AntiEntropyReport {
+                rows_compared: 10_001,
+                rows_merged: 7,
+                cells_copied: 7,
+                ..AntiEntropyReport::default()
+            }
+        );
+        for node in s.nodes() {
+            assert_eq!(node.row_count(), 10_001);
+            assert_eq!(node.get_versions("row-00000", "c").len(), 2);
+            node.assert_digests_consistent("after merge");
+        }
+        assert_eq!(s.anti_entropy(), AntiEntropyReport::default());
+
+        // A node that is down is left out of the comparison.
+        s.nodes()[0].put("row-00009", "c", json!("a"), Timestamp::new(3, 0));
+        s.nodes()[1].set_up(false);
+        assert_eq!(s.anti_entropy(), AntiEntropyReport::default());
+        s.nodes()[1].set_up(true);
+        assert_eq!(s.anti_entropy().rows_merged, 1);
+    }
+
+    #[test]
+    fn concurrent_transactions_and_anti_entropy_keep_every_version_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        const WRITERS: u64 = 3;
+        const COMMITS: u64 = 300;
+        let s = ReplicatedStore::with_datacenters(3);
+        // Writers and the anti-entropy loop start together; the loop keeps
+        // running rounds until the last writer has committed, so rounds
+        // overlap transactions that have reached some nodes and not others.
+        let start = Barrier::new(WRITERS as usize + 1);
+        let writing = AtomicUsize::new(WRITERS as usize);
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (s, start, writing) = (&s, &start, &writing);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..COMMITS {
+                        let put = |row_key: String| JournalOp::Put {
+                            row_key,
+                            column: "c".into(),
+                            value: json!([w, i]),
+                            timestamp: Timestamp::new(i, w),
+                        };
+                        s.transaction(vec![put("shared".into()), put(format!("own-{w}"))])
+                            .unwrap();
+                    }
+                    writing.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            scope.spawn(|| {
+                start.wait();
+                while writing.load(Ordering::SeqCst) > 0 {
+                    s.anti_entropy();
+                }
+            });
+        });
+        s.anti_entropy();
+
+        let mut shared: Vec<Timestamp> = (0..WRITERS)
+            .flat_map(|w| (0..COMMITS).map(move |i| Timestamp::new(i, w)))
+            .collect();
+        shared.sort();
+        for node in s.nodes() {
+            let timestamps = |row: &str| -> Vec<Timestamp> {
+                node.get_versions(row, "c")
+                    .iter()
+                    .map(|c| c.timestamp)
+                    .collect()
+            };
+            assert_eq!(timestamps("shared"), shared, "none lost, none twice");
+            for w in 0..WRITERS {
+                let own: Vec<Timestamp> = (0..COMMITS).map(|i| Timestamp::new(i, w)).collect();
+                assert_eq!(timestamps(&format!("own-{w}")), own);
+            }
+            for cell in node.get_versions("shared", "c") {
+                assert_eq!(
+                    cell.value,
+                    json!([cell.timestamp.seq, cell.timestamp.secs]),
+                    "a version keeps the value it was written with"
+                );
+            }
+            node.assert_digests_consistent("after concurrent rounds");
+            assert_eq!(node.digest(), s.nodes()[0].digest());
+        }
+        assert_eq!(s.anti_entropy(), AntiEntropyReport::default());
     }
 
     #[test]
@@ -706,5 +959,124 @@ mod tests {
             s.get_latest(DatacenterId::new(0), "r", "c").unwrap().value,
             json!(9)
         );
+    }
+
+    // -----------------------------------------------------------------
+    // Differential test: digest-driven rounds against the full merge
+    // -----------------------------------------------------------------
+
+    /// An independent copy of the store's replicated state (nodes, their
+    /// reachability, queued hints). The journal is not copied: anti-entropy
+    /// never reads it.
+    fn clone_state(s: &ReplicatedStore) -> ReplicatedStore {
+        let clone =
+            ReplicatedStore::new(s.nodes.iter().map(|n| Arc::new(n.deep_clone())).collect());
+        *clone.hints.lock() = s.hints.lock().clone();
+        clone
+    }
+
+    /// Runs one digest-driven round on `s` and the full-merge oracle on a
+    /// copy of the same pre-state; every node must end byte-identical (rows,
+    /// row headers, digests), with the incremental digests still exact.
+    fn round_matches_oracle(s: &ReplicatedStore, context: &str) -> AntiEntropyReport {
+        let oracle = clone_state(s);
+        oracle.anti_entropy_full_merge();
+        let report = s.anti_entropy();
+        assert_eq!(report.hints_remaining, oracle.pending_hints(), "{context}");
+        for (node, expected) in s.nodes().iter().zip(oracle.nodes()) {
+            node.assert_same_state(expected, context);
+            node.assert_digests_consistent(context);
+        }
+        let mut up = s.nodes().iter().filter(|n| n.is_up());
+        if let Some(first) = up.next() {
+            assert!(up.all(|n| n.digest() == first.digest()), "{context}");
+        }
+        report
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Random schedules of replicated puts, transactions, prunes and
+        /// deletes, node down/up windows, writes applied to one node only
+        /// (a partition), checkpoints and recoveries — with an anti-entropy
+        /// round, checked against the oracle, wherever the schedule puts
+        /// one. Timestamps are unique per write, as in a deployment.
+        #[test]
+        fn digest_driven_rounds_match_the_full_merge(
+            seed in proptest::any::<u64>(),
+            datacenters in 2u32..5,
+            steps in 20usize..90,
+        ) {
+            let mut rng = proptest::TestRng::deterministic(&format!("schedule-{seed}"));
+            let mut below = move |n: u64| rng.next_u64() % n;
+            let s = ReplicatedStore::with_datacenters(datacenters);
+            let mut checkpoint: Option<StoreCheckpoint> = None;
+            let mut seq = 0u64;
+            for step in 0..steps {
+                let row_key = format!("row-{}", below(6));
+                let column = format!("col-{}", below(3));
+                seq += 1;
+                let timestamp = Timestamp::new(seq / 4, seq);
+                let put = JournalOp::Put {
+                    row_key: row_key.clone(),
+                    column: column.clone(),
+                    value: json!(seq),
+                    timestamp,
+                };
+                match below(16) {
+                    0..=4 => {
+                        // Fails only when every node is down.
+                        let _ = s.put(&row_key, &column, json!(seq), timestamp);
+                    }
+                    5 | 6 => {
+                        let prune = JournalOp::Prune {
+                            row_key: row_key.clone(),
+                            column: column.clone(),
+                        };
+                        let _ = s.transaction(vec![put, prune]);
+                    }
+                    7 => {
+                        s.prune_old_versions(&row_key, &column);
+                    }
+                    8 => s.delete_row(&row_key),
+                    9 => s.delete_column(&row_key, &column),
+                    10 | 11 => {
+                        let node = &s.nodes()[below(datacenters as u64) as usize];
+                        node.set_up(!node.is_up());
+                    }
+                    12 => {
+                        // Reaches one node only; ignored if that node is down.
+                        s.nodes()[below(datacenters as u64) as usize].put(
+                            &row_key,
+                            &column,
+                            json!(seq),
+                            timestamp,
+                        );
+                    }
+                    13 => checkpoint = Some(s.checkpoint()),
+                    14 => {
+                        if let Some(checkpoint) = &checkpoint {
+                            s.recover(checkpoint);
+                        }
+                    }
+                    _ => {
+                        round_matches_oracle(&s, &format!("seed {seed} step {step}"));
+                    }
+                }
+                for node in s.nodes() {
+                    node.assert_digests_consistent(&format!("seed {seed} step {step}"));
+                }
+            }
+
+            // Heal everything: one round converges all nodes, the next one
+            // finds nothing to look at.
+            for node in s.nodes() {
+                node.set_up(true);
+            }
+            round_matches_oracle(&s, &format!("seed {seed} final"));
+            assert_eq!(s.pending_hints(), 0);
+            assert_eq!(s.anti_entropy(), AntiEntropyReport::default());
+        }
     }
 }

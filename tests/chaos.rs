@@ -596,6 +596,16 @@ fn chaos_scenario(seed: u64) -> String {
         }
     }
 
+    // Crash recovery rebuilt the database node's content digest and every
+    // write since kept it exact.
+    for node in db.nodes() {
+        assert_eq!(
+            node.digest(),
+            node.recomputed_digest(),
+            "seed {seed}: incremental digest drifted from the node's contents"
+        );
+    }
+
     // Digest of stable facts only.
     let mut lines = Vec::new();
     for (name, expected) in &model {

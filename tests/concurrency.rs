@@ -91,6 +91,18 @@ fn assert_quiescent_invariants(cluster: &ScaliaCluster, keys: &[ObjectKey]) {
     // Settle replication and postponed deletes.
     cluster.infra().retry_pending_deletes();
     cluster.infra().database().anti_entropy();
+    // The incrementally maintained content digests survived the concurrent
+    // run exactly, and the settled replicas agree.
+    let nodes = cluster.infra().database().nodes();
+    for node in nodes {
+        assert_eq!(
+            node.digest(),
+            node.recomputed_digest(),
+            "node dc_{}: incremental digest drifted from its contents",
+            node.datacenter()
+        );
+        assert_eq!(node.digest(), nodes[0].digest(), "replicas must agree");
+    }
     assert_eq!(
         cluster.infra().pending_delete_count(),
         0,
