@@ -1,16 +1,18 @@
 //! The raw-speed floor, measured: GF(256) kernel throughput per tier and
 //! length, the 1 MiB Reed-Solomon parity core (wide kernel vs the scalar
-//! seed kernel — the ≥ 4× acceptance gate), the work-stealing pool's
+//! seed kernel — the ≥ 4× acceptance gate), the content checksum (XXH64,
+//! the one hash on the bytes path) per length, the work-stealing pool's
 //! spawn/steal microcosts, pool scaling on an optimization-cycle and a
 //! map-reduce workload at 1 vs 4 workers, and the 16–20-provider
 //! placement search with and without pairwise dominance pruning (vs the
 //! recorded 4.98 ms PR 1 baseline at 16 providers).
 //!
 //! Every measured number is published to `BENCH_raw_speed.json` at the
-//! repo root. Two acceptance gates are asserted inline (so a CI bench
+//! repo root. Three acceptance gates are asserted inline (so a CI bench
 //! smoke run fails loudly rather than recording a regression):
 //!
 //! * `rs_parity_1mib`: wide kernel ≥ 4× over the scalar seed kernel;
+//! * `xxh64`: ≤ 0.3 ns/B at 4 KiB, 512 KiB (a stripe) and 8 MiB;
 //! * `search_16`: dominance-pruned search beats the 4.98 ms baseline.
 //!
 //! The ≥ 2×-at-4-workers pool-scaling gate is only asserted when the
@@ -29,6 +31,7 @@ use scalia_providers::catalog::{azure, google, rackspace, s3_high, s3_low};
 use scalia_providers::descriptor::ProviderDescriptor;
 use scalia_providers::pricing::PricingPolicy;
 use scalia_providers::sla::ProviderSla;
+use scalia_types::checksum::xxh64;
 use scalia_types::ids::ProviderId;
 use scalia_types::reliability::Reliability;
 use scalia_types::rules::StorageRule;
@@ -150,6 +153,37 @@ fn rs_parity_section() -> serde_json::Value {
         "gate_min_speedup": 4.0,
         "gate": "pass",
     })
+}
+
+// ------------------------------------------------------------- checksum --
+
+/// The content checksum at an object (4 KiB), a stripe (512 KiB) and a
+/// large-object (8 MiB) length. It runs once over every byte written and
+/// every byte read, so its floor bounds what the bytes path can cost.
+/// Returns the JSON rows; asserts the ≤ 0.3 ns/B gate at each length.
+fn xxh64_section() -> serde_json::Value {
+    const GATE_NS_PER_BYTE: f64 = 0.3;
+    let mut rows = Vec::new();
+    for len in [4usize << 10, 512 << 10, 8 << 20] {
+        let data: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
+        let iters = ((64 << 20) / len).max(8);
+        let us = time_per_iter_us(iters, || {
+            black_box(xxh64(black_box(&data)));
+        });
+        let ns_per_byte = us * 1e3 / len as f64;
+        assert!(
+            ns_per_byte <= GATE_NS_PER_BYTE,
+            "xxh64 gate: {ns_per_byte:.3} ns/B at {len} B (need <= {GATE_NS_PER_BYTE})"
+        );
+        rows.push(serde_json::json!({
+            "len_bytes": len,
+            "ns_per_byte": ns_per_byte,
+            "gib_per_sec": gib_per_sec(len, us),
+            "gate_max_ns_per_byte": GATE_NS_PER_BYTE,
+            "gate": "pass",
+        }));
+    }
+    serde_json::json!(rows)
 }
 
 // ----------------------------------------------------------------- pool --
@@ -389,6 +423,7 @@ fn placement_section() -> serde_json::Value {
 fn raw_speed_baseline() {
     let gf256 = gf256_section();
     let parity = rs_parity_section();
+    let checksum = xxh64_section();
     let spawn = pool_spawn_section();
     let scaling = pool_scaling_section();
     let placement = placement_section();
@@ -396,6 +431,7 @@ fn raw_speed_baseline() {
         "bench": "raw_speed",
         "gf256": gf256,
         "rs_parity_1mib": parity,
+        "xxh64": checksum,
         "pool_spawn": spawn,
         "pool_scaling": scaling,
         "placement_search": placement,

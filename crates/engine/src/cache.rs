@@ -27,45 +27,25 @@
 
 use bytes::Bytes;
 use parking_lot::Mutex;
+use scalia_types::checksum::xxh64;
 use scalia_types::size::ByteSize;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-
-/// FNV-1a 64-bit digest — the cache's integrity check. Much cheaper than a
-/// cryptographic hash and plenty for what it guards against: *accidental*
-/// in-process corruption (a buggy in-place mutation of shared `Bytes`, a
-/// torn entry), not an adversary.
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in data {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// One cached object plus the integrity digest recorded when it was
 /// inserted. Every hit re-derives the digest and fails closed (treats the
 /// entry as a miss) on mismatch — a corrupt cache entry must never be
-/// served when the providers still hold the true bytes.
+/// served when the providers still hold the true bytes. The digest is the
+/// content checksum ([`scalia_types::checksum`]): cheap enough to run on
+/// every hit, and what it guards against is *accidental* in-process
+/// corruption (a buggy in-place mutation of shared `Bytes`, a torn entry),
+/// not an adversary.
 struct Entry {
     data: Bytes,
     len: usize,
     digest: u64,
-}
-
-impl Entry {
-    fn new(data: Bytes) -> Self {
-        Entry {
-            len: data.len(),
-            digest: fnv1a64(&data),
-            data,
-        }
-    }
-
-    fn verified(&self) -> bool {
-        self.data.len() == self.len && fnv1a64(&self.data) == self.digest
-    }
+    /// This entry's key in [`CacheInner::recency`].
+    tick: u64,
 }
 
 /// Bound on per-key invalidation epochs kept; exceeding it clears the table
@@ -74,8 +54,11 @@ pub const EPOCH_CAP: usize = 65_536;
 
 struct CacheInner {
     map: HashMap<String, Entry>,
-    /// Keys in LRU order: front = least recently used.
-    order: Vec<String>,
+    /// Recency index: the tick of each entry's last use (insert or hit) →
+    /// its key. Ticks only grow, so the first entry is the least recently
+    /// used and every LRU operation is O(log entries).
+    recency: BTreeMap<u64, String>,
+    next_tick: u64,
     used: u64,
     hits: u64,
     misses: u64,
@@ -91,6 +74,15 @@ struct CacheInner {
 impl CacheInner {
     fn epoch_of(&self, key: &str) -> u64 {
         ((self.generation as u64) << 32) | self.epochs.get(key).copied().unwrap_or(0) as u64
+    }
+
+    /// Drops `key`'s entry, keeping the byte accounting and the recency
+    /// index exact.
+    fn remove(&mut self, key: &str) {
+        if let Some(old) = self.map.remove(key) {
+            self.used -= old.len as u64;
+            self.recency.remove(&old.tick);
+        }
     }
 
     fn bump_epoch(&mut self, key: &str) {
@@ -117,7 +109,8 @@ impl Cache {
             capacity: capacity.bytes(),
             inner: Mutex::new(CacheInner {
                 map: HashMap::new(),
-                order: Vec::new(),
+                recency: BTreeMap::new(),
+                next_tick: 0,
                 used: 0,
                 hits: 0,
                 misses: 0,
@@ -135,46 +128,52 @@ impl Cache {
 
     /// Looks up an object, refreshing its recency on a hit.
     ///
-    /// Every hit cross-checks the entry's length and FNV-1a digest against
-    /// what was recorded at insert. A mismatch **fails closed**: the corrupt
-    /// entry is dropped and the lookup reported as a miss, so the engine
-    /// refetches from the providers instead of serving damaged bytes.
+    /// Every hit cross-checks the entry's length and digest against what was
+    /// recorded at insert — **outside** the lock, so hashing a large entry
+    /// never stalls the other readers and writers of this datacenter. A
+    /// mismatch **fails closed**: the corrupt entry is dropped and the
+    /// lookup reported as a miss, so the engine refetches from the providers
+    /// instead of serving damaged bytes.
     pub fn get(&self, key: &str) -> Option<Bytes> {
-        let mut inner = self.inner.lock();
-        match inner.map.get(key) {
-            Some(entry) if entry.verified() => {
-                let data = entry.data.clone();
-                inner.hits += 1;
-                if let Some(pos) = inner.order.iter().position(|k| k == key) {
-                    let k = inner.order.remove(pos);
-                    inner.order.push(k);
-                }
-                Some(data)
-            }
-            Some(_) => {
-                // Corrupt: evict, count, miss.
-                if let Some(entry) = inner.map.remove(key) {
-                    inner.used -= entry.data.len() as u64;
-                }
-                if let Some(pos) = inner.order.iter().position(|k| k == key) {
-                    inner.order.remove(pos);
-                }
-                inner.corruptions += 1;
+        let (data, len, digest) = {
+            let mut guard = self.inner.lock();
+            let inner = &mut *guard;
+            let Some(entry) = inner.map.get_mut(key) else {
                 inner.misses += 1;
-                None
+                return None;
+            };
+            if let Some(indexed_key) = inner.recency.remove(&entry.tick) {
+                entry.tick = inner.next_tick;
+                inner.recency.insert(entry.tick, indexed_key);
+                inner.next_tick += 1;
             }
-            None => {
-                inner.misses += 1;
-                None
-            }
+            inner.hits += 1;
+            (entry.data.clone(), entry.len, entry.digest)
+        };
+        if data.len() == len && xxh64(&data) == digest {
+            return Some(data);
         }
+        // Corrupt: evict (unless a writer already replaced the entry — its
+        // bytes are not the ones that failed), count, and turn the hit
+        // recorded above into a miss.
+        let mut inner = self.inner.lock();
+        if inner
+            .map
+            .get(key)
+            .is_some_and(|entry| entry.data.as_ptr() == data.as_ptr())
+        {
+            inner.remove(key);
+        }
+        inner.corruptions += 1;
+        inner.hits -= 1;
+        inner.misses += 1;
+        None
     }
 
     /// Inserts an object, evicting least-recently-used entries as needed.
     /// Objects larger than the whole cache are not cached.
     pub fn put(&self, key: &str, data: Bytes) {
-        let mut inner = self.inner.lock();
-        self.insert_locked(&mut inner, key, data);
+        self.insert(key, data, None);
     }
 
     /// The key's current invalidation epoch. Readers snapshot this *before*
@@ -192,35 +191,39 @@ impl Cache {
     /// version can never land after the invalidation that should have
     /// covered it.
     pub fn put_if_epoch(&self, key: &str, data: Bytes, epoch: u64) -> bool {
-        let mut inner = self.inner.lock();
-        if inner.epoch_of(key) != epoch {
-            return false;
-        }
-        self.insert_locked(&mut inner, key, data)
+        self.insert(key, data, Some(epoch))
     }
 
-    fn insert_locked(&self, inner: &mut CacheInner, key: &str, data: Bytes) -> bool {
+    /// The insert behind [`Cache::put`] and [`Cache::put_if_epoch`]. The
+    /// entry's digest is computed before the lock is taken.
+    fn insert(&self, key: &str, data: Bytes, epoch: Option<u64>) -> bool {
         let size = data.len() as u64;
         if size > self.capacity {
             return false;
         }
-        if let Some(old) = inner.map.remove(key) {
-            inner.used -= old.data.len() as u64;
-            if let Some(pos) = inner.order.iter().position(|k| k == key) {
-                inner.order.remove(pos);
-            }
+        let digest = xxh64(&data);
+
+        let mut inner = self.inner.lock();
+        if epoch.is_some_and(|epoch| inner.epoch_of(key) != epoch) {
+            return false;
         }
+        inner.remove(key);
         while inner.used + size > self.capacity {
-            let Some(victim) = inner.order.first().cloned() else {
+            let Some((_, victim)) = inner.recency.pop_first() else {
                 break;
             };
-            inner.order.remove(0);
-            if let Some(evicted) = inner.map.remove(&victim) {
-                inner.used -= evicted.data.len() as u64;
-            }
+            inner.remove(&victim);
         }
-        inner.map.insert(key.to_string(), Entry::new(data));
-        inner.order.push(key.to_string());
+        let tick = inner.next_tick;
+        inner.next_tick += 1;
+        inner.recency.insert(tick, key.to_string());
+        let entry = Entry {
+            len: data.len(),
+            digest,
+            data,
+            tick,
+        };
+        inner.map.insert(key.to_string(), entry);
         inner.used += size;
         true
     }
@@ -230,12 +233,7 @@ impl Cache {
     /// the deprecated version skip their populate.
     pub fn invalidate(&self, key: &str) {
         let mut inner = self.inner.lock();
-        if let Some(old) = inner.map.remove(key) {
-            inner.used -= old.data.len() as u64;
-        }
-        if let Some(pos) = inner.order.iter().position(|k| k == key) {
-            inner.order.remove(pos);
-        }
+        inner.remove(key);
         inner.bump_epoch(key);
     }
 
@@ -244,7 +242,7 @@ impl Cache {
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         inner.map.clear();
-        inner.order.clear();
+        inner.recency.clear();
         inner.used = 0;
         inner.epochs.clear();
         inner.generation = inner.generation.wrapping_add(1);

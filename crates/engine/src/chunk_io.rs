@@ -43,10 +43,19 @@
 //!   used by the staged streaming pipeline
 //!   ([`crate::streaming`]): an upload takes an already-encoded stripe (so
 //!   the pipeline can encode stripe k+1 while stripe k is in flight) and a
-//!   per-stripe chunk-key salt, and a range read decodes only the byte
-//!   window it needs from the hedged `m`-of-`n` fetch of a single stripe —
-//!   the rollback, postponed-delete and failure-detector semantics above
-//!   apply per stripe, unchanged.
+//!   per-stripe chunk-key salt, and a range read fetches (hedged
+//!   `m`-of-`n`), decodes and verifies only the stripes that cover its byte
+//!   window — the rollback, postponed-delete and failure-detector semantics
+//!   above apply per stripe, unchanged.
+//!
+//! # Integrity
+//!
+//! Chunks carry no checksum of their own. Every read decodes straight into
+//! its output buffer and verifies the decoded stripe against the content
+//! checksum ([`scalia_types::checksum`]) stored in the metadata when the
+//! stripe was written — one pass per byte, covering every chunk that
+//! contributed. A mismatch fails the read closed; it is never served and
+//! never cached.
 //!
 //! # Virtual time, real time
 //!
@@ -70,12 +79,11 @@ use bytes::Bytes;
 use rayon::prelude::*;
 use scalia_core::cost::{cheapest_read_providers, chunk_bytes_for};
 use scalia_core::placement::Placement;
-use scalia_erasure::codec::{
-    decode_object, decode_object_range, encode_object, Chunk, EncodedObject,
-};
+use scalia_erasure::codec::{decode_object_into, encode_object, Chunk, EncodedObject};
 use scalia_providers::backend::StoreOp;
 use scalia_providers::descriptor::ProviderDescriptor;
 use scalia_providers::latency::LatencyModel;
+use scalia_types::checksum::checksum_hex;
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::ProviderId;
 use scalia_types::object::{ChunkLocation, ObjectMeta, StripingMeta};
@@ -944,11 +952,46 @@ pub fn fetch_chunks(
     Ok(chunks)
 }
 
+/// Fetches any `m` chunks of one erasure group — a classic object's single
+/// chunk set, or one stripe's (`view`) — with the hedged race, decodes them
+/// straight into `out` (whose length is the group's plaintext length) and
+/// verifies the result against `checksum`, the content checksum stored in
+/// the metadata when the group was written.
+///
+/// This is the only way bytes leave the providers for a client: a provider
+/// that returns damaged bytes fails the read ([`ScaliaError::DecodeFailed`])
+/// instead of reaching the caller or the cache.
+fn read_group_into(
+    infra: &Arc<Infrastructure>,
+    view: &StripingMeta,
+    checksum: &str,
+    out: &mut [u8],
+    config: &HedgeConfig,
+) -> Result<()> {
+    // `code_width()`, not `chunks.len()`: a degraded striping keeps the
+    // surviving chunks' original erasure indices, and the decoder must see
+    // the width those indices were encoded under.
+    let params = ErasureParams::new(view.m, view.code_width())
+        .ok_or_else(|| ScaliaError::Internal("invalid striping metadata".into()))?;
+    let chunks = fetch_chunks(infra, view, ByteSize::from_bytes(out.len() as u64), config)?;
+    decode_object_into(&chunks, params, out)?;
+    if checksum_hex(out) != checksum {
+        return Err(ScaliaError::DecodeFailed(format!(
+            "the bytes decoded from chunks {}.* fail their stored checksum",
+            view.skey
+        )));
+    }
+    Ok(())
+}
+
 /// Fetches chunks with [`fetch_chunks`] and reassembles the object,
-/// tolerating up to `n − m` failed or straggling providers. Striped objects
-/// fetch and decode stripe by stripe — each stripe runs its own hedged
-/// `m`-of-`n` race and is checksum-verified — so the transient working set
-/// beyond the output buffer stays O(stripe), never O(object).
+/// tolerating up to `n − m` failed or straggling providers. One output
+/// buffer is allocated up front; striped objects fetch and decode stripe by
+/// stripe — each stripe runs its own hedged `m`-of-`n` race, lands directly
+/// in its window of the output and is checksum-verified there — so the
+/// transient working set beyond the output buffer is the `m` fetched chunks
+/// of one stripe. A classic object is its own single stripe, verified
+/// against the object checksum.
 pub fn fetch_and_reassemble(
     infra: &Arc<Infrastructure>,
     meta: &ObjectMeta,
@@ -956,18 +999,22 @@ pub fn fetch_and_reassemble(
 ) -> Result<Bytes> {
     let striping = &meta.striping;
     let Some(map) = &striping.stripes else {
-        // `code_width()`, not `chunks.len()`: a degraded striping keeps the
-        // surviving chunks' original erasure indices, and the decoder must
-        // see the width those indices were encoded under.
-        let params = ErasureParams::new(striping.m, striping.code_width())
-            .ok_or_else(|| ScaliaError::Internal("invalid striping metadata".into()))?;
-        let chunks = fetch_chunks(infra, striping, meta.size, config)?;
-        return decode_object(&chunks, params, meta.size.bytes() as usize);
+        let mut out = vec![0u8; meta.size.bytes() as usize];
+        read_group_into(infra, striping, &meta.checksum, &mut out, config)?;
+        return Ok(Bytes::from(out));
     };
-    let mut out = Vec::with_capacity(map.total_len() as usize);
-    for i in 0..map.stripes.len() {
-        let stripe = fetch_stripe(infra, striping, i, config)?;
-        out.extend_from_slice(&stripe);
+    let mut out = vec![0u8; map.total_len() as usize];
+    let mut rest = &mut out[..];
+    for (i, stripe) in map.stripes.iter().enumerate() {
+        let (window, tail) = rest.split_at_mut(stripe.len as usize);
+        read_group_into(
+            infra,
+            &striping.stripe_view(i),
+            &stripe.checksum,
+            window,
+            config,
+        )?;
+        rest = tail;
     }
     Ok(Bytes::from(out))
 }
@@ -985,26 +1032,26 @@ pub fn fetch_stripe(
         .as_ref()
         .ok_or_else(|| ScaliaError::Internal("fetch_stripe on single-stripe object".into()))?;
     let stripe = &map.stripes[index];
-    let view = striping.stripe_view(index);
-    let params = ErasureParams::new(view.m, view.code_width())
-        .ok_or_else(|| ScaliaError::Internal("invalid stripe metadata".into()))?;
-    let chunks = fetch_chunks(infra, &view, ByteSize::from_bytes(stripe.len), config)?;
-    let bytes = decode_object(&chunks, params, stripe.len as usize)?;
-    if scalia_types::md5::md5_hex(&bytes) != stripe.checksum {
-        return Err(ScaliaError::DecodeFailed(format!(
-            "stripe {index} of {} failed its checksum",
-            striping.skey
-        )));
-    }
-    Ok(bytes)
+    let mut out = vec![0u8; stripe.len as usize];
+    read_group_into(
+        infra,
+        &striping.stripe_view(index),
+        &stripe.checksum,
+        &mut out,
+        config,
+    )?;
+    Ok(Bytes::from(out))
 }
 
 /// Fetches only the chunks needed to serve the byte range
 /// `[offset, offset + len)` of an object: for a striped object just the
 /// covering stripes (each still a hedged `m`-of-`n` race); for a classic
-/// single-stripe object its one chunk set, decoded through the systematic
-/// range fast path. The result equals the same slice of a full read,
-/// clamped to the object's end — an empty or past-EOF range is empty bytes.
+/// single-stripe object its one chunk set. Checksums cover whole stripes,
+/// so a stripe the range only touches part of is decoded and verified in
+/// full before the requested window is cut from it — no byte is returned
+/// that a stored checksum did not vouch for. The result equals the same
+/// slice of a full read, clamped to the object's end — an empty or past-EOF
+/// range is empty bytes.
 pub fn fetch_range(
     infra: &Arc<Infrastructure>,
     meta: &ObjectMeta,
@@ -1019,42 +1066,31 @@ pub fn fetch_range(
     }
     let striping = &meta.striping;
     let Some(map) = &striping.stripes else {
-        // The single stripe IS the covering stripe: fetch its m cheapest
-        // chunks and decode only the requested range.
-        let params = ErasureParams::new(striping.m, striping.code_width())
-            .ok_or_else(|| ScaliaError::Internal("invalid striping metadata".into()))?;
-        let chunks = fetch_chunks(infra, striping, meta.size, config)?;
-        return decode_object_range(
-            &chunks,
-            params,
-            size as usize,
-            offset as usize,
-            (end - offset) as usize,
-        );
+        // The single stripe IS the covering stripe.
+        let whole = fetch_and_reassemble(infra, meta, config)?;
+        return Ok(whole.slice(offset as usize..end as usize));
     };
-    let mut out = Vec::with_capacity((end - offset) as usize);
+    let mut out = vec![0u8; (end - offset) as usize];
+    let mut rest = &mut out[..];
     for i in map.covering(offset, end) {
         let stripe = &map.stripes[i];
         let stripe_start = map.stripe_offset(i);
-        let from = offset.max(stripe_start) - stripe_start;
-        let to = (end - stripe_start).min(stripe.len);
-        if from == 0 && to == stripe.len {
-            // Whole stripe needed: decode + checksum-verify it.
-            out.extend_from_slice(&fetch_stripe(infra, striping, i, config)?);
-        } else {
-            let view = striping.stripe_view(i);
-            let params = ErasureParams::new(view.m, view.code_width())
-                .ok_or_else(|| ScaliaError::Internal("invalid stripe metadata".into()))?;
-            let chunks = fetch_chunks(infra, &view, ByteSize::from_bytes(stripe.len), config)?;
-            let bytes = decode_object_range(
-                &chunks,
-                params,
-                stripe.len as usize,
-                from as usize,
-                (to - from) as usize,
+        let from = (offset.max(stripe_start) - stripe_start) as usize;
+        let to = (end - stripe_start).min(stripe.len) as usize;
+        let (window, tail) = rest.split_at_mut(to - from);
+        if to - from == stripe.len as usize {
+            // Whole stripe needed: decode and verify it in place.
+            read_group_into(
+                infra,
+                &striping.stripe_view(i),
+                &stripe.checksum,
+                window,
+                config,
             )?;
-            out.extend_from_slice(&bytes);
+        } else {
+            window.copy_from_slice(&fetch_stripe(infra, striping, i, config)?[from..to]);
         }
+        rest = tail;
     }
     Ok(Bytes::from(out))
 }
@@ -1208,9 +1244,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(chunks.len(), 2);
+        let encoded = encode_object(&data, placement.erasure_params()).unwrap();
         assert!(
-            chunks.iter().all(|c| c.verify()),
-            "fetched chunks must be checksum-exact"
+            chunks.iter().all(|c| encoded.chunks.contains(c)),
+            "fetched chunks must be the bytes that were uploaded"
         );
         // The read reported the dead provider to the failure detector.
         assert!(!infra.catalog().is_available(victim));
@@ -1250,7 +1287,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(chunks.len(), 1);
-        assert!(chunks[0].verify());
+        assert_eq!(chunks[0].data, data, "1-of-3: every chunk is the payload");
 
         // The hedge promoted the parity provider…
         let parity_gets_after = infra

@@ -42,6 +42,7 @@ use scalia_core::cost::PredictedUsage;
 use scalia_core::placement::{Placement, PlacementEngine};
 use scalia_metastore::journal::JournalOp;
 use scalia_metastore::logagg::{AccessKind, AccessLogRecord, LogAgent};
+use scalia_types::checksum::checksum_hex;
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::{DatacenterId, EngineId, ProviderId};
 use scalia_types::object::{ObjectKey, ObjectMeta, ObjectVersionId, StripingMeta};
@@ -212,7 +213,7 @@ impl Engine {
             version,
             mime: mime.to_string(),
             size,
-            checksum: scalia_types::md5::md5_hex(&data),
+            checksum: checksum_hex(&data),
             rule,
             written_at: self.infra.now(),
             ttl_hint_hours,

@@ -12,9 +12,10 @@
 //!   pipeline is staged: stripe `k + 1` is *encoded* while stripe `k`'s
 //!   chunks are *in flight* ([`rayon::join`] overlaps the CPU-bound encode
 //!   with the provider-bound upload), so peak transient buffering is
-//!   O(stripe), never O(object). The object checksum accumulates through an
-//!   incremental MD5 ([`scalia_types::md5::Md5`]) — the full payload is
-//!   never resident in this module.
+//!   O(stripe), never O(object). Each stripe's content checksum and the
+//!   streaming whole-object checksum ([`scalia_types::checksum`]) are both
+//!   taken at the seal, while the stripe's bytes are in cache for the
+//!   encode — the full payload is never resident in this module.
 //! * **Multipart / append** — [`Engine::begin_put`], [`MultipartUpload::put_part`]
 //!   and [`MultipartUpload::complete_put`] expose the same pipeline to
 //!   callers that produce data incrementally. Parts may be any size; stripes
@@ -61,9 +62,9 @@ use scalia_core::cost::PredictedUsage;
 use scalia_core::placement::Placement;
 use scalia_erasure::codec::{decode_object, encode_object, EncodedObject};
 use scalia_metastore::logagg::AccessKind;
+use scalia_types::checksum::{checksum_hex, Xxh64};
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::ProviderId;
-use scalia_types::md5::{md5_hex, Md5};
 use scalia_types::object::{
     ObjectKey, ObjectMeta, ObjectVersionId, StripeMap, StripeMeta, StripingMeta,
 };
@@ -90,7 +91,7 @@ struct EncodedStripe {
     encoded: EncodedObject,
     /// Plaintext length of the stripe.
     len: u64,
-    /// MD5 of the stripe plaintext (verified on every stripe read).
+    /// Content checksum of the stripe plaintext (verified on every read).
     checksum: String,
 }
 
@@ -140,10 +141,11 @@ pub struct MultipartUpload<E: Borrow<Engine> = Arc<Engine>> {
     version: ObjectVersionId,
     base_skey: String,
     stripe_size: usize,
-    /// Plaintext bytes not yet sealed into a stripe (< `stripe_size`).
+    /// Plaintext bytes not yet sealed into a stripe (< `stripe_size`
+    /// between calls).
     buffer: Vec<u8>,
-    /// Incremental whole-object checksum.
-    md5: Md5,
+    /// Streaming whole-object checksum over the stripes sealed so far.
+    object_checksum: Xxh64,
     total_len: u64,
     /// Stripes already landed at providers, in index order.
     stripes: Vec<StripeMeta>,
@@ -235,7 +237,7 @@ impl Engine {
             base_skey,
             stripe_size,
             buffer: Vec::new(),
-            md5: Md5::new(),
+            object_checksum: Xxh64::new(),
             total_len: 0,
             stripes: Vec::new(),
             last_placement: None,
@@ -253,7 +255,7 @@ impl Engine {
     /// so the *pipeline's* transient buffering (plaintext + encoded) stays
     /// O(stripe) regardless of object size. The committed metadata carries
     /// the full stripe map; the object checksum equals the classic path's
-    /// whole-payload MD5.
+    /// whole-payload checksum.
     pub(crate) fn put_streaming(
         &self,
         key: &ObjectKey,
@@ -297,7 +299,7 @@ impl Engine {
             let slice = if offset >= end {
                 Bytes::new()
             } else {
-                Bytes::copy_from_slice(&data[offset as usize..end as usize])
+                data.slice(offset as usize..end as usize)
             };
             self.log_access(
                 key,
@@ -450,15 +452,34 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
                 "multipart upload already failed".into(),
             ));
         }
-        self.md5.update(part);
+        let result = self.absorb(part);
+        self.failed |= result.is_err();
+        result
+    }
+
+    /// [`MultipartUpload::put_part`] proper: seals every stripe `part`
+    /// completes and buffers what is left over.
+    fn absorb(&mut self, mut part: &[u8]) -> Result<()> {
         self.total_len += part.len() as u64;
-        self.buffer.extend_from_slice(part);
-        self.note_buffered(0);
-        while self.buffer.len() >= self.stripe_size {
-            let plain: Vec<u8> = self.buffer.drain(..self.stripe_size).collect();
-            if let Err(err) = self.seal_stripe(plain) {
-                self.failed = true;
-                return Err(err);
+        while !part.is_empty() {
+            if self.buffer.is_empty() && part.len() >= self.stripe_size {
+                // A whole stripe lies contiguous in the caller's part: seal
+                // straight from it, no copy into the buffer.
+                let (stripe, rest) = part.split_at(self.stripe_size);
+                self.seal_stripe(stripe)?;
+                part = rest;
+                continue;
+            }
+            let take = part.len().min(self.stripe_size - self.buffer.len());
+            self.buffer.extend_from_slice(&part[..take]);
+            part = &part[take..];
+            self.note_buffered(0);
+            if self.buffer.len() == self.stripe_size {
+                let stripe = std::mem::take(&mut self.buffer);
+                self.seal_stripe(&stripe)?;
+                // Keep the allocation for the next stripe's parts.
+                self.buffer = stripe;
+                self.buffer.clear();
             }
         }
         Ok(())
@@ -494,7 +515,7 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         let result = (|| -> Result<()> {
             let tail = std::mem::take(&mut self.buffer);
             if !tail.is_empty() {
-                self.seal_stripe(tail)?;
+                self.seal_stripe(&tail)?;
             }
             if let Some(last) = self.in_hand.take() {
                 self.land(last)?;
@@ -521,7 +542,7 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
             version: self.version,
             mime: self.mime.clone(),
             size,
-            checksum: self.md5.clone().finalize_hex(),
+            checksum: self.object_checksum.finalize_hex(),
             rule: self.rule.clone(),
             written_at: self.engine().infra().now(),
             ttl_hint_hours: self.ttl_hint_hours,
@@ -594,8 +615,11 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
 
     /// One pipeline step: encode `plain` as the next stripe while the
     /// previously encoded stripe (if any) uploads — the two run concurrently
-    /// under [`rayon::join`], overlapping CPU with provider I/O.
-    fn seal_stripe(&mut self, plain: Vec<u8>) -> Result<()> {
+    /// under [`rayon::join`], overlapping CPU with provider I/O. Stripes seal
+    /// in object order, so the whole-object checksum streams across them
+    /// here, in the same pass through the cache as the stripe's own.
+    fn seal_stripe(&mut self, plain: &[u8]) -> Result<()> {
+        self.object_checksum.update(plain);
         let index = self.sealed;
         self.sealed += 1;
         let placement =
@@ -620,9 +644,9 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         let base_skey = &self.base_skey;
         let prev = self.in_hand.take();
 
-        let encode = |placement: Placement, plain: Vec<u8>| -> Result<EncodedStripe> {
-            let checksum = md5_hex(&plain);
-            let encoded = encode_object(&plain, placement.erasure_params())?;
+        let encode = |placement: Placement, plain: &[u8]| -> Result<EncodedStripe> {
+            let checksum = checksum_hex(plain);
+            let encoded = encode_object(plain, placement.erasure_params())?;
             Ok(EncodedStripe {
                 index,
                 len: plain.len() as u64,

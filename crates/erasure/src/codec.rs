@@ -1,18 +1,24 @@
 //! Object-level erasure codec.
 //!
-//! The Scalia engine stores a data object as `n` checksummed [`Chunk`]s, any
-//! `m` of which reconstruct the object. This module handles padding, shard
-//! splitting, checksumming and reassembly on top of [`crate::rs`].
+//! The Scalia engine stores a data object (or one stripe of it) as `n`
+//! [`Chunk`]s, any `m` of which reconstruct it. This module handles padding,
+//! shard splitting and reassembly on top of [`crate::rs`], moving each byte
+//! once per direction: encoding copies the plaintext into the data shards it
+//! will be stored as, decoding writes the shards straight into the caller's
+//! output buffer.
+//!
+//! Chunks carry no header and no checksum. Integrity is the caller's: the
+//! engine stores one content checksum per stripe in the metadata at write
+//! time and verifies the *decoded* bytes against it, which covers every
+//! chunk that contributed to them.
 
 use crate::rs::{ReedSolomon, RsError};
 use bytes::Bytes;
-use rayon::prelude::*;
 use scalia_types::error::ScaliaError;
-use scalia_types::md5;
 use scalia_types::ErasureParams;
 
-/// Payload size (in bytes) above which encode/decode fan the per-chunk work
-/// (parity rows, MD5 checksums, decode rows) out to the thread pool. Below
+/// Payload size (in bytes) above which encode/decode fan the Reed–Solomon
+/// row work (parity rows, rebuilt data rows) out to the thread pool. Below
 /// the cutoff the scheduling overhead outweighs the win; the value is a
 /// conservative multiple of the measured crossover on one core.
 pub const PARALLEL_CUTOFF_BYTES: usize = 256 * 1024;
@@ -24,24 +30,12 @@ pub struct Chunk {
     pub index: u32,
     /// Chunk payload.
     pub data: Bytes,
-    /// MD5 checksum of the payload, used to detect corruption at a provider.
-    pub checksum: String,
 }
 
 impl Chunk {
-    /// Creates a chunk, computing its checksum.
+    /// Creates a chunk.
     pub fn new(index: u32, data: Bytes) -> Self {
-        let checksum = md5::md5_hex(&data);
-        Chunk {
-            index,
-            data,
-            checksum,
-        }
-    }
-
-    /// Returns `true` if the payload still matches the stored checksum.
-    pub fn verify(&self) -> bool {
-        md5::md5_hex(&self.data) == self.checksum
+        Chunk { index, data }
     }
 
     /// Size of the chunk payload in bytes.
@@ -79,110 +73,113 @@ fn rs_error(err: RsError) -> ScaliaError {
     ScaliaError::DecodeFailed(err.to_string())
 }
 
+/// Shard length of an object of `len` bytes split `m` ways: `ceil(len / m)`,
+/// at least 1 so empty objects still encode.
+fn shard_len_for(len: usize, m: usize) -> usize {
+    len.div_ceil(m).max(1)
+}
+
 /// Splits `data` into `params.m` equally-sized (zero-padded) shards and
-/// encodes them into `params.n` checksummed chunks.
+/// encodes them into `params.n` chunks.
 ///
-/// Objects at or above [`PARALLEL_CUTOFF_BYTES`] compute the parity rows and
-/// the per-chunk MD5 checksums in parallel on the thread pool; the output is
-/// byte-identical to the sequential path (each chunk is independent).
+/// Each data shard is copied out of `data` exactly once, into the
+/// exact-capacity buffer its chunk then owns. Objects at or above
+/// [`PARALLEL_CUTOFF_BYTES`] compute the parity rows in parallel on the
+/// thread pool; the output is byte-identical to the sequential path.
 pub fn encode_object(data: &[u8], params: ErasureParams) -> Result<EncodedObject, ScaliaError> {
     let m = params.m as usize;
-    let n = params.n as usize;
-    let rs = ReedSolomon::new(m, n).map_err(rs_error)?;
-    let parallel = data.len() >= PARALLEL_CUTOFF_BYTES;
+    let rs = ReedSolomon::new(m, params.n as usize).map_err(rs_error)?;
 
-    // Shard length: ceil(len / m), at least 1 so empty objects still encode.
-    let shard_len = data.len().div_ceil(m).max(1);
-    let mut shards = Vec::with_capacity(m);
-    for i in 0..m {
-        let start = (i * shard_len).min(data.len());
-        let end = ((i + 1) * shard_len).min(data.len());
-        let mut shard = data[start..end].to_vec();
-        shard.resize(shard_len, 0);
-        shards.push(shard);
-    }
-
-    let encoded = if parallel {
-        rs.encode_par(&shards).map_err(rs_error)?
-    } else {
-        rs.encode(&shards).map_err(rs_error)?
-    };
-    let indexed: Vec<(usize, Vec<u8>)> = encoded.into_iter().enumerate().collect();
-    let make_chunk = |(i, shard): (usize, Vec<u8>)| Chunk::new(i as u32, Bytes::from(shard));
-    let chunks: Vec<Chunk> = if parallel {
-        indexed.into_par_iter().map(make_chunk).collect()
-    } else {
-        indexed.into_iter().map(make_chunk).collect()
-    };
+    let shard_len = shard_len_for(data.len(), m);
+    let mut shards: Vec<Vec<u8>> = (0..m)
+        .map(|i| {
+            let start = (i * shard_len).min(data.len());
+            let end = ((i + 1) * shard_len).min(data.len());
+            let mut shard = Vec::with_capacity(shard_len);
+            shard.extend_from_slice(&data[start..end]);
+            shard.resize(shard_len, 0);
+            shard
+        })
+        .collect();
+    let parity = rs
+        .encode_parity(&shards, data.len() >= PARALLEL_CUTOFF_BYTES)
+        .map_err(rs_error)?;
+    shards.extend(parity);
 
     Ok(EncodedObject {
-        chunks,
+        chunks: shards
+            .into_iter()
+            .enumerate()
+            .map(|(i, shard)| Chunk::new(i as u32, Bytes::from(shard)))
+            .collect(),
         params,
         original_len: data.len(),
     })
 }
 
-/// Reassembles an object from any `m` (or more) of its chunks.
+/// The chunks a decode of an object of `original_len` bytes can use: the
+/// first occurrence of each in-range index whose payload has the shard
+/// length that object was encoded with.
+fn usable_shards(
+    chunks: &[Chunk],
+    params: ErasureParams,
+    original_len: usize,
+) -> Vec<(usize, &[u8])> {
+    let shard_len = shard_len_for(original_len, params.m as usize);
+    let mut seen = vec![false; params.n as usize];
+    chunks
+        .iter()
+        .filter_map(|chunk| {
+            let idx = chunk.index as usize;
+            let usable = idx < seen.len() && !seen[idx] && chunk.len() == shard_len;
+            usable.then(|| {
+                seen[idx] = true;
+                (idx, &chunk.data[..])
+            })
+        })
+        .collect()
+}
+
+/// Reassembles an object of `out.len()` bytes from any `m` (or more) of its
+/// chunks, straight into `out` — the window of a larger buffer when the
+/// object is one stripe of many.
 ///
-/// Chunks failing their checksum are ignored; if fewer than `m` valid chunks
-/// remain, [`ScaliaError::NotEnoughChunks`] is returned.
-///
-/// Objects at or above [`PARALLEL_CUTOFF_BYTES`] verify the chunk checksums
-/// and compute the decode rows in parallel on the thread pool; order and
-/// output are identical to the sequential path.
+/// Chunks with an out-of-range or repeated index, or whose length is not
+/// the shard length of an `out.len()`-byte object, are ignored; if fewer
+/// than `m` usable chunks remain, [`ScaliaError::NotEnoughChunks`] is
+/// returned. Data chunks are copied into place (`m` slice copies when all
+/// are present); only missing data shards are rebuilt from parity, in
+/// parallel on the thread pool for objects at or above
+/// [`PARALLEL_CUTOFF_BYTES`]. The bytes are **not** verified — compare them
+/// with the checksum stored when the object was written.
+pub fn decode_object_into(
+    chunks: &[Chunk],
+    params: ErasureParams,
+    out: &mut [u8],
+) -> Result<(), ScaliaError> {
+    let m = params.m as usize;
+    let rs = ReedSolomon::new(m, params.n as usize).map_err(rs_error)?;
+    let shards = usable_shards(chunks, params, out.len());
+    if shards.len() < m {
+        return Err(ScaliaError::NotEnoughChunks {
+            available: shards.len(),
+            required: m,
+        });
+    }
+    let parallel = out.len() >= PARALLEL_CUTOFF_BYTES;
+    rs.reconstruct_into(&shards, out, parallel)
+        .map_err(rs_error)
+}
+
+/// [`decode_object_into`] a freshly allocated buffer of `original_len`
+/// bytes.
 pub fn decode_object(
     chunks: &[Chunk],
     params: ErasureParams,
     original_len: usize,
 ) -> Result<Bytes, ScaliaError> {
-    let m = params.m as usize;
-    let n = params.n as usize;
-    let rs = ReedSolomon::new(m, n).map_err(rs_error)?;
-    let parallel = original_len >= PARALLEL_CUTOFF_BYTES;
-
-    let keep = |c: &&Chunk| c.verify() && (c.index as usize) < n;
-    let to_owned = |c: &Chunk| (c.index as usize, c.data.to_vec());
-    let valid: Vec<(usize, Vec<u8>)> = if parallel {
-        // `filter` runs the MD5 verification, the expensive part.
-        chunks.par_iter().filter(keep).map(to_owned).collect()
-    } else {
-        chunks.iter().filter(keep).map(to_owned).collect()
-    };
-
-    // Deduplicate indices, keeping the first occurrence.
-    let mut seen = vec![false; n];
-    let mut unique: Vec<(usize, Vec<u8>)> = Vec::with_capacity(valid.len());
-    for (idx, data) in valid {
-        if !seen[idx] {
-            seen[idx] = true;
-            unique.push((idx, data));
-        }
-    }
-
-    if unique.len() < m {
-        return Err(ScaliaError::NotEnoughChunks {
-            available: unique.len(),
-            required: m,
-        });
-    }
-
-    let data_shards = if parallel {
-        rs.reconstruct_data_par(&unique).map_err(rs_error)?
-    } else {
-        rs.reconstruct_data(&unique).map_err(rs_error)?
-    };
-    let mut out = Vec::with_capacity(original_len);
-    for shard in data_shards {
-        out.extend_from_slice(&shard);
-    }
-    if out.len() < original_len {
-        return Err(ScaliaError::DecodeFailed(format!(
-            "reassembled {} bytes but expected {}",
-            out.len(),
-            original_len
-        )));
-    }
-    out.truncate(original_len);
+    let mut out = vec![0u8; original_len];
+    decode_object_into(chunks, params, &mut out)?;
     Ok(Bytes::from(out))
 }
 
@@ -190,11 +187,12 @@ pub fn decode_object(
 ///
 /// The code is systematic: data shard `i` holds plaintext bytes
 /// `[i * shard_len, (i + 1) * shard_len)`. When every data shard covering
-/// the range is present among the valid chunks, the range is sliced
-/// directly without running Reed–Solomon reconstruction; otherwise this
-/// falls back to a full [`decode_object`] and slices the result. Either way
-/// the output equals `decode_object(..)[offset..offset + len]` (clamped to
-/// the object's end; an empty range decodes to empty bytes).
+/// the range is present among the usable chunks, the range is copied out of
+/// them without running Reed–Solomon reconstruction; otherwise this falls
+/// back to a full [`decode_object`] and slices the result. Either way the
+/// output equals `decode_object(..)[offset..offset + len]` (clamped to the
+/// object's end; an empty range decodes to empty bytes) — and, like it, is
+/// unverified: a range cannot be checked against a whole-stripe checksum.
 pub fn decode_object_range(
     chunks: &[Chunk],
     params: ErasureParams,
@@ -206,37 +204,24 @@ pub fn decode_object_range(
     if offset >= end {
         return Ok(Bytes::new());
     }
-    let m = params.m as usize;
-    let shard_len = original_len.div_ceil(m).max(1);
-    let first_shard = offset / shard_len;
-    let last_shard = (end - 1) / shard_len;
+    let shard_len = shard_len_for(original_len, params.m as usize);
+    let covering = offset / shard_len..=(end - 1) / shard_len;
 
-    // Fast path: all covering data shards present and intact.
-    let mut covering: Vec<Option<&Chunk>> = vec![None; last_shard - first_shard + 1];
-    for chunk in chunks {
-        let idx = chunk.index as usize;
-        if (first_shard..=last_shard).contains(&idx) && covering[idx - first_shard].is_none() {
-            covering[idx - first_shard] = Some(chunk);
-        }
+    // Fast path: all covering data shards present.
+    let shards = usable_shards(chunks, params, original_len);
+    let mut out = Vec::with_capacity(end - offset);
+    for row in covering {
+        let Some((_, shard)) = shards.iter().find(|(idx, _)| *idx == row) else {
+            // Slow path: a covering data shard is missing; rebuild from
+            // whatever m usable chunks exist and slice.
+            return Ok(decode_object(chunks, params, original_len)?.slice(offset..end));
+        };
+        let shard_start = row * shard_len;
+        let from = offset.max(shard_start) - shard_start;
+        let to = (end - shard_start).min(shard_len);
+        out.extend_from_slice(&shard[from..to]);
     }
-    if covering.iter().all(|c| c.is_some_and(|c| c.verify())) {
-        let mut out = Vec::with_capacity(end - offset);
-        for (slot, chunk) in covering.iter().enumerate() {
-            let chunk = chunk.expect("checked above");
-            let shard_start = (first_shard + slot) * shard_len;
-            let from = offset.max(shard_start) - shard_start;
-            let to = (end - shard_start).min(chunk.data.len());
-            out.extend_from_slice(&chunk.data[from..to]);
-        }
-        if out.len() == end - offset {
-            return Ok(Bytes::from(out));
-        }
-    }
-
-    // Slow path: some covering data shard is missing or corrupt; rebuild
-    // from whatever m valid chunks exist and slice.
-    let full = decode_object(chunks, params, original_len)?;
-    Ok(Bytes::copy_from_slice(&full[offset..end]))
+    Ok(Bytes::from(out))
 }
 
 #[cfg(test)]
@@ -273,41 +258,6 @@ mod tests {
         ];
         let decoded = decode_object(&subset, enc.params, enc.original_len).unwrap();
         assert_eq!(&decoded[..], &data[..]);
-    }
-
-    #[test]
-    fn corrupted_chunk_is_detected_and_skipped() {
-        let data = sample_data(512);
-        let enc = encode_object(&data, params(2, 4)).unwrap();
-        let mut chunks = enc.chunks.clone();
-        // Corrupt one chunk's payload without updating its checksum.
-        let mut corrupted = chunks[0].data.to_vec();
-        corrupted[0] ^= 0xff;
-        chunks[0].data = Bytes::from(corrupted);
-        assert!(!chunks[0].verify());
-        // Decoding still succeeds from the remaining valid chunks.
-        let decoded = decode_object(&chunks, enc.params, enc.original_len).unwrap();
-        assert_eq!(&decoded[..], &data[..]);
-    }
-
-    #[test]
-    fn too_many_corrupted_chunks_fails() {
-        let data = sample_data(256);
-        let enc = encode_object(&data, params(3, 4)).unwrap();
-        let mut chunks = enc.chunks.clone();
-        for chunk in chunks.iter_mut().take(2) {
-            let mut corrupted = chunk.data.to_vec();
-            corrupted[0] ^= 0xff;
-            chunk.data = Bytes::from(corrupted);
-        }
-        let err = decode_object(&chunks, enc.params, enc.original_len).unwrap_err();
-        assert!(matches!(
-            err,
-            ScaliaError::NotEnoughChunks {
-                available: 2,
-                required: 3
-            }
-        ));
     }
 
     #[test]
@@ -360,15 +310,12 @@ mod tests {
 
     #[test]
     fn large_object_roundtrip_uses_parallel_path() {
-        // Above PARALLEL_CUTOFF_BYTES: encode + checksum + decode all fan
-        // out. The result must be indistinguishable from the small-object
-        // path, including after losing n - m chunks.
+        // Above PARALLEL_CUTOFF_BYTES: parity rows and rebuilt data rows
+        // fan out. The result must be indistinguishable from the
+        // small-object path, including after losing n - m chunks.
         let data = sample_data(PARALLEL_CUTOFF_BYTES + 12_345);
         let enc = encode_object(&data, params(3, 5)).unwrap();
         assert_eq!(enc.chunks.len(), 5);
-        for chunk in &enc.chunks {
-            assert!(chunk.verify(), "parallel checksums must be correct");
-        }
         let subset = vec![
             enc.chunks[0].clone(),
             enc.chunks[3].clone(),
@@ -417,25 +364,74 @@ mod tests {
     }
 
     #[test]
-    fn range_decode_skips_corrupt_covering_shard() {
-        let data = sample_data(2048);
-        let enc = encode_object(&data, params(2, 4)).unwrap();
-        let mut chunks = enc.chunks.clone();
-        let mut corrupted = chunks[0].data.to_vec();
-        corrupted[5] ^= 0xff;
-        chunks[0].data = Bytes::from(corrupted);
-        // Range inside shard 0, whose direct copy is corrupt: must fall back
-        // to reconstruction and still return the true bytes.
-        let got = decode_object_range(&chunks, enc.params, enc.original_len, 0, 16).unwrap();
-        assert_eq!(&got[..], &data[..16]);
+    fn decode_into_a_window_equals_the_plaintext_for_every_m_subset() {
+        // The differential the read path rests on: for every m-subset of the
+        // chunks (data-only, mixed and parity-only), decoding straight into
+        // a window of a larger buffer reproduces the plaintext and touches
+        // nothing outside the window — for lengths that do and do not
+        // divide by m, shorter than m, and empty.
+        let (m, n) = (3u32, 5u32);
+        for len in [0usize, 1, 2, 3, 4, 100, 999, 1000, 1001] {
+            let data = sample_data(len);
+            let enc = encode_object(&data, params(m, n)).unwrap();
+            for mask in 0u32..(1 << n) {
+                if mask.count_ones() != m {
+                    continue;
+                }
+                let subset: Vec<Chunk> = (0..n as usize)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| enc.chunks[i].clone())
+                    .collect();
+                let mut buffer = vec![0xEEu8; len + 14];
+                decode_object_into(&subset, enc.params, &mut buffer[7..7 + len]).unwrap();
+                assert_eq!(&buffer[7..7 + len], &data[..], "len {len} subset {mask:b}");
+                assert!(
+                    buffer[..7]
+                        .iter()
+                        .chain(&buffer[7 + len..])
+                        .all(|&b| b == 0xEE),
+                    "len {len} subset {mask:b}: wrote outside the window"
+                );
+            }
+        }
     }
 
     #[test]
-    fn chunk_verify_and_accessors() {
-        let c = Chunk::new(2, Bytes::from_static(b"hello"));
-        assert!(c.verify());
-        assert_eq!(c.len(), 5);
-        assert!(!c.is_empty());
-        assert_eq!(c.index, 2);
+    fn chunks_of_the_wrong_length_or_index_are_unusable() {
+        let data = sample_data(300);
+        let enc = encode_object(&data, params(2, 4)).unwrap();
+        let mut chunks = enc.chunks.clone();
+        // A truncated and an over-long chunk cannot be shards of a 300-byte
+        // object; an index past n is not part of the code.
+        chunks[0].data = chunks[0].data.slice(..100);
+        chunks[1].data = Bytes::from(vec![0u8; 151]);
+        chunks[2].index = 9;
+        let err = decode_object(&chunks, enc.params, enc.original_len).unwrap_err();
+        assert!(matches!(
+            err,
+            ScaliaError::NotEnoughChunks {
+                available: 1,
+                required: 2
+            }
+        ));
+        // Asking for a different length than was encoded is the same error,
+        // never a mis-sliced object.
+        assert!(decode_object(&enc.chunks, enc.params, 500).is_err());
+    }
+
+    #[test]
+    fn encoding_copies_each_shard_once_into_its_own_buffer() {
+        let data = sample_data(1001);
+        let enc = encode_object(&data, params(3, 5)).unwrap();
+        let c = &enc.chunks[2];
+        assert_eq!((c.index, c.len(), c.is_empty()), (2, 334, false));
+        // Data chunks are the plaintext windows, zero-padded at the tail.
+        assert_eq!(&enc.chunks[0].data[..], &data[..334]);
+        assert_eq!(&c.data[..333], &data[668..]);
+        assert_eq!(c.data[333], 0);
+        // No two chunks share an allocation: dropping one frees its bytes.
+        for pair in enc.chunks.windows(2) {
+            assert_ne!(pair[0].data.as_ptr(), pair[1].data.as_ptr());
+        }
     }
 }

@@ -15,8 +15,9 @@
 //!   of the resulting encode matrix are invertible, which is exactly the
 //!   "any m-subset of the n chunks contains a complete copy" property.
 //! * [`codec`] — the object-level API used by the Scalia engine: split an
-//!   object into checksummed [`Chunk`]s and reassemble it from any `m` of
-//!   them, detecting corruption.
+//!   object into [`Chunk`]s and reassemble it from any `m` of them, straight
+//!   into the caller's buffer. Corruption is caught one layer up, by the
+//!   per-stripe content checksum the engine stores with the metadata.
 
 // `deny` rather than `forbid`: the one sanctioned exception is the scoped
 // `allow(unsafe_code)` on `gf256::simd`, the runtime-feature-gated SIMD
@@ -30,11 +31,13 @@ pub mod gf256;
 pub mod matrix;
 pub mod rs;
 
-pub use codec::{decode_object, encode_object, Chunk, EncodedObject};
+pub use codec::{decode_object, decode_object_into, encode_object, Chunk, EncodedObject};
 pub use rs::ReedSolomon;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::codec::{decode_object, encode_object, Chunk, EncodedObject};
+    pub use crate::codec::{
+        decode_object, decode_object_into, encode_object, Chunk, EncodedObject,
+    };
     pub use crate::rs::ReedSolomon;
 }

@@ -95,140 +95,135 @@ impl ReedSolomon {
         self.total_shards
     }
 
-    fn validate_data_shards(&self, data_shards: &[Vec<u8>]) -> Result<usize, RsError> {
+    fn validate_data_shards<S: AsRef<[u8]>>(&self, data_shards: &[S]) -> Result<usize, RsError> {
         if data_shards.len() != self.data_shards {
             return Err(RsError::NotEnoughShards {
                 available: data_shards.len(),
                 required: self.data_shards,
             });
         }
-        let shard_len = data_shards[0].len();
-        if data_shards.iter().any(|s| s.len() != shard_len) {
+        let shard_len = data_shards[0].as_ref().len();
+        if data_shards.iter().any(|s| s.as_ref().len() != shard_len) {
             return Err(RsError::ShardLengthMismatch);
         }
         Ok(shard_len)
     }
 
-    /// Computes one parity row (`self.data_shards ≤ row < self.total_shards`).
-    fn parity_row(&self, row: usize, data_shards: &[Vec<u8>], shard_len: usize) -> Vec<u8> {
-        let mut parity = vec![0u8; shard_len];
-        for (col, data) in data_shards.iter().enumerate() {
-            gf256::mul_slice_xor(self.encode_matrix.get(row, col), data, &mut parity);
-        }
-        parity
-    }
-
-    /// Encodes `m` equally-sized data shards into `n` shards. The first `m`
-    /// output shards are the data shards themselves (systematic coding).
-    pub fn encode(&self, data_shards: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, RsError> {
-        let shard_len = self.validate_data_shards(data_shards)?;
-        let mut shards = Vec::with_capacity(self.total_shards);
-        shards.extend(data_shards.iter().cloned());
-        for row in self.data_shards..self.total_shards {
-            shards.push(self.parity_row(row, data_shards, shard_len));
-        }
-        Ok(shards)
-    }
-
-    /// [`encode`](Self::encode) with the parity rows computed in parallel on
-    /// the rayon pool. Each parity row is independent (one row of the encode
-    /// matrix applied to all data shards), so the output is byte-identical
-    /// to the sequential path. Worth it only when `shard_len × (n − m)` is
-    /// large; the codec layer applies a size cutoff.
-    pub fn encode_par(&self, data_shards: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, RsError> {
-        use rayon::prelude::*;
-        let shard_len = self.validate_data_shards(data_shards)?;
-        let mut shards = Vec::with_capacity(self.total_shards);
-        shards.extend(data_shards.iter().cloned());
-        let parity: Vec<Vec<u8>> = (self.data_shards..self.total_shards)
-            .into_par_iter()
-            .map(|row| self.parity_row(row, data_shards, shard_len))
-            .collect();
-        shards.extend(parity);
-        Ok(shards)
-    }
-
-    /// Reconstructs the `m` data shards from any `m` (or more) shards.
+    /// Computes the `n − m` parity shards of `m` equally-sized data shards,
+    /// in row order. The code is systematic — the data shards *are* the
+    /// first `m` shards of the encoding — so parity is all there is to
+    /// compute and the caller's data is never copied.
     ///
-    /// `shards` is a list of `(shard_index, shard_data)` pairs; indices refer
-    /// to the position of the shard in the encoded output (0-based).
-    pub fn reconstruct_data(&self, shards: &[(usize, Vec<u8>)]) -> Result<Vec<Vec<u8>>, RsError> {
-        self.reconstruct_data_impl(shards, false)
-    }
-
-    /// [`reconstruct_data`](Self::reconstruct_data) with the decode rows
-    /// computed in parallel on the rayon pool. The decode matrix is built
-    /// once; each data row is an independent matrix-row application, so the
-    /// output is byte-identical to the sequential path.
-    pub fn reconstruct_data_par(
+    /// With `parallel` the parity rows are computed on the rayon pool; each
+    /// is one row of the encode matrix applied to all data shards, so the
+    /// output is byte-identical either way. Worth it only when
+    /// `shard_len × (n − m)` is large; the codec layer applies a size
+    /// cutoff.
+    pub fn encode_parity<S: AsRef<[u8]> + Sync>(
         &self,
-        shards: &[(usize, Vec<u8>)],
-    ) -> Result<Vec<Vec<u8>>, RsError> {
-        self.reconstruct_data_impl(shards, true)
-    }
-
-    fn reconstruct_data_impl(
-        &self,
-        shards: &[(usize, Vec<u8>)],
+        data_shards: &[S],
         parallel: bool,
     ) -> Result<Vec<Vec<u8>>, RsError> {
-        if shards.len() < self.data_shards {
+        let shard_len = self.validate_data_shards(data_shards)?;
+        let parity_row = |row: usize| {
+            let mut parity = vec![0u8; shard_len];
+            for (col, data) in data_shards.iter().enumerate() {
+                gf256::mul_slice_xor(self.encode_matrix.get(row, col), data.as_ref(), &mut parity);
+            }
+            parity
+        };
+        let rows = self.data_shards..self.total_shards;
+        Ok(if parallel {
+            use rayon::prelude::*;
+            rows.into_par_iter().map(parity_row).collect()
+        } else {
+            rows.map(parity_row).collect()
+        })
+    }
+
+    /// Reconstructs the data from any `m` (or more) shards, straight into
+    /// `out`.
+    ///
+    /// `shards` is a list of `(shard_index, shard_data)` pairs; indices refer
+    /// to the position of the shard in the encoding (0-based, data shards
+    /// first). `out` receives the concatenation of the data shards cut to
+    /// `out.len()`: data shard `r` lands in
+    /// `out[r × shard_len .. (r + 1) × shard_len]`, clipped to the buffer —
+    /// so a caller that knows the unpadded length passes a buffer of exactly
+    /// that length and no padding is ever written. `out.len()` may not
+    /// exceed `m × shard_len` ([`RsError::ShardLengthMismatch`]).
+    ///
+    /// Data shards that were supplied are copied into place; only the
+    /// missing ones cost field arithmetic (one row of the inverted
+    /// sub-matrix each, computed on the rayon pool with `parallel` —
+    /// byte-identical either way).
+    pub fn reconstruct_into<S: AsRef<[u8]> + Sync>(
+        &self,
+        shards: &[(usize, S)],
+        out: &mut [u8],
+        parallel: bool,
+    ) -> Result<(), RsError> {
+        let m = self.data_shards;
+        if shards.len() < m {
             return Err(RsError::NotEnoughShards {
                 available: shards.len(),
-                required: self.data_shards,
+                required: m,
             });
         }
-        let shard_len = shards[0].1.len();
-        if shards.iter().any(|(_, s)| s.len() != shard_len) {
+        let shard_len = shards[0].1.as_ref().len();
+        if shards.iter().any(|(_, s)| s.as_ref().len() != shard_len) || out.len() > m * shard_len {
             return Err(RsError::ShardLengthMismatch);
         }
-        let mut seen = vec![false; self.total_shards];
-        for &(idx, _) in shards {
-            if idx >= self.total_shards || seen[idx] {
-                return Err(RsError::InvalidShardIndex(idx));
+        let mut by_index: Vec<Option<&[u8]>> = vec![None; self.total_shards];
+        for (idx, shard) in shards {
+            if *idx >= self.total_shards || by_index[*idx].is_some() {
+                return Err(RsError::InvalidShardIndex(*idx));
             }
-            seen[idx] = true;
+            by_index[*idx] = Some(shard.as_ref());
+        }
+        if out.is_empty() {
+            return Ok(());
         }
 
-        // Use the first m supplied shards.
-        let chosen = &shards[..self.data_shards];
-        let indices: Vec<usize> = chosen.iter().map(|&(i, _)| i).collect();
-
-        // Fast path: if we already have all data shards, return them directly.
-        if indices.iter().all(|&i| i < self.data_shards) {
-            let mut data = vec![Vec::new(); self.data_shards];
-            for &(idx, ref shard) in chosen {
-                data[idx] = shard.clone();
-            }
-            if data.iter().all(|d| !d.is_empty() || shard_len == 0) {
-                // All data shard positions were covered by distinct indices.
-                if data.iter().enumerate().all(|(i, _)| indices.contains(&i)) {
-                    return Ok(data);
-                }
+        // Supplied data shards land verbatim; the rest become decode jobs.
+        let mut missing: Vec<(usize, &mut [u8])> = Vec::new();
+        for (row, window) in out.chunks_mut(shard_len).enumerate() {
+            match by_index[row] {
+                Some(shard) => window.copy_from_slice(&shard[..window.len()]),
+                None => missing.push((row, window)),
             }
         }
+        if missing.is_empty() {
+            return Ok(());
+        }
 
-        // General path: invert the sub-matrix of the encode matrix formed by
-        // the rows of the supplied shards.
-        let sub = self.encode_matrix.select_rows(&indices);
-        let decode = sub.invert().ok_or(RsError::SingularMatrix)?;
-
-        let decode_row = |row: usize| {
-            let mut out = vec![0u8; shard_len];
+        // Decode from the first m shards in index order (data before
+        // parity): invert the rows of the encode matrix they came from.
+        let chosen: Vec<(usize, &[u8])> = by_index
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, shard)| shard.map(|s| (idx, s)))
+            .take(m)
+            .collect();
+        let indices: Vec<usize> = chosen.iter().map(|&(idx, _)| idx).collect();
+        let decode = self
+            .encode_matrix
+            .select_rows(&indices)
+            .invert()
+            .ok_or(RsError::SingularMatrix)?;
+        let decode_row = |(row, window): (usize, &mut [u8])| {
+            window.fill(0);
             for (col, (_, shard)) in chosen.iter().enumerate() {
-                gf256::mul_slice_xor(decode.get(row, col), shard, &mut out);
+                gf256::mul_slice_xor(decode.get(row, col), &shard[..window.len()], window);
             }
-            out
         };
         if parallel {
             use rayon::prelude::*;
-            Ok((0..self.data_shards)
-                .into_par_iter()
-                .map(decode_row)
-                .collect())
+            missing.into_par_iter().for_each(decode_row);
         } else {
-            Ok((0..self.data_shards).map(decode_row).collect())
+            missing.into_iter().for_each(decode_row);
         }
+        Ok(())
     }
 }
 
@@ -246,6 +241,24 @@ mod tests {
             .collect()
     }
 
+    /// All `n` shards of the systematic encoding: the data, then parity.
+    fn encode(rs: &ReedSolomon, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, RsError> {
+        let parity = rs.encode_parity(data, false)?;
+        Ok(data.iter().cloned().chain(parity).collect())
+    }
+
+    /// The `m` data shards rebuilt from `shards`.
+    fn reconstruct(
+        rs: &ReedSolomon,
+        shards: &[(usize, Vec<u8>)],
+        parallel: bool,
+    ) -> Result<Vec<Vec<u8>>, RsError> {
+        let shard_len = shards.first().map_or(0, |(_, s)| s.len());
+        let mut flat = vec![0xEEu8; rs.data_shards() * shard_len];
+        rs.reconstruct_into(shards, &mut flat, parallel)?;
+        Ok(flat.chunks(shard_len).map(<[u8]>::to_vec).collect())
+    }
+
     #[test]
     fn parameter_validation() {
         assert!(ReedSolomon::new(0, 4).is_err());
@@ -258,16 +271,18 @@ mod tests {
 
     #[test]
     fn encoding_is_systematic() {
+        // The data shards are the first m shards of the code: the top of the
+        // encode matrix is the identity, and decoding from them is a copy.
         let rs = ReedSolomon::new(3, 5).unwrap();
         let data = sample_shards(3, 64);
-        let encoded = rs.encode(&data).unwrap();
-        assert_eq!(encoded.len(), 5);
-        for i in 0..3 {
-            assert_eq!(
-                encoded[i], data[i],
-                "data shard {i} must be stored verbatim"
-            );
+        assert_eq!(rs.encode_parity(&data, false).unwrap().len(), 2);
+        for row in 0..3 {
+            for col in 0..3 {
+                assert_eq!(rs.encode_matrix.get(row, col), (row == col) as u8);
+            }
         }
+        let supplied: Vec<(usize, Vec<u8>)> = data.iter().cloned().enumerate().collect();
+        assert_eq!(reconstruct(&rs, &supplied, false).unwrap(), data);
     }
 
     #[test]
@@ -275,7 +290,7 @@ mod tests {
         let (m, n) = (3, 5);
         let rs = ReedSolomon::new(m, n).unwrap();
         let data = sample_shards(m, 40);
-        let encoded = rs.encode(&data).unwrap();
+        let encoded = encode(&rs, &data).unwrap();
 
         // Every possible m-subset of the n shards must reconstruct the data.
         for a in 0..n {
@@ -286,7 +301,7 @@ mod tests {
                         (b, encoded[b].clone()),
                         (c, encoded[c].clone()),
                     ];
-                    let rebuilt = rs.reconstruct_data(&subset).unwrap();
+                    let rebuilt = reconstruct(&rs, &subset, false).unwrap();
                     assert_eq!(rebuilt, data, "subset ({a},{b},{c})");
                 }
             }
@@ -294,13 +309,40 @@ mod tests {
     }
 
     #[test]
+    fn reconstruct_into_clips_the_padding_and_ignores_supply_order() {
+        let rs = ReedSolomon::new(3, 5).unwrap();
+        let data = sample_shards(3, 40);
+        let encoded = encode(&rs, &data).unwrap();
+        let flat: Vec<u8> = data.concat();
+        // Parity first, data last: the order shards arrive in is irrelevant.
+        let supplied = vec![
+            (4, encoded[4].as_slice()),
+            (3, encoded[3].as_slice()),
+            (1, encoded[1].as_slice()),
+        ];
+        // Every output length: mid-shard, on a shard boundary, one shard
+        // only, empty — rebuilt rows are clipped exactly like copied ones.
+        for len in [120usize, 119, 81, 80, 79, 41, 40, 1, 0] {
+            let mut out = vec![0xEEu8; len];
+            rs.reconstruct_into(&supplied, &mut out, false).unwrap();
+            assert_eq!(out, &flat[..len], "len {len}");
+        }
+        let mut too_long = vec![0u8; 121];
+        assert_eq!(
+            rs.reconstruct_into(&supplied, &mut too_long, false)
+                .unwrap_err(),
+            RsError::ShardLengthMismatch
+        );
+    }
+
+    #[test]
     fn mirroring_mode_m_equals_one() {
         let rs = ReedSolomon::new(1, 3).unwrap();
         let data = vec![vec![9u8, 8, 7, 6]];
-        let encoded = rs.encode(&data).unwrap();
+        let encoded = encode(&rs, &data).unwrap();
         // Every shard alone reconstructs the data.
         for (i, shard) in encoded.iter().enumerate() {
-            let rebuilt = rs.reconstruct_data(&[(i, shard.clone())]).unwrap();
+            let rebuilt = reconstruct(&rs, &[(i, shard.clone())], false).unwrap();
             assert_eq!(rebuilt, data);
         }
     }
@@ -309,22 +351,24 @@ mod tests {
     fn no_redundancy_mode_m_equals_n() {
         let rs = ReedSolomon::new(4, 4).unwrap();
         let data = sample_shards(4, 16);
-        let encoded = rs.encode(&data).unwrap();
-        assert_eq!(encoded, data);
-        let supplied: Vec<(usize, Vec<u8>)> = encoded.iter().cloned().enumerate().collect();
-        assert_eq!(rs.reconstruct_data(&supplied).unwrap(), data);
+        assert!(rs.encode_parity(&data, false).unwrap().is_empty());
+        let supplied: Vec<(usize, Vec<u8>)> = data.iter().cloned().enumerate().collect();
+        assert_eq!(reconstruct(&rs, &supplied, false).unwrap(), data);
     }
 
     #[test]
     fn error_cases() {
         let rs = ReedSolomon::new(3, 5).unwrap();
         let data = sample_shards(3, 8);
-        let encoded = rs.encode(&data).unwrap();
+        let encoded = encode(&rs, &data).unwrap();
 
         // Too few shards.
-        let err = rs
-            .reconstruct_data(&[(0, encoded[0].clone()), (1, encoded[1].clone())])
-            .unwrap_err();
+        let err = reconstruct(
+            &rs,
+            &[(0, encoded[0].clone()), (1, encoded[1].clone())],
+            false,
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             RsError::NotEnoughShards {
@@ -334,44 +378,56 @@ mod tests {
         ));
 
         // Mismatched lengths.
-        let err = rs
-            .reconstruct_data(&[
+        let err = reconstruct(
+            &rs,
+            &[
                 (0, encoded[0].clone()),
                 (1, encoded[1][..4].to_vec()),
                 (2, encoded[2].clone()),
-            ])
-            .unwrap_err();
+            ],
+            false,
+        )
+        .unwrap_err();
         assert_eq!(err, RsError::ShardLengthMismatch);
 
         // Duplicate index.
-        let err = rs
-            .reconstruct_data(&[
+        let err = reconstruct(
+            &rs,
+            &[
                 (0, encoded[0].clone()),
                 (0, encoded[0].clone()),
                 (2, encoded[2].clone()),
-            ])
-            .unwrap_err();
+            ],
+            false,
+        )
+        .unwrap_err();
         assert_eq!(err, RsError::InvalidShardIndex(0));
 
         // Out-of-range index.
-        let err = rs
-            .reconstruct_data(&[
+        let err = reconstruct(
+            &rs,
+            &[
                 (0, encoded[0].clone()),
                 (1, encoded[1].clone()),
                 (9, encoded[2].clone()),
-            ])
-            .unwrap_err();
+            ],
+            false,
+        )
+        .unwrap_err();
         assert_eq!(err, RsError::InvalidShardIndex(9));
 
         // Wrong number of data shards to encode.
         assert!(matches!(
-            rs.encode(&sample_shards(2, 8)).unwrap_err(),
+            rs.encode_parity(&sample_shards(2, 8), false).unwrap_err(),
             RsError::NotEnoughShards { .. }
         ));
         // Mismatched data shard lengths.
         let mut bad = sample_shards(3, 8);
         bad[1].pop();
-        assert_eq!(rs.encode(&bad).unwrap_err(), RsError::ShardLengthMismatch);
+        assert_eq!(
+            rs.encode_parity(&bad, false).unwrap_err(),
+            RsError::ShardLengthMismatch
+        );
     }
 
     #[test]
@@ -381,8 +437,8 @@ mod tests {
             // Straddle the codec cutoff: big shards so the pool really runs.
             let data = sample_shards(m, 300_000);
             assert_eq!(
-                rs.encode_par(&data).unwrap(),
-                rs.encode(&data).unwrap(),
+                rs.encode_parity(&data, true).unwrap(),
+                rs.encode_parity(&data, false).unwrap(),
                 "(m,n)=({m},{n})"
             );
         }
@@ -392,15 +448,15 @@ mod tests {
     fn parallel_reconstruct_is_byte_identical_to_sequential() {
         let rs = ReedSolomon::new(3, 6).unwrap();
         let data = sample_shards(3, 200_000);
-        let encoded = rs.encode(&data).unwrap();
-        // A parity-heavy subset forces the general (matrix) path.
+        let encoded = encode(&rs, &data).unwrap();
+        // A parity-only subset: every data row is a decode job.
         let subset = vec![
-            (1usize, encoded[1].clone()),
+            (3usize, encoded[3].clone()),
             (4, encoded[4].clone()),
             (5, encoded[5].clone()),
         ];
-        let seq = rs.reconstruct_data(&subset).unwrap();
-        let par = rs.reconstruct_data_par(&subset).unwrap();
+        let seq = reconstruct(&rs, &subset, false).unwrap();
+        let par = reconstruct(&rs, &subset, true).unwrap();
         assert_eq!(seq, par);
         assert_eq!(seq, data);
     }
@@ -410,11 +466,14 @@ mod tests {
         // Reconstruction from the *data* shards ignores parity corruption.
         let rs = ReedSolomon::new(2, 4).unwrap();
         let data = sample_shards(2, 32);
-        let mut encoded = rs.encode(&data).unwrap();
+        let mut encoded = encode(&rs, &data).unwrap();
         encoded[3][0] ^= 0xff;
-        let rebuilt = rs
-            .reconstruct_data(&[(0, encoded[0].clone()), (1, encoded[1].clone())])
-            .unwrap();
+        let rebuilt = reconstruct(
+            &rs,
+            &[(0, encoded[0].clone()), (1, encoded[1].clone())],
+            false,
+        )
+        .unwrap();
         assert_eq!(rebuilt, data);
     }
 }

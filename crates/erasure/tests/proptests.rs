@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use scalia_erasure::codec::{decode_object, encode_object};
 use scalia_erasure::gf256;
 use scalia_erasure::rs::ReedSolomon;
+use scalia_types::checksum::checksum_hex;
 use scalia_types::ErasureParams;
 
 proptest! {
@@ -109,29 +110,44 @@ proptest! {
             s.resize(shard_len, 0);
             shards.push(s);
         }
-        let a = rs.encode(&shards).unwrap();
-        let b = rs.encode(&shards).unwrap();
+        let a = rs.encode_parity(&shards, false).unwrap();
+        let b = rs.encode_parity(&shards, false).unwrap();
         prop_assert_eq!(&a, &b);
         prop_assert!(a.iter().all(|s| s.len() == shard_len));
-        prop_assert_eq!(a.len(), n);
+        prop_assert_eq!(a.len(), n - m);
     }
 
-    /// Corruption of any single chunk is always detected by its checksum.
+    /// A damaged byte in any chunk a decode uses is never silently served:
+    /// either it sat in padding and the decoded bytes are intact, or the
+    /// decoded bytes fail the content checksum stored at write time (chunks
+    /// carry none of their own).
     #[test]
     fn corruption_detected(
         data in proptest::collection::vec(any::<u8>(), 1..512),
         flip_byte in any::<u8>(),
         chunk_idx in 0usize..4,
+        partner in 0usize..3,
         byte_idx in any::<usize>(),
     ) {
         let params = ErasureParams::new(2, 4).unwrap();
         let enc = encode_object(&data, params).unwrap();
-        let mut chunk = enc.chunks[chunk_idx].clone();
-        let mut payload = chunk.data.to_vec();
-        let pos = byte_idx % payload.len();
-        let flip = if flip_byte == 0 { 1 } else { flip_byte };
-        payload[pos] ^= flip;
-        chunk.data = bytes::Bytes::from(payload);
-        prop_assert!(!chunk.verify());
+        let stored_checksum = checksum_hex(&data);
+
+        let mut corrupted = enc.chunks[chunk_idx].clone();
+        let mut payload = corrupted.data.to_vec();
+        let shard_len = payload.len();
+        let pos = byte_idx % shard_len;
+        payload[pos] ^= if flip_byte == 0 { 1 } else { flip_byte };
+        corrupted.data = bytes::Bytes::from(payload);
+
+        let other = enc.chunks[(chunk_idx + 1 + partner) % 4].clone();
+        let decoded = decode_object(&[corrupted, other], params, enc.original_len).unwrap();
+        let intact = decoded[..] == data[..];
+        prop_assert_eq!(checksum_hex(&decoded) == stored_checksum, intact);
+        // The code is MDS: a damaged shard byte moves at least one data
+        // shard's byte at the same position, so only padding can hide it.
+        if shard_len + pos < data.len() {
+            prop_assert!(!intact, "chunk {chunk_idx} byte {pos} vanished");
+        }
     }
 }

@@ -25,16 +25,23 @@
 //!   for per-operation tail-latency accounting.
 //! * [`object`] — object keys, identifiers, metadata and striping metadata.
 //! * [`erasure`] — `(m, n)` erasure-coding parameters.
-//! * [`md5`] — a from-scratch MD5 implementation used for object
-//!   classification and metadata row keys, exactly as the paper specifies.
+//! * [`md5`] — a from-scratch MD5 implementation, the fingerprint the paper
+//!   specifies for names: metadata row keys, chunk storage keys, object
+//!   class ids, the private-resource HMAC and trace/outcome digests. Never
+//!   run over object bytes.
+//! * [`checksum`] — XXH64, the one content hash: per-stripe and per-object
+//!   checksums stored at write time and verified on every read, and the
+//!   cache's entry digest.
 //! * [`ids`] — provider / engine / datacenter identifiers.
 //! * [`error`] — the shared error type.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod checksum;
 pub mod erasure;
 pub mod error;
+mod hex;
 pub mod ids;
 pub mod latency;
 pub mod md5;

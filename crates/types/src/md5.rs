@@ -1,12 +1,26 @@
-//! A from-scratch MD5 implementation (RFC 1321).
+//! A from-scratch MD5 implementation (RFC 1321) — the paper's fingerprint,
+//! not a content hash.
 //!
-//! The paper uses MD5 in three places: object classification
-//! (`C(obj) = MD5(mime | discretize(size))`), metadata row keys
-//! (`row_key = MD5(container | key)`) and chunk storage keys
-//! (`skey = MD5(container | key | UUID)`). MD5 is used purely as a
-//! uniformly-distributing fingerprint, never for security, so a compact
-//! self-contained implementation keeps the workspace free of extra
-//! dependencies.
+//! MD5 is used where the paper specifies it, always over a few dozen bytes
+//! of *names* and always as a uniformly-distributing fingerprint, never for
+//! security:
+//!
+//! * the metadata row key, `row_key = MD5(container | key)` (§III-D1);
+//! * the chunk storage key, `skey = MD5(container | key | UUID)` (§III-D1) —
+//!   the simulated providers salt their virtual latencies with it, so every
+//!   determinism pin rests on it staying put;
+//! * the object class id, `C(obj) = MD5(mime | discretize(size))` (§III-A);
+//! * the HMAC that signs requests to a private storage resource (§III-E,
+//!   [`hmac_md5`]);
+//! * the digests that make traffic-trace outcomes comparable across runs
+//!   (`sim::traffic`, `frontend::stats`).
+//!
+//! It is **not** run over object bytes. Stripe and object payloads are
+//! checksummed with [`crate::checksum`] (XXH64), which is an order of
+//! magnitude cheaper per byte; nothing on the put/get bytes path calls into
+//! this module.
+
+use crate::hex::hex_lower;
 
 /// Per-round left-rotation amounts.
 const S: [u32; 64] = [
@@ -31,9 +45,8 @@ const K: [u32; 64] = [
 /// Incremental MD5 context: feed data in arbitrary slices with
 /// [`Md5::update`] and read the digest with [`Md5::finalize`].
 ///
-/// The streaming put pipeline checksums a whole object while stripes flow
-/// through encode/upload, so the full payload is never resident; the
-/// one-shot [`md5`] below is a thin wrapper and produces identical digests.
+/// The one-shot [`md5`] below is a thin wrapper and produces identical
+/// digests.
 #[derive(Debug, Clone)]
 pub struct Md5 {
     state: [u32; 4],
@@ -132,12 +145,7 @@ impl Md5 {
 
     /// Digest as a lowercase hex string.
     pub fn finalize_hex(self) -> String {
-        let digest = self.finalize();
-        let mut s = String::with_capacity(32);
-        for byte in digest {
-            s.push_str(&format!("{byte:02x}"));
-        }
-        s
+        hex_lower(&self.finalize())
     }
 
     /// One 64-byte block of the RFC 1321 compression function.
@@ -179,12 +187,7 @@ pub fn md5(data: &[u8]) -> [u8; 16] {
 
 /// Computes the MD5 digest of `data` as a lowercase hex string.
 pub fn md5_hex(data: &[u8]) -> String {
-    let digest = md5(data);
-    let mut s = String::with_capacity(32);
-    for byte in digest {
-        s.push_str(&format!("{byte:02x}"));
-    }
-    s
+    hex_lower(&md5(data))
 }
 
 /// A keyed MD5-based HMAC (RFC 2104 construction with MD5 as the hash).

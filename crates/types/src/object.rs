@@ -130,7 +130,8 @@ pub struct StripeMeta {
     /// Plaintext length of the stripe in bytes (only the last stripe may be
     /// shorter than the object's stripe size).
     pub len: u64,
-    /// MD5 of the stripe plaintext, verified on every stripe decode.
+    /// Content checksum ([`crate::checksum`]) of the stripe plaintext,
+    /// verified on every decode of the stripe.
     pub checksum: String,
     /// Storage key of this stripe's chunks (`{chunk index}` appended per
     /// chunk). Nominally `{object skey}.s{stripe index}`, but each landing
@@ -403,7 +404,10 @@ pub struct ObjectMeta {
     pub mime: String,
     /// Object size in bytes.
     pub size: ByteSize,
-    /// MD5 checksum of the object contents.
+    /// Content checksum ([`crate::checksum`]) of the object's bytes. For a
+    /// classic single-stripe object this is what every read verifies; a
+    /// striped object's reads verify each stripe's own
+    /// [`StripeMeta::checksum`].
     pub checksum: String,
     /// Storage rule (policy) applied to the object.
     pub rule: StorageRule,

@@ -362,7 +362,7 @@ fn crash_at_every_labelled_point_leaves_old_or_new_state_and_no_orphans() {
             "{label}: recovery must expose exactly the old or the new version"
         );
         let meta = latest_meta(&infra, &key).unwrap();
-        let expected_checksum = scalia::types::md5::md5_hex(expected);
+        let expected_checksum = scalia::types::checksum::checksum_hex(expected);
         assert_eq!(
             meta.checksum, expected_checksum,
             "{label}: metadata must match the surviving payload — never torn"

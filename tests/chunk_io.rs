@@ -10,9 +10,9 @@
 use scalia::core::cost::cheapest_read_providers;
 use scalia::engine::cluster::ScaliaCluster;
 use scalia::prelude::*;
-use scalia::providers::backend::StoreOp;
+use scalia::providers::backend::{ObjectStore, StoreOp};
 use scalia::providers::descriptor::ProviderDescriptor;
-use scalia::types::md5::md5_hex;
+use scalia::types::checksum::checksum_hex;
 
 fn rule() -> StorageRule {
     StorageRule::new(
@@ -24,19 +24,32 @@ fn rule() -> StorageRule {
     )
 }
 
-/// The provider the hedged read contacts first: the cheapest-read-ranked
-/// chunk holder, computed exactly as the chunk-I/O layer ranks them.
-fn ranked_chunk_providers(cluster: &ScaliaCluster, meta: &ObjectMeta) -> Vec<ProviderId> {
-    let striping = &meta.striping;
-    let descriptors: Vec<ProviderDescriptor> = striping
+/// The chunk holders of one erasure group (`view`, `size` plaintext bytes)
+/// in the order the hedged read contacts them: cheapest read first,
+/// computed exactly as the chunk-I/O layer ranks them.
+fn ranked_holders(cluster: &ScaliaCluster, view: &StripingMeta, size: ByteSize) -> Vec<ProviderId> {
+    let descriptors: Vec<ProviderDescriptor> = view
         .chunks
         .iter()
         .filter_map(|c| cluster.infra().catalog().get(c.provider))
         .collect();
-    let chunk_gb = meta.size.as_gb() / striping.m.max(1) as f64;
+    let chunk_gb = size.as_gb() / view.m.max(1) as f64;
     cheapest_read_providers(&descriptors, descriptors.len() as u32, chunk_gb)
         .into_iter()
-        .map(|i| striping.chunks[i].provider)
+        .map(|i| view.chunks[i].provider)
+        .collect()
+}
+
+/// [`ranked_holders`] of a classic single-stripe object.
+fn ranked_chunk_providers(cluster: &ScaliaCluster, meta: &ObjectMeta) -> Vec<ProviderId> {
+    ranked_holders(cluster, &meta.striping, meta.size)
+}
+
+/// Deterministic, position-dependent payload bytes (a constant fill would
+/// hide misplaced shards).
+fn patterned(tag: usize, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| (tag.wrapping_mul(131).wrapping_add(i.wrapping_mul(7)) % 251) as u8)
         .collect()
 }
 
@@ -125,7 +138,7 @@ fn hedged_read_survives_a_ranked_provider_killed_mid_lifecycle() {
     let data = engine.get(&key).unwrap();
     assert_eq!(data.len(), payload.len());
     assert_eq!(
-        md5_hex(&data),
+        checksum_hex(&data),
         meta.checksum,
         "bytes must be checksum-exact"
     );
@@ -163,7 +176,7 @@ fn hedged_read_does_not_wait_out_a_stalled_ranked_provider() {
 
     let reads_before = cluster.infra().io_latency_snapshot(StoreOp::Get).count;
     let data = engine.get(&key).unwrap();
-    assert_eq!(md5_hex(&data), meta.checksum);
+    assert_eq!(checksum_hex(&data), meta.checksum);
 
     // The hedge promoted a parity chunk: the recorded virtual makespan beat
     // the stall by an order of magnitude instead of waiting it out.
@@ -179,56 +192,209 @@ fn hedged_read_does_not_wait_out_a_stalled_ranked_provider() {
 
 #[test]
 fn any_m_of_n_survivor_subset_reconstructs_the_object() {
+    // (payload length, stripe size): classic single-stripe objects whose
+    // length does and does not divide by m, empty and one byte long; striped
+    // objects of ≥ 2 stripes, with and without a short tail.
+    let cases: [(usize, Option<u64>); 7] = [
+        (400_000, None),
+        (400_001, None),
+        (0, None),
+        (1, None),
+        (2_345, Some(1_000)),
+        (3_000, Some(1_000)),
+        (2_001, Some(1_000)),
+    ];
+    for (case, (len, stripe)) in cases.into_iter().enumerate() {
+        let cluster = ScaliaCluster::builder()
+            .datacenters(1)
+            .engines_per_datacenter(1)
+            .build();
+        if let Some(stripe) = stripe {
+            cluster.infra().set_stripe_size_bytes(stripe);
+            cluster.infra().set_streaming_threshold_bytes(2 * stripe);
+        }
+        let engine = cluster.engine(0);
+        let key = ObjectKey::new("subsets", "all.bin");
+        let payload = patterned(case, len);
+        let meta = engine
+            .put(
+                &key,
+                payload.clone().into(),
+                "application/octet-stream",
+                rule(),
+                None,
+            )
+            .unwrap();
+        assert_eq!(meta.striping.is_striped(), stripe.is_some(), "len {len}");
+        assert_eq!(checksum_hex(&payload), meta.checksum, "len {len}");
+        // Every stripe of an object lands on the same placement (one class,
+        // one cached decision), so the first stripe's holders are them all.
+        let group = meta.striping.stripe_view(0);
+        let providers: Vec<ProviderId> = group.providers();
+        let n = providers.len();
+        let m = group.m as usize;
+        assert!(n > m, "needs parity to make the property non-trivial");
+        // A range that starts mid-shard and, when striped, crosses a stripe
+        // boundary.
+        let (offset, range_len) = (len / 3, len / 2 + 1);
+        let range_end = (offset + range_len).min(len);
+
+        // Exhaustive differential: for every way to kill n − m chunk
+        // holders — survivors all data, mixed, or as much parity as the code
+        // has — the decode-into-buffer read path must return the plaintext
+        // byte for byte, for the full object and for a range of it.
+        let mut subsets = 0;
+        for mask in 0u32..(1 << n) {
+            if mask.count_ones() as usize != n - m {
+                continue;
+            }
+            subsets += 1;
+            let killed: Vec<ProviderId> = (0..n)
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| providers[i])
+                .collect();
+            for &provider in &killed {
+                cluster.infra().backend(provider).unwrap().set_down(true);
+            }
+            cluster.caches().iter().for_each(|c| c.clear());
+
+            let data = engine
+                .get(&key)
+                .unwrap_or_else(|e| panic!("len {len} survivor subset {mask:b} failed: {e}"));
+            assert_eq!(&data[..], &payload[..], "len {len} subset {mask:b}");
+            cluster.caches().iter().for_each(|c| c.clear());
+            let range = engine
+                .get_range(&key, offset as u64, range_len as u64)
+                .unwrap_or_else(|e| panic!("len {len} subset {mask:b} range failed: {e}"));
+            assert_eq!(
+                &range[..],
+                &payload[offset.min(range_end)..range_end],
+                "len {len} subset {mask:b} range"
+            );
+
+            for &provider in &killed {
+                // Restore the backend *and* the catalog entry (reads feed the
+                // failure detector, which marks dead providers unavailable).
+                cluster.infra().set_provider_down(provider, false);
+            }
+        }
+        assert!(subsets >= n, "expected at least n choose (n-m) ≥ n cases");
+    }
+}
+
+/// Flips one bit of a *data* chunk the next read of `view` is certain to
+/// fetch (a holder among the `m` first-ranked), in place at its backend —
+/// a provider that lies. Returns the means to undo it.
+fn corrupt_a_fetched_data_chunk(
+    cluster: &ScaliaCluster,
+    view: &StripingMeta,
+    size: ByteSize,
+) -> (ProviderId, String, bytes::Bytes) {
+    let location = ranked_holders(cluster, view, size)
+        .into_iter()
+        .take(view.m as usize)
+        .find_map(|provider| {
+            view.chunks
+                .iter()
+                .find(|c| c.provider == provider && c.index < view.m)
+        })
+        .expect("the m first-ranked holders of an m-of-n code include a data chunk");
+    let backend = cluster.infra().backend(location.provider).unwrap();
+    let chunk_key = view.chunk_key(location.index);
+    let honest = backend.get(&chunk_key).unwrap();
+    let mut lie = honest.to_vec();
+    let middle = lie.len() / 2;
+    lie[middle] ^= 0x10;
+    backend.put(&chunk_key, lie.into()).unwrap();
+    (location.provider, chunk_key, honest)
+}
+
+fn assert_fails_closed(result: Result<bytes::Bytes, ScaliaError>, what: &str) {
+    match result {
+        Err(ScaliaError::DecodeFailed(_) | ScaliaError::NotEnoughChunks { .. }) => {}
+        Err(other) => panic!("{what}: unexpected error {other}"),
+        Ok(bytes) => panic!(
+            "{what}: served {} bytes that no stored checksum vouches for",
+            bytes.len()
+        ),
+    }
+}
+
+#[test]
+fn a_lying_provider_fails_reads_closed_and_never_reaches_the_cache() {
     let cluster = ScaliaCluster::builder()
         .datacenters(1)
         .engines_per_datacenter(1)
         .build();
     let engine = cluster.engine(0);
-    let key = ObjectKey::new("subsets", "all.bin");
-    let payload = vec![5u8; 400_000];
-    let meta = engine
+    let caches_empty = || cluster.caches().iter().all(|c| c.is_empty());
+
+    // (a) A classic single-stripe 4 KiB object.
+    let small_key = ObjectKey::new("liar", "small.bin");
+    let small = patterned(1, 4096);
+    let small_meta = engine
+        .put(&small_key, small.clone().into(), "text/plain", rule(), None)
+        .unwrap();
+    assert!(!small_meta.striping.is_striped());
+    let (provider, chunk_key, honest) =
+        corrupt_a_fetched_data_chunk(&cluster, &small_meta.striping, small_meta.size);
+    assert_fails_closed(engine.get(&small_key), "classic get");
+    assert_fails_closed(engine.get_range(&small_key, 0, 4096), "classic whole range");
+    assert_fails_closed(
+        engine.get_range(&small_key, 1000, 200),
+        "classic partial range",
+    );
+    assert!(caches_empty(), "a failed read must not populate the cache");
+    // The honest bytes back in place, the object reads again.
+    let backend = cluster.infra().backend(provider).unwrap();
+    backend.put(&chunk_key, honest).unwrap();
+    assert_eq!(&engine.get(&small_key).unwrap()[..], &small[..]);
+
+    // (b) A striped object: 2 MiB + a tail, 512 KiB stripes.
+    let stripe = cluster.infra().stripe_size_bytes();
+    let big_key = ObjectKey::new("liar", "big.bin");
+    let big = patterned(2, (2 << 20) + 100_000);
+    let big_meta = engine
         .put(
-            &key,
-            payload.clone().into(),
-            "application/octet-stream",
+            &big_key,
+            big.clone().into(),
+            "application/x-tar",
             rule(),
             None,
         )
         .unwrap();
-    let providers: Vec<ProviderId> = meta.striping.providers();
-    let n = providers.len();
-    let m = meta.striping.m as usize;
-    assert!(n > m, "needs parity to make the property non-trivial");
-
-    // Exhaustive property: for every way to kill n − m chunk holders, the
-    // read must still reconstruct checksum-exact bytes from the survivors.
-    let mut cases = 0;
-    for mask in 0u32..(1 << n) {
-        if mask.count_ones() as usize != n - m {
-            continue;
-        }
-        cases += 1;
-        let killed: Vec<ProviderId> = (0..n)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| providers[i])
-            .collect();
-        for &provider in &killed {
-            cluster.infra().backend(provider).unwrap().set_down(true);
-        }
-        cluster.caches().iter().for_each(|c| c.clear());
-
-        let data = engine
-            .get(&key)
-            .unwrap_or_else(|e| panic!("survivor subset {mask:b} failed: {e}"));
-        assert_eq!(md5_hex(&data), meta.checksum, "subset {mask:b}");
-
-        for &provider in &killed {
-            // Restore the backend *and* the catalog entry (reads feed the
-            // failure detector, which marks dead providers unavailable).
-            cluster.infra().set_provider_down(provider, false);
-        }
+    assert!(big_meta.striping.stripe_count() >= 4);
+    cluster.caches().iter().for_each(|c| c.clear());
+    let view = big_meta.striping.stripe_view(1);
+    corrupt_a_fetched_data_chunk(&cluster, &view, ByteSize::from_bytes(stripe));
+    assert_fails_closed(engine.get(&big_key), "striped get");
+    assert_fails_closed(
+        engine.get_range(&big_key, stripe, stripe),
+        "whole-stripe range",
+    );
+    assert_fails_closed(
+        engine.get_range(&big_key, stripe - 10, 20),
+        "range crossing into the damaged stripe",
+    );
+    // Every partial range of the damaged stripe fails, wherever the flipped
+    // bit sits in it: the stripe is verified whole before it is cut.
+    for offset in (0..stripe).step_by(64 << 10) {
+        assert_fails_closed(
+            engine.get_range(&big_key, stripe + offset, 4096),
+            "partial-stripe range",
+        );
     }
-    assert!(cases >= n, "expected at least n choose (n-m) ≥ n cases");
+    assert!(caches_empty(), "a failed read must not populate the cache");
+    // The damage is contained: stripes that verify are still served.
+    assert_eq!(
+        &engine.get_range(&big_key, 1000, 5000).unwrap()[..],
+        &big[1000..6000]
+    );
+    let last = 3 * stripe as usize;
+    assert_eq!(
+        &engine.get_range(&big_key, last as u64, u64::MAX).unwrap()[..],
+        &big[last..]
+    );
 }
 
 #[test]

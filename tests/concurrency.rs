@@ -21,7 +21,7 @@
 
 use scalia::engine::cluster::ScaliaCluster;
 use scalia::prelude::*;
-use scalia::types::md5::md5_hex;
+use scalia::types::checksum::checksum_hex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn rule() -> StorageRule {
@@ -130,7 +130,7 @@ fn assert_quiescent_invariants(cluster: &ScaliaCluster, keys: &[ObjectKey]) {
                     .get(key)
                     .unwrap_or_else(|e| panic!("{key}: quiescent read must succeed, got {e}"));
                 assert_eq!(data.len() as u64, meta.size.bytes(), "{key}: length");
-                assert_eq!(md5_hex(&data), meta.checksum, "{key}: checksum");
+                assert_eq!(checksum_hex(&data), meta.checksum, "{key}: checksum");
                 assert_untorn(&data, &format!("{key}"));
                 expected_bytes += expected_footprint(&meta);
             }

@@ -13,6 +13,7 @@ use scalia::engine::gc;
 use scalia::prelude::*;
 use scalia::providers::backend::{ObjectStore, StoreOp};
 use scalia::providers::failure::FaultPlan;
+use scalia::types::checksum::checksum_hex;
 use scalia::types::md5::md5_hex;
 use std::sync::Arc;
 
@@ -140,7 +141,7 @@ fn streamed_put_round_trips_with_whole_object_checksum() {
     assert_eq!(meta.size.bytes(), 10_240);
     assert_eq!(
         meta.checksum,
-        md5_hex(&data),
+        checksum_hex(&data),
         "the incremental MD5 must equal the whole-payload digest"
     );
     let map = meta.striping.stripes.as_ref().unwrap();
@@ -150,7 +151,7 @@ fn streamed_put_round_trips_with_whole_object_checksum() {
     for (i, stripe) in map.stripes.iter().enumerate() {
         assert_eq!(
             stripe.checksum,
-            md5_hex(&data[i * 1000..(i * 1000 + stripe.len as usize)]),
+            checksum_hex(&data[i * 1000..(i * 1000 + stripe.len as usize)]),
             "stripe {i} digest"
         );
     }
@@ -417,7 +418,7 @@ fn multipart_assembles_odd_sized_parts_and_commits_once() {
     let peak = upload.peak_buffer_bytes();
     let meta = upload.complete_put().unwrap();
     assert_eq!(meta.size.bytes(), 4_734);
-    assert_eq!(meta.checksum, md5_hex(&data));
+    assert_eq!(meta.checksum, checksum_hex(&data));
     assert_eq!(meta.striping.stripe_count(), 5, "4 full stripes + 734 tail");
     assert!(
         peak <= 10 * STRIPE as usize,
@@ -447,7 +448,7 @@ fn multipart_below_one_stripe_falls_back_to_the_classic_layout() {
         !meta.striping.is_striped(),
         "sub-stripe multipart must commit the classic single-stripe layout"
     );
-    assert_eq!(meta.checksum, md5_hex(&data));
+    assert_eq!(meta.checksum, checksum_hex(&data));
     clear_caches(&cluster);
     assert_eq!(engine.get(&key).unwrap().as_ref(), &data[..]);
 }
@@ -568,7 +569,7 @@ fn crash_around_the_commit_is_old_or_new_never_torn() {
         let meta = latest_meta(&infra, &key).unwrap();
         assert_eq!(
             meta.checksum,
-            md5_hex(expected),
+            checksum_hex(expected),
             "{label}: metadata must match the surviving payload — never torn"
         );
         // The multipart commit is one transaction: a crash that commits
@@ -708,7 +709,7 @@ fn streamed_objects_are_bit_equal_across_pool_sizes() {
                         .iter()
                         .map(|s| {
                             format!(
-                                "m={} n={} len={} md5={}",
+                                "m={} n={} len={} checksum={}",
                                 s.m,
                                 s.chunks.len(),
                                 s.len,
@@ -717,7 +718,7 @@ fn streamed_objects_are_bit_equal_across_pool_sizes() {
                         })
                         .collect();
                     lines.push(format!(
-                        "{tag}: md5={} size={} stripes=[{}]",
+                        "{tag}: checksum={} size={} stripes=[{}]",
                         meta.checksum,
                         meta.size.bytes(),
                         stripe_lines.join(", ")
@@ -825,7 +826,7 @@ fn multipart_zero_part_complete_commits_an_empty_object() {
     let id = frontend.create_multipart(tenant, &key, "text/plain", None);
     let meta = frontend.complete_multipart(id).unwrap();
     assert_eq!(meta.size.bytes(), 0);
-    assert_eq!(meta.checksum, md5_hex(b""));
+    assert_eq!(meta.checksum, checksum_hex(b""));
     assert_eq!(frontend.get_object(&key).unwrap().len(), 0);
     // The empty object lists and deletes like any other.
     assert!(frontend.list_bucket("mp").contains(&key));
