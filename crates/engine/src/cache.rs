@@ -181,7 +181,17 @@ impl Cache {
     /// whether any write invalidated the key while the payload was being
     /// fetched.
     pub fn read_epoch(&self, key: &str) -> u64 {
+        if self.capacity == 0 {
+            return 0; // no populate can follow, so there is nothing to gate
+        }
         self.inner.lock().epoch_of(key)
+    }
+
+    /// Whether an object of `len` bytes could ever be inserted. When not,
+    /// a populate is refused whatever the epoch, and the caller need not
+    /// order itself against writers to attempt one.
+    pub(crate) fn admits(&self, len: usize) -> bool {
+        self.capacity > 0 && len as u64 <= self.capacity
     }
 
     /// Inserts only if the key's invalidation epoch still equals `epoch`
@@ -197,10 +207,10 @@ impl Cache {
     /// The insert behind [`Cache::put`] and [`Cache::put_if_epoch`]. The
     /// entry's digest is computed before the lock is taken.
     fn insert(&self, key: &str, data: Bytes, epoch: Option<u64>) -> bool {
-        let size = data.len() as u64;
-        if size > self.capacity {
+        if !self.admits(data.len()) {
             return false;
         }
+        let size = data.len() as u64;
         let digest = xxh64(&data);
 
         let mut inner = self.inner.lock();
@@ -232,6 +242,9 @@ impl Cache {
     /// datacenter) and bumps its invalidation epoch, so in-flight reads of
     /// the deprecated version skip their populate.
     pub fn invalidate(&self, key: &str) {
+        if self.capacity == 0 {
+            return; // holds nothing, and no snapshot can lead to an insert
+        }
         let mut inner = self.inner.lock();
         inner.remove(key);
         inner.bump_epoch(key);
@@ -418,5 +431,20 @@ mod tests {
         let cache = Cache::new(ByteSize::ZERO);
         cache.put("a", Bytes::from_static(b"x"));
         assert!(cache.get("a").is_none());
+        // Not even an empty payload fits "nothing".
+        cache.put("empty", Bytes::new());
+        assert!(cache.get("empty").is_none());
+
+        // A cache that can hold nothing keeps no books either: invalidations
+        // leave no epoch behind, snapshots are constant, populates are
+        // refused before the lock — and lookups still count as misses.
+        let epoch = cache.read_epoch("a");
+        cache.invalidate("a");
+        cache.invalidate("a");
+        assert_eq!(cache.read_epoch("a"), epoch);
+        assert!(!cache.put_if_epoch("a", Bytes::from_static(b"x"), epoch));
+        assert!(!cache.admits(0));
+        assert!(cache.inner.lock().epochs.is_empty());
+        assert_eq!(cache.stats(), (0, 2));
     }
 }

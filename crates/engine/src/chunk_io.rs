@@ -1,4 +1,4 @@
-//! Unified parallel chunk I/O: every provider round-trip of the data path.
+//! Unified chunk I/O: every provider round-trip of the data path.
 //!
 //! Scalia stores an object as `n` erasure-coded chunks on `n` providers and
 //! serves it back from the best `m` of them (§III-D). Until this layer
@@ -7,17 +7,20 @@
 //! observe a slow provider at all. All four call sites (write, read, delete
 //! and the repair/migration path through
 //! [`crate::engine::Engine::replace_placement`]) now route through this
-//! module, which fans transfers out over the work-stealing pool:
+//! module, which fans a group's round-trips out so that the group costs its
+//! slowest member, not their sum — on the work-stealing pool when a
+//! provider really waits, on the calling thread when latency is virtual
+//! (see "Virtual time, real time" below):
 //!
-//! * [`write_chunks`] — **parallel upload**, one task per chunk, with
-//!   abort-on-first-hard-failure: the first provider error flips an abort
-//!   flag (uploads not yet started are skipped), every chunk that did land
-//!   is rolled back (deleted, or queued as a postponed delete if the
+//! * [`write_chunks`] — **fanned-out upload**, one round-trip per chunk,
+//!   with abort-on-first-hard-failure: the first provider error flips an
+//!   abort flag (uploads not yet started are skipped), every chunk that did
+//!   land is rolled back (deleted, or queued as a postponed delete if the
 //!   provider is unreachable), and the failing provider is reported to the
 //!   failure detector and returned to the caller so the write can be
 //!   re-placed on the remaining providers.
 //! * [`fetch_chunks`] — **hedged first-`m`-of-`n` read**: the best `m`
-//!   providers are raced concurrently — ranked by expected read latency
+//!   providers are raced — ranked by expected read latency
 //!   (the *observed* summary once enough samples exist, the advertised
 //!   model otherwise), with the read-price order breaking latency ties —
 //!   so a provider that has recently been slow is demoted to parity rank
@@ -26,8 +29,9 @@
 //!   the provider's observed p95 once warm, a multiple of its modelled
 //!   latency until then ([`hedge_deadline_us`]) — the next-ranked parity
 //!   provider is promoted into the race. The read returns as soon as `m`
-//!   chunks are in hand — a straggler keeps running detached on the pool
-//!   and simply finds its result unneeded. Every outcome feeds the failure
+//!   chunks are in hand — in wall-clock mode a straggler keeps running
+//!   detached on the pool and simply finds its result unneeded. Every
+//!   outcome feeds the failure
 //!   detector (§III-D3) and every success feeds the provider's
 //!   observed-latency window, closing the adaptation loop.
 //! * [`write_chunks_tolerant`] — the **degraded-capable upload**: every
@@ -36,7 +40,7 @@
 //!   the caller, which decides whether the surviving subset clears the
 //!   rule's availability floor (the degraded-write fallback of the engine's
 //!   put path).
-//! * [`delete_chunks`] — **parallel delete** with the postponed-delete
+//! * [`delete_chunks`] — **fanned-out delete** with the postponed-delete
 //!   semantics for unreachable providers.
 //! * [`upload_encoded`] / [`upload_encoded_tolerant`] / [`fetch_stripe`] /
 //!   [`fetch_range`] — the **stripe-granular face** of the same machinery,
@@ -59,16 +63,27 @@
 //!
 //! # Virtual time, real time
 //!
-//! Latencies are *virtual* (deterministic microseconds from each provider's
-//! [`scalia_providers::latency::LatencyModel`], driven by the simulated
-//! clock), so the hedging timeline — completion times, deadline overruns,
-//! parity promotions and the recorded makespans — is exactly reproducible
-//! at any pool size, including the 1-worker degenerate case. When a store
-//! opts into real sleeping
-//! ([`scalia_providers::backend::SimulatedStore::set_real_sleep`], used by
-//! the `chunk_io` bench), the same controller hedges by wall clock: it
-//! parks on a condvar and promotes parity when a ranked fetch blows its
-//! real deadline, so a stalled provider cannot hold the read hostage.
+//! Latencies are *virtual* by default: deterministic microseconds from each
+//! provider's [`scalia_providers::latency::LatencyModel`], a function of
+//! `(key, bytes)`. A virtual round-trip is a map insert and a counter bump
+//! that *reports* how long it would have taken: there is no waiting to
+//! overlap, and handing it to another thread costs a queue hand-off, a
+//! wake-up and a join for nothing. Every fan-out of this module (`fan_out`,
+//! the hedged read's launches) therefore runs virtual round-trips **on the
+//! calling thread, in input order**. The hedging timeline, the recorded
+//! makespans and the providers' bills do not depend on who ran a
+//! round-trip, so they are exactly reproducible at any pool size; an
+//! aborted upload skips precisely the chunks after the failed one.
+//!
+//! The pool is used when, and only when, a participating backend really
+//! waits in wall-clock time
+//! ([`scalia_providers::backend::SimulatedStore::real_sleep_enabled`] — the
+//! `chunk_io` bench, the `SCALIA_LATENCY_REAL_SLEEP` CI step, what a
+//! networked backend would report): the round-trips of a group then overlap
+//! on pool workers (a sleeping worker needs no core), and the read
+//! controller hedges by wall clock — it parks on a condvar and promotes
+//! parity when a ranked fetch blows its real deadline, so a stalled
+//! provider cannot hold the read hostage.
 //!
 //! The object-level makespans (critical path of the fan-out, not the sum of
 //! round-trips) are recorded into the deployment-wide per-operation latency
@@ -80,7 +95,7 @@ use rayon::prelude::*;
 use scalia_core::cost::{cheapest_read_providers, chunk_bytes_for};
 use scalia_core::placement::Placement;
 use scalia_erasure::codec::{decode_object_into, encode_object, Chunk, EncodedObject};
-use scalia_providers::backend::StoreOp;
+use scalia_providers::backend::{SimulatedStore, StoreOp};
 use scalia_providers::descriptor::ProviderDescriptor;
 use scalia_providers::latency::LatencyModel;
 use scalia_types::checksum::checksum_hex;
@@ -89,7 +104,7 @@ use scalia_types::ids::ProviderId;
 use scalia_types::object::{ChunkLocation, ObjectMeta, StripingMeta};
 use scalia_types::size::ByteSize;
 use scalia_types::ErasureParams;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -219,27 +234,51 @@ impl From<WriteFailure> for ScaliaError {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel upload
+// Fan-out
+// ---------------------------------------------------------------------------
+
+/// Runs one provider round-trip per job — `round_trip(backend, provider,
+/// item)`, the backend resolved here — and returns the results in input
+/// order. The jobs go to the pool only if one of their backends really
+/// waits in wall-clock time; otherwise there is nothing to overlap and they
+/// run on the calling thread, in order (see "Virtual time, real time" in
+/// the module docs).
+fn fan_out<T: Sync, R: Send>(
+    infra: &Infrastructure,
+    jobs: &[(ProviderId, T)],
+    round_trip: impl Fn(Option<&SimulatedStore>, ProviderId, &T) -> R + Send + Sync,
+) -> Vec<R> {
+    type Resolved<'a, T> = (Option<Arc<SimulatedStore>>, &'a (ProviderId, T));
+    let resolved: Vec<Resolved<T>> = jobs.iter().map(|job| (infra.backend(job.0), job)).collect();
+    let run =
+        |(backend, (provider, item)): &Resolved<T>| round_trip(backend.as_deref(), *provider, item);
+    let backends = resolved.iter().filter_map(|(backend, _)| backend.as_ref());
+    if backends
+        .into_iter()
+        .any(|backend| backend.real_sleep_enabled())
+    {
+        resolved.par_iter().map(run).collect()
+    } else {
+        resolved.iter().map(run).collect()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Upload
 // ---------------------------------------------------------------------------
 
 enum UploadOutcome {
     Uploaded {
-        provider: ProviderId,
-        chunk_key: String,
-        index: u32,
+        location: ChunkLocation,
         us: u64,
     },
-    Failed {
-        provider: ProviderId,
-        error: ScaliaError,
-    },
+    Failed(ProviderId, ScaliaError),
     /// Skipped because another upload had already failed.
     Aborted,
 }
 
-/// Encodes `data` for `placement` and uploads one chunk per provider, all
-/// in parallel on the pool, under the default upload-hedge policy. See
-/// [`write_chunks_with`].
+/// Encodes `data` for `placement` and uploads one chunk per provider under
+/// the default upload-hedge policy. See [`write_chunks_with`].
 pub fn write_chunks(
     infra: &Infrastructure,
     placement: &Placement,
@@ -249,8 +288,8 @@ pub fn write_chunks(
     write_chunks_with(infra, placement, skey, data, &HedgeConfig::default())
 }
 
-/// Encodes `data` for `placement` and uploads one chunk per provider, all
-/// in parallel on the pool. On the first hard failure the remaining uploads
+/// Encodes `data` for `placement` and uploads one chunk per provider
+/// (`fan_out`). On the first hard failure the remaining uploads
 /// are aborted, every chunk that already landed is deleted again (or queued
 /// as a postponed delete), and the failing provider is reported to the
 /// failure detector and returned in the [`WriteFailure`]. An upload
@@ -274,7 +313,7 @@ pub fn write_chunks_with(
 }
 
 /// Uploads an already-encoded object's chunks, one per provider of
-/// `placement`, in parallel with abort-on-first-failure and rollback —
+/// `placement`, with abort-on-first-failure and rollback —
 /// the upload half of [`write_chunks_with`], split out so the streaming
 /// pipeline can encode stripe `k+1` while stripe `k`'s chunks are in
 /// flight.
@@ -285,68 +324,78 @@ pub fn upload_encoded(
     encoded: &EncodedObject,
     config: &HedgeConfig,
 ) -> std::result::Result<StripingMeta, WriteFailure> {
-    let jobs: Vec<(&Chunk, &ProviderDescriptor)> = encoded
-        .chunks
-        .iter()
-        .zip(placement.providers.iter())
-        .collect();
+    upload(infra, placement, skey, encoded, config, true).map(|write| write.striping)
+}
 
-    let abort = AtomicBool::new(false);
-    let outcomes: Vec<UploadOutcome> = jobs
-        .par_iter()
-        .map(|(chunk, provider)| upload_one(infra, chunk, provider, skey, Some(&abort), config))
-        .collect();
+/// The upload behind both faces. `strict` aborts on the first failure —
+/// uploads not yet started are skipped — and needs every chunk to land;
+/// otherwise every chunk is attempted and `m` suffice. Short of that, what
+/// did land is rolled back and the first (lowest-index) failure returned.
+fn upload(
+    infra: &Infrastructure,
+    placement: &Placement,
+    skey: &str,
+    encoded: &EncodedObject,
+    config: &HedgeConfig,
+    strict: bool,
+) -> std::result::Result<PartialWrite, WriteFailure> {
+    let abort = strict.then(|| AtomicBool::new(false));
+    let pairs = encoded.chunks.iter().zip(&placement.providers);
+    let jobs: Vec<_> = pairs.map(|pair| (pair.1.id, pair)).collect();
+    let outcomes = fan_out(infra, &jobs, |backend, _, (chunk, provider)| {
+        upload_one(
+            infra,
+            backend,
+            chunk,
+            provider,
+            skey,
+            abort.as_ref(),
+            config,
+        )
+    });
 
-    let mut failure: Option<(ProviderId, ScaliaError)> = None;
-    let mut uploaded: Vec<(ProviderId, String)> = Vec::new();
     let mut locations: Vec<ChunkLocation> = Vec::with_capacity(jobs.len());
+    let mut failed: Vec<(ProviderId, ScaliaError)> = Vec::new();
     let mut makespan_us = 0u64;
     for outcome in outcomes {
         match outcome {
-            UploadOutcome::Uploaded {
-                provider,
-                chunk_key,
-                index,
-                us,
-            } => {
-                uploaded.push((provider, chunk_key));
-                locations.push(ChunkLocation { index, provider });
+            UploadOutcome::Uploaded { location, us } => {
+                locations.push(location);
                 makespan_us = makespan_us.max(us);
             }
-            UploadOutcome::Failed { provider, error } => {
-                // Keep the first (lowest-index) failure: par_iter preserves
-                // input order, so this is deterministic.
-                if failure.is_none() {
-                    failure = Some((provider, error));
-                }
-            }
+            UploadOutcome::Failed(provider, error) => failed.push((provider, error)),
             UploadOutcome::Aborted => {}
         }
     }
-
-    if let Some((provider, error)) = failure {
-        // Roll back whatever landed, in parallel too.
-        uploaded.par_iter().for_each(|(provider, chunk_key)| {
-            delete_or_postpone(infra, *provider, chunk_key);
+    let striping = StripingMeta::single(locations, placement.m, skey.to_string());
+    let needed = if strict {
+        jobs.len()
+    } else {
+        placement.m.max(1) as usize
+    };
+    if striping.chunks.len() < needed {
+        let landed = striping.all_chunk_refs();
+        fan_out(infra, &landed, |backend, provider, chunk_key| {
+            delete_or_postpone(infra, backend, provider, chunk_key)
         });
+        let (provider, error) = failed
+            .into_iter()
+            .next()
+            .expect("a chunk that did not land failed or followed a failure");
         return Err(WriteFailure {
             provider: Some(provider),
             error,
         });
     }
-
     // The put's virtual makespan is the slowest chunk upload — the critical
     // path of the fan-out, not the sum of the round-trips.
     infra.record_io_latency(StoreOp::Put, makespan_us);
-    Ok(StripingMeta::single(
-        locations,
-        placement.m,
-        skey.to_string(),
-    ))
+    Ok(PartialWrite { striping, failed })
 }
 
 fn upload_one(
     infra: &Infrastructure,
+    backend: Option<&SimulatedStore>,
     chunk: &Chunk,
     provider: &ProviderDescriptor,
     skey: &str,
@@ -357,14 +406,14 @@ fn upload_one(
         return UploadOutcome::Aborted;
     }
     let chunk_key = format!("{skey}.{}", chunk.index);
-    let Some(backend) = infra.backend(provider.id) else {
+    let failed = |error| {
         if let Some(abort) = abort {
             abort.store(true, Ordering::SeqCst);
         }
-        return UploadOutcome::Failed {
-            provider: provider.id,
-            error: ScaliaError::ProviderUnavailable(provider.id),
-        };
+        UploadOutcome::Failed(provider.id, error)
+    };
+    let Some(backend) = backend else {
+        return failed(ScaliaError::ProviderUnavailable(provider.id));
     };
     let deadline_us = write_hedge_deadline_us(
         infra,
@@ -386,39 +435,26 @@ fn upload_one(
             // a real, successful round-trip — evidence the deadline should
             // widen if this is the provider's new normal).
             infra.record_provider_write_latency(provider.id, us);
-            if let Some(abort) = abort {
-                abort.store(true, Ordering::SeqCst);
-            }
             let error = ScaliaError::Internal(format!(
                 "chunk PUT to provider {} took {us}µs, past its {deadline_us}µs hedge deadline",
                 provider.id
             ));
             infra.report_provider_failure(provider.id, &error);
-            delete_or_postpone(infra, provider.id, &chunk_key);
-            UploadOutcome::Failed {
-                provider: provider.id,
-                error,
-            }
+            delete_or_postpone(infra, Some(backend), provider.id, &chunk_key);
+            failed(error)
         }
         Ok(()) => {
             infra.report_provider_success(provider.id);
             infra.record_provider_write_latency(provider.id, us);
-            UploadOutcome::Uploaded {
-                provider: provider.id,
-                chunk_key,
+            let location = ChunkLocation {
                 index: chunk.index,
-                us,
-            }
+                provider: provider.id,
+            };
+            UploadOutcome::Uploaded { location, us }
         }
         Err(error) => {
-            if let Some(abort) = abort {
-                abort.store(true, Ordering::SeqCst);
-            }
             infra.report_provider_failure(provider.id, &error);
-            UploadOutcome::Failed {
-                provider: provider.id,
-                error,
-            }
+            failed(error)
         }
     }
 }
@@ -427,7 +463,7 @@ fn upload_one(
 // Tolerant (degraded-capable) upload
 // ---------------------------------------------------------------------------
 
-/// A tolerant parallel upload's outcome: the striping over every chunk that
+/// A tolerant upload's outcome: the striping over every chunk that
 /// landed (original erasure indices preserved) plus the providers whose
 /// chunk did not.
 #[derive(Debug)]
@@ -439,8 +475,8 @@ pub struct PartialWrite {
     pub failed: Vec<(ProviderId, ScaliaError)>,
 }
 
-/// Encodes `data` for `placement` and uploads one chunk per provider in
-/// parallel **without** abort-on-first-failure: every upload is attempted
+/// Encodes `data` for `placement` and uploads one chunk per provider
+/// **without** abort-on-first-failure: every upload is attempted
 /// and the write survives as long as at least `m` chunks land. This is the
 /// degraded-write fallback of [`crate::engine::Engine::put`] — once
 /// re-placement is exhausted, the caller checks the surviving subset
@@ -472,87 +508,38 @@ pub fn upload_encoded_tolerant(
     encoded: &EncodedObject,
     config: &HedgeConfig,
 ) -> std::result::Result<PartialWrite, WriteFailure> {
-    let jobs: Vec<(&Chunk, &ProviderDescriptor)> = encoded
-        .chunks
-        .iter()
-        .zip(placement.providers.iter())
-        .collect();
-
-    let outcomes: Vec<UploadOutcome> = jobs
-        .par_iter()
-        .map(|(chunk, provider)| upload_one(infra, chunk, provider, skey, None, config))
-        .collect();
-
-    let mut uploaded: Vec<(ProviderId, String)> = Vec::new();
-    let mut locations: Vec<ChunkLocation> = Vec::with_capacity(jobs.len());
-    let mut failed: Vec<(ProviderId, ScaliaError)> = Vec::new();
-    let mut makespan_us = 0u64;
-    for outcome in outcomes {
-        match outcome {
-            UploadOutcome::Uploaded {
-                provider,
-                chunk_key,
-                index,
-                us,
-            } => {
-                uploaded.push((provider, chunk_key));
-                locations.push(ChunkLocation { index, provider });
-                makespan_us = makespan_us.max(us);
-            }
-            UploadOutcome::Failed { provider, error } => failed.push((provider, error)),
-            UploadOutcome::Aborted => {}
-        }
-    }
-
-    if locations.len() < placement.m.max(1) as usize {
-        // Not even a readable object: roll back and report like the strict
-        // path, naming the first (lowest-index) failing provider.
-        uploaded.par_iter().for_each(|(provider, chunk_key)| {
-            delete_or_postpone(infra, *provider, chunk_key);
-        });
-        let (provider, error) = failed
-            .into_iter()
-            .next()
-            .expect("fewer than m survivors implies at least one failure");
-        return Err(WriteFailure {
-            provider: Some(provider),
-            error,
-        });
-    }
-
-    infra.record_io_latency(StoreOp::Put, makespan_us);
-    Ok(PartialWrite {
-        striping: StripingMeta::single(locations, placement.m, skey.to_string()),
-        failed,
-    })
+    upload(infra, placement, skey, encoded, config, false)
 }
 
 // ---------------------------------------------------------------------------
-// Parallel delete
+// Delete
 // ---------------------------------------------------------------------------
 
-/// Deletes every chunk of a striping in parallel, postponing chunks whose
-/// provider is unreachable ("the deletion of the chunk residing at a faulty
-/// provider is postponed until the provider recovers", §III-D3). Striped
-/// objects delete every stripe's chunks in one parallel fan-out.
+/// Deletes every chunk of a striping, postponing chunks whose provider is
+/// unreachable ("the deletion of the chunk residing at a faulty provider is
+/// postponed until the provider recovers", §III-D3). Striped objects delete
+/// every stripe's chunks in one fan-out.
 pub fn delete_chunks(infra: &Infrastructure, striping: &StripingMeta) {
     let refs = striping.all_chunk_refs();
     if refs.is_empty() {
         return;
     }
-    let latencies: Vec<u64> = refs
-        .par_iter()
-        .map(|(provider, chunk_key)| delete_or_postpone(infra, *provider, chunk_key))
-        .collect();
+    let latencies = fan_out(infra, &refs, |backend, provider, chunk_key| {
+        delete_or_postpone(infra, backend, provider, chunk_key)
+    });
     let makespan = latencies.into_iter().max().unwrap_or(0);
     infra.record_io_latency(StoreOp::Delete, makespan);
 }
 
 /// Deletes one chunk, falling back to a postponed delete when the provider
 /// is down or the delete fails. Returns the virtual latency paid.
-fn delete_or_postpone(infra: &Infrastructure, provider: ProviderId, chunk_key: &str) -> u64 {
-    let attempted = infra
-        .backend(provider)
+fn delete_or_postpone(
+    infra: &Infrastructure,
+    backend: Option<&SimulatedStore>,
+    provider: ProviderId,
+    chunk_key: &str,
+) -> u64 {
+    let attempted = backend
         .filter(|b| b.is_up())
         .map(|b| b.timed_delete(chunk_key));
     match attempted {
@@ -579,20 +566,19 @@ struct FetchReply {
     us: u64,
 }
 
-/// The rendezvous between detached fetch tasks and the controller.
+/// The rendezvous between detached fetch tasks and the controller (only
+/// fetches that really wait are detached).
+#[derive(Default)]
 struct FetchBoard {
     replies: Mutex<Vec<FetchReply>>,
     cv: Condvar,
+    /// Detached fetches some thread has begun to run — a statistic the
+    /// controller compares with the number it launched (`Relaxed`: it
+    /// publishes nothing).
+    started: AtomicUsize,
 }
 
 impl FetchBoard {
-    fn new() -> Self {
-        FetchBoard {
-            replies: Mutex::new(Vec::new()),
-            cv: Condvar::new(),
-        }
-    }
-
     fn push(&self, reply: FetchReply) {
         self.replies.lock().unwrap().push(reply);
         self.cv.notify_all();
@@ -602,17 +588,19 @@ impl FetchBoard {
         std::mem::take(&mut *self.replies.lock().unwrap())
     }
 
-    /// Parks briefly unless a reply is already waiting. The short timeout
-    /// bounds the reaction time to wall-clock hedge deadlines (real-sleep
-    /// mode) without busy-spinning.
-    fn wait_brief(&self) {
+    /// Parks briefly unless a reply is already waiting, and returns whether
+    /// one is now. The short timeout bounds the reaction time to wall-clock
+    /// hedge deadlines (real-sleep mode) without busy-spinning.
+    fn wait_brief(&self) -> bool {
         let guard = self.replies.lock().unwrap();
-        if guard.is_empty() {
-            let _ = self
-                .cv
-                .wait_timeout(guard, Duration::from_micros(500))
-                .unwrap();
+        if !guard.is_empty() {
+            return true;
         }
+        let (guard, _) = self
+            .cv
+            .wait_timeout(guard, Duration::from_micros(500))
+            .unwrap();
+        !guard.is_empty()
     }
 }
 
@@ -642,25 +630,30 @@ struct HedgedRead<'a> {
     chunk_bytes: u64,
     /// Chunk locations and their latency models, cheapest-read first.
     candidates: Vec<Candidate>,
-    board: Arc<FetchBoard>,
+    /// Where pool tasks report; created by the first fetch that needs one.
+    board: Option<Arc<FetchBoard>>,
+    /// Fetches handed to the pool so far. Non-zero once any involved store
+    /// really sleeps its latency: the read then hedges by wall clock.
+    detached: usize,
+    /// Replies not yet folded into the timeline (see [`Self::run`]).
+    pending: Vec<FetchReply>,
     slots: Vec<Slot>,
     next_candidate: usize,
     /// Successful fetches: (virtual completion time, chunk).
     oks: Vec<(u64, Chunk)>,
     /// Latest virtual event time observed, used to timestamp late launches.
     virtual_frontier_us: u64,
-    /// `true` once any involved store really sleeps its latency — enables
-    /// wall-clock hedging and disables inline helping (helping could adopt
-    /// a sleeping fetch and stall the controller).
-    any_real: bool,
 }
 
 impl<'a> HedgedRead<'a> {
     /// Launches the next-ranked candidate (skipping providers with no
-    /// backend, which are reported as hard failures). The fetch task itself
-    /// reports its outcome to the failure detector, so a straggler that
-    /// errors *after* the read already returned still accumulates failure
-    /// evidence (the controller only folds replies into the timeline).
+    /// backend, which are reported as hard failures). A fetch whose backend
+    /// really waits is detached onto the pool and reports to the board; a
+    /// virtual one has nothing to wait for, runs here and lands in
+    /// `pending`. Either way the fetch itself reports its outcome to the
+    /// failure detector, so a straggler that errors *after* the read already
+    /// returned still accumulates failure evidence (the controller only
+    /// folds replies into the timeline).
     fn launch_next(&mut self, virt_start_us: u64) {
         while self.next_candidate < self.candidates.len() {
             let candidate = self.candidates[self.next_candidate];
@@ -671,7 +664,7 @@ impl<'a> HedgedRead<'a> {
                     .report_provider_failure(provider, &ScaliaError::ProviderUnavailable(provider));
                 continue;
             };
-            self.any_real |= backend.real_sleep_enabled();
+            let really_waits = backend.real_sleep_enabled();
             let deadline_us = hedge_deadline_us(
                 self.infra,
                 provider,
@@ -689,9 +682,8 @@ impl<'a> HedgedRead<'a> {
                 done: false,
             });
             let chunk_key = self.striping.chunk_key(candidate.location.index);
-            let board = self.board.clone();
             let infra = Arc::clone(self.infra);
-            rayon::spawn(move || {
+            let fetch = move || {
                 let (result, us) = backend.timed_get(&chunk_key);
                 match &result {
                     Ok(_) => {
@@ -710,8 +702,18 @@ impl<'a> HedgedRead<'a> {
                     // must not look fast.
                     Err(error) => infra.report_provider_failure(provider, error),
                 }
-                board.push(FetchReply { slot, result, us });
-            });
+                FetchReply { slot, result, us }
+            };
+            if really_waits {
+                let board = Arc::clone(self.board.get_or_insert_with(Default::default));
+                self.detached += 1;
+                rayon::spawn(move || {
+                    board.started.fetch_add(1, Ordering::Relaxed);
+                    board.push(fetch())
+                });
+            } else {
+                self.pending.push(fetch());
+            }
             return;
         }
     }
@@ -785,42 +787,31 @@ impl<'a> HedgedRead<'a> {
         for _ in 0..m {
             self.launch_next(0);
         }
-        // Virtual mode buffers replies until the in-flight generation has
-        // fully quiesced, then folds them in *virtual-completion* order
-        // (ties by slot index). Hedge promotions — which consume ranked
-        // candidates and stamp their launch times — thereby replay the
-        // simulated timeline deterministically, independent of which worker
-        // thread happened to report first. Real-sleep mode keeps arrival
+        // Virtual mode holds the generation's replies in `pending` — every
+        // launch has already run by the time the loop looks — and folds them
+        // in *virtual-completion* order (ties by slot index). Hedge
+        // promotions — which consume ranked candidates and stamp their
+        // launch times — thereby replay the simulated timeline, whatever
+        // order the fetches were issued in. Real-sleep mode keeps arrival
         // order: there the wall clock is the race.
-        let mut pending: Vec<FetchReply> = Vec::new();
         loop {
-            let replies = self.board.take();
-            if self.any_real {
-                // Flushes any replies buffered before a late launch flipped
-                // the read into wall-clock mode.
-                for reply in pending.drain(..).chain(replies) {
+            let wall_clock = self.detached > 0;
+            if wall_clock {
+                // Also flushes any virtual replies buffered before a late
+                // launch flipped the read into wall-clock mode.
+                let arrived = self.board.as_ref().map(|b| b.take()).unwrap_or_default();
+                for reply in std::mem::take(&mut self.pending).into_iter().chain(arrived) {
                     self.process(reply);
                 }
-            } else {
-                pending.extend(replies);
             }
             let undone = self.slots.iter().filter(|s| !s.done).count();
-            if !self.any_real {
-                let in_flight = undone - pending.len();
-                if in_flight > 0 {
-                    if !rayon::yield_now() {
-                        // Help the pool drain fetch tasks (essential when
-                        // the controller runs *inside* a 1-worker pool);
-                        // park briefly only when there is nothing to steal.
-                        self.board.wait_brief();
-                    }
-                    continue;
-                }
-                if !pending.is_empty() {
-                    pending.sort_by_key(|reply| {
+            if !wall_clock {
+                if !self.pending.is_empty() {
+                    let mut replies = std::mem::take(&mut self.pending);
+                    replies.sort_by_key(|reply| {
                         (self.slots[reply.slot].virt_start_us + reply.us, reply.slot)
                     });
-                    for reply in std::mem::take(&mut pending) {
+                    for reply in replies {
                         self.process(reply);
                     }
                     continue; // processing may have launched hedges
@@ -855,7 +846,17 @@ impl<'a> HedgedRead<'a> {
             // Promote parity past overdue deadlines, then park until the
             // next reply (or the short timeout).
             self.hedge_overdue_by_wall_clock();
-            self.board.wait_brief();
+            if let Some(board) = self.board.as_ref().filter(|_| self.pending.is_empty()) {
+                // A fetch nobody has begun by then has no worker to run it:
+                // reads issued from inside pool tasks can occupy every pool
+                // thread with controllers like this one, each waiting for
+                // the others. Run a queued task here instead — it stalls
+                // this read's hedging for one round-trip, which a pool with
+                // no free thread could not have served anyway.
+                if !board.wait_brief() && board.started.load(Ordering::Relaxed) < self.detached {
+                    rayon::yield_now();
+                }
+            }
         }
 
         if self.oks.len() < m {
@@ -941,12 +942,13 @@ pub fn fetch_chunks(
         config,
         chunk_bytes,
         candidates,
-        board: Arc::new(FetchBoard::new()),
+        board: None,
+        detached: 0,
+        pending: Vec::new(),
         slots: Vec::new(),
         next_candidate: 0,
         oks: Vec::new(),
         virtual_frontier_us: 0,
-        any_real: false,
     };
     let chunks = read.run(m)?;
     Ok(chunks)

@@ -28,10 +28,11 @@
 //!
 //! Engines are stateless: everything they touch lives in the shared
 //! [`Infrastructure`], so adding engines scales the deployment linearly.
-//! Every provider round-trip goes through the parallel chunk-I/O layer
-//! ([`crate::chunk_io`]): puts and deletes fan out one task per chunk, and
-//! put/get latency scales with the slowest provider instead of summing
-//! round-trips.
+//! Every provider round-trip goes through the chunk-I/O layer
+//! ([`crate::chunk_io`]): puts and deletes fan out one round-trip per chunk
+//! — overlapped on the pool when providers really wait, on the calling
+//! thread when latency is virtual — and put/get latency scales with the
+//! slowest provider instead of summing round-trips.
 
 use crate::cache::Cache;
 use crate::chunk_io::{self, HedgeConfig};
@@ -42,6 +43,7 @@ use scalia_core::cost::PredictedUsage;
 use scalia_core::placement::{Placement, PlacementEngine};
 use scalia_metastore::journal::JournalOp;
 use scalia_metastore::logagg::{AccessKind, AccessLogRecord, LogAgent};
+use scalia_metastore::stats::StatisticsStore;
 use scalia_types::checksum::checksum_hex;
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::{DatacenterId, EngineId, ProviderId};
@@ -49,6 +51,7 @@ use scalia_types::object::{ObjectKey, ObjectMeta, ObjectVersionId, StripingMeta}
 use scalia_types::rules::StorageRule;
 use scalia_types::size::ByteSize;
 use scalia_types::stats::AccessHistory;
+use serde::Deserialize;
 use serde_json::json;
 use std::sync::Arc;
 
@@ -231,7 +234,9 @@ impl Engine {
         // round-trip happens under it.
         // A degraded landing records its durability debt — and the repair
         // queue entry that will backfill it to full width — atomically with
-        // the metadata commit.
+        // the metadata commit, and so is the object's class record: the
+        // class-centric optimiser sweeps members *by class row*, so an
+        // object committed without one would never be reconsidered.
         let debt = degraded_from.map(|want| {
             serde_json::json!({
                 "reason": "degraded-write",
@@ -241,7 +246,7 @@ impl Engine {
         });
         let deprecated = {
             let _commit = self.infra.lock_row_commit(&meta.row_key());
-            let deprecated = self.commit_metadata_with_debt(&meta, debt)?;
+            let deprecated = self.commit_metadata_with_debt(&meta, debt, Some(class.id()))?;
             self.invalidate_everywhere(&meta.row_key());
             deprecated
         };
@@ -251,37 +256,10 @@ impl Engine {
         for striping in &deprecated {
             self.delete_chunks(striping);
         }
-        self.record_class_with_retry(&key.row_key(), class.id());
 
         // Log the write for the statistics pipeline.
         self.log_access(key, AccessKind::Write, size, size);
         Ok(meta)
-    }
-
-    /// Records the object's class membership in the statistics store,
-    /// retrying transient failures. The recording must not fail the put —
-    /// the object is already durably committed and readable — but silently
-    /// dropping it would strand the object outside its class group: the
-    /// class-centric optimiser sweeps members *by class row*, so an
-    /// unrecorded object is never reconsidered for migration. Each attempt
-    /// is observable via [`Infrastructure::class_record_counters`]; the
-    /// chaos label `put::record-class` injects per-attempt failures.
-    pub(crate) fn record_class_with_retry(&self, row_key: &str, class_id: &str) {
-        /// Total attempts per put (1 try + 2 retries).
-        const CLASS_RECORD_ATTEMPTS: usize = 3;
-        let stats = self.infra.statistics(self.datacenter);
-        for attempt in 0..CLASS_RECORD_ATTEMPTS {
-            let result = self.infra.crash_point("put::record-class").and_then(|()| {
-                stats.record_object_class(row_key, class_id, self.infra.next_timestamp())
-            });
-            match result {
-                Ok(()) => return,
-                Err(_) if attempt + 1 < CLASS_RECORD_ATTEMPTS => {
-                    self.infra.note_class_record_retry();
-                }
-                Err(_) => self.infra.note_class_record_failure(),
-            }
-        }
     }
 
     /// Places and uploads an object's chunks, retrying — bounded by
@@ -440,20 +418,23 @@ impl Engine {
     /// under the lock.
     #[must_use = "the returned stripings' chunks must be garbage-collected"]
     fn commit_metadata(&self, meta: &ObjectMeta) -> Result<Vec<StripingMeta>> {
-        self.commit_metadata_with_debt(meta, None)
+        self.commit_metadata_with_debt(meta, None, None)
     }
 
-    /// [`Self::commit_metadata`], optionally recording a durability debt.
-    /// The whole commit — metadata, optimiser digest, container index,
-    /// debt column and repair-queue entry (or debt clearance), version
-    /// prunes — is one journaled transaction on the replicated store, so a
-    /// crash at any point replays to either the old or the new placement,
-    /// never a torn mixture.
+    /// [`Self::commit_metadata`], optionally recording a durability debt
+    /// and — for a client write, which may have changed the object's class —
+    /// its class record and dirty-set mark. The whole commit — metadata,
+    /// optimiser digest, container index, debt column and repair-queue
+    /// entry (or debt clearance), version prunes, class record — is one
+    /// journaled transaction on the replicated store, so a crash at any
+    /// point replays to either the old or the new placement, never a torn
+    /// mixture, and never to an object stranded outside its class group.
     #[must_use = "the returned stripings' chunks must be garbage-collected"]
     pub(crate) fn commit_metadata_with_debt(
         &self,
         meta: &ObjectMeta,
         debt: Option<serde_json::Value>,
+        class_id: Option<&str>,
     ) -> Result<Vec<StripingMeta>> {
         let row_key = meta.row_key();
         let value = serde_json::to_value(meta)
@@ -524,10 +505,15 @@ impl Engine {
             row_key: row_key.clone(),
             column: "opt".to_string(),
         });
+        if let Some(class_id) = class_id {
+            ops.extend(StatisticsStore::object_class_ops(
+                &row_key, class_id, timestamp,
+            ));
+        }
         let pruned = self.infra.database().transaction(ops)?;
         Ok(pruned
-            .into_iter()
-            .filter_map(|cell| serde_json::from_value::<ObjectMeta>(cell.value).ok())
+            .iter()
+            .filter_map(|cell| ObjectMeta::deserialize(&cell.value).ok())
             .filter(|old_meta| old_meta.version != meta.version)
             .map(|old_meta| old_meta.striping)
             .collect())
@@ -592,19 +578,23 @@ impl Engine {
     /// the payload — closing the race **without** the extra metadata read
     /// per uncached get the previous revalidate-by-re-reading scheme paid.
     fn populate_cache_if_unchanged(&self, row_key: &str, data: &Bytes, epoch: u64) {
+        if !self.local_cache.admits(data.len()) {
+            return; // nothing to order against the writers
+        }
         let _commit = self.infra.lock_row_commit(row_key);
         self.local_cache.put_if_epoch(row_key, data.clone(), epoch);
     }
 
     /// Reads and deserialises the current metadata version of an object.
     pub fn read_metadata(&self, key: &ObjectKey) -> Result<ObjectMeta> {
-        let row_key = key.row_key();
-        let cell = self
-            .infra
+        // Decoded straight out of the stored cell, under the node's read
+        // lock: no copy of the value tree is made.
+        self.infra
             .database()
-            .get_latest(self.datacenter, &row_key, "meta")
-            .ok_or_else(|| ScaliaError::ObjectNotFound(key.clone()))?;
-        serde_json::from_value(cell.value)
+            .with_latest(self.datacenter, &key.row_key(), "meta", |cell| {
+                ObjectMeta::deserialize(&cell.value)
+            })
+            .ok_or_else(|| ScaliaError::ObjectNotFound(key.clone()))?
             .map_err(|e| ScaliaError::Internal(format!("deserialize metadata: {e}")))
     }
 
@@ -645,6 +635,12 @@ impl Engine {
     /// Deletes an object: removes its chunks (postponing deletes on
     /// unreachable providers), folds its lifetime and usage into its class
     /// statistics, and drops its metadata.
+    ///
+    /// Everything the metastore learns of the delete — the class samples,
+    /// the metadata row drop, the container-index tombstone, the statistics
+    /// row drop — is one journaled transaction: a crash leaves the object
+    /// wholly present or wholly gone, never listed without metadata or
+    /// survived by its statistics.
     pub fn delete(&self, key: &ObjectKey) -> Result<()> {
         let row_key = key.row_key();
         // The metadata mutation runs under the row commit lock (a migration
@@ -657,32 +653,43 @@ impl Engine {
         let timestamp = self.infra.next_timestamp();
 
         // Fold the object's observed lifetime and mean per-period usage into
-        // its class statistics before dropping its rows.
+        // its class statistics as its rows are dropped.
         let lifetime_hours = self.infra.now().since(meta.written_at).as_hours();
         let class = ObjectClass::of(&meta.mime, meta.size);
-        stats
-            .record_class_lifetime(class.id(), lifetime_hours, timestamp)
-            .ok();
+        let mut ops = vec![StatisticsStore::class_lifetime_op(
+            class.id(),
+            lifetime_hours,
+            timestamp,
+        )];
         let history = stats.history(&row_key, scalia_types::stats::DEFAULT_HISTORY_LEN);
         if !history.is_empty() {
             let mean = history
                 .mean_usage_over_last(history.len(), self.infra.sampling_period().as_hours());
-            stats.record_class_usage(class.id(), &mean, timestamp).ok();
+            ops.push(StatisticsStore::class_usage_op(
+                class.id(),
+                &mean,
+                timestamp,
+            ));
         }
-
-        self.infra.database().delete_row(&row_key);
-        self.infra.database().put(
-            &format!("container:{}", key.container),
-            &key.key,
-            json!(false),
-            self.infra.next_timestamp(),
-        )?;
-        stats.delete_object_stats(&row_key);
+        ops.push(JournalOp::DeleteRow {
+            row_key: row_key.clone(),
+        });
+        ops.push(JournalOp::Put {
+            row_key: format!("container:{}", key.container),
+            column: key.key.clone(),
+            value: json!(false),
+            timestamp,
+        });
+        ops.push(StatisticsStore::delete_object_stats_op(&row_key));
+        self.infra.database().transaction(ops)?;
         // Invalidate under the commit lock — atomic with the metadata drop,
         // so an in-flight reader's epoch-gated populate cannot resurrect
         // the deleted payload.
         self.invalidate_everywhere(&row_key);
         drop(commit_guard);
+        // Chaos crash point: the delete is durable but its chunks are still
+        // at the providers — the orphan sweep reconciles them.
+        self.infra.crash_point("delete::after-commit")?;
 
         // Chunk deletion (provider round-trips) after the metadata is gone:
         // in-flight readers of the old version already tolerate vanishing
@@ -1214,60 +1221,54 @@ mod tests {
     }
 
     #[test]
-    fn transient_class_record_failure_retries_and_does_not_strand_the_object() {
+    fn class_record_commits_atomically_with_the_metadata() {
         use scalia_providers::failure::FaultPlan;
-        use std::sync::Arc;
 
         let cluster = cluster();
         let engine = cluster.engine(0);
         let infra = cluster.infra().clone();
-        let key = ObjectKey::new("docs", "classed.pdf");
-
-        // The first class-record attempt fails (injected); the retry must
-        // land the class so the optimizer's class group sees the object.
-        let plan = Arc::new(FaultPlan::new());
-        plan.arm("put::record-class");
-        infra.set_fault_plan(Some(plan.clone()));
-        let meta = engine
-            .put(
-                &key,
-                Bytes::from(vec![6u8; 150_000]),
-                "application/pdf",
-                rule(),
-                None,
-            )
-            .unwrap();
-        infra.set_fault_plan(None);
-        assert_eq!(plan.fired(), vec!["put::record-class".to_string()]);
-
-        let class = ObjectClass::of("application/pdf", meta.size);
+        let db = infra.database();
         let stats = infra.statistics(DatacenterId::new(0));
+        let payload = || Bytes::from(vec![6u8; 150_000]);
+        let class = ObjectClass::of("application/pdf", ByteSize::from_bytes(150_000));
+
+        // One put is one transaction: a Begin and a Commit record, nothing
+        // auto-committed beside them — the class record and the dirty mark
+        // ride in the batch.
+        let key = ObjectKey::new("docs", "classed.pdf");
+        let records_before = db.journal().len();
+        engine
+            .put(&key, payload(), "application/pdf", rule(), None)
+            .unwrap();
+        assert_eq!(db.journal().len() - records_before, 2);
         assert_eq!(
             stats.object_class(&key.row_key()).as_deref(),
-            Some(class.id()),
-            "a transient statistics failure must not strand the object outside its class group"
+            Some(class.id())
         );
-        let (retries, failures) = infra.class_record_counters();
-        assert_eq!((retries, failures), (1, 0));
-    }
 
-    #[test]
-    fn exhausted_class_record_surfaces_a_counter_without_failing_the_put() {
-        let cluster = cluster();
-        let engine = cluster.engine(0);
-        let infra = cluster.infra().clone();
-
-        // Every replica down: all attempts fail. The helper must not error
-        // (the object is already committed) but the failure must be counted.
-        for node in infra.database().nodes() {
-            node.set_up(false);
+        // A crash once the batch is logged recovers to metadata *and* class
+        // record; a crash before it is logged recovers to neither. There is
+        // no state in which the object is committed but outside its class
+        // group.
+        for (label, commits) in [("txn::before-log", false), ("txn::torn", true)] {
+            let key = ObjectKey::new("docs", format!("{label}.pdf"));
+            let checkpoint = db.checkpoint();
+            let plan = Arc::new(FaultPlan::new());
+            plan.arm(label);
+            infra.set_fault_plan(Some(plan));
+            assert!(engine
+                .put(&key, payload(), "application/pdf", rule(), None)
+                .is_err());
+            infra.set_fault_plan(None);
+            db.recover(&checkpoint);
+            assert_eq!(engine.read_metadata(&key).is_ok(), commits, "{label}");
+            assert_eq!(
+                stats.object_class(&key.row_key()).is_some(),
+                commits,
+                "{label}: the class record must share the metadata's fate"
+            );
+            let dirty = stats.objects_accessed_since(scalia_metastore::Timestamp::ZERO);
+            assert_eq!(dirty.contains(&key.row_key()), commits, "{label}");
         }
-        engine.record_class_with_retry("objects:docs/lost.pdf", "class-x");
-        for node in infra.database().nodes() {
-            node.set_up(true);
-        }
-        let (retries, failures) = infra.class_record_counters();
-        assert_eq!(failures, 1, "exhaustion must be surfaced on the counter");
-        assert_eq!(retries, 2, "two mid-loop retries before giving up");
     }
 }

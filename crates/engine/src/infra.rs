@@ -181,13 +181,6 @@ pub struct Infrastructure {
     /// Payload size above which `Engine::put` routes through the streaming
     /// stripe pipeline instead of the classic single-stripe path.
     streaming_threshold_bytes: AtomicU64,
-    /// Retries spent re-attempting `record_object_class` after a transient
-    /// statistics failure on the write path.
-    class_record_retries: AtomicU64,
-    /// Writes whose class tag could not be recorded even after retries —
-    /// surfaced instead of silently swallowed; the object stays readable
-    /// but the class optimizer will not group it until a later touch.
-    class_record_failures: AtomicU64,
     /// Per-deployment object-version sequence. Versions are minted from
     /// *this* counter, not the process-global one, so the storage keys a
     /// deployment derives (and therefore its key-salted virtual latencies)
@@ -242,8 +235,6 @@ impl Infrastructure {
             observed_writes: Mutex::new(HashMap::new()),
             stripe_size_bytes: AtomicU64::new(DEFAULT_STRIPE_SIZE_BYTES),
             streaming_threshold_bytes: AtomicU64::new(DEFAULT_STREAMING_THRESHOLD_BYTES),
-            class_record_retries: AtomicU64::new(0),
-            class_record_failures: AtomicU64::new(0),
             version_counter: AtomicU64::new(1),
         });
         for descriptor in catalog.all() {
@@ -769,25 +760,6 @@ impl Infrastructure {
     pub fn set_streaming_threshold_bytes(&self, bytes: u64) {
         self.streaming_threshold_bytes
             .store(bytes, Ordering::Relaxed);
-    }
-
-    /// Counts one retry of a transiently-failed `record_object_class`.
-    pub fn note_class_record_retry(&self) {
-        self.class_record_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one write whose class tag could not be recorded even after
-    /// retries.
-    pub fn note_class_record_failure(&self) {
-        self.class_record_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `(retries, exhausted failures)` of write-path class-tag recording.
-    pub fn class_record_counters(&self) -> (u64, u64) {
-        (
-            self.class_record_retries.load(Ordering::Relaxed),
-            self.class_record_failures.load(Ordering::Relaxed),
-        )
     }
 
     /// The decision-period controller of an object, created on first use

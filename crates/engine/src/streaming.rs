@@ -565,7 +565,9 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         });
         let deprecated = {
             let _commit = self.engine().infra().lock_row_commit(&meta.row_key());
-            let deprecated = self.engine().commit_metadata_with_debt(&meta, debt)?;
+            let deprecated =
+                self.engine()
+                    .commit_metadata_with_debt(&meta, debt, Some(final_class.id()))?;
             self.engine().invalidate_everywhere(&meta.row_key());
             deprecated
         };
@@ -573,8 +575,6 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         for striping in &deprecated {
             self.engine().delete_chunks(striping);
         }
-        self.engine()
-            .record_class_with_retry(&self.key.row_key(), final_class.id());
         self.engine()
             .log_access(&self.key, AccessKind::Write, size, size);
         Ok(meta)

@@ -12,32 +12,28 @@
 //!   row deletion). Logged immediately before the mutation is applied;
 //!   replay re-applies it.
 //! * `Begin { txid, ops }` — a multi-operation transaction (the engine's
-//!   `commit_metadata`: metadata put + optimizer digest + container index +
-//!   version prunes). The *whole* op list is logged atomically before any
-//!   node sees any of it.
+//!   put commit: metadata, optimizer digest, container index, debt,
+//!   version prunes, class record, dirty mark; its delete: class samples,
+//!   row drops, container tombstone). The *whole* op list is logged
+//!   atomically before any node sees any of it.
 //! * `Commit { txid }` — appended after every op of transaction `txid` was
 //!   applied to the nodes.
 //!
-//! Recovery ([`crate::replication::ReplicatedStore::recover`]) restores the
-//! nodes from the last checkpoint and replays the journal in order. A
-//! `Begin` without a matching `Commit` marks a transaction interrupted
-//! mid-apply: its intent is durable, so recovery **redoes** it (the paper's
-//! "either the old or the new placement" — a crash before the `Begin` record
-//! lands yields the old placement, any crash after it yields the new one).
-//! Replay is idempotent because node cells deduplicate on exact timestamps
-//! (see [`crate::model::insert_version`]) and prunes/deletes are naturally
-//! idempotent.
+//! # One value, shared
 //!
-//! The journal lives in memory here (the whole metastore is an in-memory
-//! reproduction); [`crate::replication::ReplicatedStore::checkpoint`] plays
-//! the role of flushing a snapshot to stable storage and truncating the
-//! committed prefix.
+//! Callers hand the store [`JournalOp`]s, which own their values. On entry
+//! each becomes a [`LoggedOp`], whose `Put` carries its cell behind an
+//! `Arc`: the `Begin` record, a hint queued for a node that is down and the
+//! column of every replica point at that one allocation, so a replicated
+//! put allocates its value tree once — when the caller built it. Cells are
+//! immutable once stored, so the sharing is never observable.
 
-use crate::model::{Row, Timestamp};
+use crate::model::{Cell, Row, Timestamp};
 use parking_lot::Mutex;
 use serde_json::Value;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One journaled mutation of the replicated store.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,18 +70,76 @@ pub enum JournalOp {
     },
 }
 
+/// A [`JournalOp`] as the store logs, hints and applies it (see "One value,
+/// shared" in the module docs). Every op names one row, which is what lets a
+/// node apply a batch with one row lookup per run of ops on the same row.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LoggedOp {
+    /// Row key of the mutation.
+    pub row_key: String,
+    /// What happens to the row.
+    pub kind: OpKind,
+}
+
+/// The mutation a [`LoggedOp`] applies to its row.
+#[derive(Debug, Clone, PartialEq)]
+pub enum OpKind {
+    /// Write a versioned cell.
+    Put {
+        /// Column written.
+        column: String,
+        /// The cell, shared by everything that stores it.
+        cell: Arc<Cell>,
+    },
+    /// Delete the whole row.
+    DeleteRow,
+    /// Delete one column.
+    DeleteColumn {
+        /// Column to delete.
+        column: String,
+    },
+    /// Drop every version of a column older than its latest.
+    Prune {
+        /// Column to prune.
+        column: String,
+    },
+}
+
+impl From<JournalOp> for LoggedOp {
+    fn from(op: JournalOp) -> Self {
+        let (row_key, kind) = match op {
+            JournalOp::Put {
+                row_key,
+                column,
+                value,
+                timestamp,
+            } => {
+                let cell = Arc::new(Cell::new(value, timestamp));
+                (row_key, OpKind::Put { column, cell })
+            }
+            JournalOp::DeleteRow { row_key } => (row_key, OpKind::DeleteRow),
+            JournalOp::DeleteColumn { row_key, column } => {
+                (row_key, OpKind::DeleteColumn { column })
+            }
+            JournalOp::Prune { row_key, column } => (row_key, OpKind::Prune { column }),
+        };
+        LoggedOp { row_key, kind }
+    }
+}
+
 /// One record of the append-only journal (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// A single auto-committed mutation.
-    Apply(JournalOp),
+    Apply(LoggedOp),
     /// Start of a multi-operation transaction: the full op list, logged
     /// before any node applies any of it.
     Begin {
         /// Transaction id (unique within this journal).
         txid: u64,
-        /// The transaction's operations, in apply order.
-        ops: Vec<JournalOp>,
+        /// The transaction's operations, in apply order — the same slice
+        /// the transaction goes on to apply.
+        ops: Arc<[LoggedOp]>,
     },
     /// End of a transaction: every op of `txid` reached the nodes.
     Commit {
@@ -108,12 +162,12 @@ impl WriteAheadJournal {
     }
 
     /// Logs a single auto-committed mutation.
-    pub fn log_apply(&self, op: JournalOp) {
+    pub fn log_apply(&self, op: LoggedOp) {
         self.records.lock().push(JournalRecord::Apply(op));
     }
 
     /// Logs the start of a transaction, returning its id.
-    pub fn begin(&self, ops: Vec<JournalOp>) -> u64 {
+    pub fn begin(&self, ops: Arc<[LoggedOp]>) -> u64 {
         let txid = self.next_txid.fetch_add(1, Ordering::Relaxed);
         self.records.lock().push(JournalRecord::Begin { txid, ops });
         txid
@@ -195,20 +249,21 @@ mod tests {
     use super::*;
     use serde_json::json;
 
-    fn put(row: &str, ts: u64) -> JournalOp {
+    fn put(row: &str, ts: u64) -> LoggedOp {
         JournalOp::Put {
             row_key: row.to_string(),
             column: "c".to_string(),
             value: json!(ts),
             timestamp: Timestamp::new(ts, 0),
         }
+        .into()
     }
 
     #[test]
     fn transactions_track_commit_state() {
         let j = WriteAheadJournal::new();
-        let t1 = j.begin(vec![put("a", 1)]);
-        let t2 = j.begin(vec![put("b", 2)]);
+        let t1 = j.begin([put("a", 1)].into());
+        let t2 = j.begin([put("b", 2)].into());
         assert_ne!(t1, t2);
         j.commit(t1);
         assert_eq!(j.uncommitted(), vec![t2]);
@@ -221,9 +276,9 @@ mod tests {
     fn truncate_keeps_only_uncommitted_begins() {
         let j = WriteAheadJournal::new();
         j.log_apply(put("a", 1));
-        let t1 = j.begin(vec![put("b", 2)]);
+        let t1 = j.begin([put("b", 2)].into());
         j.commit(t1);
-        let t2 = j.begin(vec![put("c", 3)]);
+        let t2 = j.begin([put("c", 3)].into());
         let dropped = j.truncate_committed();
         assert_eq!(dropped, 3, "apply + committed begin + commit are dropped");
         assert_eq!(j.len(), 1);

@@ -9,6 +9,7 @@
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A logical timestamp attached to every written cell.
 ///
@@ -51,8 +52,11 @@ impl Cell {
     }
 }
 
-/// A column: a list of versions, kept sorted by ascending timestamp.
-pub type Column = Vec<Cell>;
+/// A column: a list of versions, kept sorted by ascending timestamp. A stored
+/// version is immutable and **shared**: the journal record that logged it,
+/// every replica's column and any snapshot hold the same allocation, so a
+/// replicated write builds its value once.
+pub type Column = Vec<Arc<Cell>>;
 
 /// A row: named columns.
 pub type Row = BTreeMap<String, Column>;
@@ -61,7 +65,7 @@ pub type Row = BTreeMap<String, Column>;
 /// dropping an exact-duplicate timestamp write (last write wins for the same
 /// timestamp). Returns `true` if the column gained a version, `false` if the
 /// cell replaced the one already stored under its timestamp.
-pub fn insert_version(column: &mut Column, cell: Cell) -> bool {
+pub fn insert_version(column: &mut Column, cell: Arc<Cell>) -> bool {
     match column.binary_search_by(|c| c.timestamp.cmp(&cell.timestamp)) {
         Ok(pos) => {
             column[pos] = cell;
@@ -75,7 +79,7 @@ pub fn insert_version(column: &mut Column, cell: Cell) -> bool {
 }
 
 /// Returns the latest version of a column, if any.
-pub fn latest(column: &Column) -> Option<&Cell> {
+pub fn latest(column: &Column) -> Option<&Arc<Cell>> {
     column.last()
 }
 
@@ -95,9 +99,9 @@ mod tests {
     #[test]
     fn insert_version_keeps_sorted_order() {
         let mut col = Column::new();
-        insert_version(&mut col, Cell::new(json!(2), Timestamp::new(2, 0)));
-        insert_version(&mut col, Cell::new(json!(1), Timestamp::new(1, 0)));
-        insert_version(&mut col, Cell::new(json!(3), Timestamp::new(3, 0)));
+        insert_version(&mut col, Cell::new(json!(2), Timestamp::new(2, 0)).into());
+        insert_version(&mut col, Cell::new(json!(1), Timestamp::new(1, 0)).into());
+        insert_version(&mut col, Cell::new(json!(3), Timestamp::new(3, 0)).into());
         let values: Vec<i64> = col.iter().map(|c| c.value.as_i64().unwrap()).collect();
         assert_eq!(values, vec![1, 2, 3]);
         assert_eq!(latest(&col).unwrap().value, json!(3));
@@ -108,11 +112,11 @@ mod tests {
         let mut col = Column::new();
         assert!(insert_version(
             &mut col,
-            Cell::new(json!("a"), Timestamp::new(1, 0))
+            Cell::new(json!("a"), Timestamp::new(1, 0)).into()
         ));
         assert!(!insert_version(
             &mut col,
-            Cell::new(json!("b"), Timestamp::new(1, 0))
+            Cell::new(json!("b"), Timestamp::new(1, 0)).into()
         ));
         assert_eq!(col.len(), 1);
         assert_eq!(col[0].value, json!("b"));

@@ -30,8 +30,12 @@ pub fn resolve_latest(column: &Column) -> Resolution {
         };
     }
     // Columns are kept sorted by ascending timestamp.
-    let winner = column.last().cloned();
-    let deprecated = column[..column.len() - 1].to_vec();
+    let owned = |cell: &std::sync::Arc<Cell>| Cell::clone(cell);
+    let winner = column.last().map(owned);
+    let deprecated = column[..column.len() - 1]
+        .iter()
+        .map(owned)
+        .collect::<Vec<_>>();
     Resolution {
         had_conflict: !deprecated.is_empty(),
         winner,
@@ -63,7 +67,10 @@ mod tests {
     #[test]
     fn single_version_is_not_a_conflict() {
         let mut col = Column::new();
-        insert_version(&mut col, Cell::new(json!("only"), Timestamp::new(5, 0)));
+        insert_version(
+            &mut col,
+            Cell::new(json!("only"), Timestamp::new(5, 0)).into(),
+        );
         let r = resolve_latest(&col);
         assert_eq!(r.winner.unwrap().value, json!("only"));
         assert!(!r.had_conflict);
@@ -77,15 +84,15 @@ mod tests {
         // with the later (NTP-synchronised) timestamp wins.
         insert_version(
             &mut col,
-            Cell::new(json!({"v": "dc1"}), Timestamp::new(100, 1)),
+            Cell::new(json!({"v": "dc1"}), Timestamp::new(100, 1)).into(),
         );
         insert_version(
             &mut col,
-            Cell::new(json!({"v": "dc2"}), Timestamp::new(100, 2)),
+            Cell::new(json!({"v": "dc2"}), Timestamp::new(100, 2)).into(),
         );
         insert_version(
             &mut col,
-            Cell::new(json!({"v": "stale"}), Timestamp::new(90, 0)),
+            Cell::new(json!({"v": "stale"}), Timestamp::new(90, 0)).into(),
         );
         assert!(has_conflict(&col));
         let r = resolve_latest(&col);

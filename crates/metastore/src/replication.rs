@@ -61,9 +61,21 @@
 //! journal replay. Multi-operation commits go through
 //! [`ReplicatedStore::transaction`], whose write-ahead `Begin` record makes
 //! the whole batch atomic across a crash (see [`crate::journal`]).
+//!
+//! # A mutation is a batch
+//!
+//! Every front door — the single-op methods and `transaction` alike — turns
+//! its [`JournalOp`]s into [`LoggedOp`]s once and hands the whole slice to
+//! each node in turn (`NoSqlNode::apply_batch`): one write-lock
+//! acquisition per replica, and for a `Put` one `Arc` bump per replica (see
+//! "One value, shared" in [`crate::journal`]). A node that is down misses
+//! the whole batch and is hinted its ops in op order, so replay keeps the
+//! order a put-then-delete depends on.
 
-use crate::journal::{JournalOp, JournalRecord, StoreCheckpoint, WriteAheadJournal};
-use crate::model::{Cell, Timestamp};
+use crate::journal::{
+    JournalOp, JournalRecord, LoggedOp, OpKind, StoreCheckpoint, WriteAheadJournal,
+};
+use crate::model::{Cell, Column, Timestamp};
 use crate::store::NoSqlNode;
 use parking_lot::Mutex;
 use scalia_types::error::{Result, ScaliaError};
@@ -76,7 +88,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 struct Hint {
     datacenter: DatacenterId,
-    op: JournalOp,
+    op: LoggedOp,
 }
 
 /// What one [`ReplicatedStore::anti_entropy`] round did — its work counts,
@@ -100,34 +112,6 @@ pub struct AntiEntropyReport {
 /// when the operation must abort *right there* with no cleanup (the chaos
 /// harness arms these through a fault plan).
 pub type CrashHook = Arc<dyn Fn(&str) -> bool + Send + Sync>;
-
-/// Applies one journal op to one node. Returns `None` if the node is down
-/// (nothing applied), otherwise the cells a `Prune` removed (empty for the
-/// other op kinds).
-fn apply_to_node(node: &NoSqlNode, op: &JournalOp) -> Option<Vec<Cell>> {
-    if !node.is_up() {
-        return None;
-    }
-    match op {
-        JournalOp::Put {
-            row_key,
-            column,
-            value,
-            timestamp,
-        } => node
-            .put(row_key, column, value.clone(), *timestamp)
-            .then(Vec::new),
-        JournalOp::DeleteRow { row_key } => {
-            node.delete_row(row_key);
-            Some(Vec::new())
-        }
-        JournalOp::DeleteColumn { row_key, column } => {
-            node.delete_column(row_key, column);
-            Some(Vec::new())
-        }
-        JournalOp::Prune { row_key, column } => Some(node.prune_old_versions(row_key, column)),
-    }
-}
 
 /// A store replicated across every datacenter's database node.
 pub struct ReplicatedStore {
@@ -189,23 +173,21 @@ impl ReplicatedStore {
             value,
             timestamp,
         };
-        self.apply_op(&op)?;
-        self.journal.log_apply(op);
-        Ok(())
+        self.apply(op).map(drop)
     }
 
-    /// Applies one journal op to every reachable node and queues it as a
-    /// hinted handoff for every node that is down (no journaling — shared
-    /// by the journaling front doors and the recovery replay). Returns the
-    /// cells a `Prune` removed (union across nodes, deduplicated by
-    /// timestamp, sorted), empty for the other op kinds. Only a `Put` that
-    /// no node accepted is an error: a delete or prune of data no reachable
+    /// Applies a batch of ops, in order, to every reachable node and queues
+    /// it as hinted handoffs for every node that is down (no journaling —
+    /// shared by the journaling front doors and the recovery replay).
+    /// Returns the cells the batch's `Prune`s removed (union across nodes,
+    /// deduplicated by timestamp, sorted). Only a batch with a `Put` that no
+    /// node accepted is an error: a delete or prune of data no reachable
     /// node holds has nothing to fail at.
-    fn apply_op(&self, op: &JournalOp) -> Result<Vec<Cell>> {
+    fn apply_batch(&self, ops: &[LoggedOp]) -> Result<Column> {
         let mut accepted = 0;
-        let mut removed: Vec<Cell> = Vec::new();
+        let mut removed = Column::new();
         for node in &self.nodes {
-            match apply_to_node(node, op) {
+            match node.apply_batch(ops) {
                 Some(cells) => {
                     accepted += 1;
                     for cell in cells {
@@ -214,13 +196,14 @@ impl ReplicatedStore {
                         }
                     }
                 }
-                None => self.hints.lock().push_back(Hint {
+                None => self.hints.lock().extend(ops.iter().map(|op| Hint {
                     datacenter: node.datacenter(),
                     op: op.clone(),
-                }),
+                })),
             }
         }
-        if accepted == 0 && matches!(op, JournalOp::Put { .. }) {
+        let writes = ops.iter().any(|op| matches!(op.kind, OpKind::Put { .. }));
+        if accepted == 0 && writes {
             return Err(ScaliaError::DatacenterUnavailable(
                 self.nodes.first().map(|n| n.datacenter().0).unwrap_or(0),
             ));
@@ -242,25 +225,27 @@ impl ReplicatedStore {
     /// chunks.
     ///
     /// Crash points visited (in order): `txn::before-log`, `txn::logged`,
-    /// `txn::torn` (after the first op applied), `txn::applied`.
-    pub fn transaction(&self, ops: Vec<JournalOp>) -> Result<Vec<Cell>> {
+    /// `txn::torn`, `txn::applied`. Each node applies the batch in one
+    /// step, so there is no moment *between* two ops to crash at any more;
+    /// a crash armed at `txn::torn` instead applies the batch's first op —
+    /// and only that — to the replicas before aborting, which leaves exactly
+    /// the partial state the point has always stood for (one op of a logged
+    /// batch durable in the nodes, the rest only in the journal) for
+    /// `recover` to finish.
+    pub fn transaction(&self, ops: Vec<JournalOp>) -> Result<Column> {
         self.crash_check("txn::before-log")?;
-        let txid = self.journal.begin(ops.clone());
+        let ops: Arc<[LoggedOp]> = ops.into_iter().map(LoggedOp::from).collect();
+        let txid = self.journal.begin(Arc::clone(&ops));
         self.crash_check("txn::logged")?;
-        let mut removed: Vec<Cell> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            for cell in self.apply_op(op)? {
-                if !removed.iter().any(|c| c.timestamp == cell.timestamp) {
-                    removed.push(cell);
-                }
-            }
-            if i == 0 {
-                self.crash_check("txn::torn")?;
+        if let Some(head) = ops.get(..1) {
+            if let Err(crash) = self.crash_check("txn::torn") {
+                self.apply_batch(head)?;
+                return Err(crash);
             }
         }
+        let removed = self.apply_batch(&ops)?;
         self.crash_check("txn::applied")?;
         self.journal.commit(txid);
-        removed.sort_by_key(|c| c.timestamp);
         Ok(removed)
     }
 
@@ -315,12 +300,10 @@ impl ReplicatedStore {
         for record in self.journal.records() {
             match record {
                 JournalRecord::Apply(op) => {
-                    let _ = self.apply_op(&op);
+                    let _ = self.apply_batch(std::slice::from_ref(&op));
                 }
                 JournalRecord::Begin { ops, .. } => {
-                    for op in &ops {
-                        let _ = self.apply_op(op);
-                    }
+                    let _ = self.apply_batch(&ops);
                 }
                 JournalRecord::Commit { .. } => {}
             }
@@ -359,8 +342,8 @@ impl ReplicatedStore {
     /// before its hints replayed would otherwise serve arbitrarily stale
     /// cells. Merging across replicas reads through that lag: any up node
     /// that accepted the write supplies the fresh cell.
-    pub fn get_row_merged(&self, row_key: &str) -> BTreeMap<String, Cell> {
-        let mut merged: BTreeMap<String, Cell> = BTreeMap::new();
+    pub fn get_row_merged(&self, row_key: &str) -> BTreeMap<String, Arc<Cell>> {
+        let mut merged: BTreeMap<String, Arc<Cell>> = BTreeMap::new();
         for node in self.nodes.iter().filter(|n| n.is_up()) {
             let Some(row) = node.get_row(row_key) else {
                 continue;
@@ -396,32 +379,35 @@ impl ReplicatedStore {
 
     /// Reads every version of a column from the first reachable node
     /// (preferring the caller's local datacenter).
-    pub fn get_versions(&self, local: DatacenterId, row_key: &str, column: &str) -> Vec<Cell> {
+    pub fn get_versions(&self, local: DatacenterId, row_key: &str, column: &str) -> Column {
         self.read_node(local)
             .map(|n| n.get_versions(row_key, column))
             .unwrap_or_default()
     }
 
-    /// Applies an auto-committed single op and journals it.
-    fn apply_and_log(&self, op: JournalOp) -> Vec<Cell> {
-        let removed = self.apply_op(&op).unwrap_or_default();
+    /// Applies one auto-committed op and journals it — what [`Self::put`],
+    /// [`Self::delete_row`], [`Self::delete_column`] and
+    /// [`Self::prune_old_versions`] are shorthand for. Returns the cells a
+    /// `Prune` removed.
+    pub fn apply(&self, op: JournalOp) -> Result<Column> {
+        let op = LoggedOp::from(op);
+        let removed = self.apply_batch(std::slice::from_ref(&op))?;
         self.journal.log_apply(op);
-        removed
+        Ok(removed)
     }
 
     /// Deletes a row on every reachable node, hinting the ones that are
     /// down (journaled).
     pub fn delete_row(&self, row_key: &str) {
-        self.apply_and_log(JournalOp::DeleteRow {
-            row_key: row_key.to_string(),
-        });
+        let row_key = row_key.to_string();
+        let _ = self.apply(JournalOp::DeleteRow { row_key });
     }
 
     /// Deletes a single column of a row on every reachable node, hinting
     /// the ones that are down (statistics garbage collection: dropping
     /// over-retention samples). Journaled.
     pub fn delete_column(&self, row_key: &str, column: &str) {
-        self.apply_and_log(JournalOp::DeleteColumn {
+        let _ = self.apply(JournalOp::DeleteColumn {
             row_key: row_key.to_string(),
             column: column.to_string(),
         });
@@ -430,11 +416,12 @@ impl ReplicatedStore {
     /// Prunes deprecated versions of a column on every reachable node
     /// (hinting the ones that are down) and returns the union of removed
     /// cells (deduplicated by timestamp). Journaled.
-    pub fn prune_old_versions(&self, row_key: &str, column: &str) -> Vec<Cell> {
-        self.apply_and_log(JournalOp::Prune {
+    pub fn prune_old_versions(&self, row_key: &str, column: &str) -> Column {
+        self.apply(JournalOp::Prune {
             row_key: row_key.to_string(),
             column: column.to_string(),
         })
+        .unwrap_or_default()
     }
 
     /// Row keys modified since `since` on any reachable node (deduplicated).
@@ -457,7 +444,7 @@ impl ReplicatedStore {
         while let Some(hint) = hints.pop_front() {
             let delivered = self
                 .node(hint.datacenter)
-                .is_some_and(|node| apply_to_node(node, &hint.op).is_some());
+                .is_some_and(|node| node.apply_batch(std::slice::from_ref(&hint.op)).is_some());
             if delivered {
                 report.hints_replayed += 1;
             } else {
@@ -651,7 +638,7 @@ mod tests {
             let versions: Vec<Value> = node
                 .get_versions("r", "meta")
                 .into_iter()
-                .map(|c| c.value)
+                .map(|c| c.value.clone())
                 .collect();
             assert_eq!(versions, vec![json!("v2"), json!("v3")]);
         }
@@ -992,6 +979,118 @@ mod tests {
             assert!(up.all(|n| n.digest() == first.digest()), "{context}");
         }
         report
+    }
+
+    // -----------------------------------------------------------------
+    // Differential test: the batched apply against one op at a time
+    // -----------------------------------------------------------------
+
+    /// `len` random ops over a key space small enough that they collide on
+    /// rows and columns; every `Put` draws a fresh timestamp from `seq`.
+    fn random_ops(below: &mut impl FnMut(u64) -> u64, seq: &mut u64, len: usize) -> Vec<JournalOp> {
+        (0..len)
+            .map(|_| {
+                let row_key = format!("row-{}", below(3));
+                let column = format!("col-{}", below(2));
+                match below(8) {
+                    0..=3 => {
+                        *seq += 1;
+                        JournalOp::Put {
+                            row_key,
+                            column,
+                            value: json!(*seq),
+                            timestamp: Timestamp::new(*seq / 3, *seq),
+                        }
+                    }
+                    4 | 5 => JournalOp::Prune { row_key, column },
+                    6 => JournalOp::DeleteColumn { row_key, column },
+                    _ => JournalOp::DeleteRow { row_key },
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// A random batch through `transaction` — one lock and one row
+        /// lookup per run on each node — must be indistinguishable from the
+        /// same ops applied one at a time: same rows, headers and digests on
+        /// every node, same pruned cells, same hints (in op order) for a
+        /// node that was down, and the same state after a crash at any
+        /// `txn::*` point plus `recover`.
+        #[test]
+        fn batched_transaction_matches_ops_applied_one_at_a_time(
+            seed in proptest::any::<u64>(),
+            datacenters in 2u32..4,
+            len in 1usize..14,
+        ) {
+            let mut rng = proptest::TestRng::deterministic(&format!("batch-{seed}"));
+            let mut below = move |n: u64| rng.next_u64() % n;
+            let mut seq = 0u64;
+            let history = random_ops(&mut below, &mut seq, 10);
+            let batch = random_ops(&mut below, &mut seq, len);
+            let down = below(datacenters as u64 + 1) as usize; // == datacenters: none
+            let build = || {
+                let s = ReplicatedStore::with_datacenters(datacenters);
+                for op in &history {
+                    s.apply(op.clone()).unwrap();
+                }
+                s
+            };
+
+            let (batched, serial) = (build(), build());
+            for s in [&batched, &serial] {
+                if let Some(node) = s.nodes().get(down) {
+                    node.set_up(false);
+                }
+            }
+            let removed = batched.transaction(batch.clone()).unwrap();
+            let mut one_by_one = Column::new();
+            for op in &batch {
+                for cell in serial.apply(op.clone()).unwrap() {
+                    if !one_by_one.iter().any(|c| c.timestamp == cell.timestamp) {
+                        one_by_one.push(cell);
+                    }
+                }
+            }
+            one_by_one.sort_by_key(|c| c.timestamp);
+            assert_eq!(removed, one_by_one, "seed {seed}: pruned cells");
+            assert_eq!(batched.pending_hints(), serial.pending_hints());
+            // Heal: the hints must replay in op order, or a put-then-delete
+            // leaves the lagging node with versions the others dropped.
+            for heal in [false, true] {
+                for s in [&batched, &serial] {
+                    if heal {
+                        s.nodes().iter().for_each(|n| n.set_up(true));
+                        assert_eq!(s.anti_entropy().rows_merged, 0, "seed {seed}");
+                    }
+                }
+                for (node, expected) in batched.nodes().iter().zip(serial.nodes()) {
+                    node.assert_same_state(expected, &format!("seed {seed} heal {heal}"));
+                    node.assert_digests_consistent(&format!("seed {seed} heal {heal}"));
+                }
+            }
+
+            // Crash at each point, then recover: old state before the Begin
+            // record is durable, the whole batch after.
+            let (before, after) = (build(), build());
+            after.transaction(batch.clone()).unwrap();
+            for label in ["txn::before-log", "txn::logged", "txn::torn", "txn::applied"] {
+                let crashed = build();
+                let checkpoint = crashed.checkpoint();
+                crashed.set_crash_hook(Some(Arc::new(move |l: &str| l == label)));
+                assert!(crashed.transaction(batch.clone()).is_err(), "{label}");
+                crashed.set_crash_hook(None);
+                crashed.recover(&checkpoint);
+                let expected = if label == "txn::before-log" { &before } else { &after };
+                for (node, expected) in crashed.nodes().iter().zip(expected.nodes()) {
+                    assert_eq!(node.snapshot(), expected.snapshot(), "seed {seed} {label}");
+                    node.assert_digests_consistent(&format!("seed {seed} {label}"));
+                }
+                assert!(crashed.journal().uncommitted().is_empty(), "{label}");
+            }
+        }
     }
 
     proptest::proptest! {

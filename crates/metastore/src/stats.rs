@@ -20,6 +20,7 @@
 //! Statistics rows are always written with globally unique `(row, column,
 //! timestamp)` coordinates, so — as the paper notes — they never conflict.
 
+use crate::journal::JournalOp;
 use crate::model::Timestamp;
 use crate::replication::ReplicatedStore;
 use crate::store::NoSqlNode;
@@ -161,33 +162,46 @@ impl StatisticsStore {
         class_id: Option<&str>,
         timestamp: Timestamp,
     ) -> Result<()> {
-        let row = Self::dirty_row(
-            Self::dirty_bucket(timestamp),
-            Self::dirty_shard(object_row_key),
-        );
-        let value = match class_id {
-            Some(class_id) => json!(class_id),
-            None => json!(true),
-        };
-        self.db.put(&row, object_row_key, value, timestamp)
+        self.db
+            .apply(Self::dirty_mark_op(object_row_key, class_id, timestamp))
+            .map(drop)
     }
 
-    /// Records the class an object belongs to (written once at insertion)
-    /// and marks the object dirty — a freshly written object belongs in the
-    /// optimiser's accessed set even before its first statistics flush.
-    pub fn record_object_class(
-        &self,
+    fn dirty_mark_op(
+        object_row_key: &str,
+        class_id: Option<&str>,
+        timestamp: Timestamp,
+    ) -> JournalOp {
+        JournalOp::Put {
+            row_key: Self::dirty_row(
+                Self::dirty_bucket(timestamp),
+                Self::dirty_shard(object_row_key),
+            ),
+            column: object_row_key.to_string(),
+            value: class_id.map_or(json!(true), |class_id| json!(class_id)),
+            timestamp,
+        }
+    }
+
+    /// The ops that record the class an object belongs to (written at
+    /// insertion) and mark the object dirty — a freshly written object
+    /// belongs in the optimiser's accessed set even before its first
+    /// statistics flush. Ops, not a write: the engine's put commits them in
+    /// the transaction that commits the metadata, so an object can never be
+    /// stored yet missing from its class group.
+    pub fn object_class_ops(
         object_row_key: &str,
         class_id: &str,
         timestamp: Timestamp,
-    ) -> Result<()> {
-        self.db.put(
-            &Self::obj_row(object_row_key),
-            "class",
-            json!(class_id),
+    ) -> [JournalOp; 2] {
+        let class = JournalOp::Put {
+            row_key: Self::obj_row(object_row_key),
+            column: "class".to_string(),
+            value: json!(class_id),
             timestamp,
-        )?;
-        self.mark_accessed(object_row_key, Some(class_id), timestamp)
+        };
+        let dirty = Self::dirty_mark_op(object_row_key, Some(class_id), timestamp);
+        [class, dirty]
     }
 
     /// Folds one pre-aggregated per-period **delta** into a class rollup:
@@ -397,25 +411,25 @@ impl StatisticsStore {
         stale.len()
     }
 
-    /// Records a per-period resource-usage sample for a class of objects.
-    pub fn record_class_usage(
-        &self,
+    /// The op that records a per-period resource-usage sample for a class
+    /// of objects (the engine's delete commits it, and the lifetime sample,
+    /// in the transaction that drops the object's rows).
+    pub fn class_usage_op(
         class_id: &str,
         usage: &ResourceUsage,
         timestamp: Timestamp,
-    ) -> Result<()> {
-        let value = json!({
-            "storage_gb_hours": usage.storage_gb_hours,
-            "bw_in": usage.bw_in.bytes(),
-            "bw_out": usage.bw_out.bytes(),
-            "ops": usage.ops,
-        });
-        self.db.put(
-            &Self::class_row(class_id),
-            &format!("usage:{}:{}", timestamp.secs, timestamp.seq),
-            value,
+    ) -> JournalOp {
+        JournalOp::Put {
+            row_key: Self::class_row(class_id),
+            column: format!("usage:{}:{}", timestamp.secs, timestamp.seq),
+            value: json!({
+                "storage_gb_hours": usage.storage_gb_hours,
+                "bw_in": usage.bw_in.bytes(),
+                "bw_out": usage.bw_out.bytes(),
+                "ops": usage.ops,
+            }),
             timestamp,
-        )
+        }
     }
 
     /// Mean per-period resource usage observed for a class, if any sample
@@ -423,8 +437,8 @@ impl StatisticsStore {
     /// (§III-A1, Fig. 6).
     pub fn mean_class_usage(&self, class_id: &str) -> Option<ResourceUsage> {
         let row = Self::class_row(class_id);
-        let node = self.db.nodes().iter().find(|n| n.is_up())?.clone();
-        let samples: Vec<ResourceUsage> = node
+        let samples: Vec<ResourceUsage> = self
+            .read_node()?
             .latest_cells_with_prefix(&row, "usage:")
             .into_iter()
             .map(|(_, cell)| ResourceUsage {
@@ -492,7 +506,7 @@ impl StatisticsStore {
     /// and usage sample columns at [`MAX_CLASS_SAMPLES`] (oldest dropped)
     /// and drops rollup columns older than [`CLASS_ROLLUP_RETENTION`]
     /// sampling periods. Returns the number of columns removed. Together
-    /// with [`Self::delete_object_stats`] and [`Self::prune_dirty_before`]
+    /// with [`Self::delete_object_stats_op`] and [`Self::prune_dirty_before`]
     /// this bounds the statistics footprint by live objects + known classes.
     pub fn gc_statistics(&self, current_period: u64) -> usize {
         let Some(node) = self.read_node() else {
@@ -530,27 +544,26 @@ impl StatisticsStore {
         removed
     }
 
-    /// Records the observed lifetime (in hours) of a deleted object of a
-    /// class. These samples build the class's deletion-time distribution
-    /// (paper Fig. 5, left).
-    pub fn record_class_lifetime(
-        &self,
+    /// The op that records the observed lifetime (in hours) of a deleted
+    /// object of a class. These samples build the class's deletion-time
+    /// distribution (paper Fig. 5, left).
+    pub fn class_lifetime_op(
         class_id: &str,
         lifetime_hours: f64,
         timestamp: Timestamp,
-    ) -> Result<()> {
-        self.db.put(
-            &Self::class_row(class_id),
-            &format!("lifetime:{}:{}", timestamp.secs, timestamp.seq),
-            json!(lifetime_hours),
+    ) -> JournalOp {
+        JournalOp::Put {
+            row_key: Self::class_row(class_id),
+            column: format!("lifetime:{}:{}", timestamp.secs, timestamp.seq),
+            value: json!(lifetime_hours),
             timestamp,
-        )
+        }
     }
 
     /// All recorded lifetime samples (hours) of a class.
     pub fn class_lifetimes(&self, class_id: &str) -> Vec<f64> {
         let row = Self::class_row(class_id);
-        let Some(node) = self.db.nodes().iter().find(|n| n.is_up()) else {
+        let Some(node) = self.read_node() else {
             return Vec::new();
         };
         let mut lifetimes: Vec<f64> = node
@@ -564,7 +577,7 @@ impl StatisticsStore {
 
     /// All class ids with at least one statistics row.
     pub fn known_classes(&self) -> Vec<String> {
-        let Some(node) = self.db.nodes().iter().find(|n| n.is_up()) else {
+        let Some(node) = self.read_node() else {
             return Vec::new();
         };
         node.scan_prefix(CLASS_PREFIX)
@@ -573,10 +586,12 @@ impl StatisticsStore {
             .collect()
     }
 
-    /// Deletes the statistics row of an object (after the object is deleted
-    /// and its lifetime has been folded into its class statistics).
-    pub fn delete_object_stats(&self, object_row_key: &str) {
-        self.db.delete_row(&Self::obj_row(object_row_key));
+    /// The op that deletes the statistics row of an object (as the object
+    /// is deleted and its lifetime folded into its class statistics).
+    pub fn delete_object_stats_op(object_row_key: &str) -> JournalOp {
+        JournalOp::DeleteRow {
+            row_key: Self::obj_row(object_row_key),
+        }
     }
 
     /// The underlying replicated database (used by map-reduce jobs).
@@ -589,11 +604,57 @@ impl StatisticsStore {
 mod tests {
     use super::*;
 
+    /// The op constructors, applied — the write-through form these tests
+    /// were written against.
+    impl StatisticsStore {
+        fn record_object_class(&self, row: &str, class: &str, ts: Timestamp) -> Result<()> {
+            let ops = Self::object_class_ops(row, class, ts);
+            self.db.transaction(ops.into()).map(drop)
+        }
+        fn record_class_usage(&self, c: &str, u: &ResourceUsage, ts: Timestamp) -> Result<()> {
+            self.db.apply(Self::class_usage_op(c, u, ts)).map(drop)
+        }
+        fn record_class_lifetime(&self, c: &str, hours: f64, ts: Timestamp) -> Result<()> {
+            self.db
+                .apply(Self::class_lifetime_op(c, hours, ts))
+                .map(drop)
+        }
+        fn delete_object_stats(&self, row: &str) {
+            self.db.apply(Self::delete_object_stats_op(row)).unwrap();
+        }
+    }
+
     fn store() -> StatisticsStore {
         StatisticsStore::new(
             Arc::new(ReplicatedStore::with_datacenters(2)),
             DatacenterId::new(0),
         )
+    }
+
+    #[test]
+    fn class_reads_follow_the_local_datacenter_first_policy() {
+        // The replicas hold *different* class rows (a partition's view), so
+        // which node answered is observable: a DC-1 store must read DC-1's.
+        let db = Arc::new(ReplicatedStore::with_datacenters(2));
+        let usage =
+            |ops: u64| json!({"storage_gb_hours": 0.0, "bw_in": 0, "bw_out": 0, "ops": ops});
+        let ts = Timestamp::new(1, 0);
+        let (dc0, dc1) = (&db.nodes()[0], &db.nodes()[1]);
+        dc0.put("stats:class:c", "usage:1:0", usage(10), ts);
+        dc0.put("stats:class:c", "lifetime:1:0", json!(1.0), ts);
+        dc0.put("stats:class:only-dc0", "lifetime:1:0", json!(1.0), ts);
+        dc1.put("stats:class:c", "usage:1:0", usage(70), ts);
+        dc1.put("stats:class:c", "lifetime:1:0", json!(7.0), ts);
+
+        let local = StatisticsStore::new(db.clone(), DatacenterId::new(1));
+        assert_eq!(local.mean_class_usage("c").unwrap().ops, 70);
+        assert_eq!(local.class_lifetimes("c"), vec![7.0]);
+        assert_eq!(local.known_classes(), vec!["c".to_string()]);
+        // The other node is the fallback, not the default.
+        dc1.set_up(false);
+        assert_eq!(local.mean_class_usage("c").unwrap().ops, 10);
+        assert_eq!(local.class_lifetimes("c"), vec![1.0]);
+        assert_eq!(local.known_classes().len(), 2);
     }
 
     fn stats(period: u64, reads: u64, writes: u64) -> PeriodStats {

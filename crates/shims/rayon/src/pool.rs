@@ -87,6 +87,9 @@ pub(crate) struct PoolState {
     locals: Vec<ChaseLev<Task>>,
     /// Tasks pushed but not yet popped, used by sleepers to decide to wake.
     pending: AtomicUsize,
+    /// Tasks ever pushed — a statistic (it publishes nothing, so `Relaxed`)
+    /// that lets a test assert a region of code never reached the pool.
+    pushed: AtomicUsize,
     /// Set when the owning `ThreadPool` is dropped.
     shutdown: AtomicBool,
     /// Sleep support: workers park here when they find no work.
@@ -100,6 +103,7 @@ impl PoolState {
             injector: Injector::new(),
             locals: (0..workers).map(|_| ChaseLev::new()).collect(),
             pending: AtomicUsize::new(0),
+            pushed: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             sleep_lock: Mutex::new(()),
             sleep_cv: Condvar::new(),
@@ -117,6 +121,7 @@ impl PoolState {
         // so the shutdown drain check (`pending == 0`) cannot pass while an
         // enqueue is still in flight.
         self.pending.fetch_add(1, Ordering::SeqCst);
+        self.pushed.fetch_add(1, Ordering::Relaxed);
         match self.home_index() {
             // Owner push: `home_index` proved the current thread IS worker
             // `index` of this pool, the deque's unique owner.
@@ -338,6 +343,13 @@ impl ThreadPool {
     /// Number of worker threads.
     pub fn current_num_threads(&self) -> usize {
         self.state.workers()
+    }
+
+    /// Tasks handed to this pool since it was built (scoped chunks, `join`
+    /// halves and `spawn`s alike). Not part of rayon's API: tests use it to
+    /// pin that a code path ran entirely on its calling thread.
+    pub fn tasks_pushed(&self) -> usize {
+        self.state.pushed.load(Ordering::Relaxed)
     }
 
     /// Runs `f` with this pool as the target of every `par_iter` terminal

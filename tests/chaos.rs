@@ -377,6 +377,94 @@ fn crash_at_every_labelled_point_leaves_old_or_new_state_and_no_orphans() {
 }
 
 #[test]
+fn crash_at_every_point_of_a_delete_leaves_the_object_whole_or_gone() {
+    use scalia::core::classify::ObjectClass;
+
+    let cluster = ScaliaCluster::builder()
+        .datacenters(1)
+        .engines_per_datacenter(1)
+        .build();
+    let infra = cluster.infra().clone();
+    let db = infra.database();
+    let stats = infra.statistics(DatacenterId::new(0));
+    let mut survivors = Vec::new();
+
+    // A delete is one journaled transaction, so it visits the same four
+    // points a put commit does, then its own.
+    let labels = [
+        "txn::before-log",
+        "txn::logged",
+        "txn::torn",
+        "txn::applied",
+        "delete::after-commit",
+    ];
+    for (i, label) in labels.iter().enumerate() {
+        // Each victim gets a mime (hence a class) of its own, so the class
+        // lifetime sample its delete records is countable.
+        let key = ObjectKey::new("crash-delete", format!("victim-{i}.bin"));
+        let mime = format!("application/x-victim-{i}");
+        let data = payload(300 + i as u64, 18_000);
+        let meta = cluster
+            .put(&key, data.clone(), &mime, flex_rule(), None)
+            .unwrap();
+        let class = ObjectClass::of(&mime, meta.size);
+        // An hour passes: the log aggregator gives the object a statistics
+        // row with history, so the delete has every kind of row to drop.
+        cluster.tick(SimTime::from_hours(1 + i as u64));
+        let stats_row = format!("stats:obj:{}", key.row_key());
+        assert!(db.nodes()[0].get_row(&stats_row).is_some());
+
+        let checkpoint = db.checkpoint();
+        let plan = Arc::new(FaultPlan::new());
+        plan.arm(*label);
+        infra.set_fault_plan(Some(plan.clone()));
+        assert!(
+            cluster.delete(&key).is_err(),
+            "{label}: the crashed delete must not ack"
+        );
+        assert_eq!(plan.fired(), vec![label.to_string()], "{label} must fire");
+        infra.set_fault_plan(None);
+
+        db.recover(&checkpoint);
+        clear_caches(&cluster);
+        gc::sweep_orphan_chunks(&infra);
+
+        // All or nothing: metadata, LIST entry, statistics row and class
+        // sample agree on whether the delete happened.
+        let present = *label == "txn::before-log";
+        assert_eq!(latest_meta(&infra, &key).is_some(), present, "{label}");
+        assert_eq!(
+            cluster.list("crash-delete").contains(&key),
+            present,
+            "{label}: LIST must not name an object whose metadata is gone"
+        );
+        assert_eq!(
+            db.nodes()[0].get_row(&stats_row).is_some(),
+            present,
+            "{label}: no statistics row may outlive its object"
+        );
+        assert_eq!(
+            stats.class_lifetimes(class.id()).len(),
+            usize::from(!present),
+            "{label}: the lifetime sample is recorded iff the object is gone"
+        );
+        match cluster.get(&key) {
+            Ok(read) => assert_eq!(read.as_ref(), &data[..], "{label}"),
+            Err(_) => assert!(!present, "{label}: a surviving object must read back"),
+        }
+        if present {
+            survivors.push(key);
+        }
+    }
+
+    // The chunks of every deleted object are gone — swept as orphans where
+    // the crash beat the engine's own chunk deletion.
+    infra.retry_pending_deletes();
+    gc::sweep_orphan_chunks(&infra);
+    assert_exact_footprint(&infra, &survivors, "after the delete crash matrix");
+}
+
+#[test]
 fn recovery_is_idempotent_and_preserves_unrelated_objects() {
     let cluster = ScaliaCluster::builder()
         .datacenters(1)

@@ -526,3 +526,234 @@ fn stalled_upload_is_hedged_and_the_write_replaced_without_the_straggler() {
         cold
     );
 }
+
+// ---------------------------------------------------------------------------
+// Where a round-trip runs: the pool only when there is waiting to overlap
+// ---------------------------------------------------------------------------
+
+/// A deployment over the latency-annotated paper catalog with no cache (every
+/// read goes to the providers), every store pinned to virtual or wall-clock
+/// latency whatever `SCALIA_LATENCY_REAL_SLEEP` says.
+fn latency_cluster(seed: u64, real_sleep: bool) -> ScaliaCluster {
+    let catalog = scalia::providers::catalog::ProviderCatalog::shared();
+    for descriptor in scalia::sim::scenarios::latency_catalog(seed) {
+        catalog.register(descriptor);
+    }
+    let cluster = ScaliaCluster::builder()
+        .datacenters(1)
+        .engines_per_datacenter(1)
+        .catalog(catalog)
+        .cache_capacity(ByteSize::ZERO)
+        .build();
+    for backend in cluster.infra().backends() {
+        backend.set_real_sleep(real_sleep);
+    }
+    cluster
+}
+
+#[test]
+fn a_small_virtual_time_op_never_reaches_the_pool() {
+    let cluster = latency_cluster(3, false);
+    let engine = cluster.engine(0);
+    let key = ObjectKey::new("inline", "4k.bin");
+    let payload = patterned(9, 4096);
+
+    // Four idle workers are on offer; a virtual round-trip returns at once,
+    // so there is no waiting for them to overlap and nothing is handed over.
+    let pool = rayon::ThreadPool::new(4);
+    pool.install(|| {
+        engine
+            .put(
+                &key,
+                payload.clone().into(),
+                "application/octet-stream",
+                rule(),
+                None,
+            )
+            .unwrap();
+        assert_eq!(engine.get(&key).unwrap().as_ref(), &payload[..]);
+        assert_eq!(
+            engine.get_range(&key, 1000, 500).unwrap().as_ref(),
+            &payload[1000..1500]
+        );
+        engine.delete(&key).unwrap();
+    });
+    assert_eq!(
+        pool.tasks_pushed(),
+        0,
+        "a virtual-time put / get / get_range / delete must run on its caller"
+    );
+    assert!(engine.get(&key).is_err());
+}
+
+/// One seeded run of the three fault shapes the fan-outs must handle — a
+/// provider killed mid-write, a stalled first-ranked provider, a
+/// transport-error storm — reduced to everything a pool could perturb:
+/// stripings, per-backend op counts, the bill and the recorded makespans.
+fn faulted_virtual_scenario(seed: u64) -> String {
+    let cluster = latency_cluster(seed, false);
+    let engine = cluster.engine(0);
+    let infra = cluster.infra();
+    let put = |name: &str, tag: usize| {
+        engine
+            .put(
+                &ObjectKey::new("faults", name),
+                patterned(tag, 6_000 + tag).into(),
+                "image/png",
+                rule(),
+                None,
+            )
+            .unwrap()
+    };
+    let mut lines = Vec::new();
+
+    // Killed mid-write: the cached placement still routes to the dead
+    // backend, the upload aborts, rolls back and is re-placed.
+    let warm = put("warm.png", 1);
+    let victim = warm.striping.chunks[0].provider;
+    infra.backend(victim).unwrap().set_down(true);
+    lines.push(format!("replaced {:?}", put("replaced.png", 2).striping));
+    infra.set_provider_down(victim, false);
+
+    // Stalled first-ranked provider: the read hedges past it.
+    let stalled = ranked_chunk_providers(&cluster, &warm)[0];
+    infra.backend(stalled).unwrap().set_stall_us(5_000_000);
+    let data = engine.get(&ObjectKey::new("faults", "warm.png")).unwrap();
+    lines.push(format!("hedged read {}", checksum_hex(&data)));
+    infra.backend(stalled).unwrap().set_stall_us(0);
+
+    // Transport-error storm on one holder: a write and a read ride it out.
+    let stormed = warm.striping.chunks[1].provider;
+    infra.backend(stormed).unwrap().inject_transport_errors(3);
+    lines.push(format!("stormed {:?}", put("stormed.png", 3).striping));
+    let data = engine.get(&ObjectKey::new("faults", "warm.png")).unwrap();
+    lines.push(format!("stormed read {}", checksum_hex(&data)));
+    engine
+        .delete(&ObjectKey::new("faults", "replaced.png"))
+        .unwrap();
+
+    let mut backends = infra.backends();
+    backends.sort_by_key(|backend| backend.descriptor().id);
+    for backend in backends {
+        let counts: Vec<u64> = [StoreOp::Put, StoreOp::Get, StoreOp::Delete]
+            .map(|op| backend.latency_snapshot(op).count)
+            .to_vec();
+        lines.push(format!("{} ops {counts:?}", backend.descriptor().name));
+    }
+    lines.push(format!("billed {:?}", infra.total_cost()));
+    for op in [StoreOp::Put, StoreOp::Get, StoreOp::Delete] {
+        lines.push(format!("{op:?} {:?}", infra.io_latency_snapshot(op)));
+    }
+    lines.push(format!("pending deletes {}", infra.pending_delete_count()));
+    lines.join("\n")
+}
+
+#[test]
+fn faulted_virtual_runs_are_identical_across_pool_sizes() {
+    for seed in [5u64, 11] {
+        let runs: Vec<String> = [1usize, 2, 8]
+            .iter()
+            .map(|&workers| {
+                rayon::ThreadPool::new(workers).install(|| faulted_virtual_scenario(seed))
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1], "seed {seed}: pools 1 and 2 diverged");
+        assert_eq!(runs[0], runs[2], "seed {seed}: pools 1 and 8 diverged");
+    }
+}
+
+#[test]
+fn the_pool_still_overlaps_real_waiting() {
+    use scalia::core::placement::Placement;
+    use scalia::engine::chunk_io::{fetch_chunks, write_chunks, HedgeConfig};
+    use scalia::providers::catalog::{s3_high, ProviderCatalog};
+    use scalia::providers::latency::LatencyModel;
+    use std::time::{Duration as WallDuration, Instant};
+
+    // Four providers that really sleep a flat 50 ms per request.
+    const RTT_MS: u64 = 50;
+    let catalog = ProviderCatalog::shared();
+    for i in 0..4u32 {
+        let model = LatencyModel::new(RTT_MS, 0, 0, i as u64);
+        catalog.register(s3_high(ProviderId::new(i)).with_latency(model));
+    }
+    let infra = Infrastructure::new(catalog, 1, Duration::HOUR);
+    for backend in infra.backends() {
+        backend.set_real_sleep(true);
+    }
+    let placement = Placement {
+        providers: infra.catalog().all(),
+        m: 3,
+    };
+    let data = bytes::Bytes::from(patterned(4, 30_000));
+    let budget = WallDuration::from_millis(2 * RTT_MS);
+
+    // Sleeping workers need no cores: four chunk PUTs cost one round-trip
+    // of wall time, not four — and a 3-of-4 read one, not three.
+    let pool = rayon::ThreadPool::new(4);
+    pool.install(|| {
+        let started = Instant::now();
+        let striping = write_chunks(&infra, &placement, "skey-real", &data).unwrap();
+        let put_took = started.elapsed();
+        assert_eq!(striping.chunks.len(), 4);
+        assert!(
+            put_took < budget,
+            "a 4-chunk put took {put_took:?}; its round-trips must overlap (< {budget:?})"
+        );
+
+        let started = Instant::now();
+        let size = ByteSize::from_bytes(data.len() as u64);
+        let chunks = fetch_chunks(&infra, &striping, size, &HedgeConfig::default()).unwrap();
+        let get_took = started.elapsed();
+        assert_eq!(chunks.len(), 3);
+        assert!(
+            get_took < budget,
+            "a 3-of-4 get took {get_took:?}; its fetches must overlap (< {budget:?})"
+        );
+    });
+    assert!(pool.tasks_pushed() >= 7, "real waiting goes to the pool");
+}
+
+#[test]
+fn wall_clock_reads_issued_from_inside_pool_tasks_cannot_starve_each_other() {
+    use std::sync::{mpsc, Arc};
+
+    // Wall-clock mode (zero modelled latency, so nothing actually sleeps):
+    // each read's controller detaches its fetches onto the pool and waits
+    // for them without helping.
+    let cluster = ScaliaCluster::builder()
+        .datacenters(1)
+        .engines_per_datacenter(1)
+        .cache_capacity(ByteSize::ZERO)
+        .build();
+    for backend in cluster.infra().backends() {
+        backend.set_real_sleep(true);
+    }
+    let keys: Vec<ObjectKey> = (0..6)
+        .map(|i| ObjectKey::new("nested", format!("obj{i}")))
+        .collect();
+    for (i, key) in keys.iter().enumerate() {
+        cluster
+            .put(key, patterned(i, 9_000), "image/png", rule(), None)
+            .unwrap();
+    }
+
+    // Six reads from inside the tasks of a 2-worker pool: both workers and
+    // the helping caller become waiting controllers, so no thread is left
+    // to run the fetches they queued — unless a controller runs one itself.
+    let cluster = Arc::new(cluster);
+    let (done, finished) = mpsc::channel();
+    let reader = Arc::clone(&cluster);
+    std::thread::spawn(move || {
+        use rayon::prelude::*;
+        rayon::ThreadPool::new(2).install(|| {
+            keys.par_iter().for_each(|key| {
+                assert_eq!(reader.get(key).unwrap().len(), 9_000);
+            });
+        });
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("reads issued from inside pool tasks starved each other");
+}
