@@ -149,7 +149,7 @@ fn bench_chunk_io(c: &mut Criterion) {
     // ≈ 6 ms — the wall-clock gap is the adaptation win.
     let mut group = c.benchmark_group("chunk_io/adaptation");
     group.sample_size(10);
-    let adaptation_infra = || {
+    let adaptation_setup = |skey: &str| {
         let catalog = scalia_providers::catalog::ProviderCatalog::shared();
         let mut cheap = s3_high(ProviderId::new(0));
         cheap.name = "SlowCheap".into();
@@ -165,16 +165,18 @@ fn bench_chunk_io(c: &mut Criterion) {
         for backend in infra.backends() {
             backend.set_real_sleep(true);
         }
+        let placement = placement_of(&infra, 1);
+        let striping = chunk_io::write_chunks(&infra, &placement, skey, &payload).unwrap();
+        // Armed after the set-up write: both benches measure reads, and a
+        // stalled PUT would blow its write-hedge deadline and fail the write.
         infra
             .backend(ProviderId::new(0))
             .unwrap()
             .set_stall_us(100_000);
-        infra
+        (infra, striping)
     };
     group.bench_function("get_before_adaptation_slow_ranked_first", |b| {
-        let infra = adaptation_infra();
-        let placement = placement_of(&infra, 1);
-        let striping = chunk_io::write_chunks(&infra, &placement, "adapt-cold", &payload).unwrap();
+        let (infra, striping) = adaptation_setup("adapt-cold");
         let pool = rayon::ThreadPool::new(16);
         // No observations ever (fixed-deadline baseline): the price
         // ranking contacts the stalled provider first on every read.
@@ -186,9 +188,7 @@ fn bench_chunk_io(c: &mut Criterion) {
         })
     });
     group.bench_function("get_after_adaptation_fast_ranked_first", |b| {
-        let infra = adaptation_infra();
-        let placement = placement_of(&infra, 1);
-        let striping = chunk_io::write_chunks(&infra, &placement, "adapt-warm", &payload).unwrap();
+        let (infra, striping) = adaptation_setup("adapt-warm");
         let pool = rayon::ThreadPool::new(16);
         // Warm the observed windows past the sample floor, so ranking and
         // deadlines run on observations.

@@ -34,7 +34,7 @@
 //! thread when latency is virtual — and put/get latency scales with the
 //! slowest provider instead of summing round-trips.
 
-use crate::cache::Cache;
+use crate::cache::{BlockDigests, Cache};
 use crate::chunk_io::{self, HedgeConfig};
 use crate::infra::Infrastructure;
 use bytes::Bytes;
@@ -44,7 +44,7 @@ use scalia_core::placement::{Placement, PlacementEngine};
 use scalia_metastore::journal::JournalOp;
 use scalia_metastore::logagg::{AccessKind, AccessLogRecord, LogAgent};
 use scalia_metastore::stats::StatisticsStore;
-use scalia_types::checksum::checksum_hex;
+use scalia_types::checksum::{checksum_hex, parse_checksum_hex};
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::{DatacenterId, EngineId, ProviderId};
 use scalia_types::object::{ObjectKey, ObjectMeta, ObjectVersionId, StripingMeta};
@@ -551,7 +551,7 @@ impl Engine {
             let meta = self.read_metadata(key)?;
             match self.fetch_and_reassemble(&meta) {
                 Ok(data) => {
-                    self.populate_cache_if_unchanged(&row_key, &data, epoch);
+                    self.populate_cache_if_unchanged(&row_key, &meta, &data, epoch);
                     self.log_access(key, AccessKind::Read, meta.size, meta.size);
                     return Ok(data);
                 }
@@ -577,12 +577,25 @@ impl Engine {
     /// lock here means an unchanged epoch proves no commit has deprecated
     /// the payload — closing the race **without** the extra metadata read
     /// per uncached get the previous revalidate-by-re-reading scheme paid.
-    fn populate_cache_if_unchanged(&self, row_key: &str, data: &Bytes, epoch: u64) {
+    ///
+    /// `data` must be the payload `fetch_and_reassemble` has just returned
+    /// for `meta`: every stripe of it was verified against the checksum
+    /// `meta` records, so the entry is cached under those checksums and no
+    /// byte is hashed again.
+    fn populate_cache_if_unchanged(
+        &self,
+        row_key: &str,
+        meta: &ObjectMeta,
+        data: &Bytes,
+        epoch: u64,
+    ) {
         if !self.local_cache.admits(data.len()) {
             return; // nothing to order against the writers
         }
+        let digests = recorded_block_digests(meta);
         let _commit = self.infra.lock_row_commit(row_key);
-        self.local_cache.put_if_epoch(row_key, data.clone(), epoch);
+        self.local_cache
+            .put_if_epoch(row_key, data.clone(), digests, epoch);
     }
 
     /// Reads and deserialises the current metadata version of an object.
@@ -844,6 +857,28 @@ impl Engine {
             object_size: size,
         });
     }
+}
+
+/// The block digests `meta` records for its payload, in the cache's terms:
+/// one block per stripe under [`scalia_types::object::StripeMeta::checksum`],
+/// or — for a classic single-stripe object — one block spanning the object
+/// under [`ObjectMeta::checksum`]. `None` when a recorded checksum does not
+/// parse, which leaves the cache to hash the payload itself.
+fn recorded_block_digests(meta: &ObjectMeta) -> Option<BlockDigests> {
+    let (block_len, digests) = match &meta.striping.stripes {
+        Some(map) => (
+            map.stripe_size,
+            map.stripes
+                .iter()
+                .map(|stripe| parse_checksum_hex(&stripe.checksum))
+                .collect::<Option<Vec<u64>>>()?,
+        ),
+        None => (meta.size.bytes(), vec![parse_checksum_hex(&meta.checksum)?]),
+    };
+    Some(BlockDigests {
+        block_len: usize::try_from(block_len).ok()?,
+        digests,
+    })
 }
 
 /// Identifies a provider that should be avoided (used by tests and repair).

@@ -290,17 +290,13 @@ impl Engine {
     /// through the systematic range fast path — of a classic one. The
     /// result equals `get(key)[offset..offset+len]` clamped to the object's
     /// end; an empty or past-EOF range yields empty bytes. A cached object
-    /// is sliced in memory without provider traffic.
+    /// is sliced in memory without provider traffic, after re-verifying the
+    /// cached blocks (stripes) the range touches — and only those — against
+    /// the digests recorded when the entry was populated
+    /// ([`crate::cache::Cache::get_range`]).
     pub fn get_range(&self, key: &ObjectKey, offset: u64, len: u64) -> Result<Bytes> {
         let row_key = key.row_key();
-        if let Some(data) = self.local_cache().get(&row_key) {
-            let size = data.len() as u64;
-            let end = offset.saturating_add(len).min(size);
-            let slice = if offset >= end {
-                Bytes::new()
-            } else {
-                data.slice(offset as usize..end as usize)
-            };
+        if let Some((slice, size)) = self.local_cache().get_range(&row_key, offset, len) {
             self.log_access(
                 key,
                 AccessKind::Read,

@@ -1,16 +1,21 @@
 //! Write-ahead journal for crash-consistent metadata commits.
 //!
-//! The replicated store logs every mutation *before* applying it to the
-//! database nodes, so that a crash at any point leaves enough durable intent
-//! to finish (or cleanly discard) the interrupted operation on restart.
+//! The replicated store logs a multi-op transaction *before* any database
+//! node sees any of it, so that a crash at any point leaves enough durable
+//! intent to finish (or cleanly discard) the interrupted operation on
+//! restart. A single op has no partial state to tear, so it is applied
+//! first and logged once accepted — the record is what replay redoes onto a
+//! checkpoint, not intent.
 //!
 //! # Journal format
 //!
 //! The journal is an append-only sequence of [`JournalRecord`]s:
 //!
 //! * `Apply(op)` — a single auto-committed mutation (a statistics write, a
-//!   row deletion). Logged immediately before the mutation is applied;
-//!   replay re-applies it.
+//!   row deletion). Logged right after the nodes applied it
+//!   (`ReplicatedStore::apply`), and only if they accepted it: a `Put` no
+//!   reachable node took is an error to the caller and leaves no record.
+//!   Replay re-applies it.
 //! * `Begin { txid, ops }` — a multi-operation transaction (the engine's
 //!   put commit: metadata, optimizer digest, container index, debt,
 //!   version prunes, class record, dirty mark; its delete: class samples,

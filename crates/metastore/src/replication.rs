@@ -272,11 +272,12 @@ impl ReplicatedStore {
         &self.journal
     }
 
-    /// Snapshots every node's rows and truncates the journal's committed
-    /// prefix — the durable baseline [`Self::recover`] restores from. Take
+    /// Snapshots every node's rows — a down node's too: they are on its
+    /// disk, only unreachable — and truncates the journal's committed
+    /// prefix: the durable baseline [`Self::recover`] restores from. Take
     /// checkpoints at quiescent points (no in-flight transactions).
     pub fn checkpoint(&self) -> StoreCheckpoint {
-        let node_rows = self.nodes.iter().map(|n| n.snapshot()).collect();
+        let node_rows = self.nodes.iter().map(|n| n.durable_rows()).collect();
         self.journal.truncate_committed();
         StoreCheckpoint { node_rows }
     }
@@ -946,6 +947,18 @@ mod tests {
             s.get_latest(DatacenterId::new(0), "r", "c").unwrap().value,
             json!(9)
         );
+    }
+
+    #[test]
+    fn checkpoint_during_a_node_outage_keeps_that_nodes_rows() {
+        let s = store();
+        s.put("a", "c", json!(1), Timestamp::new(1, 0)).unwrap();
+        s.nodes()[1].set_up(false);
+        let cp = s.checkpoint();
+        s.recover(&cp);
+        let local = s.get_latest(DatacenterId::new(1), "a", "c");
+        assert_eq!(local.unwrap().value, json!(1), "served by node 1 itself");
+        assert_eq!(s.nodes()[1].row_count(), 1);
     }
 
     // -----------------------------------------------------------------

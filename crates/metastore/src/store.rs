@@ -455,11 +455,19 @@ impl NoSqlNode {
             .collect()
     }
 
-    /// All rows, cloned. Used by map-reduce jobs and checkpoints.
+    /// All rows, cloned, as a reader sees them: nothing while the node is
+    /// down. Used by map-reduce jobs.
     pub fn snapshot(&self) -> Vec<(String, Row)> {
         if !self.is_up() {
             return Vec::new();
         }
+        self.durable_rows()
+    }
+
+    /// All rows, cloned, whether or not the node is reachable — what a
+    /// checkpoint saves: an outage hides a node's rows, it does not erase
+    /// them.
+    pub fn durable_rows(&self) -> Vec<(String, Row)> {
         self.table
             .read()
             .rows

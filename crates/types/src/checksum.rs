@@ -177,6 +177,15 @@ fn stored_form(digest: u64) -> String {
     hex_lower(&digest.to_be_bytes())
 }
 
+/// The digest behind a stored checksum — the inverse of [`checksum_hex`] —
+/// or `None` when `stored` is not a 16-character hex number.
+pub fn parse_checksum_hex(stored: &str) -> Option<u64> {
+    if stored.len() != 16 {
+        return None;
+    }
+    u64::from_str_radix(stored, 16).ok()
+}
+
 /// XXH64 (seed 0) of `data`.
 pub fn xxh64(data: &[u8]) -> u64 {
     let mut ctx = Xxh64::new();
@@ -201,6 +210,17 @@ mod tests {
         assert_eq!(checksum_hex(b"a"), "d24ec4f1a98c6e5b");
         assert_eq!(checksum_hex(b"abc"), "44bc2cf5ad770999");
         assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+    }
+
+    #[test]
+    fn parse_inverts_the_stored_form_and_rejects_anything_else() {
+        for data in [&b""[..], b"a", b"abc"] {
+            assert_eq!(parse_checksum_hex(&checksum_hex(data)), Some(xxh64(data)));
+        }
+        assert_eq!(parse_checksum_hex("00000000000000ff"), Some(0xff));
+        for bad in ["", "ff", "00000000000000fg", "00000000000000ff0"] {
+            assert_eq!(parse_checksum_hex(bad), None, "{bad:?}");
+        }
     }
 
     /// Every tail shape (8-byte words, one 4-byte word, single bytes) and

@@ -70,6 +70,16 @@ fn clear_caches(cluster: &ScaliaCluster) {
     }
 }
 
+/// Chunk-level gets, summed off the per-backend histograms (the infra
+/// snapshot counts one entry per hedged fetch, not per chunk).
+fn chunk_gets(infra: &Infrastructure) -> u64 {
+    infra
+        .backends()
+        .iter()
+        .map(|b| b.latency_snapshot(StoreOp::Get).count)
+        .sum()
+}
+
 fn latest_meta(infra: &Infrastructure, key: &ObjectKey) -> Option<ObjectMeta> {
     infra
         .database()
@@ -293,16 +303,6 @@ fn range_read_fetches_only_the_covering_stripes_chunks() {
     assert_eq!(map.stripes.len(), 20);
     let width = map.stripes[0].chunks.len() as u64;
 
-    // Chunk-level gets, summed off the per-backend histograms (the infra
-    // snapshot counts one entry per hedged fetch, not per chunk).
-    let chunk_gets = |infra: &Infrastructure| -> u64 {
-        infra
-            .backends()
-            .iter()
-            .map(|b| b.latency_snapshot(StoreOp::Get).count)
-            .sum()
-    };
-
     // A 10-byte probe inside stripe 5 touches at most that one stripe's
     // chunk set — not the other 19 stripes'.
     clear_caches(&cluster);
@@ -328,6 +328,107 @@ fn range_read_fetches_only_the_covering_stripes_chunks() {
         "the full read reassembles all 20 stripes"
     );
     assert!(probe_gets < full_gets / 10);
+}
+
+// ---------------------------------------------------------------------------
+// Warm ranges: served from the cache, verifying only the stripes they touch
+// ---------------------------------------------------------------------------
+
+#[test]
+fn warm_ranges_touch_no_provider_and_verify_only_their_stripes() {
+    const STRIPE: usize = 128 * 1024;
+    const RANGE: usize = 64 * 1024;
+    let cluster = ScaliaCluster::builder()
+        .datacenters(1)
+        .engines_per_datacenter(1)
+        .build();
+    let infra = cluster.infra().clone();
+    infra.set_stripe_size_bytes(STRIPE as u64);
+    infra.set_streaming_threshold_bytes(STRIPE as u64);
+    let engine = cluster.engine(0);
+    let key = ObjectKey::new("warm", "sixteen.bin");
+    // 15 full stripes and a short sixteenth.
+    let data = payload(11, 15 * STRIPE + 40_000);
+    let meta = cluster
+        .put(&key, data.clone(), "application/x-tar", flex_rule(), None)
+        .unwrap();
+    assert_eq!(meta.striping.stripes.as_ref().unwrap().stripes.len(), 16);
+
+    clear_caches(&cluster);
+    let full = engine.get(&key).unwrap(); // cold: populates the cache
+    assert_eq!(full.as_ref(), &data[..]);
+    let cache = &cluster.caches()[0];
+    let after_cold = chunk_gets(&infra);
+
+    // Inside one stripe, straddling two, and clipped by EOF.
+    let ranges = [
+        3 * STRIPE + 1_000,
+        7 * STRIPE - RANGE / 2,
+        data.len() - RANGE / 4,
+    ];
+    let assert_warm = |offset: usize| {
+        let end = (offset + RANGE).min(data.len());
+        let got = engine.get_range(&key, offset as u64, RANGE as u64).unwrap();
+        assert_eq!(got.as_ref(), &full[offset..end], "range at {offset}");
+    };
+    let (hits_before, _) = cache.stats();
+    ranges.iter().for_each(|&offset| assert_warm(offset));
+    assert_eq!(chunk_gets(&infra), after_cold, "warm ranges fetch nothing");
+    assert_eq!(cache.stats().0, hits_before + 3);
+
+    // Damage stripe 10 in the cache: the ranges above do not touch it, so
+    // they still hit — a ranged hit verifies what it returns, not the entry.
+    assert!(cache.corrupt_entry_for_test(&key.row_key(), 10 * STRIPE + 5));
+    ranges.iter().for_each(|&offset| assert_warm(offset));
+    assert_eq!(chunk_gets(&infra), after_cold);
+    assert_eq!(cache.corruption_count(), 0);
+
+    // A range inside the damaged stripe fails closed: the entry is dropped
+    // and the true bytes come from the providers.
+    assert_warm(10 * STRIPE);
+    assert_eq!(cache.corruption_count(), 1);
+    assert!(cache.is_empty());
+    assert!(chunk_gets(&infra) > after_cold);
+}
+
+mod warm_range_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `get_range` through a warm cache equals the slice of the payload
+        /// — full stripes, a short last stripe, and classic objects below
+        /// the streaming threshold alike.
+        #[test]
+        fn warm_get_range_equals_the_payload_slice(
+            size in 1usize..6_500,
+            probes in proptest::collection::vec(any::<u64>(), 8..24),
+        ) {
+            let cluster = striped_cluster();
+            let key = ObjectKey::new("warm", "prop.bin");
+            let data = payload(size as u64, size);
+            cluster
+                .put(&key, data.clone(), "application/x-tar", flex_rule(), None)
+                .unwrap();
+            let engine = cluster.engine(0);
+            clear_caches(&cluster);
+            engine.get(&key).unwrap();
+            let after_cold = chunk_gets(cluster.infra());
+            for word in probes {
+                // Offsets reach a little past EOF; lengths up to 2.5 stripes.
+                let offset = (word >> 32) as usize % (size + 200);
+                let len = (word & 0xFFFF_FFFF) as usize % 2_500;
+                let end = (offset + len).min(size);
+                let expected = if offset >= end { &[][..] } else { &data[offset..end] };
+                let got = engine.get_range(&key, offset as u64, len as u64).unwrap();
+                prop_assert_eq!(got.as_ref(), expected, "get_range({}, {}) of {}", offset, len, size);
+            }
+            prop_assert_eq!(chunk_gets(cluster.infra()), after_cold);
+            prop_assert_eq!(cluster.caches()[0].corruption_count(), 0);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
