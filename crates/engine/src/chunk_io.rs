@@ -7,18 +7,24 @@
 //! observe a slow provider at all. All four call sites (write, read, delete
 //! and the repair/migration path through
 //! [`crate::engine::Engine::replace_placement`]) now route through this
-//! module, which fans a group's round-trips out so that the group costs its
-//! slowest member, not their sum — on the work-stealing pool when a
-//! provider really waits, on the calling thread when latency is virtual
-//! (see "Virtual time, real time" below):
+//! module, one stripe — one erasure group — at a time; it fans a group's
+//! round-trips out so that the group costs its slowest member, not their
+//! sum — on the work-stealing pool when a provider really waits, on the
+//! calling thread when latency is virtual (see "Virtual time, real time"
+//! below):
 //!
-//! * [`write_chunks`] — **fanned-out upload**, one round-trip per chunk,
-//!   with abort-on-first-hard-failure: the first provider error flips an
-//!   abort flag (uploads not yet started are skipped), every chunk that did
-//!   land is rolled back (deleted, or queued as a postponed delete if the
-//!   provider is unreachable), and the failing provider is reported to the
-//!   failure detector and returned to the caller so the write can be
-//!   re-placed on the remaining providers.
+//! * [`upload`] — **fanned-out upload** of one already-encoded stripe, one
+//!   round-trip per chunk. *Strict* (every first landing attempt):
+//!   abort-on-first-hard-failure — the first provider error flips an abort
+//!   flag (uploads not yet started are skipped) — and every chunk must land.
+//!   *Tolerant* (the degraded landing, once re-placement is exhausted):
+//!   every chunk is attempted and the stripe survives with any `k ≥ m` of
+//!   its `n` chunks; the caller decides whether the surviving subset clears
+//!   the rule's availability floor. Short of what it needs, either rolls
+//!   back every chunk that did land (deleted, or queued as a postponed
+//!   delete if the provider is unreachable) and returns the failing
+//!   provider — already reported to the failure detector — so the write can
+//!   be re-placed on the remaining providers.
 //! * [`fetch_chunks`] — **hedged first-`m`-of-`n` read**: the best `m`
 //!   providers are raced — ranked by expected read latency
 //!   (the *observed* summary once enough samples exist, the advertised
@@ -34,23 +40,12 @@
 //!   outcome feeds the failure
 //!   detector (§III-D3) and every success feeds the provider's
 //!   observed-latency window, closing the adaptation loop.
-//! * [`write_chunks_tolerant`] — the **degraded-capable upload**: every
-//!   chunk is attempted (no abort-on-first-failure) and the write survives
-//!   with any `k ≥ m` of its `n` chunks; the failed providers come back to
-//!   the caller, which decides whether the surviving subset clears the
-//!   rule's availability floor (the degraded-write fallback of the engine's
-//!   put path).
 //! * [`delete_chunks`] — **fanned-out delete** with the postponed-delete
 //!   semantics for unreachable providers.
-//! * [`upload_encoded`] / [`upload_encoded_tolerant`] / [`fetch_stripe`] /
-//!   [`fetch_range`] — the **stripe-granular face** of the same machinery,
-//!   used by the staged streaming pipeline
-//!   ([`crate::streaming`]): an upload takes an already-encoded stripe (so
-//!   the pipeline can encode stripe k+1 while stripe k is in flight) and a
-//!   per-stripe chunk-key salt, and a range read fetches (hedged
-//!   `m`-of-`n`), decodes and verifies only the stripes that cover its byte
-//!   window — the rollback, postponed-delete and failure-detector semantics
-//!   above apply per stripe, unchanged.
+//! * [`fetch_and_reassemble`] / [`fetch_stripe`] / [`fetch_range`] — the
+//!   object-level reads over the stripe map: each stripe they touch is
+//!   fetched (hedged `m`-of-`n`), decoded and verified on its own, and a
+//!   range read touches only the stripes that cover its byte window.
 //!
 //! # Integrity
 //!
@@ -78,8 +73,8 @@
 //! The pool is used when, and only when, a participating backend really
 //! waits in wall-clock time
 //! ([`scalia_providers::backend::SimulatedStore::real_sleep_enabled`] — the
-//! `chunk_io` bench, the `SCALIA_LATENCY_REAL_SLEEP` CI step, what a
-//! networked backend would report): the round-trips of a group then overlap
+//! `SCALIA_LATENCY_REAL_SLEEP` CI step, what a networked backend would
+//! report): the round-trips of a group then overlap
 //! on pool workers (a sleeping worker needs no core), and the read
 //! controller hedges by wall clock — it parks on a condvar and promotes
 //! parity when a ranked fetch blows its real deadline, so a stalled
@@ -94,14 +89,14 @@ use bytes::Bytes;
 use rayon::prelude::*;
 use scalia_core::cost::{cheapest_read_providers, chunk_bytes_for};
 use scalia_core::placement::Placement;
-use scalia_erasure::codec::{decode_object_into, encode_object, Chunk, EncodedObject};
+use scalia_erasure::codec::{decode_object_into, Chunk, EncodedObject};
 use scalia_providers::backend::{SimulatedStore, StoreOp};
 use scalia_providers::descriptor::ProviderDescriptor;
 use scalia_providers::latency::LatencyModel;
 use scalia_types::checksum::checksum_hex;
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::ProviderId;
-use scalia_types::object::{ChunkLocation, ObjectMeta, StripingMeta};
+use scalia_types::object::{ChunkLocation, ObjectMeta, StripeMeta};
 use scalia_types::size::ByteSize;
 use scalia_types::ErasureParams;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -220,9 +215,8 @@ pub fn write_hedge_deadline_us(
 /// returned; the caller decides whether to re-place and retry.
 #[derive(Debug)]
 pub struct WriteFailure {
-    /// The provider whose upload failed (`None` when the failure was not
-    /// attributable to one provider, e.g. an encoding error).
-    pub provider: Option<ProviderId>,
+    /// The provider whose upload failed.
+    pub provider: ProviderId,
     /// The underlying error.
     pub error: ScaliaError,
 }
@@ -277,68 +271,27 @@ enum UploadOutcome {
     Aborted,
 }
 
-/// Encodes `data` for `placement` and uploads one chunk per provider under
-/// the default upload-hedge policy. See [`write_chunks_with`].
-pub fn write_chunks(
-    infra: &Infrastructure,
-    placement: &Placement,
-    skey: &str,
-    data: &Bytes,
-) -> std::result::Result<StripingMeta, WriteFailure> {
-    write_chunks_with(infra, placement, skey, data, &HedgeConfig::default())
-}
-
-/// Encodes `data` for `placement` and uploads one chunk per provider
-/// (`fan_out`). On the first hard failure the remaining uploads
-/// are aborted, every chunk that already landed is deleted again (or queued
-/// as a postponed delete), and the failing provider is reported to the
-/// failure detector and returned in the [`WriteFailure`]. An upload
-/// exceeding its hedge deadline ([`write_hedge_deadline_us`] — the observed
-/// PUT p95 once warm, a modelled multiple until then) counts as a failure
-/// of its provider: the landed chunk is rolled back so the caller can
-/// re-place the write without the straggler.
-pub fn write_chunks_with(
-    infra: &Infrastructure,
-    placement: &Placement,
-    skey: &str,
-    data: &Bytes,
-    config: &HedgeConfig,
-) -> std::result::Result<StripingMeta, WriteFailure> {
-    let params = placement.erasure_params();
-    let encoded = encode_object(data, params).map_err(|error| WriteFailure {
-        provider: None,
-        error,
-    })?;
-    upload_encoded(infra, placement, skey, &encoded, config)
-}
-
-/// Uploads an already-encoded object's chunks, one per provider of
-/// `placement`, with abort-on-first-failure and rollback —
-/// the upload half of [`write_chunks_with`], split out so the streaming
-/// pipeline can encode stripe `k+1` while stripe `k`'s chunks are in
-/// flight.
-pub fn upload_encoded(
-    infra: &Infrastructure,
-    placement: &Placement,
-    skey: &str,
-    encoded: &EncodedObject,
-    config: &HedgeConfig,
-) -> std::result::Result<StripingMeta, WriteFailure> {
-    upload(infra, placement, skey, encoded, config, true).map(|write| write.striping)
-}
-
-/// The upload behind both faces. `strict` aborts on the first failure —
+/// Uploads an already-encoded stripe's chunks, one per provider of
+/// `placement`, under `{skey}.{chunk index}` (`fan_out`), and returns where
+/// they landed, in chunk-index order. `strict` aborts on the first failure —
 /// uploads not yet started are skipped — and needs every chunk to land;
-/// otherwise every chunk is attempted and `m` suffice. Short of that, what
-/// did land is rolled back and the first (lowest-index) failure returned.
-fn upload(
+/// otherwise every chunk is attempted and `m` suffice (a *degraded*
+/// landing: fewer locations than providers, original erasure indices
+/// kept). Short of that, what did land is rolled back — deleted again, or
+/// queued as a postponed delete — and the first (lowest-index) failure is
+/// returned, its provider already reported to the failure detector. An
+/// upload exceeding its hedge deadline ([`write_hedge_deadline_us`] — the
+/// observed PUT p95 once warm, a modelled multiple until then) counts as a
+/// failure of its provider: the landed chunk is rolled back so the caller
+/// can re-place the write without the straggler.
+pub fn upload(
     infra: &Infrastructure,
     placement: &Placement,
     skey: &str,
     encoded: &EncodedObject,
     config: &HedgeConfig,
     strict: bool,
-) -> std::result::Result<PartialWrite, WriteFailure> {
+) -> std::result::Result<Vec<ChunkLocation>, WriteFailure> {
     let abort = strict.then(|| AtomicBool::new(false));
     let pairs = encoded.chunks.iter().zip(&placement.providers);
     let jobs: Vec<_> = pairs.map(|pair| (pair.1.id, pair)).collect();
@@ -355,7 +308,7 @@ fn upload(
     });
 
     let mut locations: Vec<ChunkLocation> = Vec::with_capacity(jobs.len());
-    let mut failed: Vec<(ProviderId, ScaliaError)> = Vec::new();
+    let mut first_failure: Option<(ProviderId, ScaliaError)> = None;
     let mut makespan_us = 0u64;
     for outcome in outcomes {
         match outcome {
@@ -363,34 +316,33 @@ fn upload(
                 locations.push(location);
                 makespan_us = makespan_us.max(us);
             }
-            UploadOutcome::Failed(provider, error) => failed.push((provider, error)),
+            UploadOutcome::Failed(provider, error) => {
+                first_failure.get_or_insert((provider, error));
+            }
             UploadOutcome::Aborted => {}
         }
     }
-    let striping = StripingMeta::single(locations, placement.m, skey.to_string());
     let needed = if strict {
         jobs.len()
     } else {
         placement.m.max(1) as usize
     };
-    if striping.chunks.len() < needed {
-        let landed = striping.all_chunk_refs();
+    if locations.len() < needed {
+        let landed: Vec<_> = locations
+            .iter()
+            .map(|c| (c.provider, format!("{skey}.{}", c.index)))
+            .collect();
         fan_out(infra, &landed, |backend, provider, chunk_key| {
             delete_or_postpone(infra, backend, provider, chunk_key)
         });
-        let (provider, error) = failed
-            .into_iter()
-            .next()
-            .expect("a chunk that did not land failed or followed a failure");
-        return Err(WriteFailure {
-            provider: Some(provider),
-            error,
-        });
+        let (provider, error) =
+            first_failure.expect("a chunk that did not land failed or followed a failure");
+        return Err(WriteFailure { provider, error });
     }
     // The put's virtual makespan is the slowest chunk upload — the critical
     // path of the fan-out, not the sum of the round-trips.
     infra.record_io_latency(StoreOp::Put, makespan_us);
-    Ok(PartialWrite { striping, failed })
+    Ok(locations)
 }
 
 fn upload_one(
@@ -460,67 +412,14 @@ fn upload_one(
 }
 
 // ---------------------------------------------------------------------------
-// Tolerant (degraded-capable) upload
-// ---------------------------------------------------------------------------
-
-/// A tolerant upload's outcome: the striping over every chunk that
-/// landed (original erasure indices preserved) plus the providers whose
-/// chunk did not.
-#[derive(Debug)]
-pub struct PartialWrite {
-    /// Striping over the surviving chunks only. Degraded iff
-    /// `striping.chunks.len()` is below the placement width.
-    pub striping: StripingMeta,
-    /// Providers whose chunk did not land, with the error each produced.
-    pub failed: Vec<(ProviderId, ScaliaError)>,
-}
-
-/// Encodes `data` for `placement` and uploads one chunk per provider
-/// **without** abort-on-first-failure: every upload is attempted
-/// and the write survives as long as at least `m` chunks land. This is the
-/// degraded-write fallback of [`crate::engine::Engine::put`] — once
-/// re-placement is exhausted, the caller checks the surviving subset
-/// against the rule's availability floor and, if it passes, commits the
-/// partial striping with a durability debt for the repair queue to
-/// backfill. If fewer than `m` chunks land, the landed ones are rolled back
-/// and the first failure is returned, exactly like [`write_chunks_with`].
-pub fn write_chunks_tolerant(
-    infra: &Infrastructure,
-    placement: &Placement,
-    skey: &str,
-    data: &Bytes,
-    config: &HedgeConfig,
-) -> std::result::Result<PartialWrite, WriteFailure> {
-    let params = placement.erasure_params();
-    let encoded = encode_object(data, params).map_err(|error| WriteFailure {
-        provider: None,
-        error,
-    })?;
-    upload_encoded_tolerant(infra, placement, skey, &encoded, config)
-}
-
-/// The upload half of [`write_chunks_tolerant`] for an already-encoded
-/// object — the streaming pipeline's degraded-landing fallback per stripe.
-pub fn upload_encoded_tolerant(
-    infra: &Infrastructure,
-    placement: &Placement,
-    skey: &str,
-    encoded: &EncodedObject,
-    config: &HedgeConfig,
-) -> std::result::Result<PartialWrite, WriteFailure> {
-    upload(infra, placement, skey, encoded, config, false)
-}
-
-// ---------------------------------------------------------------------------
 // Delete
 // ---------------------------------------------------------------------------
 
-/// Deletes every chunk of a striping, postponing chunks whose provider is
-/// unreachable ("the deletion of the chunk residing at a faulty provider is
-/// postponed until the provider recovers", §III-D3). Striped objects delete
-/// every stripe's chunks in one fan-out.
-pub fn delete_chunks(infra: &Infrastructure, striping: &StripingMeta) {
-    let refs = striping.all_chunk_refs();
+/// Deletes every chunk of `stripes` in one fan-out, postponing chunks whose
+/// provider is unreachable ("the deletion of the chunk residing at a faulty
+/// provider is postponed until the provider recovers", §III-D3).
+pub fn delete_chunks(infra: &Infrastructure, stripes: &[StripeMeta]) {
+    let refs: Vec<_> = stripes.iter().flat_map(StripeMeta::chunk_refs).collect();
     if refs.is_empty() {
         return;
     }
@@ -625,7 +524,7 @@ struct Candidate {
 
 struct HedgedRead<'a> {
     infra: &'a Arc<Infrastructure>,
-    striping: &'a StripingMeta,
+    stripe: &'a StripeMeta,
     config: &'a HedgeConfig,
     chunk_bytes: u64,
     /// Chunk locations and their latency models, cheapest-read first.
@@ -681,7 +580,7 @@ impl<'a> HedgedRead<'a> {
                 hedged: false,
                 done: false,
             });
-            let chunk_key = self.striping.chunk_key(candidate.location.index);
+            let chunk_key = self.stripe.chunk_key(candidate.location.index);
             let infra = Arc::clone(self.infra);
             let fetch = move || {
                 let (result, us) = backend.timed_get(&chunk_key);
@@ -879,17 +778,17 @@ impl<'a> HedgedRead<'a> {
     }
 }
 
-/// Fetches any `m` of the striping's `n` chunks with a hedged race over the
+/// Fetches any `m` of the stripe's `n` chunks with a hedged race over the
 /// cheapest providers (see the module docs for the full protocol). Records
 /// the read's virtual makespan and feeds every per-provider outcome into
-/// the failure detector.
+/// the failure detector. `stripe_len` is the stripe's plaintext length.
 pub fn fetch_chunks(
     infra: &Arc<Infrastructure>,
-    striping: &StripingMeta,
-    object_size: ByteSize,
+    stripe: &StripeMeta,
+    stripe_len: ByteSize,
     config: &HedgeConfig,
 ) -> Result<Vec<Chunk>> {
-    let m = striping.m.max(1) as usize;
+    let m = stripe.m.max(1) as usize;
     // Rank chunk locations by the read cost of their provider first (the
     // seed's order, so billing ties break exactly as before), then by
     // *expected read latency* — the observed summary when the provider has
@@ -900,16 +799,16 @@ pub fn fetch_chunks(
     // are raced first. The descriptors (one unavoidable clone each, made by
     // the catalog lookup) live only as long as the ranking; the race itself
     // needs just the `Copy` location + latency model.
-    let mut locations: Vec<ChunkLocation> = Vec::with_capacity(striping.chunks.len());
-    let mut descriptors: Vec<ProviderDescriptor> = Vec::with_capacity(striping.chunks.len());
-    for location in &striping.chunks {
+    let mut locations: Vec<ChunkLocation> = Vec::with_capacity(stripe.chunks.len());
+    let mut descriptors: Vec<ProviderDescriptor> = Vec::with_capacity(stripe.chunks.len());
+    for location in &stripe.chunks {
         if let Some(descriptor) = infra.catalog().get(location.provider) {
             locations.push(*location);
             descriptors.push(descriptor);
         }
     }
-    let chunk_gb = object_size.as_gb() / striping.m.max(1) as f64;
-    let chunk_bytes = chunk_bytes_for(object_size, striping.m);
+    let chunk_gb = stripe_len.as_gb() / stripe.m.max(1) as f64;
+    let chunk_bytes = chunk_bytes_for(stripe_len, stripe.m);
     let mut order = cheapest_read_providers(&descriptors, locations.len() as u32, chunk_gb);
     // Precompute the latency keys (one lock acquisition each, none held
     // while sorting) — the sample floor is the hedging policy's, so
@@ -938,7 +837,7 @@ pub fn fetch_chunks(
 
     let read = HedgedRead {
         infra,
-        striping,
+        stripe,
         config,
         chunk_bytes,
         candidates,
@@ -954,106 +853,98 @@ pub fn fetch_chunks(
     Ok(chunks)
 }
 
-/// Fetches any `m` chunks of one erasure group — a classic object's single
-/// chunk set, or one stripe's (`view`) — with the hedged race, decodes them
-/// straight into `out` (whose length is the group's plaintext length) and
-/// verifies the result against `checksum`, the content checksum stored in
-/// the metadata when the group was written.
+/// Fetches any `m` chunks of `stripe` with the hedged race, decodes them
+/// straight into `out` (whose length is the stripe's plaintext length) and
+/// verifies the result against the content checksum stored in the metadata
+/// when the stripe was written.
 ///
 /// This is the only way bytes leave the providers for a client: a provider
 /// that returns damaged bytes fails the read ([`ScaliaError::DecodeFailed`])
 /// instead of reaching the caller or the cache.
-fn read_group_into(
+fn read_stripe_into(
     infra: &Arc<Infrastructure>,
-    view: &StripingMeta,
-    checksum: &str,
+    stripe: &StripeMeta,
     out: &mut [u8],
     config: &HedgeConfig,
 ) -> Result<()> {
-    // `code_width()`, not `chunks.len()`: a degraded striping keeps the
+    // `code_width()`, not `chunks.len()`: a degraded stripe keeps the
     // surviving chunks' original erasure indices, and the decoder must see
     // the width those indices were encoded under.
-    let params = ErasureParams::new(view.m, view.code_width())
+    let params = ErasureParams::new(stripe.m, stripe.code_width())
         .ok_or_else(|| ScaliaError::Internal("invalid striping metadata".into()))?;
-    let chunks = fetch_chunks(infra, view, ByteSize::from_bytes(out.len() as u64), config)?;
+    let chunks = fetch_chunks(
+        infra,
+        stripe,
+        ByteSize::from_bytes(out.len() as u64),
+        config,
+    )?;
     decode_object_into(&chunks, params, out)?;
-    if checksum_hex(out) != checksum {
+    if checksum_hex(out) != stripe.checksum {
         return Err(ScaliaError::DecodeFailed(format!(
             "the bytes decoded from chunks {}.* fail their stored checksum",
-            view.skey
+            stripe.skey
         )));
     }
     Ok(())
 }
 
-/// Fetches chunks with [`fetch_chunks`] and reassembles the object,
-/// tolerating up to `n − m` failed or straggling providers. One output
-/// buffer is allocated up front; striped objects fetch and decode stripe by
-/// stripe — each stripe runs its own hedged `m`-of-`n` race, lands directly
-/// in its window of the output and is checksum-verified there — so the
-/// transient working set beyond the output buffer is the `m` fetched chunks
-/// of one stripe. A classic object is its own single stripe, verified
-/// against the object checksum.
+/// Reassembles the whole object, tolerating up to `n − m` failed or
+/// straggling providers per stripe. One output buffer is allocated up
+/// front; each stripe runs its own hedged `m`-of-`n` race
+/// ([`fetch_chunks`]), lands directly in its window of the output and is
+/// checksum-verified there — so the transient working set beyond the output
+/// buffer is the `m` fetched chunks of one stripe.
 pub fn fetch_and_reassemble(
     infra: &Arc<Infrastructure>,
     meta: &ObjectMeta,
     config: &HedgeConfig,
 ) -> Result<Bytes> {
-    let striping = &meta.striping;
-    let Some(map) = &striping.stripes else {
-        let mut out = vec![0u8; meta.size.bytes() as usize];
-        read_group_into(infra, striping, &meta.checksum, &mut out, config)?;
-        return Ok(Bytes::from(out));
-    };
-    let mut out = vec![0u8; map.total_len() as usize];
+    let size = meta.size.bytes();
+    let mut out = vec![0u8; size as usize];
     let mut rest = &mut out[..];
-    for (i, stripe) in map.stripes.iter().enumerate() {
-        let (window, tail) = rest.split_at_mut(stripe.len as usize);
-        read_group_into(
-            infra,
-            &striping.stripe_view(i),
-            &stripe.checksum,
-            window,
-            config,
-        )?;
+    for (i, stripe) in meta.striping.stripes.iter().enumerate() {
+        let (window, tail) = rest.split_at_mut(meta.striping.stripe_len(i, size) as usize);
+        read_stripe_into(infra, stripe, window, config)?;
         rest = tail;
+    }
+    if !rest.is_empty() {
+        return Err(short_stripe_map(meta));
     }
     Ok(Bytes::from(out))
 }
 
-/// Fetches and decodes one stripe of a striped object with the hedged
+/// No stored checksum vouches for bytes past the last recorded stripe, so a
+/// read that would need them fails closed.
+fn short_stripe_map(meta: &ObjectMeta) -> ScaliaError {
+    ScaliaError::DecodeFailed(format!(
+        "the stripe map of {} is shorter than the object",
+        meta.key
+    ))
+}
+
+/// Fetches and decodes stripe `index` of an object with the hedged
 /// `m`-of-`n` race, verifying the stripe's recorded plaintext checksum.
 pub fn fetch_stripe(
     infra: &Arc<Infrastructure>,
-    striping: &StripingMeta,
+    meta: &ObjectMeta,
     index: usize,
     config: &HedgeConfig,
 ) -> Result<Bytes> {
-    let map = striping
-        .stripes
-        .as_ref()
-        .ok_or_else(|| ScaliaError::Internal("fetch_stripe on single-stripe object".into()))?;
-    let stripe = &map.stripes[index];
-    let mut out = vec![0u8; stripe.len as usize];
-    read_group_into(
-        infra,
-        &striping.stripe_view(index),
-        &stripe.checksum,
-        &mut out,
-        config,
-    )?;
+    let len = meta.striping.stripe_len(index, meta.size.bytes());
+    let mut out = vec![0u8; len as usize];
+    read_stripe_into(infra, meta.striping.stripe_view(index), &mut out, config)?;
     Ok(Bytes::from(out))
 }
 
 /// Fetches only the chunks needed to serve the byte range
-/// `[offset, offset + len)` of an object: for a striped object just the
-/// covering stripes (each still a hedged `m`-of-`n` race); for a classic
-/// single-stripe object its one chunk set. Checksums cover whole stripes,
-/// so a stripe the range only touches part of is decoded and verified in
-/// full before the requested window is cut from it — no byte is returned
-/// that a stored checksum did not vouch for. The result equals the same
-/// slice of a full read, clamped to the object's end — an empty or past-EOF
-/// range is empty bytes.
+/// `[offset, offset + len)` of an object: those of the covering stripes
+/// (each still a hedged `m`-of-`n` race). Checksums cover whole stripes, so
+/// a stripe the range only touches part of is decoded and verified in full
+/// before the requested window is cut from it — no byte is returned that a
+/// stored checksum did not vouch for. A range inside one stripe is a shared
+/// slice of that verified stripe. The result equals the same slice of a
+/// full read, clamped to the object's end — an empty or past-EOF range is
+/// empty bytes and fetches nothing.
 pub fn fetch_range(
     infra: &Arc<Infrastructure>,
     meta: &ObjectMeta,
@@ -1067,30 +958,28 @@ pub fn fetch_range(
         return Ok(Bytes::new());
     }
     let striping = &meta.striping;
-    let Some(map) = &striping.stripes else {
-        // The single stripe IS the covering stripe.
-        let whole = fetch_and_reassemble(infra, meta, config)?;
-        return Ok(whole.slice(offset as usize..end as usize));
-    };
+    let covering = striping.covering(offset, end);
+    if striping.stripe_offset(covering.end) < end {
+        return Err(short_stripe_map(meta));
+    }
+    if covering.len() == 1 {
+        let start = striping.stripe_offset(covering.start);
+        let stripe = fetch_stripe(infra, meta, covering.start, config)?;
+        return Ok(stripe.slice((offset - start) as usize..(end - start) as usize));
+    }
     let mut out = vec![0u8; (end - offset) as usize];
     let mut rest = &mut out[..];
-    for i in map.covering(offset, end) {
-        let stripe = &map.stripes[i];
-        let stripe_start = map.stripe_offset(i);
+    for i in covering {
+        let stripe_start = striping.stripe_offset(i);
+        let stripe_len = striping.stripe_len(i, size);
         let from = (offset.max(stripe_start) - stripe_start) as usize;
-        let to = (end - stripe_start).min(stripe.len) as usize;
+        let to = (end - stripe_start).min(stripe_len) as usize;
         let (window, tail) = rest.split_at_mut(to - from);
-        if to - from == stripe.len as usize {
+        if to - from == stripe_len as usize {
             // Whole stripe needed: decode and verify it in place.
-            read_group_into(
-                infra,
-                &striping.stripe_view(i),
-                &stripe.checksum,
-                window,
-                config,
-            )?;
+            read_stripe_into(infra, striping.stripe_view(i), window, config)?;
         } else {
-            window.copy_from_slice(&fetch_stripe(infra, striping, i, config)?[from..to]);
+            window.copy_from_slice(&fetch_stripe(infra, meta, i, config)?[from..to]);
         }
         rest = tail;
     }
@@ -1100,6 +989,7 @@ pub fn fetch_range(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scalia_erasure::codec::encode_object;
     use scalia_providers::backend::ObjectStore;
     use scalia_providers::catalog::ProviderCatalog;
     use scalia_types::time::Duration as SimDuration;
@@ -1115,6 +1005,25 @@ mod tests {
         }
     }
 
+    /// Encodes `data` for `placement` and uploads it as one stripe.
+    fn write(
+        infra: &Infrastructure,
+        placement: &Placement,
+        skey: &str,
+        data: &[u8],
+        strict: bool,
+    ) -> std::result::Result<StripeMeta, WriteFailure> {
+        let encoded = encode_object(data, placement.erasure_params()).unwrap();
+        let config = HedgeConfig::default();
+        let chunks = upload(infra, placement, skey, &encoded, &config, strict)?;
+        Ok(StripeMeta {
+            chunks,
+            m: placement.m,
+            checksum: checksum_hex(data),
+            skey: skey.to_string(),
+        })
+    }
+
     fn stored_total(infra: &Infrastructure) -> u64 {
         infra
             .backends()
@@ -1127,13 +1036,13 @@ mod tests {
     fn parallel_write_places_one_chunk_per_provider() {
         let infra = infra();
         let placement = placement_of(&infra, 3, 2);
-        let data = Bytes::from(vec![5u8; 90_000]);
-        let striping = write_chunks(&infra, &placement, "skey-w", &data).unwrap();
-        assert_eq!(striping.chunks.len(), 3);
-        assert_eq!(striping.m, 2);
+        let data = vec![5u8; 90_000];
+        let stripe = write(&infra, &placement, "skey-w", &data, true).unwrap();
+        assert_eq!(stripe.chunks.len(), 3);
+        assert_eq!(stripe.m, 2);
         // Locations come back in chunk-index order regardless of which
         // upload finished first.
-        for (i, location) in striping.chunks.iter().enumerate() {
+        for (i, location) in stripe.chunks.iter().enumerate() {
             assert_eq!(location.index, i as u32);
             assert_eq!(location.provider, placement.providers[i].id);
         }
@@ -1142,7 +1051,7 @@ mod tests {
         // And the payload reassembles.
         let chunks = fetch_chunks(
             &infra,
-            &striping,
+            &stripe,
             ByteSize::from_bytes(90_000),
             &HedgeConfig::default(),
         )
@@ -1157,9 +1066,9 @@ mod tests {
         let victim = placement.providers[1].id;
         infra.backend(victim).unwrap().set_down(true);
 
-        let data = Bytes::from(vec![7u8; 60_000]);
-        let failure = write_chunks(&infra, &placement, "skey-x", &data).unwrap_err();
-        assert_eq!(failure.provider, Some(victim));
+        let data = vec![7u8; 60_000];
+        let failure = write(&infra, &placement, "skey-x", &data, true).unwrap_err();
+        assert_eq!(failure.provider, victim);
         assert!(matches!(
             failure.error,
             ScaliaError::ProviderUnavailable(p) if p == victim
@@ -1180,18 +1089,15 @@ mod tests {
         let victim = placement.providers[2].id;
         infra.backend(victim).unwrap().set_down(true);
 
-        let data = Bytes::from(vec![6u8; 80_000]);
-        let partial =
-            write_chunks_tolerant(&infra, &placement, "skey-t", &data, &HedgeConfig::default())
-                .unwrap();
-        assert_eq!(partial.striping.chunks.len(), 3, "3 of 4 chunks landed");
-        assert_eq!(partial.failed.len(), 1);
-        assert_eq!(partial.failed[0].0, victim);
-        assert!(partial.striping.chunks.iter().all(|c| c.provider != victim));
-        // The degraded striping reads back through the normal hedged path.
+        let data = vec![6u8; 80_000];
+        let partial = write(&infra, &placement, "skey-t", &data, false).unwrap();
+        assert_eq!(partial.chunks.len(), 3, "3 of 4 chunks landed");
+        assert!(partial.chunks.iter().all(|c| c.provider != victim));
+        assert_eq!(partial.code_width(), 4, "original erasure indices kept");
+        // The degraded stripe reads back through the normal hedged path.
         let chunks = fetch_chunks(
             &infra,
-            &partial.striping,
+            &partial,
             ByteSize::from_bytes(80_000),
             &HedgeConfig::default(),
         )
@@ -1203,15 +1109,7 @@ mod tests {
         for provider in placement.providers.iter().take(3) {
             infra.backend(provider.id).unwrap().set_down(true);
         }
-        let err = write_chunks_tolerant(
-            &infra,
-            &placement,
-            "skey-t2",
-            &data,
-            &HedgeConfig::default(),
-        )
-        .unwrap_err();
-        assert!(err.provider.is_some());
+        write(&infra, &placement, "skey-t2", &data, false).unwrap_err();
         let last = placement.providers[3].id;
         assert!(
             !infra.backend(last).unwrap().exists("skey-t2.3").unwrap(),
@@ -1223,24 +1121,24 @@ mod tests {
     fn hedged_read_promotes_parity_past_a_dead_ranked_provider() {
         let infra = infra();
         let placement = placement_of(&infra, 4, 2);
-        let data = Bytes::from(vec![9u8; 120_000]);
-        let striping = write_chunks(&infra, &placement, "skey-h", &data).unwrap();
+        let data = vec![9u8; 120_000];
+        let stripe = write(&infra, &placement, "skey-h", &data, true).unwrap();
 
         // Kill the cheapest-ranked provider (the one a sequential reader
         // would contact first).
-        let descriptors: Vec<ProviderDescriptor> = striping
+        let descriptors: Vec<ProviderDescriptor> = stripe
             .chunks
             .iter()
             .filter_map(|c| infra.catalog().get(c.provider))
             .collect();
         let chunk_gb = ByteSize::from_bytes(120_000).as_gb() / 2.0;
         let ranked = cheapest_read_providers(&descriptors, descriptors.len() as u32, chunk_gb);
-        let victim = striping.chunks[ranked[0]].provider;
+        let victim = stripe.chunks[ranked[0]].provider;
         infra.backend(victim).unwrap().set_down(true);
 
         let chunks = fetch_chunks(
             &infra,
-            &striping,
+            &stripe,
             ByteSize::from_bytes(120_000),
             &HedgeConfig::default(),
         )
@@ -1259,18 +1157,18 @@ mod tests {
     fn hedged_read_does_not_wait_out_a_stalled_provider() {
         let infra = infra();
         let placement = placement_of(&infra, 3, 1);
-        let data = Bytes::from(vec![3u8; 40_000]);
-        let striping = write_chunks(&infra, &placement, "skey-s", &data).unwrap();
+        let data = vec![3u8; 40_000];
+        let stripe = write(&infra, &placement, "skey-s", &data, true).unwrap();
 
-        let descriptors: Vec<ProviderDescriptor> = striping
+        let descriptors: Vec<ProviderDescriptor> = stripe
             .chunks
             .iter()
             .filter_map(|c| infra.catalog().get(c.provider))
             .collect();
         let chunk_gb = ByteSize::from_bytes(40_000).as_gb();
         let ranked = cheapest_read_providers(&descriptors, descriptors.len() as u32, chunk_gb);
-        let stalled = striping.chunks[ranked[0]].provider;
-        let parity = striping.chunks[ranked[1]].provider;
+        let stalled = stripe.chunks[ranked[0]].provider;
+        let parity = stripe.chunks[ranked[1]].provider;
 
         // The ranked provider limps: 10 virtual seconds per request.
         const STALL_US: u64 = 10_000_000;
@@ -1283,7 +1181,7 @@ mod tests {
 
         let chunks = fetch_chunks(
             &infra,
-            &striping,
+            &stripe,
             ByteSize::from_bytes(40_000),
             &HedgeConfig::default(),
         )
@@ -1361,18 +1259,18 @@ mod tests {
         use crate::infra::OBSERVED_MIN_SAMPLES;
         let infra = infra();
         let placement = placement_of(&infra, 3, 1);
-        let data = Bytes::from(vec![8u8; 50_000]);
-        let striping = write_chunks(&infra, &placement, "skey-rank", &data).unwrap();
+        let data = vec![8u8; 50_000];
+        let stripe = write(&infra, &placement, "skey-rank", &data, true).unwrap();
 
         // The price-ranked first choice develops a bad observed record.
         let chunk_gb = ByteSize::from_bytes(50_000).as_gb();
-        let descriptors: Vec<ProviderDescriptor> = striping
+        let descriptors: Vec<ProviderDescriptor> = stripe
             .chunks
             .iter()
             .filter_map(|c| infra.catalog().get(c.provider))
             .collect();
         let ranked = cheapest_read_providers(&descriptors, descriptors.len() as u32, chunk_gb);
-        let tainted = striping.chunks[ranked[0]].provider;
+        let tainted = stripe.chunks[ranked[0]].provider;
         for _ in 0..2 * OBSERVED_MIN_SAMPLES {
             infra.record_provider_read_latency(tainted, 500_000);
         }
@@ -1384,7 +1282,7 @@ mod tests {
             .count;
         let chunks = fetch_chunks(
             &infra,
-            &striping,
+            &stripe,
             ByteSize::from_bytes(50_000),
             &HedgeConfig::default(),
         )
@@ -1405,14 +1303,14 @@ mod tests {
     fn read_fails_cleanly_when_too_few_chunks_survive() {
         let infra = infra();
         let placement = placement_of(&infra, 3, 2);
-        let data = Bytes::from(vec![1u8; 30_000]);
-        let striping = write_chunks(&infra, &placement, "skey-f", &data).unwrap();
-        for provider in striping.providers().into_iter().take(2) {
+        let data = vec![1u8; 30_000];
+        let stripe = write(&infra, &placement, "skey-f", &data, true).unwrap();
+        for provider in stripe.providers().into_iter().take(2) {
             infra.backend(provider).unwrap().set_down(true);
         }
         let err = fetch_chunks(
             &infra,
-            &striping,
+            &stripe,
             ByteSize::from_bytes(30_000),
             &HedgeConfig::default(),
         )
@@ -1430,12 +1328,12 @@ mod tests {
     fn parallel_delete_removes_everything_and_postpones_on_outage() {
         let infra = infra();
         let placement = placement_of(&infra, 3, 2);
-        let data = Bytes::from(vec![2u8; 45_000]);
-        let striping = write_chunks(&infra, &placement, "skey-d", &data).unwrap();
-        let victim = striping.chunks[0].provider;
+        let data = vec![2u8; 45_000];
+        let stripe = write(&infra, &placement, "skey-d", &data, true).unwrap();
+        let victim = stripe.chunks[0].provider;
         infra.backend(victim).unwrap().set_down(true);
 
-        delete_chunks(&infra, &striping);
+        delete_chunks(&infra, std::slice::from_ref(&stripe));
         assert_eq!(infra.pending_delete_count(), 1, "down provider postpones");
         let survivors: u64 = infra
             .backends()

@@ -5,10 +5,10 @@
 //!
 //! * **write** — classify the object, predict its usage (from its class
 //!   statistics when it has no history), compute the best provider set
-//!   (Algorithm 1), erasure-code the payload, store one chunk per provider
-//!   under `skey = MD5(container | key | UUID)`, write the metadata version
-//!   to the database, clean up deprecated versions (MVCC), and invalidate
-//!   the caches of every datacenter;
+//!   (Algorithm 1), erasure-code the payload stripe by stripe, store one
+//!   chunk per provider under `skey = MD5(container | key | UUID)`, write
+//!   the metadata version to the database, clean up deprecated versions
+//!   (MVCC), and invalidate the caches of every datacenter;
 //! * **read** — serve from the local cache if possible, otherwise read the
 //!   metadata, race the cheapest `m` providers with a hedged fetch
 //!   (promoting parity providers past errors and stragglers), reassemble,
@@ -17,14 +17,12 @@
 //!   providers), fold the object's lifetime and mean usage into its class
 //!   statistics, and drop the metadata.
 //!
-//! Large objects take the **streaming data path** instead of the
-//! whole-object write above: [`Engine::put`] routes payloads past the
-//! streaming threshold through the staged stripe pipeline in
+//! Every write goes through the staged stripe pipeline in
 //! [`crate::streaming`] (encode stripe k+1 while stripe k's chunks are in
-//! flight, O(stripe) transient buffering), the same pipeline backs the
-//! explicit multipart API ([`Engine::begin_put`] → `put_part` →
-//! `complete_put`), and [`Engine::get_range`] serves byte ranges by
-//! fetching only the stripes that cover the requested window.
+//! flight, O(stripe) transient buffering): [`Engine::put`] feeds it a whole
+//! payload, the multipart API ([`Engine::begin_put`] → `put_part` →
+//! `complete_put`) feeds it incrementally, and [`Engine::get_range`] serves
+//! byte ranges by fetching only the stripes that cover the requested window.
 //!
 //! Engines are stateless: everything they touch lives in the shared
 //! [`Infrastructure`], so adding engines scales the deployment linearly.
@@ -37,17 +35,19 @@
 use crate::cache::{BlockDigests, Cache};
 use crate::chunk_io::{self, HedgeConfig};
 use crate::infra::Infrastructure;
+use crate::streaming::stripe_skey;
 use bytes::Bytes;
 use scalia_core::classify::ObjectClass;
 use scalia_core::cost::PredictedUsage;
 use scalia_core::placement::{Placement, PlacementEngine};
+use scalia_erasure::codec::encode_object;
 use scalia_metastore::journal::JournalOp;
 use scalia_metastore::logagg::{AccessKind, AccessLogRecord, LogAgent};
 use scalia_metastore::stats::StatisticsStore;
-use scalia_types::checksum::{checksum_hex, parse_checksum_hex};
+use scalia_types::checksum::parse_checksum_hex;
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::{DatacenterId, EngineId, ProviderId};
-use scalia_types::object::{ObjectKey, ObjectMeta, ObjectVersionId, StripingMeta};
+use scalia_types::object::{ObjectKey, ObjectMeta, ObjectVersionId, StripeMeta, StripingMeta};
 use scalia_types::rules::StorageRule;
 use scalia_types::size::ByteSize;
 use scalia_types::stats::AccessHistory;
@@ -59,7 +59,7 @@ use std::sync::Arc;
 /// whose class has no statistics yet (24 hourly periods = 1 day).
 pub const DEFAULT_DECISION_PERIODS: usize = 24;
 
-/// Bound on place-and-write attempts: a write runs at most this many
+/// Bound on the landing attempts of one stripe: it runs at most this many
 /// parallel uploads, i.e. it survives up to `WRITE_ATTEMPTS − 1`
 /// provider-side upload failures before the error is surfaced (§III-D3's
 /// mark-unavailable-and-retry, made finite).
@@ -130,15 +130,14 @@ impl Engine {
     // Write
     // ------------------------------------------------------------------
 
-    /// Stores (or overwrites) an object.
-    ///
-    /// Payloads above the streaming threshold
-    /// ([`Infrastructure::streaming_threshold_bytes`]) are routed through
-    /// the staged stripe pipeline ([`crate::streaming`]): the payload is cut
-    /// into fixed-size stripes, stripe `k + 1` is encoded while stripe `k`'s
-    /// chunks are in flight, and the pipeline's transient buffering stays
-    /// O(stripe). Smaller payloads take the classic single-stripe path,
-    /// whose on-provider layout is bit-identical to every prior release.
+    /// Stores (or overwrites) an object: `begin_put_with_hint` → seal →
+    /// `complete_put`, whatever its size ([`crate::streaming`]). The payload
+    /// is cut at the stripe boundary
+    /// ([`Infrastructure::stripe_size_bytes`]) — the only size policy there
+    /// is: up to one stripe it lands as one erasure group, the paper's
+    /// record; past it, stripe `k + 1` is encoded while stripe `k`'s chunks
+    /// are in flight and the pipeline's transient buffering stays O(stripe).
+    /// Every stripe seals straight from `data`.
     pub fn put(
         &self,
         key: &ObjectKey,
@@ -147,17 +146,15 @@ impl Engine {
         rule: StorageRule,
         ttl_hint_hours: Option<f64>,
     ) -> Result<ObjectMeta> {
-        if data.len() as u64 > self.infra.streaming_threshold_bytes() {
-            return self.put_streaming(key, data, mime, rule, ttl_hint_hours);
-        }
-        self.put_single(key, data, mime, rule, ttl_hint_hours)
+        let size = ByteSize::from_bytes(data.len() as u64);
+        let mut upload = self.begin_put_with_hint(key, mime, rule, ttl_hint_hours, Some(size));
+        upload.feed(&data, true)?;
+        upload.complete_put()
     }
 
     /// Predicts the object's usage over the default decision period: the
     /// class statistics when available (Fig. 6), storage-only otherwise,
-    /// with the optimisation horizon bounded by the TTL hint. Shared by the
-    /// classic and streaming write paths so both price placements
-    /// identically.
+    /// with the optimisation horizon bounded by the TTL hint.
     pub(crate) fn predict_usage(
         &self,
         class: &ObjectClass,
@@ -181,204 +178,6 @@ impl Engine {
             usage.duration_hours = usage.duration_hours.min(ttl.max(period_hours));
         }
         usage
-    }
-
-    /// The classic single-stripe write path: everything encoded and
-    /// uploaded as one erasure group. [`crate::streaming`]'s tail-fallback
-    /// calls this directly (routing through [`Self::put`] again could
-    /// recurse when the configured stripe size exceeds the threshold).
-    pub(crate) fn put_single(
-        &self,
-        key: &ObjectKey,
-        data: Bytes,
-        mime: &str,
-        rule: StorageRule,
-        ttl_hint_hours: Option<f64>,
-    ) -> Result<ObjectMeta> {
-        let size = ByteSize::from_bytes(data.len() as u64);
-        let class = ObjectClass::of(mime, size);
-        let usage = self.predict_usage(&class, size, ttl_hint_hours);
-
-        // Encode and store the chunks (re-placing and retrying, bounded, if
-        // a provider fails mid-write; landing *degraded* — k ≥ m chunks
-        // that still clear the rule's availability floor — when
-        // re-placement is exhausted).
-        let (version, striping, degraded_from) =
-            self.place_and_write(key, &rule, &class, &usage, &data)?;
-
-        // Chaos crash point: chunks are uploaded but nothing is committed.
-        // The write is not acked; the orphaned chunks belong to the GC
-        // sweep.
-        self.infra.crash_point("put::after-upload")?;
-
-        let meta = ObjectMeta {
-            key: key.clone(),
-            version,
-            mime: mime.to_string(),
-            size,
-            checksum: checksum_hex(&data),
-            rule,
-            written_at: self.infra.now(),
-            ttl_hint_hours,
-            striping,
-        };
-
-        // Serialise the commit against concurrent puts/deletes/migrations
-        // of the same object so MVCC pruning always sees a settled latest
-        // version. The cache invalidation happens under the same lock: a
-        // reader's epoch-gated populate (see `Engine::get`) also runs under
-        // the row lock, so commit + invalidation are atomic with respect to
-        // it — a deprecated payload can never be inserted after the
-        // invalidation that covers it. Chunk uploads (above) and
-        // deprecated-chunk GC (below) stay outside the lock — no provider
-        // round-trip happens under it.
-        // A degraded landing records its durability debt — and the repair
-        // queue entry that will backfill it to full width — atomically with
-        // the metadata commit, and so is the object's class record: the
-        // class-centric optimiser sweeps members *by class row*, so an
-        // object committed without one would never be reconsidered.
-        let debt = degraded_from.map(|want| {
-            serde_json::json!({
-                "reason": "degraded-write",
-                "have": meta.striping.chunks.len(),
-                "want": want,
-            })
-        });
-        let deprecated = {
-            let _commit = self.infra.lock_row_commit(&meta.row_key());
-            let deprecated = self.commit_metadata_with_debt(&meta, debt, Some(class.id()))?;
-            self.invalidate_everywhere(&meta.row_key());
-            deprecated
-        };
-        // Chaos crash point: the commit is durable but the deprecated-chunk
-        // GC below never runs — the orphan sweep reconciles the leak.
-        self.infra.crash_point("put::after-commit")?;
-        for striping in &deprecated {
-            self.delete_chunks(striping);
-        }
-
-        // Log the write for the statistics pipeline.
-        self.log_access(key, AccessKind::Write, size, size);
-        Ok(meta)
-    }
-
-    /// Places and uploads an object's chunks, retrying — bounded by
-    /// [`WRITE_ATTEMPTS`] — when a provider fails mid-write, as §III-D3
-    /// prescribes: the parallel upload in [`chunk_io::write_chunks`] rolls
-    /// back the chunks that already landed and reports the failed provider
-    /// to the failure detector (a hard unreachability error marks it
-    /// unavailable in the catalog immediately); the write is then re-placed
-    /// over the remaining providers and retried.
-    ///
-    /// When re-placement is **exhausted** — attempts used up, or the search
-    /// itself finds no feasible set — the write falls back to a *degraded*
-    /// landing ([`Self::degraded_write`]) on the last placement tried:
-    /// every chunk is attempted tolerantly and the result is accepted iff
-    /// `k ≥ m` chunks landed *and* the surviving providers still clear the
-    /// rule's availability floor. Returns the version the successful
-    /// attempt was stored under, its striping, and — for a degraded landing
-    /// — the full width the repair queue must backfill to.
-    fn place_and_write(
-        &self,
-        key: &ObjectKey,
-        rule: &StorageRule,
-        class: &ObjectClass,
-        usage: &PredictedUsage,
-        data: &Bytes,
-    ) -> Result<(ObjectVersionId, StripingMeta, Option<u32>)> {
-        let mut excluded: Vec<ProviderId> = Vec::new();
-        let mut last_failed: Option<Placement> = None;
-        loop {
-            let placement = match self.place_excluding(rule, class, usage, &excluded) {
-                Ok(placement) => placement,
-                Err(place_err) => {
-                    // Re-placement found nothing: degrade on the placement
-                    // whose upload last failed, if there was one.
-                    return match last_failed {
-                        Some(placement) => self
-                            .degraded_write(key, rule, &placement, data)
-                            .ok_or(place_err),
-                        None => Err(place_err),
-                    };
-                }
-            };
-            // A fresh version — and therefore fresh chunk keys — per
-            // attempt: a failed attempt's rollback may have *postponed* a
-            // delete (the provider flapped down mid-rollback), and that
-            // delete fires unconditionally once the provider recovers. If
-            // the retry reused the same keys, it could land a committed
-            // chunk exactly where the pending delete will strike.
-            let version = self.infra.next_version(&key.row_key());
-            let skey = StripingMeta::storage_key(key, version);
-            match chunk_io::write_chunks(&self.infra, &placement, &skey, data) {
-                Ok(striping) => return Ok((version, striping, None)),
-                Err(failure) => match failure.provider {
-                    // The failed provider may or may not have tripped the
-                    // failure detector (e.g. a full private resource stays
-                    // catalog-available); exclude it from the re-placement
-                    // search explicitly either way.
-                    Some(provider) if excluded.len() + 1 < WRITE_ATTEMPTS => {
-                        excluded.push(provider);
-                        last_failed = Some(placement);
-                    }
-                    Some(_) => {
-                        // Attempts exhausted: degrade on this placement or
-                        // surface the upload error.
-                        return self
-                            .degraded_write(key, rule, &placement, data)
-                            .ok_or(failure.error);
-                    }
-                    None => return Err(failure.error),
-                },
-            }
-        }
-    }
-
-    /// The degraded-write fallback: attempts every chunk of `placement`
-    /// tolerantly ([`chunk_io::write_chunks_tolerant`]) and accepts the
-    /// partial landing iff at least `m` chunks survive **and** the
-    /// surviving provider subset still meets the rule's availability floor.
-    /// Returns `None` — with every landed chunk rolled back — when the
-    /// landing is not durable enough to acknowledge.
-    fn degraded_write(
-        &self,
-        key: &ObjectKey,
-        rule: &StorageRule,
-        placement: &Placement,
-        data: &Bytes,
-    ) -> Option<(ObjectVersionId, StripingMeta, Option<u32>)> {
-        let version = self.infra.next_version(&key.row_key());
-        let skey = StripingMeta::storage_key(key, version);
-        let partial = chunk_io::write_chunks_tolerant(
-            &self.infra,
-            placement,
-            &skey,
-            data,
-            &HedgeConfig::default(),
-        )
-        .ok()?;
-        let want = placement.providers.len() as u32;
-        if partial.striping.chunks.len() as u32 == want {
-            // Everything landed after all (the earlier failure was
-            // transient): a full-width write, no debt.
-            return Some((version, partial.striping, None));
-        }
-        let surviving: Vec<scalia_providers::descriptor::ProviderDescriptor> = partial
-            .striping
-            .chunks
-            .iter()
-            .filter_map(|c| self.infra.catalog().get(c.provider))
-            .collect();
-        let availability =
-            scalia_core::availability::get_availability(&surviving, partial.striping.m);
-        if surviving.len() == partial.striping.chunks.len() && availability.meets(rule.availability)
-        {
-            Some((version, partial.striping, Some(want)))
-        } else {
-            // Not durable enough to acknowledge: roll the landing back.
-            chunk_io::delete_chunks(&self.infra, &partial.striping);
-            None
-        }
     }
 
     /// Runs the placement search. The common no-exclusions case is routed
@@ -611,9 +410,10 @@ impl Engine {
             .map_err(|e| ScaliaError::Internal(format!("deserialize metadata: {e}")))
     }
 
-    /// Fetches chunks with a hedged race over the cheapest `m` providers
-    /// and reassembles the object, tolerating up to `n − m` failed or
-    /// straggling providers. Provider errors feed the failure detector
+    /// Fetches each stripe's chunks with a hedged race over its cheapest
+    /// `m` providers and reassembles the object, tolerating up to `n − m`
+    /// failed or straggling providers per stripe. Provider errors feed the
+    /// failure detector
     /// (§III-D3); a fetch that exceeds its hedge deadline has the
     /// next-ranked parity provider promoted into the race (see
     /// [`chunk_io::fetch_chunks`]).
@@ -715,16 +515,19 @@ impl Engine {
     /// whose provider is unreachable ("the deletion of the chunk residing
     /// at a faulty provider is postponed until the provider recovers").
     pub fn delete_chunks(&self, striping: &StripingMeta) {
-        chunk_io::delete_chunks(&self.infra, striping);
+        chunk_io::delete_chunks(&self.infra, &striping.stripes);
     }
 
     // ------------------------------------------------------------------
     // Re-placement (used by the periodic optimiser and active repair)
     // ------------------------------------------------------------------
 
-    /// Moves an object to a new placement: reassembles it, re-encodes it for
-    /// the new `(m, n)`, writes the new chunks, commits the new metadata
-    /// version and deletes the old chunks. Returns the new metadata.
+    /// Moves an object to a new placement, stripe by stripe: each stripe is
+    /// fetched (hedged) and verified, re-encoded for the new `(m, n)` and
+    /// uploaded under the keys of a fresh version, keeping the resident
+    /// working set O(stripe); then the new metadata version commits and the
+    /// old chunks are deleted. Returns the new metadata. The commit is
+    /// full-width, so it settles any degraded-write debt atomically.
     ///
     /// The commit is **conditional** (optimistic concurrency): the re-coded
     /// payload is only valid for the version that was read, so if a client
@@ -739,29 +542,50 @@ impl Engine {
         new_placement: &Placement,
     ) -> Result<ObjectMeta> {
         let old_meta = self.read_metadata(key)?;
-        if old_meta.striping.is_striped() {
-            // Striped objects migrate stripe by stripe (O(stripe) resident,
-            // never the whole object) through the streaming module, sharing
-            // the conditional commit below.
-            return self.replace_placement_striped(key, new_placement, old_meta);
-        }
-        let data = self.fetch_and_reassemble(&old_meta)?;
-
         let version = self.infra.next_version(&key.row_key());
-        let skey = StripingMeta::storage_key(key, version);
+        let base_skey = StripingMeta::storage_key(key, version);
+        let config = HedgeConfig::default();
+        let params = new_placement.erasure_params();
+
         // Chunk uploads happen outside the commit lock (they may be slow).
         // No re-placement on failure here: the caller chose this placement
         // deliberately; a failed provider just fails the migration (the
         // optimiser retries the object next cycle), and chunk_io has
-        // already rolled back the partial upload.
-        let striping = chunk_io::write_chunks(&self.infra, new_placement, &skey, &data)
-            .map_err(ScaliaError::from)?;
+        // already rolled back the failed stripe's partial upload.
+        let mut stripes: Vec<StripeMeta> = Vec::with_capacity(old_meta.striping.stripe_count());
+        for (i, old_stripe) in old_meta.striping.stripes.iter().enumerate() {
+            let skey = stripe_skey(base_skey.clone(), i);
+            let landed = chunk_io::fetch_stripe(&self.infra, &old_meta, i, &config)
+                .and_then(|plain| encode_object(&plain, params))
+                .and_then(|encoded| {
+                    chunk_io::upload(&self.infra, new_placement, &skey, &encoded, &config, true)
+                        .map_err(ScaliaError::from)
+                });
+            match landed {
+                Ok(chunks) => stripes.push(StripeMeta {
+                    chunks,
+                    m: new_placement.m,
+                    // The plaintext is unchanged (`fetch_stripe` verified it
+                    // against this very checksum).
+                    checksum: old_stripe.checksum.clone(),
+                    skey,
+                }),
+                Err(err) => {
+                    // Roll back the stripes that already landed on the new
+                    // placement; the old version is untouched.
+                    chunk_io::delete_chunks(&self.infra, &stripes);
+                    return Err(err);
+                }
+            }
+        }
 
         let new_meta = ObjectMeta {
             version,
-            written_at: old_meta.written_at,
-            striping,
-            ..old_meta.clone()
+            striping: StripingMeta {
+                stripe_size: old_meta.striping.stripe_size,
+                stripes,
+            },
+            ..old_meta
         };
         self.commit_replacement(key, old_meta.version, &new_meta)?;
         Ok(new_meta)
@@ -772,8 +596,7 @@ impl Engine {
     /// `new_meta` and invalidates the caches atomically, and garbage-collects
     /// the deprecated versions' chunks after release. On conflict or commit
     /// failure the **new** chunks are rolled back and the error surfaced.
-    /// Shared by the single-stripe and striped migration paths.
-    pub(crate) fn commit_replacement(
+    fn commit_replacement(
         &self,
         key: &ObjectKey,
         old_version: ObjectVersionId,
@@ -860,24 +683,18 @@ impl Engine {
 }
 
 /// The block digests `meta` records for its payload, in the cache's terms:
-/// one block per stripe under [`scalia_types::object::StripeMeta::checksum`],
-/// or — for a classic single-stripe object — one block spanning the object
-/// under [`ObjectMeta::checksum`]. `None` when a recorded checksum does not
-/// parse, which leaves the cache to hash the payload itself.
+/// one block per stripe under [`StripeMeta::checksum`]. `None` when a
+/// recorded checksum does not parse, which leaves the cache to hash the
+/// payload itself.
 fn recorded_block_digests(meta: &ObjectMeta) -> Option<BlockDigests> {
-    let (block_len, digests) = match &meta.striping.stripes {
-        Some(map) => (
-            map.stripe_size,
-            map.stripes
-                .iter()
-                .map(|stripe| parse_checksum_hex(&stripe.checksum))
-                .collect::<Option<Vec<u64>>>()?,
-        ),
-        None => (meta.size.bytes(), vec![parse_checksum_hex(&meta.checksum)?]),
-    };
+    let striping = &meta.striping;
     Some(BlockDigests {
-        block_len: usize::try_from(block_len).ok()?,
-        digests,
+        block_len: usize::try_from(striping.stripe_size).ok()?,
+        digests: striping
+            .stripes
+            .iter()
+            .map(|stripe| parse_checksum_hex(&stripe.checksum))
+            .collect::<Option<Vec<u64>>>()?,
     })
 }
 
@@ -925,10 +742,7 @@ mod tests {
         let meta = engine
             .put(&key, payload.clone(), "image/jpeg", rule(), None)
             .unwrap();
-        assert!(
-            meta.striping.chunks.len() >= 2,
-            "lock-in 0.5 needs ≥2 providers"
-        );
+        assert!(meta.striping.n() >= 2, "lock-in 0.5 needs ≥2 providers");
         assert_eq!(meta.size, ByteSize::from_bytes(300_000));
 
         // Any engine (any datacenter) can read it back.
@@ -1087,13 +901,10 @@ mod tests {
         let meta = engine
             .put(&key, payload.clone(), "image/jpeg", rule(), None)
             .unwrap();
-        assert!(
-            meta.striping.chunks.len() as u32 > meta.striping.m,
-            "needs redundancy"
-        );
+        assert!(meta.striping.n() > meta.striping.m(), "needs redundancy");
 
         // Take down one provider that holds a chunk; reads must still work.
-        let victim = meta.striping.chunks[0].provider;
+        let victim = meta.striping.stripe_view(0).chunks[0].provider;
         cluster.infra().set_provider_down(victim, true);
         // Bypass the cache to force a provider read.
         cluster.caches().iter().for_each(|c| c.clear());
@@ -1114,7 +925,7 @@ mod tests {
                 None,
             )
             .unwrap();
-        let victim = meta.striping.chunks[0].provider;
+        let victim = meta.striping.stripe_view(0).chunks[0].provider;
         cluster.infra().set_provider_down(victim, true);
 
         engine.delete(&key).unwrap();
@@ -1148,8 +959,8 @@ mod tests {
             m: 1,
         };
         let new_meta = engine.replace_placement(&key, &new_placement).unwrap();
-        assert_eq!(new_meta.striping.m, 1);
-        assert_eq!(new_meta.striping.chunks.len(), 2);
+        assert_eq!(new_meta.striping.m(), 1);
+        assert_eq!(new_meta.striping.n(), 2);
         cluster.caches().iter().for_each(|c| c.clear());
         assert_eq!(engine.get(&key).unwrap(), payload);
         // Only the two chosen providers hold data now.
@@ -1157,9 +968,8 @@ mod tests {
             let holds = backend.object_count() > 0;
             let chosen = new_meta
                 .striping
-                .chunks
-                .iter()
-                .any(|c| c.provider == backend.descriptor().id);
+                .provider_set()
+                .contains(&backend.descriptor().id);
             assert_eq!(holds, chosen, "provider {}", backend.descriptor().name);
         }
     }

@@ -17,6 +17,7 @@
 use crate::infra::Infrastructure;
 use scalia_providers::backend::ObjectStore;
 use scalia_types::object::ObjectMeta;
+use serde::Deserialize;
 use std::collections::HashSet;
 
 /// Outcome of one [`sweep_orphan_chunks`] pass.
@@ -55,14 +56,10 @@ pub fn sweep_orphan_chunks(infra: &Infrastructure) -> GcReport {
                 continue;
             };
             for cell in cells {
-                let Ok(meta) = serde_json::from_value::<ObjectMeta>(cell.value.clone()) else {
+                let Ok(meta) = ObjectMeta::deserialize(&cell.value) else {
                     continue;
                 };
-                // `all_chunk_keys`, not the top-level chunk list: a striped
-                // object's chunks live under per-stripe storage keys and its
-                // top-level list is empty — enumerating only the latter
-                // would make the sweep eat every striped object.
-                for key in meta.striping.all_chunk_keys() {
+                for (_, key) in meta.striping.all_chunk_refs() {
                     referenced.insert(key);
                 }
             }

@@ -176,11 +176,8 @@ pub struct Infrastructure {
     /// gap. Rotated alongside the read windows so a recovered provider is
     /// forgiven in two periods.
     observed_writes: Mutex<HashMap<ProviderId, DecayingHistogram>>,
-    /// Stripe size of the streaming put pipeline, in bytes.
+    /// Stripe size of the write pipeline, in bytes.
     stripe_size_bytes: AtomicU64,
-    /// Payload size above which `Engine::put` routes through the streaming
-    /// stripe pipeline instead of the classic single-stripe path.
-    streaming_threshold_bytes: AtomicU64,
     /// Per-deployment object-version sequence. Versions are minted from
     /// *this* counter, not the process-global one, so the storage keys a
     /// deployment derives (and therefore its key-salted virtual latencies)
@@ -190,16 +187,12 @@ pub struct Infrastructure {
     version_counter: AtomicU64,
 }
 
-/// Default stripe size of the streaming pipeline: 512 KiB keeps the
-/// pipeline's high-water buffering (one stripe encoding + one stripe of
-/// chunks in flight) comfortably under a few MiB at any realistic `n/m`.
+/// Default stripe size — the one size policy of the write path: an object
+/// up to this size is one erasure group, a larger one a map of them.
+/// 512 KiB keeps the pipeline's high-water buffering (one stripe encoding +
+/// one stripe of chunks in flight) comfortably under a few MiB at any
+/// realistic `n/m`.
 pub const DEFAULT_STRIPE_SIZE_BYTES: u64 = 512 * 1024;
-
-/// Default auto-streaming threshold of `Engine::put`: payloads strictly
-/// larger than this take the staged stripe pipeline; smaller payloads keep
-/// the classic single-stripe layout (bit-identical to the pre-streaming
-/// format).
-pub const DEFAULT_STREAMING_THRESHOLD_BYTES: u64 = 2 * 1024 * 1024;
 
 impl Infrastructure {
     /// Creates the infrastructure for a deployment spanning `datacenters`
@@ -234,7 +227,6 @@ impl Infrastructure {
             observed_reads: Mutex::new(HashMap::new()),
             observed_writes: Mutex::new(HashMap::new()),
             stripe_size_bytes: AtomicU64::new(DEFAULT_STRIPE_SIZE_BYTES),
-            streaming_threshold_bytes: AtomicU64::new(DEFAULT_STREAMING_THRESHOLD_BYTES),
             version_counter: AtomicU64::new(1),
         });
         for descriptor in catalog.all() {
@@ -737,29 +729,17 @@ impl Infrastructure {
         Ok(())
     }
 
-    /// Stripe size of the streaming put pipeline, in bytes.
+    /// Stripe size of the write pipeline, in bytes.
     pub fn stripe_size_bytes(&self) -> u64 {
         self.stripe_size_bytes.load(Ordering::Relaxed).max(1)
     }
 
-    /// Sets the streaming stripe size (tests and benches use small stripes
-    /// to cross stripe boundaries cheaply). Affects only objects written
-    /// after the change; every object's own stripe map is authoritative.
+    /// Sets the stripe size (tests use small stripes to cross stripe
+    /// boundaries cheaply). Affects only objects written after the change;
+    /// every object's own stripe map is authoritative.
     pub fn set_stripe_size_bytes(&self, bytes: u64) {
         self.stripe_size_bytes
             .store(bytes.max(1), Ordering::Relaxed);
-    }
-
-    /// Payload size above which `Engine::put` streams (exclusive).
-    pub fn streaming_threshold_bytes(&self) -> u64 {
-        self.streaming_threshold_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Sets the auto-streaming threshold of `Engine::put`. `u64::MAX`
-    /// disables auto-streaming entirely (multipart stays available).
-    pub fn set_streaming_threshold_bytes(&self, bytes: u64) {
-        self.streaming_threshold_bytes
-            .store(bytes, Ordering::Relaxed);
     }
 
     /// The decision-period controller of an object, created on first use

@@ -44,6 +44,7 @@ use scalia_types::object::{ObjectKey, ObjectMeta};
 use scalia_types::size::ByteSize;
 use scalia_types::stats::DEFAULT_HISTORY_LEN;
 use scalia_types::time::Duration;
+use serde::Deserialize;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -153,9 +154,7 @@ struct MemberDigest {
 ///
 /// `1|rfp0|rfp1|rfp2|rfp3|rfp4|m|size|written_secs|ttl_bits-or-n|p0,p1,…|rule name`
 pub(crate) fn optimizer_digest(meta: &ObjectMeta) -> serde_json::Value {
-    // `provider_set()` is the sorted union across stripes; for classic
-    // single-stripe objects it equals the sorted chunk provider list, so
-    // pre-streaming digests are bit-identical.
+    // The sorted union across stripes.
     let providers: Vec<u32> = meta.striping.provider_set().iter().map(|p| p.0).collect();
     let rfp = GroupKey::rule_fingerprint(&meta.rule);
     let providers = providers
@@ -174,7 +173,7 @@ pub(crate) fn optimizer_digest(meta: &ObjectMeta) -> serde_json::Value {
         rfp[2],
         rfp[3],
         rfp[4],
-        meta.striping.m,
+        meta.striping.m(),
         meta.size.bytes(),
         meta.written_at.secs(),
         meta.rule.name,
@@ -226,22 +225,32 @@ impl MemberDigest {
     /// the digest column existed), keeping the deserialised metadata for
     /// the gate.
     fn from_meta(row_key: String, meta: ObjectMeta) -> MemberDigest {
-        // `provider_set()` (sorted union across stripes) so striped objects
-        // synthesise a non-empty placement; classic single-stripe objects
-        // yield the same sorted provider list as before.
         let providers: Vec<u32> = meta.striping.provider_set().iter().map(|p| p.0).collect();
         MemberDigest {
             row_key,
             rule_name: meta.rule.name.clone(),
             rule_fingerprint: GroupKey::rule_fingerprint(&meta.rule),
             size: meta.size,
-            m: meta.striping.m,
+            m: meta.striping.m(),
             providers,
             written_at: meta.written_at,
             ttl_hint_hours: meta.ttl_hint_hours,
             meta: Some(meta),
         }
     }
+}
+
+/// The current metadata of the object at `row_key`, decoded straight out of
+/// the stored cell (no copy of the value tree); `None` when the object is
+/// gone or its metadata does not parse.
+fn load_meta(engine: &Engine, row_key: &str) -> Option<ObjectMeta> {
+    engine
+        .infra()
+        .database()
+        .with_latest(engine.datacenter(), row_key, "meta", |cell| {
+            ObjectMeta::deserialize(&cell.value).ok()
+        })
+        .flatten()
 }
 
 /// The periodic optimiser.
@@ -514,14 +523,7 @@ impl PeriodicOptimizer {
             let digest = match digest {
                 Some(digest) => digest,
                 None => {
-                    let Some(cell) =
-                        infra
-                            .database()
-                            .get_latest(engine.datacenter(), &row_key, "meta")
-                    else {
-                        continue;
-                    };
-                    let Ok(meta) = serde_json::from_value::<ObjectMeta>(cell.value) else {
+                    let Some(meta) = load_meta(engine, &row_key) else {
                         continue;
                     };
                     MemberDigest::from_meta(row_key, meta)
@@ -621,11 +623,7 @@ impl PeriodicOptimizer {
         // fingerprint). The fallback path has it in hand already.
         let Some(rule) = members.iter().find_map(|member| match &member.meta {
             Some(meta) => Some(meta.rule.clone()),
-            None => infra
-                .database()
-                .get_latest(engine.datacenter(), &member.row_key, "meta")
-                .and_then(|cell| serde_json::from_value::<ObjectMeta>(cell.value).ok())
-                .map(|meta| meta.rule),
+            None => load_meta(engine, &member.row_key).map(|meta| meta.rule),
         }) else {
             return (partial, candidates); // Every member vanished mid-cycle.
         };
@@ -706,15 +704,8 @@ impl PeriodicOptimizer {
             let meta = match member.meta {
                 Some(meta) => meta,
                 None => {
-                    let Some(cell) =
-                        infra
-                            .database()
-                            .get_latest(engine.datacenter(), &member.row_key, "meta")
-                    else {
+                    let Some(meta) = load_meta(engine, &member.row_key) else {
                         continue; // Deleted mid-cycle.
-                    };
-                    let Ok(meta) = serde_json::from_value::<ObjectMeta>(cell.value) else {
-                        continue;
                     };
                     meta
                 }
@@ -731,10 +722,8 @@ impl PeriodicOptimizer {
             };
             partial.placements_recomputed += 1;
 
-            // `provider_set()` so striped objects price their real current
-            // footprint (the top-level chunk list is empty for them); for
-            // classic objects the sorted set is the same provider multiset
-            // and `MigrationPlan::changes_placement` compares sets anyway.
+            // The union across stripes (`MigrationPlan::changes_placement`
+            // compares sets).
             let current_providers: Vec<_> = meta
                 .striping
                 .provider_set()
@@ -743,14 +732,14 @@ impl PeriodicOptimizer {
                 .collect();
             let current = Placement {
                 providers: current_providers.clone(),
-                m: meta.striping.m,
+                m: meta.striping.m(),
             };
             // Priced with the rule's latency weight so the migration gate
             // compares like with like: the candidate's cost already includes
             // the latency penalty (billing itself never does).
             let current_cost = compute_price_weighted(
                 &current_providers,
-                meta.striping.m,
+                meta.striping.m(),
                 &member_usage,
                 rule.latency_weight,
             );
@@ -840,14 +829,8 @@ impl PeriodicOptimizer {
     ) -> ObjectOutcome {
         let mut outcome = ObjectOutcome::default();
         let stats = infra.statistics(engine.datacenter());
-        let Some(cell) = infra
-            .database()
-            .get_latest(engine.datacenter(), row_key, "meta")
-        else {
+        let Some(meta) = load_meta(engine, row_key) else {
             return outcome; // Object deleted since it was accessed.
-        };
-        let Ok(meta) = serde_json::from_value::<ObjectMeta>(cell.value) else {
-            return outcome;
         };
         let class = ObjectClass::of(&meta.mime, meta.size);
 
@@ -890,9 +873,7 @@ impl PeriodicOptimizer {
         };
         outcome.recomputed = true;
 
-        // Current placement and its expected cost over the same window —
-        // via `provider_set()` so striped objects (empty top-level chunk
-        // list) price their real footprint.
+        // Current placement and its expected cost over the same window.
         let current_providers: Vec<_> = meta
             .striping
             .provider_set()
@@ -901,14 +882,14 @@ impl PeriodicOptimizer {
             .collect();
         let current = Placement {
             providers: current_providers.clone(),
-            m: meta.striping.m,
+            m: meta.striping.m(),
         };
         // Priced with the rule's latency weight so the migration gate
         // compares like with like: the candidate's expected_cost already
         // includes the latency penalty (billing itself never does).
         let current_cost = compute_price_weighted(
             &current_providers,
-            meta.striping.m,
+            meta.striping.m(),
             &usage,
             meta.rule.latency_weight,
         );
@@ -1200,14 +1181,10 @@ mod tests {
         let after = cluster.engine(0).read_metadata(&key).unwrap();
         if report.migrations_executed > 0 {
             assert!(
-                !after
-                    .striping
-                    .providers()
-                    .iter()
-                    .eq(before.striping.providers().iter())
-                    || after.striping.m != before.striping.m
+                after.striping.provider_set() != before.striping.provider_set()
+                    || after.striping.m() != before.striping.m()
             );
-            assert_eq!(after.striping.m, 1, "hot object should be mirrored");
+            assert_eq!(after.striping.m(), 1, "hot object should be mirrored");
         }
         // Whatever happened, the object must still be readable and intact.
         cluster.caches().iter().for_each(|c| c.clear());
@@ -1254,7 +1231,7 @@ mod tests {
         let meta = cluster.engine(0).read_metadata(&key).unwrap();
         let names: Vec<String> = meta
             .striping
-            .providers()
+            .provider_set()
             .iter()
             .filter_map(|id| cluster.infra().catalog().get(*id))
             .map(|d| d.name)

@@ -53,6 +53,7 @@ use scalia_types::ids::ProviderId;
 use scalia_types::money::Money;
 use scalia_types::object::{ObjectKey, ObjectMeta};
 use scalia_types::time::SimTime;
+use serde::Deserialize;
 use serde_json::{json, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -263,35 +264,26 @@ pub fn queue_entries(infra: &Infrastructure) -> Result<Vec<(String, RepairQueueE
         .collect())
 }
 
-/// Reachability and worst-case availability of a (possibly striped)
-/// striping. Each stripe of a striped object is its own `m`-of-`n` code
-/// group, so the object's durability is its *worst* stripe's — one degraded
-/// stripe degrades the whole object. Returns whether every chunk of every
-/// stripe sits on a catalog-available provider, plus the minimum achieved
-/// availability probability across stripes (a single-stripe object is its
-/// own one view).
+/// Reachability and worst-case availability of a striping. Each stripe is
+/// its own `m`-of-`n` code group, so the object's durability is its *worst*
+/// stripe's — one degraded stripe degrades the whole object. Returns whether
+/// every chunk of every stripe sits on a catalog-available provider, plus
+/// the minimum achieved availability probability across stripes.
 fn striping_health(
     catalog: &scalia_providers::catalog::ProviderCatalog,
     striping: &scalia_types::object::StripingMeta,
 ) -> (bool, f64) {
-    let views: Vec<scalia_types::object::StripingMeta> = if striping.is_striped() {
-        (0..striping.stripe_count())
-            .map(|i| striping.stripe_view(i))
-            .collect()
-    } else {
-        vec![striping.clone()]
-    };
     let mut all_reachable = true;
     let mut worst = f64::INFINITY;
-    for view in &views {
-        let reachable: Vec<_> = view
+    for stripe in &striping.stripes {
+        let reachable: Vec<_> = stripe
             .chunks
             .iter()
             .filter(|c| catalog.is_available(c.provider))
             .filter_map(|c| catalog.get(c.provider))
             .collect();
-        all_reachable &= reachable.len() == view.chunks.len();
-        worst = worst.min(get_availability(&reachable, view.m).probability());
+        all_reachable &= reachable.len() == stripe.chunks.len();
+        worst = worst.min(get_availability(&reachable, stripe.m).probability());
     }
     (all_reachable, worst)
 }
@@ -451,11 +443,8 @@ pub fn repair_provider(
         .filter_map(|(_, row)| {
             row.get("meta")
                 .and_then(|cells| cells.last())
-                .and_then(|cell| serde_json::from_value::<ObjectMeta>(cell.value.clone()).ok())
+                .and_then(|cell| ObjectMeta::deserialize(&cell.value).ok())
         })
-        // `provider_set()`, not the top-level chunk list: a striped object
-        // references its providers per stripe, and an outage scan that only
-        // looked at the (empty) top-level list would never repair one.
         .filter(|meta| meta.striping.provider_set().contains(&failed_provider))
         .collect();
 
@@ -514,7 +503,7 @@ mod tests {
         // Fail a provider that actually holds chunks.
         let victim = {
             let meta = engine.read_metadata(&keys[0]).unwrap();
-            meta.striping.chunks[0].provider
+            meta.striping.stripe_view(0).chunks[0].provider
         };
         infra.set_provider_down(victim, true);
 
@@ -531,7 +520,7 @@ mod tests {
         cluster.caches().iter().for_each(|c| c.clear());
         for key in &keys {
             let meta = engine.read_metadata(key).unwrap();
-            assert!(meta.striping.chunks.iter().all(|c| c.provider != victim));
+            assert!(!meta.striping.provider_set().contains(&victim));
             assert_eq!(cluster.get(key).unwrap().len(), 500_000);
         }
     }
@@ -559,7 +548,13 @@ mod tests {
                 .put(key, vec![9u8; 300_000], "application/x-tar", rule(), None)
                 .unwrap();
         }
-        let victim = engine.read_metadata(&keys[0]).unwrap().striping.chunks[0].provider;
+        let victim = engine
+            .read_metadata(&keys[0])
+            .unwrap()
+            .striping
+            .stripe_view(0)
+            .chunks[0]
+            .provider;
 
         // Down during [60, 61) and again during [61, 62): the flap spans the
         // hour-60→61 sampling-period boundary exactly.
@@ -607,9 +602,45 @@ mod tests {
         cluster.caches().iter().for_each(|c| c.clear());
         for key in &keys {
             let meta = engine.read_metadata(key).unwrap();
-            assert!(meta.striping.chunks.iter().all(|c| c.provider != victim));
+            assert!(!meta.striping.provider_set().contains(&victim));
             assert_eq!(cluster.get(key).unwrap().len(), 300_000);
         }
+    }
+
+    #[test]
+    fn healthy_entries_resolve_without_data_movement() {
+        let cluster = ScaliaCluster::builder().build();
+        let engine = cluster.engine(0).clone();
+        let infra = cluster.infra().clone();
+        let keys: Vec<ObjectKey> = (0..4)
+            .map(|i| ObjectKey::new("healthy", format!("obj{i}.bin")))
+            .collect();
+        for key in &keys {
+            cluster
+                .put(key, vec![3u8; 20_000], "application/x-tar", rule(), None)
+                .unwrap();
+            enqueue(&infra, key, "provider-outage").unwrap();
+        }
+        let versions = |engine: &Engine| -> Vec<_> {
+            let metas = keys.iter().map(|k| engine.read_metadata(k).unwrap());
+            metas.map(|meta| meta.version).collect()
+        };
+        let before = versions(&engine);
+
+        // Every holder is reachable and no object owes a backfill: the whole
+        // backlog resolves on the metadata scan alone.
+        let report = drain_repair_queue(
+            &engine,
+            &infra,
+            &PlacementEngine::new(),
+            &MigrationBudget::UNLIMITED,
+            infra.now(),
+        )
+        .unwrap();
+        assert_eq!(report.resolved, keys.len(), "healthy entries all resolve");
+        assert_eq!((report.attempted, report.bytes_moved), (0, 0));
+        assert!(queue_entries(&infra).unwrap().is_empty());
+        assert_eq!(versions(&engine), before, "nothing was re-encoded");
     }
 
     #[test]
@@ -627,7 +658,7 @@ mod tests {
             .catalog()
             .all()
             .into_iter()
-            .find(|p| !meta.striping.chunks.iter().any(|c| c.provider == p.id))
+            .find(|p| !meta.striping.provider_set().contains(&p.id))
             .map(|p| p.id);
         if let Some(unused) = unused {
             infra.set_provider_down(unused, true);
@@ -651,7 +682,7 @@ mod tests {
         // Take down every provider but one chunk holder: no feasible
         // replacement placement exists (and the object cannot even be
         // re-read at threshold), so every repair attempt fails.
-        let holders: Vec<ProviderId> = meta.striping.providers();
+        let holders: Vec<ProviderId> = meta.striping.stripe_view(0).providers();
         for p in infra.catalog().all() {
             if p.id != holders[1] {
                 infra.set_provider_down(p.id, true);
@@ -731,7 +762,7 @@ mod tests {
 
         // Same incident as the dead-letter test: every provider but one
         // chunk holder down, so repairs fail until the attempt cap.
-        let holders: Vec<ProviderId> = meta.striping.providers();
+        let holders: Vec<ProviderId> = meta.striping.stripe_view(0).providers();
         for p in infra.catalog().all() {
             if p.id != holders[1] {
                 infra.set_provider_down(p.id, true);
@@ -790,7 +821,7 @@ mod tests {
         assert_eq!(report.dead_lettered, 0);
         assert!(queue_entries(&infra).unwrap().is_empty(), "entry settled");
         let repaired = engine.read_metadata(&key).unwrap();
-        assert!(!repaired.striping.providers().contains(&holders[0]));
+        assert!(!repaired.striping.provider_set().contains(&holders[0]));
         assert_eq!(engine.get(&key).unwrap().len(), 150_000);
     }
 
@@ -808,11 +839,17 @@ mod tests {
                 .put(key, vec![5u8; 400_000], "application/x-tar", rule(), None)
                 .unwrap();
         }
-        let victim = engine.read_metadata(&keys[0]).unwrap().striping.chunks[0].provider;
+        let victim = engine
+            .read_metadata(&keys[0])
+            .unwrap()
+            .striping
+            .stripe_view(0)
+            .chunks[0]
+            .provider;
         infra.set_provider_down(victim, true);
         for key in &keys {
             let meta = engine.read_metadata(key).unwrap();
-            if meta.striping.chunks.iter().any(|c| c.provider == victim) {
+            if meta.striping.provider_set().contains(&victim) {
                 enqueue(&infra, key, "provider-outage").unwrap();
             }
         }

@@ -1,21 +1,22 @@
-//! The staged stripe pipeline: streaming writes, range reads and the
-//! multipart/append API.
+//! The write path — every object, one stripe at a time — with its
+//! multipart/append face, and range reads.
 //!
-//! A classic [`Engine::put`] holds the whole payload (and its full encoded
-//! footprint) resident while the chunks fan out — fine for photos, hopeless
-//! for backups. This module restructures the large-object data path around
-//! fixed-size **stripes** ([`crate::infra::Infrastructure::stripe_size_bytes`]):
+//! Every object is a map of ≥ 1 fixed-size **stripes**
+//! ([`crate::infra::Infrastructure::stripe_size_bytes`], 512 KiB by default;
+//! an empty object is one empty stripe), each erasure-coded, placed, landed,
+//! verified and repaired on its own. The stripe boundary is the only size
+//! policy: an object no larger than one stripe is exactly the paper's
+//! Fig. 11 record, anything larger is several of them.
 //!
-//! * **Streaming put** — [`Engine::put`] auto-routes payloads above the
-//!   threshold ([`crate::infra::Infrastructure::streaming_threshold_bytes`])
-//!   through a [`MultipartUpload`] that feeds one stripe at a time. The
-//!   pipeline is staged: stripe `k + 1` is *encoded* while stripe `k`'s
-//!   chunks are *in flight* ([`rayon::join`] overlaps the CPU-bound encode
-//!   with the provider-bound upload), so peak transient buffering is
-//!   O(stripe), never O(object). Each stripe's content checksum and the
-//!   streaming whole-object checksum ([`scalia_types::checksum`]) are both
-//!   taken at the seal, while the stripe's bytes are in cache for the
-//!   encode — the full payload is never resident in this module.
+//! * **Put** — [`Engine::put`] is `begin_put_with_hint` → seal each stripe
+//!   straight from the caller's payload → `complete_put`. The pipeline is
+//!   staged: stripe `k + 1` is *encoded* while stripe `k`'s chunks are *in
+//!   flight* ([`rayon::join`] overlaps the CPU-bound encode with the
+//!   provider-bound upload), so peak transient buffering is O(stripe),
+//!   never O(object). Each stripe's content checksum and the streaming
+//!   whole-object checksum ([`scalia_types::checksum`]) are both taken at
+//!   the seal, while the stripe's bytes are in cache for the encode; a
+//!   one-stripe object's checksum *is* its stripe's and is taken once.
 //! * **Multipart / append** — [`Engine::begin_put`], [`MultipartUpload::put_part`]
 //!   and [`MultipartUpload::complete_put`] expose the same pipeline to
 //!   callers that produce data incrementally. Parts may be any size; stripes
@@ -27,31 +28,34 @@
 //!   stripe chunks for [`crate::gc::sweep_orphan_chunks`].
 //! * **Range reads** — [`Engine::get_range`] serves `[offset, offset+len)`
 //!   by fetching only the covering stripes (each still a hedged
-//!   `m`-of-`n` race over the cheapest providers), via
-//!   [`crate::chunk_io::fetch_range`].
+//!   `m`-of-`n` race), via [`crate::chunk_io::fetch_range`].
 //!
 //! # Per-stripe durability semantics
 //!
-//! Every stripe lands with the same machinery as a classic put: parallel
-//! upload with abort-on-first-failure and rollback, bounded re-placement
-//! (capped by [`crate::engine::WRITE_ATTEMPTS`]) excluding the failed
-//! provider, and — once re-placement is exhausted — a *degraded* tolerant
-//! landing accepted iff `k ≥ m` chunks survive **and** the surviving
-//! providers still clear the rule's availability floor. Degraded stripes
-//! accumulate into one durability debt recorded (with its repair-queue
-//! entry) atomically with the commit, exactly like a degraded classic put;
-//! the repair path migrates striped objects stripe by stripe and its
-//! full-width commit settles the debt.
+//! A stripe lands through one ladder (`land_stripe`): fanned-out upload
+//! with abort-on-first-failure and rollback, bounded re-placement (capped
+//! by [`crate::engine::WRITE_ATTEMPTS`]) excluding the failed provider,
+//! and — once re-placement is exhausted — a *degraded* tolerant landing
+//! accepted iff `k ≥ m` chunks survive **and** the surviving providers
+//! still clear the rule's availability floor. Degraded stripes accumulate
+//! into one durability debt recorded (with its repair-queue entry)
+//! atomically with the commit; the repair path migrates objects stripe by
+//! stripe and its full-width commit settles the debt. A put that cannot
+//! land a stripe rolls back every stripe that already did.
 //!
-//! # Stripe chunk keys
+//! # Chunk keys
 //!
-//! Each landing *attempt* of each stripe uses a fresh storage key
-//! (`{base}.s{i}` nominally, `{base}.s{i}.r{attempt}` on retries): a failed
-//! attempt's rollback may have postponed a chunk delete on a provider that
-//! flapped down mid-rollback, and that delete fires unconditionally on
-//! recovery — a retry reusing the same keys could land a committed chunk
-//! exactly where the pending delete will strike. The committed key is
-//! recorded per stripe in [`StripeMeta::skey`].
+//! A put draws its version — the paper's UUID — when it begins, and stripe
+//! 0 stores under the object's own storage key `skey`
+//! ([`StripingMeta::storage_key`]: chunk `j` at `{skey}.{j}`, the paper's
+//! key), stripe `i ≥ 1` under `{skey}.s{i}`. A landing **retry never reuses
+//! a key**: a failed attempt's rollback may have postponed a chunk delete on
+//! a provider that flapped down mid-rollback, and that delete fires
+//! unconditionally on recovery — a retry under the same keys could land a
+//! committed chunk exactly where the pending delete will strike. Every
+//! retry of any stripe therefore draws a fresh version and derives its key
+//! from that; the key a stripe finally landed under is recorded in
+//! [`StripeMeta::skey`].
 
 use crate::chunk_io::{self, HedgeConfig};
 use crate::engine::{Engine, WRITE_ATTEMPTS};
@@ -66,7 +70,7 @@ use scalia_types::checksum::{checksum_hex, Xxh64};
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::ProviderId;
 use scalia_types::object::{
-    ObjectKey, ObjectMeta, ObjectVersionId, StripeMap, StripeMeta, StripingMeta,
+    ChunkLocation, ObjectKey, ObjectMeta, ObjectVersionId, StripeMeta, StripingMeta,
 };
 use scalia_types::rules::StorageRule;
 use scalia_types::size::ByteSize;
@@ -89,20 +93,29 @@ struct EncodedStripe {
     placement: Placement,
     /// The encoded chunks.
     encoded: EncodedObject,
-    /// Plaintext length of the stripe.
-    len: u64,
     /// Content checksum of the stripe plaintext (verified on every read).
     checksum: String,
 }
 
-/// The storage key of one landing attempt of one stripe: nominally
-/// `{base}.s{index}`, salted `.r{attempt}` on retries (see the module docs
-/// on why reusing keys across attempts is unsafe).
-fn stripe_skey(base: &str, index: usize, attempt: usize) -> String {
-    if attempt == 0 {
-        format!("{base}.s{index}")
+impl EncodedStripe {
+    /// The committed record of this stripe, landed at `chunks` under `skey`.
+    fn landed(self, chunks: Vec<ChunkLocation>, skey: String) -> StripeMeta {
+        StripeMeta {
+            chunks,
+            m: self.placement.m,
+            checksum: self.checksum,
+            skey,
+        }
+    }
+}
+
+/// The storage key of stripe `index` of the version whose storage key is
+/// `skey` (see "Chunk keys" in the module docs).
+pub(crate) fn stripe_skey(skey: String, index: usize) -> String {
+    if index == 0 {
+        skey
     } else {
-        format!("{base}.s{index}.r{attempt}")
+        format!("{skey}.s{index}")
     }
 }
 
@@ -113,7 +126,7 @@ fn is_injected_crash(err: &ScaliaError) -> bool {
     matches!(err, ScaliaError::Internal(msg) if msg.starts_with("crash injected"))
 }
 
-/// An in-progress streaming upload (see the module docs).
+/// An in-progress upload (see the module docs).
 ///
 /// Obtain one with [`Engine::begin_put`], feed it with
 /// [`MultipartUpload::put_part`] and finish with
@@ -133,13 +146,14 @@ pub struct MultipartUpload<E: Borrow<Engine> = Arc<Engine>> {
     mime: String,
     rule: StorageRule,
     ttl_hint_hours: Option<f64>,
-    /// Class and usage fixed at `begin_put` (from the size hint when given):
-    /// every stripe prices its placement identically.
+    /// Size, class and usage fixed at `begin_put` (from the size hint when
+    /// given): every stripe prices its placement identically.
+    hint: ByteSize,
     class: ObjectClass,
     usage: PredictedUsage,
-    /// Version allocated up front; all stripe keys derive from it.
+    /// Version allocated up front; every first landing attempt derives its
+    /// stripe key from it.
     version: ObjectVersionId,
-    base_skey: String,
     stripe_size: usize,
     /// Plaintext bytes not yet sealed into a stripe (< `stripe_size`
     /// between calls).
@@ -149,15 +163,8 @@ pub struct MultipartUpload<E: Borrow<Engine> = Arc<Engine>> {
     total_len: u64,
     /// Stripes already landed at providers, in index order.
     stripes: Vec<StripeMeta>,
-    /// The placement the previous stripe sealed with — the fallback when the
-    /// placement search turns infeasible mid-stream (e.g. the failure
-    /// detector dropped a provider after earlier stripes landed degraded):
-    /// like the classic degraded write, later stripes keep targeting the
-    /// original set and let the tolerant landing decide.
-    last_placement: Option<Placement>,
     /// The encoded stripe whose upload overlaps the next seal.
     in_hand: Option<EncodedStripe>,
-    sealed: usize,
     /// Chunks landed / wanted across all stripes; a shortfall becomes one
     /// durability debt at commit.
     have_total: u64,
@@ -219,30 +226,27 @@ impl Engine {
         size_hint: Option<ByteSize>,
     ) -> MultipartUpload<E> {
         let this = engine.borrow();
-        let stripe_size = this.infra().stripe_size_bytes().max(1) as usize;
+        let stripe_size = this.infra().stripe_size_bytes() as usize;
         let hint = size_hint.unwrap_or(ByteSize::from_bytes(stripe_size as u64));
         let class = ObjectClass::of(mime, hint);
         let usage = this.predict_usage(&class, hint, ttl_hint_hours);
         let version = this.infra().next_version(&key.row_key());
-        let base_skey = StripingMeta::storage_key(key, version);
         MultipartUpload {
             engine,
             key: key.clone(),
             mime: mime.to_string(),
             rule,
             ttl_hint_hours,
+            hint,
             class,
             usage,
             version,
-            base_skey,
             stripe_size,
             buffer: Vec::new(),
             object_checksum: Xxh64::new(),
             total_len: 0,
             stripes: Vec::new(),
-            last_placement: None,
             in_hand: None,
-            sealed: 0,
             have_total: 0,
             want_total: 0,
             peak_buffer_bytes: 0,
@@ -250,44 +254,8 @@ impl Engine {
         }
     }
 
-    /// The streaming write path [`Engine::put`] routes large payloads
-    /// through: feeds the payload stripe by stripe into a multipart upload,
-    /// so the *pipeline's* transient buffering (plaintext + encoded) stays
-    /// O(stripe) regardless of object size. The committed metadata carries
-    /// the full stripe map; the object checksum equals the classic path's
-    /// whole-payload checksum.
-    pub(crate) fn put_streaming(
-        &self,
-        key: &ObjectKey,
-        data: Bytes,
-        mime: &str,
-        rule: StorageRule,
-        ttl_hint_hours: Option<f64>,
-    ) -> Result<ObjectMeta> {
-        let size_hint = ByteSize::from_bytes(data.len() as u64);
-        let mut upload = self.begin_put_with_hint(key, mime, rule, ttl_hint_hours, Some(size_hint));
-        let step = upload.stripe_size();
-        let mut offset = 0usize;
-        while offset < data.len() {
-            let end = (offset + step).min(data.len());
-            if let Err(err) = upload.put_part(&data[offset..end]) {
-                // Mirror the classic path's failed-put cleanup — except for
-                // injected crashes, whose debris must stay for the GC sweep
-                // exactly as a real crash would leave it.
-                if !is_injected_crash(&err) {
-                    upload.abort_put();
-                }
-                return Err(err);
-            }
-            offset = end;
-        }
-        upload.complete_put()
-    }
-
     /// Reads the byte range `[offset, offset + len)` of an object, fetching
-    /// only what the range needs: the covering stripes of a striped object
-    /// (each a hedged `m`-of-`n` race), or the single chunk set — decoded
-    /// through the systematic range fast path — of a classic one. The
+    /// only the stripes that cover it (each a hedged `m`-of-`n` race). The
     /// result equals `get(key)[offset..offset+len]` clamped to the object's
     /// end; an empty or past-EOF range yields empty bytes. A cached object
     /// is sliced in memory without provider traffic, after re-verifying the
@@ -331,84 +299,6 @@ impl Engine {
         }
         Err(last_err)
     }
-
-    /// Migrates a striped object to `new_placement` stripe by stripe: each
-    /// stripe is fetched (hedged), re-encoded for the new placement and
-    /// uploaded under fresh per-stripe keys, keeping the resident working
-    /// set O(stripe). The commit is the same conditional (version-validated)
-    /// commit as a classic migration — and, being full-width, settles any
-    /// degraded-write debt atomically.
-    pub(crate) fn replace_placement_striped(
-        &self,
-        key: &ObjectKey,
-        new_placement: &Placement,
-        old_meta: ObjectMeta,
-    ) -> Result<ObjectMeta> {
-        let map =
-            old_meta.striping.stripes.as_ref().ok_or_else(|| {
-                ScaliaError::Internal("striped migration of unstriped object".into())
-            })?;
-        let version = self.infra().next_version(&key.row_key());
-        let base_skey = StripingMeta::storage_key(key, version);
-        let config = HedgeConfig::default();
-        let params = new_placement.erasure_params();
-
-        let mut new_stripes: Vec<StripeMeta> = Vec::with_capacity(map.stripes.len());
-        let mut land_err: Option<ScaliaError> = None;
-        for (i, old_stripe) in map.stripes.iter().enumerate() {
-            let landed = chunk_io::fetch_stripe(self.infra(), &old_meta.striping, i, &config)
-                .and_then(|plain| {
-                    let encoded = encode_object(&plain, params)?;
-                    let skey = stripe_skey(&base_skey, i, 0);
-                    let striping = chunk_io::upload_encoded(
-                        self.infra(),
-                        new_placement,
-                        &skey,
-                        &encoded,
-                        &config,
-                    )
-                    .map_err(ScaliaError::from)?;
-                    Ok(StripeMeta {
-                        chunks: striping.chunks,
-                        m: striping.m,
-                        len: old_stripe.len,
-                        // The plaintext is unchanged (fetch_stripe verified
-                        // it against this very digest).
-                        checksum: old_stripe.checksum.clone(),
-                        skey,
-                    })
-                });
-            match landed {
-                Ok(stripe) => new_stripes.push(stripe),
-                Err(err) => {
-                    land_err = Some(err);
-                    break;
-                }
-            }
-        }
-        let striping = StripingMeta::striped(
-            base_skey,
-            new_placement.m,
-            StripeMap {
-                stripe_size: map.stripe_size,
-                stripes: new_stripes,
-            },
-        );
-        if let Some(err) = land_err {
-            // Roll back the stripes that already landed on the new
-            // placement; the old version is untouched.
-            chunk_io::delete_chunks(self.infra(), &striping);
-            return Err(err);
-        }
-        let new_meta = ObjectMeta {
-            version,
-            written_at: old_meta.written_at,
-            striping,
-            ..old_meta.clone()
-        };
-        self.commit_replacement(key, old_meta.version, &new_meta)?;
-        Ok(new_meta)
-    }
 }
 
 impl<E: Borrow<Engine>> MultipartUpload<E> {
@@ -430,7 +320,7 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
 
     /// High-water mark of the pipeline's transient buffering: unsealed
     /// plaintext + the held encoded stripe + the seal in progress. O(stripe)
-    /// by construction — the streaming bench asserts it.
+    /// by construction.
     pub fn peak_buffer_bytes(&self) -> usize {
         self.peak_buffer_bytes
     }
@@ -439,30 +329,31 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
     /// accumulated the stripe seals: its plaintext leaves the buffer, is
     /// encoded, and the *previously* encoded stripe's chunks are uploaded
     /// concurrently with the encode (the staged pipeline). An error means
-    /// the upload is failed — [`MultipartUpload::complete_put`] will refuse;
-    /// call [`MultipartUpload::abort_put`] to reclaim landed chunks (or
-    /// drop the upload and let the GC sweep collect them).
+    /// the upload is failed — [`MultipartUpload::complete_put`] will refuse
+    /// — and every stripe that had landed has been rolled back.
     pub fn put_part(&mut self, part: &[u8]) -> Result<()> {
-        if self.failed {
-            return Err(ScaliaError::Internal(
-                "multipart upload already failed".into(),
-            ));
-        }
-        let result = self.absorb(part);
-        self.failed |= result.is_err();
-        result
+        self.feed(part, false)
     }
 
-    /// [`MultipartUpload::put_part`] proper: seals every stripe `part`
-    /// completes and buffers what is left over.
-    fn absorb(&mut self, mut part: &[u8]) -> Result<()> {
+    /// Feeds `part` to the pipeline. With `last`, `part` ends the object and
+    /// its tail seals straight from the caller's bytes instead of waiting in
+    /// the buffer for [`MultipartUpload::complete_put`] — how
+    /// [`Engine::put`], which has the whole payload in hand, feeds it.
+    pub(crate) fn feed(&mut self, part: &[u8], last: bool) -> Result<()> {
+        self.check_live()?;
+        self.absorb(part, last).map_err(|err| self.fail(err))
+    }
+
+    /// [`MultipartUpload::feed`] proper: seals every stripe `part` completes
+    /// and buffers what is left over.
+    fn absorb(&mut self, mut part: &[u8], last: bool) -> Result<()> {
         self.total_len += part.len() as u64;
         while !part.is_empty() {
-            if self.buffer.is_empty() && part.len() >= self.stripe_size {
-                // A whole stripe lies contiguous in the caller's part: seal
+            if self.buffer.is_empty() && (last || part.len() >= self.stripe_size) {
+                // The stripe lies contiguous in the caller's part: seal
                 // straight from it, no copy into the buffer.
-                let (stripe, rest) = part.split_at(self.stripe_size);
-                self.seal_stripe(stripe)?;
+                let (stripe, rest) = part.split_at(part.len().min(self.stripe_size));
+                self.seal_stripe(stripe, last && rest.is_empty())?;
                 part = rest;
                 continue;
             }
@@ -472,7 +363,7 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
             self.note_buffered(0);
             if self.buffer.len() == self.stripe_size {
                 let stripe = std::mem::take(&mut self.buffer);
-                self.seal_stripe(&stripe)?;
+                self.seal_stripe(&stripe, false)?;
                 // Keep the allocation for the next stripe's parts.
                 self.buffer = stripe;
                 self.buffer.clear();
@@ -482,117 +373,151 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
     }
 
     /// Lands the tail, commits the assembled stripe map in one metastore
-    /// transaction and returns the new metadata. An upload whose payload
-    /// never filled a single stripe falls back to the classic single-stripe
-    /// path — its on-provider layout is bit-identical to a plain
-    /// [`Engine::put`] of the same bytes.
+    /// transaction and returns the new metadata. An upload that cannot land
+    /// its tail rolls back every stripe that already landed.
     pub fn complete_put(mut self) -> Result<ObjectMeta> {
-        if self.failed {
-            return Err(ScaliaError::Internal(
-                "multipart upload already failed".into(),
-            ));
+        self.check_live()?;
+        if let Err(err) = self.land_tail() {
+            return Err(self.fail(err));
         }
-        if self.stripes.is_empty() && self.in_hand.is_none() {
-            // Everything fits one classic stripe and nothing has been
-            // uploaded yet: delegate wholesale. `put_single`, not `put` —
-            // re-routing could recurse when stripe size > threshold.
-            let data = Bytes::from(std::mem::take(&mut self.buffer));
-            return self.engine().put_single(
-                &self.key,
-                data,
-                &self.mime,
-                self.rule.clone(),
-                self.ttl_hint_hours,
-            );
-        }
+        let MultipartUpload {
+            engine,
+            key,
+            mime,
+            rule,
+            ttl_hint_hours,
+            hint,
+            class,
+            version,
+            stripe_size,
+            object_checksum,
+            total_len,
+            stripes,
+            have_total,
+            want_total,
+            ..
+        } = self;
+        let engine = engine.borrow();
 
-        // Seal the tail (a short final stripe), then land the stripe still
-        // in hand. Both go through the same pipeline step.
-        let result = (|| -> Result<()> {
-            let tail = std::mem::take(&mut self.buffer);
-            if !tail.is_empty() {
-                self.seal_stripe(&tail)?;
-            }
-            if let Some(last) = self.in_hand.take() {
-                self.land(last)?;
-            }
-            Ok(())
-        })();
-        if let Err(err) = result {
-            self.failed = true;
-            return Err(err);
-        }
-
-        let size = ByteSize::from_bytes(self.total_len);
-        let final_class = ObjectClass::of(&self.mime, size);
-        let striping = StripingMeta::striped(
-            self.base_skey.clone(),
-            self.stripes.first().map(|s| s.m).unwrap_or(1),
-            StripeMap {
-                stripe_size: self.stripe_size as u64,
-                stripes: std::mem::take(&mut self.stripes),
-            },
-        );
-        let meta = ObjectMeta {
-            key: self.key.clone(),
-            version: self.version,
-            mime: self.mime.clone(),
-            size,
-            checksum: self.object_checksum.finalize_hex(),
-            rule: self.rule.clone(),
-            written_at: self.engine().infra().now(),
-            ttl_hint_hours: self.ttl_hint_hours,
-            striping,
+        // Same bytes, same checksum: a one-stripe object's is its stripe's.
+        let checksum = match &stripes[..] {
+            [only] => only.checksum.clone(),
+            _ => object_checksum.finalize_hex(),
+        };
+        let size = ByteSize::from_bytes(total_len);
+        // The hint priced the placements; the class the object is recorded
+        // under follows its real size (the same one when the hint was exact,
+        // as `Engine::put`'s is).
+        let final_class = if size == hint {
+            class
+        } else {
+            ObjectClass::of(&mime, size)
         };
 
-        // Same crash point as the classic path: every chunk is at its
-        // provider, nothing is committed.
-        self.engine().infra().crash_point("put::after-upload")?;
+        // Chaos crash point: every chunk is at its provider, nothing is
+        // committed. The write is not acked; the orphaned chunks belong to
+        // the GC sweep.
+        engine.infra().crash_point("put::after-upload")?;
+
+        let meta = ObjectMeta {
+            key,
+            version,
+            mime,
+            size,
+            checksum,
+            rule,
+            written_at: engine.infra().now(),
+            ttl_hint_hours,
+            striping: StripingMeta {
+                stripe_size: stripe_size as u64,
+                stripes,
+            },
+        };
 
         // One journaled transaction: metadata, optimiser digest, container
-        // index, debt + repair entry (or debt clearance), MVCC prunes —
-        // under the row commit lock, atomically with the invalidation.
-        let debt = (self.want_total > self.have_total).then(|| {
+        // index, debt + repair entry (or debt clearance), MVCC prunes, class
+        // record — the class-centric optimiser sweeps members *by class
+        // row*, so an object committed without one would never be
+        // reconsidered.
+        //
+        // The row commit lock serialises the commit against concurrent
+        // puts/deletes/migrations of the same object so MVCC pruning always
+        // sees a settled latest version. The cache invalidation happens
+        // under the same lock: a reader's epoch-gated populate (see
+        // `Engine::get`) also runs under the row lock, so commit +
+        // invalidation are atomic with respect to it — a deprecated payload
+        // can never be inserted after the invalidation that covers it.
+        // Chunk uploads (above) and deprecated-chunk GC (below) stay outside
+        // the lock — no provider round-trip happens under it.
+        let debt = (want_total > have_total).then(|| {
             serde_json::json!({
                 "reason": "degraded-write",
-                "have": self.have_total,
-                "want": self.want_total,
+                "have": have_total,
+                "want": want_total,
             })
         });
         let deprecated = {
-            let _commit = self.engine().infra().lock_row_commit(&meta.row_key());
+            let _commit = engine.infra().lock_row_commit(&meta.row_key());
             let deprecated =
-                self.engine()
-                    .commit_metadata_with_debt(&meta, debt, Some(final_class.id()))?;
-            self.engine().invalidate_everywhere(&meta.row_key());
+                engine.commit_metadata_with_debt(&meta, debt, Some(final_class.id()))?;
+            engine.invalidate_everywhere(&meta.row_key());
             deprecated
         };
-        self.engine().infra().crash_point("put::after-commit")?;
+        // Chaos crash point: the commit is durable but the deprecated-chunk
+        // GC below never runs — the orphan sweep reconciles the leak.
+        engine.infra().crash_point("put::after-commit")?;
         for striping in &deprecated {
-            self.engine().delete_chunks(striping);
+            engine.delete_chunks(striping);
         }
-        self.engine()
-            .log_access(&self.key, AccessKind::Write, size, size);
+        engine.log_access(&meta.key, AccessKind::Write, size, size);
         Ok(meta)
+    }
+
+    /// Seals what is left in the buffer — a short final stripe, or the one
+    /// empty stripe of an empty object — and lands the stripe in hand.
+    fn land_tail(&mut self) -> Result<()> {
+        let tail = std::mem::take(&mut self.buffer);
+        if !tail.is_empty() || (self.stripes.is_empty() && self.in_hand.is_none()) {
+            self.seal_stripe(&tail, true)?;
+        }
+        match self.in_hand.take() {
+            Some(last) => self.land(last),
+            None => Ok(()),
+        }
     }
 
     /// Abandons the upload, deleting every stripe chunk that already landed
     /// (the in-hand stripe was never uploaded). Nothing was committed, so
     /// readers never saw any of it.
     pub fn abort_put(mut self) {
-        self.in_hand = None;
-        if self.stripes.is_empty() {
-            return;
+        self.roll_back();
+    }
+
+    /// Refuses to go on with an upload that already failed.
+    fn check_live(&self) -> Result<()> {
+        if self.failed {
+            return Err(ScaliaError::Internal(
+                "multipart upload already failed".into(),
+            ));
         }
-        let striping = StripingMeta::striped(
-            self.base_skey.clone(),
-            self.stripes.first().map(|s| s.m).unwrap_or(1),
-            StripeMap {
-                stripe_size: self.stripe_size as u64,
-                stripes: std::mem::take(&mut self.stripes),
-            },
-        );
-        chunk_io::delete_chunks(self.engine().infra(), &striping);
+        Ok(())
+    }
+
+    /// Marks the upload failed by `err` and — unless `err` is an injected
+    /// crash, whose debris must stay for the GC sweep exactly as a real
+    /// crash would leave it — rolls back what it landed.
+    fn fail(&mut self, err: ScaliaError) -> ScaliaError {
+        self.failed = true;
+        if !is_injected_crash(&err) {
+            self.roll_back();
+        }
+        err
+    }
+
+    fn roll_back(&mut self) {
+        self.in_hand = None;
+        let landed = std::mem::take(&mut self.stripes);
+        chunk_io::delete_chunks(self.engine().infra(), &landed);
     }
 
     /// Folds the pipeline's current transient footprint into the high-water
@@ -613,68 +538,65 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
     /// previously encoded stripe (if any) uploads — the two run concurrently
     /// under [`rayon::join`], overlapping CPU with provider I/O. Stripes seal
     /// in object order, so the whole-object checksum streams across them
-    /// here, in the same pass through the cache as the stripe's own.
-    fn seal_stripe(&mut self, plain: &[u8]) -> Result<()> {
-        self.object_checksum.update(plain);
-        let index = self.sealed;
-        self.sealed += 1;
+    /// here, in the same pass through the cache as the stripe's own — unless
+    /// this stripe is the whole object (`last`, and the first), whose
+    /// checksum is the stripe's.
+    fn seal_stripe(&mut self, plain: &[u8], last: bool) -> Result<()> {
+        let index = self.stripes.len() + usize::from(self.in_hand.is_some());
+        if index > 0 || !last {
+            self.object_checksum.update(plain);
+        }
         let placement =
             match self
                 .engine()
                 .place_excluding(&self.rule, &self.class, &self.usage, &[])
             {
                 Ok(placement) => placement,
-                Err(err) => self.last_placement.clone().ok_or(err)?,
+                // The search turned infeasible mid-stream (e.g. the failure
+                // detector dropped a provider after earlier stripes landed
+                // degraded): keep targeting the set the previous stripe
+                // sealed with and let the tolerant landing decide.
+                Err(err) => match &self.in_hand {
+                    Some(prev) => prev.placement.clone(),
+                    None => return Err(err),
+                },
             };
-        self.last_placement = Some(placement.clone());
         // Charge the seal: plaintext being encoded + its encoded output +
         // whatever is already held.
         let encoded_estimate =
             plain.len() * placement.providers.len().max(1) / placement.m.max(1) as usize;
         self.note_buffered(plain.len() + encoded_estimate);
 
-        let engine = self.engine.borrow();
-        let rule = &self.rule;
-        let class = &self.class;
-        let usage = &self.usage;
-        let base_skey = &self.base_skey;
-        let prev = self.in_hand.take();
-
-        let encode = |placement: Placement, plain: &[u8]| -> Result<EncodedStripe> {
+        let encode = || -> Result<EncodedStripe> {
             let checksum = checksum_hex(plain);
             let encoded = encode_object(plain, placement.erasure_params())?;
             Ok(EncodedStripe {
                 index,
-                len: plain.len() as u64,
                 checksum,
                 placement,
                 encoded,
             })
         };
-
-        let (landed, fresh) = match prev {
+        let fresh = match self.in_hand.take() {
             Some(prev) => {
-                let (landed, fresh) = rayon::join(
-                    || land_stripe(engine, rule, class, usage, base_skey, prev),
-                    || encode(placement, plain),
-                );
-                (Some(landed), fresh?)
+                let engine = self.engine.borrow();
+                let land = || {
+                    land_stripe(
+                        engine,
+                        &self.key,
+                        &self.rule,
+                        &self.class,
+                        &self.usage,
+                        self.version,
+                        prev,
+                    )
+                };
+                let (landed, fresh) = rayon::join(land, encode);
+                self.record_landed(landed?)?;
+                fresh?
             }
-            None => (None, encode(placement, plain)?),
+            None => encode()?,
         };
-        if let Some(landed) = landed {
-            let (stripe, have, want) = landed?;
-            self.have_total += have;
-            self.want_total += want;
-            self.stripes.push(stripe);
-            // Chaos crash point: a stripe's chunks are durable at providers
-            // but the stripe map is not committed — a crash here must leave
-            // the previous object version intact and only orphan bytes for
-            // the GC sweep.
-            self.engine()
-                .infra()
-                .crash_point("put_part::after-stripe")?;
-        }
         self.in_hand = Some(fresh);
         self.note_buffered(0);
         Ok(())
@@ -682,174 +604,129 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
 
     /// Lands one encoded stripe and records it.
     fn land(&mut self, stripe: EncodedStripe) -> Result<()> {
-        let (meta, have, want) = land_stripe(
+        let landed = land_stripe(
             self.engine.borrow(),
+            &self.key,
             &self.rule,
             &self.class,
             &self.usage,
-            &self.base_skey,
+            self.version,
             stripe,
         )?;
-        self.have_total += have;
+        self.record_landed(landed)
+    }
+
+    /// Records a landed stripe and the `want` chunks its placement called
+    /// for.
+    fn record_landed(&mut self, (stripe, want): (StripeMeta, u64)) -> Result<()> {
+        self.have_total += stripe.n() as u64;
         self.want_total += want;
-        self.stripes.push(meta);
-        self.engine()
-            .infra()
-            .crash_point("put_part::after-stripe")?;
-        Ok(())
+        self.stripes.push(stripe);
+        // Chaos crash point: a stripe's chunks are durable at providers but
+        // the stripe map is not committed — a crash here must leave the
+        // previous object version intact and only orphan bytes for the GC
+        // sweep.
+        self.engine().infra().crash_point("put_part::after-stripe")
     }
 }
 
-/// Uploads one encoded stripe with the classic put's retry ladder: parallel
-/// upload with rollback, bounded re-placement excluding the failed provider
-/// (re-encoding only when the `(m, n)` geometry changes — the systematic
-/// data shards reconstruct the plaintext in memory, no provider reads), and
-/// the degraded tolerant fallback once attempts are exhausted. Returns the
-/// landed stripe plus its `(have, want)` chunk counts for debt accounting.
+/// Lands one encoded stripe: fanned-out upload with rollback, then —
+/// bounded by [`WRITE_ATTEMPTS`], as §III-D3 prescribes — re-placement over
+/// the remaining providers (the failed provider may or may not have tripped
+/// the failure detector, e.g. a full private resource stays
+/// catalog-available, so it is excluded from the search explicitly;
+/// re-encoding only when the `(m, n)` geometry changes — the systematic data
+/// shards reconstruct the plaintext in memory, no provider reads), and the
+/// degraded tolerant fallback once attempts, or feasible placements, are
+/// exhausted. The first attempt stores under `version`'s key, every later
+/// one under a freshly drawn version's (see "Chunk keys" in the module
+/// docs). Returns the landed stripe and the chunk count its placement
+/// wanted, for debt accounting.
 fn land_stripe(
     engine: &Engine,
+    key: &ObjectKey,
     rule: &StorageRule,
     class: &ObjectClass,
     usage: &PredictedUsage,
-    base_skey: &str,
+    version: ObjectVersionId,
     mut stripe: EncodedStripe,
-) -> Result<(StripeMeta, u64, u64)> {
+) -> Result<(StripeMeta, u64)> {
+    let infra = engine.infra();
     let config = HedgeConfig::default();
+    let index = stripe.index;
+    let skey_of = |version| stripe_skey(StripingMeta::storage_key(key, version), index);
+    let mut skey = skey_of(version);
     let mut excluded: Vec<ProviderId> = Vec::new();
     loop {
-        let attempt = excluded.len();
-        let skey = stripe_skey(base_skey, stripe.index, attempt);
-        match chunk_io::upload_encoded(
-            engine.infra(),
+        let failure = match chunk_io::upload(
+            infra,
             &stripe.placement,
             &skey,
             &stripe.encoded,
             &config,
+            true,
         ) {
-            Ok(striping) => {
-                let want = striping.chunks.len() as u64;
-                return Ok((
-                    StripeMeta {
-                        chunks: striping.chunks,
-                        m: striping.m,
-                        len: stripe.len,
-                        checksum: stripe.checksum,
-                        skey,
-                    },
-                    want,
-                    want,
-                ));
+            Ok(chunks) => {
+                let want = chunks.len() as u64;
+                return Ok((stripe.landed(chunks, skey), want));
             }
-            Err(failure) => {
-                let Some(provider) = failure.provider else {
-                    return Err(failure.error);
-                };
-                if excluded.len() + 1 >= WRITE_ATTEMPTS {
-                    // Attempts exhausted: degrade on this placement or
-                    // surface the upload error.
-                    return land_degraded(
-                        engine,
-                        rule,
-                        &stripe,
-                        base_skey,
-                        attempt + 1,
-                        failure.error,
-                    );
-                }
-                excluded.push(provider);
-                match engine.place_excluding(rule, class, usage, &excluded) {
-                    Ok(next) => {
-                        if next.erasure_params() != stripe.placement.erasure_params() {
-                            let plain = decode_object(
-                                &stripe.encoded.chunks,
-                                stripe.encoded.params,
-                                stripe.encoded.original_len,
-                            )?;
-                            stripe.encoded = encode_object(&plain, next.erasure_params())?;
-                        }
-                        stripe.placement = next;
-                    }
-                    // Re-placement found nothing: degrade on the placement
-                    // whose upload just failed.
-                    Err(_) => {
-                        return land_degraded(
-                            engine,
-                            rule,
-                            &stripe,
-                            base_skey,
-                            attempt + 1,
-                            failure.error,
-                        )
-                    }
-                }
-            }
+            Err(failure) => failure,
+        };
+        excluded.push(failure.provider);
+        let replacement = if excluded.len() < WRITE_ATTEMPTS {
+            engine.place_excluding(rule, class, usage, &excluded).ok()
+        } else {
+            None
+        };
+        skey = skey_of(infra.next_version(&key.row_key()));
+        let Some(next) = replacement else {
+            // Degrade on the placement whose upload just failed, or surface
+            // that failure.
+            return land_degraded(engine, rule, stripe, skey).ok_or(failure.error);
+        };
+        if next.erasure_params() != stripe.placement.erasure_params() {
+            let plain = decode_object(
+                &stripe.encoded.chunks,
+                stripe.encoded.params,
+                stripe.encoded.original_len,
+            )?;
+            stripe.encoded = encode_object(&plain, next.erasure_params())?;
         }
+        stripe.placement = next;
     }
 }
 
-/// The degraded landing of one stripe — the per-stripe mirror of the
-/// classic put's degraded write: every chunk attempted tolerantly, the
-/// partial landing accepted iff `k ≥ m` chunks survive and the surviving
-/// providers still meet the rule's availability floor; rolled back (and
-/// `original` surfaced) otherwise.
+/// The degraded landing of one stripe: every chunk attempted tolerantly,
+/// the partial landing accepted iff `k ≥ m` chunks survive and the surviving
+/// providers still meet the rule's availability floor; rolled back, and
+/// `None`, otherwise.
 fn land_degraded(
     engine: &Engine,
     rule: &StorageRule,
-    stripe: &EncodedStripe,
-    base_skey: &str,
-    attempt: usize,
-    original: ScaliaError,
-) -> Result<(StripeMeta, u64, u64)> {
+    stripe: EncodedStripe,
+    skey: String,
+) -> Option<(StripeMeta, u64)> {
+    let infra = engine.infra();
+    let placement = &stripe.placement;
     let config = HedgeConfig::default();
-    let skey = stripe_skey(base_skey, stripe.index, attempt);
-    let Ok(partial) = chunk_io::upload_encoded_tolerant(
-        engine.infra(),
-        &stripe.placement,
-        &skey,
-        &stripe.encoded,
-        &config,
-    ) else {
-        return Err(original);
+    let chunks = chunk_io::upload(infra, placement, &skey, &stripe.encoded, &config, false).ok()?;
+    let want = placement.providers.len() as u64;
+    // Everything may have landed after all (the earlier failure was
+    // transient): a full-width stripe, no debt.
+    let durable = chunks.len() as u64 == want || {
+        let surviving: Vec<_> = chunks
+            .iter()
+            .filter_map(|c| infra.catalog().get(c.provider))
+            .collect();
+        surviving.len() == chunks.len()
+            && get_availability(&surviving, placement.m).meets(rule.availability)
     };
-    let want = stripe.placement.providers.len() as u64;
-    let have = partial.striping.chunks.len() as u64;
-    if have == want {
-        // Everything landed after all (the earlier failure was transient):
-        // a full-width stripe, no debt.
-        return Ok((
-            StripeMeta {
-                chunks: partial.striping.chunks,
-                m: partial.striping.m,
-                len: stripe.len,
-                checksum: stripe.checksum.clone(),
-                skey,
-            },
-            have,
-            want,
-        ));
-    }
-    let surviving: Vec<_> = partial
-        .striping
-        .chunks
-        .iter()
-        .filter_map(|c| engine.infra().catalog().get(c.provider))
-        .collect();
-    let availability = get_availability(&surviving, partial.striping.m);
-    if surviving.len() == partial.striping.chunks.len() && availability.meets(rule.availability) {
-        Ok((
-            StripeMeta {
-                chunks: partial.striping.chunks,
-                m: partial.striping.m,
-                len: stripe.len,
-                checksum: stripe.checksum.clone(),
-                skey,
-            },
-            have,
-            want,
-        ))
+    let landed = stripe.landed(chunks, skey);
+    if durable {
+        Some((landed, want))
     } else {
         // Not durable enough to acknowledge: roll the landing back.
-        chunk_io::delete_chunks(engine.infra(), &partial.striping);
-        Err(original)
+        chunk_io::delete_chunks(infra, std::slice::from_ref(&landed));
+        None
     }
 }

@@ -182,10 +182,9 @@ pub fn modelled_write_latency_us(placement: &Placement, size: ByteSize) -> u64 {
     actual_write_latency_us(placement, size, &ActualLatencies::new())
 }
 
-/// The stripes of a striped object that the byte range `[offset,
-/// offset + len)` covers, clamped to the object's end — the same covering
-/// computation the engine's `get_range` uses. Empty for an empty or
-/// past-EOF range.
+/// The stripes of an object that the byte range `[offset, offset + len)`
+/// covers, clamped to the object's end — the same covering computation the
+/// engine's `get_range` uses. Empty for an empty or past-EOF range.
 pub fn covering_stripes(
     size: ByteSize,
     stripe_size: u64,
@@ -200,9 +199,7 @@ pub fn covering_stripes(
     (offset / stripe_size)..end.div_ceil(stripe_size)
 }
 
-/// Chunk round-trips a range read performs: `m` per covering stripe for a
-/// striped object (`size > stripe_size`), `m` total for a single-stripe
-/// object (the systematic range fast path still fetches one chunk set).
+/// Chunk round-trips a range read performs: `m` per covering stripe.
 pub fn range_read_chunk_fetches(
     placement: &Placement,
     size: ByteSize,
@@ -211,23 +208,14 @@ pub fn range_read_chunk_fetches(
     len: u64,
 ) -> u64 {
     let covering = covering_stripes(size, stripe_size, offset, len);
-    if covering.is_empty() {
-        return 0;
-    }
-    let stripes = if size.bytes() > stripe_size {
-        covering.end - covering.start
-    } else {
-        1
-    };
-    stripes * placement.m.max(1) as u64
+    (covering.end - covering.start) * placement.m.max(1) as u64
 }
 
 /// The modelled latency of one range read at `placement`: the engine walks
 /// the covering stripes in order (each an `m`-chunk concurrent fetch of
 /// that stripe's chunk size), so the range read costs the *sum* of the
 /// covering stripes' fetch latencies — and a sub-stripe probe of a large
-/// striped object costs one stripe's fetch, not the whole object's.
-/// Single-stripe objects fall back to the full-object read model.
+/// object costs one stripe's fetch, not the whole object's.
 pub fn modelled_range_read_latency_us(
     placement: &Placement,
     size: ByteSize,
@@ -235,15 +223,8 @@ pub fn modelled_range_read_latency_us(
     offset: u64,
     len: u64,
 ) -> u64 {
-    let covering = covering_stripes(size, stripe_size, offset, len);
-    if covering.is_empty() {
-        return 0;
-    }
     let total = size.bytes();
-    if total <= stripe_size {
-        return modelled_read_latency_us(placement, size);
-    }
-    covering
+    covering_stripes(size, stripe_size, offset, len)
         .map(|i| {
             let stripe_len = (total - i * stripe_size).min(stripe_size);
             modelled_read_latency_us(placement, ByteSize::from_bytes(stripe_len))
@@ -745,7 +726,7 @@ mod tests {
             0
         );
 
-        // A single-stripe object falls back to the classic read model.
+        // A one-stripe object's range read is a read of the whole object.
         let small = ByteSize::from_bytes(700);
         assert_eq!(
             range_read_chunk_fetches(&placement, small, stripe, 0, 10),

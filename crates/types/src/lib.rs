@@ -60,7 +60,7 @@ pub use error::ScaliaError;
 pub use ids::{DatacenterId, EngineId, ProviderId};
 pub use latency::{LatencyHistogram, LatencySnapshot};
 pub use money::Money;
-pub use object::{ObjectKey, ObjectMeta, ObjectVersionId, StripingMeta};
+pub use object::{ObjectKey, ObjectMeta, ObjectVersionId, StripeMeta, StripingMeta};
 pub use reliability::Reliability;
 pub use rules::StorageRule;
 pub use size::ByteSize;
@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::ids::{DatacenterId, EngineId, ProviderId};
     pub use crate::latency::{LatencyHistogram, LatencySnapshot};
     pub use crate::money::Money;
-    pub use crate::object::{ObjectKey, ObjectMeta, ObjectVersionId, StripingMeta};
+    pub use crate::object::{ObjectKey, ObjectMeta, ObjectVersionId, StripeMeta, StripingMeta};
     pub use crate::reliability::Reliability;
     pub use crate::rules::StorageRule;
     pub use crate::size::ByteSize;

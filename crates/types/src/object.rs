@@ -4,7 +4,8 @@
 //! under a *key*. Internally every write produces a new immutable version
 //! identified by a UUID; the metadata row for `(container, key)` maps to the
 //! current version(s) (MVCC), and the striping metadata records where each
-//! erasure-coded chunk lives (Fig. 11 in the paper).
+//! erasure-coded chunk lives: the paper's Fig. 11 record, one per stripe
+//! ([`StripingMeta`]).
 
 use crate::ids::ProviderId;
 use crate::md5;
@@ -116,252 +117,40 @@ pub struct ChunkLocation {
     pub provider: ProviderId,
 }
 
-/// Placement and length of one fixed-size stripe of a striped object.
+/// One erasure group — the paper's Fig. 11 record: where each chunk is, the
+/// reconstruction threshold `m`, and the storage key the chunks are stored
+/// under — plus the checksum every read of the group is verified against.
 ///
-/// Each stripe is erasure-coded independently (its own `m`-of-`n` chunk set,
-/// possibly degraded), so the streaming pipeline can land, repair and
-/// range-read stripes without touching the rest of the object.
+/// Each stripe of an object is erasure-coded independently (its own
+/// `m`-of-`n` chunk set, possibly degraded), so the write pipeline can land,
+/// repair and range-read stripes without touching the rest of the object.
+/// The plaintext length is not stored: it follows from the object's size
+/// ([`StripingMeta::stripe_len`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StripeMeta {
     /// Chunk locations of this stripe, one per provider in its chosen set.
     pub chunks: Vec<ChunkLocation>,
-    /// Reconstruction threshold of this stripe's erasure code.
+    /// Reconstruction threshold: any `m` chunks rebuild the stripe.
     pub m: u32,
-    /// Plaintext length of the stripe in bytes (only the last stripe may be
-    /// shorter than the object's stripe size).
-    pub len: u64,
     /// Content checksum ([`crate::checksum`]) of the stripe plaintext,
     /// verified on every decode of the stripe.
     pub checksum: String,
-    /// Storage key of this stripe's chunks (`{chunk index}` appended per
-    /// chunk). Nominally `{object skey}.s{stripe index}`, but each landing
-    /// *attempt* salts it further — a rolled-back attempt may have postponed
-    /// chunk deletes on flapping providers, and the retry must never land a
-    /// committed chunk where a pending delete will strike.
+    /// Storage key shared by this stripe's chunks (each provider key is
+    /// suffixed with the chunk index): `MD5(container | key | UUID)` for
+    /// stripe 0, `{that}.s{i}` for stripe `i ≥ 1`, the UUID being the one
+    /// the landing attempt that succeeded drew.
     pub skey: String,
 }
 
-/// The stripe map of a multi-stripe object: uniform stripe size plus the
-/// per-stripe placements, in stripe order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StripeMap {
-    /// Nominal stripe size in bytes; every stripe except possibly the last
-    /// has exactly this plaintext length.
-    pub stripe_size: u64,
-    /// Per-stripe metadata, index `i` covers bytes
-    /// `[i * stripe_size, i * stripe_size + stripes[i].len)`.
-    pub stripes: Vec<StripeMeta>,
-}
-
-impl StripeMap {
-    /// Total plaintext length across all stripes.
-    pub fn total_len(&self) -> u64 {
-        self.stripes.iter().map(|s| s.len).sum()
-    }
-
-    /// Byte offset at which stripe `i` starts.
-    pub fn stripe_offset(&self, i: usize) -> u64 {
-        (i as u64) * self.stripe_size
-    }
-
-    /// The half-open range of stripe indices covering object byte range
-    /// `[offset, end)`. Empty when the byte range is empty or out of bounds.
-    pub fn covering(&self, offset: u64, end: u64) -> std::ops::Range<usize> {
-        let end = end.min(self.total_len());
-        if offset >= end || self.stripe_size == 0 {
-            return 0..0;
-        }
-        let first = (offset / self.stripe_size) as usize;
-        let last = (end.div_ceil(self.stripe_size) as usize).min(self.stripes.len());
-        first..last
-    }
-}
-
-/// Striping metadata of an object version (Fig. 11): where each chunk is,
-/// the reconstruction threshold `m`, and the storage key under which chunks
-/// are stored at the providers.
-///
-/// Versioning: single-stripe objects (the pre-streaming layout) carry
-/// `stripes: None` and serialize with exactly the original three fields, so
-/// existing metadata deserializes unchanged and new single-stripe metadata
-/// stays bit-identical to the pre-streaming layout. Multi-stripe objects
-/// written by the streaming pipeline add a `stripes` key; for those the
-/// top-level `chunks` is empty and each stripe records its own placement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StripingMeta {
-    /// Chunk locations, one per provider in the chosen set. Empty for
-    /// multi-stripe objects (see [`StripingMeta::stripes`]).
-    pub chunks: Vec<ChunkLocation>,
-    /// Reconstruction threshold: any `m` chunks rebuild the object.
-    pub m: u32,
-    /// Storage key `MD5(container | key | UUID)` shared by all chunks
-    /// (each provider key is suffixed with the chunk index).
-    pub skey: String,
-    /// Stripe map for objects written by the streaming pipeline; `None`
-    /// for the classic single-stripe layout.
-    pub stripes: Option<StripeMap>,
-}
-
-// Manual impls rather than derive: the derive shim always emits every field,
-// but a `stripes: null` key would change the serialized form of every
-// pre-streaming object. Omitting the key when `None` keeps single-stripe
-// metadata bit-identical to the pre-PR layout (the `Map` is a `BTreeMap`,
-// so insertion order does not affect the output).
-impl serde::Serialize for StripingMeta {
-    fn serialize(&self) -> serde::Value {
-        let mut map = serde::Map::new();
-        map.insert("chunks".to_string(), self.chunks.serialize());
-        map.insert("m".to_string(), self.m.serialize());
-        map.insert("skey".to_string(), self.skey.serialize());
-        if let Some(stripes) = &self.stripes {
-            map.insert("stripes".to_string(), stripes.serialize());
-        }
-        serde::Value::Object(map)
-    }
-}
-
-impl serde::Deserialize for StripingMeta {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let null = serde::Value::Null;
-        let chunks = Vec::<ChunkLocation>::deserialize(value.get("chunks").unwrap_or(&null))?;
-        let m = u32::deserialize(value.get("m").unwrap_or(&null))?;
-        let skey = String::deserialize(value.get("skey").unwrap_or(&null))?;
-        let stripes = match value.get("stripes") {
-            None => None,
-            Some(v) if v.is_null() => None,
-            Some(v) => Some(StripeMap::deserialize(v)?),
-        };
-        Ok(StripingMeta {
-            chunks,
-            m,
-            skey,
-            stripes,
-        })
-    }
-}
-
-impl StripingMeta {
-    /// Classic single-stripe striping (the pre-streaming layout).
-    pub fn single(chunks: Vec<ChunkLocation>, m: u32, skey: String) -> Self {
-        StripingMeta {
-            chunks,
-            m,
-            skey,
-            stripes: None,
-        }
-    }
-
-    /// Multi-stripe striping written by the streaming pipeline. The
-    /// top-level chunk list is empty; `m` records the placement threshold
-    /// for observability (each stripe carries its own exact `m`).
-    pub fn striped(skey: String, m: u32, map: StripeMap) -> Self {
-        StripingMeta {
-            chunks: Vec::new(),
-            m,
-            skey,
-            stripes: Some(map),
-        }
-    }
-
-    /// Whether this object uses the multi-stripe layout.
-    pub fn is_striped(&self) -> bool {
-        self.stripes.is_some()
-    }
-
-    /// Number of stripes (1 for the classic layout).
-    pub fn stripe_count(&self) -> usize {
-        match &self.stripes {
-            Some(map) => map.stripes.len(),
-            None => 1,
-        }
-    }
-
-    /// A single-stripe view of stripe `i`, shaped exactly like a classic
-    /// striping so the chunk I/O machinery (upload, hedged fetch, delete,
-    /// rollback) works per stripe unchanged. Stripe chunk keys are
-    /// `{stripe skey}.{index}` (nominally `{skey}.s{i}.{index}`), disjoint
-    /// from classic keys `{skey}.{index}`. For a classic striping, stripe 0
-    /// is the striping itself.
-    pub fn stripe_view(&self, i: usize) -> StripingMeta {
-        match &self.stripes {
-            Some(map) => StripingMeta {
-                chunks: map.stripes[i].chunks.clone(),
-                m: map.stripes[i].m,
-                skey: map.stripes[i].skey.clone(),
-                stripes: None,
-            },
-            None => {
-                debug_assert_eq!(i, 0);
-                self.clone()
-            }
-        }
-    }
-
-    /// Every provider storage key referenced by this striping, across all
-    /// stripes — the reference set the orphan-chunk GC must preserve.
-    pub fn all_chunk_keys(&self) -> Vec<String> {
-        match &self.stripes {
-            Some(map) => {
-                let mut keys = Vec::new();
-                for stripe in &map.stripes {
-                    for chunk in &stripe.chunks {
-                        keys.push(format!("{}.{}", stripe.skey, chunk.index));
-                    }
-                }
-                keys
-            }
-            None => self
-                .chunks
-                .iter()
-                .map(|c| self.chunk_key(c.index))
-                .collect(),
-        }
-    }
-
-    /// All `(provider, chunk key)` pairs referenced by this striping.
-    pub fn all_chunk_refs(&self) -> Vec<(ProviderId, String)> {
-        match &self.stripes {
-            Some(map) => {
-                let mut refs = Vec::new();
-                for stripe in &map.stripes {
-                    for chunk in &stripe.chunks {
-                        refs.push((chunk.provider, format!("{}.{}", stripe.skey, chunk.index)));
-                    }
-                }
-                refs
-            }
-            None => self
-                .chunks
-                .iter()
-                .map(|c| (c.provider, self.chunk_key(c.index)))
-                .collect(),
-        }
-    }
-
-    /// The distinct providers referenced anywhere in this striping, sorted.
-    /// For a classic striping with distinct providers this equals the
-    /// sorted chunk-order provider list.
-    pub fn provider_set(&self) -> Vec<ProviderId> {
-        let mut providers: Vec<ProviderId> = match &self.stripes {
-            Some(map) => map
-                .stripes
-                .iter()
-                .flat_map(|s| s.chunks.iter().map(|c| c.provider))
-                .collect(),
-            None => self.providers(),
-        };
-        providers.sort();
-        providers.dedup();
-        providers
-    }
-
-    /// Total number of chunks (`n` of the erasure code).
+impl StripeMeta {
+    /// Total number of chunks (`n` of the erasure code; fewer for a stripe
+    /// that landed degraded).
     pub fn n(&self) -> u32 {
         self.chunks.len() as u32
     }
 
     /// Width of the erasure code the chunks must be decoded under: for a
-    /// full striping this is `n`; for a *degraded* striping (a write that
+    /// full stripe this is `n`; for a *degraded* stripe (a write that
     /// landed with k < n chunks) the surviving chunks keep their original
     /// erasure indices, so the width is the highest surviving index + 1.
     /// Decoding under this width is exact — the systematic Reed–Solomon
@@ -373,7 +162,7 @@ impl StripingMeta {
             .map(|c| c.index + 1)
             .max()
             .unwrap_or(0)
-            .max(self.chunks.len() as u32)
+            .max(self.n())
     }
 
     /// The providers holding chunks, in chunk-index order.
@@ -384,6 +173,95 @@ impl StripingMeta {
     /// The per-provider storage key of chunk `index`.
     pub fn chunk_key(&self, index: u32) -> String {
         format!("{}.{}", self.skey, index)
+    }
+
+    /// The `(provider, chunk key)` pairs of this stripe's chunks.
+    pub fn chunk_refs(&self) -> impl Iterator<Item = (ProviderId, String)> + '_ {
+        self.chunks
+            .iter()
+            .map(|c| (c.provider, self.chunk_key(c.index)))
+    }
+}
+
+/// Striping metadata of an object version: Fig. 11 generalised from one
+/// erasure group to a map of ≥ 1 of them. The object's bytes are cut into
+/// stripes of `stripe_size` (the last possibly shorter; an empty object is
+/// one empty stripe), each its own [`StripeMeta`]. An object no larger than
+/// one stripe is exactly the paper's record.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StripingMeta {
+    /// Nominal stripe size in bytes; every stripe except possibly the last
+    /// has exactly this plaintext length.
+    pub stripe_size: u64,
+    /// Per-stripe metadata; stripe `i` covers the object's bytes from
+    /// `i * stripe_size`.
+    pub stripes: Vec<StripeMeta>,
+}
+
+impl StripingMeta {
+    /// Number of stripes (≥ 1 for any committed object).
+    pub fn stripe_count(&self) -> usize {
+        self.stripes.len()
+    }
+
+    /// Stripe `i`.
+    pub fn stripe_view(&self, i: usize) -> &StripeMeta {
+        &self.stripes[i]
+    }
+
+    /// Plaintext length of stripe `i` of an object of `size` bytes.
+    pub fn stripe_len(&self, i: usize, size: u64) -> u64 {
+        size.saturating_sub(self.stripe_offset(i))
+            .min(self.stripe_size)
+    }
+
+    /// Byte offset at which stripe `i` starts.
+    pub fn stripe_offset(&self, i: usize) -> u64 {
+        (i as u64).saturating_mul(self.stripe_size)
+    }
+
+    /// The half-open range of stripe indices covering the object byte range
+    /// `[offset, end)`; the caller clamps `end` to the object's size. Empty
+    /// when the byte range is.
+    pub fn covering(&self, offset: u64, end: u64) -> std::ops::Range<usize> {
+        if offset >= end || self.stripe_size == 0 {
+            return 0..0;
+        }
+        let first = (offset / self.stripe_size) as usize;
+        let last = (end.div_ceil(self.stripe_size) as usize).min(self.stripes.len());
+        first.min(last)..last
+    }
+
+    /// All `(provider, chunk key)` pairs referenced by this striping.
+    pub fn all_chunk_refs(&self) -> Vec<(ProviderId, String)> {
+        self.stripes
+            .iter()
+            .flat_map(StripeMeta::chunk_refs)
+            .collect()
+    }
+
+    /// The distinct providers referenced anywhere in this striping, sorted.
+    pub fn provider_set(&self) -> Vec<ProviderId> {
+        let mut providers: Vec<ProviderId> = self
+            .stripes
+            .iter()
+            .flat_map(|s| s.chunks.iter().map(|c| c.provider))
+            .collect();
+        providers.sort();
+        providers.dedup();
+        providers
+    }
+
+    /// Chunk count of the first stripe. Every stripe of a put is placed
+    /// with the same rule, class and usage, so short of a degraded or
+    /// re-placed landing they all share it.
+    pub fn n(&self) -> u32 {
+        self.stripes.first().map_or(0, StripeMeta::n)
+    }
+
+    /// Reconstruction threshold of the first stripe (see [`Self::n`]).
+    pub fn m(&self) -> u32 {
+        self.stripes.first().map_or(0, |s| s.m)
     }
 
     /// Computes the storage key for an object version, as in §III-D1:
@@ -404,10 +282,9 @@ pub struct ObjectMeta {
     pub mime: String,
     /// Object size in bytes.
     pub size: ByteSize,
-    /// Content checksum ([`crate::checksum`]) of the object's bytes. For a
-    /// classic single-stripe object this is what every read verifies; a
-    /// striped object's reads verify each stripe's own
-    /// [`StripeMeta::checksum`].
+    /// Content checksum ([`crate::checksum`]) of the object's bytes — what
+    /// a client compares against. Reads verify each stripe's own
+    /// [`StripeMeta::checksum`]; for a one-stripe object the two are equal.
     pub checksum: String,
     /// Storage rule (policy) applied to the object.
     pub rule: StorageRule,
@@ -458,52 +335,6 @@ mod tests {
         assert_eq!(a.to_hex().len(), 32);
     }
 
-    #[test]
-    fn striping_meta_accessors() {
-        let key = ObjectKey::new("c", "k");
-        let version = ObjectVersionId::next(&key.row_key());
-        let skey = StripingMeta::storage_key(&key, version);
-        let meta = StripingMeta::single(
-            vec![
-                ChunkLocation {
-                    index: 0,
-                    provider: ProviderId::new(2),
-                },
-                ChunkLocation {
-                    index: 1,
-                    provider: ProviderId::new(5),
-                },
-                ChunkLocation {
-                    index: 2,
-                    provider: ProviderId::new(7),
-                },
-            ],
-            2,
-            skey.clone(),
-        );
-        assert_eq!(meta.n(), 3);
-        assert_eq!(
-            meta.providers(),
-            vec![ProviderId::new(2), ProviderId::new(5), ProviderId::new(7)]
-        );
-        assert_eq!(meta.chunk_key(1), format!("{skey}.1"));
-        assert!(!meta.is_striped());
-        assert_eq!(meta.stripe_count(), 1);
-        assert_eq!(meta.stripe_view(0), meta);
-        assert_eq!(
-            meta.all_chunk_keys(),
-            vec![
-                format!("{skey}.0"),
-                format!("{skey}.1"),
-                format!("{skey}.2")
-            ]
-        );
-        assert_eq!(
-            meta.provider_set(),
-            vec![ProviderId::new(2), ProviderId::new(5), ProviderId::new(7)]
-        );
-    }
-
     fn loc(index: u32, provider: u32) -> ChunkLocation {
         ChunkLocation {
             index,
@@ -511,61 +342,91 @@ mod tests {
         }
     }
 
-    fn sample_striped() -> StripingMeta {
-        StripingMeta::striped(
-            "abc123".to_string(),
-            2,
-            StripeMap {
-                stripe_size: 100,
-                stripes: vec![
-                    StripeMeta {
-                        chunks: vec![loc(0, 1), loc(1, 2), loc(2, 3)],
-                        m: 2,
-                        len: 100,
-                        checksum: "c0".to_string(),
-                        skey: "abc123.s0".to_string(),
-                    },
-                    StripeMeta {
-                        // Degraded stripe: chunk 1 missing, original indices
-                        // kept; landed on a salted retry skey.
-                        chunks: vec![loc(0, 4), loc(2, 5)],
-                        m: 2,
-                        len: 40,
-                        checksum: "c1".to_string(),
-                        skey: "abc123.s1.r1".to_string(),
-                    },
-                ],
-            },
-        )
+    fn sample_striping() -> StripingMeta {
+        StripingMeta {
+            stripe_size: 100,
+            stripes: vec![
+                StripeMeta {
+                    chunks: vec![loc(0, 1), loc(1, 2), loc(2, 3)],
+                    m: 2,
+                    checksum: "c0".to_string(),
+                    skey: "abc123".to_string(),
+                },
+                StripeMeta {
+                    // Degraded stripe: chunk 1 missing, original indices
+                    // kept; landed on a retry, under another version's key.
+                    chunks: vec![loc(0, 4), loc(2, 5)],
+                    m: 2,
+                    checksum: "c1".to_string(),
+                    skey: "def456.s1".to_string(),
+                },
+            ],
+        }
+    }
+
+    /// A one-stripe striping is the paper's Fig. 11 record: its chunks sit
+    /// under the object's own storage key.
+    #[test]
+    fn striping_meta_accessors() {
+        let key = ObjectKey::new("c", "k");
+        let version = ObjectVersionId::next(&key.row_key());
+        let skey = StripingMeta::storage_key(&key, version);
+        let meta = StripingMeta {
+            stripe_size: 1 << 19,
+            stripes: vec![StripeMeta {
+                chunks: vec![loc(0, 2), loc(1, 5), loc(2, 7)],
+                m: 2,
+                checksum: "c".to_string(),
+                skey: skey.clone(),
+            }],
+        };
+        assert_eq!(meta.stripe_count(), 1);
+        assert_eq!((meta.n(), meta.m()), (3, 2));
+        assert_eq!(meta.stripe_len(0, 300_000), 300_000);
+        assert_eq!(meta.covering(10, 20), 0..1);
+        assert_eq!(meta.stripe_view(0).chunk_key(1), format!("{skey}.1"));
+        assert_eq!(
+            meta.all_chunk_refs(),
+            vec![
+                (ProviderId::new(2), format!("{skey}.0")),
+                (ProviderId::new(5), format!("{skey}.1")),
+                (ProviderId::new(7), format!("{skey}.2"))
+            ]
+        );
+        assert_eq!(meta.provider_set(), meta.stripe_view(0).providers());
     }
 
     #[test]
     fn striped_meta_views_and_keys() {
-        let meta = sample_striped();
-        assert!(meta.is_striped());
+        let meta = sample_striping();
         assert_eq!(meta.stripe_count(), 2);
+        assert_eq!((meta.n(), meta.m()), (3, 2));
 
         let v0 = meta.stripe_view(0);
-        assert_eq!(v0.skey, "abc123.s0");
-        assert_eq!(v0.m, 2);
-        assert_eq!(v0.chunk_key(1), "abc123.s0.1");
+        assert_eq!(v0.n(), 3);
+        assert_eq!(v0.chunk_key(1), "abc123.1");
         assert_eq!(v0.code_width(), 3);
+        assert_eq!(
+            v0.providers(),
+            vec![ProviderId::new(1), ProviderId::new(2), ProviderId::new(3)]
+        );
 
         let v1 = meta.stripe_view(1);
-        assert_eq!(v1.chunks.len(), 2);
-        // Degraded stripe decodes under the original width, and its chunk
-        // keys come from the salted per-stripe skey it landed under.
+        assert_eq!(v1.n(), 2);
+        // A degraded stripe decodes under the original width, and its chunk
+        // keys come from the storage key it landed under.
         assert_eq!(v1.code_width(), 3);
-        assert_eq!(v1.chunk_key(2), "abc123.s1.r1.2");
+        assert_eq!(v1.chunk_key(2), "def456.s1.2");
 
+        let keys: Vec<String> = meta.all_chunk_refs().into_iter().map(|r| r.1).collect();
         assert_eq!(
-            meta.all_chunk_keys(),
+            keys,
             vec![
-                "abc123.s0.0",
-                "abc123.s0.1",
-                "abc123.s0.2",
-                "abc123.s1.r1.0",
-                "abc123.s1.r1.2"
+                "abc123.0",
+                "abc123.1",
+                "abc123.2",
+                "def456.s1.0",
+                "def456.s1.2"
             ]
         );
         assert_eq!(
@@ -573,52 +434,28 @@ mod tests {
             (1..=5).map(ProviderId::new).collect::<Vec<_>>()
         );
 
-        let map = meta.stripes.as_ref().unwrap();
-        assert_eq!(map.total_len(), 140);
-        assert_eq!(map.stripe_offset(1), 100);
-        assert_eq!(map.covering(0, 140), 0..2);
-        assert_eq!(map.covering(0, 100), 0..1);
-        assert_eq!(map.covering(99, 101), 0..2);
-        assert_eq!(map.covering(100, 140), 1..2);
-        assert_eq!(map.covering(140, 200), 0..0);
-        assert_eq!(map.covering(50, 50), 0..0);
-    }
-
-    /// Single-stripe metadata serializes with exactly the pre-streaming
-    /// three keys — no `stripes` key — and legacy JSON (without the key)
-    /// deserializes to `stripes: None`. This is the bit-compatibility
-    /// contract for every object written before the streaming pipeline.
-    #[test]
-    fn single_stripe_serialization_is_legacy_shaped() {
-        let meta = StripingMeta::single(vec![loc(0, 2), loc(1, 5)], 2, "deadbeef".to_string());
-        let value = serde::Serialize::serialize(&meta);
-        let obj = value.as_object().expect("object");
-        assert_eq!(
-            obj.keys().collect::<Vec<_>>(),
-            vec!["chunks", "m", "skey"],
-            "single-stripe striping must not grow new keys"
-        );
-
-        // Legacy-shaped JSON round-trips to the same struct.
-        let back = <StripingMeta as serde::Deserialize>::deserialize(&value).unwrap();
-        assert_eq!(back, meta);
-        assert!(back.stripes.is_none());
-
-        // An explicit `"stripes": null` (future writers being defensive)
-        // also reads back as None.
-        let mut with_null = obj.clone();
-        with_null.insert("stripes".to_string(), serde::Value::Null);
-        let back =
-            <StripingMeta as serde::Deserialize>::deserialize(&serde::Value::Object(with_null))
-                .unwrap();
-        assert_eq!(back, meta);
+        // Stripe lengths follow from the object's size (140 bytes here).
+        assert_eq!(meta.stripe_len(0, 140), 100);
+        assert_eq!(meta.stripe_len(1, 140), 40);
+        assert_eq!(meta.stripe_len(0, 0), 0, "an empty object's one stripe");
+        assert_eq!(meta.stripe_offset(1), 100);
+        assert_eq!(meta.covering(0, 140), 0..2);
+        assert_eq!(meta.covering(0, 100), 0..1);
+        assert_eq!(meta.covering(99, 101), 0..2);
+        assert_eq!(meta.covering(100, 140), 1..2);
+        assert_eq!(meta.covering(50, 50), 0..0);
+        assert!(meta.covering(500, 600).is_empty());
     }
 
     #[test]
     fn striped_meta_round_trips() {
-        let meta = sample_striped();
+        let meta = sample_striping();
         let value = serde::Serialize::serialize(&meta);
-        assert!(value.get("stripes").is_some());
+        let obj = value.as_object().expect("object");
+        assert_eq!(
+            obj.keys().collect::<Vec<_>>(),
+            vec!["stripe_size", "stripes"]
+        );
         let back = <StripingMeta as serde::Deserialize>::deserialize(&value).unwrap();
         assert_eq!(back, meta);
     }

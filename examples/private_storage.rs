@@ -69,14 +69,14 @@ fn main() {
             .unwrap();
         let names: Vec<String> = meta
             .striping
-            .providers()
+            .provider_set()
             .iter()
             .filter_map(|id| cluster.infra().catalog().get(*id).map(|p| p.name))
             .collect();
         println!(
             "box-{i}: placed on [{}] m={}",
             names.join(", "),
-            meta.striping.m
+            meta.striping.m()
         );
     }
 

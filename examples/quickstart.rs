@@ -41,11 +41,11 @@ fn main() {
         "stored {} ({}) as {} chunks with threshold m={} (any {} rebuild it)",
         photo,
         meta.size,
-        meta.striping.chunks.len(),
-        meta.striping.m,
-        meta.striping.m,
+        meta.striping.n(),
+        meta.striping.m(),
+        meta.striping.m(),
     );
-    for chunk in &meta.striping.chunks {
+    for chunk in &meta.striping.stripe_view(0).chunks {
         let name = cluster
             .infra()
             .catalog()

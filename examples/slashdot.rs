@@ -29,11 +29,12 @@ fn main() {
         let meta = cluster.engine(0).read_metadata(&key).unwrap();
         let names: Vec<String> = meta
             .striping
+            .stripe_view(0)
             .providers()
             .iter()
             .filter_map(|id| cluster.infra().catalog().get(*id).map(|p| p.name))
             .collect();
-        format!("[{}; m:{}]", names.join(", "), meta.striping.m)
+        format!("[{}; m:{}]", names.join(", "), meta.striping.m())
     };
     println!("hour   0: initial placement {}", label_of(&cluster));
 

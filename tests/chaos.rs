@@ -35,8 +35,10 @@ use std::sync::Arc;
 
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
 
-/// Crash points of the put path, in visit order.
-const CRASH_LABELS: [&str; 6] = [
+/// Crash points of the put path, in visit order — every put, whatever its
+/// size, lands its stripes one at a time before it commits.
+const CRASH_LABELS: [&str; 7] = [
+    "put_part::after-stripe",
     "put::after-upload",
     "txn::before-log",
     "txn::logged",
@@ -138,12 +140,18 @@ fn stored_at_providers(infra: &Infrastructure) -> u64 {
         .sum()
 }
 
-/// Exact provider footprint a committed object must occupy: `n` chunks of
-/// `ceil(size / m)` bytes each (one byte minimum, for empty payloads).
+/// Exact provider footprint a committed object must occupy: per stripe,
+/// `n` chunks of `ceil(len / m)` bytes each (one byte minimum, for empty
+/// payloads).
 fn expected_footprint(meta: &ObjectMeta) -> u64 {
-    let m = meta.striping.m as u64;
-    let n = meta.striping.chunks.len() as u64;
-    (meta.size.bytes().div_ceil(m)).max(1) * n
+    let striping = &meta.striping;
+    let stripes = striping.stripes.iter().enumerate();
+    stripes
+        .map(|(i, stripe)| {
+            let len = striping.stripe_len(i, meta.size.bytes());
+            len.div_ceil(stripe.m as u64).max(1) * stripe.n() as u64
+        })
+        .sum()
 }
 
 /// Asserts that, for a quiescent cluster, the bytes at providers equal the
@@ -185,16 +193,16 @@ fn degraded_put_commits_with_debt_and_backfills_within_one_repair_cycle() {
         .put(&key, data.clone(), "application/x-tar", wide_rule(), None)
         .unwrap();
     assert_eq!(
-        meta.striping.chunks.len(),
+        meta.striping.n(),
         4,
         "one provider down ⇒ four of five chunks land"
     );
     assert!(
-        meta.striping.chunks.iter().all(|c| c.provider != victim),
+        !meta.striping.provider_set().contains(&victim),
         "no chunk may claim to live on the dead provider"
     );
     assert_eq!(
-        meta.striping.code_width(),
+        meta.striping.stripe_view(0).code_width(),
         5,
         "the striping remembers the full encode width"
     );
@@ -218,7 +226,7 @@ fn degraded_put_commits_with_debt_and_backfills_within_one_repair_cycle() {
     assert_eq!(drain.repaired, 1, "the backfill runs in the first cycle");
 
     let healed = latest_meta(&infra, &key).unwrap();
-    assert_eq!(healed.striping.chunks.len(), 5, "back to full stripe width");
+    assert_eq!(healed.striping.n(), 5, "back to full stripe width");
     assert!(!has_debt(&infra, &key), "the debt column is settled");
     assert!(repair::queue_entries(&infra).unwrap().is_empty());
     clear_caches(&cluster);
@@ -252,7 +260,7 @@ fn transport_storm_degrades_write_then_backfill_converges() {
         infra.backend(stormed).unwrap().pending_transport_errors(),
         0
     );
-    assert_eq!(meta.striping.chunks.len(), 4);
+    assert_eq!(meta.striping.n(), 4);
     assert!(has_debt(&infra, &key));
     assert!(
         infra.catalog().is_available(stormed),
@@ -266,7 +274,7 @@ fn transport_storm_degrades_write_then_backfill_converges() {
     // backfills.
     cluster.tick(SimTime::from_hours(1));
     assert_eq!(cluster.last_repair_drain().repaired, 1);
-    assert_eq!(latest_meta(&infra, &key).unwrap().striping.chunks.len(), 5);
+    assert_eq!(latest_meta(&infra, &key).unwrap().striping.n(), 5);
     assert!(!has_debt(&infra, &key));
     infra.retry_pending_deletes();
     assert_exact_footprint(&infra, &[key], "after storm backfill");
@@ -296,7 +304,7 @@ fn detector_config_threshold_one_trips_on_first_soft_error_and_reprobe_restores(
     infra.set_fault_plan(None);
     infra.backend(stormed).unwrap().inject_transport_errors(0);
 
-    assert_eq!(meta.striping.chunks.len(), 4, "degraded landing");
+    assert_eq!(meta.striping.n(), 4, "degraded landing");
     assert!(
         !infra.catalog().is_available(stormed),
         "threshold 1 must trip the detector on the first soft error"
@@ -310,7 +318,7 @@ fn detector_config_threshold_one_trips_on_first_soft_error_and_reprobe_restores(
         "re-probe must restore the recovered provider"
     );
     assert_eq!(cluster.last_repair_drain().repaired, 1);
-    assert_eq!(latest_meta(&infra, &key).unwrap().striping.chunks.len(), 5);
+    assert_eq!(latest_meta(&infra, &key).unwrap().striping.n(), 5);
     clear_caches(&cluster);
     assert_eq!(cluster.get(&key).unwrap().as_ref(), &data[..]);
 }
@@ -586,7 +594,7 @@ fn chaos_scenario(seed: u64) -> String {
             // Crash cycle: checkpoint, crash an overwrite at a random
             // labelled point, recover, reconcile with GC.
             7 => {
-                let label = CRASH_LABELS[rng.below(6) as usize];
+                let label = CRASH_LABELS[rng.below(CRASH_LABELS.len() as u64) as usize];
                 let name = names[rng.below(6) as usize].clone();
                 let data = payload(seed ^ (step << 16), 1 + rng.below(16_000) as usize);
                 let checkpoint = db.checkpoint();
@@ -698,19 +706,18 @@ fn chaos_scenario(seed: u64) -> String {
     let mut lines = Vec::new();
     for (name, expected) in &model {
         let meta = latest_meta(&infra, &key_of(name)).unwrap();
-        let mut provider_ids: Vec<u32> = meta
+        let provider_ids: Vec<u32> = meta
             .striping
-            .chunks
+            .provider_set()
             .iter()
-            .map(|c| c.provider.index())
+            .map(|p| p.index())
             .collect();
-        provider_ids.sort_unstable();
         lines.push(format!(
             "{name} md5={} n={} m={} width={} providers={provider_ids:?} debt={}",
             scalia::types::md5::md5_hex(expected),
-            meta.striping.chunks.len(),
-            meta.striping.m,
-            meta.striping.code_width(),
+            meta.striping.n(),
+            meta.striping.m(),
+            meta.striping.stripe_view(0).code_width(),
             has_debt(&infra, &key_of(name)),
         ));
     }

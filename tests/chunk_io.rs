@@ -24,10 +24,10 @@ fn rule() -> StorageRule {
     )
 }
 
-/// The chunk holders of one erasure group (`view`, `size` plaintext bytes)
-/// in the order the hedged read contacts them: cheapest read first,
-/// computed exactly as the chunk-I/O layer ranks them.
-fn ranked_holders(cluster: &ScaliaCluster, view: &StripingMeta, size: ByteSize) -> Vec<ProviderId> {
+/// The chunk holders of one stripe (`view`, `size` plaintext bytes) in the
+/// order the hedged read contacts them: cheapest read first, computed
+/// exactly as the chunk-I/O layer ranks them.
+fn ranked_holders(cluster: &ScaliaCluster, view: &StripeMeta, size: ByteSize) -> Vec<ProviderId> {
     let descriptors: Vec<ProviderDescriptor> = view
         .chunks
         .iter()
@@ -40,9 +40,9 @@ fn ranked_holders(cluster: &ScaliaCluster, view: &StripingMeta, size: ByteSize) 
         .collect()
 }
 
-/// [`ranked_holders`] of a classic single-stripe object.
+/// [`ranked_holders`] of a one-stripe object.
 fn ranked_chunk_providers(cluster: &ScaliaCluster, meta: &ObjectMeta) -> Vec<ProviderId> {
-    ranked_holders(cluster, &meta.striping, meta.size)
+    ranked_holders(cluster, meta.striping.stripe_view(0), meta.size)
 }
 
 /// Deterministic, position-dependent payload bytes (a constant fill would
@@ -73,7 +73,7 @@ fn failed_write_is_replaced_and_retried_on_remaining_providers() {
             None,
         )
         .unwrap();
-    let victim = warm_meta.striping.chunks[0].provider;
+    let victim = warm_meta.striping.stripe_view(0).chunks[0].provider;
 
     // The victim's *backend* dies, but the catalog still lists it, so the
     // cached placement will try it first.
@@ -87,7 +87,7 @@ fn failed_write_is_replaced_and_retried_on_remaining_providers() {
 
     // The write was re-placed off the failed provider…
     assert!(
-        meta.striping.chunks.iter().all(|c| c.provider != victim),
+        !meta.striping.provider_set().contains(&victim),
         "retried write must avoid the failed provider"
     );
     // …the hard failure marked it unavailable (§III-D3)…
@@ -98,9 +98,8 @@ fn failed_write_is_replaced_and_retried_on_remaining_providers() {
     // No chunk of the aborted first attempt may survive anywhere: total
     // provider bytes equal exactly the two committed objects' footprints.
     let footprint = |meta: &ObjectMeta| {
-        let m = meta.striping.m as u64;
-        let shard = meta.size.bytes().div_ceil(m).max(1);
-        shard * meta.striping.chunks.len() as u64
+        let shard = meta.size.bytes().div_ceil(meta.striping.m() as u64).max(1);
+        shard * meta.striping.n() as u64
     };
     let stored: u64 = cluster
         .infra()
@@ -127,7 +126,7 @@ fn hedged_read_survives_a_ranked_provider_killed_mid_lifecycle() {
     let meta = engine
         .put(&key, payload.clone().into(), "image/jpeg", rule(), None)
         .unwrap();
-    assert!(meta.striping.chunks.len() as u32 > meta.striping.m);
+    assert!(meta.striping.n() > meta.striping.m());
 
     // Kill the provider the read would contact *first* — only its backend,
     // so the read path (not the placement layer) must discover the failure.
@@ -192,9 +191,9 @@ fn hedged_read_does_not_wait_out_a_stalled_ranked_provider() {
 
 #[test]
 fn any_m_of_n_survivor_subset_reconstructs_the_object() {
-    // (payload length, stripe size): classic single-stripe objects whose
-    // length does and does not divide by m, empty and one byte long; striped
-    // objects of ≥ 2 stripes, with and without a short tail.
+    // (payload length, stripe size): one-stripe objects whose length does
+    // and does not divide by m, empty and one byte long; objects of ≥ 2
+    // stripes, with and without a short tail.
     let cases: [(usize, Option<u64>); 7] = [
         (400_000, None),
         (400_001, None),
@@ -211,7 +210,6 @@ fn any_m_of_n_survivor_subset_reconstructs_the_object() {
             .build();
         if let Some(stripe) = stripe {
             cluster.infra().set_stripe_size_bytes(stripe);
-            cluster.infra().set_streaming_threshold_bytes(2 * stripe);
         }
         let engine = cluster.engine(0);
         let key = ObjectKey::new("subsets", "all.bin");
@@ -225,7 +223,11 @@ fn any_m_of_n_survivor_subset_reconstructs_the_object() {
                 None,
             )
             .unwrap();
-        assert_eq!(meta.striping.is_striped(), stripe.is_some(), "len {len}");
+        assert_eq!(
+            meta.striping.stripe_count() > 1,
+            stripe.is_some(),
+            "len {len}"
+        );
         assert_eq!(checksum_hex(&payload), meta.checksum, "len {len}");
         // Every stripe of an object lands on the same placement (one class,
         // one cached decision), so the first stripe's holders are them all.
@@ -287,7 +289,7 @@ fn any_m_of_n_survivor_subset_reconstructs_the_object() {
 /// a provider that lies. Returns the means to undo it.
 fn corrupt_a_fetched_data_chunk(
     cluster: &ScaliaCluster,
-    view: &StripingMeta,
+    view: &StripeMeta,
     size: ByteSize,
 ) -> (ProviderId, String, bytes::Bytes) {
     let location = ranked_holders(cluster, view, size)
@@ -329,20 +331,26 @@ fn a_lying_provider_fails_reads_closed_and_never_reaches_the_cache() {
     let engine = cluster.engine(0);
     let caches_empty = || cluster.caches().iter().all(|c| c.is_empty());
 
-    // (a) A classic single-stripe 4 KiB object.
+    // (a) A one-stripe 4 KiB object.
     let small_key = ObjectKey::new("liar", "small.bin");
     let small = patterned(1, 4096);
     let small_meta = engine
         .put(&small_key, small.clone().into(), "text/plain", rule(), None)
         .unwrap();
-    assert!(!small_meta.striping.is_striped());
-    let (provider, chunk_key, honest) =
-        corrupt_a_fetched_data_chunk(&cluster, &small_meta.striping, small_meta.size);
-    assert_fails_closed(engine.get(&small_key), "classic get");
-    assert_fails_closed(engine.get_range(&small_key, 0, 4096), "classic whole range");
+    assert_eq!(small_meta.striping.stripe_count(), 1);
+    let (provider, chunk_key, honest) = corrupt_a_fetched_data_chunk(
+        &cluster,
+        small_meta.striping.stripe_view(0),
+        small_meta.size,
+    );
+    assert_fails_closed(engine.get(&small_key), "one-stripe get");
+    assert_fails_closed(
+        engine.get_range(&small_key, 0, 4096),
+        "one-stripe whole range",
+    );
     assert_fails_closed(
         engine.get_range(&small_key, 1000, 200),
-        "classic partial range",
+        "one-stripe partial range",
     );
     assert!(caches_empty(), "a failed read must not populate the cache");
     // The honest bytes back in place, the object reads again.
@@ -350,7 +358,7 @@ fn a_lying_provider_fails_reads_closed_and_never_reaches_the_cache() {
     backend.put(&chunk_key, honest).unwrap();
     assert_eq!(&engine.get(&small_key).unwrap()[..], &small[..]);
 
-    // (b) A striped object: 2 MiB + a tail, 512 KiB stripes.
+    // (b) Several stripes: 2 MiB + a tail, 512 KiB stripes.
     let stripe = cluster.infra().stripe_size_bytes();
     let big_key = ObjectKey::new("liar", "big.bin");
     let big = patterned(2, (2 << 20) + 100_000);
@@ -366,7 +374,7 @@ fn a_lying_provider_fails_reads_closed_and_never_reaches_the_cache() {
     assert!(big_meta.striping.stripe_count() >= 4);
     cluster.caches().iter().for_each(|c| c.clear());
     let view = big_meta.striping.stripe_view(1);
-    corrupt_a_fetched_data_chunk(&cluster, &view, ByteSize::from_bytes(stripe));
+    corrupt_a_fetched_data_chunk(&cluster, view, ByteSize::from_bytes(stripe));
     assert_fails_closed(engine.get(&big_key), "striped get");
     assert_fails_closed(
         engine.get_range(&big_key, stripe, stripe),
@@ -446,10 +454,10 @@ fn stalled_upload_is_hedged_and_the_write_replaced_without_the_straggler() {
             None,
         )
         .unwrap();
-    let victim = warm_meta.striping.chunks[0].provider;
+    let victim = warm_meta.striping.stripe_view(0).chunks[0].provider;
 
     // Every upload so far fed the observed-write window.
-    for location in &warm_meta.striping.chunks {
+    for location in &warm_meta.striping.stripe_view(0).chunks {
         assert!(
             cluster
                 .infra()
@@ -479,7 +487,7 @@ fn stalled_upload_is_hedged_and_the_write_replaced_without_the_straggler() {
         )
         .unwrap();
     assert!(
-        meta.striping.chunks.iter().all(|c| c.provider != victim),
+        !meta.striping.provider_set().contains(&victim),
         "the stalled provider must be excluded from the re-placed write"
     );
     // The re-placed object is fully readable.
@@ -501,7 +509,7 @@ fn stalled_upload_is_hedged_and_the_write_replaced_without_the_straggler() {
     // the advertised model. A provider advertising 1 ms but actually
     // writing at ~80 ms gets a realistic deadline.
     let infra = cluster.infra();
-    let probe = warm_meta.striping.chunks[1].provider;
+    let probe = warm_meta.striping.stripe_view(0).chunks[1].provider;
     let config = HedgeConfig::default();
     let advertised = LatencyModel::new(1, 0, 0, 7); // 1 ms, no jitter
     let cold = write_hedge_deadline_us(infra, probe, &advertised, 100_000, &config);
@@ -610,7 +618,7 @@ fn faulted_virtual_scenario(seed: u64) -> String {
     // Killed mid-write: the cached placement still routes to the dead
     // backend, the upload aborts, rolls back and is re-placed.
     let warm = put("warm.png", 1);
-    let victim = warm.striping.chunks[0].provider;
+    let victim = warm.striping.stripe_view(0).chunks[0].provider;
     infra.backend(victim).unwrap().set_down(true);
     lines.push(format!("replaced {:?}", put("replaced.png", 2).striping));
     infra.set_provider_down(victim, false);
@@ -623,7 +631,7 @@ fn faulted_virtual_scenario(seed: u64) -> String {
     infra.backend(stalled).unwrap().set_stall_us(0);
 
     // Transport-error storm on one holder: a write and a read ride it out.
-    let stormed = warm.striping.chunks[1].provider;
+    let stormed = warm.striping.stripe_view(0).chunks[1].provider;
     infra.backend(stormed).unwrap().inject_transport_errors(3);
     lines.push(format!("stormed {:?}", put("stormed.png", 3).striping));
     let data = engine.get(&ObjectKey::new("faults", "warm.png")).unwrap();
@@ -665,7 +673,8 @@ fn faulted_virtual_runs_are_identical_across_pool_sizes() {
 #[test]
 fn the_pool_still_overlaps_real_waiting() {
     use scalia::core::placement::Placement;
-    use scalia::engine::chunk_io::{fetch_chunks, write_chunks, HedgeConfig};
+    use scalia::engine::chunk_io::{fetch_chunks, upload, HedgeConfig};
+    use scalia::erasure::codec::encode_object;
     use scalia::providers::catalog::{s3_high, ProviderCatalog};
     use scalia::providers::latency::LatencyModel;
     use std::time::{Duration as WallDuration, Instant};
@@ -685,7 +694,9 @@ fn the_pool_still_overlaps_real_waiting() {
         providers: infra.catalog().all(),
         m: 3,
     };
-    let data = bytes::Bytes::from(patterned(4, 30_000));
+    let data = patterned(4, 30_000);
+    let encoded = encode_object(&data, placement.erasure_params()).unwrap();
+    let config = HedgeConfig::default();
     let budget = WallDuration::from_millis(2 * RTT_MS);
 
     // Sleeping workers need no cores: four chunk PUTs cost one round-trip
@@ -693,9 +704,15 @@ fn the_pool_still_overlaps_real_waiting() {
     let pool = rayon::ThreadPool::new(4);
     pool.install(|| {
         let started = Instant::now();
-        let striping = write_chunks(&infra, &placement, "skey-real", &data).unwrap();
+        let chunks = upload(&infra, &placement, "skey-real", &encoded, &config, true).unwrap();
         let put_took = started.elapsed();
-        assert_eq!(striping.chunks.len(), 4);
+        assert_eq!(chunks.len(), 4);
+        let stripe = StripeMeta {
+            chunks,
+            m: placement.m,
+            checksum: checksum_hex(&data),
+            skey: "skey-real".to_string(),
+        };
         assert!(
             put_took < budget,
             "a 4-chunk put took {put_took:?}; its round-trips must overlap (< {budget:?})"
@@ -703,7 +720,7 @@ fn the_pool_still_overlaps_real_waiting() {
 
         let started = Instant::now();
         let size = ByteSize::from_bytes(data.len() as u64);
-        let chunks = fetch_chunks(&infra, &striping, size, &HedgeConfig::default()).unwrap();
+        let chunks = fetch_chunks(&infra, &stripe, size, &config).unwrap();
         let get_took = started.elapsed();
         assert_eq!(chunks.len(), 3);
         assert!(

@@ -33,10 +33,8 @@ fn placements_of(cluster: &ScaliaCluster, keys: &[ObjectKey]) -> Vec<(u32, Vec<u
     keys.iter()
         .map(|key| {
             let meta = cluster.engine(0).read_metadata(key).unwrap();
-            let mut providers: Vec<u32> =
-                meta.striping.chunks.iter().map(|c| c.provider.0).collect();
-            providers.sort_unstable();
-            (meta.striping.m, providers)
+            let providers = meta.striping.provider_set().iter().map(|p| p.0).collect();
+            (meta.striping.m(), providers)
         })
         .collect()
 }

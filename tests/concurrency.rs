@@ -76,13 +76,18 @@ fn stored_at_providers(cluster: &ScaliaCluster) -> u64 {
         .sum()
 }
 
-/// Expected provider footprint of one object's current metadata:
-/// `n` chunks of `ceil(size / m)` bytes (1 byte minimum, as the codec pads).
+/// Expected provider footprint of one object's current metadata: per
+/// stripe, `n` chunks of `ceil(len / m)` bytes (1 byte minimum, as the codec
+/// pads).
 fn expected_footprint(meta: &ObjectMeta) -> u64 {
-    let m = meta.striping.m as u64;
-    let n = meta.striping.chunks.len() as u64;
-    let shard = (meta.size.bytes().div_ceil(m)).max(1);
-    shard * n
+    let striping = &meta.striping;
+    let stripes = striping.stripes.iter().enumerate();
+    stripes
+        .map(|(i, stripe)| {
+            let len = striping.stripe_len(i, meta.size.bytes());
+            len.div_ceil(stripe.m as u64).max(1) * stripe.n() as u64
+        })
+        .sum()
 }
 
 /// Checks the full set of quiescent invariants for `keys`: single MVCC
@@ -450,6 +455,7 @@ fn slow_provider_writer_reader_stress_stays_consistent() {
         .read_metadata(&keys[0])
         .unwrap()
         .striping
+        .stripe_view(0)
         .chunks[0]
         .provider;
     let victim_backend = cluster.infra().backend(victim).unwrap();

@@ -33,11 +33,8 @@ fn objects_survive_the_full_lifecycle_across_datacenters() {
             .put(key, payload, "application/octet-stream", photo_rule(), None)
             .unwrap();
         assert_eq!(meta.size.bytes(), size as u64);
-        assert!(
-            meta.striping.chunks.len() >= 2,
-            "lock-in 0.5 demands ≥ 2 providers"
-        );
-        assert!(meta.striping.m >= 1);
+        assert!(meta.striping.n() >= 2, "lock-in 0.5 demands ≥ 2 providers");
+        assert!(meta.striping.m() >= 1);
     }
 
     // Every engine in every datacenter reads every object back bit-exactly.
@@ -82,7 +79,7 @@ fn placement_respects_every_rule_dimension() {
     let meta = cluster
         .put(&key, vec![1u8; 20_000], "application/pdf", eu_rule, None)
         .unwrap();
-    for chunk in &meta.striping.chunks {
+    for chunk in &meta.striping.stripe_view(0).chunks {
         let provider = catalog.get(chunk.provider).unwrap();
         assert!(
             provider.zones.contains(Zone::EU),
@@ -103,7 +100,7 @@ fn placement_respects_every_rule_dimension() {
             None,
         )
         .unwrap();
-    assert_eq!(meta5.striping.chunks.len(), 5);
+    assert_eq!(meta5.striping.n(), 5);
 
     // An impossible rule is rejected with a clear error.
     let impossible = StorageRule::new(
@@ -165,7 +162,7 @@ fn statistics_pipeline_feeds_the_optimizer() {
     );
     // The cold object's placement must not have been touched.
     let cold_meta = cluster.engine(0).read_metadata(&cold).unwrap();
-    assert!(cold_meta.striping.chunks.len() >= 2);
+    assert!(cold_meta.striping.n() >= 2);
     // Whatever the optimiser did, both objects stay intact.
     cluster.caches().iter().for_each(|c| c.clear());
     assert_eq!(cluster.get(&hot).unwrap().len(), 100_000);

@@ -1,12 +1,13 @@
-//! Integration tests of the staged stripe pipeline: streaming puts that
-//! encode stripe k+1 while stripe k's chunks are in flight, range reads
-//! that fetch only the covering stripes, the multipart/append API with its
-//! single-transaction commit, and the layout pin for single-stripe objects.
+//! Integration tests of the staged stripe pipeline: puts that encode
+//! stripe k+1 while stripe k's chunks are in flight, range reads that fetch
+//! only the covering stripes, the multipart/append API with its
+//! single-transaction commit, and the equivalence of the two ways to feed
+//! the one write path.
 //!
-//! Stripe size and streaming threshold are shrunk (1000 / 2500 bytes) so a
-//! few-kilobyte payload exercises many stripes; every scenario is replayed
-//! on work-stealing pools of 1, 2 and 8 workers where parallelism could
-//! change observable state.
+//! The stripe size is shrunk to 1000 bytes so a few-kilobyte payload
+//! exercises many stripes; every scenario is replayed on work-stealing
+//! pools of 1, 2 and 8 workers where parallelism could change observable
+//! state.
 
 use rayon::ThreadPool;
 use scalia::engine::gc;
@@ -19,7 +20,6 @@ use std::sync::Arc;
 
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
 const STRIPE: u64 = 1000;
-const THRESHOLD: u64 = 2500;
 
 /// A flexible rule (lock-in 0.5 ⇒ ≥ 2 providers).
 fn flex_rule() -> StorageRule {
@@ -52,15 +52,13 @@ fn payload(tag: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// A cluster with test-sized stripes: 1000-byte stripes, payloads above
-/// 2500 bytes stream.
+/// A cluster with test-sized (1000-byte) stripes.
 fn striped_cluster() -> ScaliaCluster {
     let cluster = ScaliaCluster::builder()
         .datacenters(1)
         .engines_per_datacenter(1)
         .build();
     cluster.infra().set_stripe_size_bytes(STRIPE);
-    cluster.infra().set_streaming_threshold_bytes(THRESHOLD);
     cluster
 }
 
@@ -102,22 +100,17 @@ fn stored_at_providers(infra: &Infrastructure) -> u64 {
         .sum()
 }
 
-/// Exact provider footprint of a committed object, stripe-aware: per
-/// stripe (or per single-stripe object), `n` chunks of `ceil(len / m)`
-/// bytes (one byte minimum for empty payloads).
+/// Exact provider footprint of a committed object: per stripe, `n` chunks
+/// of `ceil(len / m)` bytes (one byte minimum for empty payloads).
 fn expected_footprint(meta: &ObjectMeta) -> u64 {
-    match &meta.striping.stripes {
-        Some(map) => map
-            .stripes
-            .iter()
-            .map(|s| (s.len.div_ceil(s.m as u64)).max(1) * s.chunks.len() as u64)
-            .sum(),
-        None => {
-            let m = meta.striping.m as u64;
-            let n = meta.striping.chunks.len() as u64;
-            (meta.size.bytes().div_ceil(m)).max(1) * n
-        }
-    }
+    let striping = &meta.striping;
+    let stripes = striping.stripes.iter().enumerate();
+    stripes
+        .map(|(i, stripe)| {
+            let len = striping.stripe_len(i, meta.size.bytes());
+            len.div_ceil(stripe.m as u64).max(1) * stripe.n() as u64
+        })
+        .sum()
 }
 
 fn assert_exact_footprint(infra: &Infrastructure, keys: &[ObjectKey], context: &str) {
@@ -134,7 +127,7 @@ fn assert_exact_footprint(infra: &Infrastructure, keys: &[ObjectKey], context: &
 }
 
 // ---------------------------------------------------------------------------
-// Streaming put: auto-routing, round-trip, checksum
+// Put: stripe map, round-trip, checksum
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -146,34 +139,34 @@ fn streamed_put_round_trips_with_whole_object_checksum() {
         .put(&key, data.clone(), "application/x-tar", flex_rule(), None)
         .unwrap();
 
-    assert!(meta.striping.is_striped(), "above threshold ⇒ striped");
     assert_eq!(meta.striping.stripe_count(), 11);
     assert_eq!(meta.size.bytes(), 10_240);
     assert_eq!(
         meta.checksum,
         checksum_hex(&data),
-        "the incremental MD5 must equal the whole-payload digest"
+        "the streamed checksum must equal the whole-payload digest"
     );
-    let map = meta.striping.stripes.as_ref().unwrap();
-    assert_eq!(map.stripe_size, STRIPE);
-    assert!(map.stripes[..10].iter().all(|s| s.len == STRIPE));
-    assert_eq!(map.stripes[10].len, 240);
-    for (i, stripe) in map.stripes.iter().enumerate() {
+    let striping = &meta.striping;
+    assert_eq!(striping.stripe_size, STRIPE);
+    assert!((0..10).all(|i| striping.stripe_len(i, 10_240) == STRIPE));
+    assert_eq!(striping.stripe_len(10, 10_240), 240);
+    for (i, stripe) in striping.stripes.iter().enumerate() {
         assert_eq!(
             stripe.checksum,
-            checksum_hex(&data[i * 1000..(i * 1000 + stripe.len as usize)]),
+            checksum_hex(&data[i * 1000..(i * 1000 + 1000).min(10_240)]),
             "stripe {i} digest"
         );
     }
 
-    // Reads reassemble through the striped path, cold and cached.
+    // Reads reassemble stripe by stripe, cold and cached.
     clear_caches(&cluster);
     assert_eq!(cluster.get(&key).unwrap().as_ref(), &data[..]);
     assert_eq!(cluster.get(&key).unwrap().as_ref(), &data[..]);
 
-    // A payload at the threshold stays on the classic single-stripe path.
+    // The stripe boundary is the only size policy: a payload of exactly one
+    // stripe is one stripe, one byte more is two.
     let small_key = ObjectKey::new("stream", "small.bin");
-    let small = payload(2, THRESHOLD as usize);
+    let small = payload(2, STRIPE as usize);
     let small_meta = cluster
         .put(
             &small_key,
@@ -183,11 +176,25 @@ fn streamed_put_round_trips_with_whole_object_checksum() {
             None,
         )
         .unwrap();
-    assert!(!small_meta.striping.is_striped());
+    assert_eq!(small_meta.striping.stripe_count(), 1);
+    let over = payload(2, STRIPE as usize + 1);
+    let over_meta = cluster
+        .put(&small_key, over, "application/x-tar", flex_rule(), None)
+        .unwrap();
+    assert_eq!(over_meta.striping.stripe_count(), 2);
+    cluster
+        .put(
+            &small_key,
+            small.clone(),
+            "application/x-tar",
+            flex_rule(),
+            None,
+        )
+        .unwrap();
     clear_caches(&cluster);
     assert_eq!(cluster.get(&small_key).unwrap().as_ref(), &small[..]);
 
-    // An overwrite of the striped object reclaims the old stripes' chunks.
+    // An overwrite of the object reclaims the old stripes' chunks.
     let data2 = payload(3, 4_500);
     cluster
         .put(&key, data2.clone(), "application/x-tar", flex_rule(), None)
@@ -260,7 +267,7 @@ fn get_range_equals_full_get_slice_across_pool_sizes() {
         let pool = ThreadPool::new(workers);
         pool.install(|| {
             let cluster = striped_cluster();
-            // A striped object with a partial tail stripe...
+            // An object of several stripes with a partial tail stripe...
             let striped_key = ObjectKey::new("range", "striped.bin");
             let striped = payload(7, 4_240);
             cluster
@@ -273,9 +280,9 @@ fn get_range_equals_full_get_slice_across_pool_sizes() {
                 )
                 .unwrap();
             assert_range_probes(&cluster, &striped_key, &striped);
-            // ...and a classic single-stripe object go through the same sweep.
+            // ...and a one-stripe object go through the same sweep.
             let single_key = ObjectKey::new("range", "single.bin");
-            let single = payload(8, 2_000);
+            let single = payload(8, 800);
             cluster
                 .put(
                     &single_key,
@@ -299,9 +306,8 @@ fn range_read_fetches_only_the_covering_stripes_chunks() {
     let meta = cluster
         .put(&key, data.clone(), "application/x-tar", flex_rule(), None)
         .unwrap();
-    let map = meta.striping.stripes.as_ref().unwrap();
-    assert_eq!(map.stripes.len(), 20);
-    let width = map.stripes[0].chunks.len() as u64;
+    assert_eq!(meta.striping.stripe_count(), 20);
+    let width = meta.striping.n() as u64;
 
     // A 10-byte probe inside stripe 5 touches at most that one stripe's
     // chunk set — not the other 19 stripes'.
@@ -324,7 +330,7 @@ fn range_read_fetches_only_the_covering_stripes_chunks() {
     assert_eq!(cluster.get(&key).unwrap().as_ref(), &data[..]);
     let full_gets = chunk_gets(&infra) - before;
     assert!(
-        full_gets >= 20 * map.stripes[0].m as u64,
+        full_gets >= 20 * meta.striping.m() as u64,
         "the full read reassembles all 20 stripes"
     );
     assert!(probe_gets < full_gets / 10);
@@ -344,7 +350,6 @@ fn warm_ranges_touch_no_provider_and_verify_only_their_stripes() {
         .build();
     let infra = cluster.infra().clone();
     infra.set_stripe_size_bytes(STRIPE as u64);
-    infra.set_streaming_threshold_bytes(STRIPE as u64);
     let engine = cluster.engine(0);
     let key = ObjectKey::new("warm", "sixteen.bin");
     // 15 full stripes and a short sixteenth.
@@ -352,7 +357,7 @@ fn warm_ranges_touch_no_provider_and_verify_only_their_stripes() {
     let meta = cluster
         .put(&key, data.clone(), "application/x-tar", flex_rule(), None)
         .unwrap();
-    assert_eq!(meta.striping.stripes.as_ref().unwrap().stripes.len(), 16);
+    assert_eq!(meta.striping.stripe_count(), 16);
 
     clear_caches(&cluster);
     let full = engine.get(&key).unwrap(); // cold: populates the cache
@@ -399,8 +404,8 @@ mod warm_range_props {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// `get_range` through a warm cache equals the slice of the payload
-        /// — full stripes, a short last stripe, and classic objects below
-        /// the streaming threshold alike.
+        /// — full stripes, a short last stripe, and objects of one stripe
+        /// alike.
         #[test]
         fn warm_get_range_equals_the_payload_slice(
             size in 1usize..6_500,
@@ -447,9 +452,8 @@ fn degraded_streamed_put_commits_debt_and_backfills_stripe_by_stripe() {
     let meta = cluster
         .put(&key, data.clone(), "application/x-tar", wide_rule(), None)
         .unwrap();
-    let map = meta.striping.stripes.as_ref().unwrap();
-    assert_eq!(map.stripes.len(), 6);
-    for (i, stripe) in map.stripes.iter().enumerate() {
+    assert_eq!(meta.striping.stripe_count(), 6);
+    for (i, stripe) in meta.striping.stripes.iter().enumerate() {
         assert_eq!(stripe.chunks.len(), 4, "stripe {i} lands degraded 4-of-5");
         assert!(stripe.chunks.iter().all(|c| c.provider != victim));
     }
@@ -473,15 +477,14 @@ fn degraded_streamed_put_commits_debt_and_backfills_stripe_by_stripe() {
         "range reads must work on degraded objects"
     );
 
-    // Capacity returns: one repair cycle re-places the whole object (stripe
-    // by stripe through the streaming migration path) back to full width.
+    // Capacity returns: one repair cycle re-places the whole object, stripe
+    // by stripe, back to full width.
     infra.set_provider_down(victim, false);
     cluster.tick(SimTime::from_hours(1));
     assert_eq!(cluster.last_repair_drain().repaired, 1);
     let healed = latest_meta(&infra, &key).unwrap();
-    let healed_map = healed.striping.stripes.as_ref().unwrap();
     assert!(
-        healed_map.stripes.iter().all(|s| s.chunks.len() == 5),
+        healed.striping.stripes.iter().all(|s| s.n() == 5),
         "every stripe must be back to full width"
     );
     assert!(!has_debt(&infra, &key), "the debt column is settled");
@@ -532,26 +535,6 @@ fn multipart_assembles_odd_sized_parts_and_commits_once() {
         &data[3_000..4_000]
     );
     assert_eq!(engine.list("parts"), vec![key]);
-}
-
-#[test]
-fn multipart_below_one_stripe_falls_back_to_the_classic_layout() {
-    let cluster = striped_cluster();
-    let engine = cluster.engine(0);
-    let key = ObjectKey::new("parts", "tiny.bin");
-    let data = payload(17, 700);
-
-    let mut upload = engine.begin_put(&key, "application/x-tar", flex_rule(), None);
-    upload.put_part(&data[..300]).unwrap();
-    upload.put_part(&data[300..]).unwrap();
-    let meta = upload.complete_put().unwrap();
-    assert!(
-        !meta.striping.is_striped(),
-        "sub-stripe multipart must commit the classic single-stripe layout"
-    );
-    assert_eq!(meta.checksum, checksum_hex(&data));
-    clear_caches(&cluster);
-    assert_eq!(engine.get(&key).unwrap().as_ref(), &data[..]);
 }
 
 #[test]
@@ -630,8 +613,8 @@ fn crash_around_the_commit_is_old_or_new_never_torn() {
     let infra = cluster.infra().clone();
     let db = infra.database();
 
-    // (label, does recovery expose the new object?) — same commit-point
-    // contract as the classic put: the journaled Begin record decides.
+    // (label, does recovery expose the new object?) — the journaled Begin
+    // record decides.
     let matrix = [
         ("put::after-upload", false),
         ("txn::before-log", false),
@@ -678,7 +661,7 @@ fn crash_around_the_commit_is_old_or_new_never_torn() {
         if *commits {
             assert_eq!(meta.striping.stripe_count(), 6);
             assert_eq!(
-                meta.striping.stripes.as_ref().unwrap().stripes[5].len,
+                meta.striping.stripe_len(5, meta.size.bytes()),
                 900,
                 "{label}: the tail stripe commits with the map"
             );
@@ -689,95 +672,265 @@ fn crash_around_the_commit_is_old_or_new_never_torn() {
 }
 
 // ---------------------------------------------------------------------------
-// Single-stripe layout pin: bit-equal to the classic path, pools 1/2/8
+// One write path: `put` and multipart commit the same object, pools 1/2/8
 // ---------------------------------------------------------------------------
 
-/// Chunk payload digests of a committed object, in chunk-index order,
-/// fetched straight off the provider backends.
-fn chunk_digests(infra: &Infrastructure, meta: &ObjectMeta) -> Vec<(u32, String)> {
-    let mut out: Vec<(u32, String)> = meta
-        .striping
-        .chunks
-        .iter()
-        .map(|c| {
-            let bytes = infra
-                .backend(c.provider)
-                .unwrap()
-                .get(&meta.striping.chunk_key(c.index))
-                .unwrap();
-            (c.index, md5_hex(&bytes))
-        })
-        .collect();
+/// The stored bytes of every chunk of a committed object, in stripe then
+/// chunk-index order, fetched straight off the provider backends.
+fn chunk_digests(infra: &Infrastructure, meta: &ObjectMeta) -> Vec<(usize, u32, String)> {
+    let mut out = Vec::new();
+    for (i, stripe) in meta.striping.stripes.iter().enumerate() {
+        for c in &stripe.chunks {
+            let backend = infra.backend(c.provider).unwrap();
+            let bytes = backend.get(&stripe.chunk_key(c.index)).unwrap();
+            out.push((i, c.index, md5_hex(&bytes)));
+        }
+    }
     out.sort();
     out
 }
 
+/// What two commits of the same bytes must agree on: everything but the
+/// version, the chunk keys derived from it, and the clock.
+fn layout_of(infra: &Infrastructure, meta: &ObjectMeta) -> String {
+    let stripes: Vec<String> = meta
+        .striping
+        .stripes
+        .iter()
+        .map(|s| format!("m={} chunks={:?} checksum={}", s.m, s.chunks, s.checksum))
+        .collect();
+    format!(
+        "size={} checksum={} mime={} rule={} stripe_size={} stripes={stripes:?} chunks={:?}",
+        meta.size.bytes(),
+        meta.checksum,
+        meta.mime,
+        meta.rule.name,
+        meta.striping.stripe_size,
+        chunk_digests(infra, meta),
+    )
+}
+
 #[test]
-fn single_stripe_layout_is_bit_identical_across_paths_and_pool_sizes() {
-    let data = payload(31, 1_500);
-    let mut pinned: Option<(String, Vec<(u32, String)>)> = None;
+fn put_and_multipart_commit_the_same_object_at_every_size_and_pool() {
+    let stripe = STRIPE as usize;
+    let sizes = [0, 1, stripe - 1, stripe, stripe + 1, 3 * stripe + 417];
+    let mut pinned: Option<Vec<String>> = None;
     for workers in POOL_SIZES {
         let pool = ThreadPool::new(workers);
-        let (classic, multipart) = pool.install(|| {
+        let layouts: Vec<String> = pool.install(|| {
             let cluster = striped_cluster();
             let engine = cluster.engine(0);
-            // The classic sub-threshold path...
-            let classic_key = ObjectKey::new("pin", "classic.bin");
-            let classic_meta = cluster
-                .put(
-                    &classic_key,
-                    data.clone(),
+            let infra = cluster.infra();
+            let mut layouts = Vec::new();
+            for (case, &size) in sizes.iter().enumerate() {
+                let data = payload(31 + case as u64, size);
+                let put_key = ObjectKey::new("one-path", format!("put-{size}.bin"));
+                let put_meta = cluster
+                    .put(
+                        &put_key,
+                        data.clone(),
+                        "application/x-tar",
+                        flex_rule(),
+                        None,
+                    )
+                    .unwrap();
+
+                // The same bytes in odd-sized parts, none aligned with the
+                // stripe size; the hint makes both price the same class.
+                let mp_key = ObjectKey::new("one-path", format!("multipart-{size}.bin"));
+                let hint = Some(ByteSize::from_bytes(size as u64));
+                let mut upload = engine.begin_put_with_hint(
+                    &mp_key,
                     "application/x-tar",
                     flex_rule(),
                     None,
-                )
-                .unwrap();
-            // ...and a multipart upload that never fills a stripe (stripe
-            // size raised so 1500 bytes stay single-stripe).
-            cluster.infra().set_stripe_size_bytes(4_096);
-            let mp_key = ObjectKey::new("pin", "multipart.bin");
-            let mut upload = engine.begin_put(&mp_key, "application/x-tar", flex_rule(), None);
-            upload.put_part(&data).unwrap();
-            let mp_meta = upload.complete_put().unwrap();
-            (
-                (
-                    classic_meta.clone(),
-                    chunk_digests(cluster.infra(), &classic_meta),
-                ),
-                (mp_meta.clone(), chunk_digests(cluster.infra(), &mp_meta)),
-            )
-        });
-        let (classic_meta, classic_chunks) = classic;
-        let (mp_meta, mp_chunks) = multipart;
-
-        for meta in [&classic_meta, &mp_meta] {
-            assert!(!meta.striping.is_striped());
-            // The serialized metadata carries no stripe map — byte-for-byte
-            // the pre-streaming schema.
-            let json = serde_json::to_value(&meta.striping).unwrap();
-            assert!(
-                json.get("stripes").is_none(),
-                "single-stripe striping must serialize without a stripes field"
-            );
-        }
-        assert_eq!(classic_meta.checksum, mp_meta.checksum);
-        assert_eq!(classic_meta.striping.m, mp_meta.striping.m);
-        assert_eq!(
-            classic_chunks, mp_chunks,
-            "workers={workers}: multipart fallback must produce chunk-identical bytes"
-        );
-        // And the layout is pinned across pool sizes.
-        match &pinned {
-            None => pinned = Some((classic_meta.checksum.clone(), classic_chunks)),
-            Some((checksum, chunks)) => {
-                assert_eq!(checksum, &classic_meta.checksum, "workers={workers}");
-                assert_eq!(
-                    chunks, &classic_chunks,
-                    "workers={workers}: single-stripe chunk bytes diverged across pools"
+                    hint,
                 );
+                for part in data.chunks(337) {
+                    upload.put_part(part).unwrap();
+                }
+                let mp_meta = upload.complete_put().unwrap();
+
+                assert_eq!(
+                    put_meta.striping.stripe_count(),
+                    size.div_ceil(stripe).max(1)
+                );
+                assert_eq!(put_meta.checksum, checksum_hex(&data), "size {size}");
+                assert_ne!(put_meta.version, mp_meta.version);
+                let layout = layout_of(infra, &put_meta);
+                assert_eq!(
+                    layout,
+                    layout_of(infra, &mp_meta),
+                    "workers={workers} size={size}: put and multipart must commit the same object"
+                );
+                clear_caches(&cluster);
+                assert_eq!(cluster.get(&put_key).unwrap().as_ref(), &data[..]);
+                assert_eq!(cluster.get(&mp_key).unwrap().as_ref(), &data[..]);
+                layouts.push(layout);
             }
+            layouts
+        });
+        // And the layout is the same at every pool size.
+        match &pinned {
+            None => pinned = Some(layouts),
+            Some(first) => assert_eq!(first, &layouts, "workers={workers}"),
         }
     }
+}
+
+#[test]
+fn an_empty_object_is_one_empty_stripe() {
+    let cluster = striped_cluster();
+    let infra = cluster.infra().clone();
+    let key = ObjectKey::new("one-path", "empty.bin");
+    let meta = cluster
+        .put(&key, Vec::new(), "text/plain", flex_rule(), None)
+        .unwrap();
+    assert_eq!(meta.striping.stripe_count(), 1);
+    assert_eq!(meta.striping.stripe_len(0, 0), 0);
+    assert_eq!(meta.checksum, checksum_hex(b""));
+    assert_eq!(meta.striping.stripe_view(0).checksum, meta.checksum);
+    assert_exact_footprint(&infra, std::slice::from_ref(&key), "one-byte chunks");
+
+    // No range of it needs a provider; a full read fetches the one stripe's
+    // `m` chunks and no more.
+    clear_caches(&cluster);
+    let before = chunk_gets(&infra);
+    let engine = cluster.engine(0);
+    for (offset, len) in [(0, 0), (0, 10), (5, u64::MAX)] {
+        assert!(engine.get_range(&key, offset, len).unwrap().is_empty());
+    }
+    assert_eq!(chunk_gets(&infra), before, "nothing to fetch");
+    assert!(engine.get(&key).unwrap().is_empty());
+    assert_eq!(chunk_gets(&infra) - before, meta.striping.m() as u64);
+}
+
+#[test]
+fn stripe_zero_stores_under_the_objects_key_and_a_retry_never_reuses_it() {
+    let cluster = striped_cluster();
+    let infra = cluster.infra().clone();
+    let engine = cluster.engine(0);
+    let keys_at = |prefix: &str| -> usize {
+        let backends = infra.backends();
+        let listed = backends.iter().map(|b| b.list(prefix).unwrap().len());
+        listed.sum()
+    };
+
+    // A clean put: stripe 0 under `{skey}.{index}` — the paper's key — and
+    // stripe i under `{skey}.s{i}.{index}`.
+    let key = ObjectKey::new("keys", "clean.bin");
+    let meta = cluster
+        .put(
+            &key,
+            payload(51, 2_300),
+            "application/x-tar",
+            flex_rule(),
+            None,
+        )
+        .unwrap();
+    let skey = StripingMeta::storage_key(&key, meta.version);
+    let stripes = &meta.striping.stripes;
+    assert_eq!(stripes[0].skey, skey);
+    assert_eq!(stripes[0].chunk_key(1), format!("{skey}.1"));
+    assert_eq!(stripes[1].skey, format!("{skey}.s1"));
+    assert_eq!(stripes[2].skey, format!("{skey}.s2"));
+
+    // A put whose first attempt fails (the cached placement still routes to
+    // a dead backend) is re-placed — and its retry stores under the key of a
+    // *different* version: the failed attempt's rollback may have postponed
+    // deletes under the first key, which must never strike committed chunks.
+    let victim = stripes[0].chunks[0].provider;
+    infra.backend(victim).unwrap().set_down(true);
+    let retried_key = ObjectKey::new("keys", "retried.bin");
+    let retried = cluster
+        .put(
+            &retried_key,
+            payload(52, 700),
+            "application/x-tar",
+            flex_rule(),
+            None,
+        )
+        .unwrap();
+    let first_attempt = StripingMeta::storage_key(&retried_key, retried.version);
+    let landed = &retried.striping.stripe_view(0).skey;
+    assert_ne!(landed, &first_attempt, "the retry must not reuse the key");
+    assert_eq!(
+        landed.len(),
+        first_attempt.len(),
+        "a plain storage key, no salt"
+    );
+    assert!(landed.chars().all(|c| c.is_ascii_hexdigit()));
+    assert!(!retried.striping.provider_set().contains(&victim));
+    infra.set_provider_down(victim, false);
+    infra.retry_pending_deletes();
+    assert_eq!(
+        keys_at(&first_attempt),
+        0,
+        "the first attempt was rolled back"
+    );
+    assert_eq!(keys_at(landed), retried.striping.n() as usize);
+    clear_caches(&cluster);
+    assert_eq!(
+        engine.get(&retried_key).unwrap().as_ref(),
+        &payload(52, 700)[..]
+    );
+}
+
+#[test]
+fn a_put_that_cannot_land_its_tail_rolls_back_every_landed_stripe() {
+    let cluster = striped_cluster();
+    let infra = cluster.infra().clone();
+    let engine = cluster.engine(0);
+    let key = ObjectKey::new("parts", "stranded.bin");
+    let down = |down: bool| {
+        for backend in infra.backends() {
+            backend.set_down(down);
+        }
+    };
+
+    // Multipart: three stripes land (the fourth is in hand), then every
+    // provider dies and `complete_put` cannot land the tail.
+    let mut upload = engine.begin_put(&key, "application/x-tar", flex_rule(), None);
+    upload.put_part(&payload(23, 3_800)).unwrap();
+    assert!(
+        stored_at_providers(&infra) > 0,
+        "stripes landed before the outage"
+    );
+    down(true);
+    assert!(upload.complete_put().is_err());
+    down(false);
+    infra.retry_pending_deletes();
+    assert_eq!(
+        stored_at_providers(&infra),
+        0,
+        "a failed complete_put must not leave its landed stripes billed"
+    );
+    assert!(engine.get(&key).is_err(), "nothing was ever committed");
+
+    // `Engine::put` goes through the same function: a provider set that
+    // dies between two stripes leaves nothing behind either.
+    for provider in infra.catalog().all() {
+        infra.catalog().mark_available(provider.id);
+    }
+    let plan = Arc::new(FaultPlan::new());
+    plan.arm_after("put_part::after-stripe", 1);
+    infra.set_fault_plan(Some(plan));
+    assert!(cluster
+        .put(
+            &key,
+            payload(24, 3_800),
+            "application/x-tar",
+            flex_rule(),
+            None
+        )
+        .is_err());
+    infra.set_fault_plan(None);
+    assert!(
+        stored_at_providers(&infra) > 0,
+        "an injected crash keeps its debris for the orphan sweep"
+    );
+    gc::sweep_orphan_chunks(&infra);
+    assert_eq!(stored_at_providers(&infra), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -804,19 +957,11 @@ fn streamed_objects_are_bit_equal_across_pool_sizes() {
                         .unwrap();
                     clear_caches(&cluster);
                     assert_eq!(cluster.get(&key).unwrap().as_ref(), &data[..]);
-                    let map = meta.striping.stripes.as_ref().unwrap();
-                    let stripe_lines: Vec<String> = map
+                    let stripe_lines: Vec<String> = meta
+                        .striping
                         .stripes
                         .iter()
-                        .map(|s| {
-                            format!(
-                                "m={} n={} len={} checksum={}",
-                                s.m,
-                                s.chunks.len(),
-                                s.len,
-                                s.checksum
-                            )
-                        })
+                        .map(|s| format!("m={} n={} checksum={}", s.m, s.n(), s.checksum))
                         .collect();
                     lines.push(format!(
                         "{tag}: checksum={} size={} stripes=[{}]",
@@ -936,22 +1081,19 @@ fn multipart_zero_part_complete_commits_an_empty_object() {
 }
 
 // ---------------------------------------------------------------------------
-// Degenerate ranges on classic (single-stripe) objects
+// Degenerate ranges on one-stripe objects
 // ---------------------------------------------------------------------------
 
 #[test]
 fn degenerate_ranges_on_classic_objects_fetch_no_chunks() {
     let cluster = striped_cluster();
-    let key = ObjectKey::new("ranges", "classic");
-    let size = (THRESHOLD / 2) as usize; // comfortably below the streaming cut-over
+    let key = ObjectKey::new("ranges", "one-stripe");
+    let size = (STRIPE / 2) as usize;
     let data = payload(9, size);
     let meta = cluster
         .put(&key, data.clone(), "image/png", flex_rule(), None)
         .unwrap();
-    assert!(
-        meta.striping.stripes.is_none(),
-        "object this small must take the classic layout"
-    );
+    assert_eq!(meta.striping.stripe_count(), 1);
     clear_caches(&cluster);
 
     let engine = &cluster.engines()[0];
