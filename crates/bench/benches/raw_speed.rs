@@ -1,18 +1,21 @@
 //! The raw-speed floor, measured: GF(256) kernel throughput per tier and
 //! length, the 1 MiB Reed-Solomon parity core (wide kernel vs the scalar
 //! seed kernel — the ≥ 4× acceptance gate), the content checksum (XXH64,
-//! the one hash on the bytes path) per length, the work-stealing pool's
+//! the one hash on the bytes path) per length, the copy-and-hash pass the
+//! read and write paths move bytes with, the work-stealing pool's
 //! spawn/steal microcosts, pool scaling on an optimization-cycle and a
 //! map-reduce workload at 1 vs 4 workers, and the 16–20-provider
 //! placement search with and without pairwise dominance pruning (vs the
 //! recorded 4.98 ms PR 1 baseline at 16 providers).
 //!
 //! Every measured number is published to `BENCH_raw_speed.json` at the
-//! repo root. Three acceptance gates are asserted inline (so a CI bench
+//! repo root. Four acceptance gates are asserted inline (so a CI bench
 //! smoke run fails loudly rather than recording a regression):
 //!
 //! * `rs_parity_1mib`: wide kernel ≥ 4× over the scalar seed kernel;
 //! * `xxh64`: ≤ 0.3 ns/B at 4 KiB, 512 KiB (a stripe) and 8 MiB;
+//! * `checksum.append`: `Xxh64::append` takes ≤ 0.7× the time of a copy
+//!   followed by a separate hash at 8 MiB;
 //! * `search_16`: dominance-pruned search beats the 4.98 ms baseline.
 //!
 //! The ≥ 2×-at-4-workers pool-scaling gate is only asserted when the
@@ -31,7 +34,7 @@ use scalia_providers::catalog::{azure, google, rackspace, s3_high, s3_low};
 use scalia_providers::descriptor::ProviderDescriptor;
 use scalia_providers::pricing::PricingPolicy;
 use scalia_providers::sla::ProviderSla;
-use scalia_types::checksum::xxh64;
+use scalia_types::checksum::{xxh64, Xxh64};
 use scalia_types::ids::ProviderId;
 use scalia_types::reliability::Reliability;
 use scalia_types::rules::StorageRule;
@@ -182,6 +185,69 @@ fn xxh64_section() -> serde_json::Value {
             "gate_max_ns_per_byte": GATE_NS_PER_BYTE,
             "gate": "pass",
         }));
+    }
+    serde_json::json!(rows)
+}
+
+/// Copy-and-hash in one pass against two: [`Xxh64::append`] (what the read
+/// path builds its output with) against `extend_from_slice` followed by a
+/// separate [`xxh64`] over the copy, at a stripe (512 KiB) and a large
+/// object (8 MiB), into a reused output buffer; and the write path's
+/// two-context [`Xxh64::append_pair`] against a copy and two hash passes.
+/// Returns the JSON rows; asserts that `append` takes ≤ 0.7× the two-pass
+/// time at 8 MiB.
+fn checksum_append_section() -> serde_json::Value {
+    const GATE_MAX_RATIO: f64 = 0.7;
+    let mut rows = Vec::new();
+    for len in [512usize << 10, 8 << 20] {
+        let src: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
+        let mut out: Vec<u8> = Vec::with_capacity(len);
+        let iters = ((256 << 20) / len).max(8);
+        let two_pass_us = time_per_iter_us(iters, || {
+            out.clear();
+            out.extend_from_slice(black_box(&src));
+            black_box(xxh64(&out));
+        });
+        let append_us = time_per_iter_us(iters, || {
+            out.clear();
+            let mut ctx = Xxh64::new();
+            ctx.append(&mut out, black_box(&src));
+            black_box(ctx.digest());
+        });
+        let three_pass_us = time_per_iter_us(iters, || {
+            out.clear();
+            out.extend_from_slice(black_box(&src));
+            black_box((xxh64(&out), xxh64(&out)));
+        });
+        let pair_us = time_per_iter_us(iters, || {
+            out.clear();
+            let (mut stripe, mut object) = (Xxh64::new(), Xxh64::new());
+            stripe.append_pair(&mut object, &mut out, black_box(&src));
+            black_box((stripe.digest(), object.digest()));
+        });
+        let ratio = append_us / two_pass_us;
+        let mut row = serde_json::Map::new();
+        row.insert("len_bytes".into(), serde_json::json!(len));
+        for (name, value) in [
+            ("copy_then_xxh64_us", two_pass_us),
+            ("append_us", append_us),
+            ("append_ratio", ratio),
+            ("append_ns_per_byte", append_us * 1e3 / len as f64),
+            ("copy_then_xxh64_twice_us", three_pass_us),
+            ("append_pair_us", pair_us),
+            ("append_pair_ratio", pair_us / three_pass_us),
+        ] {
+            row.insert(name.into(), serde_json::json!(value));
+        }
+        if len == 8 << 20 {
+            assert!(
+                ratio <= GATE_MAX_RATIO,
+                "checksum.append gate: {ratio:.2}x the two-pass time at {len} B (need <= {GATE_MAX_RATIO})"
+            );
+            row.insert("gate_max_ratio".into(), serde_json::json!(GATE_MAX_RATIO));
+            row.insert("gate".into(), serde_json::json!("pass"));
+        }
+        rows.push(serde_json::Value::Object(row));
     }
     serde_json::json!(rows)
 }
@@ -424,6 +490,7 @@ fn raw_speed_baseline() {
     let gf256 = gf256_section();
     let parity = rs_parity_section();
     let checksum = xxh64_section();
+    let append = checksum_append_section();
     let spawn = pool_spawn_section();
     let scaling = pool_scaling_section();
     let placement = placement_section();
@@ -432,6 +499,7 @@ fn raw_speed_baseline() {
         "gf256": gf256,
         "rs_parity_1mib": parity,
         "xxh64": checksum,
+        "checksum.append": append,
         "pool_spawn": spawn,
         "pool_scaling": scaling,
         "placement_search": placement,

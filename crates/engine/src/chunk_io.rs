@@ -43,18 +43,24 @@
 //! * [`delete_chunks`] — **fanned-out delete** with the postponed-delete
 //!   semantics for unreachable providers.
 //! * [`fetch_and_reassemble`] / [`fetch_stripe`] / [`fetch_range`] — the
-//!   object-level reads over the stripe map: each stripe they touch is
-//!   fetched (hedged `m`-of-`n`), decoded and verified on its own, and a
-//!   range read touches only the stripes that cover its byte window.
+//!   object-level reads over the stripe map, three faces of one verified
+//!   read (`read_stripes`): each stripe they touch is fetched (hedged
+//!   `m`-of-`n`), decoded and verified on its own, and a range read touches
+//!   only the stripes that cover its byte window.
 //!
 //! # Integrity
 //!
-//! Chunks carry no checksum of their own. Every read decodes straight into
-//! its output buffer and verifies the decoded stripe against the content
-//! checksum ([`scalia_types::checksum`]) stored in the metadata when the
-//! stripe was written — one pass per byte, covering every chunk that
-//! contributed. A mismatch fails the read closed; it is never served and
-//! never cached.
+//! Chunks carry no checksum of their own. A read builds its output with
+//! `Vec::with_capacity` — no byte of it is zero-filled first — and appends
+//! each stripe's data shards onto it in index order through
+//! [`scalia_types::checksum::Xxh64::append`], which hashes every block as it
+//! reads it back from the output: decode, copy and verification are **one
+//! pass per byte**, and the digest covers exactly the bytes returned. The
+//! digest is compared with the content checksum stored in the metadata
+//! when the stripe was written *before the next stripe is fetched*; only a
+//! stripe missing a data shard is rebuilt from parity
+//! ([`scalia_erasure::codec::decode_object_into`]) and then hashed. A
+//! mismatch fails the read closed; it is never served and never cached.
 //!
 //! # Virtual time, real time
 //!
@@ -89,16 +95,17 @@ use bytes::Bytes;
 use rayon::prelude::*;
 use scalia_core::cost::{cheapest_read_providers, chunk_bytes_for};
 use scalia_core::placement::Placement;
-use scalia_erasure::codec::{decode_object_into, Chunk, EncodedObject};
+use scalia_erasure::codec::{decode_object_append, Chunk, EncodedObject};
 use scalia_providers::backend::{SimulatedStore, StoreOp};
 use scalia_providers::descriptor::ProviderDescriptor;
 use scalia_providers::latency::LatencyModel;
-use scalia_types::checksum::checksum_hex;
+use scalia_types::checksum::{parse_checksum_hex, Xxh64};
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::ProviderId;
 use scalia_types::object::{ChunkLocation, ObjectMeta, StripeMeta};
 use scalia_types::size::ByteSize;
 use scalia_types::ErasureParams;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -853,61 +860,57 @@ pub fn fetch_chunks(
     Ok(chunks)
 }
 
-/// Fetches any `m` chunks of `stripe` with the hedged race, decodes them
-/// straight into `out` (whose length is the stripe's plaintext length) and
-/// verifies the result against the content checksum stored in the metadata
-/// when the stripe was written.
+/// Reads stripes `stripes` of an object onto one output buffer of exactly
+/// their total plaintext length — the one way bytes leave the providers for
+/// a client.
 ///
-/// This is the only way bytes leave the providers for a client: a provider
+/// Stripe by stripe, in order: any `m` chunks are fetched with the hedged
+/// race ([`fetch_chunks`]), appended onto the buffer and hashed in the same
+/// pass ([`decode_object_append`]), and the digest is compared with the
+/// stripe's stored checksum *before the next stripe is fetched*. A provider
 /// that returns damaged bytes fails the read ([`ScaliaError::DecodeFailed`])
-/// instead of reaching the caller or the cache.
-fn read_stripe_into(
+/// instead of reaching the caller or the cache; the transient working set
+/// beyond the output buffer is the `m` fetched chunks of one stripe.
+fn read_stripes(
     infra: &Arc<Infrastructure>,
-    stripe: &StripeMeta,
-    out: &mut [u8],
+    meta: &ObjectMeta,
+    stripes: Range<usize>,
     config: &HedgeConfig,
-) -> Result<()> {
-    // `code_width()`, not `chunks.len()`: a degraded stripe keeps the
-    // surviving chunks' original erasure indices, and the decoder must see
-    // the width those indices were encoded under.
-    let params = ErasureParams::new(stripe.m, stripe.code_width())
-        .ok_or_else(|| ScaliaError::Internal("invalid striping metadata".into()))?;
-    let chunks = fetch_chunks(
-        infra,
-        stripe,
-        ByteSize::from_bytes(out.len() as u64),
-        config,
-    )?;
-    decode_object_into(&chunks, params, out)?;
-    if checksum_hex(out) != stripe.checksum {
-        return Err(ScaliaError::DecodeFailed(format!(
-            "the bytes decoded from chunks {}.* fail their stored checksum",
-            stripe.skey
-        )));
+) -> Result<Vec<u8>> {
+    let size = meta.size.bytes();
+    let striping = &meta.striping;
+    let total: u64 = stripes.clone().map(|i| striping.stripe_len(i, size)).sum();
+    let mut out = Vec::with_capacity(total as usize);
+    for i in stripes {
+        let stripe = striping.stripe_view(i);
+        let len = striping.stripe_len(i, size);
+        // `code_width()`, not `chunks.len()`: a degraded stripe keeps the
+        // surviving chunks' original erasure indices, and the decoder must
+        // see the width those indices were encoded under.
+        let params = ErasureParams::new(stripe.m, stripe.code_width())
+            .ok_or_else(|| ScaliaError::Internal("invalid striping metadata".into()))?;
+        let chunks = fetch_chunks(infra, stripe, ByteSize::from_bytes(len), config)?;
+        let mut checksum = Xxh64::new();
+        decode_object_append(&chunks, params, len as usize, &mut out, &mut checksum)?;
+        if parse_checksum_hex(&stripe.checksum) != Some(checksum.digest()) {
+            return Err(ScaliaError::DecodeFailed(format!(
+                "the bytes decoded from chunks {}.* fail their stored checksum",
+                stripe.skey
+            )));
+        }
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Reassembles the whole object, tolerating up to `n − m` failed or
-/// straggling providers per stripe. One output buffer is allocated up
-/// front; each stripe runs its own hedged `m`-of-`n` race
-/// ([`fetch_chunks`]), lands directly in its window of the output and is
-/// checksum-verified there — so the transient working set beyond the output
-/// buffer is the `m` fetched chunks of one stripe.
+/// straggling providers per stripe (`read_stripes` over every stripe).
 pub fn fetch_and_reassemble(
     infra: &Arc<Infrastructure>,
     meta: &ObjectMeta,
     config: &HedgeConfig,
 ) -> Result<Bytes> {
-    let size = meta.size.bytes();
-    let mut out = vec![0u8; size as usize];
-    let mut rest = &mut out[..];
-    for (i, stripe) in meta.striping.stripes.iter().enumerate() {
-        let (window, tail) = rest.split_at_mut(meta.striping.stripe_len(i, size) as usize);
-        read_stripe_into(infra, stripe, window, config)?;
-        rest = tail;
-    }
-    if !rest.is_empty() {
+    let out = read_stripes(infra, meta, 0..meta.striping.stripe_count(), config)?;
+    if out.len() as u64 != meta.size.bytes() {
         return Err(short_stripe_map(meta));
     }
     Ok(Bytes::from(out))
@@ -930,21 +933,18 @@ pub fn fetch_stripe(
     index: usize,
     config: &HedgeConfig,
 ) -> Result<Bytes> {
-    let len = meta.striping.stripe_len(index, meta.size.bytes());
-    let mut out = vec![0u8; len as usize];
-    read_stripe_into(infra, meta.striping.stripe_view(index), &mut out, config)?;
-    Ok(Bytes::from(out))
+    read_stripes(infra, meta, index..index + 1, config).map(Bytes::from)
 }
 
 /// Fetches only the chunks needed to serve the byte range
 /// `[offset, offset + len)` of an object: those of the covering stripes
 /// (each still a hedged `m`-of-`n` race). Checksums cover whole stripes, so
-/// a stripe the range only touches part of is decoded and verified in full
-/// before the requested window is cut from it — no byte is returned that a
-/// stored checksum did not vouch for. A range inside one stripe is a shared
-/// slice of that verified stripe. The result equals the same slice of a
-/// full read, clamped to the object's end — an empty or past-EOF range is
-/// empty bytes and fetches nothing.
+/// every covering stripe is read and verified in full (`read_stripes`)
+/// and the range is a shared slice of that verified buffer — no byte is
+/// returned that a stored checksum did not vouch for, and none is copied
+/// twice; the slice keeps the covering stripes' buffer alive. The result
+/// equals the same slice of a full read, clamped to the object's end — an
+/// empty or past-EOF range is empty bytes and fetches nothing.
 pub fn fetch_range(
     infra: &Arc<Infrastructure>,
     meta: &ObjectMeta,
@@ -952,8 +952,7 @@ pub fn fetch_range(
     len: u64,
     config: &HedgeConfig,
 ) -> Result<Bytes> {
-    let size = meta.size.bytes();
-    let end = offset.saturating_add(len).min(size);
+    let end = offset.saturating_add(len).min(meta.size.bytes());
     if offset >= end {
         return Ok(Bytes::new());
     }
@@ -962,28 +961,9 @@ pub fn fetch_range(
     if striping.stripe_offset(covering.end) < end {
         return Err(short_stripe_map(meta));
     }
-    if covering.len() == 1 {
-        let start = striping.stripe_offset(covering.start);
-        let stripe = fetch_stripe(infra, meta, covering.start, config)?;
-        return Ok(stripe.slice((offset - start) as usize..(end - start) as usize));
-    }
-    let mut out = vec![0u8; (end - offset) as usize];
-    let mut rest = &mut out[..];
-    for i in covering {
-        let stripe_start = striping.stripe_offset(i);
-        let stripe_len = striping.stripe_len(i, size);
-        let from = (offset.max(stripe_start) - stripe_start) as usize;
-        let to = (end - stripe_start).min(stripe_len) as usize;
-        let (window, tail) = rest.split_at_mut(to - from);
-        if to - from == stripe_len as usize {
-            // Whole stripe needed: decode and verify it in place.
-            read_stripe_into(infra, striping.stripe_view(i), window, config)?;
-        } else {
-            window.copy_from_slice(&fetch_stripe(infra, meta, i, config)?[from..to]);
-        }
-        rest = tail;
-    }
-    Ok(Bytes::from(out))
+    let start = striping.stripe_offset(covering.start);
+    let stripes = Bytes::from(read_stripes(infra, meta, covering, config)?);
+    Ok(stripes.slice((offset - start) as usize..(end - start) as usize))
 }
 
 #[cfg(test)]
@@ -992,6 +972,7 @@ mod tests {
     use scalia_erasure::codec::encode_object;
     use scalia_providers::backend::ObjectStore;
     use scalia_providers::catalog::ProviderCatalog;
+    use scalia_types::checksum::checksum_hex;
     use scalia_types::time::Duration as SimDuration;
 
     fn infra() -> Arc<Infrastructure> {

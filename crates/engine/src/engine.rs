@@ -348,7 +348,7 @@ impl Engine {
             // read: any write committed after this point bumps it.
             let epoch = self.local_cache.read_epoch(&row_key);
             let meta = self.read_metadata(key)?;
-            match self.fetch_and_reassemble(&meta) {
+            match chunk_io::fetch_and_reassemble(&self.infra, &meta, &HedgeConfig::default()) {
                 Ok(data) => {
                     self.populate_cache_if_unchanged(&row_key, &meta, &data, epoch);
                     self.log_access(key, AccessKind::Read, meta.size, meta.size);
@@ -377,10 +377,10 @@ impl Engine {
     /// the payload — closing the race **without** the extra metadata read
     /// per uncached get the previous revalidate-by-re-reading scheme paid.
     ///
-    /// `data` must be the payload `fetch_and_reassemble` has just returned
-    /// for `meta`: every stripe of it was verified against the checksum
-    /// `meta` records, so the entry is cached under those checksums and no
-    /// byte is hashed again.
+    /// `data` must be the payload [`chunk_io::fetch_and_reassemble`] has
+    /// just returned for `meta`: every stripe of it was verified against the
+    /// checksum `meta` records, so the entry is cached under those checksums
+    /// and no byte is hashed again.
     fn populate_cache_if_unchanged(
         &self,
         row_key: &str,
@@ -408,17 +408,6 @@ impl Engine {
             })
             .ok_or_else(|| ScaliaError::ObjectNotFound(key.clone()))?
             .map_err(|e| ScaliaError::Internal(format!("deserialize metadata: {e}")))
-    }
-
-    /// Fetches each stripe's chunks with a hedged race over its cheapest
-    /// `m` providers and reassembles the object, tolerating up to `n − m`
-    /// failed or straggling providers per stripe. Provider errors feed the
-    /// failure detector
-    /// (§III-D3); a fetch that exceeds its hedge deadline has the
-    /// next-ranked parity provider promoted into the race (see
-    /// [`chunk_io::fetch_chunks`]).
-    pub fn fetch_and_reassemble(&self, meta: &ObjectMeta) -> Result<Bytes> {
-        chunk_io::fetch_and_reassemble(&self.infra, meta, &HedgeConfig::default())
     }
 
     /// Lists the keys currently stored in a container.

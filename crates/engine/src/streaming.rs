@@ -9,14 +9,24 @@
 //! Fig. 11 record, anything larger is several of them.
 //!
 //! * **Put** — [`Engine::put`] is `begin_put_with_hint` → seal each stripe
-//!   straight from the caller's payload → `complete_put`. The pipeline is
-//!   staged: stripe `k + 1` is *encoded* while stripe `k`'s chunks are *in
-//!   flight* ([`rayon::join`] overlaps the CPU-bound encode with the
-//!   provider-bound upload), so peak transient buffering is O(stripe),
-//!   never O(object). Each stripe's content checksum and the streaming
-//!   whole-object checksum ([`scalia_types::checksum`]) are both taken at
-//!   the seal, while the stripe's bytes are in cache for the encode; a
-//!   one-stripe object's checksum *is* its stripe's and is taken once.
+//!   straight from the caller's payload → `complete_put`. Stripes seal in
+//!   order, one at a time: stripe `k` is placed, stripe `k − 1` is landed,
+//!   stripe `k` is encoded — so peak transient buffering is O(stripe),
+//!   never O(object). Encoding *is* the checksum pass: the copy that fills
+//!   a stripe's data shards absorbs its bytes into the stripe's content
+//!   checksum and, unless the stripe is the whole object, into the
+//!   streaming whole-object checksum ([`scalia_types::checksum`],
+//!   [`encode_object_checksummed`]), so no byte is read again to hash it.
+//!   Nothing overlaps the encode, which runs on the caller: landing a
+//!   stripe in virtual time is a few map inserts on the caller, and on the
+//!   wall clock [`chunk_io::upload`] already overlaps a stripe's chunk
+//!   uploads on the pool, while encoding a 512 KiB stripe costs under
+//!   0.15 ms (a whole 16-stripe 8 MiB put takes 2.2 ms p50) against an
+//!   upload's modelled tens of milliseconds. Handing each encode to a pool
+//!   worker to overlap the landing cost more than it hid: removing that
+//!   hand-off alone took the benchmark's `large_stream` put (8 MiB, 16
+//!   stripes) from 3 009 to 2 681 µs p50 and its peak RSS from 73.8 to
+//!   62.0 MiB (10/10 alternating pairs, seed 1, 2-vCPU Xeon host).
 //! * **Multipart / append** — [`Engine::begin_put`], [`MultipartUpload::put_part`]
 //!   and [`MultipartUpload::complete_put`] expose the same pipeline to
 //!   callers that produce data incrementally. Parts may be any size; stripes
@@ -32,16 +42,16 @@
 //!
 //! # Per-stripe durability semantics
 //!
-//! A stripe lands through one ladder (`land_stripe`): fanned-out upload
-//! with abort-on-first-failure and rollback, bounded re-placement (capped
-//! by [`crate::engine::WRITE_ATTEMPTS`]) excluding the failed provider,
-//! and — once re-placement is exhausted — a *degraded* tolerant landing
-//! accepted iff `k ≥ m` chunks survive **and** the surviving providers
-//! still clear the rule's availability floor. Degraded stripes accumulate
-//! into one durability debt recorded (with its repair-queue entry)
-//! atomically with the commit; the repair path migrates objects stripe by
-//! stripe and its full-width commit settles the debt. A put that cannot
-//! land a stripe rolls back every stripe that already did.
+//! A stripe lands through one ladder (`MultipartUpload::land_stripe`):
+//! fanned-out upload with abort-on-first-failure and rollback, bounded
+//! re-placement (capped by [`crate::engine::WRITE_ATTEMPTS`]) excluding the
+//! failed provider, and — once re-placement is exhausted — a *degraded*
+//! tolerant landing accepted iff `k ≥ m` chunks survive **and** the
+//! surviving providers still clear the rule's availability floor. Degraded
+//! stripes accumulate into one durability debt recorded (with its
+//! repair-queue entry) atomically with the commit; the repair path migrates
+//! objects stripe by stripe and its full-width commit settles the debt. A
+//! put that cannot land a stripe rolls back every stripe that already did.
 //!
 //! # Chunk keys
 //!
@@ -64,9 +74,11 @@ use scalia_core::availability::get_availability;
 use scalia_core::classify::ObjectClass;
 use scalia_core::cost::PredictedUsage;
 use scalia_core::placement::Placement;
-use scalia_erasure::codec::{decode_object, encode_object, EncodedObject};
+use scalia_erasure::codec::{
+    decode_object, encode_object, encode_object_checksummed, EncodedObject,
+};
 use scalia_metastore::logagg::AccessKind;
-use scalia_types::checksum::{checksum_hex, Xxh64};
+use scalia_types::checksum::Xxh64;
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::ProviderId;
 use scalia_types::object::{
@@ -163,7 +175,9 @@ pub struct MultipartUpload<E: Borrow<Engine> = Arc<Engine>> {
     total_len: u64,
     /// Stripes already landed at providers, in index order.
     stripes: Vec<StripeMeta>,
-    /// The encoded stripe whose upload overlaps the next seal.
+    /// The last encoded stripe: it lands once the next stripe is placed, or
+    /// in `complete_put` (so placement, landing and encoding keep the order
+    /// place `k` → land `k − 1` → encode `k`).
     in_hand: Option<EncodedStripe>,
     /// Chunks landed / wanted across all stripes; a shortfall becomes one
     /// durability debt at commit.
@@ -326,11 +340,11 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
     }
 
     /// Appends bytes to the object. Whenever a full stripe's worth has
-    /// accumulated the stripe seals: its plaintext leaves the buffer, is
-    /// encoded, and the *previously* encoded stripe's chunks are uploaded
-    /// concurrently with the encode (the staged pipeline). An error means
-    /// the upload is failed — [`MultipartUpload::complete_put`] will refuse
-    /// — and every stripe that had landed has been rolled back.
+    /// accumulated the stripe seals: it is placed, the previously encoded
+    /// stripe's chunks are uploaded, and its plaintext leaves the buffer
+    /// through the encode (which takes its checksums on the way). An error
+    /// means the upload is failed — [`MultipartUpload::complete_put`] will
+    /// refuse — and every stripe that had landed has been rolled back.
     pub fn put_part(&mut self, part: &[u8]) -> Result<()> {
         self.feed(part, false)
     }
@@ -534,18 +548,14 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         self.peak_buffer_bytes = self.peak_buffer_bytes.max(now);
     }
 
-    /// One pipeline step: encode `plain` as the next stripe while the
-    /// previously encoded stripe (if any) uploads — the two run concurrently
-    /// under [`rayon::join`], overlapping CPU with provider I/O. Stripes seal
-    /// in object order, so the whole-object checksum streams across them
-    /// here, in the same pass through the cache as the stripe's own — unless
-    /// this stripe is the whole object (`last`, and the first), whose
-    /// checksum is the stripe's.
+    /// One pipeline step: place `plain` as the next stripe, land the stripe
+    /// sealed before it, then encode `plain` — absorbing its bytes into the
+    /// stripe's checksum and, in object order, into the whole-object
+    /// checksum in the copy that fills the data shards; a stripe that is the
+    /// whole object (`last`, and the first) absorbs only into its own, which
+    /// is then the object's.
     fn seal_stripe(&mut self, plain: &[u8], last: bool) -> Result<()> {
         let index = self.stripes.len() + usize::from(self.in_hand.is_some());
-        if index > 0 || !last {
-            self.object_checksum.update(plain);
-        }
         let placement =
             match self
                 .engine()
@@ -562,57 +572,33 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
                 },
             };
         // Charge the seal: plaintext being encoded + its encoded output +
-        // whatever is already held.
+        // whatever is already held (the held stripe lands before the encode
+        // runs, so this is an upper bound).
         let encoded_estimate =
             plain.len() * placement.providers.len().max(1) / placement.m.max(1) as usize;
         self.note_buffered(plain.len() + encoded_estimate);
 
-        let encode = || -> Result<EncodedStripe> {
-            let checksum = checksum_hex(plain);
-            let encoded = encode_object(plain, placement.erasure_params())?;
-            Ok(EncodedStripe {
-                index,
-                checksum,
-                placement,
-                encoded,
-            })
-        };
-        let fresh = match self.in_hand.take() {
-            Some(prev) => {
-                let engine = self.engine.borrow();
-                let land = || {
-                    land_stripe(
-                        engine,
-                        &self.key,
-                        &self.rule,
-                        &self.class,
-                        &self.usage,
-                        self.version,
-                        prev,
-                    )
-                };
-                let (landed, fresh) = rayon::join(land, encode);
-                self.record_landed(landed?)?;
-                fresh?
-            }
-            None => encode()?,
-        };
-        self.in_hand = Some(fresh);
+        if let Some(prev) = self.in_hand.take() {
+            self.land(prev)?;
+        }
+        let mut checksum = Xxh64::new();
+        let object = (index > 0 || !last).then_some(&mut self.object_checksum);
+        let encoded =
+            encode_object_checksummed(plain, placement.erasure_params(), &mut checksum, object)?;
+        self.in_hand = Some(EncodedStripe {
+            index,
+            placement,
+            encoded,
+            checksum: checksum.finalize_hex(),
+        });
         self.note_buffered(0);
         Ok(())
     }
 
-    /// Lands one encoded stripe and records it.
+    /// Lands one encoded stripe ([`MultipartUpload::land_stripe`]) and
+    /// records it.
     fn land(&mut self, stripe: EncodedStripe) -> Result<()> {
-        let landed = land_stripe(
-            self.engine.borrow(),
-            &self.key,
-            &self.rule,
-            &self.class,
-            &self.usage,
-            self.version,
-            stripe,
-        )?;
+        let landed = self.land_stripe(stripe)?;
         self.record_landed(landed)
     }
 
@@ -628,105 +614,96 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         // sweep.
         self.engine().infra().crash_point("put_part::after-stripe")
     }
-}
 
-/// Lands one encoded stripe: fanned-out upload with rollback, then —
-/// bounded by [`WRITE_ATTEMPTS`], as §III-D3 prescribes — re-placement over
-/// the remaining providers (the failed provider may or may not have tripped
-/// the failure detector, e.g. a full private resource stays
-/// catalog-available, so it is excluded from the search explicitly;
-/// re-encoding only when the `(m, n)` geometry changes — the systematic data
-/// shards reconstruct the plaintext in memory, no provider reads), and the
-/// degraded tolerant fallback once attempts, or feasible placements, are
-/// exhausted. The first attempt stores under `version`'s key, every later
-/// one under a freshly drawn version's (see "Chunk keys" in the module
-/// docs). Returns the landed stripe and the chunk count its placement
-/// wanted, for debt accounting.
-fn land_stripe(
-    engine: &Engine,
-    key: &ObjectKey,
-    rule: &StorageRule,
-    class: &ObjectClass,
-    usage: &PredictedUsage,
-    version: ObjectVersionId,
-    mut stripe: EncodedStripe,
-) -> Result<(StripeMeta, u64)> {
-    let infra = engine.infra();
-    let config = HedgeConfig::default();
-    let index = stripe.index;
-    let skey_of = |version| stripe_skey(StripingMeta::storage_key(key, version), index);
-    let mut skey = skey_of(version);
-    let mut excluded: Vec<ProviderId> = Vec::new();
-    loop {
-        let failure = match chunk_io::upload(
-            infra,
-            &stripe.placement,
-            &skey,
-            &stripe.encoded,
-            &config,
-            true,
-        ) {
-            Ok(chunks) => {
-                let want = chunks.len() as u64;
-                return Ok((stripe.landed(chunks, skey), want));
+    /// Lands one encoded stripe: fanned-out upload with rollback, then —
+    /// bounded by [`WRITE_ATTEMPTS`], as §III-D3 prescribes — re-placement
+    /// over the remaining providers (the failed provider may or may not have
+    /// tripped the failure detector, e.g. a full private resource stays
+    /// catalog-available, so it is excluded from the search explicitly;
+    /// re-encoding only when the `(m, n)` geometry changes — the systematic
+    /// data shards reconstruct the plaintext in memory, no provider reads,
+    /// and the checksums taken at the seal still hold, so nothing is hashed
+    /// again), and the degraded tolerant fallback once attempts, or feasible
+    /// placements, are exhausted. The first attempt stores under the
+    /// upload's version's key, every later one under a freshly drawn
+    /// version's (see "Chunk keys" in the module docs). Returns the landed
+    /// stripe and the chunk count its placement wanted, for debt accounting.
+    fn land_stripe(&self, mut stripe: EncodedStripe) -> Result<(StripeMeta, u64)> {
+        let infra = self.engine().infra();
+        let config = HedgeConfig::default();
+        let index = stripe.index;
+        let skey_of = |version| stripe_skey(StripingMeta::storage_key(&self.key, version), index);
+        let mut skey = skey_of(self.version);
+        let mut excluded: Vec<ProviderId> = Vec::new();
+        loop {
+            let failure = match chunk_io::upload(
+                infra,
+                &stripe.placement,
+                &skey,
+                &stripe.encoded,
+                &config,
+                true,
+            ) {
+                Ok(chunks) => {
+                    let want = chunks.len() as u64;
+                    return Ok((stripe.landed(chunks, skey), want));
+                }
+                Err(failure) => failure,
+            };
+            excluded.push(failure.provider);
+            let replacement = if excluded.len() < WRITE_ATTEMPTS {
+                self.engine()
+                    .place_excluding(&self.rule, &self.class, &self.usage, &excluded)
+                    .ok()
+            } else {
+                None
+            };
+            skey = skey_of(infra.next_version(&self.key.row_key()));
+            let Some(next) = replacement else {
+                // Degrade on the placement whose upload just failed, or
+                // surface that failure.
+                return self.land_degraded(stripe, skey).ok_or(failure.error);
+            };
+            if next.erasure_params() != stripe.placement.erasure_params() {
+                let plain = decode_object(
+                    &stripe.encoded.chunks,
+                    stripe.encoded.params,
+                    stripe.encoded.original_len,
+                )?;
+                stripe.encoded = encode_object(&plain, next.erasure_params())?;
             }
-            Err(failure) => failure,
-        };
-        excluded.push(failure.provider);
-        let replacement = if excluded.len() < WRITE_ATTEMPTS {
-            engine.place_excluding(rule, class, usage, &excluded).ok()
-        } else {
-            None
-        };
-        skey = skey_of(infra.next_version(&key.row_key()));
-        let Some(next) = replacement else {
-            // Degrade on the placement whose upload just failed, or surface
-            // that failure.
-            return land_degraded(engine, rule, stripe, skey).ok_or(failure.error);
-        };
-        if next.erasure_params() != stripe.placement.erasure_params() {
-            let plain = decode_object(
-                &stripe.encoded.chunks,
-                stripe.encoded.params,
-                stripe.encoded.original_len,
-            )?;
-            stripe.encoded = encode_object(&plain, next.erasure_params())?;
+            stripe.placement = next;
         }
-        stripe.placement = next;
     }
-}
 
-/// The degraded landing of one stripe: every chunk attempted tolerantly,
-/// the partial landing accepted iff `k ≥ m` chunks survive and the surviving
-/// providers still meet the rule's availability floor; rolled back, and
-/// `None`, otherwise.
-fn land_degraded(
-    engine: &Engine,
-    rule: &StorageRule,
-    stripe: EncodedStripe,
-    skey: String,
-) -> Option<(StripeMeta, u64)> {
-    let infra = engine.infra();
-    let placement = &stripe.placement;
-    let config = HedgeConfig::default();
-    let chunks = chunk_io::upload(infra, placement, &skey, &stripe.encoded, &config, false).ok()?;
-    let want = placement.providers.len() as u64;
-    // Everything may have landed after all (the earlier failure was
-    // transient): a full-width stripe, no debt.
-    let durable = chunks.len() as u64 == want || {
-        let surviving: Vec<_> = chunks
-            .iter()
-            .filter_map(|c| infra.catalog().get(c.provider))
-            .collect();
-        surviving.len() == chunks.len()
-            && get_availability(&surviving, placement.m).meets(rule.availability)
-    };
-    let landed = stripe.landed(chunks, skey);
-    if durable {
-        Some((landed, want))
-    } else {
-        // Not durable enough to acknowledge: roll the landing back.
-        chunk_io::delete_chunks(infra, std::slice::from_ref(&landed));
-        None
+    /// The degraded landing of one stripe: every chunk attempted tolerantly,
+    /// the partial landing accepted iff `k ≥ m` chunks survive and the
+    /// surviving providers still meet the rule's availability floor; rolled
+    /// back, and `None`, otherwise.
+    fn land_degraded(&self, stripe: EncodedStripe, skey: String) -> Option<(StripeMeta, u64)> {
+        let infra = self.engine().infra();
+        let placement = &stripe.placement;
+        let config = HedgeConfig::default();
+        let chunks =
+            chunk_io::upload(infra, placement, &skey, &stripe.encoded, &config, false).ok()?;
+        let want = placement.providers.len() as u64;
+        // Everything may have landed after all (the earlier failure was
+        // transient): a full-width stripe, no debt.
+        let durable = chunks.len() as u64 == want || {
+            let surviving: Vec<_> = chunks
+                .iter()
+                .filter_map(|c| infra.catalog().get(c.provider))
+                .collect();
+            surviving.len() == chunks.len()
+                && get_availability(&surviving, placement.m).meets(self.rule.availability)
+        };
+        let landed = stripe.landed(chunks, skey);
+        if durable {
+            Some((landed, want))
+        } else {
+            // Not durable enough to acknowledge: roll the landing back.
+            chunk_io::delete_chunks(infra, std::slice::from_ref(&landed));
+            None
+        }
     }
 }

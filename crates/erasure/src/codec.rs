@@ -4,8 +4,10 @@
 //! [`Chunk`]s, any `m` of which reconstruct it. This module handles padding,
 //! shard splitting and reassembly on top of [`crate::rs`], moving each byte
 //! once per direction: encoding copies the plaintext into the data shards it
-//! will be stored as, decoding writes the shards straight into the caller's
-//! output buffer.
+//! will be stored as, decoding appends the data shards onto the caller's
+//! output. The write and read paths hash the bytes in that same copy
+//! ([`encode_object_checksummed`], [`decode_object_append`]), so no byte is
+//! read a second time to checksum it.
 //!
 //! Chunks carry no header and no checksum. Integrity is the caller's: the
 //! engine stores one content checksum per stripe in the metadata at write
@@ -14,6 +16,7 @@
 
 use crate::rs::{ReedSolomon, RsError};
 use bytes::Bytes;
+use scalia_types::checksum::Xxh64;
 use scalia_types::error::ScaliaError;
 use scalia_types::ErasureParams;
 
@@ -87,6 +90,37 @@ fn shard_len_for(len: usize, m: usize) -> usize {
 /// [`PARALLEL_CUTOFF_BYTES`] compute the parity rows in parallel on the
 /// thread pool; the output is byte-identical to the sequential path.
 pub fn encode_object(data: &[u8], params: ErasureParams) -> Result<EncodedObject, ScaliaError> {
+    encode_with(data, params, |shard, bytes| shard.extend_from_slice(bytes))
+}
+
+/// [`encode_object`] that also absorbs `data` into `stripe` — and into
+/// `object` too, when given — in the copy that fills the data shards
+/// ([`Xxh64::append`] / [`Xxh64::append_pair`]): the shards are filled in
+/// index order, so the contexts see `data` in order, and the padding is
+/// never absorbed. The write path takes a stripe's checksum and its share
+/// of the whole-object checksum this way, without a pass of its own.
+pub fn encode_object_checksummed(
+    data: &[u8],
+    params: ErasureParams,
+    stripe: &mut Xxh64,
+    object: Option<&mut Xxh64>,
+) -> Result<EncodedObject, ScaliaError> {
+    match object {
+        Some(object) => encode_with(data, params, |shard, bytes| {
+            stripe.append_pair(object, shard, bytes)
+        }),
+        None => encode_with(data, params, |shard, bytes| stripe.append(shard, bytes)),
+    }
+}
+
+/// The encoder behind [`encode_object`] and [`encode_object_checksummed`]:
+/// `copy(shard, bytes)` appends each data shard's plaintext window onto its
+/// empty buffer, in shard order.
+fn encode_with(
+    data: &[u8],
+    params: ErasureParams,
+    mut copy: impl FnMut(&mut Vec<u8>, &[u8]),
+) -> Result<EncodedObject, ScaliaError> {
     let m = params.m as usize;
     let rs = ReedSolomon::new(m, params.n as usize).map_err(rs_error)?;
 
@@ -96,7 +130,7 @@ pub fn encode_object(data: &[u8], params: ErasureParams) -> Result<EncodedObject
             let start = (i * shard_len).min(data.len());
             let end = ((i + 1) * shard_len).min(data.len());
             let mut shard = Vec::with_capacity(shard_len);
-            shard.extend_from_slice(&data[start..end]);
+            copy(&mut shard, &data[start..end]);
             shard.resize(shard_len, 0);
             shard
         })
@@ -141,8 +175,9 @@ fn usable_shards(
 }
 
 /// Reassembles an object of `out.len()` bytes from any `m` (or more) of its
-/// chunks, straight into `out` — the window of a larger buffer when the
-/// object is one stripe of many.
+/// chunks, straight into `out` — the rebuild path of
+/// [`decode_object_append`] when a data shard is missing, and the reference
+/// it is tested against.
 ///
 /// Chunks with an out-of-range or repeated index, or whose length is not
 /// the shard length of an `out.len()`-byte object, are ignored; if fewer
@@ -169,6 +204,63 @@ pub fn decode_object_into(
     let parallel = out.len() >= PARALLEL_CUTOFF_BYTES;
     rs.reconstruct_into(&shards, out, parallel)
         .map_err(rs_error)
+}
+
+/// Reassembles an object of `len` bytes from any `m` (or more) of its
+/// chunks onto the end of `out`, absorbing every appended byte into
+/// `checksum` — the read path's decode and verification pass in one.
+///
+/// The code is systematic, so when every data shard covering the object is
+/// among the usable chunks the object *is* those shards, cut to `len`: they
+/// are appended in index order with [`Xxh64::append`], which hashes each
+/// block as it reads it back from `out`, and no Reed–Solomon work (not even
+/// building the coder) happens. Only a missing data shard takes the
+/// reconstruct path: `out` grows by `len` bytes, [`decode_object_into`]
+/// rebuilds the object into them, and the rebuilt window is absorbed.
+///
+/// Chunks are chosen and rejected exactly as [`decode_object_into`] does,
+/// and the appended bytes equal what it writes. On error `out` is left as
+/// it was. The bytes are **not** verified — compare `checksum` with the
+/// checksum stored when the object was written.
+pub fn decode_object_append(
+    chunks: &[Chunk],
+    params: ErasureParams,
+    len: usize,
+    out: &mut Vec<u8>,
+    checksum: &mut Xxh64,
+) -> Result<(), ScaliaError> {
+    let m = params.m as usize;
+    ReedSolomon::check_params(m, params.n as usize).map_err(rs_error)?;
+    let shards = usable_shards(chunks, params, len);
+    if shards.len() < m {
+        return Err(ScaliaError::NotEnoughChunks {
+            available: shards.len(),
+            required: m,
+        });
+    }
+    let shard_len = shard_len_for(len, m);
+    let data_rows: Option<Vec<&[u8]>> = (0..len.div_ceil(shard_len))
+        .map(|row| shards.iter().find(|(idx, _)| *idx == row).map(|s| s.1))
+        .collect();
+    let start = out.len();
+    match data_rows {
+        Some(rows) => {
+            out.reserve(len);
+            for (row, shard) in rows.into_iter().enumerate() {
+                let take = (len - row * shard_len).min(shard_len);
+                checksum.append(out, &shard[..take]);
+            }
+        }
+        None => {
+            out.resize(start + len, 0);
+            if let Err(err) = decode_object_into(chunks, params, &mut out[start..]) {
+                out.truncate(start);
+                return Err(err);
+            }
+            checksum.update(&out[start..]);
+        }
+    }
+    Ok(())
 }
 
 /// [`decode_object_into`] a freshly allocated buffer of `original_len`
@@ -393,6 +485,33 @@ mod tests {
                     "len {len} subset {mask:b}: wrote outside the window"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn checksummed_encode_is_encode_plus_the_checksums_of_the_plaintext() {
+        // The shard copy absorbs the plaintext — never the padding — into
+        // the stripe context, and into the object context on top of what it
+        // already holds; the chunks are those of `encode_object`.
+        for len in [0usize, 1, 31, 32, 33, 1000, 1001] {
+            let data = sample_data(len);
+            let plain = encode_object(&data, params(3, 5)).unwrap();
+            let earlier = sample_data(45);
+            let mut stripe = Xxh64::new();
+            let mut object = Xxh64::new();
+            object.update(&earlier);
+            let paired =
+                encode_object_checksummed(&data, params(3, 5), &mut stripe, Some(&mut object))
+                    .unwrap();
+            assert_eq!(paired, plain, "len {len}");
+            assert_eq!(stripe.digest(), scalia_types::checksum::xxh64(&data));
+            let whole: Vec<u8> = earlier.iter().chain(&data).copied().collect();
+            assert_eq!(object.digest(), scalia_types::checksum::xxh64(&whole));
+
+            let mut alone = Xxh64::new();
+            let single = encode_object_checksummed(&data, params(3, 5), &mut alone, None).unwrap();
+            assert_eq!(single, plain, "len {len}");
+            assert_eq!(alone.digest(), stripe.digest());
         }
     }
 

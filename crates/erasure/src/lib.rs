@@ -15,9 +15,10 @@
 //!   of the resulting encode matrix are invertible, which is exactly the
 //!   "any m-subset of the n chunks contains a complete copy" property.
 //! * [`codec`] — the object-level API used by the Scalia engine: split an
-//!   object into [`Chunk`]s and reassemble it from any `m` of them, straight
-//!   into the caller's buffer. Corruption is caught one layer up, by the
-//!   per-stripe content checksum the engine stores with the metadata.
+//!   object into [`Chunk`]s and reassemble it from any `m` of them onto the
+//!   caller's buffer, hashing the bytes in the same copy. Corruption is
+//!   caught one layer up, by the per-stripe content checksum the engine
+//!   stores with the metadata.
 
 // `deny` rather than `forbid`: the one sanctioned exception is the scoped
 // `allow(unsafe_code)` on `gf256::simd`, the runtime-feature-gated SIMD
@@ -31,13 +32,17 @@ pub mod gf256;
 pub mod matrix;
 pub mod rs;
 
-pub use codec::{decode_object, decode_object_into, encode_object, Chunk, EncodedObject};
+pub use codec::{
+    decode_object, decode_object_append, decode_object_into, encode_object,
+    encode_object_checksummed, Chunk, EncodedObject,
+};
 pub use rs::ReedSolomon;
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::codec::{
-        decode_object, decode_object_into, encode_object, Chunk, EncodedObject,
+        decode_object, decode_object_append, decode_object_into, encode_object,
+        encode_object_checksummed, Chunk, EncodedObject,
     };
     pub use crate::rs::ReedSolomon;
 }

@@ -70,9 +70,7 @@ impl ReedSolomon {
     /// Creates a coder with `m` data shards and `n` total shards
     /// (`0 < m ≤ n ≤ 255`).
     pub fn new(m: usize, n: usize) -> Result<Self, RsError> {
-        if m == 0 || n == 0 || m > n || n > 255 {
-            return Err(RsError::InvalidParams { m, n });
-        }
+        Self::check_params(m, n)?;
         // Vandermonde (n × m), normalised so the top m×m block is identity.
         let vandermonde = Matrix::vandermonde(n, m);
         let top = vandermonde.select_rows(&(0..m).collect::<Vec<_>>());
@@ -83,6 +81,15 @@ impl ReedSolomon {
             total_shards: n,
             encode_matrix,
         })
+    }
+
+    /// Whether [`ReedSolomon::new`] accepts `(m, n)`, without building the
+    /// coder.
+    pub(crate) fn check_params(m: usize, n: usize) -> Result<(), RsError> {
+        if m == 0 || n == 0 || m > n || n > 255 {
+            return Err(RsError::InvalidParams { m, n });
+        }
+        Ok(())
     }
 
     /// Number of data shards `m`.

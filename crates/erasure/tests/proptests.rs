@@ -1,11 +1,73 @@
 //! Property-based tests for the erasure-coding substrate.
 
 use proptest::prelude::*;
-use scalia_erasure::codec::{decode_object, encode_object};
+use scalia_erasure::codec::{
+    decode_object, decode_object_append, decode_object_into, encode_object, Chunk,
+    PARALLEL_CUTOFF_BYTES,
+};
 use scalia_erasure::gf256;
 use scalia_erasure::rs::ReedSolomon;
-use scalia_types::checksum::checksum_hex;
+use scalia_types::checksum::{checksum_hex, xxh64, Xxh64};
+use scalia_types::error::ScaliaError;
 use scalia_types::ErasureParams;
+
+/// The widest code a placement can choose: one chunk per provider of the
+/// paper catalog plus the provider the evaluation adds (§IV-D).
+const MAX_CATALOG_WIDTH: u32 = 6;
+
+/// The read path's decode — append onto a buffer that already holds bytes,
+/// hashing on the way — against the reference decode into a window, for
+/// every `(m, n)` a placement over the catalog can choose, every `m`-subset
+/// of the chunks (data only, mixed, parity only), and lengths that are
+/// empty, one byte, a shard ± 1 byte, a nominal stripe, a stripe + 1 and
+/// odd tails; plus one stripe large enough for the parallel rebuild.
+#[test]
+fn append_decode_matches_decode_into_for_every_catalog_geometry_and_subset() {
+    const STRIPE: usize = 4096;
+    const PREFIX: &[u8] = b"earlier stripes";
+    let mut cases = 0;
+    for n in 1..=MAX_CATALOG_WIDTH {
+        for m in 1..=n {
+            let params = ErasureParams::new(m, n).unwrap();
+            let shard = 97 * m as usize;
+            let mut lens = vec![0, 1, shard - 1, shard, shard + 1, STRIPE, STRIPE + 1];
+            lens.extend([STRIPE + 13, 2 * STRIPE - 7]);
+            if (m, n) == (3, 5) {
+                lens.push(PARALLEL_CUTOFF_BYTES + 1);
+            }
+            for len in lens {
+                let data: Vec<u8> = (0..len).map(|i| (i * 131 + 7 * len) as u8).collect();
+                let enc = encode_object(&data, params).unwrap();
+                for mask in 0u32..(1 << n) {
+                    if mask.count_ones() != m {
+                        continue;
+                    }
+                    let subset: Vec<Chunk> = (0..n as usize)
+                        .filter(|i| mask & (1 << i) != 0)
+                        .map(|i| enc.chunks[i].clone())
+                        .collect();
+                    let mut reference = vec![0u8; len];
+                    decode_object_into(&subset, params, &mut reference).unwrap();
+                    let (mut out, mut checksum) = (PREFIX.to_vec(), Xxh64::new());
+                    decode_object_append(&subset, params, len, &mut out, &mut checksum).unwrap();
+                    let what = format!("({m},{n}) len {len} subset {mask:b}");
+                    assert_eq!(&out[..PREFIX.len()], PREFIX, "{what}");
+                    assert_eq!(&out[PREFIX.len()..], &reference[..], "{what}");
+                    assert_eq!(&reference[..], &data[..], "{what}");
+                    assert_eq!(checksum.digest(), xxh64(&data), "{what}");
+                    cases += 1;
+                }
+                // Short of m usable chunks, both refuse and nothing is appended.
+                let short = &enc.chunks[..m as usize - 1];
+                let mut out = PREFIX.to_vec();
+                let err = decode_object_append(short, params, len, &mut out, &mut Xxh64::new());
+                assert!(matches!(err, Err(ScaliaError::NotEnoughChunks { .. })));
+                assert_eq!(out, PREFIX);
+            }
+        }
+    }
+    assert_eq!(cases, 120 * 9 + 10);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

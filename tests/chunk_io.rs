@@ -405,6 +405,138 @@ fn a_lying_provider_fails_reads_closed_and_never_reaches_the_cache() {
     );
 }
 
+/// Flips byte `pos` of chunk `index` of `view` at its backend; returns the
+/// honest bytes.
+fn flip_chunk_byte(
+    cluster: &ScaliaCluster,
+    view: &StripeMeta,
+    index: u32,
+    pos: usize,
+) -> bytes::Bytes {
+    let location = view.chunks.iter().find(|c| c.index == index).unwrap();
+    let backend = cluster.infra().backend(location.provider).unwrap();
+    let honest = backend.get(&view.chunk_key(index)).unwrap();
+    let mut lie = honest.to_vec();
+    lie[pos] ^= 0x01;
+    backend.put(&view.chunk_key(index), lie.into()).unwrap();
+    honest
+}
+
+#[test]
+fn a_flipped_byte_anywhere_in_a_fetched_chunk_fails_every_read_closed() {
+    use scalia::core::placement::Placement;
+    // A prime stripe length: the last data shard is padded and every shard
+    // ends mid-word, so the appended bytes end in a partial block.
+    const STRIPE: usize = 4_093;
+    let cluster = ScaliaCluster::builder()
+        .datacenters(1)
+        .engines_per_datacenter(1)
+        .build();
+    cluster.infra().set_stripe_size_bytes(STRIPE as u64);
+    let infra = cluster.infra().clone();
+    let engine = cluster.engine(0);
+    let key = ObjectKey::new("flip", "two-stripes.bin");
+    let data = patterned(9, STRIPE + 1_000);
+    let meta = engine
+        .put(
+            &key,
+            data.clone().into(),
+            "application/octet-stream",
+            rule(),
+            None,
+        )
+        .unwrap();
+    let view = meta.striping.stripe_view(0).clone();
+    let (m, n) = (view.m as usize, view.n() as usize);
+    assert!(m > 1 && n > m, "needs padding and parity: ({m},{n})");
+    let shard_len = STRIPE.div_ceil(m);
+    let last_row_len = STRIPE - (m - 1) * shard_len;
+    assert!(last_row_len < shard_len && !last_row_len.is_multiple_of(8));
+    let holder = |index: usize| view.chunks[index].provider;
+    let caches_empty = || cluster.caches().iter().all(|c| c.is_empty());
+    let chunk_gets = || -> u64 {
+        let backends = infra.backends();
+        backends
+            .iter()
+            .map(|b| b.latency_snapshot(StoreOp::Get).count)
+            .sum()
+    };
+
+    // (chunk to damage, holders to take down so the read fetches exactly
+    // the m chunks wanted, positions): the last data shard on the copy path
+    // (every data chunk up, parity down) and the first parity chunk on the
+    // rebuild path (data chunk 0 down, so row 0 is rebuilt through it). The
+    // positions are the first word, a middle word, the last (partial) word
+    // of the plaintext the chunk carries, and the first byte of padding.
+    let copy_path = (
+        m - 1,
+        (m..n).collect::<Vec<_>>(),
+        [0, last_row_len / 2, last_row_len - 1, last_row_len],
+    );
+    let rebuild_path = (
+        m,
+        std::iter::once(0).chain(m + 1..n).collect(),
+        [0, shard_len / 2, shard_len - 1, last_row_len],
+    );
+    for (target, down, positions) in [copy_path, rebuild_path] {
+        for pos in positions {
+            let what = format!("chunk {target} byte {pos} of a ({m},{n}) stripe");
+            for &index in &down {
+                infra.backend(holder(index)).unwrap().set_down(true);
+            }
+            let honest = flip_chunk_byte(&cluster, &view, target as u32, pos);
+            cluster.caches().iter().for_each(|c| c.clear());
+
+            // Stripe 1 is untouched and still served.
+            let tail = engine.get_range(&key, STRIPE as u64, 1_000).unwrap();
+            assert_eq!(&tail[..], &data[STRIPE..], "{what}");
+            if target < m && pos >= last_row_len {
+                // Padding is never part of the plaintext: the bytes served
+                // are the honest ones.
+                assert_eq!(&engine.get(&key).unwrap()[..], &data[..], "{what}");
+                assert_eq!(&engine.get_range(&key, 0, 100).unwrap()[..], &data[..100]);
+            } else {
+                let before = chunk_gets();
+                assert_fails_closed(engine.get(&key), &what);
+                let full_get = chunk_gets() - before;
+                assert!(caches_empty(), "{what}: a failed read must not be cached");
+                let before = chunk_gets();
+                assert_fails_closed(engine.get_range(&key, 0, 100), &what);
+                assert_eq!(
+                    chunk_gets() - before,
+                    full_get,
+                    "{what}: stripe 1 must not be fetched once stripe 0 failed"
+                );
+                assert_fails_closed(engine.get_range(&key, STRIPE as u64 - 5, 10), &what);
+                let survivors: Vec<ProviderDescriptor> = (0..n)
+                    .filter(|i| !down.contains(i))
+                    .filter_map(|i| infra.catalog().get(holder(i)))
+                    .collect();
+                let placement = Placement {
+                    providers: survivors,
+                    m: 1,
+                };
+                assert_fails_closed(
+                    engine
+                        .replace_placement(&key, &placement)
+                        .map(|_| bytes::Bytes::new()),
+                    &what,
+                );
+                assert_eq!(engine.read_metadata(&key).unwrap().version, meta.version);
+                assert!(caches_empty(), "{what}: a failed read must not be cached");
+            }
+
+            let backend = infra.backend(holder(target)).unwrap();
+            backend.put(&view.chunk_key(target as u32), honest).unwrap();
+            for &index in &down {
+                infra.set_provider_down(holder(index), false);
+            }
+        }
+    }
+    cluster.caches().iter().for_each(|c| c.clear());
+    assert_eq!(&engine.get(&key).unwrap()[..], &data[..]);
+}
+
 #[test]
 fn writes_and_hedged_reads_record_object_level_latency() {
     let cluster = ScaliaCluster::builder()

@@ -1,8 +1,7 @@
-//! Integration tests of the staged stripe pipeline: puts that encode
-//! stripe k+1 while stripe k's chunks are in flight, range reads that fetch
-//! only the covering stripes, the multipart/append API with its
-//! single-transaction commit, and the equivalence of the two ways to feed
-//! the one write path.
+//! Integration tests of the stripe pipeline: puts that seal stripe by
+//! stripe (place k, land k − 1, encode k), range reads that fetch only the
+//! covering stripes, the multipart/append API with its single-transaction
+//! commit, and the equivalence of the two ways to feed the one write path.
 //!
 //! The stripe size is shrunk to 1000 bytes so a few-kilobyte payload
 //! exercises many stripes; every scenario is replayed on work-stealing
@@ -874,6 +873,43 @@ fn stripe_zero_stores_under_the_objects_key_and_a_retry_never_reuses_it() {
         engine.get(&retried_key).unwrap().as_ref(),
         &payload(52, 700)[..]
     );
+}
+
+#[test]
+fn a_stripe_re_encoded_for_a_new_geometry_keeps_the_checksums_of_its_seal() {
+    let cluster = striped_cluster();
+    let infra = cluster.infra().clone();
+    let data = payload(61, 3_500); // three stripes and a 500-byte tail
+    let put = |name: &str| {
+        let key = ObjectKey::new("geometry", name);
+        let meta = cluster
+            .put(&key, data.clone(), "application/x-tar", flex_rule(), None)
+            .unwrap();
+        (key, meta)
+    };
+    let (_, clean) = put("clean.bin");
+    let geometry = |view: &StripeMeta| (view.m, view.n());
+    let clean_geometry = geometry(clean.striping.stripe_view(0));
+
+    // Every backend but three dies while the catalog still lists them: the
+    // first stripe's landing fails until it is re-placed on the survivors,
+    // under a narrower code — so the stripe sealed (and hashed) for the
+    // first placement is decoded and re-encoded, and nothing of it may be
+    // absorbed into the object's checksum a second time.
+    let providers = infra.catalog().all();
+    for provider in &providers[3..] {
+        infra.backend(provider.id).unwrap().set_down(true);
+    }
+    let (key, meta) = put("retried.bin");
+    let first = meta.striping.stripe_view(0);
+    assert_ne!(geometry(first), clean_geometry, "the retry must re-encode");
+    assert_eq!(meta.checksum, checksum_hex(&data));
+    for (i, stripe) in meta.striping.stripes.iter().enumerate() {
+        let window = &data[i * 1000..(i * 1000 + 1000).min(data.len())];
+        assert_eq!(stripe.checksum, checksum_hex(window), "stripe {i}");
+    }
+    clear_caches(&cluster);
+    assert_eq!(cluster.get(&key).unwrap().as_ref(), &data[..]);
 }
 
 #[test]
