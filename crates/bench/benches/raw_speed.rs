@@ -2,7 +2,8 @@
 //! length, the 1 MiB Reed-Solomon parity core (wide kernel vs the scalar
 //! seed kernel — the ≥ 4× acceptance gate), the content checksum (XXH64,
 //! the one hash on the bytes path) per length, the copy-and-hash pass the
-//! read and write paths move bytes with, the work-stealing pool's
+//! read and write paths move bytes with, a put's per-stripe data work (the
+//! staged encode against `encode_object`), the work-stealing pool's
 //! spawn/steal microcosts, pool scaling on an optimization-cycle and a
 //! map-reduce workload at 1 vs 4 workers, and the 16–20-provider
 //! placement search with and without pairwise dominance pruning (vs the
@@ -29,6 +30,7 @@ use rayon::prelude::*;
 use rayon::ThreadPool;
 use scalia_core::cost::PredictedUsage;
 use scalia_core::placement::{exhaustive_search_without_dominance, PlacementEngine};
+use scalia_erasure::codec;
 use scalia_erasure::gf256::{self, Kernel};
 use scalia_providers::catalog::{azure, google, rackspace, s3_high, s3_low};
 use scalia_providers::descriptor::ProviderDescriptor;
@@ -40,6 +42,7 @@ use scalia_types::reliability::Reliability;
 use scalia_types::rules::StorageRule;
 use scalia_types::size::ByteSize;
 use scalia_types::zone::{Zone, ZoneSet};
+use scalia_types::ErasureParams;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -190,12 +193,11 @@ fn xxh64_section() -> serde_json::Value {
 }
 
 /// Copy-and-hash in one pass against two: [`Xxh64::append`] (what the read
-/// path builds its output with) against `extend_from_slice` followed by a
-/// separate [`xxh64`] over the copy, at a stripe (512 KiB) and a large
-/// object (8 MiB), into a reused output buffer; and the write path's
-/// two-context [`Xxh64::append_pair`] against a copy and two hash passes.
-/// Returns the JSON rows; asserts that `append` takes ≤ 0.7× the two-pass
-/// time at 8 MiB.
+/// path builds its output and the write path stages a stripe with) against
+/// `extend_from_slice` followed by a separate [`xxh64`] over the copy, at a
+/// stripe (512 KiB) and a large object (8 MiB), into a reused output
+/// buffer. Returns the JSON rows; asserts that `append` takes ≤ 0.7× the
+/// two-pass time at 8 MiB.
 fn checksum_append_section() -> serde_json::Value {
     const GATE_MAX_RATIO: f64 = 0.7;
     let mut rows = Vec::new();
@@ -214,17 +216,6 @@ fn checksum_append_section() -> serde_json::Value {
             ctx.append(&mut out, black_box(&src));
             black_box(ctx.digest());
         });
-        let three_pass_us = time_per_iter_us(iters, || {
-            out.clear();
-            out.extend_from_slice(black_box(&src));
-            black_box((xxh64(&out), xxh64(&out)));
-        });
-        let pair_us = time_per_iter_us(iters, || {
-            out.clear();
-            let (mut stripe, mut object) = (Xxh64::new(), Xxh64::new());
-            stripe.append_pair(&mut object, &mut out, black_box(&src));
-            black_box((stripe.digest(), object.digest()));
-        });
         let ratio = append_us / two_pass_us;
         let mut row = serde_json::Map::new();
         row.insert("len_bytes".into(), serde_json::json!(len));
@@ -233,9 +224,6 @@ fn checksum_append_section() -> serde_json::Value {
             ("append_us", append_us),
             ("append_ratio", ratio),
             ("append_ns_per_byte", append_us * 1e3 / len as f64),
-            ("copy_then_xxh64_twice_us", three_pass_us),
-            ("append_pair_us", pair_us),
-            ("append_pair_ratio", pair_us / three_pass_us),
         ] {
             row.insert(name.into(), serde_json::json!(value));
         }
@@ -250,6 +238,43 @@ fn checksum_append_section() -> serde_json::Value {
         rows.push(serde_json::Value::Object(row));
     }
     serde_json::json!(rows)
+}
+
+// -------------------------------------------------------------- erasure --
+
+/// A stripe's data work on the write path, at 512 KiB (4-of-5, the
+/// benchmark's geometry): `staged` is what a put does — the stripe staged
+/// through [`Xxh64::append`] into a buffer of exactly
+/// [`codec::staged_len`] bytes, then [`codec::encode_staged`], whose data
+/// chunks are windows of that buffer — against [`codec::encode_object`]
+/// (a copy into a staging buffer, then the same encode) alone and followed
+/// by a separate [`xxh64`] pass. Informational; no gate.
+fn encode_staged_section() -> serde_json::Value {
+    let len = 512usize << 10;
+    let params = ErasureParams::new(4, 5).unwrap();
+    let src: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
+    let iters = 256;
+    let staged_us = time_per_iter_us(iters, || {
+        let mut staged = Vec::with_capacity(codec::staged_len(len, params.m));
+        let mut ctx = Xxh64::new();
+        ctx.append(&mut staged, black_box(&src));
+        black_box((codec::encode_staged(staged, params).unwrap(), ctx.digest()));
+    });
+    let encode_object_us = time_per_iter_us(iters, || {
+        black_box(codec::encode_object(black_box(&src), params).unwrap());
+    });
+    let encode_object_then_xxh64_us = time_per_iter_us(iters, || {
+        black_box(codec::encode_object(black_box(&src), params).unwrap());
+        black_box(xxh64(&src));
+    });
+    serde_json::json!({
+        "len_bytes": len,
+        "geometry": "4-of-5",
+        "staged_append_and_encode_us": staged_us,
+        "encode_object_us": encode_object_us,
+        "encode_object_then_xxh64_us": encode_object_then_xxh64_us,
+        "staged_ratio_vs_encode_object_then_xxh64": staged_us / encode_object_then_xxh64_us,
+    })
 }
 
 // ----------------------------------------------------------------- pool --
@@ -491,6 +516,7 @@ fn raw_speed_baseline() {
     let parity = rs_parity_section();
     let checksum = xxh64_section();
     let append = checksum_append_section();
+    let staged = encode_staged_section();
     let spawn = pool_spawn_section();
     let scaling = pool_scaling_section();
     let placement = placement_section();
@@ -500,6 +526,7 @@ fn raw_speed_baseline() {
         "rs_parity_1mib": parity,
         "xxh64": checksum,
         "checksum.append": append,
+        "erasure.encode_staged": staged,
         "pool_spawn": spawn,
         "pool_scaling": scaling,
         "placement_search": placement,

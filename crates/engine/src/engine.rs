@@ -18,8 +18,8 @@
 //!   statistics, and drop the metadata.
 //!
 //! Every write goes through the staged stripe pipeline in
-//! [`crate::streaming`] (encode stripe k+1 while stripe k's chunks are in
-//! flight, O(stripe) transient buffering): [`Engine::put`] feeds it a whole
+//! [`crate::streaming`] (each stripe staged where its data chunks are cut
+//! from, O(stripe) transient buffering): [`Engine::put`] feeds it a whole
 //! payload, the multipart API ([`Engine::begin_put`] → `put_part` →
 //! `complete_put`) feeds it incrementally, and [`Engine::get_range`] serves
 //! byte ranges by fetching only the stripes that cover the requested window.
@@ -135,9 +135,10 @@ impl Engine {
     /// is cut at the stripe boundary
     /// ([`Infrastructure::stripe_size_bytes`]) — the only size policy there
     /// is: up to one stripe it lands as one erasure group, the paper's
-    /// record; past it, stripe `k + 1` is encoded while stripe `k`'s chunks
-    /// are in flight and the pipeline's transient buffering stays O(stripe).
-    /// Every stripe seals straight from `data`.
+    /// record; past it, stripes seal one at a time and the pipeline's
+    /// transient buffering stays O(stripe). The whole payload is fed as the
+    /// last part, so the stripe holding its tail is staged at its exact
+    /// size.
     pub fn put(
         &self,
         key: &ObjectKey,

@@ -35,7 +35,9 @@
 //!   object set across engines, trend detection and migration execution
 //!   (§III-A3).
 //! * [`streaming`] — the staged stripe pipeline: streaming writes that
-//!   encode stripe `k + 1` while stripe `k`'s chunks are in flight, the
+//!   stage each stripe in the buffer its data chunks are cut from, hashing
+//!   every byte as it is copied there, and land stripe `k − 1` before
+//!   encoding stripe `k`, the
 //!   multipart/append API (`begin_put` / `put_part` / `complete_put`) with
 //!   a single-transaction commit of the assembled stripe map, and range
 //!   reads that fetch only the covering stripes.

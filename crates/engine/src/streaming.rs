@@ -8,29 +8,41 @@
 //! policy: an object no larger than one stripe is exactly the paper's
 //! Fig. 11 record, anything larger is several of them.
 //!
-//! * **Put** — [`Engine::put`] is `begin_put_with_hint` → seal each stripe
-//!   straight from the caller's payload → `complete_put`. Stripes seal in
-//!   order, one at a time: stripe `k` is placed, stripe `k − 1` is landed,
-//!   stripe `k` is encoded — so peak transient buffering is O(stripe),
-//!   never O(object). Encoding *is* the checksum pass: the copy that fills
-//!   a stripe's data shards absorbs its bytes into the stripe's content
-//!   checksum and, unless the stripe is the whole object, into the
-//!   streaming whole-object checksum ([`scalia_types::checksum`],
-//!   [`encode_object_checksummed`]), so no byte is read again to hash it.
-//!   Nothing overlaps the encode, which runs on the caller: landing a
-//!   stripe in virtual time is a few map inserts on the caller, and on the
-//!   wall clock [`chunk_io::upload`] already overlaps a stripe's chunk
-//!   uploads on the pool, while encoding a 512 KiB stripe costs under
-//!   0.15 ms (a whole 16-stripe 8 MiB put takes 2.2 ms p50) against an
-//!   upload's modelled tens of milliseconds. Handing each encode to a pool
-//!   worker to overlap the landing cost more than it hid: removing that
-//!   hand-off alone took the benchmark's `large_stream` put (8 MiB, 16
-//!   stripes) from 3 009 to 2 681 µs p50 and its peak RSS from 73.8 to
-//!   62.0 MiB (10/10 alternating pairs, seed 1, 2-vCPU Xeon host).
+//! * **Put** — [`Engine::put`] is `begin_put_with_hint` → feed the whole
+//!   payload → `complete_put`; multipart feeds it in parts. A stripe
+//!   *opens* when its first byte arrives: it is placed (a cached decision)
+//!   and given one staging buffer of exactly
+//!   `m × shard_len` bytes ([`staged_len`]). Every byte is appended there
+//!   through the hashing copy ([`Xxh64::append`]), so the stripe's checksum
+//!   is read back from the very bytes that will be stored. The stripe
+//!   *seals* once it is full (or at `complete_put`, for the tail): the
+//!   stripe before it lands, then the staging buffer is padded in place,
+//!   frozen and cut into the data chunks ([`encode_staged`]) — only parity
+//!   is computed. So the order place `k` → land `k − 1` → encode `k`
+//!   holds, peak transient buffering is O(stripe), never O(object), and
+//!   each byte is copied once and hashed once. The object's checksum is no
+//!   second pass over the bytes but the root over the stripe digests
+//!   ([`object_checksum`]), taken at the commit over the digests kept at
+//!   each seal.
+//!   Dropping the part buffer, the per-shard copy and the second
+//!   (whole-object) XXH64 context took the benchmark's `large_stream` put
+//!   (8 MiB in 256 KiB parts, 16 stripes) from 2 212–2 447 to 1 185–
+//!   1 359 µs p50 on the 2-vCPU Xeon host (medians of six batches of ten
+//!   pairs over two seeds, 10/10 each); what is left of it is the
+//!   copy-and-hash (≈ 55 %) and parity (≈ 25 %). Nothing overlaps the
+//!   encode, which runs on the caller: landing a stripe in virtual time is
+//!   a few map inserts on the caller, and on the wall clock
+//!   [`chunk_io::upload`] already overlaps a stripe's chunk uploads on the
+//!   pool, while an upload's modelled latency is tens of milliseconds.
+//!   Handing each encode to a pool worker to overlap the landing cost more
+//!   than it hid: removing that hand-off alone took the same put from
+//!   3 009 to 2 681 µs p50 and its peak RSS from 73.8 to 62.0 MiB (10/10
+//!   alternating pairs, seed 1).
 //! * **Multipart / append** — [`Engine::begin_put`], [`MultipartUpload::put_part`]
 //!   and [`MultipartUpload::complete_put`] expose the same pipeline to
-//!   callers that produce data incrementally. Parts may be any size; stripes
-//!   seal whenever a stripe's worth of bytes has accumulated. The assembled
+//!   callers that produce data incrementally. Parts may be any size; a part
+//!   is staged where it lands in its stripe, and the stripe seals whenever
+//!   a stripe's worth of bytes has accumulated. The assembled
 //!   stripe map commits in **one** metastore transaction
 //!   ([`Engine::commit_metadata_with_debt`]) under the row commit lock, so a
 //!   crash anywhere before [`MultipartUpload::complete_put`] returns leaves
@@ -75,10 +87,10 @@ use scalia_core::classify::ObjectClass;
 use scalia_core::cost::PredictedUsage;
 use scalia_core::placement::Placement;
 use scalia_erasure::codec::{
-    decode_object, encode_object, encode_object_checksummed, EncodedObject,
+    decode_object, encode_object, encode_staged, staged_len, EncodedObject,
 };
 use scalia_metastore::logagg::AccessKind;
-use scalia_types::checksum::Xxh64;
+use scalia_types::checksum::{object_checksum, Xxh64};
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::ProviderId;
 use scalia_types::object::{
@@ -93,11 +105,24 @@ use std::sync::Arc;
 /// collection (mirrors the retry bound of [`Engine::get`]).
 const RANGE_READ_ATTEMPTS: usize = 3;
 
+/// The stripe being filled: placed when its first byte arrived, its bytes
+/// staged where its data chunks will be cut from.
+struct OpenStripe {
+    /// The placement this stripe will be encoded for.
+    placement: Placement,
+    /// The stripe's plaintext so far, in an allocation of
+    /// [`staged_len`]`(expected length, m)` bytes that the seal pads and
+    /// freezes in place.
+    staged: Vec<u8>,
+    /// Content checksum of `staged`, absorbed as each byte was appended.
+    checksum: Xxh64,
+}
+
 /// One encoded-but-not-yet-landed stripe held by the pipeline. Holds only
-/// the *encoded* chunks — the plaintext is recoverable from the systematic
-/// data shards ([`decode_object`]) on the rare retry that needs to
-/// re-encode for a different placement, so the pipeline never holds both
-/// representations at once.
+/// the *encoded* chunks — the data chunks are the staged plaintext, which
+/// the rare retry that needs to re-encode for a different placement
+/// recovers from them ([`decode_object`]), so the pipeline never holds two
+/// copies of a stripe's plaintext.
 struct EncodedStripe {
     /// Stripe index within the object.
     index: usize,
@@ -167,11 +192,11 @@ pub struct MultipartUpload<E: Borrow<Engine> = Arc<Engine>> {
     /// stripe key from it.
     version: ObjectVersionId,
     stripe_size: usize,
-    /// Plaintext bytes not yet sealed into a stripe (< `stripe_size`
-    /// between calls).
-    buffer: Vec<u8>,
-    /// Streaming whole-object checksum over the stripes sealed so far.
-    object_checksum: Xxh64,
+    /// The stripe being filled (`None` between a seal and the next byte).
+    open: Option<OpenStripe>,
+    /// The content digest of every stripe sealed so far, in index order:
+    /// the leaves of the object checksum ([`object_checksum`]).
+    digests: Vec<u64>,
     total_len: u64,
     /// Stripes already landed at providers, in index order.
     stripes: Vec<StripeMeta>,
@@ -256,8 +281,8 @@ impl Engine {
             usage,
             version,
             stripe_size,
-            buffer: Vec::new(),
-            object_checksum: Xxh64::new(),
+            open: None,
+            digests: Vec::new(),
             total_len: 0,
             stripes: Vec::new(),
             in_hand: None,
@@ -332,55 +357,52 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         self.total_len
     }
 
-    /// High-water mark of the pipeline's transient buffering: unsealed
-    /// plaintext + the held encoded stripe + the seal in progress. O(stripe)
+    /// High-water mark of the pipeline's transient buffering: the staged
+    /// stripe + the held encoded stripe + the seal in progress. O(stripe)
     /// by construction.
     pub fn peak_buffer_bytes(&self) -> usize {
         self.peak_buffer_bytes
     }
 
-    /// Appends bytes to the object. Whenever a full stripe's worth has
-    /// accumulated the stripe seals: it is placed, the previously encoded
-    /// stripe's chunks are uploaded, and its plaintext leaves the buffer
-    /// through the encode (which takes its checksums on the way). An error
-    /// means the upload is failed — [`MultipartUpload::complete_put`] will
-    /// refuse — and every stripe that had landed has been rolled back.
+    /// Appends bytes to the object. Each byte is staged in its stripe
+    /// through the hashing copy (the first byte of a stripe places it), and
+    /// whenever a stripe is full it seals: the previously encoded stripe's
+    /// chunks are uploaded and the staged stripe is encoded in place. An
+    /// error means the upload is failed — [`MultipartUpload::complete_put`]
+    /// will refuse — and every stripe that had landed has been rolled back.
     pub fn put_part(&mut self, part: &[u8]) -> Result<()> {
         self.feed(part, false)
     }
 
-    /// Feeds `part` to the pipeline. With `last`, `part` ends the object and
-    /// its tail seals straight from the caller's bytes instead of waiting in
-    /// the buffer for [`MultipartUpload::complete_put`] — how
-    /// [`Engine::put`], which has the whole payload in hand, feeds it.
+    /// Feeds `part` to the pipeline. With `last`, `part` ends the object —
+    /// how [`Engine::put`], which has the whole payload in hand, feeds it —
+    /// so the stripe holding its tail is staged at its exact size instead
+    /// of a full stripe's.
     pub(crate) fn feed(&mut self, part: &[u8], last: bool) -> Result<()> {
         self.check_live()?;
         self.absorb(part, last).map_err(|err| self.fail(err))
     }
 
-    /// [`MultipartUpload::feed`] proper: seals every stripe `part` completes
-    /// and buffers what is left over.
+    /// [`MultipartUpload::feed`] proper: stages `part` stripe by stripe and
+    /// seals every stripe it fills.
     fn absorb(&mut self, mut part: &[u8], last: bool) -> Result<()> {
         self.total_len += part.len() as u64;
         while !part.is_empty() {
-            if self.buffer.is_empty() && (last || part.len() >= self.stripe_size) {
-                // The stripe lies contiguous in the caller's part: seal
-                // straight from it, no copy into the buffer.
-                let (stripe, rest) = part.split_at(part.len().min(self.stripe_size));
-                self.seal_stripe(stripe, last && rest.is_empty())?;
-                part = rest;
-                continue;
-            }
-            let take = part.len().min(self.stripe_size - self.buffer.len());
-            self.buffer.extend_from_slice(&part[..take]);
+            let mut stripe = match self.open.take() {
+                Some(stripe) => stripe,
+                None => {
+                    let len = if last { part.len() } else { self.stripe_size };
+                    self.open_stripe(len.min(self.stripe_size))?
+                }
+            };
+            let take = part.len().min(self.stripe_size - stripe.staged.len());
+            stripe.checksum.append(&mut stripe.staged, &part[..take]);
             part = &part[take..];
-            self.note_buffered(0);
-            if self.buffer.len() == self.stripe_size {
-                let stripe = std::mem::take(&mut self.buffer);
-                self.seal_stripe(&stripe, false)?;
-                // Keep the allocation for the next stripe's parts.
-                self.buffer = stripe;
-                self.buffer.clear();
+            if stripe.staged.len() == self.stripe_size {
+                self.seal(stripe)?;
+            } else {
+                self.open = Some(stripe);
+                self.note_buffered(0);
             }
         }
         Ok(())
@@ -404,7 +426,7 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
             class,
             version,
             stripe_size,
-            object_checksum,
+            digests,
             total_len,
             stripes,
             have_total,
@@ -413,11 +435,9 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         } = self;
         let engine = engine.borrow();
 
-        // Same bytes, same checksum: a one-stripe object's is its stripe's.
-        let checksum = match &stripes[..] {
-            [only] => only.checksum.clone(),
-            _ => object_checksum.finalize_hex(),
-        };
+        // The root over the stripe digests: a one-stripe object's checksum
+        // is its stripe's.
+        let checksum = object_checksum(&digests);
         let size = ByteSize::from_bytes(total_len);
         // The hint priced the placements; the class the object is recorded
         // under follows its real size (the same one when the hint was exact,
@@ -487,12 +507,16 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         Ok(meta)
     }
 
-    /// Seals what is left in the buffer — a short final stripe, or the one
-    /// empty stripe of an empty object — and lands the stripe in hand.
+    /// Seals the open stripe — a short final stripe, or the one empty
+    /// stripe of an empty object — and lands the stripe in hand.
     fn land_tail(&mut self) -> Result<()> {
-        let tail = std::mem::take(&mut self.buffer);
-        if !tail.is_empty() || (self.stripes.is_empty() && self.in_hand.is_none()) {
-            self.seal_stripe(&tail, true)?;
+        let tail = match self.open.take() {
+            Some(tail) => Some(tail),
+            None if self.stripes.is_empty() && self.in_hand.is_none() => Some(self.open_stripe(0)?),
+            None => None,
+        };
+        if let Some(tail) = tail {
+            self.seal(tail)?;
         }
         match self.in_hand.take() {
             Some(last) => self.land(last),
@@ -529,33 +553,29 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
     }
 
     fn roll_back(&mut self) {
+        self.open = None;
         self.in_hand = None;
         let landed = std::mem::take(&mut self.stripes);
         chunk_io::delete_chunks(self.engine().infra(), &landed);
     }
 
     /// Folds the pipeline's current transient footprint into the high-water
-    /// mark: unsealed plaintext + held encoded stripe + `extra` (the seal in
+    /// mark: staged plaintext + held encoded stripe + `extra` (the seal in
     /// progress).
     fn note_buffered(&mut self, extra: usize) {
-        let now = self.buffer.len()
-            + self
-                .in_hand
-                .as_ref()
-                .map(|s| s.encoded.stored_bytes())
-                .unwrap_or(0)
-            + extra;
-        self.peak_buffer_bytes = self.peak_buffer_bytes.max(now);
+        let staged = self.open.as_ref().map_or(0, |open| open.staged.len());
+        let held = self
+            .in_hand
+            .as_ref()
+            .map_or(0, |s| s.encoded.stored_bytes());
+        self.peak_buffer_bytes = self.peak_buffer_bytes.max(staged + held + extra);
     }
 
-    /// One pipeline step: place `plain` as the next stripe, land the stripe
-    /// sealed before it, then encode `plain` — absorbing its bytes into the
-    /// stripe's checksum and, in object order, into the whole-object
-    /// checksum in the copy that fills the data shards; a stripe that is the
-    /// whole object (`last`, and the first) absorbs only into its own, which
-    /// is then the object's.
-    fn seal_stripe(&mut self, plain: &[u8], last: bool) -> Result<()> {
-        let index = self.stripes.len() + usize::from(self.in_hand.is_some());
+    /// Opens the next stripe, expected to hold `len` bytes: places it and
+    /// allocates its staging buffer at the size [`encode_staged`] will pad
+    /// it to, so it is never reallocated — unless the stripe ends shorter
+    /// than expected (a multipart tail), which the seal shrinks once.
+    fn open_stripe(&self, len: usize) -> Result<OpenStripe> {
         let placement =
             match self
                 .engine()
@@ -571,20 +591,36 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
                     None => return Err(err),
                 },
             };
+        Ok(OpenStripe {
+            staged: Vec::with_capacity(staged_len(len, placement.m)),
+            placement,
+            checksum: Xxh64::new(),
+        })
+    }
+
+    /// One pipeline step: land the stripe sealed before `stripe` (which was
+    /// placed when it opened), then encode `stripe` where it was staged —
+    /// its checksum was taken as its bytes arrived.
+    fn seal(&mut self, stripe: OpenStripe) -> Result<()> {
+        let OpenStripe {
+            placement,
+            staged,
+            checksum,
+        } = stripe;
+        let index = self.stripes.len() + usize::from(self.in_hand.is_some());
         // Charge the seal: plaintext being encoded + its encoded output +
         // whatever is already held (the held stripe lands before the encode
-        // runs, so this is an upper bound).
+        // runs, and the data chunks are the staged plaintext, so this is an
+        // upper bound).
         let encoded_estimate =
-            plain.len() * placement.providers.len().max(1) / placement.m.max(1) as usize;
-        self.note_buffered(plain.len() + encoded_estimate);
+            staged.len() * placement.providers.len().max(1) / placement.m.max(1) as usize;
+        self.note_buffered(staged.len() + encoded_estimate);
 
         if let Some(prev) = self.in_hand.take() {
             self.land(prev)?;
         }
-        let mut checksum = Xxh64::new();
-        let object = (index > 0 || !last).then_some(&mut self.object_checksum);
-        let encoded =
-            encode_object_checksummed(plain, placement.erasure_params(), &mut checksum, object)?;
+        let encoded = encode_staged(staged, placement.erasure_params())?;
+        self.digests.push(checksum.digest());
         self.in_hand = Some(EncodedStripe {
             index,
             placement,
@@ -622,9 +658,10 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
     /// catalog-available, so it is excluded from the search explicitly;
     /// re-encoding only when the `(m, n)` geometry changes — the systematic
     /// data shards reconstruct the plaintext in memory, no provider reads,
-    /// and the checksums taken at the seal still hold, so nothing is hashed
-    /// again), and the degraded tolerant fallback once attempts, or feasible
-    /// placements, are exhausted. The first attempt stores under the
+    /// and the stripe checksum taken as the stripe was staged still holds —
+    /// and with it the object's root — so nothing is hashed again), and the
+    /// degraded tolerant fallback once attempts, or feasible placements, are
+    /// exhausted. The first attempt stores under the
     /// upload's version's key, every later one under a freshly drawn
     /// version's (see "Chunk keys" in the module docs). Returns the landed
     /// stripe and the chunk count its placement wanted, for debt accounting.
@@ -705,5 +742,91 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
             chunk_io::delete_chunks(infra, std::slice::from_ref(&landed));
             None
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::ScaliaCluster;
+    use scalia_types::checksum::checksum_hex;
+    use scalia_types::reliability::Reliability;
+    use scalia_types::zone::ZoneSet;
+
+    fn rule() -> StorageRule {
+        StorageRule::new(
+            "staging",
+            Reliability::from_percent(99.999),
+            Reliability::from_percent(99.99),
+            ZoneSet::all(),
+            0.5,
+        )
+    }
+
+    /// The open stripe's staging buffer: where it is and how big.
+    fn staging<E: Borrow<Engine>>(upload: &MultipartUpload<E>) -> (*const u8, usize) {
+        let open = upload.open.as_ref().expect("a stripe is open");
+        (open.staged.as_ptr(), open.staged.capacity())
+    }
+
+    #[test]
+    fn a_stripe_is_staged_once_in_the_allocation_its_data_chunks_are_cut_from() {
+        let cluster = ScaliaCluster::builder()
+            .datacenters(1)
+            .engines_per_datacenter(1)
+            .build();
+        let engine = cluster.engine(0);
+        // A prime stripe size: no `m > 1` divides it, so a stripe is staged
+        // in more bytes than it holds, and its tail below too.
+        let stripe = 524_287;
+        engine.infra().set_stripe_size_bytes(stripe as u64);
+        let data: Vec<u8> = (0..stripe + 701).map(|i| (i * 31 % 251) as u8).collect();
+        let key = ObjectKey::new("staging", "parts.bin");
+        let mut upload = engine.begin_put(&key, "application/octet-stream", rule(), None);
+
+        // The first byte opens the stripe at its final size: `m × shard_len`.
+        const PART: usize = 4_093;
+        upload.put_part(&data[..PART]).unwrap();
+        let m = upload.open.as_ref().unwrap().placement.m;
+        let (base, capacity) = staging(&upload);
+        assert_eq!(capacity, staged_len(stripe, m));
+        assert!(capacity > stripe, "the padding is part of the allocation");
+        // No later part moves or grows it.
+        let mut fed = PART;
+        while fed + PART < stripe {
+            upload.put_part(&data[fed..fed + PART]).unwrap();
+            fed += PART;
+            assert_eq!(staging(&upload), (base, capacity), "after {fed} bytes");
+        }
+
+        // The part that fills the stripe seals it: its data chunks are
+        // consecutive windows of that same allocation, and its checksum is
+        // the stripe's bytes'.
+        upload.put_part(&data[fed..stripe + 1]).unwrap();
+        let held = upload.in_hand.as_ref().expect("the full stripe sealed");
+        let shard_len = stripe.div_ceil(m as usize);
+        for (i, chunk) in held.encoded.chunks[..m as usize].iter().enumerate() {
+            assert_eq!(
+                chunk.data.as_ptr(),
+                base.wrapping_add(i * shard_len),
+                "chunk {i}"
+            );
+        }
+        assert_eq!(held.checksum, checksum_hex(&data[..stripe]));
+        // Its last byte opened the next stripe, at a full stripe's size: a
+        // multipart upload cannot know where it ends.
+        assert_eq!(staging(&upload).1, staged_len(stripe, m));
+        upload.abort_put();
+
+        // `Engine::put` can: the stripe holding its tail is staged at the
+        // tail's exact size.
+        let mut upload = engine.begin_put(&key, "application/octet-stream", rule(), None);
+        upload.feed(&data, true).unwrap();
+        assert_eq!(staging(&upload).1, staged_len(701, m));
+        let meta = upload.complete_put().unwrap();
+        assert_eq!(
+            meta.striping.stripe_view(1).checksum,
+            checksum_hex(&data[stripe..])
+        );
     }
 }

@@ -3,11 +3,15 @@
 //! The Scalia engine stores a data object (or one stripe of it) as `n`
 //! [`Chunk`]s, any `m` of which reconstruct it. This module handles padding,
 //! shard splitting and reassembly on top of [`crate::rs`], moving each byte
-//! once per direction: encoding copies the plaintext into the data shards it
-//! will be stored as, decoding appends the data shards onto the caller's
-//! output. The write and read paths hash the bytes in that same copy
-//! ([`encode_object_checksummed`], [`decode_object_append`]), so no byte is
-//! read a second time to checksum it.
+//! once per direction. Encoding starts from a *staged* stripe — the
+//! plaintext in one buffer of `m × shard_len` bytes ([`staged_len`]) —
+//! pads it in place and cuts the `m` data chunks out of it as windows of
+//! that one allocation ([`encode_staged`]); only parity is computed.
+//! Decoding appends the data shards onto the caller's output. The write
+//! path stages the bytes and the read path appends them through the
+//! hashing copy ([`scalia_types::checksum::Xxh64::append`],
+//! [`decode_object_append`]), so no byte is read a second time to checksum
+//! it.
 //!
 //! Chunks carry no header and no checksum. Integrity is the caller's: the
 //! engine stores one content checksum per stripe in the metadata at write
@@ -82,73 +86,62 @@ fn shard_len_for(len: usize, m: usize) -> usize {
     len.div_ceil(m).max(1)
 }
 
-/// Splits `data` into `params.m` equally-sized (zero-padded) shards and
-/// encodes them into `params.n` chunks.
+/// Size of the buffer a stripe of `len` bytes is staged in for `m` data
+/// shards: `m × shard_len`, the plaintext plus the zero padding of the last
+/// shard. A staging buffer allocated with exactly this capacity is never
+/// reallocated — not by the appends, not by the padding, not when
+/// [`encode_staged`] freezes it.
+pub fn staged_len(len: usize, m: u32) -> usize {
+    let m = (m as usize).max(1);
+    shard_len_for(len, m) * m
+}
+
+/// Encodes the stripe staged in `staged` — its bytes are the plaintext —
+/// into `params.n` chunks, without copying it.
 ///
-/// Each data shard is copied out of `data` exactly once, into the
-/// exact-capacity buffer its chunk then owns. Objects at or above
-/// [`PARALLEL_CUTOFF_BYTES`] compute the parity rows in parallel on the
-/// thread pool; the output is byte-identical to the sequential path.
-pub fn encode_object(data: &[u8], params: ErasureParams) -> Result<EncodedObject, ScaliaError> {
-    encode_with(data, params, |shard, bytes| shard.extend_from_slice(bytes))
-}
-
-/// [`encode_object`] that also absorbs `data` into `stripe` — and into
-/// `object` too, when given — in the copy that fills the data shards
-/// ([`Xxh64::append`] / [`Xxh64::append_pair`]): the shards are filled in
-/// index order, so the contexts see `data` in order, and the padding is
-/// never absorbed. The write path takes a stripe's checksum and its share
-/// of the whole-object checksum this way, without a pass of its own.
-pub fn encode_object_checksummed(
-    data: &[u8],
+/// The buffer is zero-padded in place to [`staged_len`] and frozen, and the
+/// `m` data chunks are consecutive windows of that one allocation
+/// ([`Bytes::slice`]): the code is systematic, so the data shards *are*
+/// the plaintext. Only the `n − m` parity chunks are computed, in parallel
+/// on the thread pool for stripes at or above [`PARALLEL_CUTOFF_BYTES`]
+/// (byte-identical to the sequential path). Stage with a capacity of
+/// [`staged_len`] and nothing is reallocated; any other capacity still
+/// encodes the same chunks.
+pub fn encode_staged(
+    mut staged: Vec<u8>,
     params: ErasureParams,
-    stripe: &mut Xxh64,
-    object: Option<&mut Xxh64>,
-) -> Result<EncodedObject, ScaliaError> {
-    match object {
-        Some(object) => encode_with(data, params, |shard, bytes| {
-            stripe.append_pair(object, shard, bytes)
-        }),
-        None => encode_with(data, params, |shard, bytes| stripe.append(shard, bytes)),
-    }
-}
-
-/// The encoder behind [`encode_object`] and [`encode_object_checksummed`]:
-/// `copy(shard, bytes)` appends each data shard's plaintext window onto its
-/// empty buffer, in shard order.
-fn encode_with(
-    data: &[u8],
-    params: ErasureParams,
-    mut copy: impl FnMut(&mut Vec<u8>, &[u8]),
 ) -> Result<EncodedObject, ScaliaError> {
     let m = params.m as usize;
     let rs = ReedSolomon::new(m, params.n as usize).map_err(rs_error)?;
-
-    let shard_len = shard_len_for(data.len(), m);
-    let mut shards: Vec<Vec<u8>> = (0..m)
-        .map(|i| {
-            let start = (i * shard_len).min(data.len());
-            let end = ((i + 1) * shard_len).min(data.len());
-            let mut shard = Vec::with_capacity(shard_len);
-            copy(&mut shard, &data[start..end]);
-            shard.resize(shard_len, 0);
-            shard
-        })
+    let original_len = staged.len();
+    let shard_len = shard_len_for(original_len, m);
+    staged.resize(m * shard_len, 0);
+    let staged = Bytes::from(staged);
+    let data: Vec<Bytes> = (0..m)
+        .map(|i| staged.slice(i * shard_len..(i + 1) * shard_len))
         .collect();
     let parity = rs
-        .encode_parity(&shards, data.len() >= PARALLEL_CUTOFF_BYTES)
+        .encode_parity(&data, original_len >= PARALLEL_CUTOFF_BYTES)
         .map_err(rs_error)?;
-    shards.extend(parity);
-
     Ok(EncodedObject {
-        chunks: shards
+        chunks: data
             .into_iter()
+            .chain(parity.into_iter().map(Bytes::from))
             .enumerate()
-            .map(|(i, shard)| Chunk::new(i as u32, Bytes::from(shard)))
+            .map(|(i, shard)| Chunk::new(i as u32, shard))
             .collect(),
         params,
-        original_len: data.len(),
+        original_len,
     })
+}
+
+/// Splits `data` into `params.m` equally-sized (zero-padded) shards and
+/// encodes them into `params.n` chunks: one copy of `data` into a staging
+/// buffer of [`staged_len`] bytes, then [`encode_staged`].
+pub fn encode_object(data: &[u8], params: ErasureParams) -> Result<EncodedObject, ScaliaError> {
+    let mut staged = Vec::with_capacity(staged_len(data.len(), params.m));
+    staged.extend_from_slice(data);
+    encode_staged(staged, params)
 }
 
 /// The chunks a decode of an object of `original_len` bytes can use: the
@@ -489,29 +482,24 @@ mod tests {
     }
 
     #[test]
-    fn checksummed_encode_is_encode_plus_the_checksums_of_the_plaintext() {
-        // The shard copy absorbs the plaintext — never the padding — into
-        // the stripe context, and into the object context on top of what it
-        // already holds; the chunks are those of `encode_object`.
+    fn a_stripe_staged_through_the_hashing_copy_encodes_as_encode_object() {
+        // The write path stages a stripe in parts through `Xxh64::append`
+        // and encodes the staging buffer: the chunks are `encode_object`'s,
+        // and the digest covers the plaintext — never the padding the seal
+        // adds afterwards.
         for len in [0usize, 1, 31, 32, 33, 1000, 1001] {
             let data = sample_data(len);
-            let plain = encode_object(&data, params(3, 5)).unwrap();
-            let earlier = sample_data(45);
-            let mut stripe = Xxh64::new();
-            let mut object = Xxh64::new();
-            object.update(&earlier);
-            let paired =
-                encode_object_checksummed(&data, params(3, 5), &mut stripe, Some(&mut object))
-                    .unwrap();
-            assert_eq!(paired, plain, "len {len}");
-            assert_eq!(stripe.digest(), scalia_types::checksum::xxh64(&data));
-            let whole: Vec<u8> = earlier.iter().chain(&data).copied().collect();
-            assert_eq!(object.digest(), scalia_types::checksum::xxh64(&whole));
-
-            let mut alone = Xxh64::new();
-            let single = encode_object_checksummed(&data, params(3, 5), &mut alone, None).unwrap();
-            assert_eq!(single, plain, "len {len}");
-            assert_eq!(alone.digest(), stripe.digest());
+            let (mut staged, mut checksum) = (Vec::with_capacity(staged_len(len, 3)), Xxh64::new());
+            for part in data.chunks(97) {
+                checksum.append(&mut staged, part);
+            }
+            let encoded = encode_staged(staged, params(3, 5)).unwrap();
+            assert_eq!(
+                encoded,
+                encode_object(&data, params(3, 5)).unwrap(),
+                "len {len}"
+            );
+            assert_eq!(checksum.digest(), scalia_types::checksum::xxh64(&data));
         }
     }
 
@@ -539,18 +527,27 @@ mod tests {
     }
 
     #[test]
-    fn encoding_copies_each_shard_once_into_its_own_buffer() {
+    fn data_chunks_are_windows_of_the_staging_allocation_never_reallocated() {
         let data = sample_data(1001);
-        let enc = encode_object(&data, params(3, 5)).unwrap();
+        let mut staged = Vec::with_capacity(staged_len(data.len(), 3));
+        staged.extend_from_slice(&data);
+        let base = staged.as_ptr();
+        let enc = encode_staged(staged, params(3, 5)).unwrap();
         let c = &enc.chunks[2];
         assert_eq!((c.index, c.len(), c.is_empty()), (2, 334, false));
         // Data chunks are the plaintext windows, zero-padded at the tail.
         assert_eq!(&enc.chunks[0].data[..], &data[..334]);
         assert_eq!(&c.data[..333], &data[668..]);
         assert_eq!(c.data[333], 0);
-        // No two chunks share an allocation: dropping one frees its bytes.
-        for pair in enc.chunks.windows(2) {
-            assert_ne!(pair[0].data.as_ptr(), pair[1].data.as_ptr());
+        // Data chunk i starts i shards into the very allocation the stripe
+        // was staged in: padding and freezing moved nothing.
+        for (i, chunk) in enc.chunks[..3].iter().enumerate() {
+            assert_eq!(chunk.data.as_ptr(), base.wrapping_add(i * 334), "chunk {i}");
+        }
+        // Parity is computed into buffers of its own.
+        let staged_range = base as usize..base as usize + 3 * 334;
+        for chunk in &enc.chunks[3..] {
+            assert!(!staged_range.contains(&(chunk.data.as_ptr() as usize)));
         }
     }
 }

@@ -14,8 +14,9 @@
 //!   matrix normalised so the first `m` rows are the identity; any `m` rows
 //!   of the resulting encode matrix are invertible, which is exactly the
 //!   "any m-subset of the n chunks contains a complete copy" property.
-//! * [`codec`] — the object-level API used by the Scalia engine: split an
-//!   object into [`Chunk`]s and reassemble it from any `m` of them onto the
+//! * [`codec`] — the object-level API used by the Scalia engine: cut a
+//!   staged stripe into [`Chunk`]s (the data chunks are windows of the
+//!   staging buffer) and reassemble it from any `m` of them onto the
 //!   caller's buffer, hashing the bytes in the same copy. Corruption is
 //!   caught one layer up, by the per-stripe content checksum the engine
 //!   stores with the metadata.
@@ -33,16 +34,16 @@ pub mod matrix;
 pub mod rs;
 
 pub use codec::{
-    decode_object, decode_object_append, decode_object_into, encode_object,
-    encode_object_checksummed, Chunk, EncodedObject,
+    decode_object, decode_object_append, decode_object_into, encode_object, encode_staged,
+    staged_len, Chunk, EncodedObject,
 };
 pub use rs::ReedSolomon;
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::codec::{
-        decode_object, decode_object_append, decode_object_into, encode_object,
-        encode_object_checksummed, Chunk, EncodedObject,
+        decode_object, decode_object_append, decode_object_into, encode_object, encode_staged,
+        staged_len, Chunk, EncodedObject,
     };
     pub use crate::rs::ReedSolomon;
 }

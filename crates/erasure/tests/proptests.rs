@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use scalia_erasure::codec::{
-    decode_object, decode_object_append, decode_object_into, encode_object, Chunk,
-    PARALLEL_CUTOFF_BYTES,
+    decode_object, decode_object_append, decode_object_into, encode_object, encode_staged,
+    staged_len, Chunk, PARALLEL_CUTOFF_BYTES,
 };
 use scalia_erasure::gf256;
 use scalia_erasure::rs::ReedSolomon;
@@ -69,8 +69,68 @@ fn append_decode_matches_decode_into_for_every_catalog_geometry_and_subset() {
     assert_eq!(cases, 120 * 9 + 10);
 }
 
+/// The write path's encode — the stripe staged in a buffer, padded in
+/// place, its data chunks cut from it — against `encode_object`, chunk for
+/// chunk, for every `(m, n)` a placement over the catalog can choose and
+/// lengths that are empty, one byte, a shard ± 1 byte, 4 KiB, a 512 KiB
+/// stripe and one byte short of it (above the parallel-parity cutoff), and
+/// odd tails; staged at exactly [`staged_len`] (no reallocation: the data
+/// chunks start in the staged allocation) and at the length alone (the pad
+/// grows it, same chunks).
+#[test]
+fn staged_encode_equals_encode_object_for_every_catalog_geometry() {
+    const STRIPE: usize = 512 * 1024;
+    for n in 1..=MAX_CATALOG_WIDTH {
+        for m in 1..=n {
+            let params = ErasureParams::new(m, n).unwrap();
+            let shard = 97 * m as usize;
+            let mut lens = vec![0, 1, shard - 1, shard, shard + 1, 4096, STRIPE - 1, STRIPE];
+            lens.extend([4096 + 13, 3 * 4096 - 7]);
+            for len in lens {
+                let data: Vec<u8> = (0..len).map(|i| (i * 131 + 7 * len) as u8).collect();
+                let what = format!("({m},{n}) len {len}");
+                let reference = encode_object(&data, params).unwrap();
+                assert_eq!(
+                    encode_staged(data.to_vec(), params).unwrap(),
+                    reference,
+                    "{what}"
+                );
+
+                let mut staged = Vec::with_capacity(staged_len(len, m));
+                staged.extend_from_slice(&data);
+                let base = staged.as_ptr();
+                let encoded = encode_staged(staged, params).unwrap();
+                assert_eq!(encoded, reference, "{what}");
+                assert_eq!(encoded.chunks[0].data.as_ptr(), base, "{what}: reallocated");
+                assert_eq!(
+                    encoded.stored_bytes(),
+                    staged_len(len, m) / m as usize * n as usize
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A staged encode of random bytes equals `encode_object`'s for random
+    /// `(m, n)`, whatever the staging buffer's spare capacity.
+    #[test]
+    fn staged_encode_matches_encode_object(
+        data in proptest::collection::vec(any::<u8>(), 0..4096),
+        m in 1u32..7,
+        extra in 0u32..4,
+        spare in 0usize..64,
+    ) {
+        let params = ErasureParams::new(m, m + extra).unwrap();
+        let mut staged = Vec::with_capacity(data.len() + spare);
+        staged.extend_from_slice(&data);
+        prop_assert_eq!(
+            encode_staged(staged, params).unwrap(),
+            encode_object(&data, params).unwrap()
+        );
+    }
 
     /// The wide `mul_slice_xor` kernel agrees with the seed's per-byte
     /// reference for arbitrary coefficient, length and offset — including

@@ -1,12 +1,25 @@
 //! The content checksum: XXH64 (seed 0) in safe Rust.
 //!
 //! This is the **only** hash that runs over object bytes. The write path
-//! computes it once per stripe and once across the whole object (streaming,
-//! [`Xxh64`]); both values are stored in the metadata
-//! ([`crate::object::StripeMeta::checksum`],
-//! [`crate::object::ObjectMeta::checksum`]) and every read verifies the
-//! bytes it returns against them before a client sees them. The cache
-//! digests its entries with the same function.
+//! computes it once per stripe, over the bytes it stages for encoding
+//! ([`Xxh64::append`]), and stores it as
+//! [`crate::object::StripeMeta::checksum`]; every read verifies the bytes
+//! it returns against the checksums of the stripes they came from before a
+//! client sees them. The cache digests its entries with the same function.
+//!
+//! # The object checksum
+//!
+//! [`crate::object::ObjectMeta::checksum`] is not a second pass over the
+//! bytes but the root over the stripe digests ([`object_checksum`]): XXH64
+//! of each stripe's digest as 8 big-endian bytes, in stripe order. An
+//! object of one stripe — up to the stripe size, and every empty object —
+//! has that stripe's checksum as its own, i.e. [`checksum_hex`] of its
+//! bytes. The root therefore follows from the stripe map alone, without
+//! reading a byte, and a client that knows the stripe size recomputes it
+//! from the payload with [`object_checksum_hex`]. Like a Merkle root over
+//! block digests, it binds the bytes (through the stripe digests) *and*
+//! their order and cut: the same bytes striped differently have another
+//! root.
 //!
 //! XXH64 is not cryptographic: it detects corruption — a provider that
 //! returns damaged bytes, a torn cache entry — not an adversary who can
@@ -18,13 +31,14 @@
 //! # Hashing while copying
 //!
 //! The bytes path never hashes a buffer it has just filled: the read path
-//! builds its output and the write path its data shards with
-//! [`Xxh64::append`] (and [`Xxh64::append_pair`]), which copies the source
-//! onto the end of the destination one 32-byte block at a time and feeds
-//! each block to the lanes *by reading it back from the destination*. The
-//! digest therefore covers exactly the bytes that end up in the buffer —
-//! not a source that might differ from them — and each byte crosses the
-//! memory hierarchy once instead of once to copy and once more to hash.
+//! builds its output and the write path its staged stripe with
+//! [`Xxh64::append`], which copies the source onto the end of the
+//! destination one 32-byte block at a time and feeds each block to the
+//! lanes *by reading it back from the destination*. The digest therefore
+//! covers exactly the bytes that end up in the buffer — the bytes a read
+//! returns, the bytes a stripe's data chunks are cut from — not a source
+//! that might differ from them, and each byte crosses the memory hierarchy
+//! once instead of once to copy and once more to hash.
 //!
 //! The copy is free: XXH64's lanes are bound by the 64-bit multiplier (two
 //! multiplies per 8-byte lane step), and the block copy and read-back fit
@@ -32,12 +46,10 @@
 //! runs at the speed of [`xxh64`] alone, ≈ 0.08 ns/B, and takes ≈ 0.6× the
 //! time of `extend_from_slice` followed by a separate hash at 8 MiB (≈ 0.8×
 //! at 512 KiB, where the copy stays in cache) — `BENCH_raw_speed.json`,
-//! `checksum.append`. The two-context [`Xxh64::append_pair`] interleaves
-//! two independent sets of lanes in one loop, which hides the read-back
-//! and the loop overhead behind twice as much multiplier work: it costs
-//! what two hashes cost (≈ 0.15 ns/B; one multiplier does not run two
-//! contexts' multiplies at once) but no copy and no second read of the
-//! source, ≈ 0.7× the time of a copy followed by two hashes at 8 MiB.
+//! `checksum.append`. The same multiplier bound is why the object checksum
+//! is a root over stripe digests and not a second context over the bytes:
+//! a second context costs a second hash (≈ 0.08 ns/B more), the root costs
+//! one 8-byte update per stripe.
 
 use crate::hex::hex_lower;
 
@@ -89,55 +101,11 @@ fn consume_blocks<'a>(lanes: &mut [u64; 4], data: &'a [u8]) -> &'a [u8] {
     tail
 }
 
-/// Appends `src` to `out` and absorbs it into every context of `contexts`,
-/// in one pass: each 32-byte block of `src` is copied onto the end of `out`
-/// and each context's lanes read their next whole block back from `out`.
-///
-/// A context carrying a partial block from an earlier call first completes
-/// it from the head of `src`, so its blocks start at that offset into the
-/// appended bytes and lag the copy by at most one block; contexts that
-/// carry different partial blocks each keep their own offset.
-#[inline(always)]
-fn append_absorbing<const N: usize>(mut contexts: [&mut Xxh64; N], out: &mut Vec<u8>, src: &[u8]) {
-    let base = out.len();
-    out.reserve(src.len());
-    // Where each context's next whole block starts in the appended bytes.
-    let mut next = [0usize; N];
-    for (ctx, next) in contexts.iter_mut().zip(&mut next) {
-        ctx.len = ctx.len.wrapping_add(src.len() as u64);
-        *next = ctx.top_up(src);
-    }
-    let mut lanes = contexts.each_ref().map(|ctx| ctx.lanes);
-    let (blocks, tail) = src.as_chunks::<BLOCK>();
-    for block in blocks {
-        out.extend_from_slice(block);
-        let written = &out[base..];
-        for k in 0..N {
-            // A context whose partial block `src` could not complete has
-            // `next == src.len()` and never finds a block here.
-            if let Some(block) = written.get(next[k]..).and_then(<[u8]>::first_chunk) {
-                lanes[k] = round_block(lanes[k], block);
-                next[k] += BLOCK;
-            }
-        }
-    }
-    out.extend_from_slice(tail);
-    let written = &out[base..];
-    for ((ctx, lanes), next) in contexts.into_iter().zip(lanes).zip(next) {
-        ctx.lanes = lanes;
-        if ctx.buffered == 0 {
-            let rest = consume_blocks(&mut ctx.lanes, &written[next..]);
-            ctx.buffer[..rest.len()].copy_from_slice(rest);
-            ctx.buffered = rest.len();
-        }
-    }
-}
-
 /// Streaming XXH64: feed data in arbitrary slices with [`Xxh64::update`];
 /// [`Xxh64::digest`] equals [`xxh64`] of the concatenation.
 ///
-/// The multipart write path checksums a whole object while its stripes flow
-/// through encode and upload, so the full payload is never resident.
+/// The write path checksums a stripe as its bytes arrive, in parts of any
+/// size, so no stripe is hashed after the fact.
 #[derive(Debug, Clone)]
 pub struct Xxh64 {
     lanes: [u64; 4],
@@ -186,16 +154,32 @@ impl Xxh64 {
     /// (see "Hashing while copying" in the module docs). Afterwards the
     /// context is exactly as if [`Xxh64::update`] had been called with
     /// `src`, and `out` ends with `src`.
+    ///
+    /// A partial block carried from an earlier call is first completed from
+    /// the head of `src`; the rest of `src` then starts on a block boundary
+    /// of the context, so each block is copied onto `out` and read back
+    /// from there as it arrives.
     pub fn append(&mut self, out: &mut Vec<u8>, src: &[u8]) {
-        append_absorbing([self], out, src);
-    }
-
-    /// [`Xxh64::append`] into two contexts at once — a stripe's and its
-    /// object's — in the same pass: `src` is copied and read back once, and
-    /// the two contexts' lanes run interleaved in one loop (see "Hashing
-    /// while copying" in the module docs for what that buys).
-    pub fn append_pair(&mut self, other: &mut Xxh64, out: &mut Vec<u8>, src: &[u8]) {
-        append_absorbing([self, other], out, src);
+        out.reserve(src.len());
+        self.len = self.len.wrapping_add(src.len() as u64);
+        let (head, rest) = src.split_at(self.top_up(src));
+        out.extend_from_slice(head);
+        if self.buffered > 0 {
+            return; // `src` did not complete the carried block
+        }
+        let (blocks, tail) = rest.as_chunks::<BLOCK>();
+        let mut lanes = self.lanes;
+        for block in blocks {
+            out.extend_from_slice(block);
+            let written = out
+                .last_chunk::<BLOCK>()
+                .expect("a block was just appended");
+            lanes = round_block(lanes, written);
+        }
+        self.lanes = lanes;
+        out.extend_from_slice(tail);
+        self.buffer[..tail.len()].copy_from_slice(&out[out.len() - tail.len()..]);
+        self.buffered = tail.len();
     }
 
     /// Completes the partial block carried from an earlier call from the
@@ -295,6 +279,34 @@ pub fn checksum_hex(data: &[u8]) -> String {
     stored_form(xxh64(data))
 }
 
+/// The stored form of the checksum of an object whose stripes have the
+/// digests `stripe_digests`, in stripe order (see "The object checksum" in
+/// the module docs): the one stripe's own checksum for a one-stripe object,
+/// otherwise XXH64 over the digests as 8 big-endian bytes each.
+pub fn object_checksum(stripe_digests: &[u64]) -> String {
+    match stripe_digests {
+        [only] => stored_form(*only),
+        digests => {
+            let mut root = Xxh64::new();
+            for digest in digests {
+                root.update(&digest.to_be_bytes());
+            }
+            root.finalize_hex()
+        }
+    }
+}
+
+/// The object checksum of `data` stored in stripes of `stripe_size` bytes
+/// (at least 1) — what a client recomputes from the payload it wrote or
+/// read to compare with [`crate::object::ObjectMeta::checksum`]. An empty
+/// `data` has no stripe here, and the root over no digests is
+/// [`checksum_hex`] of no bytes — the checksum of the one empty stripe an
+/// empty object is stored as.
+pub fn object_checksum_hex(data: &[u8], stripe_size: usize) -> String {
+    let digests: Vec<u64> = data.chunks(stripe_size.max(1)).map(xxh64).collect();
+    object_checksum(&digests)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,5 +360,36 @@ mod tests {
         ctx.update(&data);
         let doubled: Vec<u8> = data.iter().chain(data.iter()).copied().collect();
         assert_eq!(ctx.digest(), xxh64(&doubled));
+    }
+
+    #[test]
+    fn the_object_checksum_is_the_root_over_the_stripe_digests() {
+        let data: Vec<u8> = (0..2_500u32).map(|i| (i * 31 % 251) as u8).collect();
+        // Up to one stripe — and for the empty object — it is the bytes'.
+        for len in [0, 1, 999, 1_000] {
+            let one = &data[..len];
+            assert_eq!(
+                object_checksum_hex(one, 1_000),
+                checksum_hex(one),
+                "len {len}"
+            );
+        }
+        // Past it, XXH64 over the big-endian stripe digests, in order.
+        let digests = [
+            xxh64(&data[..1_000]),
+            xxh64(&data[1_000..2_000]),
+            xxh64(&data[2_000..]),
+        ];
+        let root: Vec<u8> = digests.iter().flat_map(|d| d.to_be_bytes()).collect();
+        assert_eq!(object_checksum_hex(&data, 1_000), checksum_hex(&root));
+        assert_eq!(object_checksum(&digests), checksum_hex(&root));
+        assert_ne!(object_checksum_hex(&data, 1_000), checksum_hex(&data));
+        // The cut and the order are part of what it binds.
+        assert_ne!(
+            object_checksum_hex(&data, 1_000),
+            object_checksum_hex(&data, 1_250)
+        );
+        let swapped = [digests[1], digests[0], digests[2]];
+        assert_ne!(object_checksum(&swapped), object_checksum(&digests));
     }
 }

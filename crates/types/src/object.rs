@@ -132,8 +132,9 @@ pub struct StripeMeta {
     pub chunks: Vec<ChunkLocation>,
     /// Reconstruction threshold: any `m` chunks rebuild the stripe.
     pub m: u32,
-    /// Content checksum ([`crate::checksum`]) of the stripe plaintext,
-    /// verified on every decode of the stripe.
+    /// Content checksum ([`crate::checksum`]) of the stripe plaintext —
+    /// exactly the bytes its data chunks were cut from, without their
+    /// padding — verified on every decode of the stripe.
     pub checksum: String,
     /// Storage key shared by this stripe's chunks (each provider key is
     /// suffixed with the chunk index): `MD5(container | key | UUID)` for
@@ -282,9 +283,15 @@ pub struct ObjectMeta {
     pub mime: String,
     /// Object size in bytes.
     pub size: ByteSize,
-    /// Content checksum ([`crate::checksum`]) of the object's bytes — what
-    /// a client compares against. Reads verify each stripe's own
-    /// [`StripeMeta::checksum`]; for a one-stripe object the two are equal.
+    /// Content checksum of the object — what a client compares against: the
+    /// root over the stripe digests ([`crate::checksum::object_checksum`]),
+    /// XXH64 of each [`StripeMeta::checksum`] as 8 big-endian bytes in
+    /// stripe order. A one-stripe object's (every object up to the stripe
+    /// size, and every empty one) is its stripe's, i.e.
+    /// [`crate::checksum::checksum_hex`] of its bytes. It follows from the
+    /// stripe map without reading a byte; a client recomputes it from the
+    /// payload with [`crate::checksum::object_checksum_hex`]`(data,
+    /// striping.stripe_size)`. Reads verify each stripe's own checksum.
     pub checksum: String,
     /// Storage rule (policy) applied to the object.
     pub rule: StorageRule,

@@ -1,12 +1,13 @@
 //! Property tests for the content checksum: the streaming [`Xxh64`] context
-//! is what the multipart write path trusts to equal a one-shot pass over
-//! bytes it never holds at once, and [`Xxh64::append`] /
-//! [`Xxh64::append_pair`] are what the read and write paths copy with —
-//! they must leave the same buffer and the same contexts as
-//! `extend_from_slice` followed by [`Xxh64::update`].
+//! is what the multipart write path trusts to equal a one-shot pass over a
+//! stripe that arrives in parts, [`Xxh64::append`] is what the read and
+//! write paths copy with — it must leave the same buffer and the same
+//! context as `extend_from_slice` followed by [`Xxh64::update`] — and
+//! [`object_checksum`] over the digests a stager takes must be what a
+//! client recomputes with [`object_checksum_hex`].
 
 use proptest::prelude::*;
-use scalia_types::checksum::{xxh64, Xxh64};
+use scalia_types::checksum::{object_checksum, object_checksum_hex, xxh64, Xxh64};
 
 fn message(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 37 + 11) as u8).collect()
@@ -54,50 +55,13 @@ fn append_equals_copy_then_update_at_every_length_split_and_offset() {
     }
 }
 
-/// The two-context form leaves both contexts as two `update`s would, for
-/// every pair of carried offsets (the stripe context starts each stripe
-/// fresh while the object context may be mid-block), every length
-/// 0..=300 and every split across two calls.
-#[test]
-fn append_pair_equals_copy_then_two_updates_at_every_offset_pair() {
-    let data = message(300);
-    let starts: Vec<Xxh64> = (0..64).map(carrying).collect();
-    for (first, second) in (0..32).flat_map(|a| (32..64).map(move |b| (a, b))) {
-        for len in 0..=300 {
-            let data = &data[..len];
-            let cuts: &[usize] = if len % 7 == 0 { &[] } else { &[len / 3] };
-            let (mut a, mut b) = (starts[first].clone(), starts[second].clone());
-            let (mut ref_a, mut ref_b) = (a.clone(), b.clone());
-            let mut out = Vec::new();
-            let mut from = 0;
-            for &to in cuts.iter().chain([&len]) {
-                a.append_pair(&mut b, &mut out, &data[from..to]);
-                from = to;
-            }
-            ref_a.update(data);
-            ref_b.update(data);
-            assert_eq!(out, data, "offsets {first}/{second} len {len}");
-            assert_eq!(
-                a.digest(),
-                ref_a.digest(),
-                "offsets {first}/{second} len {len}"
-            );
-            assert_eq!(
-                b.digest(),
-                ref_b.digest(),
-                "offsets {first}/{second} len {len}"
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Absorbing a message in pieces cut at random points — before, on and
     /// after the 32-byte block boundary — equals the one-shot digest, for
-    /// lengths 0..=4 KiB, whether the pieces go through `update`, `append`
-    /// or `append_pair`.
+    /// lengths 0..=4 KiB, whether the pieces go through `update` or
+    /// `append`.
     #[test]
     fn streaming_over_random_split_points_equals_one_shot(
         data in proptest::collection::vec(any::<u8>(), 0..4097),
@@ -109,19 +73,49 @@ proptest! {
 
         let mut ctx = Xxh64::new();
         let (mut appended, mut out) = (Xxh64::new(), Vec::new());
-        let (mut first, mut second, mut paired) = (Xxh64::new(), Xxh64::new(), Vec::new());
         let mut from = 0;
         for to in splits {
             ctx.update(&data[from..to]);
             appended.append(&mut out, &data[from..to]);
-            first.append_pair(&mut second, &mut paired, &data[from..to]);
             from = to;
         }
         let expected = xxh64(&data);
         prop_assert_eq!(ctx.digest(), expected, "len {}", data.len());
         prop_assert_eq!(appended.digest(), expected);
-        prop_assert_eq!((first.digest(), second.digest()), (expected, expected));
         prop_assert_eq!(&out, &data);
-        prop_assert_eq!(&paired, &data);
+    }
+
+    /// A writer that stages an object stripe by stripe, from parts cut at
+    /// random points, and roots the digests of its stripes gets the
+    /// checksum a client recomputes from the whole payload — and an object
+    /// of at most one stripe gets the plain checksum of its bytes.
+    #[test]
+    fn the_root_over_staged_stripes_is_what_a_client_recomputes(
+        data in proptest::collection::vec(any::<u8>(), 0..4097),
+        stripe_size in 1usize..1500,
+        part in 1usize..700,
+    ) {
+        let mut digests = Vec::new();
+        let (mut stripe, mut staged) = (Xxh64::new(), Vec::new());
+        for piece in data.chunks(part) {
+            let mut piece = piece;
+            while !piece.is_empty() {
+                let take = piece.len().min(stripe_size - staged.len());
+                stripe.append(&mut staged, &piece[..take]);
+                piece = &piece[take..];
+                if staged.len() == stripe_size {
+                    digests.push(stripe.digest());
+                    (stripe, staged) = (Xxh64::new(), Vec::new());
+                }
+            }
+        }
+        if !staged.is_empty() || digests.is_empty() {
+            digests.push(stripe.digest());
+        }
+        let root = object_checksum(&digests);
+        prop_assert_eq!(&root, &object_checksum_hex(&data, stripe_size));
+        if data.len() <= stripe_size {
+            prop_assert_eq!(&root, &scalia_types::checksum::checksum_hex(&data));
+        }
     }
 }

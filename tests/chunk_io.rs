@@ -12,7 +12,7 @@ use scalia::engine::cluster::ScaliaCluster;
 use scalia::prelude::*;
 use scalia::providers::backend::{ObjectStore, StoreOp};
 use scalia::providers::descriptor::ProviderDescriptor;
-use scalia::types::checksum::checksum_hex;
+use scalia::types::checksum::{checksum_hex, object_checksum_hex};
 
 fn rule() -> StorageRule {
     StorageRule::new(
@@ -228,7 +228,17 @@ fn any_m_of_n_survivor_subset_reconstructs_the_object() {
             stripe.is_some(),
             "len {len}"
         );
-        assert_eq!(checksum_hex(&payload), meta.checksum, "len {len}");
+        // The root over the stripe digests — the plain checksum of the
+        // bytes for the one-stripe cases.
+        let stripe_size = cluster.infra().stripe_size_bytes() as usize;
+        assert_eq!(
+            object_checksum_hex(&payload, stripe_size),
+            meta.checksum,
+            "len {len}"
+        );
+        if stripe.is_none() {
+            assert_eq!(checksum_hex(&payload), meta.checksum, "len {len}");
+        }
         // Every stripe of an object lands on the same placement (one class,
         // one cached decision), so the first stripe's holders are them all.
         let group = meta.striping.stripe_view(0);

@@ -13,7 +13,7 @@ use scalia::engine::gc;
 use scalia::prelude::*;
 use scalia::providers::backend::{ObjectStore, StoreOp};
 use scalia::providers::failure::FaultPlan;
-use scalia::types::checksum::checksum_hex;
+use scalia::types::checksum::{checksum_hex, object_checksum_hex};
 use scalia::types::md5::md5_hex;
 use std::sync::Arc;
 
@@ -142,8 +142,8 @@ fn streamed_put_round_trips_with_whole_object_checksum() {
     assert_eq!(meta.size.bytes(), 10_240);
     assert_eq!(
         meta.checksum,
-        checksum_hex(&data),
-        "the streamed checksum must equal the whole-payload digest"
+        object_checksum_hex(&data, STRIPE as usize),
+        "the object checksum is the root over the stripe digests"
     );
     let striping = &meta.striping;
     assert_eq!(striping.stripe_size, STRIPE);
@@ -521,7 +521,7 @@ fn multipart_assembles_odd_sized_parts_and_commits_once() {
     let peak = upload.peak_buffer_bytes();
     let meta = upload.complete_put().unwrap();
     assert_eq!(meta.size.bytes(), 4_734);
-    assert_eq!(meta.checksum, checksum_hex(&data));
+    assert_eq!(meta.checksum, object_checksum_hex(&data, STRIPE as usize));
     assert_eq!(meta.striping.stripe_count(), 5, "4 full stripes + 734 tail");
     assert!(
         peak <= 10 * STRIPE as usize,
@@ -652,7 +652,7 @@ fn crash_around_the_commit_is_old_or_new_never_torn() {
         let meta = latest_meta(&infra, &key).unwrap();
         assert_eq!(
             meta.checksum,
-            checksum_hex(expected),
+            object_checksum_hex(expected, STRIPE as usize),
             "{label}: metadata must match the surviving payload — never torn"
         );
         // The multipart commit is one transaction: a crash that commits
@@ -754,7 +754,11 @@ fn put_and_multipart_commit_the_same_object_at_every_size_and_pool() {
                     put_meta.striping.stripe_count(),
                     size.div_ceil(stripe).max(1)
                 );
-                assert_eq!(put_meta.checksum, checksum_hex(&data), "size {size}");
+                assert_eq!(
+                    put_meta.checksum,
+                    object_checksum_hex(&data, stripe),
+                    "size {size}"
+                );
                 assert_ne!(put_meta.version, mp_meta.version);
                 let layout = layout_of(infra, &put_meta);
                 assert_eq!(
@@ -903,13 +907,83 @@ fn a_stripe_re_encoded_for_a_new_geometry_keeps_the_checksums_of_its_seal() {
     let (key, meta) = put("retried.bin");
     let first = meta.striping.stripe_view(0);
     assert_ne!(geometry(first), clean_geometry, "the retry must re-encode");
-    assert_eq!(meta.checksum, checksum_hex(&data));
+    assert_eq!(meta.checksum, object_checksum_hex(&data, STRIPE as usize));
+    assert_eq!(
+        meta.checksum, clean.checksum,
+        "the root ignores the geometry"
+    );
     for (i, stripe) in meta.striping.stripes.iter().enumerate() {
         let window = &data[i * 1000..(i * 1000 + 1000).min(data.len())];
         assert_eq!(stripe.checksum, checksum_hex(window), "stripe {i}");
     }
     clear_caches(&cluster);
     assert_eq!(cluster.get(&key).unwrap().as_ref(), &data[..]);
+
+    // A migration re-encodes every stripe for another geometry (mirroring
+    // on the three survivors): the stripe checksums and their root carry
+    // over untouched.
+    let mirrored = Placement {
+        providers: providers[..3].to_vec(),
+        m: 1,
+    };
+    let moved = cluster
+        .engine(0)
+        .replace_placement(&key, &mirrored)
+        .unwrap();
+    assert_eq!(moved.striping.stripe_view(0).m, 1);
+    assert_eq!(moved.checksum, meta.checksum);
+    for (before, after) in meta.striping.stripes.iter().zip(&moved.striping.stripes) {
+        assert_eq!(before.checksum, after.checksum);
+    }
+    clear_caches(&cluster);
+    assert_eq!(cluster.get(&key).unwrap().as_ref(), &data[..]);
+}
+
+#[test]
+fn the_object_checksum_is_the_root_over_its_stripes_for_every_part_size() {
+    // At the default stripe size, through `Engine::put` and through
+    // multipart parts that are tiny, prime, half a stripe, a stripe and a
+    // stripe plus one: every stripe checksum is its window's, the object's
+    // is the root over them, and an object of at most one stripe keeps the
+    // plain checksum of its bytes.
+    let cluster = ScaliaCluster::builder()
+        .datacenters(1)
+        .engines_per_datacenter(1)
+        .build();
+    let engine = cluster.engine(0);
+    let stripe = cluster.infra().stripe_size_bytes() as usize;
+    let sizes = [0, 1, stripe - 1, stripe, stripe + 1, 2 * stripe + 4_093];
+    for (case, &size) in sizes.iter().enumerate() {
+        let data = payload(70 + case as u64, size);
+        let root = object_checksum_hex(&data, stripe);
+        let check = |meta: &ObjectMeta, how: &str| {
+            assert_eq!(meta.checksum, root, "{how}, size {size}");
+            if size <= stripe {
+                assert_eq!(meta.checksum, checksum_hex(&data), "{how}, size {size}");
+            }
+            assert_eq!(meta.striping.stripe_count(), size.div_ceil(stripe).max(1));
+            for (i, view) in meta.striping.stripes.iter().enumerate() {
+                let window = &data[(i * stripe).min(size)..((i + 1) * stripe).min(size)];
+                let what = format!("{how}, size {size}, stripe {i}");
+                assert_eq!(view.checksum, checksum_hex(window), "{what}");
+            }
+        };
+        let key = ObjectKey::new("root", format!("put-{size}"));
+        let put = cluster
+            .put(&key, data.clone(), "application/x-tar", flex_rule(), None)
+            .unwrap();
+        check(&put, "put");
+        for part in [1, 4_093, 256 * 1024, stripe, stripe + 1] {
+            let key = ObjectKey::new("root", format!("parts-{part}-{size}"));
+            let mut upload = engine.begin_put(&key, "application/x-tar", flex_rule(), None);
+            for piece in data.chunks(part) {
+                upload.put_part(piece).unwrap();
+            }
+            check(&upload.complete_put().unwrap(), &format!("parts of {part}"));
+        }
+        clear_caches(&cluster);
+        assert_eq!(cluster.get(&key).unwrap().as_ref(), &data[..]);
+    }
 }
 
 #[test]
