@@ -3,9 +3,9 @@
 //! seed kernel — the ≥ 4× acceptance gate), the content checksum (XXH64,
 //! the one hash on the bytes path) per length, the copy-and-hash pass the
 //! read and write paths move bytes with, a put's per-stripe data work (the
-//! staged encode against `encode_object`), the work-stealing pool's
-//! spawn/steal microcosts, pool scaling on an optimization-cycle and a
-//! map-reduce workload at 1 vs 4 workers, and the 16–20-provider
+//! staged encode against `encode_object`), the pool's spawn microcosts,
+//! pool scaling on two synthetic CPU-bound workloads (placement searches
+//! and a map-reduce) at 1 vs 4 workers, and the 16–20-provider
 //! placement search with and without pairwise dominance pruning (vs the
 //! recorded 4.98 ms PR 1 baseline at 16 providers).
 //!
@@ -279,8 +279,9 @@ fn encode_staged_section() -> serde_json::Value {
 
 // ----------------------------------------------------------------- pool --
 
-/// Spawn/steal microcosts: fire-and-forget task churn through the
-/// Chase-Lev locals + Vyukov injector, drained by help-while-waiting.
+/// Spawn microcosts: fire-and-forget task churn through the pool's one
+/// mutex-guarded queue, drained by the workers and by the caller's
+/// `yield_now` help.
 fn pool_spawn_section() -> serde_json::Value {
     const TASKS: usize = 20_000;
     let mut rows = Vec::new();
@@ -368,11 +369,13 @@ fn bench_usage(reads: u64) -> PredictedUsage {
     }
 }
 
-/// Pool scaling at 1 vs 4 workers on the two acceptance workloads: a
+/// Pool scaling at 1 vs 4 workers on two CPU-bound synthetic workloads: a
 /// map-reduce sweep (hash churn over 200k items) and an
-/// optimization-cycle (32 independent placement searches over a
-/// 12-provider catalog, the per-object work of the optimizer's sweep).
-/// The ≥ 2× gate only applies when the runner has ≥ 4 hardware threads.
+/// `optimization_cycle` (32 independent placement searches over a
+/// 12-provider catalog). Neither is a shipping code path — the optimizer
+/// runs its sweeps on the caller — they measure what the pool can still
+/// scale. The ≥ 2× gate only applies when the runner has ≥ 4 hardware
+/// threads.
 fn pool_scaling_section() -> serde_json::Value {
     let parallelism = std::thread::available_parallelism()
         .map(|n| n.get())

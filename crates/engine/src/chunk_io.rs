@@ -9,7 +9,7 @@
 //! [`crate::engine::Engine::replace_placement`]) now route through this
 //! module, one stripe — one erasure group — at a time; it fans a group's
 //! round-trips out so that the group costs its slowest member, not their
-//! sum — on the work-stealing pool when a provider really waits, on the
+//! sum — on the thread pool when a provider really waits, on the
 //! calling thread when latency is virtual (see "Virtual time, real time"
 //! below):
 //!

@@ -4,8 +4,8 @@
 //! among all engines retrieves from the statistics database the set `A` of
 //! objects accessed or modified since the previous procedure (a range scan
 //! over the dirty-set index — cost proportional to the objects touched, not
-//! the rows stored), splits it into shards and, in parallel, groups the
-//! members by `(class, storage rule)`. Scalia's scalability argument
+//! the rows stored) and groups the members by `(class, storage rule)`.
+//! Scalia's scalability argument
 //! (§III-A1/A2) is that statistics and re-placement amortise across a
 //! class: the optimiser therefore runs the trend detector and Algorithm 1
 //! **once per group** — `K` searches for `N` accessed objects in `K`
@@ -21,6 +21,12 @@
 //! one candidate is admitted per cycle, so a backlog always converges to
 //! the unbudgeted placement.
 //!
+//! A cycle runs on the calling thread: classes in first-seen order, then
+//! the admitted migrations in savings order, each on engine `i mod E`. The
+//! work is a few searches and metadata reads per class, and running it in
+//! a fixed order keeps every migration's `next_version` draw — and so the
+//! latency trajectories that follow it — the same at any pool size.
+//!
 //! The pre-class per-object sweep is preserved as
 //! [`PeriodicOptimizer::run_per_object`]: it is the differential baseline —
 //! a cycle over singleton classes must reproduce its report and migrations
@@ -29,7 +35,6 @@
 use crate::engine::Engine;
 use crate::infra::Infrastructure;
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use scalia_core::classify::{ClassUsage, ObjectClass};
 use scalia_core::cost::{compute_price_weighted, PredictedUsage};
 use scalia_core::decision::{GroupDecision, GroupKey};
@@ -78,10 +83,10 @@ pub struct OptimizationReport {
 impl OptimizationReport {
     /// Merges two partial reports by summing every counter. The `leader`
     /// field is taken from `self` unless `self` is the empty/default report
-    /// (the `reduce` identity), which makes this an associative operation
-    /// with [`OptimizationReport::default`] as its neutral element: merging
-    /// per-shard partials yields the same total for **any** shard
-    /// interleaving or association.
+    /// (the fold's starting value), which makes this an associative
+    /// operation with [`OptimizationReport::default`] as its neutral
+    /// element: folding per-class partials yields the same total in **any**
+    /// order or association.
     pub fn merged_with(self, other: OptimizationReport) -> OptimizationReport {
         OptimizationReport {
             leader: if self == OptimizationReport::default() {
@@ -101,9 +106,8 @@ impl OptimizationReport {
     }
 }
 
-/// What happened to a single object during the per-object sweep; accumulated
-/// into per-shard [`OptimizationReport`] partials so the parallel fan-out
-/// shares no mutable state at all.
+/// What happened to a single object during the per-object sweep; the sweep
+/// adds it to the cycle's [`OptimizationReport`].
 #[derive(Debug, Clone, Copy, Default)]
 struct ObjectOutcome {
     trend_changed: bool,
@@ -351,8 +355,8 @@ impl PeriodicOptimizer {
     // Class-centric sweep (the default)
     // ------------------------------------------------------------------
 
-    /// Runs one optimisation procedure over all engines: shard the accessed
-    /// set, group by `(class, rule)`, one placement search per group, map
+    /// Runs one optimisation procedure over all engines: group the accessed
+    /// set by `(class, rule)`, one placement search per group, map
     /// the decision onto the members, then execute the beneficial
     /// migrations best-savings-per-byte-first under the migration budget.
     /// With `force = true` every group is re-evaluated even if its class
@@ -402,30 +406,20 @@ impl PeriodicOptimizer {
         // 4) One class-level trend detection per class (from the rollup
         // series); only classes that trend — or are forced, or carry a
         // deferral — read member metadata, split by rule and run **one**
-        // placement search per `(class, rule)` group. Classes are processed
-        // in parallel; members are sorted, so the whole cycle is
-        // deterministic at any pool size.
-        let classes: Vec<(usize, (String, Vec<String>))> =
-            by_class.into_iter().enumerate().collect();
-        let group_results: Vec<(OptimizationReport, Vec<MigrationCandidate>)> = classes
-            .into_par_iter()
-            .map(|(i, (class_id, members))| {
-                let engine = &engines[i % engines.len()];
-                self.optimize_class(engine, infra, class_id, members, force, &deferred)
-            })
-            .collect();
-
+        // placement search per `(class, rule)` group.
         let mut report = OptimizationReport {
             leader: leader.id(),
             objects_considered,
             ..OptimizationReport::default()
         };
         let mut candidates: Vec<MigrationCandidate> = Vec::new();
-        for (partial, mut group_candidates) in group_results {
+        for (i, (class_id, members)) in by_class.into_iter().enumerate() {
+            let engine = &engines[i % engines.len()];
+            let (partial, mut class_candidates) =
+                self.optimize_class(engine, infra, class_id, members, force, &deferred);
             report = report.merged_with(partial);
-            candidates.append(&mut group_candidates);
+            candidates.append(&mut class_candidates);
         }
-        report.leader = leader.id();
 
         // 5) Budgeted batch migration: best saving per migrated byte first,
         // the tail deferred (never dropped) to the next cycle.
@@ -436,34 +430,27 @@ impl PeriodicOptimizer {
                 .then_with(|| a.row_key.cmp(&b.row_key))
         });
         let mut ledger = self.budget.start();
-        let mut admitted: Vec<MigrationCandidate> = Vec::new();
+        let mut admitted = 0usize;
         for candidate in candidates {
-            if ledger.admit(
-                candidate.plan.bytes_moved(candidate.size),
-                candidate.plan.migration_cost,
-            ) {
-                admitted.push(candidate);
-            } else {
+            let bytes = candidate.plan.bytes_moved(candidate.size);
+            if !ledger.admit(bytes, candidate.plan.migration_cost) {
                 report.migrations_deferred += 1;
                 self.deferred.lock().insert(candidate.row_key);
+                continue;
+            }
+            let engine = &engines[admitted % engines.len()];
+            admitted += 1;
+            // A migration that loses a race against a client write (or whose
+            // provider fails) is reconsidered when the object is next
+            // accessed, exactly like the per-object sweep.
+            if engine
+                .replace_placement(&candidate.key, &candidate.plan.to)
+                .is_ok()
+            {
+                report.migrations_executed += 1;
+                report.bytes_migrated += bytes;
             }
         }
-        let admitted: Vec<(usize, MigrationCandidate)> = admitted.into_iter().enumerate().collect();
-        let migration_totals: (usize, u64) = admitted
-            .into_par_iter()
-            .map(|(i, candidate)| {
-                let engine = &engines[i % engines.len()];
-                match engine.replace_placement(&candidate.key, &candidate.plan.to) {
-                    Ok(_) => (1usize, candidate.plan.bytes_moved(candidate.size)),
-                    // Lost a race against a client write (or a provider
-                    // failed): the object is reconsidered when it is next
-                    // accessed, exactly like the per-object sweep.
-                    Err(_) => (0, 0),
-                }
-            })
-            .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
-        report.migrations_executed += migration_totals.0;
-        report.bytes_migrated += migration_totals.1;
         report
     }
 
@@ -533,8 +520,7 @@ impl PeriodicOptimizer {
         }
         // Split by rule identity: one sort with borrowed comparators (no
         // per-member key clones), then slice-grouping of the consecutive
-        // runs. Members stay sorted by row key inside each group, so the
-        // cycle is deterministic at any pool size.
+        // runs. Members stay sorted by row key inside each group.
         digests.sort_unstable_by(|a, b| {
             a.rule_fingerprint
                 .cmp(&b.rule_fingerprint)
@@ -783,43 +769,31 @@ impl PeriodicOptimizer {
         let stats = infra.statistics(leader.datacenter());
         let (accessed, _) = self.take_accessed_set_scan(&stats, infra);
 
-        let shard_count = engines.len().max(1);
-        let shards: Vec<(usize, Vec<String>)> = accessed
-            .chunks(accessed.len().div_ceil(shard_count).max(1))
-            .enumerate()
-            .map(|(i, chunk)| (i, chunk.to_vec()))
-            .collect();
-
-        let merged = shards
-            .into_par_iter()
-            .map(|(engine_idx, shard)| {
-                let engine = &engines[engine_idx % engines.len()];
-                let mut partial = OptimizationReport {
-                    objects_considered: shard.len(),
-                    ..OptimizationReport::default()
-                };
-                for row_key in &shard {
-                    let outcome = self.optimize_object(engine, infra, row_key, force);
-                    partial.trend_changes += outcome.trend_changed as usize;
-                    partial.placements_recomputed += outcome.recomputed as usize;
-                    partial.searches_executed += outcome.recomputed as usize;
-                    partial.objects_covered += outcome.recomputed as usize;
-                    partial.migrations_executed += outcome.migrated as usize;
-                    partial.bytes_migrated += outcome.bytes_migrated;
-                }
-                partial
-            })
-            .reduce(OptimizationReport::default, OptimizationReport::merged_with);
-
-        OptimizationReport {
+        // One contiguous shard of the accessed set per engine.
+        let mut report = OptimizationReport {
             leader: leader.id(),
-            ..merged
+            objects_considered: accessed.len(),
+            ..OptimizationReport::default()
+        };
+        let shard_len = accessed.len().div_ceil(engines.len()).max(1);
+        for (i, shard) in accessed.chunks(shard_len).enumerate() {
+            let engine = &engines[i % engines.len()];
+            for row_key in shard {
+                let outcome = self.optimize_object(engine, infra, row_key, force);
+                report.trend_changes += outcome.trend_changed as usize;
+                report.placements_recomputed += outcome.recomputed as usize;
+                report.searches_executed += outcome.recomputed as usize;
+                report.objects_covered += outcome.recomputed as usize;
+                report.migrations_executed += outcome.migrated as usize;
+                report.bytes_migrated += outcome.bytes_migrated;
+            }
         }
+        report
     }
 
     /// For one object: detect a trend change and, if needed, recompute the
-    /// placement and migrate. Returns what happened so the caller can fold
-    /// it into its shard-private partial report.
+    /// placement and migrate. Returns what happened so the caller can add
+    /// it to the cycle's report.
     fn optimize_object(
         &self,
         engine: &Arc<Engine>,
@@ -1011,7 +985,7 @@ mod tests {
 
     #[test]
     fn report_merge_is_independent_of_shard_interleaving() {
-        // Partial reports as four shards of one procedure would produce them.
+        // Partial reports as four classes of one procedure would produce them.
         let partials = [
             OptimizationReport {
                 leader: EngineId::new(2),
@@ -1053,8 +1027,8 @@ mod tests {
             },
         ];
 
-        // Every permutation, and every fold association the pool could pick
-        // (identity seeded per chunk), must agree.
+        // Every permutation, and every fold association (identity seeded
+        // per sub-fold), must agree.
         let mut orders: Vec<Vec<usize>> = Vec::new();
         for a in 0..4 {
             for b in 0..4 {
@@ -1079,7 +1053,7 @@ mod tests {
                 acc.merged_with(partials[i])
             });
             assert_eq!(merged, reference, "order {order:?}");
-            // Split association: (a·b)·(c·d) — how two pool chunks merge.
+            // Split association: (a·b)·(c·d).
             let left = OptimizationReport::default()
                 .merged_with(partials[order[0]])
                 .merged_with(partials[order[1]]);
@@ -1102,8 +1076,8 @@ mod tests {
     #[test]
     fn procedure_report_is_identical_across_pool_sizes() {
         // The same deployment state optimised under different worker counts
-        // must produce the same report (the merges are order-insensitive and
-        // the per-group decisions are deterministic).
+        // must produce the same report (the cycle runs on its caller, in a
+        // fixed order).
         let run_with_pool = |workers: usize| {
             let pool = rayon::ThreadPool::new(workers);
             let cluster = ScaliaCluster::builder().build();

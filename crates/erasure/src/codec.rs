@@ -11,7 +11,9 @@
 //! path stages the bytes and the read path appends them through the
 //! hashing copy ([`scalia_types::checksum::Xxh64::append`],
 //! [`decode_object_append`]), so no byte is read a second time to checksum
-//! it.
+//! it. Everything runs on the calling thread: the engine's stripes are at
+//! most 512 KiB with one or two parity rows, far too little work to pay for
+//! a hand-off to another thread.
 //!
 //! Chunks carry no header and no checksum. Integrity is the caller's: the
 //! engine stores one content checksum per stripe in the metadata at write
@@ -23,12 +25,6 @@ use bytes::Bytes;
 use scalia_types::checksum::Xxh64;
 use scalia_types::error::ScaliaError;
 use scalia_types::ErasureParams;
-
-/// Payload size (in bytes) above which encode/decode fan the Reed–Solomon
-/// row work (parity rows, rebuilt data rows) out to the thread pool. Below
-/// the cutoff the scheduling overhead outweighs the win; the value is a
-/// conservative multiple of the measured crossover on one core.
-pub const PARALLEL_CUTOFF_BYTES: usize = 256 * 1024;
 
 /// One erasure-coded chunk of an object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,11 +98,9 @@ pub fn staged_len(len: usize, m: u32) -> usize {
 /// The buffer is zero-padded in place to [`staged_len`] and frozen, and the
 /// `m` data chunks are consecutive windows of that one allocation
 /// ([`Bytes::slice`]): the code is systematic, so the data shards *are*
-/// the plaintext. Only the `n − m` parity chunks are computed, in parallel
-/// on the thread pool for stripes at or above [`PARALLEL_CUTOFF_BYTES`]
-/// (byte-identical to the sequential path). Stage with a capacity of
-/// [`staged_len`] and nothing is reallocated; any other capacity still
-/// encodes the same chunks.
+/// the plaintext. Only the `n − m` parity chunks are computed. Stage with a
+/// capacity of [`staged_len`] and nothing is reallocated; any other
+/// capacity still encodes the same chunks.
 pub fn encode_staged(
     mut staged: Vec<u8>,
     params: ErasureParams,
@@ -120,9 +114,7 @@ pub fn encode_staged(
     let data: Vec<Bytes> = (0..m)
         .map(|i| staged.slice(i * shard_len..(i + 1) * shard_len))
         .collect();
-    let parity = rs
-        .encode_parity(&data, original_len >= PARALLEL_CUTOFF_BYTES)
-        .map_err(rs_error)?;
+    let parity = rs.encode_parity(&data).map_err(rs_error)?;
     Ok(EncodedObject {
         chunks: data
             .into_iter()
@@ -176,10 +168,9 @@ fn usable_shards(
 /// the shard length of an `out.len()`-byte object, are ignored; if fewer
 /// than `m` usable chunks remain, [`ScaliaError::NotEnoughChunks`] is
 /// returned. Data chunks are copied into place (`m` slice copies when all
-/// are present); only missing data shards are rebuilt from parity, in
-/// parallel on the thread pool for objects at or above
-/// [`PARALLEL_CUTOFF_BYTES`]. The bytes are **not** verified — compare them
-/// with the checksum stored when the object was written.
+/// are present); only missing data shards are rebuilt from parity. The
+/// bytes are **not** verified — compare them with the checksum stored when
+/// the object was written.
 pub fn decode_object_into(
     chunks: &[Chunk],
     params: ErasureParams,
@@ -194,9 +185,7 @@ pub fn decode_object_into(
             required: m,
         });
     }
-    let parallel = out.len() >= PARALLEL_CUTOFF_BYTES;
-    rs.reconstruct_into(&shards, out, parallel)
-        .map_err(rs_error)
+    rs.reconstruct_into(&shards, out).map_err(rs_error)
 }
 
 /// Reassembles an object of `len` bytes from any `m` (or more) of its
@@ -395,10 +384,10 @@ mod tests {
 
     #[test]
     fn large_object_roundtrip_uses_parallel_path() {
-        // Above PARALLEL_CUTOFF_BYTES: parity rows and rebuilt data rows
-        // fan out. The result must be indistinguishable from the
-        // small-object path, including after losing n - m chunks.
-        let data = sample_data(PARALLEL_CUTOFF_BYTES + 12_345);
+        // A stripe of a quarter megabyte and more: the result must be
+        // indistinguishable from the small-object path, including after
+        // losing n - m chunks (two of the three data rows rebuilt).
+        let data = sample_data((256 << 10) + 12_345);
         let enc = encode_object(&data, params(3, 5)).unwrap();
         assert_eq!(enc.chunks.len(), 5);
         let subset = vec![

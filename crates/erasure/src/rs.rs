@@ -6,6 +6,10 @@
 //! verbatim — *systematic* coding) and keeps the Vandermonde property that
 //! **any** `m` rows form an invertible matrix, so any `m` shards reconstruct
 //! the data.
+//!
+//! Encoding and reconstruction run on the calling thread, one matrix row at
+//! a time: a stripe has at most a few parity or missing data rows (a 4-of-5
+//! stripe has one), and the GF(256) kernel streams each row at memory speed.
 
 use crate::gf256;
 use crate::matrix::Matrix;
@@ -119,17 +123,11 @@ impl ReedSolomon {
     /// Computes the `n − m` parity shards of `m` equally-sized data shards,
     /// in row order. The code is systematic — the data shards *are* the
     /// first `m` shards of the encoding — so parity is all there is to
-    /// compute and the caller's data is never copied.
-    ///
-    /// With `parallel` the parity rows are computed on the rayon pool; each
-    /// is one row of the encode matrix applied to all data shards, so the
-    /// output is byte-identical either way. Worth it only when
-    /// `shard_len × (n − m)` is large; the codec layer applies a size
-    /// cutoff.
-    pub fn encode_parity<S: AsRef<[u8]> + Sync>(
+    /// compute and the caller's data is never copied. Each parity shard is
+    /// one row of the encode matrix applied to all data shards.
+    pub fn encode_parity<S: AsRef<[u8]>>(
         &self,
         data_shards: &[S],
-        parallel: bool,
     ) -> Result<Vec<Vec<u8>>, RsError> {
         let shard_len = self.validate_data_shards(data_shards)?;
         let parity_row = |row: usize| {
@@ -139,13 +137,9 @@ impl ReedSolomon {
             }
             parity
         };
-        let rows = self.data_shards..self.total_shards;
-        Ok(if parallel {
-            use rayon::prelude::*;
-            rows.into_par_iter().map(parity_row).collect()
-        } else {
-            rows.map(parity_row).collect()
-        })
+        Ok((self.data_shards..self.total_shards)
+            .map(parity_row)
+            .collect())
     }
 
     /// Reconstructs the data from any `m` (or more) shards, straight into
@@ -162,13 +156,11 @@ impl ReedSolomon {
     ///
     /// Data shards that were supplied are copied into place; only the
     /// missing ones cost field arithmetic (one row of the inverted
-    /// sub-matrix each, computed on the rayon pool with `parallel` —
-    /// byte-identical either way).
-    pub fn reconstruct_into<S: AsRef<[u8]> + Sync>(
+    /// sub-matrix each).
+    pub fn reconstruct_into<S: AsRef<[u8]>>(
         &self,
         shards: &[(usize, S)],
         out: &mut [u8],
-        parallel: bool,
     ) -> Result<(), RsError> {
         let m = self.data_shards;
         if shards.len() < m {
@@ -218,17 +210,11 @@ impl ReedSolomon {
             .select_rows(&indices)
             .invert()
             .ok_or(RsError::SingularMatrix)?;
-        let decode_row = |(row, window): (usize, &mut [u8])| {
+        for (row, window) in missing {
             window.fill(0);
             for (col, (_, shard)) in chosen.iter().enumerate() {
                 gf256::mul_slice_xor(decode.get(row, col), &shard[..window.len()], window);
             }
-        };
-        if parallel {
-            use rayon::prelude::*;
-            missing.into_par_iter().for_each(decode_row);
-        } else {
-            missing.into_iter().for_each(decode_row);
         }
         Ok(())
     }
@@ -250,19 +236,15 @@ mod tests {
 
     /// All `n` shards of the systematic encoding: the data, then parity.
     fn encode(rs: &ReedSolomon, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, RsError> {
-        let parity = rs.encode_parity(data, false)?;
+        let parity = rs.encode_parity(data)?;
         Ok(data.iter().cloned().chain(parity).collect())
     }
 
     /// The `m` data shards rebuilt from `shards`.
-    fn reconstruct(
-        rs: &ReedSolomon,
-        shards: &[(usize, Vec<u8>)],
-        parallel: bool,
-    ) -> Result<Vec<Vec<u8>>, RsError> {
+    fn reconstruct(rs: &ReedSolomon, shards: &[(usize, Vec<u8>)]) -> Result<Vec<Vec<u8>>, RsError> {
         let shard_len = shards.first().map_or(0, |(_, s)| s.len());
         let mut flat = vec![0xEEu8; rs.data_shards() * shard_len];
-        rs.reconstruct_into(shards, &mut flat, parallel)?;
+        rs.reconstruct_into(shards, &mut flat)?;
         Ok(flat.chunks(shard_len).map(<[u8]>::to_vec).collect())
     }
 
@@ -282,14 +264,14 @@ mod tests {
         // encode matrix is the identity, and decoding from them is a copy.
         let rs = ReedSolomon::new(3, 5).unwrap();
         let data = sample_shards(3, 64);
-        assert_eq!(rs.encode_parity(&data, false).unwrap().len(), 2);
+        assert_eq!(rs.encode_parity(&data).unwrap().len(), 2);
         for row in 0..3 {
             for col in 0..3 {
                 assert_eq!(rs.encode_matrix.get(row, col), (row == col) as u8);
             }
         }
         let supplied: Vec<(usize, Vec<u8>)> = data.iter().cloned().enumerate().collect();
-        assert_eq!(reconstruct(&rs, &supplied, false).unwrap(), data);
+        assert_eq!(reconstruct(&rs, &supplied).unwrap(), data);
     }
 
     #[test]
@@ -308,7 +290,7 @@ mod tests {
                         (b, encoded[b].clone()),
                         (c, encoded[c].clone()),
                     ];
-                    let rebuilt = reconstruct(&rs, &subset, false).unwrap();
+                    let rebuilt = reconstruct(&rs, &subset).unwrap();
                     assert_eq!(rebuilt, data, "subset ({a},{b},{c})");
                 }
             }
@@ -331,13 +313,12 @@ mod tests {
         // only, empty — rebuilt rows are clipped exactly like copied ones.
         for len in [120usize, 119, 81, 80, 79, 41, 40, 1, 0] {
             let mut out = vec![0xEEu8; len];
-            rs.reconstruct_into(&supplied, &mut out, false).unwrap();
+            rs.reconstruct_into(&supplied, &mut out).unwrap();
             assert_eq!(out, &flat[..len], "len {len}");
         }
         let mut too_long = vec![0u8; 121];
         assert_eq!(
-            rs.reconstruct_into(&supplied, &mut too_long, false)
-                .unwrap_err(),
+            rs.reconstruct_into(&supplied, &mut too_long).unwrap_err(),
             RsError::ShardLengthMismatch
         );
     }
@@ -349,7 +330,7 @@ mod tests {
         let encoded = encode(&rs, &data).unwrap();
         // Every shard alone reconstructs the data.
         for (i, shard) in encoded.iter().enumerate() {
-            let rebuilt = reconstruct(&rs, &[(i, shard.clone())], false).unwrap();
+            let rebuilt = reconstruct(&rs, &[(i, shard.clone())]).unwrap();
             assert_eq!(rebuilt, data);
         }
     }
@@ -358,9 +339,9 @@ mod tests {
     fn no_redundancy_mode_m_equals_n() {
         let rs = ReedSolomon::new(4, 4).unwrap();
         let data = sample_shards(4, 16);
-        assert!(rs.encode_parity(&data, false).unwrap().is_empty());
+        assert!(rs.encode_parity(&data).unwrap().is_empty());
         let supplied: Vec<(usize, Vec<u8>)> = data.iter().cloned().enumerate().collect();
-        assert_eq!(reconstruct(&rs, &supplied, false).unwrap(), data);
+        assert_eq!(reconstruct(&rs, &supplied).unwrap(), data);
     }
 
     #[test]
@@ -370,12 +351,8 @@ mod tests {
         let encoded = encode(&rs, &data).unwrap();
 
         // Too few shards.
-        let err = reconstruct(
-            &rs,
-            &[(0, encoded[0].clone()), (1, encoded[1].clone())],
-            false,
-        )
-        .unwrap_err();
+        let err =
+            reconstruct(&rs, &[(0, encoded[0].clone()), (1, encoded[1].clone())]).unwrap_err();
         assert!(matches!(
             err,
             RsError::NotEnoughShards {
@@ -392,7 +369,6 @@ mod tests {
                 (1, encoded[1][..4].to_vec()),
                 (2, encoded[2].clone()),
             ],
-            false,
         )
         .unwrap_err();
         assert_eq!(err, RsError::ShardLengthMismatch);
@@ -405,7 +381,6 @@ mod tests {
                 (0, encoded[0].clone()),
                 (2, encoded[2].clone()),
             ],
-            false,
         )
         .unwrap_err();
         assert_eq!(err, RsError::InvalidShardIndex(0));
@@ -418,54 +393,22 @@ mod tests {
                 (1, encoded[1].clone()),
                 (9, encoded[2].clone()),
             ],
-            false,
         )
         .unwrap_err();
         assert_eq!(err, RsError::InvalidShardIndex(9));
 
         // Wrong number of data shards to encode.
         assert!(matches!(
-            rs.encode_parity(&sample_shards(2, 8), false).unwrap_err(),
+            rs.encode_parity(&sample_shards(2, 8)).unwrap_err(),
             RsError::NotEnoughShards { .. }
         ));
         // Mismatched data shard lengths.
         let mut bad = sample_shards(3, 8);
         bad[1].pop();
         assert_eq!(
-            rs.encode_parity(&bad, false).unwrap_err(),
+            rs.encode_parity(&bad).unwrap_err(),
             RsError::ShardLengthMismatch
         );
-    }
-
-    #[test]
-    fn parallel_encode_is_byte_identical_to_sequential() {
-        for (m, n) in [(1usize, 3usize), (3, 5), (4, 4), (5, 9)] {
-            let rs = ReedSolomon::new(m, n).unwrap();
-            // Straddle the codec cutoff: big shards so the pool really runs.
-            let data = sample_shards(m, 300_000);
-            assert_eq!(
-                rs.encode_parity(&data, true).unwrap(),
-                rs.encode_parity(&data, false).unwrap(),
-                "(m,n)=({m},{n})"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_reconstruct_is_byte_identical_to_sequential() {
-        let rs = ReedSolomon::new(3, 6).unwrap();
-        let data = sample_shards(3, 200_000);
-        let encoded = encode(&rs, &data).unwrap();
-        // A parity-only subset: every data row is a decode job.
-        let subset = vec![
-            (3usize, encoded[3].clone()),
-            (4, encoded[4].clone()),
-            (5, encoded[5].clone()),
-        ];
-        let seq = reconstruct(&rs, &subset, false).unwrap();
-        let par = reconstruct(&rs, &subset, true).unwrap();
-        assert_eq!(seq, par);
-        assert_eq!(seq, data);
     }
 
     #[test]
@@ -475,12 +418,8 @@ mod tests {
         let data = sample_shards(2, 32);
         let mut encoded = encode(&rs, &data).unwrap();
         encoded[3][0] ^= 0xff;
-        let rebuilt = reconstruct(
-            &rs,
-            &[(0, encoded[0].clone()), (1, encoded[1].clone())],
-            false,
-        )
-        .unwrap();
+        let rebuilt =
+            reconstruct(&rs, &[(0, encoded[0].clone()), (1, encoded[1].clone())]).unwrap();
         assert_eq!(rebuilt, data);
     }
 }

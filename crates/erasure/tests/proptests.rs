@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use scalia_erasure::codec::{
     decode_object, decode_object_append, decode_object_into, encode_object, encode_staged,
-    staged_len, Chunk, PARALLEL_CUTOFF_BYTES,
+    staged_len, Chunk,
 };
 use scalia_erasure::gf256;
 use scalia_erasure::rs::ReedSolomon;
@@ -20,7 +20,7 @@ const MAX_CATALOG_WIDTH: u32 = 6;
 /// every `(m, n)` a placement over the catalog can choose, every `m`-subset
 /// of the chunks (data only, mixed, parity only), and lengths that are
 /// empty, one byte, a shard ± 1 byte, a nominal stripe, a stripe + 1 and
-/// odd tails; plus one stripe large enough for the parallel rebuild.
+/// odd tails; plus one stripe of a quarter megabyte and a byte.
 #[test]
 fn append_decode_matches_decode_into_for_every_catalog_geometry_and_subset() {
     const STRIPE: usize = 4096;
@@ -33,7 +33,7 @@ fn append_decode_matches_decode_into_for_every_catalog_geometry_and_subset() {
             let mut lens = vec![0, 1, shard - 1, shard, shard + 1, STRIPE, STRIPE + 1];
             lens.extend([STRIPE + 13, 2 * STRIPE - 7]);
             if (m, n) == (3, 5) {
-                lens.push(PARALLEL_CUTOFF_BYTES + 1);
+                lens.push((256 << 10) + 1);
             }
             for len in lens {
                 let data: Vec<u8> = (0..len).map(|i| (i * 131 + 7 * len) as u8).collect();
@@ -73,7 +73,7 @@ fn append_decode_matches_decode_into_for_every_catalog_geometry_and_subset() {
 /// place, its data chunks cut from it — against `encode_object`, chunk for
 /// chunk, for every `(m, n)` a placement over the catalog can choose and
 /// lengths that are empty, one byte, a shard ± 1 byte, 4 KiB, a 512 KiB
-/// stripe and one byte short of it (above the parallel-parity cutoff), and
+/// stripe and one byte short of it, and
 /// odd tails; staged at exactly [`staged_len`] (no reallocation: the data
 /// chunks start in the staged allocation) and at the length alone (the pad
 /// grows it, same chunks).
@@ -232,8 +232,8 @@ proptest! {
             s.resize(shard_len, 0);
             shards.push(s);
         }
-        let a = rs.encode_parity(&shards, false).unwrap();
-        let b = rs.encode_parity(&shards, false).unwrap();
+        let a = rs.encode_parity(&shards).unwrap();
+        let b = rs.encode_parity(&shards).unwrap();
         prop_assert_eq!(&a, &b);
         prop_assert!(a.iter().all(|s| s.len() == shard_len));
         prop_assert_eq!(a.len(), n - m);

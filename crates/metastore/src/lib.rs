@@ -23,8 +23,8 @@
 //!   per-class resource usage and lifetime distributions.
 //! * [`logagg`] — the log agent / log aggregator pipeline that moves access
 //!   logs from engines into the statistics tables.
-//! * [`mapreduce`] — parallel map-reduce jobs over the rows of a node, used
-//!   to refresh per-class statistics.
+//! * [`mapreduce`] — map-reduce jobs over the rows of a node, used to
+//!   refresh per-class statistics.
 //! * [`journal`] — the write-ahead journal and checkpoint format that make
 //!   replicated-store mutations (and the engine's multi-op metadata
 //!   commits) atomic across a crash.

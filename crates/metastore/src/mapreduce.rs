@@ -1,49 +1,37 @@
-//! Parallel map-reduce jobs over database rows.
+//! Map-reduce jobs over database rows.
 //!
 //! The paper refreshes per-class statistics and lifetime distributions
 //! "periodically using map-reduce jobs in the database layer" (§III-A1).
-//! This module provides a small data-parallel map-reduce runner over the
-//! rows of a [`NoSqlNode`] (powered by rayon, per the HPC guides) plus the
-//! concrete job that aggregates per-class lifetime distributions.
+//! This module provides a small map-reduce runner over a snapshot of the
+//! rows of a [`NoSqlNode`] plus the concrete job that aggregates per-class
+//! lifetime distributions. Jobs run on the calling thread, rows in key
+//! order.
 
 use crate::model::Row;
 use crate::store::NoSqlNode;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 /// Runs a map-reduce job over a snapshot of the node's rows.
 ///
 /// `map` emits zero or more `(key, value)` pairs per row; `reduce` folds all
-/// values of one key into a single result. Rows are mapped in parallel.
-pub fn map_reduce<K, V, R>(
+/// values of one key, in row order, into a single result.
+pub fn map_reduce<K: Ord, V, R>(
     node: &NoSqlNode,
-    map: impl Fn(&str, &Row) -> Vec<(K, V)> + Sync,
-    reduce: impl Fn(&K, Vec<V>) -> R + Sync,
-) -> BTreeMap<K, R>
-where
-    K: Ord + Send + Clone,
-    V: Send,
-    R: Send,
-{
-    let snapshot = node.snapshot();
-    let pairs: Vec<(K, V)> = snapshot
-        .par_iter()
-        .flat_map_iter(|(key, row)| map(key, row))
-        .collect();
-
+    map: impl Fn(&str, &Row) -> Vec<(K, V)>,
+    reduce: impl Fn(&K, Vec<V>) -> R,
+) -> BTreeMap<K, R> {
     let mut grouped: BTreeMap<K, Vec<V>> = BTreeMap::new();
-    for (k, v) in pairs {
-        grouped.entry(k).or_default().push(v);
+    for (row_key, row) in node.snapshot() {
+        for (k, v) in map(&row_key, &row) {
+            grouped.entry(k).or_default().push(v);
+        }
     }
-
     grouped
-        .into_par_iter()
+        .into_iter()
         .map(|(k, vs)| {
             let r = reduce(&k, vs);
             (k, r)
         })
-        .collect::<Vec<(K, R)>>()
-        .into_iter()
         .collect()
 }
 

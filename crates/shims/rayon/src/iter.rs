@@ -1,4 +1,4 @@
-//! Parallel iterator adaptors on top of the work-stealing pool.
+//! Parallel iterator adaptors on top of the pool.
 //!
 //! Unlike rayon's lazy splitting, the shim is **eager**: every adaptor
 //! materialises its input as a `Vec`, splits it into `~4 × workers` chunks,
@@ -132,8 +132,8 @@ where
         return per_chunk(items).into_flat();
     }
 
-    // ~4 chunks per worker: enough slack for stealing to even out skewed
-    // per-item costs without drowning in scheduling overhead.
+    // ~4 chunks per worker: enough slack for idle threads to even out
+    // skewed per-item costs without drowning in scheduling overhead.
     let chunk_count = len.min(workers * 4);
     let chunk_size = len.div_ceil(chunk_count);
     let mut chunks: Vec<(usize, Vec<T>)> = Vec::with_capacity(chunk_count);

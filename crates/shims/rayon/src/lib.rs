@@ -1,35 +1,42 @@
-//! Offline shim for `rayon`, backed by a real work-stealing thread pool.
+//! Offline shim for `rayon`, backed by a small scoped thread pool.
 //!
-//! Earlier revisions of this shim executed every `par_iter` sequentially;
-//! this version runs them on a scoped work-stealing pool built on
-//! `std::thread` (see [`pool`] for the scheduling, blocking and shutdown
+//! The workspace hands the pool one kind of work: chunk round-trips against
+//! backends that really sleep their latency (the engine's chunk-I/O fan-out
+//! and its hedged reads), where overlapping waits is the whole win. CPU
+//! work — the optimizer's sweeps, the erasure codec, map-reduce — runs on
+//! its caller. The pool is therefore one mutex-guarded queue on
+//! `std::thread` workers (see [`pool`] for the blocking and shutdown
 //! guarantees, and [`iter`] for the adaptor semantics). The API mirrors the
 //! subset of rayon the workspace uses:
 //!
 //! * `prelude::*` with [`IntoParallelIterator`] / [`IntoParallelRefIterator`]
 //!   and the `map` / `flat_map_iter` / `filter` / `for_each` / `reduce` /
 //!   `collect` adaptors;
-//! * [`join`] and [`current_num_threads`];
+//! * [`current_num_threads`];
 //! * [`spawn`] (fire-and-forget tasks, used by the engine's hedged chunk
 //!   reads so a straggling fetch cannot block the caller) and [`yield_now`]
 //!   (cooperative help: execute one pending task inline), mirroring rayon's
 //!   functions of the same names;
 //! * [`ThreadPool`] / [`ThreadPoolBuilder`] with `install`, so tests can pin
-//!   an exact worker count (`ThreadPool::new(8).install(|| ...)`).
+//!   an exact worker count (`ThreadPool::new(8).install(|| ...)`), and
+//!   [`ThreadPool::tasks_pushed`], so they can pin that a code path never
+//!   reached the pool.
 //!
 //! Pool sizing: the implicit global pool reads `SCALIA_POOL_WORKERS` (then
 //! `RAYON_NUM_THREADS`), defaulting to `available_parallelism()`. Setting it
-//! to `1` short-circuits every adaptor to inline sequential execution — the
-//! offline build's original behaviour, kept green in CI.
+//! to `1` short-circuits every adaptor to inline sequential execution.
+//!
+//! The only `unsafe` is the scope's lifetime erasure in
+//! `pool::scope_execute`.
 
-mod deque;
+#![deny(unsafe_code)]
+
 mod iter;
 mod pool;
 
 pub use iter::{IntoParallelIterator, IntoParallelRefIterator, ParIter};
 pub use pool::{
-    current_num_threads, join, spawn, yield_now, ThreadPool, ThreadPoolBuildError,
-    ThreadPoolBuilder,
+    current_num_threads, spawn, yield_now, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder,
 };
 
 /// `prelude::*` imports, mirroring `rayon::prelude`.
@@ -173,18 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn join_runs_both_and_returns_results() {
-        let pool = ThreadPool::new(2);
-        let (a, b) = pool.install(|| join(|| 1 + 1, || "two"));
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
-        // And inline on a single worker.
-        let pool1 = ThreadPool::new(1);
-        let (a, b) = pool1.install(|| join(|| 40 + 2, || 58));
-        assert_eq!((a, b), (42, 58));
-    }
-
-    #[test]
     fn install_scopes_nest_and_restore() {
         let outer = ThreadPool::new(2);
         let inner = ThreadPool::new(8);
@@ -265,5 +260,61 @@ mod tests {
         assert!(out.is_empty());
         let folded = Vec::<u32>::new().into_par_iter().reduce(|| 7, |a, b| a + b);
         assert_eq!(folded, 7, "reduce of empty input is the identity");
+    }
+
+    /// Four external threads share one pool, each running nested `par_iter`
+    /// scopes and then 5 000 fire-and-forget `spawn`s that nobody waits
+    /// for. Every task must run exactly once (sum + count), and dropping
+    /// the pool must drain whatever is still queued before it joins.
+    #[test]
+    fn external_threads_nesting_scopes_and_spawning_run_every_task_once() {
+        use std::sync::atomic::AtomicU64;
+        use std::sync::Arc;
+        const THREADS: u64 = 4;
+        const SPAWNS: u64 = 5_000;
+        let nested_expected: u64 = (0..32u64)
+            .map(|i| (0..16u64).map(|j| i * 16 + j).sum::<u64>())
+            .sum();
+        for workers in [1, 2, 8] {
+            let pool = ThreadPool::new(workers);
+            let sum = Arc::new(AtomicU64::new(0));
+            let count = Arc::new(AtomicU64::new(0));
+            std::thread::scope(|s| {
+                for thread in 0..THREADS {
+                    let (pool, sum, count) = (&pool, &sum, &count);
+                    s.spawn(move || {
+                        pool.install(|| {
+                            let nested: u64 = (0..32u64)
+                                .into_par_iter()
+                                .map(|i| {
+                                    (0..16u64)
+                                        .into_par_iter()
+                                        .map(|j| i * 16 + j)
+                                        .reduce(|| 0, |a, b| a + b)
+                                })
+                                .reduce(|| 0, |a, b| a + b);
+                            assert_eq!(nested, nested_expected, "workers={workers}");
+                            for i in 0..SPAWNS {
+                                let value = thread * SPAWNS + i + 1;
+                                let (sum, count) = (sum.clone(), count.clone());
+                                spawn(move || {
+                                    sum.fetch_add(value, Ordering::Relaxed);
+                                    count.fetch_add(1, Ordering::Relaxed);
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+            assert!(pool.tasks_pushed() >= (THREADS * SPAWNS) as usize);
+            drop(pool);
+            let n = THREADS * SPAWNS;
+            assert_eq!(count.load(Ordering::Relaxed), n, "workers={workers}");
+            assert_eq!(
+                sum.load(Ordering::Relaxed),
+                n * (n + 1) / 2,
+                "workers={workers}"
+            );
+        }
     }
 }

@@ -21,8 +21,8 @@
 //!   write is backfilled to full stripe width within one repair cycle once
 //!   capacity returns, clearing the debt column and its queue entry.
 //! * **Pool-size independence.** A whole randomized fault schedule produces
-//!   a bit-identical final state digest when driven on work-stealing pools
-//!   of 1, 2 and 8 workers.
+//!   a bit-identical final state digest when driven on pools of 1, 2 and 8
+//!   workers.
 
 use rayon::ThreadPool;
 use scalia::engine::gc;

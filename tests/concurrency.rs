@@ -1,8 +1,8 @@
 //! Concurrency test suite: one `ScaliaCluster` driven from many OS threads.
 //!
-//! The rayon shim's work-stealing pool made the optimiser, the metastore
-//! map-reduce and the erasure codec genuinely parallel; these tests pin the
-//! system-level guarantees that parallelism must not erode:
+//! Client threads, the optimiser and metastore jobs all share one cluster;
+//! these tests pin the system-level guarantees that concurrency must not
+//! erode:
 //!
 //! * **MVCC convergence** — concurrent writers of one key leave exactly one
 //!   metadata version per database node, and it is internally consistent

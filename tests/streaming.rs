@@ -4,9 +4,8 @@
 //! commit, and the equivalence of the two ways to feed the one write path.
 //!
 //! The stripe size is shrunk to 1000 bytes so a few-kilobyte payload
-//! exercises many stripes; every scenario is replayed on work-stealing
-//! pools of 1, 2 and 8 workers where parallelism could change observable
-//! state.
+//! exercises many stripes; every scenario is replayed on pools of 1, 2 and
+//! 8 workers where parallelism could change observable state.
 
 use rayon::ThreadPool;
 use scalia::engine::gc;

@@ -18,6 +18,12 @@ const POOL_SIZES: [usize; 3] = [1, 2, 8];
 /// accounting shows up here.
 const PINNED_DIGEST: &str = "c38e1bbfc8fc3bf274ed957dbac9d068";
 
+/// The pinned outcome digest of [`price_drop_spec`]'s trace: a forced
+/// optimisation cycle mid-trace migrates objects onto a new provider, and
+/// every migration draws a version id and reshapes the latency
+/// observations the reads after it are served under.
+const PRICE_DROP_DIGEST: &str = "1f42c3bf534cc96ef74a3ca517f77d16";
+
 fn tenant(name: &str, weight: u32, ops_per_sec: f64, objects: usize) -> TenantSpec {
     TenantSpec {
         name: name.into(),
@@ -386,4 +392,25 @@ fn a_price_drop_mid_trace_triggers_mass_migration_without_breaking_reads() {
         }
     }
     assert!(outcome.report.total_completed() > 0);
+}
+
+#[test]
+fn a_price_drop_migration_replays_identically_at_every_pool_size() {
+    // The migrations run on the optimizer's caller in savings order, so
+    // their version draws — and the latency trajectories that follow —
+    // cannot depend on how many workers the pool has, or on how the OS
+    // schedules them: ten replays per pool size, one digest.
+    let spec = price_drop_spec();
+    let trace = generate_trace(&spec);
+    for workers in POOL_SIZES {
+        let pool = ThreadPool::new(workers);
+        for replay in 0..10 {
+            let outcome = pool.install(|| replay_trace(&spec, &trace));
+            assert!(outcome.migrations > 0, "the price drop must migrate");
+            assert_eq!(
+                outcome.digest, PRICE_DROP_DIGEST,
+                "{workers} workers, replay {replay}: the price-drop outcome changed"
+            );
+        }
+    }
 }
