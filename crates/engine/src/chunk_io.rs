@@ -27,19 +27,21 @@
 //!   be re-placed on the remaining providers.
 //! * [`fetch_chunks`] — **hedged first-`m`-of-`n` read**: the best `m`
 //!   providers are raced — ranked by expected read latency
-//!   (the *observed* summary once enough samples exist, the advertised
-//!   model otherwise), with the read-price order breaking latency ties —
-//!   so a provider that has recently been slow is demoted to parity rank
-//!   while a latency-free catalog keeps the seed's exact price order.
-//!   The moment any ranked fetch errors, or exceeds its hedge deadline —
-//!   the provider's observed p95 once warm, a multiple of its modelled
-//!   latency until then ([`hedge_deadline_us`]) — the next-ranked parity
-//!   provider is promoted into the race. The read returns as soon as `m`
-//!   chunks are in hand — in wall-clock mode a straggler keeps running
-//!   detached on the pool and simply finds its result unneeded. Every
-//!   outcome feeds the failure
-//!   detector (§III-D3) and every success feeds the provider's
-//!   observed-latency window, closing the adaptation loop.
+//!   ([`ProviderDescriptor::read_latency_us`], the function placement
+//!   prices with: the p95 the last tick published, the advertised model
+//!   otherwise), with the read-price order breaking latency ties — so a
+//!   provider the last tick saw being slow is demoted to parity rank while
+//!   a latency-free catalog keeps the seed's exact price order. The moment
+//!   any ranked fetch errors, or exceeds its hedge deadline — the published
+//!   p95, [`HEDGE_MULTIPLIER`] × the modelled latency while none is
+//!   published ([`hedge_deadline_us`]) — the next-ranked parity provider is
+//!   promoted into the race. The read returns as soon as `m` chunks are in
+//!   hand — in wall-clock mode a straggler keeps running detached on the
+//!   pool and simply finds its result unneeded. Every outcome feeds the
+//!   failure detector (§III-D3); every success, and every provider the
+//!   ranking put behind the raced `m`, feeds the observatory
+//!   ([`Infrastructure::with_observatory`]), which the next clock advance
+//!   publishes: that closes the adaptation loop.
 //! * [`delete_chunks`] — **fanned-out delete** with the postponed-delete
 //!   semantics for unreachable providers.
 //! * [`fetch_and_reassemble`] / [`fetch_stripe`] / [`fetch_range`] — the
@@ -71,10 +73,18 @@
 //! overlap, and handing it to another thread costs a queue hand-off, a
 //! wake-up and a join for nothing. Every fan-out of this module (`fan_out`,
 //! the hedged read's launches) therefore runs virtual round-trips **on the
-//! calling thread, in input order**. The hedging timeline, the recorded
-//! makespans and the providers' bills do not depend on who ran a
-//! round-trip, so they are exactly reproducible at any pool size; an
-//! aborted upload skips precisely the chunks after the failed one.
+//! calling thread, in input order**.
+//!
+//! What a round-trip observes is recorded, never read back within the tick:
+//! read ranking (from the catalog descriptors) and every hedge deadline
+//! (from the observatory's view) come from what the last clock advance
+//! published (see "One latency view per tick" in [`crate::infra`]), not
+//! from the live observation windows. An
+//! operation's hedging timeline, its recorded makespan and the bills it
+//! causes are therefore a function of its inputs and the last tick alone —
+//! the same whether it ran first or last in its tick, on one client thread
+//! or several, at any pool size; an aborted upload skips precisely the
+//! chunks after the failed one.
 //!
 //! The pool is used when, and only when, a participating backend really
 //! waits in wall-clock time
@@ -98,7 +108,7 @@ use scalia_core::placement::Placement;
 use scalia_erasure::codec::{decode_object_append, Chunk, EncodedObject};
 use scalia_providers::backend::{SimulatedStore, StoreOp};
 use scalia_providers::descriptor::ProviderDescriptor;
-use scalia_providers::latency::LatencyModel;
+use scalia_providers::observatory::LatencyView;
 use scalia_types::checksum::{parse_checksum_hex, Xxh64};
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::ProviderId;
@@ -110,86 +120,41 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Hedging policy of the first-`m`-of-`n` read.
-#[derive(Debug, Clone, Copy)]
-pub struct HedgeConfig {
-    /// Fallback: a ranked fetch is hedged once its latency exceeds this
-    /// multiple of the provider's modelled (jitter-free) latency for the
-    /// chunk size — used until the provider has enough *observed* samples.
-    pub deadline_multiplier: u32,
-    /// Floor of the hedge deadline, in virtual microseconds, so zero-latency
-    /// catalogs (the default) never hedge on latency — only on errors.
-    pub min_deadline_us: u64,
-    /// Observed percentile used as the hedge deadline once enough samples
-    /// exist: a fetch that outlives the provider's recent p`observed_percentile`
-    /// gets its parity promoted. Tighter than the modelled fallback for any
-    /// healthy provider (p95 ≈ 1.1× nominal vs 3× nominal), so deadlines
-    /// *tighten* as observations accumulate.
-    pub observed_percentile: f64,
-    /// Minimum observed samples (in the provider's sliding window) before
-    /// the observed deadline replaces the modelled fallback. Set to
-    /// `u64::MAX` to pin the pre-adaptive fixed-deadline behaviour
-    /// (baselines and A/B tests).
-    pub min_observed_samples: u64,
-}
+/// A hedge deadline is this multiple of a latency estimate: of the modelled
+/// latency while no p95 is published, and of the published write p95.
+pub const HEDGE_MULTIPLIER: u64 = 3;
 
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        HedgeConfig {
-            deadline_multiplier: 3,
-            min_deadline_us: 2_000,
-            observed_percentile: crate::infra::OBSERVED_PERCENTILE,
-            min_observed_samples: crate::infra::OBSERVED_MIN_SAMPLES,
-        }
-    }
-}
+/// Floor of every hedge deadline, in virtual microseconds, so zero-latency
+/// catalogs (the default) never hedge on latency — only on errors.
+pub const MIN_HEDGE_DEADLINE_US: u64 = 2_000;
 
-impl HedgeConfig {
-    /// The default policy with adaptation disabled: deadlines stay at the
-    /// fixed modelled multiple forever (the PR 3 behaviour), regardless of
-    /// observations. Used as the baseline the adaptive policy is measured
-    /// against.
-    pub fn fixed_deadline() -> Self {
-        HedgeConfig {
-            min_observed_samples: u64::MAX,
-            ..HedgeConfig::default()
-        }
-    }
-}
-
-/// The hedge deadline of one fetch from `provider`: the provider's observed
-/// read-latency percentile when at least `config.min_observed_samples`
-/// recent samples exist, otherwise `config.deadline_multiplier ×` the
-/// modelled latency for the chunk size — floored by `min_deadline_us`
-/// either way.
+/// The hedge deadline of one chunk fetch from `provider`: the read p95 in
+/// the last tick's `view`, or [`HEDGE_MULTIPLIER`] × the modelled latency
+/// for the chunk size while none is published — floored at
+/// [`MIN_HEDGE_DEADLINE_US`] either way. The published p95 is tighter than
+/// the modelled multiple for any healthy provider (≈ 1.1× nominal vs 3×),
+/// so deadlines tighten once a tick has observed the provider.
 pub fn hedge_deadline_us(
-    infra: &Infrastructure,
-    provider: ProviderId,
-    latency: &LatencyModel,
+    view: &LatencyView<ProviderId>,
+    provider: &ProviderDescriptor,
     chunk_bytes: u64,
-    config: &HedgeConfig,
 ) -> u64 {
-    infra
-        .observed_read_percentile_with_min(
-            provider,
-            config.observed_percentile,
-            config.min_observed_samples,
-        )
+    view.read_us(&provider.id)
         .unwrap_or_else(|| {
-            latency
+            provider
+                .latency
                 .expected_us(chunk_bytes)
-                .saturating_mul(config.deadline_multiplier as u64)
+                .saturating_mul(HEDGE_MULTIPLIER)
         })
-        .max(config.min_deadline_us)
+        .max(MIN_HEDGE_DEADLINE_US)
 }
 
 /// The upload hedge deadline of one chunk-PUT to `provider`:
-/// `deadline_multiplier ×` the provider's *observed* write-latency
-/// percentile once warm (recorded by every successful upload into the same
-/// `DecayingHistogram` observation loop the read path uses), the same
-/// multiple of the modelled latency until then. An upload that outlives
-/// this deadline is treated as a failed-slow provider: the chunk is rolled
-/// back and the write re-placed on the remaining providers, so a provider
+/// [`HEDGE_MULTIPLIER`] × the write p95 in the last tick's `view`, or × the
+/// modelled latency while none is published — floored at
+/// [`MIN_HEDGE_DEADLINE_US`]. An upload that outlives this
+/// deadline is treated as a failed-slow provider: the chunk is rolled back
+/// and the write re-placed on the remaining providers, so a provider
 /// stalling anomalously on PUTs cannot hold a write hostage.
 ///
 /// Unlike the read hedge — where outliving the raw p95 merely races an
@@ -200,21 +165,14 @@ pub fn hedge_deadline_us(
 /// The adaptation is in the *base*: a provider whose observed writes are
 /// far from its advertised model gets a deadline grounded in reality.
 pub fn write_hedge_deadline_us(
-    infra: &Infrastructure,
-    provider: ProviderId,
-    latency: &LatencyModel,
+    view: &LatencyView<ProviderId>,
+    provider: &ProviderDescriptor,
     chunk_bytes: u64,
-    config: &HedgeConfig,
 ) -> u64 {
-    infra
-        .observed_write_percentile_with_min(
-            provider,
-            config.observed_percentile,
-            config.min_observed_samples,
-        )
-        .unwrap_or_else(|| latency.expected_us(chunk_bytes))
-        .saturating_mul(config.deadline_multiplier as u64)
-        .max(config.min_deadline_us)
+    view.write_us(&provider.id)
+        .unwrap_or_else(|| provider.latency.expected_us(chunk_bytes))
+        .saturating_mul(HEDGE_MULTIPLIER)
+        .max(MIN_HEDGE_DEADLINE_US)
 }
 
 /// A failed parallel upload: which provider broke the write, and how.
@@ -296,22 +254,13 @@ pub fn upload(
     placement: &Placement,
     skey: &str,
     encoded: &EncodedObject,
-    config: &HedgeConfig,
     strict: bool,
 ) -> std::result::Result<Vec<ChunkLocation>, WriteFailure> {
     let abort = strict.then(|| AtomicBool::new(false));
     let pairs = encoded.chunks.iter().zip(&placement.providers);
     let jobs: Vec<_> = pairs.map(|pair| (pair.1.id, pair)).collect();
     let outcomes = fan_out(infra, &jobs, |backend, _, (chunk, provider)| {
-        upload_one(
-            infra,
-            backend,
-            chunk,
-            provider,
-            skey,
-            abort.as_ref(),
-            config,
-        )
+        upload_one(infra, backend, chunk, provider, skey, abort.as_ref())
     });
 
     let mut locations: Vec<ChunkLocation> = Vec::with_capacity(jobs.len());
@@ -359,7 +308,6 @@ fn upload_one(
     provider: &ProviderDescriptor,
     skey: &str,
     abort: Option<&AtomicBool>,
-    config: &HedgeConfig,
 ) -> UploadOutcome {
     if abort.is_some_and(|a| a.load(Ordering::SeqCst)) {
         return UploadOutcome::Aborted;
@@ -374,13 +322,9 @@ fn upload_one(
     let Some(backend) = backend else {
         return failed(ScaliaError::ProviderUnavailable(provider.id));
     };
-    let deadline_us = write_hedge_deadline_us(
-        infra,
-        provider.id,
-        &provider.latency,
-        chunk.data.len() as u64,
-        config,
-    );
+    let chunk_bytes = chunk.data.len() as u64;
+    let deadline_us =
+        infra.with_observatory(|o| write_hedge_deadline_us(o.published(), provider, chunk_bytes));
     let (result, us) = backend.timed_put(&chunk_key, chunk.data.clone());
     match result {
         Ok(()) if us > deadline_us => {
@@ -391,9 +335,9 @@ fn upload_one(
             // *next* attempt without it. The landed chunk is rolled back —
             // the striping that will be committed must not reference it.
             // The overrun itself still feeds the observation window (it is
-            // a real, successful round-trip — evidence the deadline should
-            // widen if this is the provider's new normal).
-            infra.record_provider_write_latency(provider.id, us);
+            // a real, successful round-trip — evidence the next tick's
+            // deadline should widen if this is the provider's new normal).
+            infra.with_observatory(|o| o.record_write(provider.id, us));
             let error = ScaliaError::Internal(format!(
                 "chunk PUT to provider {} took {us}µs, past its {deadline_us}µs hedge deadline",
                 provider.id
@@ -404,7 +348,7 @@ fn upload_one(
         }
         Ok(()) => {
             infra.report_provider_success(provider.id);
-            infra.record_provider_write_latency(provider.id, us);
+            infra.with_observatory(|o| o.record_write(provider.id, us));
             let location = ChunkLocation {
                 index: chunk.index,
                 provider: provider.id,
@@ -520,21 +464,18 @@ struct Slot {
     done: bool,
 }
 
-/// One ranked fetch candidate: where the chunk lives and how fast its
-/// provider is modelled to answer (all `Copy` — the descriptor itself is
-/// not needed past ranking).
+/// One ranked fetch candidate: where the chunk lives and its hedge deadline
+/// (both `Copy` — the descriptor itself is not needed past ranking).
 #[derive(Clone, Copy)]
 struct Candidate {
     location: ChunkLocation,
-    latency: LatencyModel,
+    deadline_us: u64,
 }
 
 struct HedgedRead<'a> {
     infra: &'a Arc<Infrastructure>,
     stripe: &'a StripeMeta,
-    config: &'a HedgeConfig,
-    chunk_bytes: u64,
-    /// Chunk locations and their latency models, cheapest-read first.
+    /// Chunk locations and their hedge deadlines, cheapest-read first.
     candidates: Vec<Candidate>,
     /// Where pool tasks report; created by the first fetch that needs one.
     board: Option<Arc<FetchBoard>>,
@@ -571,18 +512,11 @@ impl<'a> HedgedRead<'a> {
                 continue;
             };
             let really_waits = backend.real_sleep_enabled();
-            let deadline_us = hedge_deadline_us(
-                self.infra,
-                provider,
-                &candidate.latency,
-                self.chunk_bytes,
-                self.config,
-            );
             let slot = self.slots.len();
             self.slots.push(Slot {
                 candidate: self.next_candidate - 1,
                 virt_start_us,
-                deadline_us,
+                deadline_us: candidate.deadline_us,
                 real_start: Instant::now(),
                 hedged: false,
                 done: false,
@@ -594,12 +528,12 @@ impl<'a> HedgedRead<'a> {
                 match &result {
                     Ok(_) => {
                         infra.report_provider_success(provider);
-                        // Feed the observed-latency summary the placement
-                        // ranking and future hedge deadlines adapt to. A
+                        // Feed the observation window the next tick
+                        // publishes for placement, ranking and deadlines. A
                         // straggler that lands after the read returned
                         // still counts — slow providers cannot hide behind
                         // the hedge.
-                        infra.record_provider_read_latency(provider, us);
+                        infra.with_observatory(|o| o.record_read(provider, us));
                     }
                     // §III-D3: feed the failure detector instead of
                     // silently skipping the provider. Error round-trips pay
@@ -793,19 +727,18 @@ pub fn fetch_chunks(
     infra: &Arc<Infrastructure>,
     stripe: &StripeMeta,
     stripe_len: ByteSize,
-    config: &HedgeConfig,
 ) -> Result<Vec<Chunk>> {
     let m = stripe.m.max(1) as usize;
     // Rank chunk locations by the read cost of their provider first (the
     // seed's order, so billing ties break exactly as before), then by
-    // *expected read latency* — the observed summary when the provider has
-    // enough recent samples, the advertised model otherwise. The sort is
-    // stable, so on a latency-free catalog (every key 0) the fan-out is
-    // still the static price order; once observations accumulate, a
-    // slow-but-cheap provider drops to parity rank and the fast providers
-    // are raced first. The descriptors (one unavoidable clone each, made by
-    // the catalog lookup) live only as long as the ranking; the race itself
-    // needs just the `Copy` location + latency model.
+    // *expected read latency* — the p95 the last tick published, the
+    // advertised model otherwise. The sort is stable, so on a latency-free
+    // catalog (every key 0) the fan-out is still the static price order;
+    // once a tick publishes a slow-but-cheap provider, it drops to parity
+    // rank and the fast providers are raced first. The descriptors (one
+    // unavoidable clone each, made by the catalog lookup) live only as long
+    // as the ranking; the race itself needs just the `Copy` location and
+    // deadline.
     let mut locations: Vec<ChunkLocation> = Vec::with_capacity(stripe.chunks.len());
     let mut descriptors: Vec<ProviderDescriptor> = Vec::with_capacity(stripe.chunks.len());
     for location in &stripe.chunks {
@@ -817,36 +750,27 @@ pub fn fetch_chunks(
     let chunk_gb = stripe_len.as_gb() / stripe.m.max(1) as f64;
     let chunk_bytes = chunk_bytes_for(stripe_len, stripe.m);
     let mut order = cheapest_read_providers(&descriptors, locations.len() as u32, chunk_gb);
-    // Precompute the latency keys (one lock acquisition each, none held
-    // while sorting) — the sample floor is the hedging policy's, so
-    // ranking and deadlines trust observations under the same conditions.
-    let latency_keys: Vec<u64> = locations
-        .iter()
-        .zip(descriptors.iter())
-        .map(|(location, descriptor)| {
-            infra
-                .observed_read_percentile_with_min(
-                    location.provider,
-                    config.observed_percentile,
-                    config.min_observed_samples,
-                )
-                .unwrap_or_else(|| descriptor.latency.expected_us(chunk_bytes))
-        })
-        .collect();
-    order.sort_by_key(|&i| latency_keys[i]);
-    let candidates: Vec<Candidate> = order
-        .into_iter()
-        .map(|i| Candidate {
-            location: locations[i],
-            latency: descriptors[i].latency,
-        })
-        .collect();
+    order.sort_by_key(|&i| descriptors[i].read_latency_us(chunk_bytes));
+    // One lock: the providers ranked behind the `m` raced first are passed
+    // over (they keep their published p95, see the observatory's
+    // "Forgiveness"), and every candidate's deadline comes from the view.
+    let candidates: Vec<Candidate> = infra.with_observatory(|observatory| {
+        for &i in order.iter().skip(m) {
+            observatory.record_passed_over(locations[i].provider);
+        }
+        let view = observatory.published();
+        order
+            .iter()
+            .map(|&i| Candidate {
+                location: locations[i],
+                deadline_us: hedge_deadline_us(view, &descriptors[i], chunk_bytes),
+            })
+            .collect()
+    });
 
     let read = HedgedRead {
         infra,
         stripe,
-        config,
-        chunk_bytes,
         candidates,
         board: None,
         detached: 0,
@@ -875,7 +799,6 @@ fn read_stripes(
     infra: &Arc<Infrastructure>,
     meta: &ObjectMeta,
     stripes: Range<usize>,
-    config: &HedgeConfig,
 ) -> Result<Vec<u8>> {
     let size = meta.size.bytes();
     let striping = &meta.striping;
@@ -889,7 +812,7 @@ fn read_stripes(
         // see the width those indices were encoded under.
         let params = ErasureParams::new(stripe.m, stripe.code_width())
             .ok_or_else(|| ScaliaError::Internal("invalid striping metadata".into()))?;
-        let chunks = fetch_chunks(infra, stripe, ByteSize::from_bytes(len), config)?;
+        let chunks = fetch_chunks(infra, stripe, ByteSize::from_bytes(len))?;
         let mut checksum = Xxh64::new();
         decode_object_append(&chunks, params, len as usize, &mut out, &mut checksum)?;
         if parse_checksum_hex(&stripe.checksum) != Some(checksum.digest()) {
@@ -904,12 +827,8 @@ fn read_stripes(
 
 /// Reassembles the whole object, tolerating up to `n − m` failed or
 /// straggling providers per stripe (`read_stripes` over every stripe).
-pub fn fetch_and_reassemble(
-    infra: &Arc<Infrastructure>,
-    meta: &ObjectMeta,
-    config: &HedgeConfig,
-) -> Result<Bytes> {
-    let out = read_stripes(infra, meta, 0..meta.striping.stripe_count(), config)?;
+pub fn fetch_and_reassemble(infra: &Arc<Infrastructure>, meta: &ObjectMeta) -> Result<Bytes> {
+    let out = read_stripes(infra, meta, 0..meta.striping.stripe_count())?;
     if out.len() as u64 != meta.size.bytes() {
         return Err(short_stripe_map(meta));
     }
@@ -927,13 +846,8 @@ fn short_stripe_map(meta: &ObjectMeta) -> ScaliaError {
 
 /// Fetches and decodes stripe `index` of an object with the hedged
 /// `m`-of-`n` race, verifying the stripe's recorded plaintext checksum.
-pub fn fetch_stripe(
-    infra: &Arc<Infrastructure>,
-    meta: &ObjectMeta,
-    index: usize,
-    config: &HedgeConfig,
-) -> Result<Bytes> {
-    read_stripes(infra, meta, index..index + 1, config).map(Bytes::from)
+pub fn fetch_stripe(infra: &Arc<Infrastructure>, meta: &ObjectMeta, index: usize) -> Result<Bytes> {
+    read_stripes(infra, meta, index..index + 1).map(Bytes::from)
 }
 
 /// Fetches only the chunks needed to serve the byte range
@@ -950,7 +864,6 @@ pub fn fetch_range(
     meta: &ObjectMeta,
     offset: u64,
     len: u64,
-    config: &HedgeConfig,
 ) -> Result<Bytes> {
     let end = offset.saturating_add(len).min(meta.size.bytes());
     if offset >= end {
@@ -962,7 +875,7 @@ pub fn fetch_range(
         return Err(short_stripe_map(meta));
     }
     let start = striping.stripe_offset(covering.start);
-    let stripes = Bytes::from(read_stripes(infra, meta, covering, config)?);
+    let stripes = Bytes::from(read_stripes(infra, meta, covering)?);
     Ok(stripes.slice((offset - start) as usize..(end - start) as usize))
 }
 
@@ -995,8 +908,7 @@ mod tests {
         strict: bool,
     ) -> std::result::Result<StripeMeta, WriteFailure> {
         let encoded = encode_object(data, placement.erasure_params()).unwrap();
-        let config = HedgeConfig::default();
-        let chunks = upload(infra, placement, skey, &encoded, &config, strict)?;
+        let chunks = upload(infra, placement, skey, &encoded, strict)?;
         Ok(StripeMeta {
             chunks,
             m: placement.m,
@@ -1030,13 +942,7 @@ mod tests {
         // One put recorded at the object level.
         assert_eq!(infra.io_latency_snapshot(StoreOp::Put).count, 1);
         // And the payload reassembles.
-        let chunks = fetch_chunks(
-            &infra,
-            &stripe,
-            ByteSize::from_bytes(90_000),
-            &HedgeConfig::default(),
-        )
-        .unwrap();
+        let chunks = fetch_chunks(&infra, &stripe, ByteSize::from_bytes(90_000)).unwrap();
         assert_eq!(chunks.len(), 2);
     }
 
@@ -1076,13 +982,7 @@ mod tests {
         assert!(partial.chunks.iter().all(|c| c.provider != victim));
         assert_eq!(partial.code_width(), 4, "original erasure indices kept");
         // The degraded stripe reads back through the normal hedged path.
-        let chunks = fetch_chunks(
-            &infra,
-            &partial,
-            ByteSize::from_bytes(80_000),
-            &HedgeConfig::default(),
-        )
-        .unwrap();
+        let chunks = fetch_chunks(&infra, &partial, ByteSize::from_bytes(80_000)).unwrap();
         assert_eq!(chunks.len(), 2);
 
         // With fewer than m survivors the tolerant write rolls back and
@@ -1117,13 +1017,7 @@ mod tests {
         let victim = stripe.chunks[ranked[0]].provider;
         infra.backend(victim).unwrap().set_down(true);
 
-        let chunks = fetch_chunks(
-            &infra,
-            &stripe,
-            ByteSize::from_bytes(120_000),
-            &HedgeConfig::default(),
-        )
-        .unwrap();
+        let chunks = fetch_chunks(&infra, &stripe, ByteSize::from_bytes(120_000)).unwrap();
         assert_eq!(chunks.len(), 2);
         let encoded = encode_object(&data, placement.erasure_params()).unwrap();
         assert!(
@@ -1160,13 +1054,7 @@ mod tests {
             .latency_snapshot(scalia_providers::backend::StoreOp::Get)
             .count;
 
-        let chunks = fetch_chunks(
-            &infra,
-            &stripe,
-            ByteSize::from_bytes(40_000),
-            &HedgeConfig::default(),
-        )
-        .unwrap();
+        let chunks = fetch_chunks(&infra, &stripe, ByteSize::from_bytes(40_000)).unwrap();
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].data, data, "1-of-3: every chunk is the payload");
 
@@ -1193,51 +1081,44 @@ mod tests {
 
     #[test]
     fn hedge_deadline_tightens_once_observations_accumulate() {
-        use crate::infra::OBSERVED_MIN_SAMPLES;
+        use scalia_providers::latency::LatencyModel;
+        use scalia_providers::observatory::OBSERVED_MIN_SAMPLES;
+        use scalia_types::time::SimTime;
         let infra = infra();
         let provider = infra.catalog().all()[0].id;
         // A ~30 ms provider with healthy jitter: p95 of real round-trips
         // sits near 1.1× nominal, far under the 3× modelled fallback.
         let model = LatencyModel::new(30, 0, 10, 7);
-        let config = HedgeConfig::default();
-        let cold = hedge_deadline_us(&infra, provider, &model, 1_000, &config);
+        let descriptor = infra.catalog().get(provider).unwrap().with_latency(model);
+        let deadline =
+            || infra.with_observatory(|o| hedge_deadline_us(o.published(), &descriptor, 1_000));
+        let cold = deadline();
         assert_eq!(cold, 3 * 30_000, "cold deadline is the modelled multiple");
 
         for salt in 0..4 * OBSERVED_MIN_SAMPLES {
-            infra.record_provider_read_latency(provider, model.sample_us(1_000, salt));
+            let us = model.sample_us(1_000, salt);
+            infra.with_observatory(|o| o.record_read(provider, us));
         }
-        let warm = hedge_deadline_us(&infra, provider, &model, 1_000, &config);
+        // Observations take effect at the next clock advance, not before.
+        assert_eq!(deadline(), cold);
+        infra.advance_clock(SimTime::from_hours(1));
+        let warm = deadline();
         assert!(
             warm < cold && warm >= 30_000 * 9 / 10,
             "warm deadline {warm} must tighten to the observed p95, not below the floor"
         );
-        // The fixed-deadline baseline ignores the observations entirely.
-        assert_eq!(
-            hedge_deadline_us(
-                &infra,
-                provider,
-                &model,
-                1_000,
-                &HedgeConfig::fixed_deadline()
-            ),
-            cold
-        );
         // And the 2 ms floor still holds for near-instant providers.
+        let instant = infra.catalog().get(infra.catalog().all()[1].id).unwrap();
         assert_eq!(
-            hedge_deadline_us(
-                &infra,
-                provider,
-                &LatencyModel::ZERO,
-                0,
-                &HedgeConfig::fixed_deadline()
-            ),
-            2_000
+            infra.with_observatory(|o| hedge_deadline_us(o.published(), &instant, 0)),
+            MIN_HEDGE_DEADLINE_US
         );
     }
 
     #[test]
     fn observed_slow_provider_is_demoted_out_of_the_initial_fanout() {
-        use crate::infra::OBSERVED_MIN_SAMPLES;
+        use scalia_providers::observatory::OBSERVED_MIN_SAMPLES;
+        use scalia_types::time::SimTime;
         let infra = infra();
         let placement = placement_of(&infra, 3, 1);
         let data = vec![8u8; 50_000];
@@ -1253,29 +1134,32 @@ mod tests {
         let ranked = cheapest_read_providers(&descriptors, descriptors.len() as u32, chunk_gb);
         let tainted = stripe.chunks[ranked[0]].provider;
         for _ in 0..2 * OBSERVED_MIN_SAMPLES {
-            infra.record_provider_read_latency(tainted, 500_000);
+            infra.with_observatory(|o| o.record_read(tainted, 500_000));
         }
+        infra.advance_clock(SimTime::from_hours(1));
+        let convicted = infra.catalog().observed_read_latency(tainted);
+        assert!(convicted.is_some());
 
-        let gets_before = infra
-            .backend(tainted)
-            .unwrap()
-            .latency_snapshot(StoreOp::Get)
-            .count;
-        let chunks = fetch_chunks(
-            &infra,
-            &stripe,
-            ByteSize::from_bytes(50_000),
-            &HedgeConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(chunks.len(), 1);
-        let gets_after = infra
-            .backend(tainted)
-            .unwrap()
-            .latency_snapshot(StoreOp::Get)
-            .count;
+        let gets = || {
+            infra
+                .backend(tainted)
+                .unwrap()
+                .latency_snapshot(StoreOp::Get)
+                .count
+        };
+        let gets_before = gets();
+        // Its evidence decays out two ticks later, but every read in
+        // between ranked it out of the race: it is not forgiven for the
+        // samples it was denied, so it is never contacted.
+        for hour in 2..6 {
+            let chunks = fetch_chunks(&infra, &stripe, ByteSize::from_bytes(50_000)).unwrap();
+            assert_eq!(chunks.len(), 1);
+            infra.advance_clock(SimTime::from_hours(hour));
+            assert_eq!(infra.catalog().observed_read_latency(tainted), convicted);
+        }
         assert_eq!(
-            gets_before, gets_after,
+            gets_before,
+            gets(),
             "the observed-slow provider must be demoted to parity rank and never contacted"
         );
     }
@@ -1289,13 +1173,7 @@ mod tests {
         for provider in stripe.providers().into_iter().take(2) {
             infra.backend(provider).unwrap().set_down(true);
         }
-        let err = fetch_chunks(
-            &infra,
-            &stripe,
-            ByteSize::from_bytes(30_000),
-            &HedgeConfig::default(),
-        )
-        .unwrap_err();
+        let err = fetch_chunks(&infra, &stripe, ByteSize::from_bytes(30_000)).unwrap_err();
         assert!(matches!(
             err,
             ScaliaError::NotEnoughChunks {

@@ -33,7 +33,7 @@
 //! slowest provider instead of summing round-trips.
 
 use crate::cache::{BlockDigests, Cache};
-use crate::chunk_io::{self, HedgeConfig};
+use crate::chunk_io;
 use crate::infra::Infrastructure;
 use crate::streaming::stripe_skey;
 use bytes::Bytes;
@@ -349,7 +349,7 @@ impl Engine {
             // read: any write committed after this point bumps it.
             let epoch = self.local_cache.read_epoch(&row_key);
             let meta = self.read_metadata(key)?;
-            match chunk_io::fetch_and_reassemble(&self.infra, &meta, &HedgeConfig::default()) {
+            match chunk_io::fetch_and_reassemble(&self.infra, &meta) {
                 Ok(data) => {
                     self.populate_cache_if_unchanged(&row_key, &meta, &data, epoch);
                     self.log_access(key, AccessKind::Read, meta.size, meta.size);
@@ -534,7 +534,6 @@ impl Engine {
         let old_meta = self.read_metadata(key)?;
         let version = self.infra.next_version(&key.row_key());
         let base_skey = StripingMeta::storage_key(key, version);
-        let config = HedgeConfig::default();
         let params = new_placement.erasure_params();
 
         // Chunk uploads happen outside the commit lock (they may be slow).
@@ -545,10 +544,10 @@ impl Engine {
         let mut stripes: Vec<StripeMeta> = Vec::with_capacity(old_meta.striping.stripe_count());
         for (i, old_stripe) in old_meta.striping.stripes.iter().enumerate() {
             let skey = stripe_skey(base_skey.clone(), i);
-            let landed = chunk_io::fetch_stripe(&self.infra, &old_meta, i, &config)
+            let landed = chunk_io::fetch_stripe(&self.infra, &old_meta, i)
                 .and_then(|plain| encode_object(&plain, params))
                 .and_then(|encoded| {
-                    chunk_io::upload(&self.infra, new_placement, &skey, &encoded, &config, true)
+                    chunk_io::upload(&self.infra, new_placement, &skey, &encoded, true)
                         .map_err(ScaliaError::from)
                 });
             match landed {

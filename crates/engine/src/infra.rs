@@ -7,8 +7,23 @@
 //! of deletes postponed because a provider was unreachable (§III-D3), the
 //! provider **failure detector** fed by the chunk-I/O layer (consecutive
 //! errors trip the provider into catalog-unavailable; recovery is re-probed
-//! on every clock advance), and the deployment-wide per-operation latency
-//! histograms behind [`Infrastructure::io_latency_snapshot`].
+//! on every clock advance), the deployment-wide per-operation latency
+//! histograms behind [`Infrastructure::io_latency_snapshot`], and the
+//! provider [`LatencyObservatory`].
+//!
+//! # One latency view per tick
+//!
+//! Chunk I/O records every successful round-trip into the observatory
+//! ([`Infrastructure::with_observatory`]), and every provider a read ranks out
+//! of its race. Between two clock advances those windows are written to
+//! and never read. [`Infrastructure::advance_clock`] rotates them and
+//! publishes one view. Read and upload hedge deadlines read that view. The
+//! read p95s also go into the catalog, where placement and read ranking
+//! find them on the descriptor; the catalog adds a 25 % hysteresis so that
+//! jitter does not invalidate the placement cache, so a descriptor may lag
+//! the view by up to that much. An operation's deadlines and ranking are
+//! therefore a function of the last tick alone, never of which other
+//! operations recorded before it.
 
 use crate::placement_cache::{PlacementCache, PlacementCacheStats};
 use parking_lot::{Mutex, RwLock};
@@ -22,9 +37,10 @@ use scalia_providers::backend::{ObjectStore, OpLatencies, SimulatedStore, StoreO
 use scalia_providers::catalog::ProviderCatalog;
 use scalia_providers::descriptor::ProviderDescriptor;
 use scalia_providers::failure::FaultPlan;
+use scalia_providers::observatory::LatencyObservatory;
 use scalia_types::error::ScaliaError;
 use scalia_types::ids::{DatacenterId, ProviderId};
-use scalia_types::latency::{DecayingHistogram, LatencySnapshot};
+use scalia_types::latency::LatencySnapshot;
 use scalia_types::money::Money;
 use scalia_types::object::ObjectVersionId;
 use scalia_types::time::{Duration, SimTime};
@@ -76,17 +92,6 @@ const DELETE_BACKOFF_CAP_SECS: u64 = 3_600;
 
 /// Spread of the deterministic per-item jitter added to delete backoff.
 const DELETE_BACKOFF_JITTER_SECS: u64 = 30;
-
-/// Minimum number of observed chunk-GET samples (across the last two
-/// observation windows) before a provider's observed-latency summary is
-/// trusted — by the catalog's placement ranking and by the hedged read's
-/// deadline. Below the floor, callers fall back to the advertised model.
-pub const OBSERVED_MIN_SAMPLES: u64 = 16;
-
-/// The percentile published as a provider's observed read latency: p95, the
-/// classic hedging percentile — high enough that healthy jitter stays under
-/// it, low enough that a limping provider's stragglers move it.
-pub const OBSERVED_PERCENTILE: f64 = 95.0;
 
 fn shard_of(key: &str) -> usize {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -163,19 +168,10 @@ pub struct Infrastructure {
     /// put / get / delete). Meaningful to callers that serialise their
     /// engine calls (the front-end's virtual-time executor does).
     last_io_latencies: Mutex<[Option<u64>; 3]>,
-    /// Per-provider windowed summaries of *successful* chunk-GET
-    /// round-trips (virtual µs), recorded by the hedged read's fetch tasks.
-    /// Rotated on every clock advance, then summarised into the catalog
-    /// (observed p95) so placement and hedging adapt to what providers
-    /// actually do — and forgive them once the bad window decays out.
-    observed_reads: Mutex<HashMap<ProviderId, DecayingHistogram>>,
-    /// Per-provider windowed summaries of *successful* chunk-PUT
-    /// round-trips (virtual µs), recorded by the parallel upload's tasks.
-    /// The write path's upload hedge deadlines use the windowed p95 once
-    /// warm — closing the "write-path hedging uses modelled latency only"
-    /// gap. Rotated alongside the read windows so a recovered provider is
-    /// forgiven in two periods.
-    observed_writes: Mutex<HashMap<ProviderId, DecayingHistogram>>,
+    /// Windows of *successful* chunk round-trips (virtual µs) per provider,
+    /// and the view the last clock advance published from them (see "One
+    /// latency view per tick" in the module docs).
+    latency: Mutex<LatencyObservatory<ProviderId>>,
     /// Stripe size of the write pipeline, in bytes.
     stripe_size_bytes: AtomicU64,
     /// Per-deployment object-version sequence. Versions are minted from
@@ -224,8 +220,7 @@ impl Infrastructure {
             detector_disabled: Mutex::new(HashSet::new()),
             io_latencies: Mutex::new(OpLatencies::default()),
             last_io_latencies: Mutex::new([None; 3]),
-            observed_reads: Mutex::new(HashMap::new()),
-            observed_writes: Mutex::new(HashMap::new()),
+            latency: Mutex::new(LatencyObservatory::new()),
             stripe_size_bytes: AtomicU64::new(DEFAULT_STRIPE_SIZE_BYTES),
             version_counter: AtomicU64::new(1),
         });
@@ -299,7 +294,8 @@ impl Infrastructure {
     }
 
     /// Advances the simulated clock, ticking every provider backend so they
-    /// charge storage for the elapsed time, and retrying postponed deletes.
+    /// charge storage for the elapsed time, retrying postponed deletes, and
+    /// publishing the latency view the next tick's operations read.
     pub fn advance_clock(&self, now: SimTime) {
         self.clock_secs.store(now.secs(), Ordering::SeqCst);
         for backend in self.backends.read().values() {
@@ -319,7 +315,7 @@ impl Infrastructure {
         if due {
             self.reprobe_failed_providers();
         }
-        self.rotate_and_publish_observed_latencies();
+        self.publish_latency_view();
     }
 
     /// A fresh, strictly monotonic metadata timestamp for the current time.
@@ -493,130 +489,36 @@ impl Infrastructure {
     }
 
     // ------------------------------------------------------------------
-    // Observed read latency (feeds latency-aware placement and hedging)
+    // Observed provider latency (feeds placement, ranking and hedging)
     // ------------------------------------------------------------------
 
-    /// Records one *successful* chunk-GET round-trip against its provider's
-    /// windowed observed-latency summary. Called by the hedged read's fetch
-    /// tasks — including stragglers whose result the read no longer needed,
-    /// so slow providers keep accumulating evidence.
-    pub fn record_provider_read_latency(&self, provider: ProviderId, us: u64) {
-        self.observed_reads
-            .lock()
-            .entry(provider)
-            .or_default()
-            .record(us);
-    }
-
-    /// A provider's observed read-latency percentile over the last two
-    /// observation windows, or `None` while fewer than
-    /// [`OBSERVED_MIN_SAMPLES`] samples are in view (the warm-up guard: one
-    /// unlucky round-trip must not re-rank a provider).
-    pub fn observed_read_percentile(&self, provider: ProviderId, percentile: f64) -> Option<u64> {
-        self.observed_read_percentile_with_min(provider, percentile, OBSERVED_MIN_SAMPLES)
-    }
-
-    /// [`Self::observed_read_percentile`] with a caller-chosen sample floor
-    /// (the hedging policy's `min_observed_samples`; `u64::MAX` never
-    /// trusts observations). One lock acquisition, no snapshot.
-    pub fn observed_read_percentile_with_min(
+    /// Runs `f` on the provider latency observatory, under its lock: chunk
+    /// I/O records every round-trip into it and reads hedge deadlines from
+    /// its published view. `f` must not call back into this
+    /// `Infrastructure`'s latency methods (the lock is not reentrant).
+    pub fn with_observatory<R>(
         &self,
-        provider: ProviderId,
-        percentile: f64,
-        min_samples: u64,
-    ) -> Option<u64> {
-        let summaries = self.observed_reads.lock();
-        let summary = summaries.get(&provider)?;
-        if summary.count() < min_samples {
-            return None;
-        }
-        Some(summary.percentile_us(percentile))
+        f: impl FnOnce(&mut LatencyObservatory<ProviderId>) -> R,
+    ) -> R {
+        f(&mut self.latency.lock())
     }
 
-    /// Snapshot of a provider's windowed observed-read summary (diagnostics
-    /// and tests).
-    pub fn observed_read_snapshot(&self, provider: ProviderId) -> LatencySnapshot {
-        self.observed_reads
-            .lock()
-            .get(&provider)
-            .map(|s| s.snapshot())
-            .unwrap_or_default()
-    }
-
-    /// Records one *successful* chunk-PUT round-trip against its provider's
-    /// windowed observed write-latency summary. Called by the parallel
-    /// upload's tasks, so every write keeps accumulating evidence for the
-    /// upload hedge deadlines.
-    pub fn record_provider_write_latency(&self, provider: ProviderId, us: u64) {
-        self.observed_writes
-            .lock()
-            .entry(provider)
-            .or_default()
-            .record(us);
-    }
-
-    /// A provider's observed write-latency percentile over the last two
-    /// observation windows, or `None` while fewer than `min_samples` are in
-    /// view (same warm-up guard as the read summaries; `u64::MAX` never
-    /// trusts observations).
-    pub fn observed_write_percentile_with_min(
-        &self,
-        provider: ProviderId,
-        percentile: f64,
-        min_samples: u64,
-    ) -> Option<u64> {
-        let summaries = self.observed_writes.lock();
-        let summary = summaries.get(&provider)?;
-        if summary.count() < min_samples {
-            return None;
-        }
-        Some(summary.percentile_us(percentile))
-    }
-
-    /// Snapshot of a provider's windowed observed-write summary
-    /// (diagnostics and tests).
-    pub fn observed_write_snapshot(&self, provider: ProviderId) -> LatencySnapshot {
-        self.observed_writes
-            .lock()
-            .get(&provider)
-            .map(|s| s.snapshot())
-            .unwrap_or_default()
-    }
-
-    /// Rotates every provider's observation window and publishes the
-    /// refreshed summaries (observed p95, or `None` below the sample
-    /// floor) into the catalog descriptors. Runs on every clock advance:
-    /// one sampling period per window, so a provider whose latest windows
-    /// are clean — or empty, because the traffic moved away — is forgiven
-    /// within two periods. Zero-valued summaries are never published, so
-    /// zero-latency catalogs (the default) are completely unaffected.
-    /// The catalog applies its own hysteresis and bumps its version only on
-    /// material shifts, invalidating the placement cache exactly when
-    /// rankings can actually move.
-    fn rotate_and_publish_observed_latencies(&self) {
-        let mut summaries = self.observed_reads.lock();
-        let published: Vec<(ProviderId, Option<u64>)> = summaries
-            .iter_mut()
-            .map(|(&provider, summary)| {
-                summary.rotate();
-                let observed = if summary.count() >= OBSERVED_MIN_SAMPLES {
-                    Some(summary.percentile_us(OBSERVED_PERCENTILE)).filter(|&p| p > 0)
-                } else {
-                    None
-                };
-                (provider, observed)
-            })
-            .collect();
-        drop(summaries);
-        for (provider, observed) in published {
+    /// Rotates the observation windows (one sampling period per window, so
+    /// a provider whose latest windows are clean — or empty, because no
+    /// read asks for it any more — is forgiven within two periods) and
+    /// publishes the new view. The read p95s go into the catalog, which
+    /// applies its hysteresis and bumps its version only on material
+    /// shifts, invalidating the placement cache exactly when rankings can
+    /// move. Zero-latency catalogs publish nothing and are unaffected.
+    fn publish_latency_view(&self) {
+        let reads: Vec<(ProviderId, Option<u64>)> = {
+            let mut latency = self.latency.lock();
+            latency.rotate();
+            let view = latency.publish();
+            view.reads().map(|(&provider, us)| (provider, us)).collect()
+        };
+        for (provider, observed) in reads {
             self.catalog.set_observed_read_latency(provider, observed);
-        }
-        // Write windows rotate on the same cadence; their summaries stay
-        // engine-internal (upload hedge deadlines) — the catalog's
-        // placement-visible latency remains read-path, matching what read
-        // clients experience.
-        for summary in self.observed_writes.lock().values_mut() {
-            summary.rotate();
         }
     }
 
@@ -1019,26 +921,30 @@ mod tests {
 
     #[test]
     fn observed_read_latencies_publish_and_decay() {
+        use scalia_providers::observatory::OBSERVED_MIN_SAMPLES;
         let infra = infra();
         let target = infra.catalog().all()[0].id;
 
-        // Below the sample floor nothing is trusted or published.
+        // Below the sample floor nothing is published.
         for _ in 0..OBSERVED_MIN_SAMPLES - 1 {
-            infra.record_provider_read_latency(target, 80_000);
+            infra.with_observatory(|o| o.record_read(target, 80_000));
         }
-        assert_eq!(infra.observed_read_percentile(target, 95.0), None);
         infra.advance_clock(SimTime::from_hours(1));
         assert_eq!(infra.catalog().observed_read_latency(target), None);
 
-        // Enough samples: the p95 summary reaches the catalog descriptor.
+        // Enough samples: nothing moves until the clock advances, then the
+        // p95 summary reaches the catalog descriptor.
         for _ in 0..2 * OBSERVED_MIN_SAMPLES {
-            infra.record_provider_read_latency(target, 80_000);
+            infra.with_observatory(|o| o.record_read(target, 80_000));
         }
-        let p95 = infra.observed_read_percentile(target, 95.0).unwrap();
-        assert!(p95 >= 80_000);
+        assert_eq!(infra.catalog().observed_read_latency(target), None);
         infra.advance_clock(SimTime::from_hours(2));
         let published = infra.catalog().observed_read_latency(target).unwrap();
         assert!(published >= 80_000);
+        assert_eq!(
+            infra.with_observatory(|o| o.published().read_us(&target)),
+            Some(published)
+        );
         assert_eq!(
             infra.catalog().get(target).unwrap().read_latency_us(1),
             published,
@@ -1050,7 +956,21 @@ mod tests {
         infra.advance_clock(SimTime::from_hours(3));
         infra.advance_clock(SimTime::from_hours(4));
         assert_eq!(infra.catalog().observed_read_latency(target), None);
-        assert_eq!(infra.observed_read_percentile(target, 95.0), None);
+    }
+
+    #[test]
+    fn write_latencies_publish_into_the_view_not_the_catalog() {
+        use scalia_providers::observatory::OBSERVED_MIN_SAMPLES;
+        let infra = infra();
+        let target = infra.catalog().all()[2].id;
+        for _ in 0..OBSERVED_MIN_SAMPLES {
+            infra.with_observatory(|o| o.record_write(target, 50_000));
+        }
+        let write_us = || infra.with_observatory(|o| o.published().write_us(&target));
+        assert_eq!(write_us(), None);
+        infra.advance_clock(SimTime::from_hours(1));
+        assert_eq!(write_us(), Some(50_000));
+        assert_eq!(infra.catalog().observed_read_latency(target), None);
     }
 
     #[test]
@@ -1058,11 +978,12 @@ mod tests {
         // The default catalogs are zero-latency: reads record 0 µs. Those
         // summaries must never be published — otherwise every deployment
         // would pay a placement-cache invalidation for nothing.
+        use scalia_providers::observatory::OBSERVED_MIN_SAMPLES;
         let infra = infra();
         let target = infra.catalog().all()[1].id;
         let version = infra.catalog().version();
         for _ in 0..10 * OBSERVED_MIN_SAMPLES {
-            infra.record_provider_read_latency(target, 0);
+            infra.with_observatory(|o| o.record_read(target, 0));
         }
         infra.advance_clock(SimTime::from_hours(1));
         assert_eq!(infra.catalog().observed_read_latency(target), None);

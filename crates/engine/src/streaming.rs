@@ -79,7 +79,7 @@
 //! from that; the key a stripe finally landed under is recorded in
 //! [`StripeMeta::skey`].
 
-use crate::chunk_io::{self, HedgeConfig};
+use crate::chunk_io;
 use crate::engine::{Engine, WRITE_ATTEMPTS};
 use bytes::Bytes;
 use scalia_core::availability::get_availability;
@@ -320,7 +320,7 @@ impl Engine {
         let mut last_err = ScaliaError::ObjectNotFound(key.clone());
         for _ in 0..RANGE_READ_ATTEMPTS {
             let meta = self.read_metadata(key)?;
-            match chunk_io::fetch_range(self.infra(), &meta, offset, len, &HedgeConfig::default()) {
+            match chunk_io::fetch_range(self.infra(), &meta, offset, len) {
                 Ok(bytes) => {
                     self.log_access(
                         key,
@@ -667,26 +667,19 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
     /// stripe and the chunk count its placement wanted, for debt accounting.
     fn land_stripe(&self, mut stripe: EncodedStripe) -> Result<(StripeMeta, u64)> {
         let infra = self.engine().infra();
-        let config = HedgeConfig::default();
         let index = stripe.index;
         let skey_of = |version| stripe_skey(StripingMeta::storage_key(&self.key, version), index);
         let mut skey = skey_of(self.version);
         let mut excluded: Vec<ProviderId> = Vec::new();
         loop {
-            let failure = match chunk_io::upload(
-                infra,
-                &stripe.placement,
-                &skey,
-                &stripe.encoded,
-                &config,
-                true,
-            ) {
-                Ok(chunks) => {
-                    let want = chunks.len() as u64;
-                    return Ok((stripe.landed(chunks, skey), want));
-                }
-                Err(failure) => failure,
-            };
+            let failure =
+                match chunk_io::upload(infra, &stripe.placement, &skey, &stripe.encoded, true) {
+                    Ok(chunks) => {
+                        let want = chunks.len() as u64;
+                        return Ok((stripe.landed(chunks, skey), want));
+                    }
+                    Err(failure) => failure,
+                };
             excluded.push(failure.provider);
             let replacement = if excluded.len() < WRITE_ATTEMPTS {
                 self.engine()
@@ -720,9 +713,7 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
     fn land_degraded(&self, stripe: EncodedStripe, skey: String) -> Option<(StripeMeta, u64)> {
         let infra = self.engine().infra();
         let placement = &stripe.placement;
-        let config = HedgeConfig::default();
-        let chunks =
-            chunk_io::upload(infra, placement, &skey, &stripe.encoded, &config, false).ok()?;
+        let chunks = chunk_io::upload(infra, placement, &skey, &stripe.encoded, false).ok()?;
         let want = placement.providers.len() as u64;
         // Everything may have landed after all (the earlier failure was
         // transient): a full-width stripe, no debt.

@@ -23,8 +23,6 @@
 //!   per-class resource usage and lifetime distributions.
 //! * [`logagg`] — the log agent / log aggregator pipeline that moves access
 //!   logs from engines into the statistics tables.
-//! * [`mapreduce`] — map-reduce jobs over the rows of a node, used to
-//!   refresh per-class statistics.
 //! * [`journal`] — the write-ahead journal and checkpoint format that make
 //!   replicated-store mutations (and the engine's multi-op metadata
 //!   commits) atomic across a crash.
@@ -34,7 +32,6 @@
 
 pub mod journal;
 pub mod logagg;
-pub mod mapreduce;
 pub mod model;
 pub mod mvcc;
 pub mod replication;

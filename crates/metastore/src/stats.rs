@@ -594,7 +594,7 @@ impl StatisticsStore {
         }
     }
 
-    /// The underlying replicated database (used by map-reduce jobs).
+    /// The underlying replicated database.
     pub fn database(&self) -> &Arc<ReplicatedStore> {
         &self.db
     }

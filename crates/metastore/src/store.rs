@@ -1,7 +1,7 @@
 //! A single NoSQL database node.
 //!
 //! One node lives in each datacenter. It stores wide rows with versioned
-//! cells, supports prefix scans (for statistics map-reduce jobs) and tracks
+//! cells, supports prefix scans (for the statistics tables) and tracks
 //! the last-modified timestamp per row so the periodic optimiser can ask
 //! "which objects were accessed or modified since the last optimisation
 //! procedure?" (§III-A3).
@@ -456,7 +456,7 @@ impl NoSqlNode {
     }
 
     /// All rows, cloned, as a reader sees them: nothing while the node is
-    /// down. Used by map-reduce jobs.
+    /// down.
     pub fn snapshot(&self) -> Vec<(String, Row)> {
         if !self.is_up() {
             return Vec::new();

@@ -26,6 +26,8 @@
 //!   failure scenario (§IV-E).
 //! * [`latency`] — deterministic per-provider response-time models (seeded
 //!   base RTT + throughput + jitter) driving the simulated data path.
+//! * [`observatory`] — per-provider observed read/write latency windows and
+//!   the view published from them once per tick.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,6 +38,7 @@ pub mod catalog;
 pub mod descriptor;
 pub mod failure;
 pub mod latency;
+pub mod observatory;
 pub mod pricing;
 pub mod private;
 pub mod sla;
@@ -46,6 +49,7 @@ pub use catalog::ProviderCatalog;
 pub use descriptor::{ProviderDescriptor, ProviderKind};
 pub use failure::{FaultPlan, OutageSchedule};
 pub use latency::LatencyModel;
+pub use observatory::{LatencyObservatory, LatencyView};
 pub use pricing::PricingPolicy;
 pub use private::PrivateResource;
 pub use sla::ProviderSla;

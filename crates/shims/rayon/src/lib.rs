@@ -3,7 +3,7 @@
 //! The workspace hands the pool one kind of work: chunk round-trips against
 //! backends that really sleep their latency (the engine's chunk-I/O fan-out
 //! and its hedged reads), where overlapping waits is the whole win. CPU
-//! work — the optimizer's sweeps, the erasure codec, map-reduce — runs on
+//! work — the optimizer's sweeps, the erasure codec — runs on
 //! its caller. The pool is therefore one mutex-guarded queue on
 //! `std::thread` workers (see [`pool`] for the blocking and shutdown
 //! guarantees, and [`iter`] for the adaptor semantics). The API mirrors the

@@ -20,16 +20,20 @@
 //! *advertises* (its descriptor's latency model, all the policy would know
 //! a priori) from what it actually *does* (an [`ActualLatencies`] override
 //! by provider name). Every served read feeds the actual chunk latencies
-//! into per-provider sliding windows
-//! ([`scalia_types::latency::DecayingHistogram`], rotated every
-//! [`OBSERVATION_WINDOW_PERIODS`] periods); once a provider has
-//! [`SIM_OBSERVED_MIN_SAMPLES`] recent samples its windowed p95 is
-//! published into the descriptors handed to the policy
-//! (`observed_read_latency_us`) — exactly the feedback path the engine's
-//! `Infrastructure` implements — so a latency-weighted rule can migrate
-//! objects off a provider that turned out slower than it claimed. Reads of
-//! objects whose rule declares a `read_sla_us` are checked against their
-//! *actual* latency and counted into [`PolicyRun::sla_read_violations`].
+//! into a [`LatencyObservatory`] — the one the engine's `Infrastructure`
+//! records into, with its sample floor, percentile and forgiveness rule —
+//! and marks the placement's other members passed over; the windows rotate
+//! every [`OBSERVATION_WINDOW_PERIODS`] periods. At the start of every period
+//! the observatory publishes one view: each provider's windowed p95 goes
+//! into the descriptors handed to the policy (`observed_read_latency_us`),
+//! so a latency-weighted rule can migrate objects off a provider that
+//! turned out slower than it claimed, and the period's reads are ranked by
+//! that view, never by what earlier reads of the same period recorded.
+//! This is exactly the feedback path the engine's `Infrastructure` runs at
+//! each clock advance; only the engine's catalog adds a 25 % hysteresis
+//! before a new p95 replaces the old one. Reads of objects whose rule
+//! declares a `read_sla_us` are checked against their *actual* latency and
+//! counted into [`PolicyRun::sla_read_violations`].
 
 use crate::policy::PlacementPolicy;
 use crate::workload::{ProviderEvent, Workload};
@@ -39,7 +43,8 @@ use scalia_core::cost::{
 use scalia_core::placement::Placement;
 use scalia_providers::descriptor::ProviderDescriptor;
 use scalia_providers::latency::LatencyModel;
-use scalia_types::latency::{DecayingHistogram, LatencyHistogram, LatencySnapshot};
+use scalia_providers::observatory::{LatencyObservatory, LatencyView};
+use scalia_types::latency::{LatencyHistogram, LatencySnapshot};
 use scalia_types::money::Money;
 use scalia_types::size::ByteSize;
 use scalia_types::stats::{AccessHistory, PeriodStats};
@@ -53,16 +58,10 @@ use std::collections::{BTreeMap, HashMap};
 pub type ActualLatencies = BTreeMap<String, LatencyModel>;
 
 /// Number of sampling periods per observation window: summaries cover the
-/// last two windows, so a provider is fully forgiven (or fully convicted)
-/// within `2 × OBSERVATION_WINDOW_PERIODS` periods.
+/// last two windows, so a provider is fully convicted — or, unless the
+/// read ranking keeps passing it over, forgiven — within
+/// `2 × OBSERVATION_WINDOW_PERIODS` periods.
 pub const OBSERVATION_WINDOW_PERIODS: u64 = 24;
-
-/// Minimum samples in a provider's sliding window before its observed p95
-/// is published to the policy (mirrors the engine's warm-up guard).
-pub const SIM_OBSERVED_MIN_SAMPLES: u64 = 16;
-
-/// The percentile published as a provider's observed read latency.
-pub const SIM_OBSERVED_PERCENTILE: f64 = 95.0;
 
 /// Aggregate resources consumed during one sampling period (across all
 /// providers).
@@ -137,13 +136,13 @@ fn actual_model(provider: &ProviderDescriptor, actual: &ActualLatencies) -> Late
 /// The read-serving providers of a placement (indices into
 /// `placement.providers`), mirroring the engine's hedged-read fan-out:
 /// price-ranked first (the seed's tie-breaking order), then stably
-/// re-ranked by expected read latency — each provider's observed summary
-/// when `observations` holds a warm window for it, its advertised model
-/// otherwise — and truncated to the `m` providers actually raced.
+/// re-ranked by expected read latency — each provider's p95 in the
+/// `published` view, its advertised model otherwise — and truncated to the
+/// `m` providers actually raced.
 fn read_providers(
     placement: &Placement,
     size: ByteSize,
-    observations: &BTreeMap<String, DecayingHistogram>,
+    published: &LatencyView<String>,
 ) -> Vec<usize> {
     let m = placement.m.max(1);
     let chunk_gb = size.as_gb() / m as f64;
@@ -151,11 +150,8 @@ fn read_providers(
     let mut order = cheapest_read_providers(&placement.providers, placement.n().max(1), chunk_gb);
     order.sort_by_key(|&i| {
         let provider = &placement.providers[i];
-        observations
-            .get(&provider.name)
-            .filter(|window| window.count() >= SIM_OBSERVED_MIN_SAMPLES)
-            .map(|window| window.percentile_us(SIM_OBSERVED_PERCENTILE))
-            .filter(|&p95| p95 > 0)
+        published
+            .read_us(&provider.name)
             .unwrap_or_else(|| provider.latency.expected_us(chunk_bytes))
     });
     order.truncate(m as usize);
@@ -168,7 +164,7 @@ fn read_providers(
 /// long as the slowest of those `m` providers.
 pub fn modelled_read_latency_us(placement: &Placement, size: ByteSize) -> u64 {
     let chunk_bytes = chunk_bytes_for(size, placement.m);
-    read_providers(placement, size, &BTreeMap::new())
+    read_providers(placement, size, &LatencyView::default())
         .into_iter()
         .map(|i| placement.providers[i].latency.expected_us(chunk_bytes))
         .max()
@@ -313,22 +309,17 @@ pub fn run_policy_with_actual(
     let mut write_latency = LatencyHistogram::new();
     let mut sla_reads_total = 0u64;
     let mut sla_read_violations = 0u64;
-    // Per-provider sliding windows of actual chunk-read latencies — the
-    // simulator's stand-in for the engine's observed-latency summaries.
-    let mut observations: BTreeMap<String, DecayingHistogram> = BTreeMap::new();
+    // Per-provider windows of actual chunk-read latencies, keyed by name.
+    let mut observatory: LatencyObservatory<String> = LatencyObservatory::new();
 
     for period in 0..workload.periods {
         let mut available = providers_at(base_catalog, &workload.events, period);
-        // Publish the observed summaries into the descriptors the policy
-        // will see this period: windowed p95 once warm, nothing before.
-        // Zero summaries are never published, so latency-free catalogs are
-        // untouched.
+        // Publish the view this period's descriptors and read ranking use:
+        // windowed p95 once warm, nothing before. Zero summaries are never
+        // published, so latency-free catalogs are untouched.
+        let published = observatory.publish();
         for provider in &mut available {
-            provider.observed_read_latency_us = observations
-                .get(&provider.name)
-                .filter(|window| window.count() >= SIM_OBSERVED_MIN_SAMPLES)
-                .map(|window| window.percentile_us(SIM_OBSERVED_PERCENTILE))
-                .filter(|&p95| p95 > 0);
+            provider.observed_read_latency_us = published.read_us(&provider.name);
         }
         let mut sample = ResourceSample {
             period,
@@ -399,7 +390,7 @@ pub fn run_policy_with_actual(
                 writes: demand.writes,
                 duration_hours: period_hours,
             };
-            let serving = read_providers(&placement, obj.size, &observations);
+            let serving = read_providers(&placement, obj.size, observatory.published());
             let storage_and_writes = PredictedUsage {
                 bw_out: ByteSize::ZERO,
                 reads: 0,
@@ -446,15 +437,17 @@ pub fn run_policy_with_actual(
             }
 
             // Feed the observation windows: every read-serving provider
-            // answered `reads` chunk fetches at its actual latency.
+            // answered `reads` chunk fetches at its actual latency, and
+            // every other member of the placement was passed over.
             if demand.reads > 0 {
-                for &i in &serving {
-                    let provider = &placement.providers[i];
-                    let us = actual_model(provider, actual).expected_us(chunk_bytes);
-                    observations
-                        .entry(provider.name.clone())
-                        .or_default()
-                        .record_n(us, demand.reads);
+                for (i, provider) in placement.providers.iter().enumerate() {
+                    let name = provider.name.clone();
+                    if serving.contains(&i) {
+                        let us = actual_model(provider, actual).expected_us(chunk_bytes);
+                        observatory.record_read_n(name, us, demand.reads);
+                    } else {
+                        observatory.record_passed_over(name);
+                    }
                 }
             }
 
@@ -483,9 +476,7 @@ pub fn run_policy_with_actual(
         // provider whose recent behaviour changed is re-judged (or
         // forgiven) within two windows.
         if (period + 1) % OBSERVATION_WINDOW_PERIODS == 0 {
-            for window in observations.values_mut() {
-                window.rotate();
-            }
+            observatory.rotate();
         }
     }
 

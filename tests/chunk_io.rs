@@ -571,11 +571,12 @@ fn writes_and_hedged_reads_record_object_level_latency() {
 #[test]
 fn stalled_upload_is_hedged_and_the_write_replaced_without_the_straggler() {
     // §III-D3 extended to slow-but-alive providers on the WRITE path: an
-    // upload that blows its hedge deadline (observed PUT p95 × multiplier
-    // once warm, modelled × multiplier until then) is rolled back and the
-    // write re-placed on the remaining providers — a provider stalling
-    // anomalously on PUTs cannot hold a write hostage.
-    use scalia::engine::chunk_io::{write_hedge_deadline_us, HedgeConfig};
+    // upload that blows its hedge deadline (published PUT p95 × multiplier
+    // once a tick has observed the provider, modelled × multiplier until
+    // then) is rolled back and the write re-placed on the remaining
+    // providers — a provider stalling anomalously on PUTs cannot hold a
+    // write hostage.
+    use scalia::engine::chunk_io::write_hedge_deadline_us;
     use scalia::providers::latency::LatencyModel;
 
     let cluster = ScaliaCluster::builder()
@@ -603,8 +604,7 @@ fn stalled_upload_is_hedged_and_the_write_replaced_without_the_straggler() {
         assert!(
             cluster
                 .infra()
-                .observed_write_snapshot(location.provider)
-                .count
+                .with_observatory(|o| o.write_samples(&location.provider))
                 >= 1,
             "successful uploads must feed the write observation loop"
         );
@@ -646,34 +646,28 @@ fn stalled_upload_is_hedged_and_the_write_replaced_without_the_straggler() {
     let victim_backend = cluster.infra().backend(victim).unwrap();
     assert_eq!(victim_backend.object_count(), 1, "only the warm chunk");
 
-    // Deadline adaptation: once the observed write window is warm, the
-    // deadline is grounded in the OBSERVED p95 (× multiplier) instead of
-    // the advertised model. A provider advertising 1 ms but actually
-    // writing at ~80 ms gets a realistic deadline.
+    // Deadline adaptation: once a tick has published the observed write
+    // window, the deadline is grounded in the OBSERVED p95 (× multiplier)
+    // instead of the advertised model. A provider advertising 1 ms but
+    // actually writing at ~80 ms gets a realistic deadline.
     let infra = cluster.infra();
     let probe = warm_meta.striping.stripe_view(0).chunks[1].provider;
-    let config = HedgeConfig::default();
     let advertised = LatencyModel::new(1, 0, 0, 7); // 1 ms, no jitter
-    let cold = write_hedge_deadline_us(infra, probe, &advertised, 100_000, &config);
+    let descriptor = infra.catalog().get(probe).unwrap().with_latency(advertised);
+    let deadline =
+        || infra.with_observatory(|o| write_hedge_deadline_us(o.published(), &descriptor, 100_000));
+    let cold = deadline();
     assert_eq!(cold, 3_000, "cold: modelled 1 ms × 3");
     for _ in 0..64 {
-        infra.record_provider_write_latency(probe, 80_000);
+        infra.with_observatory(|o| o.record_write(probe, 80_000));
     }
-    let warm = write_hedge_deadline_us(infra, probe, &advertised, 100_000, &config);
+    // Until the clock advances the observations are recorded, not read.
+    assert_eq!(deadline(), cold);
+    cluster.tick(SimTime::from_hours(1));
+    let warm = deadline();
     assert!(
         warm >= 3 * 80_000,
         "warm deadline {warm}µs must follow the observed p95, not the model"
-    );
-    // The fixed-deadline baseline ignores observations entirely.
-    assert_eq!(
-        write_hedge_deadline_us(
-            infra,
-            probe,
-            &advertised,
-            100_000,
-            &HedgeConfig::fixed_deadline()
-        ),
-        cold
     );
 }
 
@@ -815,7 +809,7 @@ fn faulted_virtual_runs_are_identical_across_pool_sizes() {
 #[test]
 fn the_pool_still_overlaps_real_waiting() {
     use scalia::core::placement::Placement;
-    use scalia::engine::chunk_io::{fetch_chunks, upload, HedgeConfig};
+    use scalia::engine::chunk_io::{fetch_chunks, upload};
     use scalia::erasure::codec::encode_object;
     use scalia::providers::catalog::{s3_high, ProviderCatalog};
     use scalia::providers::latency::LatencyModel;
@@ -838,7 +832,6 @@ fn the_pool_still_overlaps_real_waiting() {
     };
     let data = patterned(4, 30_000);
     let encoded = encode_object(&data, placement.erasure_params()).unwrap();
-    let config = HedgeConfig::default();
     let budget = WallDuration::from_millis(2 * RTT_MS);
 
     // Sleeping workers need no cores: four chunk PUTs cost one round-trip
@@ -846,7 +839,7 @@ fn the_pool_still_overlaps_real_waiting() {
     let pool = rayon::ThreadPool::new(4);
     pool.install(|| {
         let started = Instant::now();
-        let chunks = upload(&infra, &placement, "skey-real", &encoded, &config, true).unwrap();
+        let chunks = upload(&infra, &placement, "skey-real", &encoded, true).unwrap();
         let put_took = started.elapsed();
         assert_eq!(chunks.len(), 4);
         let stripe = StripeMeta {
@@ -862,7 +855,7 @@ fn the_pool_still_overlaps_real_waiting() {
 
         let started = Instant::now();
         let size = ByteSize::from_bytes(data.len() as u64);
-        let chunks = fetch_chunks(&infra, &stripe, size, &config).unwrap();
+        let chunks = fetch_chunks(&infra, &stripe, size).unwrap();
         let get_took = started.elapsed();
         assert_eq!(chunks.len(), 3);
         assert!(

@@ -382,43 +382,6 @@ fn optimizer_racing_writers_never_loses_committed_data() {
 }
 
 #[test]
-fn mapreduce_concurrent_with_writes_is_a_consistent_snapshot() {
-    use scalia::metastore::mapreduce::class_lifetime_summaries;
-    let cluster = ScaliaCluster::builder().build();
-    let keys: Vec<ObjectKey> = (0..8)
-        .map(|i| ObjectKey::new("mr", format!("obj{i}")))
-        .collect();
-    for (i, key) in keys.iter().enumerate() {
-        cluster
-            .put(key, payload(i, 9_000), "image/png", rule(), None)
-            .unwrap();
-    }
-
-    std::thread::scope(|scope| {
-        let cluster_ref = &cluster;
-        let keys_ref = &keys;
-        scope.spawn(move || {
-            // Deletes record class lifetimes, feeding the map-reduce input
-            // while it runs.
-            for key in keys_ref.iter().take(4) {
-                cluster_ref.delete(key).unwrap();
-            }
-        });
-        scope.spawn(move || {
-            for _ in 0..10 {
-                let node = cluster_ref.infra().database().nodes()[0].clone();
-                // Each job sees *some* consistent snapshot: summaries are
-                // internally coherent even while rows are being added.
-                for (class, summary) in class_lifetime_summaries(&node) {
-                    assert!(summary.samples > 0, "class {class} with zero samples");
-                    assert!(summary.mean_hours <= summary.max_hours + 1e-12);
-                }
-            }
-        });
-    });
-}
-
-#[test]
 fn slow_provider_writer_reader_stress_stays_consistent() {
     // The data path under latency: every provider has a realistic virtual
     // response-time model and one of them *limps* — a chaos thread flips a

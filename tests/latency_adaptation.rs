@@ -5,11 +5,15 @@
 //!   the catalog, which raises its latency-weighted placement cost, and the
 //!   next optimization cycle migrates objects off it;
 //! * hedge deadlines tighten from the modelled `3×` fallback to the
-//!   observed p95 once a warm-up window of samples exists, and the hedged
-//!   read's p99 beats the fixed-deadline baseline when a ranked provider
-//!   stalls mid-run;
+//!   observed p95 once a clock advance publishes a warm-up window of
+//!   samples, and the hedged read's p99 beats the same run without that
+//!   tick (the fixed-deadline baseline) when a ranked provider stalls
+//!   mid-run;
 //! * a recovered provider is forgiven once its bad observation window
-//!   decays out, and it wins its placements back.
+//!   decays out, and it wins its placements back;
+//! * within one tick a read sees only the view the last tick published:
+//!   what other reads of the tick observed — before it, or concurrently on
+//!   another client thread — changes neither its ranking nor its deadlines.
 //!
 //! Everything runs in *virtual* time (flat, jitter-free latency models and
 //! stall injection), so every assertion is exact — and the whole scenario
@@ -19,7 +23,8 @@
 
 use std::sync::Arc;
 
-use scalia::engine::chunk_io::{self, HedgeConfig};
+use scalia::core::cost::{cheapest_read_providers, chunk_bytes_for};
+use scalia::engine::chunk_io;
 use scalia::engine::cluster::ScaliaCluster;
 use scalia::engine::infra::Infrastructure;
 use scalia::prelude::*;
@@ -306,19 +311,21 @@ fn write_stripe(
 ) -> StripeMeta {
     let encoded =
         scalia::erasure::codec::encode_object(payload, placement.erasure_params()).unwrap();
-    let config = HedgeConfig::default();
     StripeMeta {
-        chunks: chunk_io::upload(infra, placement, skey, &encoded, &config, true).unwrap(),
+        chunks: chunk_io::upload(infra, placement, skey, &encoded, true).unwrap(),
         m: placement.m,
         checksum: scalia::types::checksum::checksum_hex(payload),
         skey: skey.to_string(),
     }
 }
 
-/// Runs the stall-mid-run hedge scenario under one hedging policy and
-/// returns the read-makespan percentile summary: 20 healthy warm-up reads,
-/// then the ranked provider stalls 300 ms and 30 more reads race it.
-fn hedged_read_tail(config: &HedgeConfig) -> scalia::types::latency::LatencySnapshot {
+/// Runs the stall-mid-run hedge scenario and returns the read-makespan
+/// percentile summary: 20 healthy warm-up reads, then — after the clock
+/// advance that publishes them, if `publish` — the ranked provider stalls
+/// 300 ms and 30 more reads race it. Without the tick nothing is published
+/// and every deadline stays at the modelled 3× fallback: the fixed-deadline
+/// baseline.
+fn hedged_read_tail(publish: bool) -> scalia::types::latency::LatencySnapshot {
     let infra = hedge_infra();
     let placement = scalia::core::placement::Placement {
         providers: infra.catalog().all(),
@@ -329,12 +336,15 @@ fn hedged_read_tail(config: &HedgeConfig) -> scalia::types::latency::LatencySnap
     let striping = write_stripe(&infra, &placement, "tail", &payload);
 
     for _ in 0..20 {
-        chunk_io::fetch_chunks(&infra, &striping, size, config).unwrap();
+        chunk_io::fetch_chunks(&infra, &striping, size).unwrap();
+    }
+    if publish {
+        infra.advance_clock(SimTime::from_hours(1));
     }
     let a = infra.catalog().all()[0].id;
     infra.backend(a).unwrap().set_stall_us(300_000);
     for _ in 0..30 {
-        chunk_io::fetch_chunks(&infra, &striping, size, config).unwrap();
+        chunk_io::fetch_chunks(&infra, &striping, size).unwrap();
     }
     infra.io_latency_snapshot(StoreOp::Get)
 }
@@ -351,8 +361,9 @@ fn hedge_deadline_tightens_to_observed_p95_after_warmup() {
     let striping = write_stripe(&infra, &placement, "warm", &payload);
 
     let a = infra.catalog().all()[0].clone();
-    let config = HedgeConfig::default();
-    let cold = chunk_io::hedge_deadline_us(&infra, a.id, &a.latency, 64 * 1024, &config);
+    let deadline =
+        || infra.with_observatory(|o| chunk_io::hedge_deadline_us(o.published(), &a, 64 * 1024));
+    let cold = deadline();
     assert_eq!(
         cold,
         3 * 30_000,
@@ -362,26 +373,22 @@ fn hedge_deadline_tightens_to_observed_p95_after_warmup() {
     // Warm up past the sample floor: flat model, so every read observes
     // exactly 30 ms and the published p95 is exact.
     for _ in 0..20 {
-        chunk_io::fetch_chunks(&infra, &striping, size, &config).unwrap();
+        chunk_io::fetch_chunks(&infra, &striping, size).unwrap();
     }
-    let warm = chunk_io::hedge_deadline_us(&infra, a.id, &a.latency, 64 * 1024, &config);
+    // Observations take effect at the next clock advance, not before.
+    assert_eq!(deadline(), cold);
+    infra.advance_clock(SimTime::from_hours(1));
+    let warm = deadline();
     assert_eq!(
         warm, 30_000,
         "warm deadline is the observed p95: 3x tighter"
-    );
-
-    // The fixed-deadline baseline never tightens.
-    let fixed = HedgeConfig::fixed_deadline();
-    assert_eq!(
-        chunk_io::hedge_deadline_us(&infra, a.id, &a.latency, 64 * 1024, &fixed),
-        cold
     );
 }
 
 #[test]
 fn adaptive_hedging_beats_fixed_deadlines_when_a_ranked_provider_stalls() {
-    let adaptive = hedged_read_tail(&HedgeConfig::default());
-    let fixed = hedged_read_tail(&HedgeConfig::fixed_deadline());
+    let adaptive = hedged_read_tail(true);
+    let fixed = hedged_read_tail(false);
 
     assert_eq!(adaptive.count, 50);
     assert_eq!(fixed.count, 50);
@@ -389,9 +396,9 @@ fn adaptive_hedging_beats_fixed_deadlines_when_a_ranked_provider_stalls() {
     // deadline (90 ms) before parity answers at 120 ms.
     assert_eq!(fixed.max_us, 120_000);
     assert!(fixed.p99_us >= 120_000, "fixed p99 {}", fixed.p99_us);
-    // Adaptive: the first stalled reads hedge at the observed 30 ms
-    // deadline (60 ms total), after which the observed ranking stops
-    // contacting the stalled provider altogether and reads return to 30 ms.
+    // Adaptive: every stalled read of the tick hedges at the published
+    // 30 ms deadline (60 ms total); the stalled provider keeps its rank
+    // until the next tick publishes what these reads observed.
     assert!(
         adaptive.max_us <= 60_000,
         "adaptive worst case {} must be one tight hedge",
@@ -407,22 +414,183 @@ fn adaptive_hedging_beats_fixed_deadlines_when_a_ranked_provider_stalls() {
 
 #[test]
 fn hedged_tail_is_exact_across_pool_sizes() {
-    let reference = rayon::ThreadPool::new(1).install(|| {
-        (
-            hedged_read_tail(&HedgeConfig::default()),
-            hedged_read_tail(&HedgeConfig::fixed_deadline()),
-        )
-    });
+    let reference =
+        rayon::ThreadPool::new(1).install(|| (hedged_read_tail(true), hedged_read_tail(false)));
     for workers in [2usize, 8] {
-        let outcome = rayon::ThreadPool::new(workers).install(|| {
-            (
-                hedged_read_tail(&HedgeConfig::default()),
-                hedged_read_tail(&HedgeConfig::fixed_deadline()),
-            )
-        });
+        let outcome = rayon::ThreadPool::new(workers)
+            .install(|| (hedged_read_tail(true), hedged_read_tail(false)));
         assert_eq!(
             outcome, reference,
             "hedged tails diverged at {workers} workers"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One view per tick: a read does not depend on the tick's other reads
+// ---------------------------------------------------------------------------
+
+fn io_rule() -> StorageRule {
+    StorageRule::new(
+        "one-view",
+        Reliability::from_percent(99.999),
+        Reliability::from_percent(99.99),
+        ZoneSet::all(),
+        0.5,
+    )
+}
+
+/// Objects of [`published_cluster`], all of one class.
+fn object_keys(count: usize) -> Vec<ObjectKey> {
+    (0..count)
+        .map(|i| ObjectKey::new("view", format!("obj{i}.png")))
+        .collect()
+}
+
+/// A one-engine, cache-less cluster in virtual time over the
+/// latency-annotated paper catalog (`seed`), holding `objects` objects
+/// that every ranked provider has served enough reads of for the first
+/// tick to publish a view.
+fn published_cluster(seed: u64, objects: usize) -> ScaliaCluster {
+    let catalog = ProviderCatalog::shared();
+    for descriptor in scalia::sim::scenarios::latency_catalog(seed) {
+        catalog.register(descriptor);
+    }
+    let cluster = ScaliaCluster::builder()
+        .datacenters(1)
+        .engines_per_datacenter(1)
+        .catalog(catalog)
+        .cache_capacity(ByteSize::ZERO)
+        .build();
+    for backend in cluster.infra().backends() {
+        backend.set_real_sleep(false);
+    }
+    let keys = object_keys(objects);
+    for (i, key) in keys.iter().enumerate() {
+        let payload = vec![i as u8; 24_000 + 1_000 * i];
+        cluster
+            .put(key, payload, "image/png", io_rule(), None)
+            .unwrap();
+    }
+    for _ in 0..24usize.div_ceil(objects) {
+        for key in &keys {
+            cluster.get(key).unwrap();
+        }
+    }
+    cluster.tick(SimTime::from_hours(1));
+    cluster
+}
+
+/// Chunk GETs served so far, per backend in provider-id order.
+fn chunk_gets(cluster: &ScaliaCluster) -> Vec<u64> {
+    let mut backends = cluster.infra().backends();
+    backends.sort_by_key(|backend| backend.descriptor().id);
+    backends
+        .iter()
+        .map(|backend| backend.latency_snapshot(StoreOp::Get).count)
+        .collect()
+}
+
+/// The holders of a one-stripe object in the order a hedged read contacts
+/// them, ranked exactly as the chunk-I/O layer ranks them.
+fn ranked_holders(cluster: &ScaliaCluster, key: &ObjectKey) -> Vec<ProviderId> {
+    let meta = cluster.engine(0).read_metadata(key).unwrap();
+    let view = meta.striping.stripe_view(0);
+    let descriptors: Vec<ProviderDescriptor> = view
+        .chunks
+        .iter()
+        .map(|c| cluster.infra().catalog().get(c.provider).unwrap())
+        .collect();
+    let chunk_gb = meta.size.as_gb() / view.m.max(1) as f64;
+    let chunk_bytes = chunk_bytes_for(meta.size, view.m);
+    let mut order = cheapest_read_providers(&descriptors, descriptors.len() as u32, chunk_gb);
+    order.sort_by_key(|&i| descriptors[i].read_latency_us(chunk_bytes));
+    order.into_iter().map(|i| view.chunks[i].provider).collect()
+}
+
+#[test]
+fn a_read_sees_the_last_ticks_view_whatever_ran_before_it_in_the_tick() {
+    const STALL_US: u64 = 250_000;
+    let keys = object_keys(2);
+    let (x, y) = (&keys[0], &keys[1]);
+    let busy = published_cluster(17, keys.len());
+    let fresh = published_cluster(17, keys.len());
+    assert_eq!(chunk_gets(&busy), chunk_gets(&fresh), "twins");
+
+    // Within the next tick, one ranked provider of both objects limps.
+    let stalled = ranked_holders(&busy, y)[0];
+    assert_eq!(ranked_holders(&busy, x)[0], stalled);
+    for cluster in [&busy, &fresh] {
+        cluster
+            .infra()
+            .backend(stalled)
+            .unwrap()
+            .set_stall_us(STALL_US);
+    }
+    // The busy twin first reads X twenty times: twenty stalled samples,
+    // enough to convict the provider — at the next tick.
+    for _ in 0..20 {
+        busy.get(x).unwrap();
+    }
+
+    let read_y = |cluster: &ScaliaCluster| {
+        let before = chunk_gets(cluster);
+        cluster.infra().take_last_io_latency(StoreOp::Get);
+        cluster.get(y).unwrap();
+        let gets: Vec<u64> = chunk_gets(cluster)
+            .iter()
+            .zip(&before)
+            .map(|(after, before)| after - before)
+            .collect();
+        (gets, cluster.infra().take_last_io_latency(StoreOp::Get))
+    };
+    let (busy_gets, busy_us) = read_y(&busy);
+    let (fresh_gets, fresh_us) = read_y(&fresh);
+    assert_eq!(busy_gets, fresh_gets, "Y's fetches depend on X's reads");
+    assert_eq!(busy_us, fresh_us, "Y's makespan depends on X's reads");
+    let stalled_index = stalled.index() as usize;
+    assert!(
+        busy_gets[stalled_index] == 1 && busy_us.unwrap() < STALL_US,
+        "Y still races the stalled provider and hedges past it: {busy_gets:?}, {busy_us:?}"
+    );
+}
+
+#[test]
+fn two_client_threads_read_like_one_within_a_tick() {
+    const OBJECTS: usize = 8;
+    const ROUNDS: usize = 3;
+    let keys = object_keys(OBJECTS);
+    for seed in 0..32u64 {
+        let serial = published_cluster(seed, OBJECTS);
+        for _ in 0..ROUNDS {
+            for key in &keys {
+                serial.get(key).unwrap();
+            }
+        }
+
+        let threaded = published_cluster(seed, OBJECTS);
+        std::thread::scope(|scope| {
+            for half in 0..2 {
+                let (cluster, keys) = (&threaded, &keys);
+                scope.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        for key in keys.iter().skip(half).step_by(2) {
+                            cluster.get(key).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+
+        assert_eq!(
+            threaded.infra().io_latency_snapshot(StoreOp::Get),
+            serial.infra().io_latency_snapshot(StoreOp::Get),
+            "seed {seed}: read makespans depend on the client threads"
+        );
+        assert_eq!(
+            chunk_gets(&threaded),
+            chunk_gets(&serial),
+            "seed {seed}: chunk GETs depend on the client threads"
         );
     }
 }

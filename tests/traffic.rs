@@ -16,7 +16,7 @@ const POOL_SIZES: [usize; 3] = [1, 2, 8];
 /// admission peaks) feeds this hash; any change to the trace generator, the
 /// scheduler, the admission controller or the engine's virtual-latency
 /// accounting shows up here.
-const PINNED_DIGEST: &str = "c38e1bbfc8fc3bf274ed957dbac9d068";
+const PINNED_DIGEST: &str = "a353215aacf78f7e2e0af17c6d193cb8";
 
 /// The pinned outcome digest of [`price_drop_spec`]'s trace: a forced
 /// optimisation cycle mid-trace migrates objects onto a new provider, and
