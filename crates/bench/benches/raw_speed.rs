@@ -3,9 +3,7 @@
 //! seed kernel — the ≥ 4× acceptance gate), the content checksum (XXH64,
 //! the one hash on the bytes path) per length, the copy-and-hash pass the
 //! read and write paths move bytes with, a put's per-stripe data work (the
-//! staged encode against `encode_object`), the pool's spawn microcosts,
-//! pool scaling on two synthetic CPU-bound workloads (placement searches
-//! and a map-reduce) at 1 vs 4 workers, and the 16–20-provider
+//! staged encode against `encode_object`), and the 16–20-provider
 //! placement search with and without pairwise dominance pruning (vs the
 //! recorded 4.98 ms PR 1 baseline at 16 providers).
 //!
@@ -18,16 +16,8 @@
 //! * `checksum.append`: `Xxh64::append` takes ≤ 0.7× the time of a copy
 //!   followed by a separate hash at 8 MiB;
 //! * `search_16`: dominance-pruned search beats the 4.98 ms baseline.
-//!
-//! The ≥ 2×-at-4-workers pool-scaling gate is only asserted when the
-//! runner actually exposes ≥ 4 hardware threads; on smaller runners the
-//! JSON records `"gate": "skipped (single-core runner)"` and the numbers
-//! so a multi-core acceptance run is a re-run, not a code change
-//! (`available_parallelism` is always recorded).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use rayon::prelude::*;
-use rayon::ThreadPool;
 use scalia_core::cost::PredictedUsage;
 use scalia_core::placement::{exhaustive_search_without_dominance, PlacementEngine};
 use scalia_erasure::codec;
@@ -43,7 +33,6 @@ use scalia_types::rules::StorageRule;
 use scalia_types::size::ByteSize;
 use scalia_types::zone::{Zone, ZoneSet};
 use scalia_types::ErasureParams;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Best-of-3 wall time of `iters` runs of `f`, as per-iteration µs.
@@ -277,49 +266,7 @@ fn encode_staged_section() -> serde_json::Value {
     })
 }
 
-// ----------------------------------------------------------------- pool --
-
-/// Spawn microcosts: fire-and-forget task churn through the pool's one
-/// mutex-guarded queue, drained by the workers and by the caller's
-/// `yield_now` help.
-fn pool_spawn_section() -> serde_json::Value {
-    const TASKS: usize = 20_000;
-    let mut rows = Vec::new();
-    for workers in [1usize, 4] {
-        let pool = ThreadPool::new(workers);
-        let us = time_per_iter_us(5, || {
-            pool.install(|| {
-                let done = std::sync::Arc::new(AtomicUsize::new(0));
-                for _ in 0..TASKS {
-                    let done = done.clone();
-                    rayon::spawn(move || {
-                        done.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-                while done.load(Ordering::Relaxed) < TASKS {
-                    rayon::yield_now();
-                }
-            });
-        });
-        rows.push(serde_json::json!({
-            "workers": workers,
-            "tasks": TASKS,
-            "ns_per_task": us * 1e3 / TASKS as f64,
-            "tasks_per_sec": TASKS as f64 / (us / 1e6),
-        }));
-    }
-    serde_json::json!(rows)
-}
-
-/// Deterministic per-item work for the map-reduce scaling workload.
-fn churn(mut x: u64) -> u64 {
-    for _ in 0..64 {
-        x = x.wrapping_add(0x9e3779b97f4a7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        x ^= x >> 27;
-    }
-    x
-}
+// ------------------------------------------------------------ placement --
 
 fn bench_catalog(n: usize) -> Vec<ProviderDescriptor> {
     let mut v = vec![
@@ -368,93 +315,6 @@ fn bench_usage(reads: u64) -> PredictedUsage {
         duration_hours: 24.0,
     }
 }
-
-/// Pool scaling at 1 vs 4 workers on two CPU-bound synthetic workloads: a
-/// map-reduce sweep (hash churn over 200k items) and an
-/// `optimization_cycle` (32 independent placement searches over a
-/// 12-provider catalog). Neither is a shipping code path — the optimizer
-/// runs its sweeps on the caller — they measure what the pool can still
-/// scale. The ≥ 2× gate only applies when the runner has ≥ 4 hardware
-/// threads.
-fn pool_scaling_section() -> serde_json::Value {
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let map_reduce = |pool: &ThreadPool| {
-        pool.install(|| {
-            (0..200_000u64)
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(churn)
-                .reduce(|| 0u64, u64::wrapping_add)
-        })
-    };
-    let catalog = bench_catalog(12);
-    let rule = bench_rule();
-    let optimization_cycle = |pool: &ThreadPool| {
-        pool.install(|| {
-            (0..32u64)
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|i| {
-                    let engine = PlacementEngine::new();
-                    let usage = bench_usage(100 + i * 40);
-                    engine
-                        .best_placement(&rule, &usage, &catalog)
-                        .unwrap()
-                        .expected_cost
-                        .nanos()
-                })
-                .reduce(|| 0i64, i64::wrapping_add)
-        })
-    };
-
-    let mut workloads = Vec::new();
-    for (name, run) in [
-        ("map_reduce", &map_reduce as &dyn Fn(&ThreadPool) -> _),
-        (
-            "optimization_cycle",
-            &(|p: &ThreadPool| {
-                optimization_cycle(p);
-                0u64
-            }) as &dyn Fn(&ThreadPool) -> _,
-        ),
-    ] {
-        let pool1 = ThreadPool::new(1);
-        let pool4 = ThreadPool::new(4);
-        let us1 = time_per_iter_us(3, || {
-            black_box(run(&pool1));
-        });
-        let us4 = time_per_iter_us(3, || {
-            black_box(run(&pool4));
-        });
-        let speedup = us1 / us4;
-        let gate = if parallelism >= 4 {
-            assert!(
-                speedup >= 2.0,
-                "{name}: 4-worker speedup {speedup:.2}x on a {parallelism}-thread runner (need >= 2x)"
-            );
-            "pass".to_string()
-        } else {
-            format!("skipped (single-core runner: available_parallelism = {parallelism})")
-        };
-        workloads.push(serde_json::json!({
-            "workload": name,
-            "one_worker_us": us1,
-            "four_worker_us": us4,
-            "speedup_at_4_workers": speedup,
-            "gate_min_speedup": 2.0,
-            "gate": gate,
-        }));
-    }
-    serde_json::json!({
-        "available_parallelism": parallelism,
-        "workloads": workloads,
-    })
-}
-
-// ------------------------------------------------------------ placement --
 
 /// The 16–20-provider search with and without pairwise dominance pruning
 /// (identical answers, differential-tested; here only the node count
@@ -520,8 +380,6 @@ fn raw_speed_baseline() {
     let checksum = xxh64_section();
     let append = checksum_append_section();
     let staged = encode_staged_section();
-    let spawn = pool_spawn_section();
-    let scaling = pool_scaling_section();
     let placement = placement_section();
     let report = serde_json::json!({
         "bench": "raw_speed",
@@ -530,8 +388,6 @@ fn raw_speed_baseline() {
         "xxh64": checksum,
         "checksum.append": append,
         "erasure.encode_staged": staged,
-        "pool_spawn": spawn,
-        "pool_scaling": scaling,
         "placement_search": placement,
     });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_raw_speed.json");

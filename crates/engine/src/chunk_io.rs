@@ -9,7 +9,7 @@
 //! [`crate::engine::Engine::replace_placement`]) now route through this
 //! module, one stripe — one erasure group — at a time; it fans a group's
 //! round-trips out so that the group costs its slowest member, not their
-//! sum — on the thread pool when a provider really waits, on the
+//! sum — one thread per round-trip when a provider really waits, on the
 //! calling thread when latency is virtual (see "Virtual time, real time"
 //! below):
 //!
@@ -36,8 +36,8 @@
 //!   p95, [`HEDGE_MULTIPLIER`] × the modelled latency while none is
 //!   published ([`hedge_deadline_us`]) — the next-ranked parity provider is
 //!   promoted into the race. The read returns as soon as `m` chunks are in
-//!   hand — in wall-clock mode a straggler keeps running detached on the
-//!   pool and simply finds its result unneeded. Every outcome feeds the
+//!   hand — in wall-clock mode a straggler keeps running on its own thread
+//!   and simply finds its result unneeded. Every outcome feeds the
 //!   failure detector (§III-D3); every success, and every provider the
 //!   ranking put behind the raced `m`, feeds the observatory
 //!   ([`Infrastructure::with_observatory`]), which the next clock advance
@@ -70,8 +70,8 @@
 //! provider's [`scalia_providers::latency::LatencyModel`], a function of
 //! `(key, bytes)`. A virtual round-trip is a map insert and a counter bump
 //! that *reports* how long it would have taken: there is no waiting to
-//! overlap, and handing it to another thread costs a queue hand-off, a
-//! wake-up and a join for nothing. Every fan-out of this module (`fan_out`,
+//! overlap, and handing it to another thread costs a spawn and a join for
+//! nothing. Every fan-out of this module (`fan_out`,
 //! the hedged read's launches) therefore runs virtual round-trips **on the
 //! calling thread, in input order**.
 //!
@@ -83,18 +83,21 @@
 //! operation's hedging timeline, its recorded makespan and the bills it
 //! causes are therefore a function of its inputs and the last tick alone —
 //! the same whether it ran first or last in its tick, on one client thread
-//! or several, at any pool size; an aborted upload skips precisely the
-//! chunks after the failed one.
+//! or several; an aborted upload skips precisely the chunks after the
+//! failed one.
 //!
-//! The pool is used when, and only when, a participating backend really
-//! waits in wall-clock time
+//! Other threads are used when, and only when, a participating backend
+//! really waits in wall-clock time
 //! ([`scalia_providers::backend::SimulatedStore::real_sleep_enabled`] — the
 //! `SCALIA_LATENCY_REAL_SLEEP` CI step, what a networked backend would
-//! report): the round-trips of a group then overlap
-//! on pool workers (a sleeping worker needs no core), and the read
-//! controller hedges by wall clock — it parks on a condvar and promotes
-//! parity when a ranked fetch blows its real deadline, so a stalled
-//! provider cannot hold the read hostage.
+//! report). Each round-trip then gets a `std::thread` of its own — a
+//! round-trip takes milliseconds, a spawn tens of microseconds, and a
+//! sleeping thread needs no core: `fan_out` runs a group's round-trips on
+//! scoped threads and joins them, and the read controller detaches each
+//! fetch onto its own thread and hedges by wall clock — it parks on a
+//! condvar and promotes parity when a ranked fetch blows its real
+//! deadline. No fetch waits behind another for a thread, so a stalled
+//! provider can hold neither its own read nor any later one hostage.
 //!
 //! The object-level makespans (critical path of the fan-out, not the sum of
 //! round-trips) are recorded into the deployment-wide per-operation latency
@@ -102,7 +105,6 @@
 
 use crate::infra::Infrastructure;
 use bytes::Bytes;
-use rayon::prelude::*;
 use scalia_core::cost::{cheapest_read_providers, chunk_bytes_for};
 use scalia_core::placement::Placement;
 use scalia_erasure::codec::{decode_object_append, Chunk, EncodedObject};
@@ -116,8 +118,8 @@ use scalia_types::object::{ChunkLocation, ObjectMeta, StripeMeta};
 use scalia_types::size::ByteSize;
 use scalia_types::ErasureParams;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A hedge deadline is this multiple of a latency estimate: of the modelled
@@ -196,30 +198,59 @@ impl From<WriteFailure> for ScaliaError {
 // Fan-out
 // ---------------------------------------------------------------------------
 
+/// Stack size of a round-trip thread. A round-trip is a few shallow calls,
+/// and the 2 MiB default made a spawn and join about three times dearer on
+/// the 2-vCPU build host (≈ 220 µs against ≈ 70 µs at 256 KiB) — a cost a
+/// store that really sleeps a short latency pays on every round-trip.
+const ROUND_TRIP_STACK_BYTES: usize = 256 << 10;
+
+fn round_trip_thread() -> std::thread::Builder {
+    std::thread::Builder::new().stack_size(ROUND_TRIP_STACK_BYTES)
+}
+
 /// Runs one provider round-trip per job — `round_trip(backend, provider,
 /// item)`, the backend resolved here — and returns the results in input
-/// order. The jobs go to the pool only if one of their backends really
-/// waits in wall-clock time; otherwise there is nothing to overlap and they
-/// run on the calling thread, in order (see "Virtual time, real time" in
-/// the module docs).
+/// order. If one of the backends really waits in wall-clock time, the first
+/// job runs on the calling thread and every other on a scoped thread of its
+/// own, so the waits overlap; otherwise there is nothing to overlap and the
+/// jobs run on the calling thread, in order (see "Virtual time, real time"
+/// in the module docs).
 fn fan_out<T: Sync, R: Send>(
     infra: &Infrastructure,
     jobs: &[(ProviderId, T)],
-    round_trip: impl Fn(Option<&SimulatedStore>, ProviderId, &T) -> R + Send + Sync,
+    round_trip: impl Fn(Option<&SimulatedStore>, ProviderId, &T) -> R + Sync,
 ) -> Vec<R> {
     type Resolved<'a, T> = (Option<Arc<SimulatedStore>>, &'a (ProviderId, T));
     let resolved: Vec<Resolved<T>> = jobs.iter().map(|job| (infra.backend(job.0), job)).collect();
     let run =
         |(backend, (provider, item)): &Resolved<T>| round_trip(backend.as_deref(), *provider, item);
-    let backends = resolved.iter().filter_map(|(backend, _)| backend.as_ref());
-    if backends
-        .into_iter()
-        .any(|backend| backend.real_sleep_enabled())
-    {
-        resolved.par_iter().map(run).collect()
-    } else {
-        resolved.iter().map(run).collect()
+    let really_waits = resolved
+        .iter()
+        .filter_map(|(backend, _)| backend.as_ref())
+        .any(|backend| backend.real_sleep_enabled());
+    if !really_waits {
+        return resolved.iter().map(run).collect();
     }
+    // The caller takes the first round-trip itself rather than wait idle in
+    // the joins: one spawn fewer per fan-out.
+    let (first, others) = resolved.split_first().expect("a job that really waits");
+    std::thread::scope(|scope| {
+        let others: Vec<_> = others
+            .iter()
+            .map(|job| {
+                round_trip_thread()
+                    .spawn_scoped(scope, || run(job))
+                    .expect("spawn a round-trip thread")
+            })
+            .collect();
+        let first = run(first);
+        let others = others.into_iter().map(|thread| {
+            thread
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        std::iter::once(first).chain(others).collect()
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -416,16 +447,12 @@ struct FetchReply {
     us: u64,
 }
 
-/// The rendezvous between detached fetch tasks and the controller (only
+/// The rendezvous between detached fetch threads and the controller (only
 /// fetches that really wait are detached).
 #[derive(Default)]
 struct FetchBoard {
     replies: Mutex<Vec<FetchReply>>,
     cv: Condvar,
-    /// Detached fetches some thread has begun to run — a statistic the
-    /// controller compares with the number it launched (`Relaxed`: it
-    /// publishes nothing).
-    started: AtomicUsize,
 }
 
 impl FetchBoard {
@@ -438,19 +465,14 @@ impl FetchBoard {
         std::mem::take(&mut *self.replies.lock().unwrap())
     }
 
-    /// Parks briefly unless a reply is already waiting, and returns whether
-    /// one is now. The short timeout bounds the reaction time to wall-clock
-    /// hedge deadlines (real-sleep mode) without busy-spinning.
-    fn wait_brief(&self) -> bool {
+    /// Parks briefly unless a reply is already waiting. The short timeout
+    /// bounds the reaction time to wall-clock hedge deadlines (real-sleep
+    /// mode) without busy-spinning.
+    fn wait_brief(&self) {
         let guard = self.replies.lock().unwrap();
-        if !guard.is_empty() {
-            return true;
+        if guard.is_empty() {
+            drop(self.cv.wait_timeout(guard, Duration::from_micros(500)));
         }
-        let (guard, _) = self
-            .cv
-            .wait_timeout(guard, Duration::from_micros(500))
-            .unwrap();
-        !guard.is_empty()
     }
 }
 
@@ -459,7 +481,10 @@ struct Slot {
     candidate: usize,
     virt_start_us: u64,
     deadline_us: u64,
-    real_start: Instant,
+    /// When the round-trip began, stamped by the fetch's own thread
+    /// (wall-clock fetches only): a hedge deadline times the provider, so
+    /// the wait for the thread to be scheduled must not count against it.
+    real_start: Arc<OnceLock<Instant>>,
     hedged: bool,
     done: bool,
 }
@@ -477,11 +502,10 @@ struct HedgedRead<'a> {
     stripe: &'a StripeMeta,
     /// Chunk locations and their hedge deadlines, cheapest-read first.
     candidates: Vec<Candidate>,
-    /// Where pool tasks report; created by the first fetch that needs one.
+    /// Where detached fetch threads report; created by the first fetch
+    /// whose store really sleeps its latency — from then on the read
+    /// hedges by wall clock.
     board: Option<Arc<FetchBoard>>,
-    /// Fetches handed to the pool so far. Non-zero once any involved store
-    /// really sleeps its latency: the read then hedges by wall clock.
-    detached: usize,
     /// Replies not yet folded into the timeline (see [`Self::run`]).
     pending: Vec<FetchReply>,
     slots: Vec<Slot>,
@@ -495,8 +519,8 @@ struct HedgedRead<'a> {
 impl<'a> HedgedRead<'a> {
     /// Launches the next-ranked candidate (skipping providers with no
     /// backend, which are reported as hard failures). A fetch whose backend
-    /// really waits is detached onto the pool and reports to the board; a
-    /// virtual one has nothing to wait for, runs here and lands in
+    /// really waits is detached onto a thread of its own and reports to the
+    /// board; a virtual one has nothing to wait for, runs here and lands in
     /// `pending`. Either way the fetch itself reports its outcome to the
     /// failure detector, so a straggler that errors *after* the read already
     /// returned still accumulates failure evidence (the controller only
@@ -517,7 +541,7 @@ impl<'a> HedgedRead<'a> {
                 candidate: self.next_candidate - 1,
                 virt_start_us,
                 deadline_us: candidate.deadline_us,
-                real_start: Instant::now(),
+                real_start: Arc::default(),
                 hedged: false,
                 done: false,
             });
@@ -546,11 +570,15 @@ impl<'a> HedgedRead<'a> {
             };
             if really_waits {
                 let board = Arc::clone(self.board.get_or_insert_with(Default::default));
-                self.detached += 1;
-                rayon::spawn(move || {
-                    board.started.fetch_add(1, Ordering::Relaxed);
-                    board.push(fetch())
-                });
+                let real_start = Arc::clone(&self.slots[slot].real_start);
+                // Never joined: a straggler must not hold the read, and its
+                // reply lands on a board nobody reads once the read returns.
+                round_trip_thread()
+                    .spawn(move || {
+                        real_start.get_or_init(Instant::now);
+                        board.push(fetch())
+                    })
+                    .expect("spawn a round-trip thread");
             } else {
                 self.pending.push(fetch());
             }
@@ -603,16 +631,18 @@ impl<'a> HedgedRead<'a> {
         }
     }
 
-    /// Promotes parity for every in-flight fetch that exceeded its hedge
-    /// deadline in *wall-clock* time (only meaningful when stores really
-    /// sleep their latency).
+    /// Promotes parity for every in-flight fetch whose round-trip exceeded
+    /// its hedge deadline in *wall-clock* time (only meaningful when stores
+    /// really sleep their latency).
     fn hedge_overdue_by_wall_clock(&mut self) {
         for slot_index in 0..self.slots.len() {
             let (due, virt_hedge_start) = {
                 let slot = &self.slots[slot_index];
                 let overdue = !slot.done
                     && !slot.hedged
-                    && slot.real_start.elapsed() >= Duration::from_micros(slot.deadline_us);
+                    && slot.real_start.get().is_some_and(|start| {
+                        start.elapsed() >= Duration::from_micros(slot.deadline_us)
+                    });
                 (overdue, slot.virt_start_us + slot.deadline_us)
             };
             if due {
@@ -635,7 +665,7 @@ impl<'a> HedgedRead<'a> {
         // order the fetches were issued in. Real-sleep mode keeps arrival
         // order: there the wall clock is the race.
         loop {
-            let wall_clock = self.detached > 0;
+            let wall_clock = self.board.is_some();
             if wall_clock {
                 // Also flushes any virtual replies buffered before a late
                 // launch flipped the read into wall-clock mode.
@@ -687,15 +717,7 @@ impl<'a> HedgedRead<'a> {
             // next reply (or the short timeout).
             self.hedge_overdue_by_wall_clock();
             if let Some(board) = self.board.as_ref().filter(|_| self.pending.is_empty()) {
-                // A fetch nobody has begun by then has no worker to run it:
-                // reads issued from inside pool tasks can occupy every pool
-                // thread with controllers like this one, each waiting for
-                // the others. Run a queued task here instead — it stalls
-                // this read's hedging for one round-trip, which a pool with
-                // no free thread could not have served anyway.
-                if !board.wait_brief() && board.started.load(Ordering::Relaxed) < self.detached {
-                    rayon::yield_now();
-                }
+                board.wait_brief();
             }
         }
 
@@ -773,7 +795,6 @@ pub fn fetch_chunks(
         stripe,
         candidates,
         board: None,
-        detached: 0,
         pending: Vec::new(),
         slots: Vec::new(),
         next_candidate: 0,

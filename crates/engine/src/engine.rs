@@ -28,8 +28,9 @@
 //! [`Infrastructure`], so adding engines scales the deployment linearly.
 //! Every provider round-trip goes through the chunk-I/O layer
 //! ([`crate::chunk_io`]): puts and deletes fan out one round-trip per chunk
-//! — overlapped on the pool when providers really wait, on the calling
-//! thread when latency is virtual — and put/get latency scales with the
+//! — overlapped on one thread per round-trip when providers really wait,
+//! on the calling thread when latency is virtual — and put/get latency
+//! scales with the
 //! slowest provider instead of summing round-trips.
 
 use crate::cache::{BlockDigests, Cache};

@@ -32,12 +32,12 @@
 //!   copy-and-hash (≈ 55 %) and parity (≈ 25 %). Nothing overlaps the
 //!   encode, which runs on the caller: landing a stripe in virtual time is
 //!   a few map inserts on the caller, and on the wall clock
-//!   [`chunk_io::upload`] already overlaps a stripe's chunk uploads on the
-//!   pool, while an upload's modelled latency is tens of milliseconds.
-//!   Handing each encode to a pool worker to overlap the landing cost more
-//!   than it hid: removing that hand-off alone took the same put from
-//!   3 009 to 2 681 µs p50 and its peak RSS from 73.8 to 62.0 MiB (10/10
-//!   alternating pairs, seed 1).
+//!   [`chunk_io::upload`] already overlaps a stripe's chunk uploads on
+//!   threads of their own, while an upload's modelled latency is tens of
+//!   milliseconds. Handing each encode to a worker thread to overlap the
+//!   landing cost more than it hid: removing that hand-off alone took the
+//!   same put from 3 009 to 2 681 µs p50 and its peak RSS from 73.8 to
+//!   62.0 MiB (10/10 alternating pairs, seed 1).
 //! * **Multipart / append** — [`Engine::begin_put`], [`MultipartUpload::put_part`]
 //!   and [`MultipartUpload::complete_put`] expose the same pipeline to
 //!   callers that produce data incrementally. Parts may be any size; a part

@@ -46,9 +46,8 @@
 //! ([`scalia_engine::infra::Infrastructure::take_last_io_latency`], or
 //! [`FrontendConfig::base_service_us`] for cache hits and metadata-only
 //! ops), and the queue/lane bookkeeping advances deterministically. One
-//! thread drives the whole service, so a seeded trace replays
-//! bit-identically — including across rayon pool sizes, since every engine
-//! call completes before the next op dispatches.
+//! thread drives the whole service, and every engine call completes before
+//! the next op dispatches, so a seeded trace replays bit-identically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

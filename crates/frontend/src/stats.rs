@@ -2,8 +2,7 @@
 //!
 //! Every counter here is driven by the service's deterministic virtual-time
 //! executor, so a seeded trace produces a bit-identical report — the
-//! [`FrontendReport::digest`] is what the traffic tests pin across rayon
-//! pool sizes. The digest deliberately covers only *outcome-level* state
+//! [`FrontendReport::digest`] is what the traffic tests pin. The digest deliberately covers only *outcome-level* state
 //! (counters, percentiles, bytes). Object version ids are minted from each
 //! deployment's own sequence (`Infrastructure::next_version`), so they too
 //! repeat for a seeded trace; they stay out of the digest because they name
@@ -129,8 +128,8 @@ impl FrontendReport {
     }
 
     /// A stable digest of every per-tenant outcome: same seed ⇒ same
-    /// digest, across rayon pool sizes and replay-loop chunking. This is
-    /// what the traffic tests pin.
+    /// digest, across replays and replay-loop chunking. This is what the
+    /// traffic tests pin.
     pub fn digest(&self) -> String {
         let mut lines = String::new();
         for t in &self.tenants {

@@ -16,9 +16,8 @@
 //! [`crate::workload::diffuse_rounding`] — no wall clock, no thread
 //! interleaving. [`run_traffic`] then replays the trace single-threaded in
 //! virtual time. Both halves are bit-reproducible: the same spec yields the
-//! same trace and the same [`FrontendReport::digest`] regardless of rayon
-//! pool size or how the replay loop is chunked, which is what
-//! `tests/traffic.rs` pins across pools 1/2/8.
+//! same trace and the same [`FrontendReport::digest`] regardless of how
+//! the replay loop is chunked, which is what `tests/traffic.rs` pins.
 //!
 //! ## Scenario vocabulary
 //!
@@ -279,7 +278,7 @@ pub fn fill_byte(tenant_index: usize, idx: usize) -> u8 {
 
 /// Compiles a spec into a flat, time-sorted op trace. Pure function of the
 /// spec: no wall clock, no global state — the proptest suite checks that
-/// the result is bit-identical across rayon pool sizes and seeds.
+/// the result is bit-identical across repeated generations and seeds.
 pub fn generate_trace(spec: &TrafficSpec) -> Vec<TraceOp> {
     let slot_us = spec.slot_us.max(1);
     let slots = spec.horizon_us.div_ceil(slot_us);
@@ -353,8 +352,7 @@ pub fn generate_trace(spec: &TrafficSpec) -> Vec<TraceOp> {
 }
 
 /// A stable digest of a compiled trace (every field of every op) — what
-/// the determinism proptests compare across pool sizes and replay
-/// chunkings.
+/// the determinism proptests compare across generations and seeds.
 pub fn trace_digest(trace: &[TraceOp]) -> String {
     let mut lines = String::new();
     for op in trace {
@@ -426,7 +424,7 @@ enum ReplayEvent {
 
 /// Generates the spec's trace and replays it through a fresh front-end in
 /// virtual time. Single-threaded and bit-reproducible: same spec ⇒ same
-/// [`TrafficOutcome::digest`], across rayon pool sizes 1/2/8.
+/// [`TrafficOutcome::digest`] on every replay.
 pub fn run_traffic(spec: &TrafficSpec) -> TrafficOutcome {
     let trace = generate_trace(spec);
     replay_trace(spec, &trace)

@@ -1,15 +1,13 @@
 //! Property tests for the traffic trace generator: the seeded trace —
 //! every op's virtual arrival time, tenant, sequence number and operation
-//! — is a pure function of the [`TrafficSpec`]. Neither the rayon pool's
-//! worker count (which changes `par_iter` chunk splits), nor repeated
-//! generation in the same process (which would expose hidden global
-//! state), nor anything else the process did earlier may change a single
+//! — is a pure function of the [`TrafficSpec`]. Neither how many threads
+//! generate it at once, nor repeated generation in the same process
+//! (which would expose hidden global state), nor anything else the process did earlier may change a single
 //! op. The replay side's reproducibility is pinned end-to-end by
 //! `tests/traffic.rs`; these properties cover the generator across a
 //! sweep of seeds × tenant counts × arrival patterns.
 
 use proptest::prelude::*;
-use rayon::ThreadPool;
 use scalia_frontend::FrontendConfig;
 use scalia_sim::prelude::*;
 use scalia_types::size::ByteSize;
@@ -64,9 +62,9 @@ fn spec_for(seed: u64, tenants: u32, ops_per_sec: f64) -> TrafficSpec {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The same spec generates the identical trace whatever pool installs
-    /// the generation — 1, 2 and 8 workers split `par_iter` work
-    /// differently, none of it may show in the op stream.
+    /// The same spec generates the identical trace however many threads
+    /// generate it at once — 1, 2 and 8 concurrent generations must all
+    /// produce the one op stream.
     #[test]
     fn trace_is_identical_across_pool_sizes(
         seed in any::<u64>(),
@@ -74,15 +72,22 @@ proptest! {
         rate in 50u32..400,
     ) {
         let spec = spec_for(seed, tenants, rate as f64);
-        let digests: Vec<String> = [1usize, 2, 8]
+        let digests: Vec<Vec<String>> = [1usize, 2, 8]
             .iter()
             .map(|&workers| {
-                let pool = ThreadPool::new(workers);
-                pool.install(|| trace_digest(&generate_trace(&spec)))
+                std::thread::scope(|s| {
+                    let handles: Vec<_> = (0..workers)
+                        .map(|_| s.spawn(|| trace_digest(&generate_trace(&spec))))
+                        .collect();
+                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                })
             })
             .collect();
-        prop_assert_eq!(&digests[0], &digests[1], "1 vs 2 workers (seed {})", seed);
-        prop_assert_eq!(&digests[1], &digests[2], "2 vs 8 workers (seed {})", seed);
+        for runs in &digests {
+            prop_assert!(runs.iter().all(|d| d == &runs[0]), "concurrent runs disagree (seed {})", seed);
+        }
+        prop_assert_eq!(&digests[0][0], &digests[1][0], "1 vs 2 workers (seed {})", seed);
+        prop_assert_eq!(&digests[1][0], &digests[2][0], "2 vs 8 workers (seed {})", seed);
     }
 
     /// Back-to-back generations in one process agree — the generator keeps

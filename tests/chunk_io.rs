@@ -2,17 +2,23 @@
 //! m-of-n reads, write re-placement after provider failures, and the
 //! failure-detector feedback loop (§III-D of the paper).
 //!
-//! Everything runs on *virtual* latency (deterministic microseconds from
-//! the per-provider latency models / stall injection), so these tests are
-//! exact at any pool size — CI additionally runs them with
-//! `SCALIA_POOL_WORKERS=1` to pin the single-worker degenerate case.
+//! Everything but the last section runs on *virtual* latency
+//! (deterministic microseconds from the per-provider latency models /
+//! stall injection), so those tests are exact on every run. The last
+//! section makes stores really sleep: there each round-trip runs on a
+//! thread of its own, and the tests time the overlap with the wall clock.
 
 use scalia::core::cost::cheapest_read_providers;
+use scalia::core::placement::Placement;
+use scalia::engine::chunk_io::{fetch_chunks, upload};
 use scalia::engine::cluster::ScaliaCluster;
+use scalia::erasure::codec::encode_object;
 use scalia::prelude::*;
 use scalia::providers::backend::{ObjectStore, StoreOp};
 use scalia::providers::descriptor::ProviderDescriptor;
 use scalia::types::checksum::{checksum_hex, object_checksum_hex};
+use std::sync::Arc;
+use std::time::{Duration as WallDuration, Instant};
 
 fn rule() -> StorageRule {
     StorageRule::new(
@@ -27,11 +33,11 @@ fn rule() -> StorageRule {
 /// The chunk holders of one stripe (`view`, `size` plaintext bytes) in the
 /// order the hedged read contacts them: cheapest read first, computed
 /// exactly as the chunk-I/O layer ranks them.
-fn ranked_holders(cluster: &ScaliaCluster, view: &StripeMeta, size: ByteSize) -> Vec<ProviderId> {
+fn ranked_holders(infra: &Infrastructure, view: &StripeMeta, size: ByteSize) -> Vec<ProviderId> {
     let descriptors: Vec<ProviderDescriptor> = view
         .chunks
         .iter()
-        .filter_map(|c| cluster.infra().catalog().get(c.provider))
+        .filter_map(|c| infra.catalog().get(c.provider))
         .collect();
     let chunk_gb = size.as_gb() / view.m.max(1) as f64;
     cheapest_read_providers(&descriptors, descriptors.len() as u32, chunk_gb)
@@ -42,7 +48,7 @@ fn ranked_holders(cluster: &ScaliaCluster, view: &StripeMeta, size: ByteSize) ->
 
 /// [`ranked_holders`] of a one-stripe object.
 fn ranked_chunk_providers(cluster: &ScaliaCluster, meta: &ObjectMeta) -> Vec<ProviderId> {
-    ranked_holders(cluster, meta.striping.stripe_view(0), meta.size)
+    ranked_holders(cluster.infra(), meta.striping.stripe_view(0), meta.size)
 }
 
 /// Deterministic, position-dependent payload bytes (a constant fill would
@@ -302,7 +308,7 @@ fn corrupt_a_fetched_data_chunk(
     view: &StripeMeta,
     size: ByteSize,
 ) -> (ProviderId, String, bytes::Bytes) {
-    let location = ranked_holders(cluster, view, size)
+    let location = ranked_holders(cluster.infra(), view, size)
         .into_iter()
         .take(view.m as usize)
         .find_map(|provider| {
@@ -434,7 +440,6 @@ fn flip_chunk_byte(
 
 #[test]
 fn a_flipped_byte_anywhere_in_a_fetched_chunk_fails_every_read_closed() {
-    use scalia::core::placement::Placement;
     // A prime stripe length: the last data shard is padded and every shard
     // ends mid-word, so the appended bytes end in a partial block.
     const STRIPE: usize = 4_093;
@@ -672,13 +677,13 @@ fn stalled_upload_is_hedged_and_the_write_replaced_without_the_straggler() {
 }
 
 // ---------------------------------------------------------------------------
-// Where a round-trip runs: the pool only when there is waiting to overlap
+// Faulted runs in virtual time replay exactly
 // ---------------------------------------------------------------------------
 
 /// A deployment over the latency-annotated paper catalog with no cache (every
-/// read goes to the providers), every store pinned to virtual or wall-clock
-/// latency whatever `SCALIA_LATENCY_REAL_SLEEP` says.
-fn latency_cluster(seed: u64, real_sleep: bool) -> ScaliaCluster {
+/// read goes to the providers), every store pinned to virtual latency
+/// whatever `SCALIA_LATENCY_REAL_SLEEP` says.
+fn latency_cluster(seed: u64) -> ScaliaCluster {
     let catalog = scalia::providers::catalog::ProviderCatalog::shared();
     for descriptor in scalia::sim::scenarios::latency_catalog(seed) {
         catalog.register(descriptor);
@@ -690,52 +695,17 @@ fn latency_cluster(seed: u64, real_sleep: bool) -> ScaliaCluster {
         .cache_capacity(ByteSize::ZERO)
         .build();
     for backend in cluster.infra().backends() {
-        backend.set_real_sleep(real_sleep);
+        backend.set_real_sleep(false);
     }
     cluster
 }
 
-#[test]
-fn a_small_virtual_time_op_never_reaches_the_pool() {
-    let cluster = latency_cluster(3, false);
-    let engine = cluster.engine(0);
-    let key = ObjectKey::new("inline", "4k.bin");
-    let payload = patterned(9, 4096);
-
-    // Four idle workers are on offer; a virtual round-trip returns at once,
-    // so there is no waiting for them to overlap and nothing is handed over.
-    let pool = rayon::ThreadPool::new(4);
-    pool.install(|| {
-        engine
-            .put(
-                &key,
-                payload.clone().into(),
-                "application/octet-stream",
-                rule(),
-                None,
-            )
-            .unwrap();
-        assert_eq!(engine.get(&key).unwrap().as_ref(), &payload[..]);
-        assert_eq!(
-            engine.get_range(&key, 1000, 500).unwrap().as_ref(),
-            &payload[1000..1500]
-        );
-        engine.delete(&key).unwrap();
-    });
-    assert_eq!(
-        pool.tasks_pushed(),
-        0,
-        "a virtual-time put / get / get_range / delete must run on its caller"
-    );
-    assert!(engine.get(&key).is_err());
-}
-
 /// One seeded run of the three fault shapes the fan-outs must handle — a
 /// provider killed mid-write, a stalled first-ranked provider, a
-/// transport-error storm — reduced to everything a pool could perturb:
+/// transport-error storm — reduced to everything a replay could perturb:
 /// stripings, per-backend op counts, the bill and the recorded makespans.
 fn faulted_virtual_scenario(seed: u64) -> String {
-    let cluster = latency_cluster(seed, false);
+    let cluster = latency_cluster(seed);
     let engine = cluster.engine(0);
     let infra = cluster.infra();
     let put = |name: &str, tag: usize| {
@@ -793,33 +763,28 @@ fn faulted_virtual_scenario(seed: u64) -> String {
 }
 
 #[test]
-fn faulted_virtual_runs_are_identical_across_pool_sizes() {
+fn faulted_virtual_runs_replay_identically() {
     for seed in [5u64, 11] {
-        let runs: Vec<String> = [1usize, 2, 8]
-            .iter()
-            .map(|&workers| {
-                rayon::ThreadPool::new(workers).install(|| faulted_virtual_scenario(seed))
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1], "seed {seed}: pools 1 and 2 diverged");
-        assert_eq!(runs[0], runs[2], "seed {seed}: pools 1 and 8 diverged");
+        assert_eq!(
+            faulted_virtual_scenario(seed),
+            faulted_virtual_scenario(seed),
+            "seed {seed}: two replays diverged"
+        );
     }
 }
 
-#[test]
-fn the_pool_still_overlaps_real_waiting() {
-    use scalia::core::placement::Placement;
-    use scalia::engine::chunk_io::{fetch_chunks, upload};
-    use scalia::erasure::codec::encode_object;
+// ---------------------------------------------------------------------------
+// Real waiting: one thread per round-trip
+// ---------------------------------------------------------------------------
+
+/// Four providers that really sleep a flat `rtt_ms` per request, and the
+/// 3-of-4 placement over them.
+fn real_sleep_infra(rtt_ms: u64) -> (Arc<Infrastructure>, Placement) {
     use scalia::providers::catalog::{s3_high, ProviderCatalog};
     use scalia::providers::latency::LatencyModel;
-    use std::time::{Duration as WallDuration, Instant};
-
-    // Four providers that really sleep a flat 50 ms per request.
-    const RTT_MS: u64 = 50;
     let catalog = ProviderCatalog::shared();
     for i in 0..4u32 {
-        let model = LatencyModel::new(RTT_MS, 0, 0, i as u64);
+        let model = LatencyModel::new(rtt_ms, 0, 0, i as u64);
         catalog.register(s3_high(ProviderId::new(i)).with_latency(model));
     }
     let infra = Infrastructure::new(catalog, 1, Duration::HOUR);
@@ -830,82 +795,78 @@ fn the_pool_still_overlaps_real_waiting() {
         providers: infra.catalog().all(),
         m: 3,
     };
-    let data = patterned(4, 30_000);
-    let encoded = encode_object(&data, placement.erasure_params()).unwrap();
-    let budget = WallDuration::from_millis(2 * RTT_MS);
+    (infra, placement)
+}
 
-    // Sleeping workers need no cores: four chunk PUTs cost one round-trip
-    // of wall time, not four — and a 3-of-4 read one, not three.
-    let pool = rayon::ThreadPool::new(4);
-    pool.install(|| {
-        let started = Instant::now();
-        let chunks = upload(&infra, &placement, "skey-real", &encoded, true).unwrap();
-        let put_took = started.elapsed();
-        assert_eq!(chunks.len(), 4);
-        let stripe = StripeMeta {
-            chunks,
-            m: placement.m,
-            checksum: checksum_hex(&data),
-            skey: "skey-real".to_string(),
-        };
-        assert!(
-            put_took < budget,
-            "a 4-chunk put took {put_took:?}; its round-trips must overlap (< {budget:?})"
-        );
-
-        let started = Instant::now();
-        let size = ByteSize::from_bytes(data.len() as u64);
-        let chunks = fetch_chunks(&infra, &stripe, size).unwrap();
-        let get_took = started.elapsed();
-        assert_eq!(chunks.len(), 3);
-        assert!(
-            get_took < budget,
-            "a 3-of-4 get took {get_took:?}; its fetches must overlap (< {budget:?})"
-        );
-    });
-    assert!(pool.tasks_pushed() >= 7, "real waiting goes to the pool");
+/// Uploads `data` as one stripe of `placement` under `skey`.
+fn upload_stripe(
+    infra: &Infrastructure,
+    placement: &Placement,
+    skey: &str,
+    data: &[u8],
+) -> StripeMeta {
+    let encoded = encode_object(data, placement.erasure_params()).unwrap();
+    StripeMeta {
+        chunks: upload(infra, placement, skey, &encoded, true).unwrap(),
+        m: placement.m,
+        checksum: checksum_hex(data),
+        skey: skey.to_string(),
+    }
 }
 
 #[test]
-fn wall_clock_reads_issued_from_inside_pool_tasks_cannot_starve_each_other() {
-    use std::sync::{mpsc, Arc};
+fn real_sleep_round_trips_overlap() {
+    const RTT_MS: u64 = 50;
+    let (infra, placement) = real_sleep_infra(RTT_MS);
+    let data = patterned(4, 30_000);
+    let budget = WallDuration::from_millis(2 * RTT_MS);
 
-    // Wall-clock mode (zero modelled latency, so nothing actually sleeps):
-    // each read's controller detaches its fetches onto the pool and waits
-    // for them without helping.
-    let cluster = ScaliaCluster::builder()
-        .datacenters(1)
-        .engines_per_datacenter(1)
-        .cache_capacity(ByteSize::ZERO)
-        .build();
-    for backend in cluster.infra().backends() {
-        backend.set_real_sleep(true);
-    }
-    let keys: Vec<ObjectKey> = (0..6)
-        .map(|i| ObjectKey::new("nested", format!("obj{i}")))
-        .collect();
-    for (i, key) in keys.iter().enumerate() {
-        cluster
-            .put(key, patterned(i, 9_000), "image/png", rule(), None)
-            .unwrap();
-    }
+    // Sleeping threads need no cores: four chunk PUTs cost one round-trip
+    // of wall time, not four — and a 3-of-4 read one, not three.
+    let started = Instant::now();
+    let stripe = upload_stripe(&infra, &placement, "skey-real", &data);
+    let put_took = started.elapsed();
+    assert_eq!(stripe.chunks.len(), 4);
+    assert!(
+        put_took < budget,
+        "a 4-chunk put took {put_took:?}; its round-trips must overlap (< {budget:?})"
+    );
 
-    // Six reads from inside the tasks of a 2-worker pool: both workers and
-    // the helping caller become waiting controllers, so no thread is left
-    // to run the fetches they queued — unless a controller runs one itself.
-    let cluster = Arc::new(cluster);
-    let (done, finished) = mpsc::channel();
-    let reader = Arc::clone(&cluster);
-    std::thread::spawn(move || {
-        use rayon::prelude::*;
-        rayon::ThreadPool::new(2).install(|| {
-            keys.par_iter().for_each(|key| {
-                assert_eq!(reader.get(key).unwrap().len(), 9_000);
-            });
-        });
-        done.send(()).unwrap();
-    });
-    finished
-        .recv_timeout(std::time::Duration::from_secs(60))
-        .expect("reads issued from inside pool tasks starved each other");
+    let started = Instant::now();
+    let size = ByteSize::from_bytes(data.len() as u64);
+    let chunks = fetch_chunks(&infra, &stripe, size).unwrap();
+    let get_took = started.elapsed();
+    assert_eq!(chunks.len(), 3);
+    assert!(
+        get_took < budget,
+        "a 3-of-4 get took {get_took:?}; its fetches must overlap (< {budget:?})"
+    );
+}
+
+#[test]
+fn a_stalled_straggler_holds_no_later_read_hostage() {
+    const RTT_MS: u64 = 20;
+    let (infra, placement) = real_sleep_infra(RTT_MS);
+    let data = patterned(6, 30_000);
+    let stripe = upload_stripe(&infra, &placement, "skey-stall", &data);
+    let size = ByteSize::from_bytes(data.len() as u64);
+
+    // The first-ranked provider now takes 1.5 s a request. Every read
+    // hedges past it at its deadline and returns; the straggler it leaves
+    // behind sleeps out the stall on its own thread. More reads than there
+    // are cores run back to back, so a thread shared between stragglers
+    // and later reads would be occupied by the time the last ones start.
+    let stalled = ranked_holders(&infra, &stripe, size)[0];
+    infra.backend(stalled).unwrap().set_stall_us(1_500_000);
+    let reads = std::thread::available_parallelism().map_or(1, |n| n.get()) + 3;
+    for read in 0..reads {
+        let started = Instant::now();
+        let chunks = fetch_chunks(&infra, &stripe, size).unwrap();
+        let took = started.elapsed();
+        assert_eq!(chunks.len(), 3);
+        assert!(
+            took < WallDuration::from_millis(400),
+            "read {read} of {reads} took {took:?} behind the stalled provider's stragglers"
+        );
+    }
 }

@@ -3,7 +3,7 @@
 //! * **Singleton differential** — over classes with exactly one member the
 //!   class-grouped cycle must reproduce the per-object sweep bit for bit:
 //!   same `OptimizationReport`, same migrations, same final placements,
-//!   identical across pool sizes 1/2/8.
+//!   identical when 1, 2 or 8 deployments run the cycle at once.
 //! * **Migration budget** — a tight per-cycle budget defers (never drops)
 //!   beneficial migrations and converges to the unbudgeted placement
 //!   within a bounded number of cycles.
@@ -113,15 +113,28 @@ fn singleton_classes_reproduce_the_per_object_sweep_bit_for_bit() {
     );
 }
 
+/// The pool is gone, so "pool size" here is how many threads run the
+/// cycle at once: 1, 2 and 8 concurrent deployments, each on its own
+/// thread, must all reproduce the per-object sweep and agree with each
+/// other — the cycle reads no state shared across deployments.
 #[test]
 fn singleton_differential_holds_at_every_pool_size() {
     let mut outcomes = Vec::new();
     for workers in [1usize, 2, 8] {
-        let pool = rayon::ThreadPool::new(workers);
-        let class_run = pool.install(|| run_singleton_cycle(false));
-        let object_run = pool.install(|| run_singleton_cycle(true));
-        assert_eq!(class_run, object_run, "differential at pool={workers}");
-        outcomes.push(class_run);
+        let runs: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| s.spawn(|| (run_singleton_cycle(false), run_singleton_cycle(true))))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (class_run, object_run) in &runs {
+            assert_eq!(class_run, object_run, "differential at pool={workers}");
+        }
+        assert!(
+            runs.windows(2).all(|w| w[0] == w[1]),
+            "concurrent runs disagree at pool={workers}"
+        );
+        outcomes.push(runs[0].0.clone());
     }
     assert_eq!(outcomes[0], outcomes[1], "pool=1 vs pool=2");
     assert_eq!(outcomes[0], outcomes[2], "pool=1 vs pool=8");

@@ -17,9 +17,8 @@
 //!
 //! Everything runs in *virtual* time (flat, jitter-free latency models and
 //! stall injection), so every assertion is exact — and the whole scenario
-//! is replayed under pool sizes 1, 2 and 8 and must produce bit-identical
-//! outcomes. CI additionally runs the suite with `SCALIA_POOL_WORKERS=1`
-//! and `RUST_TEST_THREADS=1`.
+//! is replayed and must produce a bit-identical outcome. CI additionally
+//! runs the suite with `RUST_TEST_THREADS=1`.
 
 use std::sync::Arc;
 
@@ -113,7 +112,7 @@ fn drive_period(cluster: &ScaliaCluster, key: &ObjectKey, end_hour: u64) {
     cluster.tick(SimTime::from_hours(end_hour));
 }
 
-/// Everything the limping-provider scenario decides, for exact cross-pool
+/// Everything the limping-provider scenario decides, for exact replay
 /// comparison.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ScenarioOutcome {
@@ -267,15 +266,12 @@ fn limping_provider_loses_placements_and_regains_them_after_recovery() {
 }
 
 #[test]
-fn limping_scenario_is_exact_across_pool_sizes() {
-    let reference = rayon::ThreadPool::new(1).install(run_limping_scenario);
-    for workers in [2usize, 8] {
-        let outcome = rayon::ThreadPool::new(workers).install(run_limping_scenario);
-        assert_eq!(
-            outcome, reference,
-            "scenario outcome diverged at {workers} workers"
-        );
-    }
+fn limping_scenario_replays_exactly() {
+    assert_eq!(
+        run_limping_scenario(),
+        run_limping_scenario(),
+        "the scenario outcome diverged between replays"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -413,17 +409,9 @@ fn adaptive_hedging_beats_fixed_deadlines_when_a_ranked_provider_stalls() {
 }
 
 #[test]
-fn hedged_tail_is_exact_across_pool_sizes() {
-    let reference =
-        rayon::ThreadPool::new(1).install(|| (hedged_read_tail(true), hedged_read_tail(false)));
-    for workers in [2usize, 8] {
-        let outcome = rayon::ThreadPool::new(workers)
-            .install(|| (hedged_read_tail(true), hedged_read_tail(false)));
-        assert_eq!(
-            outcome, reference,
-            "hedged tails diverged at {workers} workers"
-        );
-    }
+fn hedged_tail_replays_exactly() {
+    let run = || (hedged_read_tail(true), hedged_read_tail(false));
+    assert_eq!(run(), run(), "the hedged tails diverged between replays");
 }
 
 // ---------------------------------------------------------------------------

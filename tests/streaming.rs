@@ -4,10 +4,8 @@
 //! commit, and the equivalence of the two ways to feed the one write path.
 //!
 //! The stripe size is shrunk to 1000 bytes so a few-kilobyte payload
-//! exercises many stripes; every scenario is replayed on pools of 1, 2 and
-//! 8 workers where parallelism could change observable state.
+//! exercises many stripes.
 
-use rayon::ThreadPool;
 use scalia::engine::gc;
 use scalia::prelude::*;
 use scalia::providers::backend::{ObjectStore, StoreOp};
@@ -16,7 +14,6 @@ use scalia::types::checksum::{checksum_hex, object_checksum_hex};
 use scalia::types::md5::md5_hex;
 use std::sync::Arc;
 
-const POOL_SIZES: [usize; 3] = [1, 2, 8];
 const STRIPE: u64 = 1000;
 
 /// A flexible rule (lock-in 0.5 ⇒ ≥ 2 providers).
@@ -204,7 +201,7 @@ fn streamed_put_round_trips_with_whole_object_checksum() {
 }
 
 // ---------------------------------------------------------------------------
-// get_range == get()[o..o+l]: property sweep across pool sizes
+// get_range == get()[o..o+l]: property sweep
 // ---------------------------------------------------------------------------
 
 /// Every (offset, len) probe compares `get_range` against the full read's
@@ -260,39 +257,34 @@ fn assert_range_probes(cluster: &ScaliaCluster, key: &ObjectKey, data: &[u8]) {
 }
 
 #[test]
-fn get_range_equals_full_get_slice_across_pool_sizes() {
-    for workers in POOL_SIZES {
-        let pool = ThreadPool::new(workers);
-        pool.install(|| {
-            let cluster = striped_cluster();
-            // An object of several stripes with a partial tail stripe...
-            let striped_key = ObjectKey::new("range", "striped.bin");
-            let striped = payload(7, 4_240);
-            cluster
-                .put(
-                    &striped_key,
-                    striped.clone(),
-                    "application/x-tar",
-                    flex_rule(),
-                    None,
-                )
-                .unwrap();
-            assert_range_probes(&cluster, &striped_key, &striped);
-            // ...and a one-stripe object go through the same sweep.
-            let single_key = ObjectKey::new("range", "single.bin");
-            let single = payload(8, 800);
-            cluster
-                .put(
-                    &single_key,
-                    single.clone(),
-                    "application/x-tar",
-                    flex_rule(),
-                    None,
-                )
-                .unwrap();
-            assert_range_probes(&cluster, &single_key, &single);
-        });
-    }
+fn get_range_equals_full_get_slice() {
+    let cluster = striped_cluster();
+    // An object of several stripes with a partial tail stripe...
+    let striped_key = ObjectKey::new("range", "striped.bin");
+    let striped = payload(7, 4_240);
+    cluster
+        .put(
+            &striped_key,
+            striped.clone(),
+            "application/x-tar",
+            flex_rule(),
+            None,
+        )
+        .unwrap();
+    assert_range_probes(&cluster, &striped_key, &striped);
+    // ...and a one-stripe object go through the same sweep.
+    let single_key = ObjectKey::new("range", "single.bin");
+    let single = payload(8, 800);
+    cluster
+        .put(
+            &single_key,
+            single.clone(),
+            "application/x-tar",
+            flex_rule(),
+            None,
+        )
+        .unwrap();
+    assert_range_probes(&cluster, &single_key, &single);
 }
 
 #[test]
@@ -670,7 +662,7 @@ fn crash_around_the_commit_is_old_or_new_never_torn() {
 }
 
 // ---------------------------------------------------------------------------
-// One write path: `put` and multipart commit the same object, pools 1/2/8
+// One write path: `put` and multipart commit the same object
 // ---------------------------------------------------------------------------
 
 /// The stored bytes of every chunk of a committed object, in stripe then
@@ -709,74 +701,54 @@ fn layout_of(infra: &Infrastructure, meta: &ObjectMeta) -> String {
 }
 
 #[test]
-fn put_and_multipart_commit_the_same_object_at_every_size_and_pool() {
+fn put_and_multipart_commit_the_same_object_at_every_size() {
     let stripe = STRIPE as usize;
     let sizes = [0, 1, stripe - 1, stripe, stripe + 1, 3 * stripe + 417];
-    let mut pinned: Option<Vec<String>> = None;
-    for workers in POOL_SIZES {
-        let pool = ThreadPool::new(workers);
-        let layouts: Vec<String> = pool.install(|| {
-            let cluster = striped_cluster();
-            let engine = cluster.engine(0);
-            let infra = cluster.infra();
-            let mut layouts = Vec::new();
-            for (case, &size) in sizes.iter().enumerate() {
-                let data = payload(31 + case as u64, size);
-                let put_key = ObjectKey::new("one-path", format!("put-{size}.bin"));
-                let put_meta = cluster
-                    .put(
-                        &put_key,
-                        data.clone(),
-                        "application/x-tar",
-                        flex_rule(),
-                        None,
-                    )
-                    .unwrap();
+    let cluster = striped_cluster();
+    let engine = cluster.engine(0);
+    let infra = cluster.infra();
+    for (case, &size) in sizes.iter().enumerate() {
+        let data = payload(31 + case as u64, size);
+        let put_key = ObjectKey::new("one-path", format!("put-{size}.bin"));
+        let put_meta = cluster
+            .put(
+                &put_key,
+                data.clone(),
+                "application/x-tar",
+                flex_rule(),
+                None,
+            )
+            .unwrap();
 
-                // The same bytes in odd-sized parts, none aligned with the
-                // stripe size; the hint makes both price the same class.
-                let mp_key = ObjectKey::new("one-path", format!("multipart-{size}.bin"));
-                let hint = Some(ByteSize::from_bytes(size as u64));
-                let mut upload = engine.begin_put_with_hint(
-                    &mp_key,
-                    "application/x-tar",
-                    flex_rule(),
-                    None,
-                    hint,
-                );
-                for part in data.chunks(337) {
-                    upload.put_part(part).unwrap();
-                }
-                let mp_meta = upload.complete_put().unwrap();
-
-                assert_eq!(
-                    put_meta.striping.stripe_count(),
-                    size.div_ceil(stripe).max(1)
-                );
-                assert_eq!(
-                    put_meta.checksum,
-                    object_checksum_hex(&data, stripe),
-                    "size {size}"
-                );
-                assert_ne!(put_meta.version, mp_meta.version);
-                let layout = layout_of(infra, &put_meta);
-                assert_eq!(
-                    layout,
-                    layout_of(infra, &mp_meta),
-                    "workers={workers} size={size}: put and multipart must commit the same object"
-                );
-                clear_caches(&cluster);
-                assert_eq!(cluster.get(&put_key).unwrap().as_ref(), &data[..]);
-                assert_eq!(cluster.get(&mp_key).unwrap().as_ref(), &data[..]);
-                layouts.push(layout);
-            }
-            layouts
-        });
-        // And the layout is the same at every pool size.
-        match &pinned {
-            None => pinned = Some(layouts),
-            Some(first) => assert_eq!(first, &layouts, "workers={workers}"),
+        // The same bytes in odd-sized parts, none aligned with the
+        // stripe size; the hint makes both price the same class.
+        let mp_key = ObjectKey::new("one-path", format!("multipart-{size}.bin"));
+        let hint = Some(ByteSize::from_bytes(size as u64));
+        let mut upload =
+            engine.begin_put_with_hint(&mp_key, "application/x-tar", flex_rule(), None, hint);
+        for part in data.chunks(337) {
+            upload.put_part(part).unwrap();
         }
+        let mp_meta = upload.complete_put().unwrap();
+
+        assert_eq!(
+            put_meta.striping.stripe_count(),
+            size.div_ceil(stripe).max(1)
+        );
+        assert_eq!(
+            put_meta.checksum,
+            object_checksum_hex(&data, stripe),
+            "size {size}"
+        );
+        assert_ne!(put_meta.version, mp_meta.version);
+        assert_eq!(
+            layout_of(infra, &put_meta),
+            layout_of(infra, &mp_meta),
+            "size {size}: put and multipart must commit the same object"
+        );
+        clear_caches(&cluster);
+        assert_eq!(cluster.get(&put_key).unwrap().as_ref(), &data[..]);
+        assert_eq!(cluster.get(&mp_key).unwrap().as_ref(), &data[..]);
     }
 }
 
@@ -1043,48 +1015,41 @@ fn a_put_that_cannot_land_its_tail_rolls_back_every_landed_stripe() {
 }
 
 // ---------------------------------------------------------------------------
-// Pool-size independence of the whole streamed pipeline
+// Replays of the whole streamed pipeline
 // ---------------------------------------------------------------------------
 
 #[test]
-fn streamed_objects_are_bit_equal_across_pool_sizes() {
-    // The staged pipeline (encode k+1 while k uploads) must not let pool
-    // scheduling leak into committed state: stripe digests, stripe shapes
-    // and payload round-trips agree exactly across 1, 2 and 8 workers.
-    let digests: Vec<String> = POOL_SIZES
-        .iter()
-        .map(|&workers| {
-            let pool = ThreadPool::new(workers);
-            pool.install(|| {
-                let cluster = striped_cluster();
-                let mut lines = Vec::new();
-                for (tag, len) in [(41u64, 3_000usize), (42, 4_240), (43, 9_999)] {
-                    let key = ObjectKey::new("pools", format!("obj-{tag}"));
-                    let data = payload(tag, len);
-                    let meta = cluster
-                        .put(&key, data.clone(), "application/x-tar", flex_rule(), None)
-                        .unwrap();
-                    clear_caches(&cluster);
-                    assert_eq!(cluster.get(&key).unwrap().as_ref(), &data[..]);
-                    let stripe_lines: Vec<String> = meta
-                        .striping
-                        .stripes
-                        .iter()
-                        .map(|s| format!("m={} n={} checksum={}", s.m, s.n(), s.checksum))
-                        .collect();
-                    lines.push(format!(
-                        "{tag}: checksum={} size={} stripes=[{}]",
-                        meta.checksum,
-                        meta.size.bytes(),
-                        stripe_lines.join(", ")
-                    ));
-                }
-                lines.join("\n")
-            })
-        })
-        .collect();
-    assert_eq!(digests[0], digests[1], "pools 1 and 2 diverged");
-    assert_eq!(digests[0], digests[2], "pools 1 and 8 diverged");
+fn streamed_objects_replay_bit_equal() {
+    // Committed state — stripe digests, stripe shapes and payload
+    // round-trips — is a function of the puts alone: two replays on fresh
+    // deployments agree exactly.
+    let run = || {
+        let cluster = striped_cluster();
+        let mut lines = Vec::new();
+        for (tag, len) in [(41u64, 3_000usize), (42, 4_240), (43, 9_999)] {
+            let key = ObjectKey::new("replays", format!("obj-{tag}"));
+            let data = payload(tag, len);
+            let meta = cluster
+                .put(&key, data.clone(), "application/x-tar", flex_rule(), None)
+                .unwrap();
+            clear_caches(&cluster);
+            assert_eq!(cluster.get(&key).unwrap().as_ref(), &data[..]);
+            let stripe_lines: Vec<String> = meta
+                .striping
+                .stripes
+                .iter()
+                .map(|s| format!("m={} n={} checksum={}", s.m, s.n(), s.checksum))
+                .collect();
+            lines.push(format!(
+                "{tag}: checksum={} size={} stripes=[{}]",
+                meta.checksum,
+                meta.size.bytes(),
+                stripe_lines.join(", ")
+            ));
+        }
+        lines.join("\n")
+    };
+    assert_eq!(run(), run(), "two replays diverged");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,11 @@
 //! Integration tests of the traffic harness: the seeded 100k-op
-//! multi-tenant trace pinned bit-identical across rayon pool sizes 1/2/8,
-//! admission control bounding the tail under a flash crowd (rejecting, not
+//! multi-tenant trace pinned to one outcome digest, admission control bounding the tail under a flash crowd (rejecting, not
 //! dropping), weighted per-tenant fairness under saturation, durability of
 //! acked writes across a mid-burst provider outage, and the price-drop
 //! mass-migration event.
 
-use rayon::ThreadPool;
 use scalia::prelude::*;
 use scalia::sim::traffic::{object_key, replay_trace, replay_trace_on, traffic_cluster};
-
-const POOL_SIZES: [usize; 3] = [1, 2, 8];
 
 /// The pinned outcome digest of [`digest_spec`]'s 100k-op trace. Every
 /// field of every tenant's report (counters, bytes, latency percentiles,
@@ -72,7 +68,7 @@ fn digest_spec() -> TrafficSpec {
 }
 
 #[test]
-fn hundred_k_op_trace_replays_bit_identically_across_pools() {
+fn hundred_k_op_trace_replays_to_its_pinned_digest() {
     let spec = digest_spec();
     let trace = generate_trace(&spec);
     assert!(
@@ -80,27 +76,14 @@ fn hundred_k_op_trace_replays_bit_identically_across_pools() {
         "expected ~100k ops, got {}",
         trace.len()
     );
-    let mut digests = Vec::new();
-    for workers in POOL_SIZES {
-        let pool = ThreadPool::new(workers);
-        let outcome = pool.install(|| replay_trace(&spec, &trace));
-        assert_eq!(
-            outcome.report.total_submitted(),
-            trace.len() as u64,
-            "every trace op must be accounted for ({workers} workers)"
-        );
-        digests.push(outcome.digest);
-    }
+    let outcome = replay_trace(&spec, &trace);
     assert_eq!(
-        digests[0], digests[1],
-        "pool size must not change the outcome"
+        outcome.report.total_submitted(),
+        trace.len() as u64,
+        "every trace op must be accounted for"
     );
     assert_eq!(
-        digests[1], digests[2],
-        "pool size must not change the outcome"
-    );
-    assert_eq!(
-        digests[0], PINNED_DIGEST,
+        outcome.digest, PINNED_DIGEST,
         "the seeded 100k-op replay outcome changed"
     );
 }
@@ -395,22 +378,15 @@ fn a_price_drop_mid_trace_triggers_mass_migration_without_breaking_reads() {
 }
 
 #[test]
-fn a_price_drop_migration_replays_identically_at_every_pool_size() {
+fn a_price_drop_migration_replays_to_its_pinned_digest() {
     // The migrations run on the optimizer's caller in savings order, so
     // their version draws — and the latency trajectories that follow —
-    // cannot depend on how many workers the pool has, or on how the OS
-    // schedules them: ten replays per pool size, one digest.
+    // are a function of the trace alone.
     let spec = price_drop_spec();
-    let trace = generate_trace(&spec);
-    for workers in POOL_SIZES {
-        let pool = ThreadPool::new(workers);
-        for replay in 0..10 {
-            let outcome = pool.install(|| replay_trace(&spec, &trace));
-            assert!(outcome.migrations > 0, "the price drop must migrate");
-            assert_eq!(
-                outcome.digest, PRICE_DROP_DIGEST,
-                "{workers} workers, replay {replay}: the price-drop outcome changed"
-            );
-        }
-    }
+    let outcome = replay_trace(&spec, &generate_trace(&spec));
+    assert!(outcome.migrations > 0, "the price drop must migrate");
+    assert_eq!(
+        outcome.digest, PRICE_DROP_DIGEST,
+        "the price-drop outcome changed"
+    );
 }
