@@ -73,7 +73,7 @@ fn gf256_section() -> serde_json::Value {
                 black_box(acc[0]);
             });
             tiers.insert(
-                kernel.name().to_string(),
+                kernel.name().into(),
                 serde_json::json!(gib_per_sec(len, us)),
             );
         }

@@ -3,14 +3,15 @@
 //! Experiment binaries and Criterion benchmarks for the Scalia
 //! reproduction.
 //!
-//! Each `fig*` binary regenerates the data behind one table or figure of the
-//! paper's evaluation (see `DESIGN.md` §4 for the full index); the Criterion
-//! benches in `benches/` measure the performance of the system itself
-//! (placement search, erasure coding, trend detection, metadata store,
-//! end-to-end engine throughput).
+//! Each `fig*` binary in `src/bin/` regenerates the data behind one table or
+//! figure of the paper's evaluation, named by its figure number (`fig14_…`
+//! is Fig. 14); the benches in `benches/` time kernels of the system itself
+//! (`raw_speed`: GF(256), Reed–Solomon parity, XXH64 and placement search,
+//! with its gates; `erasure`, `placement`, `trend`). End-to-end performance
+//! is measured by the benchmark package under `benchmark/`.
 
 /// Prints a section header used by all experiment binaries, so their output
-/// is easy to scan and to diff against `EXPERIMENTS.md`.
+/// is easy to scan and to diff between runs.
 pub fn header(figure: &str, title: &str) {
     println!("==============================================================");
     println!("{figure} — {title}");

@@ -32,6 +32,10 @@
 //! column of every replica point at that one allocation, so a replicated
 //! put allocates its value tree once — when the caller built it. Cells are
 //! immutable once stored, so the sharing is never observable.
+//!
+//! The journal keeps every record, so each put holds its tree here for
+//! the life of the store: for a small object's metadata, 19 allocations
+//! and ≈ 2.1 KB of heap (see [`Cell`]).
 
 use crate::model::{Cell, Row, Timestamp};
 use parking_lot::Mutex;

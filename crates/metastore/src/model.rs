@@ -37,6 +37,15 @@ impl Timestamp {
 }
 
 /// One version of a column value.
+///
+/// The value is a `serde_json::Value` tree, kept for as long as its version
+/// is: in the column, and in the journal record that logged it. A tree
+/// costs what it holds — each object's members sit in one exact-size
+/// vector and derived field names are static strings — so the
+/// `ObjectMeta` of a one-stripe 3-of-4 object is 19 allocations and
+/// ≈ 2.1 KB of heap (≈ 600 B as JSON text), and a 16-stripe 4-of-5 one
+/// 155 allocations and ≈ 17.6 KB (`Value::heap_bytes`, pinned by
+/// `scalia-types`' `meta_footprint` tests).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Cell {
     /// The stored value (JSON so heterogeneous metadata fits one model).

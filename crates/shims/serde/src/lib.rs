@@ -7,14 +7,145 @@
 //! sibling `serde_derive` shim). The derive output is wire-compatible with
 //! serde_json's external enum tagging for the shapes used in this workspace
 //! (named structs, newtype structs, unit/struct/tuple enum variants).
+//!
+//! A value tree costs what it holds. Every stored version of an object's
+//! metadata is one such tree, so an object [`Map`] is a single key-sorted
+//! vector of `(key, value)` pairs at its exact size, and a field name the
+//! code knows at compile time is a borrowed `&'static str`: a derived
+//! struct allocates its entry vector and the values it holds, and nothing
+//! per field name.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// Object representation: sorted keys, deterministic iteration order.
-pub type Map = BTreeMap<String, Value>;
+/// A JSON object: `(key, value)` pairs in one vector, sorted by key with
+/// no duplicates, so iteration, equality and [`Display`](fmt::Display)
+/// follow key order as a `BTreeMap<String, Value>` would, and inserting an
+/// existing key replaces its value (last insert wins).
+///
+/// Keys are `Cow<'static, str>`: a literal key (`"size".into()`, a derived
+/// field name, a `json!` key) borrows the binary's string, and only a key
+/// made at run time owns a `String`. Lookups and inserts binary-search the
+/// vector; `#[derive(Serialize)]` hands over its entries already sorted,
+/// at their exact count.
+#[derive(Clone, PartialEq, Default)]
+pub struct Map {
+    entries: Vec<(Cow<'static, str>, Value)>,
+}
+
+impl Map {
+    /// An empty map; allocates nothing until the first insert.
+    pub fn new() -> Self {
+        Map::default()
+    }
+
+    /// An empty map with room for `capacity` entries.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Map {
+            entries: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Implementation helper for `#[derive(Serialize)]` — not public API.
+    /// `entries` must already be sorted by key, without duplicates, which
+    /// the derive guarantees by sorting field names at expansion time.
+    #[doc(hidden)]
+    pub fn __from_sorted(entries: Vec<(Cow<'static, str>, Value)>) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        Map { entries }
+    }
+
+    fn position(&self, key: &str) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| (**k).cmp(key))
+    }
+
+    /// Inserts `value` under `key`, returning the value it replaced.
+    pub fn insert(&mut self, key: Cow<'static, str>, value: Value) -> Option<Value> {
+        match self.position(&key) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Err(i) => {
+                self.entries.insert(i, (key, value));
+                None
+            }
+        }
+    }
+
+    /// The value under `key`, if any.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.position(key).ok().map(|i| &self.entries[i].1)
+    }
+
+    /// Whether `key` is present.
+    pub fn contains_key(&self, key: &str) -> bool {
+        self.position(key).is_ok()
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the map has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Entries in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
+        self.entries.iter().map(|(k, v)| (&**k, v))
+    }
+
+    /// Keys in order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.entries.iter().map(|(k, _)| &**k)
+    }
+
+    /// Heap bytes this map owns: its entry vector at capacity, the keys it
+    /// owns and every value below it (see [`Value::heap_bytes`]).
+    fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<(Cow<'static, str>, Value)>()
+            + self
+                .entries
+                .iter()
+                .map(|(k, v)| {
+                    let key = match k {
+                        Cow::Borrowed(_) => 0,
+                        Cow::Owned(s) => s.capacity(),
+                    };
+                    key + v.heap_bytes()
+                })
+                .sum::<usize>()
+    }
+}
+
+/// Collects in any order; a repeated key keeps its last value.
+impl<K: Into<Cow<'static, str>>> FromIterator<(K, Value)> for Map {
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
+        let mut entries: Vec<(Cow<'static, str>, Value)> =
+            iter.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        // Stable, so equal keys stay in insertion order; each run of them
+        // then collapses onto its first slot carrying the last value.
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            same
+        });
+        entries.shrink_to_fit();
+        Map { entries }
+    }
+}
+
+impl fmt::Debug for Map {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
 
 /// A JSON-like dynamically typed value.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -126,6 +257,21 @@ impl Value {
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
+
+    /// Heap bytes this tree owns, counted from capacities: what its
+    /// strings, arrays and maps hold allocated, excluding `self`'s own
+    /// inline size and the allocator's per-block overhead.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            Value::Null | Value::Bool(_) | Value::Number(_) => 0,
+            Value::String(s) => s.capacity(),
+            Value::Array(a) => {
+                a.capacity() * std::mem::size_of::<Value>()
+                    + a.iter().map(Value::heap_bytes).sum::<usize>()
+            }
+            Value::Object(m) => m.heap_bytes(),
+        }
+    }
 }
 
 impl PartialEq<&str> for Value {
@@ -181,6 +327,37 @@ impl std::ops::Index<&str> for Value {
     }
 }
 
+/// Writes `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped (`\n`, `\u0001`, ...), everything else verbatim.
+fn write_json_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    let mut start = 0;
+    for (i, c) in s.char_indices() {
+        let short = match c {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            '\t' => Some("\\t"),
+            '\u{8}' => Some("\\b"),
+            '\u{c}' => Some("\\f"),
+            c if c < ' ' => None,
+            _ => continue,
+        };
+        f.write_str(&s[start..i])?;
+        match short {
+            Some(escape) => f.write_str(escape)?,
+            None => write!(f, "\\u{:04x}", c as u32)?,
+        }
+        start = i + c.len_utf8();
+    }
+    f.write_str(&s[start..])?;
+    f.write_str("\"")
+}
+
+/// Compact JSON text. Object members come in key order, integers print
+/// exactly, a float prints as Rust's shortest round-trip form, and a
+/// non-finite float (which JSON cannot carry) prints as `null`.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -188,8 +365,9 @@ impl fmt::Display for Value {
             Value::Bool(b) => write!(f, "{b}"),
             Value::Number(Number::PosInt(v)) => write!(f, "{v}"),
             Value::Number(Number::NegInt(v)) => write!(f, "{v}"),
-            Value::Number(Number::Float(v)) => write!(f, "{v}"),
-            Value::String(s) => write!(f, "{s:?}"),
+            Value::Number(Number::Float(v)) if v.is_finite() => write!(f, "{v}"),
+            Value::Number(Number::Float(_)) => write!(f, "null"),
+            Value::String(s) => write_json_str(f, s),
             Value::Array(a) => {
                 write!(f, "[")?;
                 for (i, v) in a.iter().enumerate() {
@@ -206,7 +384,8 @@ impl fmt::Display for Value {
                     if i > 0 {
                         write!(f, ",")?;
                     }
-                    write!(f, "{k:?}:{v}")?;
+                    write_json_str(f, k)?;
+                    write!(f, ":{v}")?;
                 }
                 write!(f, "}}")
             }
@@ -414,8 +593,14 @@ impl<T: Deserialize> Deserialize for BTreeMap<String, T> {
             .as_object()
             .ok_or_else(|| Error::custom("expected object"))?
             .iter()
-            .map(|(k, v)| T::deserialize(v).map(|v| (k.clone(), v)))
+            .map(|(k, v)| T::deserialize(v).map(|v| (k.to_string(), v)))
             .collect()
+    }
+}
+
+impl Serialize for Map {
+    fn serialize(&self) -> Value {
+        Value::Object(self.clone())
     }
 }
 
@@ -462,5 +647,104 @@ mod tests {
     fn u64_roundtrip_is_exact() {
         let big = u64::MAX - 3;
         assert_eq!(u64::deserialize(&big.serialize()).unwrap(), big);
+    }
+
+    #[test]
+    fn display_writes_json_escapes_and_null_for_non_finite_floats() {
+        let mut map = Map::new();
+        map.insert("s".into(), Value::String("a\u{1}b".into()));
+        map.insert("nan".into(), Value::Number(Number::Float(f64::NAN)));
+        map.insert("inf".into(), Value::Number(Number::Float(f64::INFINITY)));
+        map.insert(
+            "k\"\n\u{0}".into(),
+            Value::String("\\\t\u{8}\u{c}\r".into()),
+        );
+        assert_eq!(
+            Value::Object(map).to_string(),
+            r#"{"inf":null,"k\"\n\u0000":"\\\t\b\f\r","nan":null,"s":"a\u0001b"}"#
+        );
+        // Printable ASCII, quotes and backslashes included, reads as before.
+        let printable: String = (' '..='~').collect();
+        assert_eq!(
+            Value::String(printable.clone()).to_string(),
+            format!("{printable:?}")
+        );
+        assert_eq!(Value::Number(Number::Float(2.5)).to_string(), "2.5");
+    }
+
+    /// Runtime and static keys, with prefixes of one another, a control
+    /// character and a non-ASCII letter, so the order is by bytes.
+    const KEYS: [&str; 10] = [
+        "", "a", "aa", "ab", "b", "B", "a\u{1}", "k10", "k2", "\u{e9}",
+    ];
+
+    fn key(pick: u8) -> Cow<'static, str> {
+        let key = KEYS[pick as usize % KEYS.len()];
+        if pick & 0x80 == 0 {
+            Cow::Borrowed(key)
+        } else {
+            Cow::Owned(key.to_string())
+        }
+    }
+
+    fn oracle_text(oracle: &BTreeMap<String, Value>) -> String {
+        let members: Vec<String> = oracle
+            .iter()
+            .map(|(k, v)| format!("{}:{v}", Value::String(k.clone())))
+            .collect();
+        format!("{{{}}}", members.join(","))
+    }
+
+    fn assert_matches(map: &Map, oracle: &BTreeMap<String, Value>) {
+        assert_eq!(map.len(), oracle.len());
+        assert_eq!(map.is_empty(), oracle.is_empty());
+        for k in KEYS {
+            assert_eq!(map.get(k), oracle.get(k));
+            assert_eq!(map.contains_key(k), oracle.contains_key(k));
+        }
+        assert!(map.iter().eq(oracle.iter().map(|(k, v)| (k.as_str(), v))));
+        assert!(map.keys().eq(oracle.keys().map(String::as_str)));
+        assert_eq!(Value::Object(map.clone()).to_string(), oracle_text(oracle));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn map_matches_a_btreemap_oracle(
+            // Each draw packs an op (`draw % 3`), a key pick (bits 8..16)
+            // and a value (the bits above).
+            ops in proptest::collection::vec(proptest::any::<u64>(), 0..40),
+            pairs in proptest::collection::vec(proptest::any::<u64>(), 0..24),
+        ) {
+            let mut map = Map::new();
+            let mut oracle = BTreeMap::new();
+            for &draw in &ops {
+                let (k, n) = (key((draw >> 8) as u8), draw >> 16);
+                match draw % 3 {
+                    0 | 1 => {
+                        let v = n.serialize();
+                        proptest::prop_assert_eq!(
+                            map.insert(k.clone(), v.clone()),
+                            oracle.insert(k.into_owned(), v)
+                        );
+                    }
+                    _ => proptest::prop_assert_eq!(map.get(&k), oracle.get(&*k)),
+                }
+                assert_matches(&map, &oracle);
+            }
+
+            let pair = |draw: u64| (key(draw as u8), (draw >> 8).serialize());
+            let collected: Map = pairs.iter().map(|&draw| pair(draw)).collect();
+            let oracle: BTreeMap<String, Value> = pairs
+                .iter()
+                .map(|&draw| {
+                    let (k, v) = pair(draw);
+                    (k.into_owned(), v)
+                })
+                .collect();
+            assert_matches(&collected, &oracle);
+            proptest::prop_assert_eq!(collected.entries.capacity(), collected.len());
+        }
     }
 }

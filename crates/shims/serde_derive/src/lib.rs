@@ -244,18 +244,38 @@ fn parse_variants(body: TokenStream) -> Vec<Variant> {
 // Code generation
 // ---------------------------------------------------------------------------
 
+/// An expression building a `::serde::Value::Object` from `(key, value
+/// expression)` pairs: the keys are sorted here, at expansion time, and
+/// borrowed as `&'static str`, so the map is built at its exact size by
+/// appends, with no search and no allocation per key.
+fn object_expr(mut entries: Vec<(&str, String)>) -> String {
+    entries.sort_by(|a, b| a.0.cmp(b.0));
+    let entries: Vec<String> = entries
+        .iter()
+        .map(|(key, value)| format!("(::std::borrow::Cow::Borrowed(\"{key}\"), {value})"))
+        .collect();
+    format!(
+        "::serde::Value::Object(::serde::Map::__from_sorted(::std::vec![{}]))",
+        entries.join(", ")
+    )
+}
+
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let shape = parse_item(input);
     let code = match &shape {
         Shape::NamedStruct { name, fields } => {
-            let mut body = String::from("let mut map = ::serde::Map::new();\n");
-            for f in fields {
-                body.push_str(&format!(
-                    "map.insert(\"{f}\".to_string(), ::serde::Serialize::serialize(&self.{f}));\n"
-                ));
-            }
-            body.push_str("::serde::Value::Object(map)");
+            let body = object_expr(
+                fields
+                    .iter()
+                    .map(|f| {
+                        (
+                            f.as_str(),
+                            format!("::serde::Serialize::serialize(&self.{f})"),
+                        )
+                    })
+                    .collect(),
+            );
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
                      fn serialize(&self) -> ::serde::Value {{\n{body}\n}}\n\
@@ -287,18 +307,18 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                     )),
                     VariantKind::Named(fields) => {
                         let pat: Vec<&str> = fields.iter().map(String::as_str).collect();
-                        let mut inner = String::from("let mut inner = ::serde::Map::new();\n");
-                        for f in fields {
-                            inner.push_str(&format!(
-                                "inner.insert(\"{f}\".to_string(), ::serde::Serialize::serialize({f}));\n"
-                            ));
-                        }
+                        let inner = object_expr(
+                            fields
+                                .iter()
+                                .map(|f| {
+                                    (f.as_str(), format!("::serde::Serialize::serialize({f})"))
+                                })
+                                .collect(),
+                        );
                         arms.push_str(&format!(
-                            "{name}::{vn} {{ {} }} => {{\n{inner}\
-                             let mut outer = ::serde::Map::new();\n\
-                             outer.insert(\"{vn}\".to_string(), ::serde::Value::Object(inner));\n\
-                             ::serde::Value::Object(outer)\n}}\n",
-                            pat.join(", ")
+                            "{name}::{vn} {{ {} }} => {},\n",
+                            pat.join(", "),
+                            object_expr(vec![(vn, inner)])
                         ));
                     }
                     VariantKind::Tuple(arity) => {
@@ -313,11 +333,9 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                             format!("::serde::Value::Array(vec![{}])", elems.join(", "))
                         };
                         arms.push_str(&format!(
-                            "{name}::{vn}({}) => {{\n\
-                             let mut outer = ::serde::Map::new();\n\
-                             outer.insert(\"{vn}\".to_string(), {value});\n\
-                             ::serde::Value::Object(outer)\n}}\n",
-                            binds.join(", ")
+                            "{name}::{vn}({}) => {},\n",
+                            binds.join(", "),
+                            object_expr(vec![(vn, value)])
                         ));
                     }
                 }
@@ -432,7 +450,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                              }},\n\
                              ::serde::Value::Object(m) => {{\n\
                                  let (key, inner) = m.iter().next().ok_or_else(|| ::serde::Error::custom(\"empty variant object for {name}\"))?;\n\
-                                 match key.as_str() {{\n{keyed_arms}\
+                                 match key {{\n{keyed_arms}\
                                      other => ::std::result::Result::Err(::serde::Error::custom(format!(\"unknown variant {{other}} of {name}\"))),\n\
                                  }}\n\
                              }}\n\

@@ -31,8 +31,9 @@ macro_rules! json {
     };
     ({ $($key:literal : $value:expr),* $(,)? }) => {{
         #[allow(unused_mut)]
-        let mut map = $crate::Map::new();
-        $( map.insert($key.to_string(), $crate::__to_value(&$value)); )*
+        // Sized to the key count, so the map is built at its exact size.
+        let mut map = $crate::Map::with_capacity(<[&str]>::len(&[$($key),*]));
+        $( map.insert($key.into(), $crate::__to_value(&$value)); )*
         $crate::Value::Object(map)
     }};
     ($other:expr) => { $crate::__to_value(&$other) };
