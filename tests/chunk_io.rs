@@ -773,6 +773,21 @@ fn faulted_virtual_runs_replay_identically() {
     }
 }
 
+/// The faulted scenario's digests, pinned across builds: a change to the
+/// fan-outs or the hedged read that moves a launch, a bill or a makespan
+/// moves these.
+#[test]
+fn faulted_virtual_runs_match_their_pinned_digests() {
+    for (seed, pinned) in [(5u64, "cf16a40c496852f5"), (11, "a654b232ff8f7eae")] {
+        let scenario = faulted_virtual_scenario(seed);
+        assert_eq!(
+            checksum_hex(scenario.as_bytes()),
+            pinned,
+            "seed {seed}:\n{scenario}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Real waiting: one thread per round-trip
 // ---------------------------------------------------------------------------
