@@ -7,24 +7,22 @@
 //! observe a slow provider at all. All four call sites (write, read, delete
 //! and the repair/migration path through
 //! [`crate::engine::Engine::replace_placement`]) now route through this
-//! module, one stripe — one erasure group — at a time; it fans a group's
-//! round-trips out so that the group costs its slowest member, not their
-//! sum — one thread per round-trip when a provider really waits, on the
-//! calling thread when latency is virtual (see "Virtual time, real time"
-//! below):
+//! module, one stripe — one erasure group — at a time. A group's
+//! round-trips are concurrent in virtual time, so the group costs its
+//! slowest member, not their sum (see "Virtual time" below):
 //!
 //! * [`upload`] — **fanned-out upload** of one already-encoded stripe, one
-//!   round-trip per chunk. *Strict* (every first landing attempt):
-//!   abort-on-first-hard-failure — the first provider error flips an abort
-//!   flag (uploads not yet started are skipped) — and every chunk must land.
-//!   *Tolerant* (the degraded landing, once re-placement is exhausted):
-//!   every chunk is attempted and the stripe survives with any `k ≥ m` of
-//!   its `n` chunks; the caller decides whether the surviving subset clears
-//!   the rule's availability floor. Short of what it needs, either rolls
-//!   back every chunk that did land (deleted, or queued as a postponed
-//!   delete if the provider is unreachable) and returns the failing
-//!   provider — already reported to the failure detector — so the write can
-//!   be re-placed on the remaining providers.
+//!   round-trip per chunk. *Strict* (every first landing attempt): the
+//!   first provider error stops the upload — later chunks are not sent —
+//!   and every chunk must land. *Tolerant* (the degraded landing, once
+//!   re-placement is exhausted): every chunk is attempted and the stripe
+//!   survives with any `k ≥ m` of its `n` chunks; the caller decides
+//!   whether the surviving subset clears the rule's availability floor.
+//!   Short of what it needs, either rolls back every chunk that did land
+//!   (deleted, or queued as a postponed delete if the provider is
+//!   unreachable) and returns the failing provider — already reported to
+//!   the failure detector — so the write can be re-placed on the remaining
+//!   providers.
 //! * [`fetch_chunks`] — **hedged first-`m`-of-`n` read**: the best `m`
 //!   providers are raced — ranked by expected read latency
 //!   ([`ProviderDescriptor::read_latency_us`], the function placement
@@ -32,12 +30,11 @@
 //!   otherwise), with the read-price order breaking latency ties — so a
 //!   provider the last tick saw being slow is demoted to parity rank while
 //!   a latency-free catalog keeps the seed's exact price order. The moment
-//!   any ranked fetch errors, or exceeds its hedge deadline — the published
+//!   any raced fetch errors, or outlives its hedge deadline — the published
 //!   p95, [`HEDGE_MULTIPLIER`] × the modelled latency while none is
 //!   published ([`hedge_deadline_us`]) — the next-ranked parity provider is
 //!   promoted into the race. The read returns as soon as `m` chunks are in
-//!   hand — in wall-clock mode a straggler keeps running on its own thread
-//!   and simply finds its result unneeded. Every outcome feeds the
+//!   hand; a straggler's reply is simply unneeded. Every outcome feeds the
 //!   failure detector (§III-D3); every success, and every provider the
 //!   ranking put behind the raced `m`, feeds the observatory
 //!   ([`Infrastructure::with_observatory`]), which the next clock advance
@@ -64,40 +61,36 @@
 //! ([`scalia_erasure::codec::decode_object_into`]) and then hashed. A
 //! mismatch fails the read closed; it is never served and never cached.
 //!
-//! # Virtual time, real time
+//! # Virtual time
 //!
-//! Latencies are *virtual* by default: deterministic microseconds from each
-//! provider's [`scalia_providers::latency::LatencyModel`], a function of
-//! `(key, bytes)`. A virtual round-trip is a map insert and a counter bump
-//! that *reports* how long it would have taken: there is no waiting to
-//! overlap, and handing it to another thread costs a spawn and a join for
-//! nothing. Every fan-out of this module (`fan_out`,
-//! the hedged read's launches) therefore runs virtual round-trips **on the
-//! calling thread, in input order**.
+//! Latencies are *virtual*: deterministic microseconds from each provider's
+//! [`scalia_providers::latency::LatencyModel`], a function of `(key,
+//! bytes)`. A round-trip is a map insert and a counter bump that *reports*
+//! how long it would have taken; nothing waits. Every round-trip therefore
+//! runs on the calling thread, in order, and a fan-out's recorded makespan
+//! is its slowest member.
+//!
+//! The hedged read is one discrete-event loop over that virtual time. Each
+//! launch runs its fetch at once — side effects (bills, detector reports,
+//! observations) happen in launch order — and schedules the fetch's
+//! *reply* at `start + latency` and, when the latency outlives the
+//! deadline, its *deadline* at `start + deadline`. The loop pops events in
+//! time order (at one instant a reply before a deadline, then by launch):
+//! a deadline, or a reply carrying an error, promotes the next-ranked
+//! candidate at that instant, and the read ends at the reply that puts the
+//! `m`-th chunk in hand. A fetch is replaced at most once — an erroring
+//! fetch that already passed its deadline was replaced there — and no
+//! deadline that passes after the read is served launches anything.
 //!
 //! What a round-trip observes is recorded, never read back within the tick:
 //! read ranking (from the catalog descriptors) and every hedge deadline
 //! (from the observatory's view) come from what the last clock advance
 //! published (see "One latency view per tick" in [`crate::infra`]), not
-//! from the live observation windows. An
-//! operation's hedging timeline, its recorded makespan and the bills it
-//! causes are therefore a function of its inputs and the last tick alone —
-//! the same whether it ran first or last in its tick, on one client thread
-//! or several; an aborted upload skips precisely the chunks after the
-//! failed one.
-//!
-//! Other threads are used when, and only when, a participating backend
-//! really waits in wall-clock time
-//! ([`scalia_providers::backend::SimulatedStore::real_sleep_enabled`] — the
-//! `SCALIA_LATENCY_REAL_SLEEP` CI step, what a networked backend would
-//! report). Each round-trip then gets a `std::thread` of its own — a
-//! round-trip takes milliseconds, a spawn tens of microseconds, and a
-//! sleeping thread needs no core: `fan_out` runs a group's round-trips on
-//! scoped threads and joins them, and the read controller detaches each
-//! fetch onto its own thread and hedges by wall clock — it parks on a
-//! condvar and promotes parity when a ranked fetch blows its real
-//! deadline. No fetch waits behind another for a thread, so a stalled
-//! provider can hold neither its own read nor any later one hostage.
+//! from the live observation windows. An operation's hedging timeline, its
+//! recorded makespan and the bills it causes are therefore a function of
+//! its inputs and the last tick alone — the same whether it ran first or
+//! last in its tick, on one client thread or several; a strict upload that
+//! fails skips precisely the chunks after the failed one.
 //!
 //! The object-level makespans (critical path of the fan-out, not the sum of
 //! round-trips) are recorded into the deployment-wide per-operation latency
@@ -108,7 +101,7 @@ use bytes::Bytes;
 use scalia_core::cost::{cheapest_read_providers, chunk_bytes_for};
 use scalia_core::placement::Placement;
 use scalia_erasure::codec::{decode_object_append, Chunk, EncodedObject};
-use scalia_providers::backend::{SimulatedStore, StoreOp};
+use scalia_providers::backend::StoreOp;
 use scalia_providers::descriptor::ProviderDescriptor;
 use scalia_providers::observatory::LatencyView;
 use scalia_types::checksum::{parse_checksum_hex, Xxh64};
@@ -117,10 +110,9 @@ use scalia_types::ids::ProviderId;
 use scalia_types::object::{ChunkLocation, ObjectMeta, StripeMeta};
 use scalia_types::size::ByteSize;
 use scalia_types::ErasureParams;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 /// A hedge deadline is this multiple of a latency estimate: of the modelled
 /// latency while no p95 is published, and of the published write p95.
@@ -195,91 +187,22 @@ impl From<WriteFailure> for ScaliaError {
 }
 
 // ---------------------------------------------------------------------------
-// Fan-out
-// ---------------------------------------------------------------------------
-
-/// Stack size of a round-trip thread. A round-trip is a few shallow calls,
-/// and the 2 MiB default made a spawn and join about three times dearer on
-/// the 2-vCPU build host (≈ 220 µs against ≈ 70 µs at 256 KiB) — a cost a
-/// store that really sleeps a short latency pays on every round-trip.
-const ROUND_TRIP_STACK_BYTES: usize = 256 << 10;
-
-fn round_trip_thread() -> std::thread::Builder {
-    std::thread::Builder::new().stack_size(ROUND_TRIP_STACK_BYTES)
-}
-
-/// Runs one provider round-trip per job — `round_trip(backend, provider,
-/// item)`, the backend resolved here — and returns the results in input
-/// order. If one of the backends really waits in wall-clock time, the first
-/// job runs on the calling thread and every other on a scoped thread of its
-/// own, so the waits overlap; otherwise there is nothing to overlap and the
-/// jobs run on the calling thread, in order (see "Virtual time, real time"
-/// in the module docs).
-fn fan_out<T: Sync, R: Send>(
-    infra: &Infrastructure,
-    jobs: &[(ProviderId, T)],
-    round_trip: impl Fn(Option<&SimulatedStore>, ProviderId, &T) -> R + Sync,
-) -> Vec<R> {
-    type Resolved<'a, T> = (Option<Arc<SimulatedStore>>, &'a (ProviderId, T));
-    let resolved: Vec<Resolved<T>> = jobs.iter().map(|job| (infra.backend(job.0), job)).collect();
-    let run =
-        |(backend, (provider, item)): &Resolved<T>| round_trip(backend.as_deref(), *provider, item);
-    let really_waits = resolved
-        .iter()
-        .filter_map(|(backend, _)| backend.as_ref())
-        .any(|backend| backend.real_sleep_enabled());
-    if !really_waits {
-        return resolved.iter().map(run).collect();
-    }
-    // The caller takes the first round-trip itself rather than wait idle in
-    // the joins: one spawn fewer per fan-out.
-    let (first, others) = resolved.split_first().expect("a job that really waits");
-    std::thread::scope(|scope| {
-        let others: Vec<_> = others
-            .iter()
-            .map(|job| {
-                round_trip_thread()
-                    .spawn_scoped(scope, || run(job))
-                    .expect("spawn a round-trip thread")
-            })
-            .collect();
-        let first = run(first);
-        let others = others.into_iter().map(|thread| {
-            thread
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-        });
-        std::iter::once(first).chain(others).collect()
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Upload
 // ---------------------------------------------------------------------------
 
-enum UploadOutcome {
-    Uploaded {
-        location: ChunkLocation,
-        us: u64,
-    },
-    Failed(ProviderId, ScaliaError),
-    /// Skipped because another upload had already failed.
-    Aborted,
-}
-
 /// Uploads an already-encoded stripe's chunks, one per provider of
-/// `placement`, under `{skey}.{chunk index}` (`fan_out`), and returns where
-/// they landed, in chunk-index order. `strict` aborts on the first failure —
-/// uploads not yet started are skipped — and needs every chunk to land;
-/// otherwise every chunk is attempted and `m` suffice (a *degraded*
-/// landing: fewer locations than providers, original erasure indices
-/// kept). Short of that, what did land is rolled back — deleted again, or
-/// queued as a postponed delete — and the first (lowest-index) failure is
-/// returned, its provider already reported to the failure detector. An
-/// upload exceeding its hedge deadline ([`write_hedge_deadline_us`] — the
-/// observed PUT p95 once warm, a modelled multiple until then) counts as a
-/// failure of its provider: the landed chunk is rolled back so the caller
-/// can re-place the write without the straggler.
+/// `placement`, under `{skey}.{chunk index}`, and returns where they landed,
+/// in chunk-index order. `strict` stops at the first failure — later chunks
+/// are not sent — and needs every chunk to land; otherwise every chunk is
+/// attempted and `m` suffice (a *degraded* landing: fewer locations than
+/// providers, original erasure indices kept). Short of that, what did land
+/// is rolled back — deleted again, or queued as a postponed delete — and the
+/// first (lowest-index) failure is returned, its provider already reported
+/// to the failure detector. An upload exceeding its hedge deadline
+/// ([`write_hedge_deadline_us`] — the observed PUT p95 once warm, a modelled
+/// multiple until then) counts as a failure of its provider: the landed
+/// chunk is rolled back so the caller can re-place the write without the
+/// straggler.
 pub fn upload(
     infra: &Infrastructure,
     placement: &Placement,
@@ -287,44 +210,37 @@ pub fn upload(
     encoded: &EncodedObject,
     strict: bool,
 ) -> std::result::Result<Vec<ChunkLocation>, WriteFailure> {
-    let abort = strict.then(|| AtomicBool::new(false));
-    let pairs = encoded.chunks.iter().zip(&placement.providers);
-    let jobs: Vec<_> = pairs.map(|pair| (pair.1.id, pair)).collect();
-    let outcomes = fan_out(infra, &jobs, |backend, _, (chunk, provider)| {
-        upload_one(infra, backend, chunk, provider, skey, abort.as_ref())
-    });
-
-    let mut locations: Vec<ChunkLocation> = Vec::with_capacity(jobs.len());
-    let mut first_failure: Option<(ProviderId, ScaliaError)> = None;
+    let mut locations: Vec<ChunkLocation> = Vec::with_capacity(encoded.chunks.len());
+    let mut first_failure: Option<WriteFailure> = None;
     let mut makespan_us = 0u64;
-    for outcome in outcomes {
-        match outcome {
-            UploadOutcome::Uploaded { location, us } => {
+    for (chunk, provider) in encoded.chunks.iter().zip(&placement.providers) {
+        match upload_one(infra, chunk, provider, skey) {
+            Ok((location, us)) => {
                 locations.push(location);
                 makespan_us = makespan_us.max(us);
             }
-            UploadOutcome::Failed(provider, error) => {
-                first_failure.get_or_insert((provider, error));
+            Err(error) => {
+                first_failure.get_or_insert(WriteFailure {
+                    provider: provider.id,
+                    error,
+                });
+                if strict {
+                    break;
+                }
             }
-            UploadOutcome::Aborted => {}
         }
     }
-    let needed = if strict {
-        jobs.len()
+    let landed_enough = if strict {
+        first_failure.is_none()
     } else {
-        placement.m.max(1) as usize
+        locations.len() >= placement.m.max(1) as usize
     };
-    if locations.len() < needed {
-        let landed: Vec<_> = locations
-            .iter()
-            .map(|c| (c.provider, format!("{skey}.{}", c.index)))
-            .collect();
-        fan_out(infra, &landed, |backend, provider, chunk_key| {
-            delete_or_postpone(infra, backend, provider, chunk_key)
-        });
-        let (provider, error) =
-            first_failure.expect("a chunk that did not land failed or followed a failure");
-        return Err(WriteFailure { provider, error });
+    if !landed_enough {
+        for location in &locations {
+            let chunk_key = format!("{skey}.{}", location.index);
+            delete_or_postpone(infra, location.provider, &chunk_key);
+        }
+        return Err(first_failure.expect("a stripe short of chunks had a failed upload"));
     }
     // The put's virtual makespan is the slowest chunk upload — the critical
     // path of the fan-out, not the sum of the round-trips.
@@ -332,27 +248,18 @@ pub fn upload(
     Ok(locations)
 }
 
+/// Uploads one chunk; on success returns where it landed and the virtual
+/// latency paid.
 fn upload_one(
     infra: &Infrastructure,
-    backend: Option<&SimulatedStore>,
     chunk: &Chunk,
     provider: &ProviderDescriptor,
     skey: &str,
-    abort: Option<&AtomicBool>,
-) -> UploadOutcome {
-    if abort.is_some_and(|a| a.load(Ordering::SeqCst)) {
-        return UploadOutcome::Aborted;
-    }
+) -> Result<(ChunkLocation, u64)> {
+    let Some(backend) = infra.backend(provider.id) else {
+        return Err(ScaliaError::ProviderUnavailable(provider.id));
+    };
     let chunk_key = format!("{skey}.{}", chunk.index);
-    let failed = |error| {
-        if let Some(abort) = abort {
-            abort.store(true, Ordering::SeqCst);
-        }
-        UploadOutcome::Failed(provider.id, error)
-    };
-    let Some(backend) = backend else {
-        return failed(ScaliaError::ProviderUnavailable(provider.id));
-    };
     let chunk_bytes = chunk.data.len() as u64;
     let deadline_us =
         infra.with_observatory(|o| write_hedge_deadline_us(o.published(), provider, chunk_bytes));
@@ -374,8 +281,8 @@ fn upload_one(
                 provider.id
             ));
             infra.report_provider_failure(provider.id, &error);
-            delete_or_postpone(infra, Some(backend), provider.id, &chunk_key);
-            failed(error)
+            delete_or_postpone(infra, provider.id, &chunk_key);
+            Err(error)
         }
         Ok(()) => {
             infra.report_provider_success(provider.id);
@@ -384,11 +291,11 @@ fn upload_one(
                 index: chunk.index,
                 provider: provider.id,
             };
-            UploadOutcome::Uploaded { location, us }
+            Ok((location, us))
         }
         Err(error) => {
             infra.report_provider_failure(provider.id, &error);
-            failed(error)
+            Err(error)
         }
     }
 }
@@ -401,26 +308,22 @@ fn upload_one(
 /// provider is unreachable ("the deletion of the chunk residing at a faulty
 /// provider is postponed until the provider recovers", §III-D3).
 pub fn delete_chunks(infra: &Infrastructure, stripes: &[StripeMeta]) {
-    let refs: Vec<_> = stripes.iter().flat_map(StripeMeta::chunk_refs).collect();
-    if refs.is_empty() {
+    let mut refs = stripes.iter().flat_map(StripeMeta::chunk_refs).peekable();
+    if refs.peek().is_none() {
         return;
     }
-    let latencies = fan_out(infra, &refs, |backend, provider, chunk_key| {
-        delete_or_postpone(infra, backend, provider, chunk_key)
-    });
-    let makespan = latencies.into_iter().max().unwrap_or(0);
+    let makespan = refs
+        .map(|(provider, chunk_key)| delete_or_postpone(infra, provider, &chunk_key))
+        .max()
+        .unwrap_or(0);
     infra.record_io_latency(StoreOp::Delete, makespan);
 }
 
 /// Deletes one chunk, falling back to a postponed delete when the provider
 /// is down or the delete fails. Returns the virtual latency paid.
-fn delete_or_postpone(
-    infra: &Infrastructure,
-    backend: Option<&SimulatedStore>,
-    provider: ProviderId,
-    chunk_key: &str,
-) -> u64 {
-    let attempted = backend
+fn delete_or_postpone(infra: &Infrastructure, provider: ProviderId, chunk_key: &str) -> u64 {
+    let attempted = infra
+        .backend(provider)
         .filter(|b| b.is_up())
         .map(|b| b.timed_delete(chunk_key));
     match attempted {
@@ -440,55 +343,6 @@ fn delete_or_postpone(
 // Hedged first-m-of-n read
 // ---------------------------------------------------------------------------
 
-/// One fetch task's report back to the controller.
-struct FetchReply {
-    slot: usize,
-    result: Result<Bytes>,
-    us: u64,
-}
-
-/// The rendezvous between detached fetch threads and the controller (only
-/// fetches that really wait are detached).
-#[derive(Default)]
-struct FetchBoard {
-    replies: Mutex<Vec<FetchReply>>,
-    cv: Condvar,
-}
-
-impl FetchBoard {
-    fn push(&self, reply: FetchReply) {
-        self.replies.lock().unwrap().push(reply);
-        self.cv.notify_all();
-    }
-
-    fn take(&self) -> Vec<FetchReply> {
-        std::mem::take(&mut *self.replies.lock().unwrap())
-    }
-
-    /// Parks briefly unless a reply is already waiting. The short timeout
-    /// bounds the reaction time to wall-clock hedge deadlines (real-sleep
-    /// mode) without busy-spinning.
-    fn wait_brief(&self) {
-        let guard = self.replies.lock().unwrap();
-        if guard.is_empty() {
-            drop(self.cv.wait_timeout(guard, Duration::from_micros(500)));
-        }
-    }
-}
-
-/// One launched fetch.
-struct Slot {
-    candidate: usize,
-    virt_start_us: u64,
-    deadline_us: u64,
-    /// When the round-trip began, stamped by the fetch's own thread
-    /// (wall-clock fetches only): a hedge deadline times the provider, so
-    /// the wait for the thread to be scheduled must not count against it.
-    real_start: Arc<OnceLock<Instant>>,
-    hedged: bool,
-    done: bool,
-}
-
 /// One ranked fetch candidate: where the chunk lives and its hedge deadline
 /// (both `Copy` — the descriptor itself is not needed past ranking).
 #[derive(Clone, Copy)]
@@ -497,247 +351,117 @@ struct Candidate {
     deadline_us: u64,
 }
 
-struct HedgedRead<'a> {
-    infra: &'a Arc<Infrastructure>,
-    stripe: &'a StripeMeta,
-    /// Chunk locations and their hedge deadlines, cheapest-read first.
-    candidates: Vec<Candidate>,
-    /// Where detached fetch threads report; created by the first fetch
-    /// whose store really sleeps its latency — from then on the read
-    /// hedges by wall clock.
-    board: Option<Arc<FetchBoard>>,
-    /// Replies not yet folded into the timeline (see [`Self::run`]).
-    pending: Vec<FetchReply>,
-    slots: Vec<Slot>,
-    next_candidate: usize,
-    /// Successful fetches: (virtual completion time, chunk).
-    oks: Vec<(u64, Chunk)>,
-    /// Latest virtual event time observed, used to timestamp late launches.
-    virtual_frontier_us: u64,
+/// One launched fetch: its chunk index, its reply until the loop takes it,
+/// and whether it outlived its deadline (and was replaced there).
+struct Fetch {
+    index: u32,
+    reply: Option<Result<Bytes>>,
+    overran: bool,
 }
 
-impl<'a> HedgedRead<'a> {
-    /// Launches the next-ranked candidate (skipping providers with no
-    /// backend, which are reported as hard failures). A fetch whose backend
-    /// really waits is detached onto a thread of its own and reports to the
-    /// board; a virtual one has nothing to wait for, runs here and lands in
-    /// `pending`. Either way the fetch itself reports its outcome to the
-    /// failure detector, so a straggler that errors *after* the read already
-    /// returned still accumulates failure evidence (the controller only
-    /// folds replies into the timeline).
-    fn launch_next(&mut self, virt_start_us: u64) {
-        while self.next_candidate < self.candidates.len() {
-            let candidate = self.candidates[self.next_candidate];
-            self.next_candidate += 1;
+/// What happens to a launched fetch at an instant of the read's timeline.
+/// At one instant a reply comes before a deadline: a reply landing exactly
+/// at the deadline is in time.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    Reply,
+    Deadline,
+}
+
+/// The hedged read's discrete-event loop (see "Virtual time" in the module
+/// docs).
+struct HedgedRead<'a> {
+    infra: &'a Infrastructure,
+    stripe: &'a StripeMeta,
+    /// Chunk locations and their hedge deadlines, cheapest-read first, not
+    /// yet launched.
+    candidates: std::vec::IntoIter<Candidate>,
+    /// Launched fetches, in launch order.
+    fetches: Vec<Fetch>,
+    /// Pending events: (virtual time, event, fetch), earliest first.
+    events: BinaryHeap<Reverse<(u64, Event, usize)>>,
+}
+
+impl HedgedRead<'_> {
+    /// Launches the next-ranked candidate at virtual time `at_us`, skipping
+    /// providers with no backend (reported as hard failures). The fetch
+    /// runs here and reports its outcome to the failure detector at once,
+    /// so a straggler whose reply the read never needs still accumulates
+    /// evidence; the loop only schedules its reply (and deadline).
+    fn launch_next(&mut self, at_us: u64) {
+        for candidate in self.candidates.by_ref() {
             let provider = candidate.location.provider;
             let Some(backend) = self.infra.backend(provider) else {
                 self.infra
                     .report_provider_failure(provider, &ScaliaError::ProviderUnavailable(provider));
                 continue;
             };
-            let really_waits = backend.real_sleep_enabled();
-            let slot = self.slots.len();
-            self.slots.push(Slot {
-                candidate: self.next_candidate - 1,
-                virt_start_us,
-                deadline_us: candidate.deadline_us,
-                real_start: Arc::default(),
-                hedged: false,
-                done: false,
-            });
-            let chunk_key = self.stripe.chunk_key(candidate.location.index);
-            let infra = Arc::clone(self.infra);
-            let fetch = move || {
-                let (result, us) = backend.timed_get(&chunk_key);
-                match &result {
-                    Ok(_) => {
-                        infra.report_provider_success(provider);
-                        // Feed the observation window the next tick
-                        // publishes for placement, ranking and deadlines. A
-                        // straggler that lands after the read returned
-                        // still counts — slow providers cannot hide behind
-                        // the hedge.
-                        infra.with_observatory(|o| o.record_read(provider, us));
-                    }
-                    // §III-D3: feed the failure detector instead of
-                    // silently skipping the provider. Error round-trips pay
-                    // only the base RTT and carry no payload, so they do
-                    // NOT feed the latency summary — a refusing provider
-                    // must not look fast.
-                    Err(error) => infra.report_provider_failure(provider, error),
+            let (reply, us) = backend.timed_get(&self.stripe.chunk_key(candidate.location.index));
+            match &reply {
+                Ok(_) => {
+                    self.infra.report_provider_success(provider);
+                    // Feed the observation window the next tick publishes
+                    // for placement, ranking and deadlines. A straggler the
+                    // read no longer needs still counts — slow providers
+                    // cannot hide behind the hedge.
+                    self.infra.with_observatory(|o| o.record_read(provider, us));
                 }
-                FetchReply { slot, result, us }
-            };
-            if really_waits {
-                let board = Arc::clone(self.board.get_or_insert_with(Default::default));
-                let real_start = Arc::clone(&self.slots[slot].real_start);
-                // Never joined: a straggler must not hold the read, and its
-                // reply lands on a board nobody reads once the read returns.
-                round_trip_thread()
-                    .spawn(move || {
-                        real_start.get_or_init(Instant::now);
-                        board.push(fetch())
-                    })
-                    .expect("spawn a round-trip thread");
-            } else {
-                self.pending.push(fetch());
+                // §III-D3: feed the failure detector instead of silently
+                // skipping the provider. Error round-trips pay only the
+                // base RTT and carry no payload, so they do NOT feed the
+                // latency summary — a refusing provider must not look fast.
+                Err(error) => self.infra.report_provider_failure(provider, error),
+            }
+            let fetch = self.fetches.len();
+            let overran = us > candidate.deadline_us;
+            self.fetches.push(Fetch {
+                index: candidate.location.index,
+                reply: Some(reply),
+                overran,
+            });
+            self.events.push(Reverse((at_us + us, Event::Reply, fetch)));
+            if overran {
+                let deadline = at_us + candidate.deadline_us;
+                self.events
+                    .push(Reverse((deadline, Event::Deadline, fetch)));
             }
             return;
         }
     }
 
-    /// Folds one reply into the hedging timeline (the detector was already
-    /// fed by the fetch task itself).
-    fn process(&mut self, reply: FetchReply) {
-        let (candidate, virt_start_us, deadline_us, hedged) = {
-            let slot = &mut self.slots[reply.slot];
-            slot.done = true;
-            (
-                slot.candidate,
-                slot.virt_start_us,
-                slot.deadline_us,
-                slot.hedged,
-            )
-        };
-        match reply.result {
-            Ok(bytes) => {
-                let completion = virt_start_us + reply.us;
-                self.virtual_frontier_us = self.virtual_frontier_us.max(completion);
-                let index = self.candidates[candidate].location.index;
-                self.oks.push((completion, Chunk::new(index, bytes)));
-                // The fetch succeeded but blew its deadline: in the hedged
-                // timeline a parity fetch was already launched at the
-                // deadline — launch it now (virtual mode learns about the
-                // overrun only when the reply lands; real mode has usually
-                // hedged already via the wall clock, `hedged` dedupes).
-                if reply.us > deadline_us && !hedged {
-                    self.slots[reply.slot].hedged = true;
-                    self.launch_next(virt_start_us + deadline_us);
-                }
-            }
-            Err(_) => {
-                // Promote the next-ranked parity provider at the moment the
-                // error was observed — unless this slot was already hedged
-                // past its wall-clock deadline, in which case its
-                // replacement is in flight and a second promotion would
-                // burn (and bill) a candidate for nothing.
-                let failed_at = virt_start_us + reply.us;
-                self.virtual_frontier_us = self.virtual_frontier_us.max(failed_at);
-                if !hedged {
-                    self.slots[reply.slot].hedged = true;
-                    self.launch_next(failed_at);
-                }
-            }
-        }
-    }
-
-    /// Promotes parity for every in-flight fetch whose round-trip exceeded
-    /// its hedge deadline in *wall-clock* time (only meaningful when stores
-    /// really sleep their latency).
-    fn hedge_overdue_by_wall_clock(&mut self) {
-        for slot_index in 0..self.slots.len() {
-            let (due, virt_hedge_start) = {
-                let slot = &self.slots[slot_index];
-                let overdue = !slot.done
-                    && !slot.hedged
-                    && slot.real_start.get().is_some_and(|start| {
-                        start.elapsed() >= Duration::from_micros(slot.deadline_us)
-                    });
-                (overdue, slot.virt_start_us + slot.deadline_us)
-            };
-            if due {
-                self.slots[slot_index].hedged = true;
-                self.launch_next(virt_hedge_start);
-            }
-        }
-    }
-
+    /// Races the `m` best-ranked candidates at time 0 and runs the timeline
+    /// until `m` chunks are in hand; the read's makespan is the instant the
+    /// `m`-th arrived.
     fn run(mut self, m: usize) -> Result<Vec<Chunk>> {
-        // Race the cheapest m providers.
         for _ in 0..m {
             self.launch_next(0);
         }
-        // Virtual mode holds the generation's replies in `pending` — every
-        // launch has already run by the time the loop looks — and folds them
-        // in *virtual-completion* order (ties by slot index). Hedge
-        // promotions — which consume ranked candidates and stamp their
-        // launch times — thereby replay the simulated timeline, whatever
-        // order the fetches were issued in. Real-sleep mode keeps arrival
-        // order: there the wall clock is the race.
-        loop {
-            let wall_clock = self.board.is_some();
-            if wall_clock {
-                // Also flushes any virtual replies buffered before a late
-                // launch flipped the read into wall-clock mode.
-                let arrived = self.board.as_ref().map(|b| b.take()).unwrap_or_default();
-                for reply in std::mem::take(&mut self.pending).into_iter().chain(arrived) {
-                    self.process(reply);
-                }
-            }
-            let undone = self.slots.iter().filter(|s| !s.done).count();
-            if !wall_clock {
-                if !self.pending.is_empty() {
-                    let mut replies = std::mem::take(&mut self.pending);
-                    replies.sort_by_key(|reply| {
-                        (self.slots[reply.slot].virt_start_us + reply.us, reply.slot)
-                    });
-                    for reply in replies {
-                        self.process(reply);
+        let mut chunks = Vec::with_capacity(m);
+        while let Some(Reverse((at_us, event, fetch))) = self.events.pop() {
+            let fetch = &mut self.fetches[fetch];
+            let promote = match event {
+                Event::Deadline => true,
+                Event::Reply => match fetch.reply.take().expect("one reply per fetch") {
+                    Ok(bytes) => {
+                        chunks.push(Chunk::new(fetch.index, bytes));
+                        if chunks.len() == m {
+                            self.infra.record_io_latency(StoreOp::Get, at_us);
+                            return Ok(chunks);
+                        }
+                        false
                     }
-                    continue; // processing may have launched hedges
-                }
-                // Quiesced with nothing buffered: the hedge timeline is
-                // settled and the winners are the m earliest *virtual*
-                // completions — otherwise a virtually-slow fetch would
-                // "win" merely by being processed first.
-                if self.oks.len() >= m {
-                    break;
-                }
-                if self.next_candidate < self.candidates.len() {
-                    let frontier = self.virtual_frontier_us;
-                    self.launch_next(frontier);
-                    continue;
-                }
-                break; // nothing in flight, nothing left to try
-            }
-            // Wall-clock mode: the first m arrivals win and stragglers stay
-            // detached.
-            if self.oks.len() >= m {
-                break;
-            }
-            if undone == 0 {
-                if self.next_candidate < self.candidates.len() {
-                    let frontier = self.virtual_frontier_us;
-                    self.launch_next(frontier);
-                    continue;
-                }
-                break;
-            }
-            // Promote parity past overdue deadlines, then park until the
-            // next reply (or the short timeout).
-            self.hedge_overdue_by_wall_clock();
-            if let Some(board) = self.board.as_ref().filter(|_| self.pending.is_empty()) {
-                board.wait_brief();
+                    // An overrun fetch was replaced at its deadline already.
+                    Err(_) => !fetch.overran,
+                },
+            };
+            if promote {
+                self.launch_next(at_us);
             }
         }
-
-        if self.oks.len() < m {
-            return Err(ScaliaError::NotEnoughChunks {
-                available: self.oks.len(),
-                required: m,
-            });
-        }
-        // First m completions of the hedged timeline win; the read's
-        // makespan is the slowest of the winners.
-        self.oks.sort_by_key(|(completion, _)| *completion);
-        let makespan = self.oks[m - 1].0;
-        self.infra.record_io_latency(StoreOp::Get, makespan);
-        Ok(self
-            .oks
-            .into_iter()
-            .take(m)
-            .map(|(_, chunk)| chunk)
-            .collect())
+        Err(ScaliaError::NotEnoughChunks {
+            available: chunks.len(),
+            required: m,
+        })
     }
 }
 
@@ -746,7 +470,7 @@ impl<'a> HedgedRead<'a> {
 /// the read's virtual makespan and feeds every per-provider outcome into
 /// the failure detector. `stripe_len` is the stripe's plaintext length.
 pub fn fetch_chunks(
-    infra: &Arc<Infrastructure>,
+    infra: &Infrastructure,
     stripe: &StripeMeta,
     stripe_len: ByteSize,
 ) -> Result<Vec<Chunk>> {
@@ -790,19 +514,14 @@ pub fn fetch_chunks(
             .collect()
     });
 
-    let read = HedgedRead {
+    HedgedRead {
         infra,
         stripe,
-        candidates,
-        board: None,
-        pending: Vec::new(),
-        slots: Vec::new(),
-        next_candidate: 0,
-        oks: Vec::new(),
-        virtual_frontier_us: 0,
-    };
-    let chunks = read.run(m)?;
-    Ok(chunks)
+        candidates: candidates.into_iter(),
+        fetches: Vec::new(),
+        events: BinaryHeap::new(),
+    }
+    .run(m)
 }
 
 /// Reads stripes `stripes` of an object onto one output buffer of exactly
@@ -817,7 +536,7 @@ pub fn fetch_chunks(
 /// instead of reaching the caller or the cache; the transient working set
 /// beyond the output buffer is the `m` fetched chunks of one stripe.
 fn read_stripes(
-    infra: &Arc<Infrastructure>,
+    infra: &Infrastructure,
     meta: &ObjectMeta,
     stripes: Range<usize>,
 ) -> Result<Vec<u8>> {
@@ -848,7 +567,7 @@ fn read_stripes(
 
 /// Reassembles the whole object, tolerating up to `n − m` failed or
 /// straggling providers per stripe (`read_stripes` over every stripe).
-pub fn fetch_and_reassemble(infra: &Arc<Infrastructure>, meta: &ObjectMeta) -> Result<Bytes> {
+pub fn fetch_and_reassemble(infra: &Infrastructure, meta: &ObjectMeta) -> Result<Bytes> {
     let out = read_stripes(infra, meta, 0..meta.striping.stripe_count())?;
     if out.len() as u64 != meta.size.bytes() {
         return Err(short_stripe_map(meta));
@@ -867,7 +586,7 @@ fn short_stripe_map(meta: &ObjectMeta) -> ScaliaError {
 
 /// Fetches and decodes stripe `index` of an object with the hedged
 /// `m`-of-`n` race, verifying the stripe's recorded plaintext checksum.
-pub fn fetch_stripe(infra: &Arc<Infrastructure>, meta: &ObjectMeta, index: usize) -> Result<Bytes> {
+pub fn fetch_stripe(infra: &Infrastructure, meta: &ObjectMeta, index: usize) -> Result<Bytes> {
     read_stripes(infra, meta, index..index + 1).map(Bytes::from)
 }
 
@@ -881,7 +600,7 @@ pub fn fetch_stripe(infra: &Arc<Infrastructure>, meta: &ObjectMeta, index: usize
 /// equals the same slice of a full read, clamped to the object's end — an
 /// empty or past-EOF range is empty bytes and fetches nothing.
 pub fn fetch_range(
-    infra: &Arc<Infrastructure>,
+    infra: &Infrastructure,
     meta: &ObjectMeta,
     offset: u64,
     len: u64,
@@ -908,6 +627,7 @@ mod tests {
     use scalia_providers::catalog::ProviderCatalog;
     use scalia_types::checksum::checksum_hex;
     use scalia_types::time::Duration as SimDuration;
+    use std::sync::Arc;
 
     fn infra() -> Arc<Infrastructure> {
         Infrastructure::new(ProviderCatalog::paper_catalog(), 1, SimDuration::HOUR)

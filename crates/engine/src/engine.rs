@@ -27,11 +27,10 @@
 //! Engines are stateless: everything they touch lives in the shared
 //! [`Infrastructure`], so adding engines scales the deployment linearly.
 //! Every provider round-trip goes through the chunk-I/O layer
-//! ([`crate::chunk_io`]): puts and deletes fan out one round-trip per chunk
-//! — overlapped on one thread per round-trip when providers really wait,
-//! on the calling thread when latency is virtual — and put/get latency
-//! scales with the
-//! slowest provider instead of summing round-trips.
+//! ([`crate::chunk_io`]): puts and deletes fan out one round-trip per chunk,
+//! concurrent in virtual time and run in order on the calling thread, so
+//! put/get latency scales with the slowest provider instead of summing
+//! round-trips.
 
 use crate::cache::{BlockDigests, Cache};
 use crate::chunk_io;

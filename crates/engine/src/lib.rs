@@ -24,10 +24,11 @@
 //! * [`engine`] — the stateless engine: write / read / delete life-cycles
 //!   (§III-D), including MVCC conflict cleanup and provider-failure
 //!   handling.
-//! * [`chunk_io`] — the unified parallel chunk-I/O layer: parallel uploads
-//!   with abort-on-first-hard-failure and rollback, parallel deletes, and
-//!   hedged first-`m`-of-`n` reads that promote parity providers past
-//!   errors and stragglers.
+//! * [`chunk_io`] — the unified chunk-I/O layer, concurrent in virtual
+//!   time: fanned-out uploads that stop at the first hard failure and roll
+//!   back, fanned-out deletes, and hedged first-`m`-of-`n` reads — one
+//!   discrete-event loop — that promote parity providers past errors and
+//!   stragglers.
 //! * [`placement_cache`] — deployment-wide memo of placement decisions
 //!   (keyed by rule + usage class + catalog version) so the write path,
 //!   the optimiser and repair stop recomputing identical searches.

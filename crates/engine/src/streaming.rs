@@ -30,12 +30,10 @@
 //!   1 359 µs p50 on the 2-vCPU Xeon host (medians of six batches of ten
 //!   pairs over two seeds, 10/10 each); what is left of it is the
 //!   copy-and-hash (≈ 55 %) and parity (≈ 25 %). Nothing overlaps the
-//!   encode, which runs on the caller: landing a stripe in virtual time is
-//!   a few map inserts on the caller, and on the wall clock
-//!   [`chunk_io::upload`] already overlaps a stripe's chunk uploads on
-//!   threads of their own, while an upload's modelled latency is tens of
-//!   milliseconds. Handing each encode to a worker thread to overlap the
-//!   landing cost more than it hid: removing that hand-off alone took the
+//!   encode, which runs on the caller: landing a stripe
+//!   ([`chunk_io::upload`]) is a few map inserts on the caller, its chunk
+//!   uploads concurrent only in virtual time. Handing each encode to a
+//!   worker thread to overlap the landing cost more than it hid: removing that hand-off alone took the
 //!   same put from 3 009 to 2 681 µs p50 and its peak RSS from 73.8 to
 //!   62.0 MiB (10/10 alternating pairs, seed 1).
 //! * **Multipart / append** — [`Engine::begin_put`], [`MultipartUpload::put_part`]
@@ -55,7 +53,7 @@
 //! # Per-stripe durability semantics
 //!
 //! A stripe lands through one ladder (`MultipartUpload::land_stripe`):
-//! fanned-out upload with abort-on-first-failure and rollback, bounded
+//! fanned-out upload that stops at its first failure and rolls back, bounded
 //! re-placement (capped by [`crate::engine::WRITE_ATTEMPTS`]) excluding the
 //! failed provider, and — once re-placement is exhausted — a *degraded*
 //! tolerant landing accepted iff `k ≥ m` chunks survive **and** the

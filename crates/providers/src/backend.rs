@@ -13,12 +13,11 @@
 //! * a deterministic response-time model ([`crate::latency::LatencyModel`],
 //!   from the provider descriptor): every operation — including errors —
 //!   reports a *virtual* latency in microseconds through the `timed_*`
-//!   variants, recorded into per-operation histograms. Latencies are plain
-//!   numbers by default so tests stay fast; [`SimulatedStore::set_real_sleep`]
-//!   (or the `SCALIA_LATENCY_REAL_SLEEP` environment variable) makes the
-//!   store actually sleep them, so benchmarks measure real wall-clock
-//!   fan-out. [`SimulatedStore::set_stall_us`] injects an additive stall to
-//!   model a limping provider.
+//!   variants, recorded into per-operation histograms. A latency is a
+//!   number the caller schedules in virtual time, never a wait: a
+//!   round-trip returns as soon as the store has applied it.
+//!   [`SimulatedStore::set_stall_us`] injects an additive stall to model a
+//!   limping provider.
 
 use crate::billing::BillingMeter;
 use crate::descriptor::ProviderDescriptor;
@@ -34,7 +33,7 @@ use scalia_types::size::ByteSize;
 use scalia_types::time::SimTime;
 use scalia_types::usage::ResourceUsage;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The S3-like interface every storage backend exposes.
@@ -107,8 +106,6 @@ pub struct SimulatedStore {
     state: Mutex<StoreState>,
     /// Additive virtual stall applied to every operation (limping provider).
     stall_us: AtomicU64,
-    /// When set, operations really sleep their virtual latency (benches).
-    real_sleep: AtomicBool,
     /// Transport-error storm: the next N operations fail with a retryable
     /// soft error while the provider is nominally up (chaos injection).
     soft_faults: AtomicU64,
@@ -123,9 +120,6 @@ impl SimulatedStore {
     /// Creates a store with a pre-programmed outage schedule.
     pub fn with_outages(descriptor: ProviderDescriptor, outages: OutageSchedule) -> Self {
         let meter = BillingMeter::new(descriptor.pricing);
-        let real_sleep = std::env::var("SCALIA_LATENCY_REAL_SLEEP")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false);
         SimulatedStore {
             descriptor,
             outages,
@@ -139,7 +133,6 @@ impl SimulatedStore {
                 last_tick: SimTime::ZERO,
             }),
             stall_us: AtomicU64::new(0),
-            real_sleep: AtomicBool::new(real_sleep),
             soft_faults: AtomicU64::new(0),
         }
     }
@@ -200,17 +193,6 @@ impl SimulatedStore {
         self.state.lock().meter.total_cost()
     }
 
-    /// Makes every operation really sleep its virtual latency (wall-clock
-    /// mode for benchmarks; the default is virtual-only so tests stay fast).
-    pub fn set_real_sleep(&self, enabled: bool) {
-        self.real_sleep.store(enabled, Ordering::SeqCst);
-    }
-
-    /// Returns `true` if operations really sleep their virtual latency.
-    pub fn real_sleep_enabled(&self) -> bool {
-        self.real_sleep.load(Ordering::SeqCst)
-    }
-
     /// Injects an additive virtual stall (microseconds) into every
     /// operation, modelling a limping provider. Zero clears the stall.
     pub fn set_stall_us(&self, us: u64) {
@@ -232,21 +214,6 @@ impl SimulatedStore {
     /// base round-trip (`bytes = 0`).
     fn latency_us(&self, key: &str, bytes: u64) -> u64 {
         self.descriptor.latency.sample_us(bytes, salt_of(key)) + self.stall_us()
-    }
-
-    /// Records the operation's latency and, in real-sleep mode, sleeps it.
-    /// Called with the state lock *held* for recording; the sleep happens
-    /// after the caller has released the lock (see `finish_op`).
-    fn record_latency(state: &mut StoreState, op: StoreOp, us: u64) {
-        state.latencies.of(op).record(us);
-    }
-
-    /// Completes a timed operation outside the state lock: really sleeps
-    /// the virtual latency when real-sleep mode is on.
-    fn finish_op(&self, us: u64) {
-        if us > 0 && self.real_sleep_enabled() {
-            std::thread::sleep(std::time::Duration::from_micros(us));
-        }
     }
 
     /// Starts a transport-error storm: the next `ops` operations fail with a
@@ -288,43 +255,31 @@ impl SimulatedStore {
     /// microseconds alongside the result. Errors pay the base round-trip.
     pub fn timed_put(&self, key: &str, data: Bytes) -> (Result<()>, u64) {
         let payload = data.len() as u64;
-        let (result, us) = {
-            let mut state = self.state.lock();
-            let result = self.put_locked(&mut state, key, data);
-            let us = self.latency_us(key, if result.is_ok() { payload } else { 0 });
-            Self::record_latency(&mut state, StoreOp::Put, us);
-            (result, us)
-        };
-        self.finish_op(us);
+        let mut state = self.state.lock();
+        let result = self.put_locked(&mut state, key, data);
+        let us = self.latency_us(key, if result.is_ok() { payload } else { 0 });
+        state.latencies.of(StoreOp::Put).record(us);
         (result, us)
     }
 
     /// [`ObjectStore::get`] returning the operation's virtual latency in
     /// microseconds alongside the result.
     pub fn timed_get(&self, key: &str) -> (Result<Bytes>, u64) {
-        let (result, us) = {
-            let mut state = self.state.lock();
-            let result = self.get_locked(&mut state, key);
-            let payload = result.as_ref().map(|d| d.len() as u64).unwrap_or(0);
-            let us = self.latency_us(key, payload);
-            Self::record_latency(&mut state, StoreOp::Get, us);
-            (result, us)
-        };
-        self.finish_op(us);
+        let mut state = self.state.lock();
+        let result = self.get_locked(&mut state, key);
+        let payload = result.as_ref().map(|d| d.len() as u64).unwrap_or(0);
+        let us = self.latency_us(key, payload);
+        state.latencies.of(StoreOp::Get).record(us);
         (result, us)
     }
 
     /// [`ObjectStore::delete`] returning the operation's virtual latency in
     /// microseconds alongside the result.
     pub fn timed_delete(&self, key: &str) -> (Result<()>, u64) {
-        let (result, us) = {
-            let mut state = self.state.lock();
-            let result = self.delete_locked(&mut state, key);
-            let us = self.latency_us(key, 0);
-            Self::record_latency(&mut state, StoreOp::Delete, us);
-            (result, us)
-        };
-        self.finish_op(us);
+        let mut state = self.state.lock();
+        let result = self.delete_locked(&mut state, key);
+        let us = self.latency_us(key, 0);
+        state.latencies.of(StoreOp::Delete).record(us);
         (result, us)
     }
 
@@ -588,22 +543,6 @@ mod tests {
         s.set_stall_us(0);
         s.set_down(false);
         assert_eq!(s.timed_get("k").1, 0);
-    }
-
-    #[test]
-    fn real_sleep_mode_actually_sleeps() {
-        use crate::latency::LatencyModel;
-        let descriptor = s3_high(ProviderId::new(0)).with_latency(LatencyModel::new(5, 0, 0, 0));
-        let s = SimulatedStore::new(descriptor);
-        s.set_real_sleep(true);
-        assert!(s.real_sleep_enabled());
-        let started = std::time::Instant::now();
-        s.put("k", Bytes::from_static(b"v")).unwrap();
-        assert!(
-            started.elapsed() >= std::time::Duration::from_millis(5),
-            "real-sleep mode must pay the modelled latency in wall-clock time"
-        );
-        s.set_real_sleep(false);
     }
 
     #[test]

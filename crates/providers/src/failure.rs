@@ -22,11 +22,11 @@
 //!   mutation (between journal apply steps) leaves the operation half done;
 //!   recovery must complete or discard it, never leave the torn state.
 
+use parking_lot::Mutex;
 use scalia_types::ids::ProviderId;
 use scalia_types::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// A single outage window `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -133,14 +133,14 @@ impl FaultPlan {
 
     /// Arms `label` to fire on its `(skip + 1)`-th visit.
     pub fn arm_after(&self, label: impl Into<String>, skip: u32) {
-        self.armed.lock().unwrap().insert(label.into(), skip);
+        self.armed.lock().insert(label.into(), skip);
     }
 
     /// Visits a crash point. Returns `true` exactly when the armed countdown
     /// for `label` reaches zero — the caller must then abandon the operation
     /// in place (no cleanup), simulating a crash. Unarmed labels are free.
     pub fn check(&self, label: &str) -> bool {
-        let mut armed = self.armed.lock().unwrap();
+        let mut armed = self.armed.lock();
         match armed.get_mut(label) {
             None => false,
             Some(skip) if *skip > 0 => {
@@ -149,7 +149,7 @@ impl FaultPlan {
             }
             Some(_) => {
                 armed.remove(label);
-                self.fired.lock().unwrap().push(label.to_string());
+                self.fired.lock().push(label.to_string());
                 true
             }
         }
@@ -157,25 +157,22 @@ impl FaultPlan {
 
     /// Labels that fired so far, in order.
     pub fn fired(&self) -> Vec<String> {
-        self.fired.lock().unwrap().clone()
+        self.fired.lock().clone()
     }
 
     /// Number of crash points still armed (not yet fired).
     pub fn armed_count(&self) -> usize {
-        self.armed.lock().unwrap().len()
+        self.armed.lock().len()
     }
 
     /// Adds a transport-error storm to the plan.
     pub fn add_storm(&self, provider: ProviderId, ops: u32) {
-        self.storms
-            .lock()
-            .unwrap()
-            .push(StormSpec { provider, ops });
+        self.storms.lock().push(StormSpec { provider, ops });
     }
 
     /// Drains the planned storms (the harness applies them to backends).
     pub fn take_storms(&self) -> Vec<StormSpec> {
-        std::mem::take(&mut *self.storms.lock().unwrap())
+        std::mem::take(&mut *self.storms.lock())
     }
 }
 

@@ -19,10 +19,9 @@
 //!   sees the same latency — tests and simulations are exactly
 //!   reproducible, with no wall-clock dependence.
 //!
-//! Latencies are plain numbers by default (the simulated clock advances, the
-//! test suite stays fast); the store can opt into *really sleeping* the
-//! modelled duration ([`crate::backend::SimulatedStore::set_real_sleep`]) so
-//! benchmarks measure genuine wall-clock fan-out.
+//! Latencies are plain numbers: the caller schedules them in virtual time
+//! (the chunk-I/O layer's hedged read is an event loop over them), and no
+//! operation ever waits them out.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,8 +1,8 @@
 //! Offline shim for `rayon`: only [`current_num_threads`] is left.
 //!
-//! The workspace runs no thread pool. Chunk round-trips against backends
-//! that really sleep get one `std::thread` each (see the engine's
-//! `chunk_io`), and everything else runs on its caller. This crate exists
+//! The workspace runs no thread pool and starts no thread: chunk
+//! round-trips are virtual-time events run on their caller (see the
+//! engine's `chunk_io`), and so is everything else. This crate exists
 //! only because `benchmark/src/sut.rs` still reports the metric
 //! `rayon.pool_workers` through this function; it is deleted once that
 //! file stops calling it.

@@ -2,11 +2,10 @@
 //! m-of-n reads, write re-placement after provider failures, and the
 //! failure-detector feedback loop (§III-D of the paper).
 //!
-//! Everything but the last section runs on *virtual* latency
-//! (deterministic microseconds from the per-provider latency models /
-//! stall injection), so those tests are exact on every run. The last
-//! section makes stores really sleep: there each round-trip runs on a
-//! thread of its own, and the tests time the overlap with the wall clock.
+//! Everything runs on *virtual* latency (deterministic microseconds from
+//! the per-provider latency models / stall injection), so every test is
+//! exact on every run, down to the recorded makespans of the hedged
+//! read's event timeline.
 
 use scalia::core::cost::cheapest_read_providers;
 use scalia::core::placement::Placement;
@@ -18,7 +17,6 @@ use scalia::providers::backend::{ObjectStore, StoreOp};
 use scalia::providers::descriptor::ProviderDescriptor;
 use scalia::types::checksum::{checksum_hex, object_checksum_hex};
 use std::sync::Arc;
-use std::time::{Duration as WallDuration, Instant};
 
 fn rule() -> StorageRule {
     StorageRule::new(
@@ -681,23 +679,18 @@ fn stalled_upload_is_hedged_and_the_write_replaced_without_the_straggler() {
 // ---------------------------------------------------------------------------
 
 /// A deployment over the latency-annotated paper catalog with no cache (every
-/// read goes to the providers), every store pinned to virtual latency
-/// whatever `SCALIA_LATENCY_REAL_SLEEP` says.
+/// read goes to the providers).
 fn latency_cluster(seed: u64) -> ScaliaCluster {
     let catalog = scalia::providers::catalog::ProviderCatalog::shared();
     for descriptor in scalia::sim::scenarios::latency_catalog(seed) {
         catalog.register(descriptor);
     }
-    let cluster = ScaliaCluster::builder()
+    ScaliaCluster::builder()
         .datacenters(1)
         .engines_per_datacenter(1)
         .catalog(catalog)
         .cache_capacity(ByteSize::ZERO)
-        .build();
-    for backend in cluster.infra().backends() {
-        backend.set_real_sleep(false);
-    }
-    cluster
+        .build()
 }
 
 /// One seeded run of the three fault shapes the fan-outs must handle — a
@@ -789,99 +782,86 @@ fn faulted_virtual_runs_match_their_pinned_digests() {
 }
 
 // ---------------------------------------------------------------------------
-// Real waiting: one thread per round-trip
+// The hedged read folds its events in time order
 // ---------------------------------------------------------------------------
 
-/// Four providers that really sleep a flat `rtt_ms` per request, and the
-/// 3-of-4 placement over them.
-fn real_sleep_infra(rtt_ms: u64) -> (Arc<Infrastructure>, Placement) {
+/// Four equally priced `s3_high` providers, provider `i` a flat
+/// `rtts_ms[i]` per request, holding one 2-of-4 stripe of 20 000 bytes.
+/// Returns the stripe and its holders ranked as the hedged read ranks them
+/// (equal prices, so the fastest first and then catalog order).
+fn hedge_timeline(rtts_ms: [u64; 4]) -> (Arc<Infrastructure>, StripeMeta, Vec<ProviderId>) {
     use scalia::providers::catalog::{s3_high, ProviderCatalog};
     use scalia::providers::latency::LatencyModel;
     let catalog = ProviderCatalog::shared();
-    for i in 0..4u32 {
+    for (i, rtt_ms) in rtts_ms.into_iter().enumerate() {
         let model = LatencyModel::new(rtt_ms, 0, 0, i as u64);
-        catalog.register(s3_high(ProviderId::new(i)).with_latency(model));
+        catalog.register(s3_high(ProviderId::new(i as u32)).with_latency(model));
     }
     let infra = Infrastructure::new(catalog, 1, Duration::HOUR);
-    for backend in infra.backends() {
-        backend.set_real_sleep(true);
-    }
     let placement = Placement {
         providers: infra.catalog().all(),
-        m: 3,
+        m: 2,
     };
-    (infra, placement)
-}
-
-/// Uploads `data` as one stripe of `placement` under `skey`.
-fn upload_stripe(
-    infra: &Infrastructure,
-    placement: &Placement,
-    skey: &str,
-    data: &[u8],
-) -> StripeMeta {
-    let encoded = encode_object(data, placement.erasure_params()).unwrap();
-    StripeMeta {
-        chunks: upload(infra, placement, skey, &encoded, true).unwrap(),
+    let data = patterned(5, 20_000);
+    let encoded = encode_object(&data, placement.erasure_params()).unwrap();
+    let stripe = StripeMeta {
+        chunks: upload(&infra, &placement, "skey-timeline", &encoded, true).unwrap(),
         m: placement.m,
-        checksum: checksum_hex(data),
-        skey: skey.to_string(),
-    }
+        checksum: checksum_hex(&data),
+        skey: "skey-timeline".to_string(),
+    };
+    let ranked = ranked_holders(&infra, &stripe, ByteSize::from_bytes(20_000));
+    assert_eq!(ranked, (0..4).map(ProviderId::new).collect::<Vec<_>>());
+    (infra, stripe, ranked)
+}
+
+fn chunk_gets(infra: &Infrastructure, providers: &[ProviderId]) -> Vec<u64> {
+    providers
+        .iter()
+        .map(|&p| {
+            let backend = infra.backend(p).unwrap();
+            backend.latency_snapshot(StoreOp::Get).count
+        })
+        .collect()
 }
 
 #[test]
-fn real_sleep_round_trips_overlap() {
-    const RTT_MS: u64 = 50;
-    let (infra, placement) = real_sleep_infra(RTT_MS);
-    let data = patterned(4, 30_000);
-    let budget = WallDuration::from_millis(2 * RTT_MS);
+fn a_deadline_promotes_before_a_later_error() {
+    // r0 succeeds at 1 000 ms against a 15 ms deadline (3 × 5 ms); r1 is
+    // down and errors at 20 ms (10 ms RTT + 10 ms stall). The deadline
+    // passes first, so r2 launches at 15 ms (reply at 25 ms) and r3 at
+    // 20 ms (reply at 220 ms): the second chunk arrives at 220 ms. Folding
+    // replies by completion time instead launched r3 at r0's deadline
+    // (15 ms) and r2 at r1's error, recording 215 ms.
+    let (infra, stripe, r) = hedge_timeline([5, 10, 10, 10]);
+    let backend = |i: usize| infra.backend(r[i]).unwrap();
+    backend(0).set_stall_us(995_000);
+    backend(1).set_down(true);
+    backend(1).set_stall_us(10_000);
+    backend(3).set_stall_us(190_000);
 
-    // Sleeping threads need no cores: four chunk PUTs cost one round-trip
-    // of wall time, not four — and a 3-of-4 read one, not three.
-    let started = Instant::now();
-    let stripe = upload_stripe(&infra, &placement, "skey-real", &data);
-    let put_took = started.elapsed();
-    assert_eq!(stripe.chunks.len(), 4);
-    assert!(
-        put_took < budget,
-        "a 4-chunk put took {put_took:?}; its round-trips must overlap (< {budget:?})"
-    );
-
-    let started = Instant::now();
-    let size = ByteSize::from_bytes(data.len() as u64);
-    let chunks = fetch_chunks(&infra, &stripe, size).unwrap();
-    let get_took = started.elapsed();
-    assert_eq!(chunks.len(), 3);
-    assert!(
-        get_took < budget,
-        "a 3-of-4 get took {get_took:?}; its fetches must overlap (< {budget:?})"
-    );
+    let chunks = fetch_chunks(&infra, &stripe, ByteSize::from_bytes(20_000)).unwrap();
+    let indices: Vec<u32> = chunks.iter().map(|c| c.index).collect();
+    assert_eq!(indices, [2, 3], "r2 and r3 are the first two replies");
+    let read = infra.io_latency_snapshot(StoreOp::Get);
+    assert_eq!((read.count, read.max_us), (1, 220_000));
+    assert_eq!(chunk_gets(&infra, &r), [1, 1, 1, 1]);
 }
 
 #[test]
-fn a_stalled_straggler_holds_no_later_read_hostage() {
-    const RTT_MS: u64 = 20;
-    let (infra, placement) = real_sleep_infra(RTT_MS);
-    let data = patterned(6, 30_000);
-    let stripe = upload_stripe(&infra, &placement, "skey-stall", &data);
-    let size = ByteSize::from_bytes(data.len() as u64);
+fn a_deadline_after_the_read_is_served_launches_nothing() {
+    // r0 succeeds at 40 ms, past its 15 ms deadline, and its hedge r2
+    // succeeds at 35 ms: two chunks are in hand at 40 ms. r1's 60 ms
+    // deadline passes after that, so r3 is never asked — folding every
+    // reply of a generation billed it a GET anyway.
+    let (infra, stripe, r) = hedge_timeline([5, 20, 20, 20]);
+    infra.backend(r[0]).unwrap().set_stall_us(35_000);
+    infra.backend(r[1]).unwrap().set_stall_us(480_000);
 
-    // The first-ranked provider now takes 1.5 s a request. Every read
-    // hedges past it at its deadline and returns; the straggler it leaves
-    // behind sleeps out the stall on its own thread. More reads than there
-    // are cores run back to back, so a thread shared between stragglers
-    // and later reads would be occupied by the time the last ones start.
-    let stalled = ranked_holders(&infra, &stripe, size)[0];
-    infra.backend(stalled).unwrap().set_stall_us(1_500_000);
-    let reads = std::thread::available_parallelism().map_or(1, |n| n.get()) + 3;
-    for read in 0..reads {
-        let started = Instant::now();
-        let chunks = fetch_chunks(&infra, &stripe, size).unwrap();
-        let took = started.elapsed();
-        assert_eq!(chunks.len(), 3);
-        assert!(
-            took < WallDuration::from_millis(400),
-            "read {read} of {reads} took {took:?} behind the stalled provider's stragglers"
-        );
-    }
+    let chunks = fetch_chunks(&infra, &stripe, ByteSize::from_bytes(20_000)).unwrap();
+    let indices: Vec<u32> = chunks.iter().map(|c| c.index).collect();
+    assert_eq!(indices, [2, 0], "r2 at 35 ms, then r0 at 40 ms");
+    let read = infra.io_latency_snapshot(StoreOp::Get);
+    assert_eq!((read.count, read.max_us), (1, 40_000));
+    assert_eq!(chunk_gets(&infra, &r), [1, 1, 1, 0]);
 }

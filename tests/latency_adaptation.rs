@@ -450,9 +450,6 @@ fn published_cluster(seed: u64, objects: usize) -> ScaliaCluster {
         .catalog(catalog)
         .cache_capacity(ByteSize::ZERO)
         .build();
-    for backend in cluster.infra().backends() {
-        backend.set_real_sleep(false);
-    }
     let keys = object_keys(objects);
     for (i, key) in keys.iter().enumerate() {
         let payload = vec![i as u8; 24_000 + 1_000 * i];
