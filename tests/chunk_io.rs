@@ -829,10 +829,9 @@ fn chunk_gets(infra: &Infrastructure, providers: &[ProviderId]) -> Vec<u64> {
 fn a_deadline_promotes_before_a_later_error() {
     // r0 succeeds at 1 000 ms against a 15 ms deadline (3 × 5 ms); r1 is
     // down and errors at 20 ms (10 ms RTT + 10 ms stall). The deadline
-    // passes first, so r2 launches at 15 ms (reply at 25 ms) and r3 at
-    // 20 ms (reply at 220 ms): the second chunk arrives at 220 ms. Folding
-    // replies by completion time instead launched r3 at r0's deadline
-    // (15 ms) and r2 at r1's error, recording 215 ms.
+    // passes first, so the next-ranked r2 launches at 15 ms (reply at
+    // 25 ms) and r3 at 20 ms (reply at 220 ms): the second chunk arrives
+    // at 220 ms, not at the 215 ms of r3 launched at r0's deadline.
     let (infra, stripe, r) = hedge_timeline([5, 10, 10, 10]);
     let backend = |i: usize| infra.backend(r[i]).unwrap();
     backend(0).set_stall_us(995_000);
@@ -852,8 +851,7 @@ fn a_deadline_promotes_before_a_later_error() {
 fn a_deadline_after_the_read_is_served_launches_nothing() {
     // r0 succeeds at 40 ms, past its 15 ms deadline, and its hedge r2
     // succeeds at 35 ms: two chunks are in hand at 40 ms. r1's 60 ms
-    // deadline passes after that, so r3 is never asked — folding every
-    // reply of a generation billed it a GET anyway.
+    // deadline passes after that, so r3 is never asked (nor billed).
     let (infra, stripe, r) = hedge_timeline([5, 20, 20, 20]);
     infra.backend(r[0]).unwrap().set_stall_us(35_000);
     infra.backend(r[1]).unwrap().set_stall_us(480_000);
