@@ -1,11 +1,10 @@
 //! Benchmarks of Algorithm 1 as the number of providers grows (the
 //! scalability argument of §III-A2).
 //!
-//! Three code paths are measured:
+//! Two code paths are measured:
 //!
 //! * `bnb` — the production branch-and-bound search (allocation-free,
 //!   Poisson-binomial constraint DP, cost-bound pruning; exact);
-//! * `heuristic` — candidate pruning in front of the same search;
 //! * `seed_baseline` — the seed's materialize-every-subset search with
 //!   combination-enumerating constraint math
 //!   (`scalia_core::reference::exhaustive_search_combinatorial`), the
@@ -14,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scalia_core::cost::PredictedUsage;
-use scalia_core::placement::{PlacementEngine, PlacementOptions, SearchStrategy};
+use scalia_core::placement::PlacementEngine;
 use scalia_core::reference;
 use scalia_providers::catalog::{azure, google, rackspace, s3_high, s3_low};
 use scalia_providers::descriptor::ProviderDescriptor;
@@ -94,16 +93,6 @@ fn bench_placement(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("bnb", n), &n, |b, _| {
             b.iter(|| {
                 exhaustive
-                    .best_placement(&rule(), &usage(), &catalog)
-                    .unwrap()
-            })
-        });
-        let heuristic = PlacementEngine::with_options(PlacementOptions {
-            strategy: SearchStrategy::Heuristic { max_candidates: 6 },
-        });
-        group.bench_with_input(BenchmarkId::new("heuristic", n), &n, |b, _| {
-            b.iter(|| {
-                heuristic
                     .best_placement(&rule(), &usage(), &catalog)
                     .unwrap()
             })

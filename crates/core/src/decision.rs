@@ -1,4 +1,5 @@
-//! Adaptive decision-period controller and class-group decisions.
+//! The placement decision (§III-A3): one step, shared by the simulator's
+//! adaptive policy, the engine's class sweep and the per-object test oracle.
 //!
 //! The decision period `D_obj` is the window of historical statistics used
 //! to predict the next window and choose the placement. The paper adapts it
@@ -11,16 +12,34 @@
 //! above by the object's expected remaining lifetime (TTL) and by the amount
 //! of history actually available.
 //!
-//! The class-centric optimiser additionally groups the accessed set by
-//! `(class, storage rule)` — [`GroupKey`] — runs **one** placement search
-//! per group against the current catalog version, and maps the result onto
-//! every member via a [`GroupDecision`].
+//! The step is five plain functions around [`DecisionPeriodController`]:
+//!
+//! * [`first_usage`] — the usage a new object is placed for: its class's
+//!   mean demand when the class has statistics, storage-only otherwise.
+//! * [`period_bound`] — the upper bound on `D`: TTL hint, else expected
+//!   remaining lifetime, else the available history.
+//! * [`decide`] — the optional `D/2`/`D`/`2D` adjustment, then Algorithm 1
+//!   over the decision period. The caller supplies the search (cached or
+//!   memoised as it sees fit).
+//! * [`migration`] — the migration gate: move only when the plan changes
+//!   the placement and its saving covers the migration.
+//! * [`rule_fingerprint`] — the bit-exact identity of a rule's constraints,
+//!   which every decision memo and cache keys on.
+//!
+//! What triggers a decision stays with the caller: the simulator reacts to
+//! trends, catalog changes, broken sets and latency shifts per object; the
+//! engine reacts to class trends, forced cycles and budget deferrals per
+//! `(class, rule)` group.
 
-use crate::cost::PredictedUsage;
-use crate::placement::PlacementDecision;
+use crate::cost::{compute_price_weighted, PredictedUsage};
+use crate::migration::MigrationPlan;
+use crate::placement::{Placement, PlacementDecision};
 use scalia_types::money::Money;
 use scalia_types::rules::StorageRule;
+use scalia_types::size::ByteSize;
+use scalia_types::stats::AccessHistory;
 use scalia_types::time::Duration;
+use scalia_types::usage::ResourceUsage;
 use serde::{Deserialize, Serialize};
 
 /// Controller for one object's decision period.
@@ -125,84 +144,113 @@ impl DecisionPeriodController {
     }
 }
 
-/// Identity of one optimisation group: all accessed objects of one class
-/// stored under one (structurally identical) rule. Rules are fingerprinted
-/// by every constraint field, so two rules sharing a name but differing in
-/// constraints never share a group — or a placement search.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct GroupKey {
-    /// The object class identifier (`C(obj)`).
-    pub class_id: String,
-    /// Rule name (first for readable ordering/debugging).
-    pub rule_name: String,
-    /// Bit-exact fingerprint of the rule's constraint fields: durability,
-    /// availability, lock-in, latency weight and the zone set.
-    fingerprint: [u64; 5],
+/// The bit-exact fingerprint of a rule's constraint fields: durability,
+/// availability, lock-in, latency weight and the zone set. Two rules that
+/// share a name but differ in a constraint never share a decision.
+pub fn rule_fingerprint(rule: &StorageRule) -> [u64; 5] {
+    [
+        rule.durability.probability().to_bits(),
+        rule.availability.probability().to_bits(),
+        rule.lockin.to_bits(),
+        rule.latency_weight.to_bits(),
+        rule.zones.bits() as u64,
+    ]
 }
 
-impl GroupKey {
-    /// Builds the key for an object of `class_id` stored under `rule`.
-    pub fn of(class_id: impl Into<String>, rule: &StorageRule) -> Self {
-        Self::from_fingerprint(class_id, rule.name.clone(), Self::rule_fingerprint(rule))
+/// The usage a new object is placed for (§III-A1): the class's mean
+/// demand per period over `periods` sampling periods when the class has
+/// statistics, storage-only otherwise. A TTL hint shortens the horizon,
+/// never below one sampling period.
+pub fn first_usage(
+    size: ByteSize,
+    class_mean: Option<&ResourceUsage>,
+    periods: usize,
+    sampling: Duration,
+    ttl_hint_hours: Option<f64>,
+) -> PredictedUsage {
+    let period_hours = sampling.as_hours();
+    let mut usage = match class_mean {
+        Some(mean) => PredictedUsage::from_class_usage(size, mean, periods, period_hours),
+        None => PredictedUsage::storage_only(size, periods as f64 * period_hours),
+    };
+    if let Some(ttl) = ttl_hint_hours {
+        usage.duration_hours = usage.duration_hours.min(ttl.max(period_hours));
     }
-
-    /// The bit-exact fingerprint of a rule's constraint fields — what the
-    /// engine persists in each object's optimiser digest so the class sweep
-    /// can subgroup members by rule without deserialising full metadata.
-    pub fn rule_fingerprint(rule: &StorageRule) -> [u64; 5] {
-        [
-            rule.durability.probability().to_bits(),
-            rule.availability.probability().to_bits(),
-            rule.lockin.to_bits(),
-            rule.latency_weight.to_bits(),
-            rule.zones.bits() as u64,
-        ]
-    }
-
-    /// Rebuilds a key from a persisted fingerprint (see
-    /// [`GroupKey::rule_fingerprint`]).
-    pub fn from_fingerprint(
-        class_id: impl Into<String>,
-        rule_name: String,
-        fingerprint: [u64; 5],
-    ) -> Self {
-        GroupKey {
-            class_id: class_id.into(),
-            rule_name,
-            fingerprint,
-        }
-    }
+    usage
 }
 
-/// One placement search result mapped onto every member of a
-/// `(class, rule, catalog version)` group: the paper's amortisation made
-/// explicit — `members.len()` objects covered by a single run of
-/// Algorithm 1.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupDecision {
-    /// The group the decision covers.
-    pub key: GroupKey,
-    /// Catalog version the search ran against (the decision is invalid —
-    /// and re-searched — once the catalog mutates).
-    pub catalog_version: u64,
-    /// The class-level predicted usage the search priced.
-    pub usage: PredictedUsage,
-    /// The winning placement and its expected cost under `usage`.
-    pub decision: PlacementDecision,
-    /// Row keys of the members the decision applies to.
-    pub members: Vec<String>,
+/// Upper bound on the decision period: the writer's TTL hint if there is
+/// one, otherwise the expected remaining lifetime (at least one hour),
+/// otherwise `history_len` sampling periods but no less than `floor`.
+pub fn period_bound(
+    ttl_hint_hours: Option<f64>,
+    remaining_hours: Option<f64>,
+    history_len: usize,
+    sampling: Duration,
+    floor: Duration,
+) -> Duration {
+    if let Some(ttl) = ttl_hint_hours {
+        return Duration::from_secs((ttl * 3600.0) as u64);
+    }
+    if let Some(remaining) = remaining_hours {
+        return Duration::from_secs((remaining.max(1.0) * 3600.0) as u64);
+    }
+    sampling.times(history_len.max(1) as u64).max(floor)
 }
 
-impl GroupDecision {
-    /// Number of objects covered by this single search.
-    pub fn objects_covered(&self) -> usize {
-        self.members.len()
+/// One decision: with `adapt_within: Some(bound)`, first lets the
+/// controller adjust the decision period (the `D/2`/`D`/`2D` windows, each
+/// searched and priced per hour, within `bound`); then runs `search` over
+/// the usage predicted from `history` for the decision period. Returns that
+/// usage and the search's decision, `None` when no placement is feasible.
+pub fn decide(
+    controller: &mut DecisionPeriodController,
+    adapt_within: Option<Duration>,
+    size: ByteSize,
+    history: &AccessHistory,
+    sampling: Duration,
+    mut search: impl FnMut(&PredictedUsage) -> Option<PlacementDecision>,
+) -> Option<(PredictedUsage, PlacementDecision)> {
+    let period_hours = sampling.as_hours();
+    let usage_over = |window: Duration| {
+        let periods = window.periods(sampling).max(1) as usize;
+        PredictedUsage::from_history(size, history, periods, period_hours)
+    };
+    if let Some(bound) = adapt_within {
+        controller.on_optimization(bound, |window| {
+            let usage = usage_over(window);
+            search(&usage)
+                .map(|d| d.expected_cost.scale(1.0 / usage.duration_hours.max(1e-9)))
+                .unwrap_or(Money::MAX)
+        });
     }
+    let usage = usage_over(controller.current());
+    let decision = search(&usage)?;
+    Some((usage, decision))
+}
+
+/// The migration gate: prices `current` under `usage` with the rule's
+/// latency weight (the search's `to_cost` includes the latency penalty, so
+/// like is compared with like; billing never does), builds the plan, and
+/// returns it when it changes the placement and its saving covers the
+/// migration.
+pub fn migration(
+    current: Placement,
+    to: Placement,
+    to_cost: Money,
+    usage: &PredictedUsage,
+    latency_weight: f64,
+) -> Option<MigrationPlan> {
+    let current_cost = compute_price_weighted(&current.providers, current.m, usage, latency_weight);
+    let plan = MigrationPlan::build(current, to, usage, current_cost, to_cost);
+    (plan.changes_placement() && plan.is_beneficial()).then_some(plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scalia_providers::catalog::{azure, rackspace, s3_high, s3_low};
+    use scalia_types::ids::ProviderId;
 
     fn controller() -> DecisionPeriodController {
         DecisionPeriodController::new(Duration::from_hours(24), Duration::HOUR, 64)
@@ -293,5 +341,180 @@ mod tests {
     fn initial_period_respects_minimum() {
         let c = DecisionPeriodController::new(Duration::from_secs(60), Duration::HOUR, 8);
         assert_eq!(c.current(), Duration::HOUR);
+    }
+
+    fn placement(providers: Vec<scalia_providers::descriptor::ProviderDescriptor>) -> Placement {
+        Placement { providers, m: 1 }
+    }
+
+    fn hot_usage() -> PredictedUsage {
+        PredictedUsage {
+            size: ByteSize::from_mb(1),
+            bw_in: ByteSize::ZERO,
+            bw_out: ByteSize::from_mb(100),
+            reads: 100,
+            writes: 0,
+            duration_hours: 24.0,
+        }
+    }
+
+    #[test]
+    fn first_usage_prices_the_class_mean_or_storage_only() {
+        let mean = ResourceUsage {
+            storage_gb_hours: 0.0,
+            bw_in: ByteSize::ZERO,
+            bw_out: ByteSize::from_mb(2),
+            ops: 3,
+        };
+        let size = ByteSize::from_mb(1);
+        let class = first_usage(size, Some(&mean), 24, Duration::HOUR, None);
+        assert_eq!(
+            class,
+            PredictedUsage::from_class_usage(size, &mean, 24, 1.0)
+        );
+        assert_eq!(class.reads, 72);
+        assert_eq!(class.duration_hours, 24.0);
+        let cold = first_usage(size, None, 24, Duration::HOUR, None);
+        assert_eq!(cold, PredictedUsage::storage_only(size, 24.0));
+    }
+
+    #[test]
+    fn first_usage_ttl_clamp_never_goes_below_one_period() {
+        let size = ByteSize::from_mb(1);
+        let two_hours = Duration::from_hours(2);
+        let short = first_usage(size, None, 24, two_hours, Some(5.0));
+        assert_eq!(short.duration_hours, 5.0);
+        let tiny = first_usage(size, None, 24, two_hours, Some(0.5));
+        assert_eq!(tiny.duration_hours, 2.0, "clamped to one sampling period");
+        let long = first_usage(size, None, 24, two_hours, Some(1000.0));
+        assert_eq!(long.duration_hours, 48.0, "a long TTL never extends it");
+    }
+
+    #[test]
+    fn period_bound_precedence_is_ttl_then_lifetime_then_history() {
+        let day = Duration::from_hours(24);
+        let h = Duration::HOUR;
+        assert_eq!(
+            period_bound(Some(10.0), Some(100.0), 50, h, day),
+            Duration::from_hours(10)
+        );
+        assert_eq!(
+            period_bound(None, Some(30.0), 50, h, day),
+            Duration::from_hours(30)
+        );
+        assert_eq!(
+            period_bound(None, None, 50, h, day),
+            Duration::from_hours(50)
+        );
+    }
+
+    #[test]
+    fn period_bound_floors_only_the_history_branch() {
+        let day = Duration::from_hours(24);
+        let h = Duration::HOUR;
+        // A remaining lifetime counts as at least one hour, and the floor
+        // does not lift it.
+        assert_eq!(period_bound(None, Some(0.2), 50, h, day), h);
+        assert_eq!(
+            period_bound(Some(2.0), None, 50, h, day),
+            Duration::from_hours(2)
+        );
+        // Short history: the floor applies; empty history counts as one.
+        assert_eq!(period_bound(None, None, 3, h, day), day);
+        assert_eq!(period_bound(None, None, 0, h, Duration::ZERO), h);
+    }
+
+    #[test]
+    fn decide_without_adaptation_leaves_the_controller_and_searches_once() {
+        let mut c = controller();
+        let before = c.clone();
+        let mut windows = Vec::new();
+        let chosen = PlacementDecision {
+            placement: placement(vec![s3_high(ProviderId::new(0))]),
+            expected_cost: Money::from_dollars(1.0),
+        };
+        let decided = decide(
+            &mut c,
+            None,
+            ByteSize::from_mb(1),
+            &AccessHistory::default(),
+            Duration::HOUR,
+            |usage| {
+                windows.push(usage.duration_hours);
+                Some(chosen.clone())
+            },
+        );
+        assert_eq!(windows, vec![24.0]);
+        assert_eq!((c.t(), c.current()), (before.t(), before.current()));
+        let (usage, decision) = decided.unwrap();
+        assert_eq!(usage.duration_hours, 24.0);
+        assert_eq!(decision, chosen);
+    }
+
+    #[test]
+    fn decide_with_adaptation_searches_three_windows_then_the_period() {
+        let mut c = controller();
+        let mut windows = Vec::new();
+        // Per hour, shorter windows are cheaper: the controller halves D.
+        let decided = decide(
+            &mut c,
+            Some(Duration::from_days(30)),
+            ByteSize::from_mb(1),
+            &AccessHistory::default(),
+            Duration::HOUR,
+            |usage| {
+                windows.push(usage.duration_hours);
+                Some(PlacementDecision {
+                    placement: placement(vec![s3_high(ProviderId::new(0))]),
+                    expected_cost: Money::from_dollars(usage.duration_hours.powi(2)),
+                })
+            },
+        );
+        assert_eq!(windows, vec![12.0, 24.0, 48.0, 12.0]);
+        assert_eq!(c.current(), Duration::from_hours(12));
+        assert_eq!(decided.unwrap().0.duration_hours, 12.0);
+        // No feasible placement: no decision.
+        assert!(decide(
+            &mut c,
+            None,
+            ByteSize::from_mb(1),
+            &AccessHistory::default(),
+            Duration::HOUR,
+            |_| None,
+        )
+        .is_none());
+    }
+
+    #[test]
+    fn migration_gate_needs_a_new_placement_and_a_covered_cost() {
+        let usage = hot_usage();
+        let from = placement(vec![
+            s3_high(ProviderId::new(0)),
+            s3_low(ProviderId::new(1)),
+        ]);
+        let to = placement(vec![
+            rackspace(ProviderId::new(2)),
+            azure(ProviderId::new(3)),
+        ]);
+        // The same set never migrates, however cheap it claims to be.
+        assert!(migration(from.clone(), from.clone(), Money::ZERO, &usage, 0.5).is_none());
+
+        let current_cost = compute_price_weighted(&from.providers, from.m, &usage, 0.5);
+        let moving = crate::cost::migration_cost(usage.size, &from.providers, 1, &to.providers, 1);
+        assert!(moving.is_positive());
+        // A saving equal to the migration cost does not pay for itself.
+        let break_even = current_cost - moving;
+        assert!(migration(from.clone(), to.clone(), break_even, &usage, 0.5).is_none());
+        let plan = migration(
+            from.clone(),
+            to.clone(),
+            break_even - Money::from_nanos(1),
+            &usage,
+            0.5,
+        )
+        .expect("a saving above the migration cost migrates");
+        assert_eq!(plan.current_period_cost, current_cost);
+        assert_eq!(plan.migration_cost, moving);
+        assert!(plan.to.same_as(&to));
     }
 }

@@ -28,13 +28,14 @@
 //!   migration cost estimation.
 //! * [`placement`] — Algorithm 1: the exhaustive search over provider
 //!   combinations, and the [`placement::PlacementEngine`] front-end.
-//! * [`heuristic`] — the scalable candidate-pruning heuristic for large
-//!   provider counts (the knapsack-style approximation the paper sketches).
 //! * [`classify`] — object classification `C(obj) = MD5(mime | size-class)`.
 //! * [`lifetime`] — per-class lifetime distributions and time-left-to-live
 //!   estimation (Fig. 5).
-//! * [`decision`] — adaptive decision-period controller (dichotomic
-//!   `D/2 / D / 2D` coupling with the `T`-doubling schedule).
+//! * [`decision`] — the placement decision shared by the simulator and the
+//!   engine: the adaptive decision-period controller (dichotomic
+//!   `D/2 / D / 2D` coupling with the `T`-doubling schedule), the first
+//!   placement's usage, the period bound, the search step and the
+//!   migration gate.
 //! * [`trend`] — the `detect()` trend-change detector (simple-moving-average
 //!   momentum with a relative threshold).
 //! * [`migration`] — migration planning and the cost/benefit gate.
@@ -48,7 +49,6 @@ pub mod combinations;
 pub mod cost;
 pub mod decision;
 pub mod durability;
-pub mod heuristic;
 pub mod lifetime;
 pub mod migration;
 pub mod pbinom;
@@ -61,7 +61,7 @@ pub use cost::PredictedUsage;
 pub use decision::DecisionPeriodController;
 pub use lifetime::LifetimeDistribution;
 pub use migration::MigrationPlan;
-pub use placement::{Placement, PlacementEngine, PlacementOptions, SearchStrategy};
+pub use placement::{Placement, PlacementEngine};
 pub use trend::TrendDetector;
 
 /// Commonly used items.
@@ -71,6 +71,6 @@ pub mod prelude {
     pub use crate::decision::DecisionPeriodController;
     pub use crate::lifetime::LifetimeDistribution;
     pub use crate::migration::{MigrationBudget, MigrationPlan};
-    pub use crate::placement::{Placement, PlacementEngine, PlacementOptions, SearchStrategy};
+    pub use crate::placement::{Placement, PlacementEngine};
     pub use crate::trend::TrendDetector;
 }

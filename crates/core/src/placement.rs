@@ -93,7 +93,6 @@ use crate::availability::availability_from_distribution;
 use crate::combinations::mask_members;
 use crate::cost::{compute_price_with_scratch, PredictedUsage, PriceTables};
 use crate::durability::threshold_from_distribution;
-use crate::heuristic::prune_candidates;
 use crate::pbinom::SurvivalDistribution;
 use scalia_providers::descriptor::ProviderDescriptor;
 use scalia_types::error::ScaliaError;
@@ -155,36 +154,6 @@ impl fmt::Display for Placement {
     }
 }
 
-/// How the search explores the space of provider combinations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SearchStrategy {
-    /// Consider every subset (branch-and-bound, exact — the paper's
-    /// Algorithm 1 answer).
-    Exhaustive,
-    /// Prune the catalog to the most promising `max_candidates` providers
-    /// first, then search subsets of the pruned catalog. Falls back to
-    /// the exhaustive search when the pruned space has no feasible solution.
-    Heuristic {
-        /// Maximum number of providers kept after pruning.
-        max_candidates: usize,
-    },
-}
-
-/// Options controlling the placement search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct PlacementOptions {
-    /// Search strategy.
-    pub strategy: SearchStrategy,
-}
-
-impl Default for PlacementOptions {
-    fn default() -> Self {
-        PlacementOptions {
-            strategy: SearchStrategy::Exhaustive,
-        }
-    }
-}
-
 /// The result of a successful placement search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacementDecision {
@@ -196,73 +165,30 @@ pub struct PlacementDecision {
 
 /// The placement engine front-end.
 #[derive(Debug, Clone, Default)]
-pub struct PlacementEngine {
-    options: PlacementOptions,
-}
+pub struct PlacementEngine;
 
 impl PlacementEngine {
-    /// Creates an engine with default (exhaustive) options.
+    /// Creates an engine.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an engine with explicit options.
-    pub fn with_options(options: PlacementOptions) -> Self {
-        PlacementEngine { options }
-    }
-
-    /// The options in force.
-    pub fn options(&self) -> PlacementOptions {
-        self.options
+        PlacementEngine
     }
 
     /// Algorithm 1: returns the cheapest feasible placement of an object
     /// with storage rule `rule` and predicted usage `usage` over the
-    /// available `providers`.
+    /// available `providers`. The search is an allocation-free
+    /// branch-and-bound that returns the same answer as enumerating every
+    /// subset (see the module docs for the bound and tie-breaking argument).
     pub fn best_placement(
         &self,
         rule: &StorageRule,
         usage: &PredictedUsage,
         providers: &[ProviderDescriptor],
     ) -> Result<PlacementDecision, ScaliaError> {
-        let pruned;
-        let candidates: &[ProviderDescriptor] = match self.options.strategy {
-            SearchStrategy::Exhaustive => providers,
-            SearchStrategy::Heuristic { max_candidates } => {
-                pruned = prune_candidates(providers, usage, rule, max_candidates);
-                &pruned
+        branch_and_bound(rule, usage, providers, true).ok_or_else(|| {
+            ScaliaError::NoFeasiblePlacement {
+                rule: rule.name.clone(),
             }
-        };
-
-        match Self::exhaustive_search(rule, usage, candidates) {
-            Some(decision) => Ok(decision),
-            None => {
-                // The heuristic pruning may have removed providers needed
-                // for feasibility; retry with the full catalog before giving
-                // up.
-                if matches!(self.options.strategy, SearchStrategy::Heuristic { .. })
-                    && candidates.len() < providers.len()
-                {
-                    if let Some(decision) = Self::exhaustive_search(rule, usage, providers) {
-                        return Ok(decision);
-                    }
-                }
-                Err(ScaliaError::NoFeasiblePlacement {
-                    rule: rule.name.clone(),
-                })
-            }
-        }
-    }
-
-    /// The exact subset search: an allocation-free branch-and-bound that
-    /// returns the same answer as enumerating every subset (see the module
-    /// docs for the bound and tie-breaking argument).
-    fn exhaustive_search(
-        rule: &StorageRule,
-        usage: &PredictedUsage,
-        providers: &[ProviderDescriptor],
-    ) -> Option<PlacementDecision> {
-        branch_and_bound(rule, usage, providers, true)
+        })
     }
 
     /// Evaluates one candidate provider set against every constraint of the
@@ -974,34 +900,6 @@ mod tests {
                 .iter()
                 .any(|p| p.name == "CheapStor"),
             "the cheaper provider should join the optimal set"
-        );
-    }
-
-    #[test]
-    fn heuristic_matches_exhaustive_on_small_catalogs() {
-        let usage = PredictedUsage {
-            size: ByteSize::from_mb(1),
-            bw_in: ByteSize::from_mb(1),
-            bw_out: ByteSize::from_mb(100),
-            reads: 100,
-            writes: 1,
-            duration_hours: 24.0,
-        };
-        let rule = slashdot_rule().with_lockin(0.3);
-        let exhaustive = PlacementEngine::new()
-            .best_placement(&rule, &usage, &catalog())
-            .unwrap();
-        let heuristic = PlacementEngine::with_options(PlacementOptions {
-            strategy: SearchStrategy::Heuristic { max_candidates: 4 },
-        })
-        .best_placement(&rule, &usage, &catalog())
-        .unwrap();
-        // The heuristic may pick a different but never a cheaper-than-optimal
-        // set; on this small catalog it should land on the same cost.
-        assert!(heuristic.expected_cost >= exhaustive.expected_cost);
-        assert!(
-            heuristic.expected_cost.dollars() <= exhaustive.expected_cost.dollars() * 1.10,
-            "heuristic should stay within 10% of optimal here"
         );
     }
 

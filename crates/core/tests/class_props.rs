@@ -7,7 +7,7 @@
 //! * a **singleton** class's mean-member history reproduces its member's
 //!   per-period series record for record (including the zero-activity
 //!   gap-fill) — the invariant behind the singleton differential tests that
-//!   pin the class-grouped optimiser against the per-object sweep;
+//!   pin the class-grouped optimiser against the per-object oracle;
 //! * mean-member statistics never exceed the period's summed statistics.
 
 use proptest::prelude::*;

@@ -17,7 +17,7 @@ use crate::repair::{drain_repair_queue, RepairDrainReport};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scalia_core::migration::MigrationBudget;
-use scalia_core::placement::{PlacementEngine, PlacementOptions};
+use scalia_core::placement::PlacementEngine;
 use scalia_core::trend::TrendDetector;
 use scalia_metastore::logagg::{LogAgent, LogAggregator};
 use scalia_metastore::AntiEntropyReport;
@@ -60,8 +60,6 @@ pub struct ScaliaClusterBuilder {
     catalog: Option<Arc<ProviderCatalog>>,
     cache_capacity: ByteSize,
     sampling_period: Duration,
-    placement_options: PlacementOptions,
-    trend_detector: TrendDetector,
     migration_budget: MigrationBudget,
 }
 
@@ -73,8 +71,6 @@ impl Default for ScaliaClusterBuilder {
             catalog: None,
             cache_capacity: ByteSize::from_mb(256),
             sampling_period: Duration::HOUR,
-            placement_options: PlacementOptions::default(),
-            trend_detector: TrendDetector::default(),
             migration_budget: MigrationBudget::UNLIMITED,
         }
     }
@@ -108,18 +104,6 @@ impl ScaliaClusterBuilder {
     /// Sampling period for statistics collection (default 1 hour).
     pub fn sampling_period(mut self, period: Duration) -> Self {
         self.sampling_period = period;
-        self
-    }
-
-    /// Placement-search options (exhaustive vs heuristic).
-    pub fn placement_options(mut self, options: PlacementOptions) -> Self {
-        self.placement_options = options;
-        self
-    }
-
-    /// Trend detector used by the periodic optimiser.
-    pub fn trend_detector(mut self, detector: TrendDetector) -> Self {
-        self.trend_detector = detector;
         self
     }
 
@@ -160,7 +144,7 @@ impl ScaliaClusterBuilder {
                     datacenters[dc as usize].cache.clone(),
                     all_caches.clone(),
                     agent,
-                    PlacementEngine::with_options(self.placement_options),
+                    PlacementEngine::new(),
                 )));
                 engine_id += 1;
             }
@@ -171,14 +155,11 @@ impl ScaliaClusterBuilder {
             datacenters,
             engines,
             aggregator: LogAggregator::new(agents),
-            optimizer: PeriodicOptimizer::new(
-                self.trend_detector,
-                PlacementEngine::with_options(self.placement_options),
-            )
-            .with_migration_budget(self.migration_budget),
+            optimizer: PeriodicOptimizer::new(TrendDetector::default(), PlacementEngine::new())
+                .with_migration_budget(self.migration_budget),
             next_engine: AtomicUsize::new(0),
             repair_budget: self.migration_budget,
-            repair_placement: PlacementEngine::with_options(self.placement_options),
+            repair_placement: PlacementEngine::new(),
             last_repair_drain: Mutex::new(RepairDrainReport::default()),
             last_anti_entropy: Mutex::new(AntiEntropyReport::default()),
         }
@@ -294,14 +275,6 @@ impl ScaliaCluster {
     /// (used right after the provider catalog changes).
     pub fn run_optimization(&self, force: bool) -> OptimizationReport {
         self.optimizer.run(&self.engines, &self.infra, force)
-    }
-
-    /// Runs the pre-class per-object optimisation sweep — the differential
-    /// baseline (one trend detection + search per accessed object, full
-    /// accessed-set scan).
-    pub fn run_optimization_per_object(&self, force: bool) -> OptimizationReport {
-        self.optimizer
-            .run_per_object(&self.engines, &self.infra, force)
     }
 
     /// Row keys whose beneficial migrations the budget pushed to a later

@@ -39,6 +39,7 @@ use crate::streaming::stripe_skey;
 use bytes::Bytes;
 use scalia_core::classify::ObjectClass;
 use scalia_core::cost::PredictedUsage;
+use scalia_core::decision;
 use scalia_core::placement::{Placement, PlacementEngine};
 use scalia_erasure::codec::encode_object;
 use scalia_metastore::journal::JournalOp;
@@ -163,22 +164,13 @@ impl Engine {
         ttl_hint_hours: Option<f64>,
     ) -> PredictedUsage {
         let stats = self.infra.statistics(self.datacenter);
-        let period_hours = self.infra.sampling_period().as_hours();
-        let mut usage = match stats.mean_class_usage(class.id()) {
-            Some(mean) => PredictedUsage::from_class_usage(
-                size,
-                &mean,
-                DEFAULT_DECISION_PERIODS,
-                period_hours,
-            ),
-            None => {
-                PredictedUsage::storage_only(size, DEFAULT_DECISION_PERIODS as f64 * period_hours)
-            }
-        };
-        if let Some(ttl) = ttl_hint_hours {
-            usage.duration_hours = usage.duration_hours.min(ttl.max(period_hours));
-        }
-        usage
+        decision::first_usage(
+            size,
+            stats.mean_class_usage(class.id()).as_ref(),
+            DEFAULT_DECISION_PERIODS,
+            self.infra.sampling_period(),
+            ttl_hint_hours,
+        )
     }
 
     /// Runs the placement search. The common no-exclusions case is routed

@@ -27,24 +27,23 @@
 //! a fixed order keeps every migration's `next_version` draw — and so the
 //! latency trajectories that follow it — the same on every replay.
 //!
-//! The pre-class per-object sweep is preserved as
-//! [`PeriodicOptimizer::run_per_object`]: it is the differential baseline —
-//! a cycle over singleton classes must reproduce its report and migrations
-//! bit for bit — and the benchmark's point of comparison.
+//! Each group decides through `scalia_core::decision`, the step the
+//! simulator's adaptive policy also runs: the decision-period bound, the
+//! `D/2`/`D`/`2D` adjustment and search, and the migration gate.
 
 use crate::engine::Engine;
 use crate::infra::Infrastructure;
 use parking_lot::Mutex;
-use scalia_core::classify::{ClassUsage, ObjectClass};
-use scalia_core::cost::{compute_price_weighted, PredictedUsage};
-use scalia_core::decision::{GroupDecision, GroupKey};
+use scalia_core::classify::ClassUsage;
+use scalia_core::cost::PredictedUsage;
+use scalia_core::decision::{self, rule_fingerprint};
+use scalia_core::lifetime::LifetimeDistribution;
 use scalia_core::migration::{MigrationBudget, MigrationPlan};
 use scalia_core::placement::{Placement, PlacementEngine};
 use scalia_core::trend::TrendDetector;
 use scalia_metastore::model::Timestamp;
 use scalia_metastore::stats::StatisticsStore;
 use scalia_types::ids::EngineId;
-use scalia_types::money::Money;
 use scalia_types::object::{ObjectKey, ObjectMeta};
 use scalia_types::size::ByteSize;
 use scalia_types::stats::DEFAULT_HISTORY_LEN;
@@ -61,15 +60,14 @@ pub struct OptimizationReport {
     /// Objects in the accessed/modified set `A` (plus re-queued deferrals).
     pub objects_considered: usize,
     /// Objects whose access pattern changed (every member of a group whose
-    /// class-level trend moved; per-object mode: objects individually).
+    /// class-level trend moved).
     pub trend_changes: usize,
     /// Objects whose placement was re-evaluated against a fresh decision.
     pub placements_recomputed: usize,
     /// Objects actually migrated to a new provider set.
     pub migrations_executed: usize,
     /// Placement searches the optimiser initiated for decisions: one per
-    /// re-evaluated group in class mode (≤ number of classes touched), one
-    /// per recomputed object in per-object mode.
+    /// re-evaluated `(class, rule)` group (≤ number of classes touched).
     pub searches_executed: usize,
     /// Objects covered by the decisions those searches produced.
     pub objects_covered: usize,
@@ -106,16 +104,6 @@ impl OptimizationReport {
     }
 }
 
-/// What happened to a single object during the per-object sweep; the sweep
-/// adds it to the cycle's [`OptimizationReport`].
-#[derive(Debug, Clone, Copy, Default)]
-struct ObjectOutcome {
-    trend_changed: bool,
-    recomputed: bool,
-    migrated: bool,
-    bytes_migrated: u64,
-}
-
 /// One beneficial migration awaiting budget admission.
 struct MigrationCandidate {
     row_key: String,
@@ -144,9 +132,6 @@ struct MemberDigest {
     providers: Vec<u32>,
     written_at: scalia_types::time::SimTime,
     ttl_hint_hours: Option<f64>,
-    /// Full metadata, already in hand when the digest was synthesised from
-    /// a `meta` read (the missing-digest fallback path).
-    meta: Option<ObjectMeta>,
 }
 
 /// Serialises the optimiser digest of a metadata version (written by
@@ -160,7 +145,7 @@ struct MemberDigest {
 pub(crate) fn optimizer_digest(meta: &ObjectMeta) -> serde_json::Value {
     // The sorted union across stripes.
     let providers: Vec<u32> = meta.striping.provider_set().iter().map(|p| p.0).collect();
-    let rfp = GroupKey::rule_fingerprint(&meta.rule);
+    let rfp = rule_fingerprint(&meta.rule);
     let providers = providers
         .iter()
         .map(|p| p.to_string())
@@ -185,8 +170,9 @@ pub(crate) fn optimizer_digest(meta: &ObjectMeta) -> serde_json::Value {
 }
 
 impl MemberDigest {
-    /// Decodes a persisted digest; `None` on any structural mismatch (the
-    /// caller falls back to the full metadata read).
+    /// Decodes a persisted digest; `None` on any structural mismatch. Every
+    /// commit writes the digest with the metadata, in one transaction and
+    /// under one timestamp, so a member without one has been deleted.
     fn decode(row_key: String, value: &serde_json::Value) -> Option<MemberDigest> {
         let mut fields = value.as_str()?.splitn(12, '|');
         if fields.next()? != "1" {
@@ -221,26 +207,7 @@ impl MemberDigest {
             providers,
             written_at: scalia_types::time::SimTime::from_secs(written_secs),
             ttl_hint_hours,
-            meta: None,
         })
-    }
-
-    /// Synthesises the digest from full metadata (objects written before
-    /// the digest column existed), keeping the deserialised metadata for
-    /// the gate.
-    fn from_meta(row_key: String, meta: ObjectMeta) -> MemberDigest {
-        let providers: Vec<u32> = meta.striping.provider_set().iter().map(|p| p.0).collect();
-        MemberDigest {
-            row_key,
-            rule_name: meta.rule.name.clone(),
-            rule_fingerprint: GroupKey::rule_fingerprint(&meta.rule),
-            size: meta.size,
-            m: meta.striping.m(),
-            providers,
-            written_at: meta.written_at,
-            ttl_hint_hours: meta.ttl_hint_hours,
-            meta: Some(meta),
-        }
     }
 }
 
@@ -294,43 +261,20 @@ impl PeriodicOptimizer {
         self.deferred.lock().len()
     }
 
-    /// Takes the deferred backlog and advances `last_run`, returning the
-    /// fetch window `since` — shared by both sweep flavours.
-    fn take_window(&self, infra: &Arc<Infrastructure>) -> (Timestamp, BTreeSet<String>) {
-        let since = {
-            let mut last = self.last_run.lock();
-            let since = *last;
-            *last = infra.next_timestamp();
-            since
-        };
-        let deferred: BTreeSet<String> = std::mem::take(&mut *self.deferred.lock());
-        (since, deferred)
-    }
-
-    /// The per-object baseline's accessed set: the seed's full
-    /// `modified_since` scan, merged with the budget-deferred backlog.
-    fn take_accessed_set_scan(
-        &self,
-        stats: &StatisticsStore,
-        infra: &Arc<Infrastructure>,
-    ) -> (Vec<String>, BTreeSet<String>) {
-        let (since, deferred) = self.take_window(infra);
-        let mut accessed = stats.objects_accessed_since_scan(since);
-        accessed.extend(deferred.iter().cloned());
-        accessed.sort_unstable();
-        accessed.dedup();
-        (accessed, deferred)
-    }
-
-    /// The class-centric accessed set: a range scan over the dirty-set
-    /// index, each entry carrying its class tag, merged with the deferred
-    /// backlog (whose tags are resolved from the objects' recorded classes).
-    fn take_accessed_set_classified(
+    /// The accessed set since the previous procedure (which advances
+    /// `last_run`): a range scan over the dirty-set index, each entry
+    /// carrying its class tag, merged with the taken deferred backlog
+    /// (whose tags are resolved from the objects' recorded classes).
+    fn take_accessed_set(
         &self,
         stats: &StatisticsStore,
         infra: &Arc<Infrastructure>,
     ) -> (Vec<(String, Option<String>)>, BTreeSet<String>) {
-        let (since, deferred) = self.take_window(infra);
+        let since = {
+            let mut last = self.last_run.lock();
+            std::mem::replace(&mut *last, infra.next_timestamp())
+        };
+        let deferred: BTreeSet<String> = std::mem::take(&mut *self.deferred.lock());
         let (mut accessed, _) = stats.objects_accessed_since_classified(since);
         // Buckets older than `since` can never qualify again: drop them
         // so the index footprint tracks recent traffic, not history.
@@ -351,10 +295,6 @@ impl PeriodicOptimizer {
         (accessed, deferred)
     }
 
-    // ------------------------------------------------------------------
-    // Class-centric sweep (the default)
-    // ------------------------------------------------------------------
-
     /// Runs one optimisation procedure over all engines: group the accessed
     /// set by `(class, rule)`, one placement search per group, map
     /// the decision onto the members, then execute the beneficial
@@ -374,7 +314,7 @@ impl PeriodicOptimizer {
         // 1) + 2) The leader fetches the accessed/modified set from the
         // dirty-set index and merges in the budget-deferred backlog.
         let stats = infra.statistics(leader.datacenter());
-        let (accessed, deferred) = self.take_accessed_set_classified(&stats, infra);
+        let (accessed, deferred) = self.take_accessed_set(&stats, infra);
 
         // 3) Bucket the accessed keys by their dirty-index class tag — no
         // per-object metadata reads. Untagged entries (re-queued deferrals,
@@ -442,7 +382,7 @@ impl PeriodicOptimizer {
             admitted += 1;
             // A migration that loses a race against a client write (or whose
             // provider fails) is reconsidered when the object is next
-            // accessed, exactly like the per-object sweep.
+            // accessed.
             if engine
                 .replace_placement(&candidate.key, &candidate.plan.to)
                 .is_ok()
@@ -495,10 +435,9 @@ impl PeriodicOptimizer {
             return (partial, candidates);
         }
 
-        // The class evaluates: now (and only now) read member digests —
-        // decoded in place, no cell clone — with a full metadata read only
-        // for objects without one. Objects deleted since they were accessed
-        // drop out here, exactly like the per-object sweep.
+        // The class evaluates: now (and only now) read member digests,
+        // decoded in place, no cell clone. Objects deleted since they were
+        // accessed have none and drop out here.
         let mut digests: Vec<MemberDigest> = Vec::with_capacity(member_keys.len());
         for row_key in member_keys {
             let digest = infra
@@ -507,16 +446,7 @@ impl PeriodicOptimizer {
                     MemberDigest::decode(row_key.clone(), &cell.value)
                 })
                 .flatten();
-            let digest = match digest {
-                Some(digest) => digest,
-                None => {
-                    let Some(meta) = load_meta(engine, &row_key) else {
-                        continue;
-                    };
-                    MemberDigest::from_meta(row_key, meta)
-                }
-            };
-            digests.push(digest);
+            digests.extend(digest);
         }
         // Split by rule identity: one sort with borrowed comparators (no
         // per-member key clones), then slice-grouping of the consecutive
@@ -547,17 +477,12 @@ impl PeriodicOptimizer {
             .statistics(scalia_types::ids::DatacenterId::new(0))
             .class_lifetimes(&class_id);
         let lifetime_dist = (!class_lifetimes.is_empty())
-            .then(|| scalia_core::lifetime::LifetimeDistribution::from_samples(class_lifetimes));
+            .then(|| LifetimeDistribution::from_samples(class_lifetimes));
         for members in groups {
-            let group_key = GroupKey::from_fingerprint(
-                class_id.clone(),
-                members[0].rule_name.clone(),
-                members[0].rule_fingerprint,
-            );
             let (group_partial, mut group_candidates) = self.optimize_group(
                 engine,
                 infra,
-                group_key,
+                &class_id,
                 members,
                 trend_changed,
                 &class_usage,
@@ -569,23 +494,23 @@ impl PeriodicOptimizer {
         (partial, candidates)
     }
 
-    /// One `(class, rule)` group of an evaluating class: **one** placement
-    /// search, and the per-member migration gate against the shared
-    /// [`GroupDecision`]. Members whose digest already matches the decided
+    /// One `(class, rule)` group of an evaluating class: **one** decision
+    /// through `scalia_core::decision`, and the per-member migration gate
+    /// against it. Members whose digest already matches the decided
     /// placement are done with zero further reads (a plan that moves
-    /// nothing can never be beneficial); only divergent members pay the
-    /// full metadata read for the exact gate. Returns the group's report
-    /// partial and its beneficial migration candidates.
+    /// nothing never passes the gate); only divergent members pay the full
+    /// metadata read for the exact gate. Returns the group's report partial
+    /// and its beneficial migration candidates.
     #[allow(clippy::too_many_arguments)]
     fn optimize_group(
         &self,
         engine: &Arc<Engine>,
         infra: &Arc<Infrastructure>,
-        group_key: GroupKey,
+        class_id: &str,
         members: Vec<MemberDigest>,
         trend_changed: bool,
         class_usage: &ClassUsage,
-        lifetime_dist: Option<&scalia_core::lifetime::LifetimeDistribution>,
+        lifetime_dist: Option<&LifetimeDistribution>,
     ) -> (OptimizationReport, Vec<MigrationCandidate>) {
         let mut partial = OptimizationReport::default();
         let mut candidates: Vec<MigrationCandidate> = Vec::new();
@@ -599,18 +524,18 @@ impl PeriodicOptimizer {
         // The class's mean-member demand: for a singleton class this is the
         // member's own history, record for record.
         let mean_history = class_usage.mean_member_history(DEFAULT_HISTORY_LEN);
-        let period_hours = infra.sampling_period().as_hours();
+        let sampling = infra.sampling_period();
         let mean_size = ByteSize::from_bytes(
             (members.iter().map(|m| m.size.bytes()).sum::<u64>() as f64 / members.len() as f64)
                 .round() as u64,
         );
         // The search needs the full rule; one representative member's
         // metadata supplies it (every member of the group shares the rule
-        // fingerprint). The fallback path has it in hand already.
-        let Some(rule) = members.iter().find_map(|member| match &member.meta {
-            Some(meta) => Some(meta.rule.clone()),
-            None => load_meta(engine, &member.row_key).map(|meta| meta.rule),
-        }) else {
+        // fingerprint).
+        let Some(rule) = members
+            .iter()
+            .find_map(|member| load_meta(engine, &member.row_key).map(|meta| meta.rule))
+        else {
             return (partial, candidates); // Every member vanished mid-cycle.
         };
 
@@ -619,53 +544,44 @@ impl PeriodicOptimizer {
         let upper_bound = members
             .iter()
             .map(|member| {
-                self.ttl_upper_bound_with(
+                let remaining = match (member.ttl_hint_hours, lifetime_dist) {
+                    (None, Some(dist)) => {
+                        dist.expected_remaining(infra.now().since(member.written_at).as_hours())
+                    }
+                    _ => None,
+                };
+                decision::period_bound(
                     member.ttl_hint_hours,
-                    member.written_at,
-                    infra,
-                    lifetime_dist,
-                    &mean_history,
+                    remaining,
+                    mean_history.len(),
+                    sampling,
+                    Duration::from_hours(24),
                 )
             })
             .min()
             .expect("non-empty group");
-        let controller_key = format!("class:{}:{}", group_key.class_id, group_key.rule_name);
+        let controller_key = format!("class:{class_id}:{}", rule.name);
         let mut controller = infra.decision_controller(&controller_key, Duration::from_hours(24));
-        controller.on_optimization(upper_bound, |window| {
-            let periods = window.periods(infra.sampling_period()).max(1) as usize;
-            let usage =
-                PredictedUsage::from_history(mean_size, &mean_history, periods, period_hours);
-            match infra.best_placement_cached(&self.placement, &rule, &group_key.class_id, &usage) {
-                Ok(decision) => decision
-                    .expected_cost
-                    .scale(1.0 / usage.duration_hours.max(1e-9)),
-                Err(_) => Money::MAX,
-            }
-        });
-        let decision_period = controller.current();
+        // **One** placement search for the whole group (plus the three
+        // windows when the decision period is due for adjustment).
+        let decided = decision::decide(
+            &mut controller,
+            Some(upper_bound),
+            mean_size,
+            &mean_history,
+            sampling,
+            |usage| {
+                infra
+                    .best_placement_cached(&self.placement, &rule, class_id, usage)
+                    .ok()
+            },
+        );
         infra.store_decision_controller(&controller_key, controller);
-
-        // **One** placement search for the whole group.
-        let periods = decision_period.periods(infra.sampling_period()).max(1) as usize;
-        let usage = PredictedUsage::from_history(mean_size, &mean_history, periods, period_hours);
-        let Ok(decision) =
-            infra.best_placement_cached(&self.placement, &rule, &group_key.class_id, &usage)
-        else {
+        let Some((usage, decision)) = decided else {
             return (partial, candidates);
         };
         partial.searches_executed += 1;
         partial.objects_covered += members.len();
-        // One result mapped onto every member — the paper's amortisation
-        // made explicit.
-        let group_decision = GroupDecision {
-            key: group_key,
-            catalog_version: infra.catalog().version(),
-            usage,
-            decision,
-            members: members.iter().map(|m| m.row_key.clone()).collect(),
-        };
-        let usage = group_decision.usage;
-        let decision = &group_decision.decision;
         let mut decision_providers: Vec<u32> = decision
             .placement
             .providers
@@ -680,23 +596,15 @@ impl PeriodicOptimizer {
         for member in members {
             if member.m == decision_m && member.providers == decision_providers {
                 // Already on the decided placement: re-evaluated, nothing
-                // to move (a plan whose `from` equals its `to` is never
-                // beneficial) — no metadata read needed.
+                // to move — no metadata read needed.
                 partial.placements_recomputed += 1;
                 continue;
             }
             // Divergent member: now (and only now) deserialise its full
             // metadata for the exact migration gate.
-            let meta = match member.meta {
-                Some(meta) => meta,
-                None => {
-                    let Some(meta) = load_meta(engine, &member.row_key) else {
-                        continue; // Deleted mid-cycle.
-                    };
-                    meta
-                }
+            let Some(meta) = load_meta(engine, &member.row_key) else {
+                continue; // Deleted mid-cycle.
             };
-            let row_key = member.row_key;
             let member_usage = PredictedUsage {
                 size: meta.size,
                 ..usage
@@ -708,241 +616,33 @@ impl PeriodicOptimizer {
             };
             partial.placements_recomputed += 1;
 
-            // The union across stripes (`MigrationPlan::changes_placement`
-            // compares sets).
-            let current_providers: Vec<_> = meta
-                .striping
-                .provider_set()
-                .into_iter()
-                .filter_map(|p| infra.catalog().get(p))
-                .collect();
+            // The union across stripes (the gate compares sets).
             let current = Placement {
-                providers: current_providers.clone(),
+                providers: meta
+                    .striping
+                    .provider_set()
+                    .into_iter()
+                    .filter_map(|p| infra.catalog().get(p))
+                    .collect(),
                 m: meta.striping.m(),
             };
-            // Priced with the rule's latency weight so the migration gate
-            // compares like with like: the candidate's cost already includes
-            // the latency penalty (billing itself never does).
-            let current_cost = compute_price_weighted(
-                &current_providers,
-                meta.striping.m(),
-                &member_usage,
-                rule.latency_weight,
-            );
             let to = Placement {
                 providers: decision.placement.providers.clone(),
                 m,
             };
-            let plan = MigrationPlan::build(current, to, &member_usage, current_cost, member_cost);
-            if plan.changes_placement() && plan.is_beneficial() {
+            if let Some(plan) =
+                decision::migration(current, to, member_cost, &member_usage, rule.latency_weight)
+            {
                 candidates.push(MigrationCandidate {
                     savings_per_byte: plan.savings_per_byte(meta.size),
-                    row_key,
-                    key: meta.key.clone(),
+                    row_key: member.row_key,
+                    key: meta.key,
                     size: meta.size,
                     plan,
                 });
             }
         }
         (partial, candidates)
-    }
-
-    // ------------------------------------------------------------------
-    // Per-object sweep (differential baseline)
-    // ------------------------------------------------------------------
-
-    /// The pre-class per-object procedure: full-scan accessed-set fetch,
-    /// then trend detection, decision-period control and one placement
-    /// search **per object**. Kept as the baseline the class-centric sweep
-    /// is differential-tested (singleton classes must match bit for bit)
-    /// and benchmarked against.
-    pub fn run_per_object(
-        &self,
-        engines: &[Arc<Engine>],
-        infra: &Arc<Infrastructure>,
-        force: bool,
-    ) -> OptimizationReport {
-        let Some(leader) = engines.iter().min_by_key(|e| e.id().0) else {
-            return OptimizationReport::default();
-        };
-
-        let stats = infra.statistics(leader.datacenter());
-        let (accessed, _) = self.take_accessed_set_scan(&stats, infra);
-
-        // One contiguous shard of the accessed set per engine.
-        let mut report = OptimizationReport {
-            leader: leader.id(),
-            objects_considered: accessed.len(),
-            ..OptimizationReport::default()
-        };
-        let shard_len = accessed.len().div_ceil(engines.len()).max(1);
-        for (i, shard) in accessed.chunks(shard_len).enumerate() {
-            let engine = &engines[i % engines.len()];
-            for row_key in shard {
-                let outcome = self.optimize_object(engine, infra, row_key, force);
-                report.trend_changes += outcome.trend_changed as usize;
-                report.placements_recomputed += outcome.recomputed as usize;
-                report.searches_executed += outcome.recomputed as usize;
-                report.objects_covered += outcome.recomputed as usize;
-                report.migrations_executed += outcome.migrated as usize;
-                report.bytes_migrated += outcome.bytes_migrated;
-            }
-        }
-        report
-    }
-
-    /// For one object: detect a trend change and, if needed, recompute the
-    /// placement and migrate. Returns what happened so the caller can add
-    /// it to the cycle's report.
-    fn optimize_object(
-        &self,
-        engine: &Arc<Engine>,
-        infra: &Arc<Infrastructure>,
-        row_key: &str,
-        force: bool,
-    ) -> ObjectOutcome {
-        let mut outcome = ObjectOutcome::default();
-        let stats = infra.statistics(engine.datacenter());
-        let Some(meta) = load_meta(engine, row_key) else {
-            return outcome; // Object deleted since it was accessed.
-        };
-        let class = ObjectClass::of(&meta.mime, meta.size);
-
-        let history = stats.history(row_key, DEFAULT_HISTORY_LEN);
-        let series = history.ops_series(history.len());
-        outcome.trend_changed = self.detector.detect(&series);
-        if !outcome.trend_changed && !force {
-            return outcome;
-        }
-
-        // Decision period for this object (adaptive, bounded by TTL).
-        let period_hours = infra.sampling_period().as_hours();
-        let mut controller = infra.decision_controller(row_key, Duration::from_hours(24));
-        let upper_bound = self.ttl_upper_bound(&meta, infra, &history);
-        let rule = meta.rule.clone();
-        let size = meta.size;
-        // All searches below go through the shared placement decision cache
-        // (rule + class + usage bucket + catalog version): one optimisation
-        // cycle re-prices each class once instead of once per object.
-        controller.on_optimization(upper_bound, |window| {
-            let periods = window.periods(infra.sampling_period()).max(1) as usize;
-            let usage = PredictedUsage::from_history(size, &history, periods, period_hours);
-            match infra.best_placement_cached(&self.placement, &rule, class.id(), &usage) {
-                Ok(decision) => decision
-                    .expected_cost
-                    .scale(1.0 / usage.duration_hours.max(1e-9)),
-                Err(_) => Money::MAX,
-            }
-        });
-        let decision_period = controller.current();
-        infra.store_decision_controller(row_key, controller);
-
-        let periods = decision_period.periods(infra.sampling_period()).max(1) as usize;
-        let usage = PredictedUsage::from_history(meta.size, &history, periods, period_hours);
-
-        let Ok(decision) =
-            infra.best_placement_cached(&self.placement, &meta.rule, class.id(), &usage)
-        else {
-            return outcome;
-        };
-        outcome.recomputed = true;
-
-        // Current placement and its expected cost over the same window.
-        let current_providers: Vec<_> = meta
-            .striping
-            .provider_set()
-            .into_iter()
-            .filter_map(|p| infra.catalog().get(p))
-            .collect();
-        let current = Placement {
-            providers: current_providers.clone(),
-            m: meta.striping.m(),
-        };
-        // Priced with the rule's latency weight so the migration gate
-        // compares like with like: the candidate's expected_cost already
-        // includes the latency penalty (billing itself never does).
-        let current_cost = compute_price_weighted(
-            &current_providers,
-            meta.striping.m(),
-            &usage,
-            meta.rule.latency_weight,
-        );
-
-        let plan = MigrationPlan::build(
-            current,
-            decision.placement.clone(),
-            &usage,
-            current_cost,
-            decision.expected_cost,
-        );
-        if plan.changes_placement() && plan.is_beneficial() {
-            let bytes = plan.bytes_moved(meta.size);
-            if engine.replace_placement(&meta.key, &plan.to).is_ok() {
-                outcome.migrated = true;
-                outcome.bytes_migrated = bytes;
-            }
-        }
-        outcome
-    }
-
-    /// Upper bound for the decision period: the TTL hint if the writer gave
-    /// one, otherwise the expected remaining lifetime of the object's class,
-    /// otherwise the length of the available history.
-    fn ttl_upper_bound(
-        &self,
-        meta: &ObjectMeta,
-        infra: &Arc<Infrastructure>,
-        history: &scalia_types::stats::AccessHistory,
-    ) -> Duration {
-        // The writer's TTL hint short-circuits before the class row is ever
-        // read — no lifetime fetch + sort for hinted objects.
-        if meta.ttl_hint_hours.is_some() {
-            return self.ttl_upper_bound_with(
-                meta.ttl_hint_hours,
-                meta.written_at,
-                infra,
-                None,
-                history,
-            );
-        }
-        let stats = infra.statistics(scalia_types::ids::DatacenterId::new(0));
-        let class = ObjectClass::of(&meta.mime, meta.size);
-        let lifetimes = stats.class_lifetimes(class.id());
-        let dist = (!lifetimes.is_empty())
-            .then(|| scalia_core::lifetime::LifetimeDistribution::from_samples(lifetimes));
-        self.ttl_upper_bound_with(
-            meta.ttl_hint_hours,
-            meta.written_at,
-            infra,
-            dist.as_ref(),
-            history,
-        )
-    }
-
-    /// [`Self::ttl_upper_bound`] on the digest fields, with the class's
-    /// deletion-time distribution supplied by the caller (the class-centric
-    /// sweep builds it once per class).
-    fn ttl_upper_bound_with(
-        &self,
-        ttl_hint_hours: Option<f64>,
-        written_at: scalia_types::time::SimTime,
-        infra: &Arc<Infrastructure>,
-        lifetime_dist: Option<&scalia_core::lifetime::LifetimeDistribution>,
-        history: &scalia_types::stats::AccessHistory,
-    ) -> Duration {
-        if let Some(ttl) = ttl_hint_hours {
-            return Duration::from_secs((ttl * 3600.0) as u64);
-        }
-        if let Some(dist) = lifetime_dist {
-            let age = infra.now().since(written_at).as_hours();
-            if let Some(remaining) = dist.expected_remaining(age) {
-                return Duration::from_secs((remaining.max(1.0) * 3600.0) as u64);
-            }
-        }
-        infra
-            .sampling_period()
-            .times(history.len().max(1) as u64)
-            .max(Duration::from_hours(24))
     }
 }
 

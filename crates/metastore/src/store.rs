@@ -1,15 +1,14 @@
 //! A single NoSQL database node.
 //!
 //! One node lives in each datacenter. It stores wide rows with versioned
-//! cells, supports prefix scans (for the statistics tables) and tracks
-//! the last-modified timestamp per row so the periodic optimiser can ask
-//! "which objects were accessed or modified since the last optimisation
-//! procedure?" (§III-A3).
+//! cells and supports prefix and range scans (for the statistics tables,
+//! whose dirty-set index answers the optimiser's "which objects were
+//! accessed or modified since the last procedure?", §III-A3).
 //!
 //! # Content digest
 //!
-//! Every row carries a header next to its columns: its last-modified
-//! timestamp and a **row digest** — the XOR of [`cell_hash`]`(row_key,
+//! Every row carries a header next to its columns: its **row digest** —
+//! the XOR of [`cell_hash`]`(row_key,
 //! column, timestamp)` over the cell versions the row stores. The node keeps
 //! the XOR of all row digests as its **node digest**. Both are updated under
 //! the same write lock as the mutation that changes the version set, in time
@@ -69,24 +68,13 @@ struct StoredRow {
     columns: Row,
     /// XOR of [`cell_hash`] over every stored cell version.
     digest: u64,
-    /// Highest timestamp ever written to the row; `None` only for a row
-    /// restored from a checkpoint that held no cells for it.
-    modified: Option<Timestamp>,
 }
 
 impl StoredRow {
     /// Builds the header of a restored row from its cells.
     fn from_columns(row_key: &str, columns: Row) -> Self {
         let digest = row_hash(row_key, &columns);
-        let modified = columns
-            .values()
-            .flat_map(|cells| cells.iter().map(|c| c.timestamp))
-            .max();
-        StoredRow {
-            columns,
-            digest,
-            modified,
-        }
+        StoredRow { columns, digest }
     }
 
     /// Stores one cell version, allocating the column name only when the
@@ -102,7 +90,6 @@ impl StoredRow {
                 true
             }
         };
-        self.modified = self.modified.max(Some(timestamp));
         is_new.then(|| {
             let delta = cell_hash(row_key, column, timestamp);
             self.digest ^= delta;
@@ -476,22 +463,6 @@ impl NoSqlNode {
             .collect()
     }
 
-    /// Row keys whose last modification is at or after `since` — the set `A`
-    /// of accessed/modified objects the periodic optimiser shards across
-    /// engines.
-    pub fn modified_since(&self, since: Timestamp) -> Vec<String> {
-        if !self.is_up() {
-            return Vec::new();
-        }
-        self.table
-            .read()
-            .rows
-            .iter()
-            .filter(|(_, row)| row.modified.is_some_and(|ts| ts >= since))
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
-
     /// Number of rows stored.
     pub fn row_count(&self) -> usize {
         self.table.read().rows.len()
@@ -543,7 +514,7 @@ impl NoSqlNode {
     }
 
     /// Replaces the node's entire contents with a checkpoint snapshot,
-    /// rebuilding every row header (digest, last-modified) and the node
+    /// rebuilding every row digest and the node
     /// digest from the snapshot's cells. Crash recovery restores the
     /// checkpoint first and then replays the write-ahead journal on top
     /// (see `ReplicatedStore::recover`); unlike normal mutations this works
@@ -672,21 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn modified_since_tracks_latest_write() {
-        let n = node();
-        n.put("a", "c", json!(1), Timestamp::new(10, 0));
-        n.put("b", "c", json!(1), Timestamp::new(20, 0));
-        n.put("a", "c", json!(2), Timestamp::new(30, 0));
-        let recent = n.modified_since(Timestamp::new(15, 0));
-        assert!(recent.contains(&"a".to_string()));
-        assert!(recent.contains(&"b".to_string()));
-        let very_recent = n.modified_since(Timestamp::new(25, 0));
-        assert_eq!(very_recent, vec!["a".to_string()]);
-        assert!(n.modified_since(Timestamp::new(31, 0)).is_empty());
-    }
-
-    #[test]
-    fn restore_replaces_contents_and_rebuilds_modified_index() {
+    fn restore_replaces_contents() {
         let n = node();
         n.put("old", "c", json!(1), Timestamp::new(5, 0));
         let other = node();
@@ -697,10 +654,6 @@ mod tests {
         assert!(n.get_latest("old", "c").is_none(), "old contents replaced");
         assert_eq!(n.get_latest("a", "d").unwrap().value, json!(11));
         assert_eq!(n.row_count(), 2);
-        // The modified index reflects the snapshot's max timestamps.
-        assert_eq!(n.modified_since(Timestamp::new(13, 0)), vec!["b"]);
-        let both = n.modified_since(Timestamp::new(12, 0));
-        assert_eq!(both, vec!["a".to_string(), "b".to_string()]);
         // Restore works on a down node (recovery brings it back by hand).
         n.set_up(false);
         n.restore(Vec::new());
@@ -861,7 +814,6 @@ mod tests {
         assert!(!n.put("r", "c", json!(2), Timestamp::new(2, 0)));
         assert!(n.get_latest("r", "c").is_none());
         assert!(n.scan_prefix("").is_empty());
-        assert!(n.modified_since(Timestamp::ZERO).is_empty());
         n.set_up(true);
         assert_eq!(n.get_latest("r", "c").unwrap().value, json!(1));
     }

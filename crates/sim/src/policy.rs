@@ -11,16 +11,15 @@
 //! * [`ScaliaPolicy`] — the adaptive policy: first placement from the
 //!   expected storage-only usage, then trend-detection-gated re-placement
 //!   over the decision period, a migration cost/benefit gate, and immediate
-//!   reaction to provider arrivals and outages.
+//!   reaction to provider arrivals and outages. The decision itself is
+//!   `scalia_core::decision`'s, the step the engine's optimiser runs too.
 
 use crate::workload::{PeriodDemand, WorkloadObject};
-use scalia_core::cost::{compute_price_weighted, PredictedUsage};
-use scalia_core::decision::DecisionPeriodController;
-use scalia_core::migration::MigrationPlan;
+use scalia_core::cost::PredictedUsage;
+use scalia_core::decision::{self, rule_fingerprint, DecisionPeriodController};
 use scalia_core::placement::{Placement, PlacementDecision, PlacementEngine};
 use scalia_core::trend::TrendDetector;
 use scalia_providers::descriptor::ProviderDescriptor;
-use scalia_types::money::Money;
 use scalia_types::stats::AccessHistory;
 use scalia_types::time::Duration;
 use std::collections::HashMap;
@@ -229,13 +228,7 @@ impl SearchKey {
         SearchKey {
             period,
             rule_name: rule.name.clone(),
-            rule_bits: [
-                rule.durability.probability().to_bits(),
-                rule.availability.probability().to_bits(),
-                rule.lockin.to_bits(),
-                rule.latency_weight.to_bits(),
-                rule.zones.bits() as u64,
-            ],
+            rule_bits: rule_fingerprint(rule),
             usage_bits: [
                 usage.size.bytes(),
                 usage.bw_in.bytes(),
@@ -253,7 +246,7 @@ impl SearchKey {
 pub struct ScaliaPolicy {
     engine: PlacementEngine,
     detector: TrendDetector,
-    period_hours: f64,
+    sampling: Duration,
     default_decision_periods: usize,
     adaptive_decision_period: bool,
     migration_gate: bool,
@@ -273,7 +266,7 @@ impl ScaliaPolicy {
         ScaliaPolicy {
             engine: PlacementEngine::new(),
             detector: TrendDetector::default(),
-            period_hours,
+            sampling: Duration::from_secs((period_hours * 3600.0) as u64),
             default_decision_periods: 24,
             adaptive_decision_period: true,
             migration_gate: true,
@@ -334,26 +327,22 @@ impl ScaliaPolicy {
         self
     }
 
-    fn decision_periods(&self, state: &ObjectState) -> usize {
-        (state
-            .controller
-            .current()
-            .periods(Duration::from_secs((self.period_hours * 3600.0) as u64))
-            .max(1)) as usize
-    }
-
     fn first_placement(
         &mut self,
         obj: &WorkloadObject,
         period: u64,
         available: &[ProviderDescriptor],
     ) -> Option<Placement> {
-        // No history yet: optimise for the expected storage-dominated usage
-        // over the default decision period. Same-class objects created in
-        // the same period share one search through the memo.
-        let usage = PredictedUsage::storage_only(
+        // No history yet, and the simulator keeps no class statistics:
+        // optimise for the expected storage-dominated usage over the
+        // default decision period. Same-class objects created in the same
+        // period share one search through the memo.
+        let usage = decision::first_usage(
             obj.size,
-            self.default_decision_periods as f64 * self.period_hours,
+            None,
+            self.default_decision_periods,
+            self.sampling,
+            None,
         );
         self.search_cached(period, &obj.rule, &usage, available)
             .map(|d| d.placement)
@@ -377,7 +366,7 @@ impl PlacementPolicy for ScaliaPolicy {
         history: &AccessHistory,
         _actual_demand: PeriodDemand,
     ) -> Option<Placement> {
-        let sampling = Duration::from_secs((self.period_hours * 3600.0) as u64);
+        let sampling = self.sampling;
 
         if !self.state.contains_key(&obj.id) {
             let placement = self.first_placement(obj, period, available)?;
@@ -427,73 +416,59 @@ impl PlacementPolicy for ScaliaPolicy {
         let trend_changed = self.detector.detect(&series);
 
         if trend_changed || catalog_changed || placement_broken || latency_shifted {
-            // Optionally adapt the decision period first.
-            if self.adaptive_decision_period && trend_changed {
-                let rule = &obj.rule;
-                let size = obj.size;
-                let period_hours = self.period_hours;
-                let upper = sampling
-                    .times(history.len().max(1) as u64)
-                    .max(sampling.times(self.default_decision_periods as u64));
-                controller.on_optimization(upper, |window| {
-                    let periods = window.periods(sampling).max(1) as usize;
-                    let usage = PredictedUsage::from_history(size, history, periods, period_hours);
-                    self.search_cached(period, rule, &usage, available)
-                        .map(|d| d.expected_cost.scale(1.0 / usage.duration_hours.max(1e-9)))
-                        .unwrap_or(Money::MAX)
-                });
-            }
-
-            let periods = {
-                let temp_state = ObjectState {
-                    placement: placement.clone(),
-                    controller: controller.clone(),
-                    known_providers,
-                    latency_fingerprint: last_fingerprint,
-                };
-                self.decision_periods(&temp_state)
-            };
-            let usage = PredictedUsage::from_history(obj.size, history, periods, self.period_hours);
-            if let Some(decision) = self.search_cached(period, &obj.rule, &usage, available) {
-                let current_still_valid = !placement_broken;
-                let current_cost = if current_still_valid {
+            // The decision period adapts on a trend change only.
+            let adapt_within = (self.adaptive_decision_period && trend_changed).then(|| {
+                decision::period_bound(
+                    None,
+                    None,
+                    history.len(),
+                    sampling,
+                    sampling.times(self.default_decision_periods as u64),
+                )
+            });
+            let decided = decision::decide(
+                &mut controller,
+                adapt_within,
+                obj.size,
+                history,
+                sampling,
+                |usage| self.search_cached(period, &obj.rule, usage, available),
+            );
+            match decided {
+                Some((_, decision)) if placement_broken || !self.migration_gate => {
+                    placement = decision.placement;
+                }
+                Some((usage, decision)) => {
                     // The current placement's providers may carry stale
                     // observed annotations from the period they were
                     // chosen; price them as the catalog sees them now.
-                    let current_providers: Vec<ProviderDescriptor> = placement
-                        .providers
-                        .iter()
-                        .map(|p| {
-                            available
-                                .iter()
-                                .find(|a| a.id == p.id || a.name == p.name)
-                                .cloned()
-                                .unwrap_or_else(|| p.clone())
-                        })
-                        .collect();
-                    compute_price_weighted(
-                        &current_providers,
-                        placement.m,
+                    let current = Placement {
+                        providers: placement
+                            .providers
+                            .iter()
+                            .map(|p| {
+                                available
+                                    .iter()
+                                    .find(|a| a.id == p.id || a.name == p.name)
+                                    .cloned()
+                                    .unwrap_or_else(|| p.clone())
+                            })
+                            .collect(),
+                        m: placement.m,
+                    };
+                    if let Some(plan) = decision::migration(
+                        current,
+                        decision.placement,
+                        decision.expected_cost,
                         &usage,
                         obj.rule.latency_weight,
-                    )
-                } else {
-                    Money::MAX
-                };
-                let plan = MigrationPlan::build(
-                    placement.clone(),
-                    decision.placement.clone(),
-                    &usage,
-                    current_cost,
-                    decision.expected_cost,
-                );
-                let must_move = placement_broken;
-                if must_move || !self.migration_gate || plan.is_beneficial() {
-                    placement = decision.placement;
+                    ) {
+                        placement = plan.to;
+                    }
                 }
-            } else if placement_broken {
                 // No feasible placement without the failed provider.
-                return None;
+                None if placement_broken => return None,
+                None => {}
             }
         }
 

@@ -1,9 +1,10 @@
 //! The class-centric optimisation pipeline, end to end:
 //!
 //! * **Singleton differential** — over classes with exactly one member the
-//!   class-grouped cycle must reproduce the per-object sweep bit for bit:
-//!   same `OptimizationReport`, same migrations, same final placements,
-//!   identical when 1, 2 or 8 deployments run the cycle at once.
+//!   class-grouped cycle must reproduce a per-object oracle bit for bit:
+//!   same `OptimizationReport`, same final placements, identical when 1, 2
+//!   or 8 deployments run the cycle at once. The oracle calls the same
+//!   `scalia::core::decision` step once per object through public API.
 //! * **Migration budget** — a tight per-cycle budget defers (never drops)
 //!   beneficial migrations and converges to the unbudgeted placement
 //!   within a bounded number of cycles.
@@ -14,9 +15,12 @@
 //!   stays bounded by live objects + known classes (+ recent dirty
 //!   buckets).
 
+use scalia::core::decision;
 use scalia::metastore::model::Timestamp;
 use scalia::metastore::stats::{DIRTY_SHARDS, MAX_CLASS_SAMPLES};
 use scalia::prelude::*;
+use scalia::types::ids::DatacenterId;
+use scalia::types::time::Duration;
 
 fn rule() -> StorageRule {
     StorageRule::new(
@@ -39,11 +43,108 @@ fn placements_of(cluster: &ScaliaCluster, keys: &[ObjectKey]) -> Vec<(u32, Vec<u
         .collect()
 }
 
+/// The per-object oracle: one unforced optimisation cycle over `keys`,
+/// deciding each object alone from its own history — trend detection, the
+/// decision-period bound, `decision::decide` with adaptation and the
+/// migration gate — and migrating inline.
+fn per_object_cycle(cluster: &ScaliaCluster, keys: &[ObjectKey]) -> OptimizationReport {
+    let engine = cluster.engine(0);
+    let infra = cluster.infra();
+    let sampling = infra.sampling_period();
+    let mut report = OptimizationReport {
+        leader: engine.id(),
+        objects_considered: keys.len(),
+        ..OptimizationReport::default()
+    };
+    for key in keys {
+        let meta = engine.read_metadata(key).unwrap();
+        let history = engine.history(key);
+        if !TrendDetector::default().detect(&history.ops_series(history.len())) {
+            continue;
+        }
+        report.trend_changes += 1;
+        let class = ObjectClass::of(&meta.mime, meta.size);
+        let lifetimes = infra
+            .statistics(DatacenterId::new(0))
+            .class_lifetimes(class.id());
+        let remaining = (meta.ttl_hint_hours.is_none() && !lifetimes.is_empty())
+            .then(|| {
+                LifetimeDistribution::from_samples(lifetimes)
+                    .expected_remaining(infra.now().since(meta.written_at).as_hours())
+            })
+            .flatten();
+        let bound = decision::period_bound(
+            meta.ttl_hint_hours,
+            remaining,
+            history.len(),
+            sampling,
+            Duration::from_hours(24),
+        );
+        let row_key = key.row_key();
+        let mut controller = infra.decision_controller(&row_key, Duration::from_hours(24));
+        let decided = decision::decide(
+            &mut controller,
+            Some(bound),
+            meta.size,
+            &history,
+            sampling,
+            |usage| {
+                infra
+                    .best_placement_cached(&PlacementEngine::new(), &meta.rule, class.id(), usage)
+                    .ok()
+            },
+        );
+        infra.store_decision_controller(&row_key, controller);
+        let Some((usage, chosen)) = decided else {
+            continue;
+        };
+        report.searches_executed += 1;
+        report.objects_covered += 1;
+        report.placements_recomputed += 1;
+        let current = Placement {
+            providers: meta
+                .striping
+                .provider_set()
+                .into_iter()
+                .filter_map(|p| infra.catalog().get(p))
+                .collect(),
+            m: meta.striping.m(),
+        };
+        let Some(plan) = decision::migration(
+            current,
+            chosen.placement,
+            chosen.expected_cost,
+            &usage,
+            meta.rule.latency_weight,
+        ) else {
+            continue;
+        };
+        if engine.replace_placement(key, &plan.to).is_ok() {
+            report.migrations_executed += 1;
+            report.bytes_migrated += plan.bytes_moved(meta.size);
+        }
+    }
+    report
+}
+
+/// An 8-hour ramp: quiet, then a surge — a history shorter than `D/2`.
+const SHORT_RAMP: [u64; 8] = [0, 0, 0, 0, 2, 10, 60, 120];
+
+/// 29 quiet hours, then a surge: a history longer than `D/2`, so the
+/// decision-period adjustment picks a window other than the default and
+/// a sweep that skipped it would land the surge elsewhere.
+fn long_ramp() -> Vec<u64> {
+    let mut ramp = vec![0u64; 29];
+    ramp.extend([2, 10, 60, 120]);
+    ramp
+}
+
 /// Builds a deployment of six singleton classes (unique MIME per object):
-/// three ramping up hour over hour, three steady — then runs one
-/// optimisation cycle in the requested mode. The scenario is fully
-/// deterministic, so any two invocations agree operation for operation.
-fn run_singleton_cycle(per_object: bool) -> (OptimizationReport, Vec<(u32, Vec<u32>)>) {
+/// three following `ramp` hour over hour, three steady at 5 reads/h — then
+/// runs one optimisation cycle, the class sweep or the per-object oracle.
+/// The scenario is fully deterministic, so any two invocations agree
+/// operation for operation.
+fn run_singleton_cycle(ramp: &[u64], oracle: bool) -> (OptimizationReport, Vec<(u32, Vec<u32>)>) {
     let cluster = ScaliaCluster::builder().build();
     let keys: Vec<ObjectKey> = (0..6)
         .map(|i| ObjectKey::new("diff", format!("obj{i}")))
@@ -59,16 +160,9 @@ fn run_singleton_cycle(per_object: bool) -> (OptimizationReport, Vec<(u32, Vec<u
             )
             .unwrap();
     }
-    // Drain the insertion marks with the mode under test, so the measured
-    // cycle starts from the same `last_run` in both modes.
-    if per_object {
-        cluster.run_optimization_per_object(false);
-    } else {
-        cluster.run_optimization(false);
-    }
+    // Drain the insertion marks, so the measured cycle sees only the ramp.
+    cluster.run_optimization(false);
 
-    // Objects 0‑2 ramp (quiet, then surge); objects 3‑5 hold steady.
-    let ramp = [0u64, 0, 0, 0, 2, 10, 60, 120];
     for (hour, &surge) in ramp.iter().enumerate() {
         for key in &keys[..3] {
             for _ in 0..surge {
@@ -83,18 +177,18 @@ fn run_singleton_cycle(per_object: bool) -> (OptimizationReport, Vec<(u32, Vec<u
         cluster.tick(SimTime::from_hours(hour as u64 + 1));
     }
 
-    let report = if per_object {
-        cluster.run_optimization_per_object(false)
+    let report = if oracle {
+        per_object_cycle(&cluster, &keys)
     } else {
         cluster.run_optimization(false)
     };
     (report, placements_of(&cluster, &keys))
 }
 
-#[test]
-fn singleton_classes_reproduce_the_per_object_sweep_bit_for_bit() {
-    let (class_report, class_placements) = run_singleton_cycle(false);
-    let (object_report, object_placements) = run_singleton_cycle(true);
+/// Runs the class sweep and the oracle over `ramp` and checks they agree.
+fn assert_singleton_differential(ramp: &[u64]) {
+    let (class_report, class_placements) = run_singleton_cycle(ramp, false);
+    let (object_report, object_placements) = run_singleton_cycle(ramp, true);
 
     // The scenario is non-trivial: the three ramps must be detected and
     // searched; the three steady objects must not be.
@@ -113,9 +207,19 @@ fn singleton_classes_reproduce_the_per_object_sweep_bit_for_bit() {
     );
 }
 
+#[test]
+fn singleton_classes_reproduce_the_per_object_sweep_bit_for_bit() {
+    assert_singleton_differential(&SHORT_RAMP);
+}
+
+#[test]
+fn singleton_differential_covers_the_decision_period_adjustment() {
+    assert_singleton_differential(&long_ramp());
+}
+
 /// The pool is gone, so "pool size" here is how many threads run the
 /// cycle at once: 1, 2 and 8 concurrent deployments, each on its own
-/// thread, must all reproduce the per-object sweep and agree with each
+/// thread, must all reproduce the per-object oracle and agree with each
 /// other — the cycle reads no state shared across deployments.
 #[test]
 fn singleton_differential_holds_at_every_pool_size() {
@@ -123,7 +227,14 @@ fn singleton_differential_holds_at_every_pool_size() {
     for workers in [1usize, 2, 8] {
         let runs: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
-                .map(|_| s.spawn(|| (run_singleton_cycle(false), run_singleton_cycle(true))))
+                .map(|_| {
+                    s.spawn(|| {
+                        (
+                            run_singleton_cycle(&SHORT_RAMP, false),
+                            run_singleton_cycle(&SHORT_RAMP, true),
+                        )
+                    })
+                })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
