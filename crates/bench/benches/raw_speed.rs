@@ -17,7 +17,6 @@
 //!   followed by a separate hash at 8 MiB;
 //! * `search_16`: dominance-pruned search beats the 4.98 ms baseline.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use scalia_core::cost::PredictedUsage;
 use scalia_core::placement::{exhaustive_search_without_dominance, PlacementEngine};
 use scalia_erasure::codec;
@@ -33,6 +32,7 @@ use scalia_types::rules::StorageRule;
 use scalia_types::size::ByteSize;
 use scalia_types::zone::{Zone, ZoneSet};
 use scalia_types::ErasureParams;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Best-of-3 wall time of `iters` runs of `f`, as per-iteration µs.
@@ -404,36 +404,6 @@ fn raw_speed_baseline() {
     );
 }
 
-fn bench_raw_speed(c: &mut Criterion) {
+fn main() {
     raw_speed_baseline();
-
-    let mut group = c.benchmark_group("raw_speed");
-    group.sample_size(20);
-
-    let len = 1usize << 20;
-    let src: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
-    let mut acc = vec![0u8; len];
-    group.bench_function("gf256_wide_1MiB", |b| {
-        b.iter(|| {
-            gf256::mul_slice_xor(black_box(143), &src, &mut acc);
-            black_box(acc[0])
-        })
-    });
-
-    for n in [16usize, 20] {
-        let catalog = bench_catalog(n);
-        let rule = bench_rule();
-        let usage = bench_usage(500);
-        let engine = PlacementEngine::new();
-        group.bench_with_input(BenchmarkId::new("search_dominance", n), &n, |b, _| {
-            b.iter(|| engine.best_placement(&rule, &usage, &catalog).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("search_no_dominance", n), &n, |b, _| {
-            b.iter(|| exhaustive_search_without_dominance(&rule, &usage, &catalog).unwrap())
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench_raw_speed);
-criterion_main!(benches);

@@ -623,7 +623,6 @@ pub fn fetch_range(
 mod tests {
     use super::*;
     use scalia_erasure::codec::encode_object;
-    use scalia_providers::backend::ObjectStore;
     use scalia_providers::catalog::ProviderCatalog;
     use scalia_types::checksum::checksum_hex;
     use scalia_types::time::Duration as SimDuration;

@@ -679,18 +679,6 @@ fn recorded_block_digests(meta: &ObjectMeta) -> Option<BlockDigests> {
     })
 }
 
-/// Identifies a provider that should be avoided (used by tests and repair).
-pub fn exclude_provider(
-    providers: &[scalia_providers::descriptor::ProviderDescriptor],
-    excluded: ProviderId,
-) -> Vec<scalia_providers::descriptor::ProviderDescriptor> {
-    providers
-        .iter()
-        .filter(|p| p.id != excluded)
-        .cloned()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,7 +15,6 @@
 //! and is the intended call site.
 
 use crate::infra::Infrastructure;
-use scalia_providers::backend::ObjectStore;
 use scalia_types::object::ObjectMeta;
 use serde::Deserialize;
 use std::collections::HashSet;
@@ -87,7 +86,6 @@ mod tests {
     use super::*;
     use crate::cluster::ScaliaCluster;
     use bytes::Bytes;
-    use scalia_providers::backend::ObjectStore;
     use scalia_types::object::ObjectKey;
     use scalia_types::reliability::Reliability;
     use scalia_types::rules::StorageRule;

@@ -5,11 +5,19 @@
 //! backends, the replicated metadata database and the statistics store, the
 //! simulation clock, the per-object decision-period controllers, the queue
 //! of deletes postponed because a provider was unreachable (§III-D3), the
-//! provider **failure detector** fed by the chunk-I/O layer (consecutive
-//! errors trip the provider into catalog-unavailable; recovery is re-probed
-//! on every clock advance), the deployment-wide per-operation latency
+//! provider failure detector, the deployment-wide per-operation latency
 //! histograms behind [`Infrastructure::io_latency_snapshot`], and the
 //! provider [`LatencyObservatory`].
+//!
+//! # Failure detector
+//!
+//! §III-D3 has one rule for a provider that fails: "the provider is marked
+//! as unavailable". The chunk-I/O layer reports every failure here. A hard
+//! unreachability error marks the provider unavailable in the catalog at
+//! once; [`FAILURE_DETECTOR_THRESHOLD`] consecutive transport errors do the
+//! same; a data-level answer (a missing chunk, a full resource, a rejected
+//! signature) never counts. Every clock advance re-probes the providers the
+//! detector disabled and returns those whose backend answers again.
 //!
 //! # One latency view per tick
 //!
@@ -33,7 +41,7 @@ use scalia_core::placement::{PlacementDecision, PlacementEngine};
 use scalia_metastore::model::Timestamp;
 use scalia_metastore::replication::{CrashHook, ReplicatedStore};
 use scalia_metastore::stats::StatisticsStore;
-use scalia_providers::backend::{ObjectStore, OpLatencies, SimulatedStore, StoreOp};
+use scalia_providers::backend::{OpLatencies, SimulatedStore, StoreOp};
 use scalia_providers::catalog::ProviderCatalog;
 use scalia_providers::descriptor::ProviderDescriptor;
 use scalia_providers::failure::FaultPlan;
@@ -49,9 +57,9 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Number of lock shards for per-row commit locks and decision-period
-/// controllers. Concurrent operations on different objects almost never
-/// contend; operations on the same object serialise on its shard.
+/// Number of lock shards for per-row commit locks. Concurrent operations
+/// on different objects almost never contend; operations on the same
+/// object serialise on its shard.
 const LOCK_SHARDS: usize = 64;
 
 /// Consecutive chunk-I/O failures after which the failure detector marks a
@@ -59,39 +67,15 @@ const LOCK_SHARDS: usize = 64;
 /// [`ScaliaError::ProviderUnavailable`] — trips it immediately, §III-D3).
 pub const FAILURE_DETECTOR_THRESHOLD: u32 = 3;
 
-/// Tunable knobs of the provider failure detector. The default is
-/// bit-for-bit the historical behaviour: trip after
-/// [`FAILURE_DETECTOR_THRESHOLD`] consecutive transport errors, re-probe
-/// detector-disabled providers on every clock advance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DetectorConfig {
-    /// Consecutive transport-level errors before the detector trips a
-    /// provider into catalog-unavailable. Hard unreachability
-    /// ([`ScaliaError::ProviderUnavailable`]) still trips immediately and
-    /// data-level answers still never count, whatever this is set to.
-    pub transport_error_threshold: u32,
-    /// Minimum simulated time between re-probes of detector-disabled
-    /// providers. [`Duration::ZERO`] re-probes on every clock advance.
-    pub reprobe_interval: Duration,
-}
+/// First retry backoff of a failed pending delete or repair (doubles per
+/// failure).
+const RETRY_BACKOFF_BASE_SECS: u64 = 60;
 
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            transport_error_threshold: FAILURE_DETECTOR_THRESHOLD,
-            reprobe_interval: Duration::ZERO,
-        }
-    }
-}
+/// Backoff ceiling of a failed pending delete or repair.
+const RETRY_BACKOFF_CAP_SECS: u64 = 3_600;
 
-/// First retry backoff of a failed pending delete (doubles per failure).
-const DELETE_BACKOFF_BASE_SECS: u64 = 60;
-
-/// Backoff ceiling of a failed pending delete.
-const DELETE_BACKOFF_CAP_SECS: u64 = 3_600;
-
-/// Spread of the deterministic per-item jitter added to delete backoff.
-const DELETE_BACKOFF_JITTER_SECS: u64 = 30;
+/// Spread of the deterministic per-item jitter added to the retry backoff.
+const RETRY_BACKOFF_JITTER_SECS: u64 = 30;
 
 fn shard_of(key: &str) -> usize {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -117,17 +101,18 @@ pub struct PendingDelete {
 }
 
 /// Backoff applied after retry number `attempts` (1-based) of a failed
-/// pending delete: base 60 s doubling per failure, capped at one hour, plus
-/// a deterministic jitter derived from the chunk key and attempt count so a
-/// burst of postponed deletes doesn't thunder back in lockstep.
-fn delete_backoff_secs(chunk_key: &str, attempts: u32) -> u64 {
+/// pending delete (keyed by its chunk key) or repair (keyed by its queue
+/// row): base 60 s doubling per failure, capped at one hour, plus a
+/// deterministic jitter derived from the key and attempt count so a burst
+/// of retries queued by one outage doesn't thunder back in lockstep.
+pub(crate) fn retry_backoff_secs(key: &str, attempts: u32) -> u64 {
     let exponent = attempts.saturating_sub(1).min(6);
-    let base = DELETE_BACKOFF_BASE_SECS << exponent;
+    let base = RETRY_BACKOFF_BASE_SECS << exponent;
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    chunk_key.hash(&mut hasher);
+    key.hash(&mut hasher);
     attempts.hash(&mut hasher);
-    let jitter = hasher.finish() % DELETE_BACKOFF_JITTER_SECS;
-    (base + jitter).min(DELETE_BACKOFF_CAP_SECS)
+    let jitter = hasher.finish() % RETRY_BACKOFF_JITTER_SECS;
+    (base + jitter).min(RETRY_BACKOFF_CAP_SECS)
 }
 
 /// Shared state of one Scalia deployment.
@@ -142,17 +127,11 @@ pub struct Infrastructure {
     /// Cumulative count of pending-delete retry *attempts* (provider
     /// reachable, delete issued) — successful or not.
     delete_retries: AtomicU64,
-    decision_controllers: Vec<Mutex<HashMap<String, DecisionPeriodController>>>,
+    decision_controllers: Mutex<HashMap<String, DecisionPeriodController>>,
     row_commit_locks: Vec<Mutex<()>>,
     placement_cache: PlacementCache,
     /// Failure detector: consecutive chunk-I/O failures per provider.
     failure_counts: Mutex<HashMap<ProviderId, u32>>,
-    /// Tunable detector thresholds (defaults reproduce historical behaviour).
-    detector_config: RwLock<DetectorConfig>,
-    /// Simulated time (seconds) of the last detector re-probe pass, used to
-    /// honour [`DetectorConfig::reprobe_interval`]. `None` until the first
-    /// pass.
-    last_reprobe_secs: Mutex<Option<u64>>,
     /// Deterministic chaos plan (crash points + transport storms); when
     /// installed, engine-step and metastore crash points consult it.
     fault_plan: Mutex<Option<Arc<FaultPlan>>>,
@@ -208,14 +187,10 @@ impl Infrastructure {
             sampling_period,
             pending_deletes: Mutex::new(Vec::new()),
             delete_retries: AtomicU64::new(0),
-            decision_controllers: (0..LOCK_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            decision_controllers: Mutex::new(HashMap::new()),
             row_commit_locks: (0..LOCK_SHARDS).map(|_| Mutex::new(())).collect(),
             placement_cache: PlacementCache::new(),
             failure_counts: Mutex::new(HashMap::new()),
-            detector_config: RwLock::new(DetectorConfig::default()),
-            last_reprobe_secs: Mutex::new(None),
             fault_plan: Mutex::new(None),
             detector_disabled: Mutex::new(HashSet::new()),
             io_latencies: Mutex::new(OpLatencies::default()),
@@ -302,19 +277,7 @@ impl Infrastructure {
             backend.tick(now);
         }
         self.retry_pending_deletes();
-        let interval = self.detector_config.read().reprobe_interval.secs();
-        let due = {
-            let mut last = self.last_reprobe_secs.lock();
-            let due =
-                interval == 0 || last.is_none_or(|l| now.secs().saturating_sub(l) >= interval);
-            if due {
-                *last = Some(now.secs());
-            }
-            due
-        };
-        if due {
-            self.reprobe_failed_providers();
-        }
+        self.reprobe_failed_providers();
         self.publish_latency_view();
     }
 
@@ -400,11 +363,10 @@ impl Infrastructure {
             | ScaliaError::CapacityExceeded(_)
             | ScaliaError::AuthenticationFailed(_) => false,
             _ => {
-                let threshold = self.detector_config.read().transport_error_threshold;
                 let mut counts = self.failure_counts.lock();
                 let count = counts.entry(provider).or_insert(0);
                 *count += 1;
-                *count >= threshold
+                *count >= FAILURE_DETECTOR_THRESHOLD
             }
         };
         if tripped {
@@ -550,7 +512,7 @@ impl Infrastructure {
     /// again. An item whose provider is still down is kept untouched (no
     /// attempt is charged); an item that was actually retried and failed is
     /// re-queued with exponential backoff plus deterministic jitter (see
-    /// [`delete_backoff_secs`]).
+    /// [`retry_backoff_secs`]).
     pub fn retry_pending_deletes(&self) {
         let now_secs = self.clock_secs.load(Ordering::SeqCst);
         let mut pending = self.pending_deletes.lock();
@@ -568,7 +530,7 @@ impl Infrastructure {
             if backend.delete(&delete.chunk_key).is_err() {
                 delete.attempts += 1;
                 delete.not_before_secs =
-                    now_secs + delete_backoff_secs(&delete.chunk_key, delete.attempts);
+                    now_secs + retry_backoff_secs(&delete.chunk_key, delete.attempts);
                 remaining.push(delete);
             }
         }
@@ -576,20 +538,8 @@ impl Infrastructure {
     }
 
     // ------------------------------------------------------------------
-    // Detector configuration and chaos fault plans
+    // Chaos fault plans
     // ------------------------------------------------------------------
-
-    /// The current failure-detector configuration.
-    pub fn detector_config(&self) -> DetectorConfig {
-        *self.detector_config.read()
-    }
-
-    /// Replaces the failure-detector configuration. Takes effect on the
-    /// next reported failure / clock advance; in-flight consecutive-error
-    /// counts are kept.
-    pub fn set_detector_config(&self, config: DetectorConfig) {
-        *self.detector_config.write() = config;
-    }
 
     /// Installs (or clears, with `None`) the deterministic chaos plan. The
     /// plan's crash points are consulted by the engine's write path via
@@ -645,14 +595,13 @@ impl Infrastructure {
     }
 
     /// The decision-period controller of an object, created on first use
-    /// with the given initial window. Controllers are sharded by row-key
-    /// hash so the parallel optimiser's shards don't serialise on one map.
+    /// with the given initial window.
     pub fn decision_controller(
         &self,
         row_key: &str,
         initial: Duration,
     ) -> DecisionPeriodController {
-        self.decision_controllers[shard_of(row_key)]
+        self.decision_controllers
             .lock()
             .entry(row_key.to_string())
             .or_insert_with(|| DecisionPeriodController::new(initial, self.sampling_period, 4096))
@@ -661,7 +610,7 @@ impl Infrastructure {
 
     /// Stores back an updated decision-period controller.
     pub fn store_decision_controller(&self, row_key: &str, controller: DecisionPeriodController) {
-        self.decision_controllers[shard_of(row_key)]
+        self.decision_controllers
             .lock()
             .insert(row_key.to_string(), controller);
     }
@@ -775,42 +724,6 @@ mod tests {
         assert_eq!(infra.pending_delete_count(), 0);
         assert_eq!(infra.pending_delete_retries(), 2);
         assert!(!backend.exists("stale").unwrap());
-    }
-
-    #[test]
-    fn detector_threshold_is_configurable() {
-        let infra = infra();
-        let target = infra.catalog().all()[1].id;
-        assert_eq!(infra.detector_config(), DetectorConfig::default());
-        infra.set_detector_config(DetectorConfig {
-            transport_error_threshold: 1,
-            reprobe_interval: Duration::ZERO,
-        });
-        infra.report_provider_failure(target, &ScaliaError::Internal("transport timeout".into()));
-        assert!(
-            !infra.catalog().is_available(target),
-            "threshold 1 must trip on the first soft error"
-        );
-    }
-
-    #[test]
-    fn reprobe_interval_defers_detector_recovery() {
-        let infra = infra();
-        let target = infra.catalog().all()[0].id;
-        infra.set_detector_config(DetectorConfig {
-            transport_error_threshold: FAILURE_DETECTOR_THRESHOLD,
-            reprobe_interval: Duration::from_hours(2),
-        });
-        infra.advance_clock(SimTime::from_secs(10));
-        infra.report_provider_failure(target, &ScaliaError::ProviderUnavailable(target));
-        assert!(!infra.catalog().is_available(target));
-        // The backend is up, but the next advance lands inside the re-probe
-        // interval: the provider must stay disabled.
-        infra.advance_clock(SimTime::from_hours(1));
-        assert!(!infra.catalog().is_available(target));
-        // Once the interval elapses the re-probe restores it.
-        infra.advance_clock(SimTime::from_hours(3));
-        assert!(infra.catalog().is_available(target));
     }
 
     #[test]

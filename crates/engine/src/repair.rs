@@ -43,7 +43,7 @@
 //! full width, which settles any degraded-write debt atomically.
 
 use crate::engine::Engine;
-use crate::infra::Infrastructure;
+use crate::infra::{retry_backoff_secs, Infrastructure};
 use scalia_core::availability::get_availability;
 use scalia_core::cost::PredictedUsage;
 use scalia_core::migration::MigrationBudget;
@@ -55,8 +55,6 @@ use scalia_types::object::{ObjectKey, ObjectMeta};
 use scalia_types::time::SimTime;
 use serde::Deserialize;
 use serde_json::{json, Value};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Row-key prefix of repair-queue entries in the metastore.
@@ -64,24 +62,6 @@ pub const REPAIR_QUEUE_PREFIX: &str = "repair:";
 
 /// Consecutive failed attempts after which an entry is dead-lettered.
 pub const DEAD_LETTER_ATTEMPTS: u32 = 8;
-
-/// First-retry backoff after a failed repair attempt.
-const REPAIR_BACKOFF_BASE_SECS: u64 = 60;
-
-/// Ceiling on the repair retry backoff.
-const REPAIR_BACKOFF_CAP_SECS: u64 = 3600;
-
-/// Spread of the deterministic retry jitter.
-const REPAIR_BACKOFF_JITTER_SECS: u64 = 30;
-
-/// How to react to a provider outage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairStrategy {
-    /// Do nothing and wait for the provider to recover.
-    Wait,
-    /// Reconstruct the affected chunks and move them to other providers.
-    ActiveRepair,
-}
 
 /// Outcome of a repair pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -179,19 +159,6 @@ pub fn queue_item(key: &ObjectKey, reason: &str) -> Value {
         dead: false,
     }
     .to_value()
-}
-
-/// Deterministic retry backoff: exponential from the base (exponent capped),
-/// plus a per-(item, attempt) jitter so retries of many items queued by one
-/// outage do not all come due on the same clock advance.
-fn repair_backoff_secs(queue_row: &str, attempts: u32) -> u64 {
-    let exponent = attempts.saturating_sub(1).min(6);
-    let base = REPAIR_BACKOFF_BASE_SECS << exponent;
-    let mut hasher = DefaultHasher::new();
-    queue_row.hash(&mut hasher);
-    attempts.hash(&mut hasher);
-    let jitter = hasher.finish() % REPAIR_BACKOFF_JITTER_SECS;
-    (base + jitter).min(REPAIR_BACKOFF_CAP_SECS)
 }
 
 fn first_up_node(infra: &Infrastructure) -> Result<Arc<scalia_metastore::store::NoSqlNode>> {
@@ -404,8 +371,7 @@ pub fn drain_repair_queue(
             Err(_) => {
                 report.failed += 1;
                 entry.attempts += 1;
-                entry.not_before_secs =
-                    now.secs() + repair_backoff_secs(&queue_row, entry.attempts);
+                entry.not_before_secs = now.secs() + retry_backoff_secs(&queue_row, entry.attempts);
                 if entry.attempts >= DEAD_LETTER_ATTEMPTS {
                     entry.dead = true;
                     report.dead_lettered += 1;

@@ -575,14 +575,6 @@ impl FrontendService {
         engine.get(key)
     }
 
-    /// `GET` a byte range immediately.
-    pub fn get_object_range(&mut self, key: &ObjectKey, offset: u64, len: u64) -> Result<Bytes> {
-        let engines = self.cluster.engines();
-        let engine = engines[self.next_engine % engines.len()].clone();
-        self.next_engine += 1;
-        engine.get_range(key, offset, len)
-    }
-
     /// `DELETE` an object immediately.
     pub fn delete_object(&mut self, key: &ObjectKey) -> Result<()> {
         let engines = self.cluster.engines();

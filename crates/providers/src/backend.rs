@@ -1,8 +1,8 @@
 //! Simulated provider object stores.
 //!
 //! Each provider is backed by a [`SimulatedStore`]: an in-memory key/value
-//! object store exposing the S3-like [`ObjectStore`] interface the Scalia
-//! engine programs against, with:
+//! object store with the S3-like put/get/delete/list interface the Scalia
+//! engine programs against, and:
 //!
 //! * request/bandwidth metering (feeding a [`BillingMeter`]),
 //! * storage metering via an explicit [`SimulatedStore::tick`] that charges
@@ -35,27 +35,6 @@ use scalia_types::usage::ResourceUsage;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// The S3-like interface every storage backend exposes.
-pub trait ObjectStore: Send + Sync {
-    /// The provider this store belongs to.
-    fn provider_id(&self) -> ProviderId;
-
-    /// Stores `data` under `key`, overwriting any previous value.
-    fn put(&self, key: &str, data: Bytes) -> Result<()>;
-
-    /// Retrieves the value stored under `key`.
-    fn get(&self, key: &str) -> Result<Bytes>;
-
-    /// Deletes the value stored under `key` (idempotent).
-    fn delete(&self, key: &str) -> Result<()>;
-
-    /// Lists all keys with the given prefix.
-    fn list(&self, prefix: &str) -> Result<Vec<String>>;
-
-    /// Returns `true` if a value is stored under `key`.
-    fn exists(&self, key: &str) -> Result<bool>;
-}
 
 /// The operation classes a store records latency for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,7 +230,48 @@ impl SimulatedStore {
 }
 
 impl SimulatedStore {
-    /// [`ObjectStore::put`] returning the operation's virtual latency in
+    /// The provider this store belongs to.
+    pub fn provider_id(&self) -> ProviderId {
+        self.descriptor.id
+    }
+
+    /// Stores `data` under `key`, overwriting any previous value.
+    pub fn put(&self, key: &str, data: Bytes) -> Result<()> {
+        self.timed_put(key, data).0
+    }
+
+    /// Retrieves the value stored under `key`.
+    pub fn get(&self, key: &str) -> Result<Bytes> {
+        self.timed_get(key).0
+    }
+
+    /// Deletes the value stored under `key` (idempotent).
+    pub fn delete(&self, key: &str) -> Result<()> {
+        self.timed_delete(key).0
+    }
+
+    /// Lists all keys with the given prefix.
+    pub fn list(&self, prefix: &str) -> Result<Vec<String>> {
+        let mut state = self.state.lock();
+        self.check_up(&state)?;
+        state.meter.record(ResourceUsage::operations(1));
+        Ok(state
+            .objects
+            .keys()
+            .filter(|k| k.starts_with(prefix))
+            .cloned()
+            .collect())
+    }
+
+    /// Returns `true` if a value is stored under `key`.
+    pub fn exists(&self, key: &str) -> Result<bool> {
+        let mut state = self.state.lock();
+        self.check_up(&state)?;
+        state.meter.record(ResourceUsage::operations(1));
+        Ok(state.objects.contains_key(key))
+    }
+
+    /// [`SimulatedStore::put`] returning the operation's virtual latency in
     /// microseconds alongside the result. Errors pay the base round-trip.
     pub fn timed_put(&self, key: &str, data: Bytes) -> (Result<()>, u64) {
         let payload = data.len() as u64;
@@ -262,7 +282,7 @@ impl SimulatedStore {
         (result, us)
     }
 
-    /// [`ObjectStore::get`] returning the operation's virtual latency in
+    /// [`SimulatedStore::get`] returning the operation's virtual latency in
     /// microseconds alongside the result.
     pub fn timed_get(&self, key: &str) -> (Result<Bytes>, u64) {
         let mut state = self.state.lock();
@@ -273,7 +293,7 @@ impl SimulatedStore {
         (result, us)
     }
 
-    /// [`ObjectStore::delete`] returning the operation's virtual latency in
+    /// [`SimulatedStore::delete`] returning the operation's virtual latency in
     /// microseconds alongside the result.
     pub fn timed_delete(&self, key: &str) -> (Result<()>, u64) {
         let mut state = self.state.lock();
@@ -341,43 +361,6 @@ impl SimulatedStore {
                 .saturating_sub(ByteSize::from_bytes(old.len() as u64));
         }
         Ok(())
-    }
-}
-
-impl ObjectStore for SimulatedStore {
-    fn provider_id(&self) -> ProviderId {
-        self.descriptor.id
-    }
-
-    fn put(&self, key: &str, data: Bytes) -> Result<()> {
-        self.timed_put(key, data).0
-    }
-
-    fn get(&self, key: &str) -> Result<Bytes> {
-        self.timed_get(key).0
-    }
-
-    fn delete(&self, key: &str) -> Result<()> {
-        self.timed_delete(key).0
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        let mut state = self.state.lock();
-        self.check_up(&state)?;
-        state.meter.record(ResourceUsage::operations(1));
-        Ok(state
-            .objects
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect())
-    }
-
-    fn exists(&self, key: &str) -> Result<bool> {
-        let mut state = self.state.lock();
-        self.check_up(&state)?;
-        state.meter.record(ResourceUsage::operations(1));
-        Ok(state.objects.contains_key(key))
     }
 }
 

@@ -43,7 +43,7 @@ pub mod pricing;
 pub mod private;
 pub mod sla;
 
-pub use backend::{ObjectStore, SimulatedStore};
+pub use backend::SimulatedStore;
 pub use billing::BillingMeter;
 pub use catalog::ProviderCatalog;
 pub use descriptor::{ProviderDescriptor, ProviderKind};
@@ -56,7 +56,7 @@ pub use sla::ProviderSla;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::backend::{ObjectStore, SimulatedStore};
+    pub use crate::backend::SimulatedStore;
     pub use crate::billing::BillingMeter;
     pub use crate::catalog::ProviderCatalog;
     pub use crate::descriptor::{ProviderDescriptor, ProviderKind};

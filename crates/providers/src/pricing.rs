@@ -44,12 +44,6 @@ impl PricingPolicy {
         }
     }
 
-    /// USD per GB-hour of storage (derived from the monthly price using a
-    /// 30-day month, the accounting convention used throughout).
-    pub fn storage_gb_hour(&self) -> Money {
-        self.storage_gb_month.scale(1.0 / HOURS_PER_MONTH as f64)
-    }
-
     /// The cost of a resource-usage vector under this policy.
     pub fn cost(&self, usage: &ResourceUsage) -> Money {
         // Scale the monthly price directly by fractional months to avoid the

@@ -11,7 +11,7 @@
 //! [`SimulatedStore`] and checks the request signature and timestamp before
 //! every operation.
 
-use crate::backend::{ObjectStore, SimulatedStore};
+use crate::backend::SimulatedStore;
 use crate::descriptor::ProviderDescriptor;
 use bytes::Bytes;
 use parking_lot::Mutex;

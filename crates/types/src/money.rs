@@ -42,11 +42,6 @@ impl Money {
         Money(micros * 1_000)
     }
 
-    /// Creates an amount from whole dollars.
-    pub const fn from_dollars_int(dollars: i64) -> Self {
-        Money(dollars * NANOS_PER_DOLLAR)
-    }
-
     /// Creates an amount from a floating-point dollar value, rounding to the
     /// nearest nano-dollar.
     pub fn from_dollars(dollars: f64) -> Self {

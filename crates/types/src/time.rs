@@ -59,11 +59,6 @@ impl SimTime {
         self.0 as f64 / SECONDS_PER_HOUR as f64
     }
 
-    /// Whole hours since the epoch (floor).
-    pub const fn whole_hours(self) -> u64 {
-        self.0 / SECONDS_PER_HOUR
-    }
-
     /// The elapsed duration since an earlier time. Saturates at zero if
     /// `earlier` is in the future.
     pub const fn since(self, earlier: SimTime) -> Duration {

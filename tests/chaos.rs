@@ -24,7 +24,7 @@
 //!   its seed: the final state digests of the 34-seed matrix are pinned.
 
 use scalia::engine::gc;
-use scalia::engine::infra::DetectorConfig;
+use scalia::engine::infra::FAILURE_DETECTOR_THRESHOLD;
 use scalia::engine::repair;
 use scalia::prelude::*;
 use scalia::providers::failure::FaultPlan;
@@ -281,34 +281,43 @@ fn transport_storm_degrades_write_then_backfill_converges() {
 }
 
 #[test]
-fn detector_config_threshold_one_trips_on_first_soft_error_and_reprobe_restores() {
+fn detector_trips_at_default_threshold_and_reprobe_restores() {
     let cluster = ScaliaCluster::builder()
         .datacenters(1)
         .engines_per_datacenter(1)
         .build();
     let infra = cluster.infra().clone();
-    infra.set_detector_config(DetectorConfig {
-        transport_error_threshold: 1,
-        reprobe_interval: Duration::ZERO,
-    });
     let stormed = infra.catalog().all()[2].id;
-    let key = ObjectKey::new("chaos", "hair-trigger.bin");
-    let data = payload(13, 16_000);
 
+    // A storm of exactly the detector threshold: each put burns tokens
+    // until the consecutive soft errors trip the provider, then the puts
+    // stop.
     let plan = FaultPlan::new();
-    plan.add_storm(stormed, 2);
+    plan.add_storm(stormed, FAILURE_DETECTOR_THRESHOLD);
     infra.set_fault_plan(Some(Arc::new(plan)));
-    let meta = cluster
-        .put(&key, data.clone(), "application/x-tar", wide_rule(), None)
-        .unwrap();
+    let mut written = Vec::new();
+    while infra.catalog().is_available(stormed) {
+        assert!(
+            written.len() < FAILURE_DETECTOR_THRESHOLD as usize,
+            "the storm must trip the detector"
+        );
+        let key = ObjectKey::new("chaos", format!("tripwire-{}.bin", written.len()));
+        let data = payload(13 + written.len() as u64, 16_000);
+        let meta = cluster
+            .put(&key, data.clone(), "application/x-tar", wide_rule(), None)
+            .unwrap();
+        written.push((key, data, meta.striping.n()));
+    }
     infra.set_fault_plan(None);
-    infra.backend(stormed).unwrap().inject_transport_errors(0);
-
-    assert_eq!(meta.striping.n(), 4, "degraded landing");
-    assert!(
-        !infra.catalog().is_available(stormed),
-        "threshold 1 must trip the detector on the first soft error"
+    assert_eq!(
+        infra.backend(stormed).unwrap().pending_transport_errors(),
+        0
     );
+    // The first put's strict upload and its degraded retry burn two tokens
+    // (below the threshold) and land it degraded; the second put's third
+    // error trips the detector.
+    assert_eq!(written[0].2, 4, "the first put lands degraded");
+    assert_eq!(written.len(), 2, "the second put trips the detector");
 
     // The next clock advance re-probes the (healthy) backend, restores it to
     // the catalog, and the same cycle's drain backfills the stripe.
@@ -318,9 +327,12 @@ fn detector_config_threshold_one_trips_on_first_soft_error_and_reprobe_restores(
         "re-probe must restore the recovered provider"
     );
     assert_eq!(cluster.last_repair_drain().repaired, 1);
-    assert_eq!(latest_meta(&infra, &key).unwrap().striping.n(), 5);
     clear_caches(&cluster);
-    assert_eq!(cluster.get(&key).unwrap().as_ref(), &data[..]);
+    for (key, data, _) in &written {
+        assert_eq!(latest_meta(&infra, key).unwrap().striping.n(), 5);
+        assert!(!has_debt(&infra, key));
+        assert_eq!(cluster.get(key).unwrap().as_ref(), &data[..]);
+    }
 }
 
 // ---------------------------------------------------------------------------

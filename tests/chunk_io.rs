@@ -13,7 +13,7 @@ use scalia::engine::chunk_io::{fetch_chunks, upload};
 use scalia::engine::cluster::ScaliaCluster;
 use scalia::erasure::codec::encode_object;
 use scalia::prelude::*;
-use scalia::providers::backend::{ObjectStore, StoreOp};
+use scalia::providers::backend::StoreOp;
 use scalia::providers::descriptor::ProviderDescriptor;
 use scalia::types::checksum::{checksum_hex, object_checksum_hex};
 use std::sync::Arc;

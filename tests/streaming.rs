@@ -8,7 +8,7 @@
 
 use scalia::engine::gc;
 use scalia::prelude::*;
-use scalia::providers::backend::{ObjectStore, StoreOp};
+use scalia::providers::backend::StoreOp;
 use scalia::providers::failure::FaultPlan;
 use scalia::types::checksum::{checksum_hex, object_checksum_hex};
 use scalia::types::md5::md5_hex;
