@@ -16,7 +16,7 @@ use scalia_types::reliability::Reliability;
 
 /// Builds the reachability distribution of `pset` under its availability
 /// SLAs.
-pub fn availability_distribution(pset: &[ProviderDescriptor]) -> SurvivalDistribution {
+pub(crate) fn availability_distribution(pset: &[ProviderDescriptor]) -> SurvivalDistribution {
     SurvivalDistribution::from_probabilities(pset.iter().map(|p| p.sla.availability.probability()))
 }
 
@@ -35,7 +35,7 @@ pub fn get_availability(pset: &[ProviderDescriptor], m: u32) -> Reliability {
 
 /// `getAvailability` on a prebuilt reachability distribution (used by the
 /// branch-and-bound search, which folds providers in incrementally).
-pub fn availability_from_distribution(dist: &SurvivalDistribution, m: u32) -> Reliability {
+pub(crate) fn availability_from_distribution(dist: &SurvivalDistribution, m: u32) -> Reliability {
     if m == 0 {
         return Reliability::ONE;
     }

@@ -75,7 +75,7 @@ impl ClassUsage {
 
     /// Folds one period contribution into the aggregate (summing with any
     /// existing entry for the period).
-    pub fn add_period(&mut self, period: u64, stats: PeriodStats, objects: u64) {
+    pub(crate) fn add_period(&mut self, period: u64, stats: PeriodStats, objects: u64) {
         match self.periods.binary_search_by_key(&period, |&(p, _, _)| p) {
             Ok(pos) => {
                 let (_, existing, count) = &mut self.periods[pos];
@@ -102,16 +102,6 @@ impl ClassUsage {
             self.add_period(period, stats, objects);
         }
         self
-    }
-
-    /// Number of recorded periods.
-    pub fn len(&self) -> usize {
-        self.periods.len()
-    }
-
-    /// Returns `true` when no period has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.periods.is_empty()
     }
 
     /// The raw `(period, summed stats, member count)` records, oldest first.
@@ -220,7 +210,7 @@ mod tests {
         usage.add_period(0, period(0, 4, 100), 1);
         usage.add_period(0, period(0, 8, 300), 1);
         usage.add_period(2, period(2, 6, 200), 2);
-        assert_eq!(usage.len(), 2);
+        assert_eq!(usage.periods.len(), 2);
         assert_eq!(usage.records()[0].1.reads, 12);
         assert_eq!(usage.records()[0].2, 2);
         let mean = usage.mean_member_history(100);

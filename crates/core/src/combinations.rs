@@ -4,53 +4,15 @@
 //! (`getAllCombinations`); Algorithm 2 iterates over the k-combinations of a
 //! provider set (`getCombinations(pset, failuresOK)`).
 //!
-//! The production search works on **lazy bitmask iterators**
-//! ([`subset_masks`] / [`mask_members`]) that borrow the catalog and never
-//! clone a provider; the materializing [`all_subsets`] / [`k_combinations`]
-//! helpers are retained for the seed-equivalent reference implementations
-//! in [`crate::reference`] and for tests.
-
-/// Lazily enumerates every non-empty subset of an `n`-element set as a
-/// bitmask, in increasing mask order (the same order the seed's
-/// materializing enumeration used). No allocation.
-pub fn subset_masks(n: usize) -> SubsetMasks {
-    assert!(n < 64, "bitmask subset enumeration limited to 63 items");
-    SubsetMasks {
-        next: 1,
-        end: 1u64 << n,
-    }
-}
-
-/// Iterator over subset bitmasks; see [`subset_masks`].
-#[derive(Debug, Clone)]
-pub struct SubsetMasks {
-    next: u64,
-    end: u64,
-}
-
-impl Iterator for SubsetMasks {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        if self.next >= self.end {
-            return None;
-        }
-        let mask = self.next;
-        self.next += 1;
-        Some(mask)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = (self.end - self.next) as usize;
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for SubsetMasks {}
+//! The production search walks provider subsets as bitmasks and reads a
+//! subset's members with `mask_members`, which borrows the catalog and
+//! never clones a provider; the materializing `all_subsets` /
+//! `k_combinations` helpers are retained for the seed-equivalent
+//! reference implementations in [`crate::reference`] and for tests.
 
 /// Lazily yields the members of `items` selected by `mask` (bit `i` set ⇒
 /// `items[i]` included), borrowing the slice. No allocation.
-pub fn mask_members<T>(items: &[T], mask: u64) -> impl Iterator<Item = &T> + Clone + '_ {
+pub(crate) fn mask_members<T>(items: &[T], mask: u64) -> impl Iterator<Item = &T> + Clone + '_ {
     items
         .iter()
         .enumerate()
@@ -58,18 +20,13 @@ pub fn mask_members<T>(items: &[T], mask: u64) -> impl Iterator<Item = &T> + Clo
         .map(|(_, item)| item)
 }
 
-/// Number of members selected by `mask`.
-pub fn mask_len(mask: u64) -> usize {
-    mask.count_ones() as usize
-}
-
 /// Returns every non-empty subset of `items`, as vectors of cloned elements.
 ///
 /// The number of subsets is `2^n - 1`; callers should keep `n` modest (the
 /// exhaustive search is only used for small provider catalogs, exactly as in
 /// the paper). Kept for the reference implementations and tests; the
-/// production search uses [`subset_masks`] instead.
-pub fn all_subsets<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
+/// production search walks bitmasks instead.
+pub(crate) fn all_subsets<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
     let n = items.len();
     assert!(n < 26, "exhaustive subset enumeration limited to 25 items");
     let mut subsets = Vec::with_capacity((1usize << n).saturating_sub(1));
@@ -86,7 +43,7 @@ pub fn all_subsets<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
 }
 
 /// Returns every `k`-combination of `items` (as vectors of cloned elements).
-pub fn k_combinations<T: Clone>(items: &[T], k: usize) -> Vec<Vec<T>> {
+pub(crate) fn k_combinations<T: Clone>(items: &[T], k: usize) -> Vec<Vec<T>> {
     let n = items.len();
     if k > n {
         return Vec::new();
@@ -117,20 +74,6 @@ pub fn k_combinations<T: Clone>(items: &[T], k: usize) -> Vec<Vec<T>> {
             indices[j] = indices[j - 1] + 1;
         }
     }
-}
-
-/// Number of `k`-combinations of `n` items (binomial coefficient), useful
-/// for sizing and for tests.
-pub fn binomial(n: usize, k: usize) -> u64 {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut result: u64 = 1;
-    for i in 0..k {
-        result = result * (n - i) as u64 / (i + 1) as u64;
-    }
-    result
 }
 
 #[cfg(test)]
@@ -173,46 +116,13 @@ mod tests {
     #[test]
     fn combinations_are_distinct() {
         let items = ['a', 'b', 'c', 'd', 'e'];
-        for k in 0..=5 {
+        for (k, binomial) in [1, 5, 10, 10, 5, 1].into_iter().enumerate() {
             let combos = k_combinations(&items, k);
-            assert_eq!(combos.len() as u64, binomial(5, k));
+            assert_eq!(combos.len(), binomial);
             let mut sorted = combos.clone();
             sorted.sort();
             sorted.dedup();
             assert_eq!(sorted.len(), combos.len());
         }
-    }
-
-    #[test]
-    fn subset_masks_match_materialized_enumeration() {
-        let items = ["a", "b", "c", "d"];
-        let materialized = all_subsets(&items);
-        let lazy: Vec<Vec<&str>> = subset_masks(items.len())
-            .map(|mask| mask_members(&items, mask).copied().collect())
-            .collect();
-        assert_eq!(lazy.len(), materialized.len());
-        for (a, b) in lazy.iter().zip(materialized.iter()) {
-            assert_eq!(
-                a, b,
-                "lazy and materialized enumeration must agree in order"
-            );
-        }
-    }
-
-    #[test]
-    fn subset_masks_edge_cases() {
-        assert_eq!(subset_masks(0).count(), 0);
-        assert_eq!(subset_masks(1).collect::<Vec<_>>(), vec![1]);
-        assert_eq!(subset_masks(20).len(), (1 << 20) - 1);
-        assert_eq!(mask_len(0b1011), 3);
-    }
-
-    #[test]
-    fn binomial_values() {
-        assert_eq!(binomial(5, 0), 1);
-        assert_eq!(binomial(5, 2), 10);
-        assert_eq!(binomial(5, 5), 1);
-        assert_eq!(binomial(5, 6), 0);
-        assert_eq!(binomial(15, 7), 6435);
     }
 }

@@ -103,7 +103,7 @@ impl PredictedUsage {
 
     /// Builds the prediction from mean per-period class usage (used for the
     /// first placement of new objects, Fig. 6).
-    pub fn from_class_usage(
+    pub(crate) fn from_class_usage(
         size: ByteSize,
         mean_per_period: &ResourceUsage,
         periods: usize,
@@ -250,7 +250,7 @@ pub(crate) fn compute_price_with_scratch<P: std::borrow::Borrow<ProviderDescript
 
 /// `computePrice`: the expected cost of storing the object on `pset` with
 /// threshold `m` over the decision period described by `usage`
-/// (latency-blind — equivalent to [`compute_price_weighted`] at weight 0).
+/// (latency-blind — equivalent to `compute_price_weighted` at weight 0).
 pub fn compute_price(pset: &[ProviderDescriptor], m: u32, usage: &PredictedUsage) -> Money {
     compute_price_weighted(pset, m, usage, 0.0)
 }
@@ -261,7 +261,7 @@ pub fn compute_price(pset: &[ProviderDescriptor], m: u32, usage: &PredictedUsage
 /// bit-identical to [`compute_price`]. The penalty is an *optimization*
 /// cost — providers never bill it; billing paths keep using the unweighted
 /// price.
-pub fn compute_price_weighted(
+pub(crate) fn compute_price_weighted(
     pset: &[ProviderDescriptor],
     m: u32,
     usage: &PredictedUsage,

@@ -89,11 +89,6 @@ impl DecisionPeriodController {
         self.current
     }
 
-    /// The current adjustment interval `T`.
-    pub fn t(&self) -> u32 {
-        self.t
-    }
-
     /// Records that an optimisation procedure ran and, if due, adjusts the
     /// decision period by evaluating the candidates `D/2`, `D`, `2D`
     /// (clamped to `[min_period, upper_bound]`).
@@ -266,7 +261,7 @@ mod tests {
             AdjustOutcome::Kept
         );
         assert_eq!(c.current(), Duration::from_hours(24));
-        assert_eq!(c.t(), 2);
+        assert_eq!(c.t, 2);
         // The next adjustment is only due after 2 procedures.
         assert_eq!(
             c.on_optimization(Duration::from_days(30), eval),
@@ -276,7 +271,7 @@ mod tests {
             c.on_optimization(Duration::from_days(30), eval),
             AdjustOutcome::Kept
         );
-        assert_eq!(c.t(), 4);
+        assert_eq!(c.t, 4);
     }
 
     #[test]
@@ -287,7 +282,7 @@ mod tests {
         let outcome = c.on_optimization(Duration::from_days(30), eval);
         assert_eq!(outcome, AdjustOutcome::Changed(Duration::from_hours(12)));
         assert_eq!(c.current(), Duration::from_hours(12));
-        assert_eq!(c.t(), 1);
+        assert_eq!(c.t, 1);
         // Keeps shrinking on subsequent adjustments, but never below the
         // sampling period.
         for _ in 0..10 {
@@ -323,7 +318,7 @@ mod tests {
         for _ in 0..20 {
             c.on_optimization(Duration::from_days(30), keep);
         }
-        assert_eq!(c.t(), 4);
+        assert_eq!(c.t, 4);
         // A change resets T to 1. Make shorter windows cheaper now; the next
         // due adjustment happens after 4 procedures.
         let shrink = |d: Duration| Money::from_dollars(d.as_hours());
@@ -334,7 +329,7 @@ mod tests {
             }
         }
         assert!(changed);
-        assert_eq!(c.t(), 1);
+        assert_eq!(c.t, 1);
     }
 
     #[test]
@@ -445,7 +440,7 @@ mod tests {
             },
         );
         assert_eq!(windows, vec![24.0]);
-        assert_eq!((c.t(), c.current()), (before.t(), before.current()));
+        assert_eq!((c.t, c.current()), (before.t, before.current()));
         let (usage, decision) = decided.unwrap();
         assert_eq!(usage.duration_hours, 24.0);
         assert_eq!(decision, chosen);

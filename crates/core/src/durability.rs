@@ -23,7 +23,7 @@ use scalia_providers::descriptor::ProviderDescriptor;
 use scalia_types::reliability::Reliability;
 
 /// Builds the survival distribution of `pset` under its durability SLAs.
-pub fn durability_distribution(pset: &[ProviderDescriptor]) -> SurvivalDistribution {
+pub(crate) fn durability_distribution(pset: &[ProviderDescriptor]) -> SurvivalDistribution {
     SurvivalDistribution::from_probabilities(pset.iter().map(|p| p.sla.durability.probability()))
 }
 
@@ -43,7 +43,10 @@ pub fn get_threshold(pset: &[ProviderDescriptor], required: Reliability) -> u32 
 /// (used by the branch-and-bound search, which folds providers in
 /// incrementally). Mirrors the seed's accumulation loop exactly: the mass
 /// of "exactly k providers fail" is `P(exactly n − k survive)`.
-pub fn threshold_from_distribution(dist: &SurvivalDistribution, required: Reliability) -> u32 {
+pub(crate) fn threshold_from_distribution(
+    dist: &SurvivalDistribution,
+    required: Reliability,
+) -> u32 {
     let n = dist.len();
     if n == 0 {
         return 0;

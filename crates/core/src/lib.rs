@@ -21,7 +21,7 @@
 //!   satisfying the durability constraint for a provider set.
 //! * [`availability`] — `getAvailability`: probability the object can be
 //!   reassembled given the providers' availability SLAs.
-//! * [`reference`] — the seed's combination-enumerating implementations,
+//! * [`reference`](mod@reference) — the seed's combination-enumerating implementations,
 //!   kept for differential testing and benchmarking of the above.
 //! * [`cost`] — `computePrice`: the expected cost of a placement over the
 //!   next decision period, extrapolated from the access history, plus
@@ -56,21 +56,12 @@ pub mod placement;
 pub mod reference;
 pub mod trend;
 
-pub use classify::ObjectClass;
-pub use cost::PredictedUsage;
-pub use decision::DecisionPeriodController;
-pub use lifetime::LifetimeDistribution;
-pub use migration::MigrationPlan;
-pub use placement::{Placement, PlacementEngine};
-pub use trend::TrendDetector;
-
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::classify::{ClassUsage, ObjectClass};
-    pub use crate::cost::PredictedUsage;
-    pub use crate::decision::DecisionPeriodController;
+    pub use crate::classify::ObjectClass;
+
     pub use crate::lifetime::LifetimeDistribution;
-    pub use crate::migration::{MigrationBudget, MigrationPlan};
+    pub use crate::migration::MigrationBudget;
     pub use crate::placement::{Placement, PlacementEngine};
     pub use crate::trend::TrendDetector;
 }

@@ -18,7 +18,7 @@ pub struct LifetimeDistribution {
 
 impl LifetimeDistribution {
     /// Creates an empty distribution (no observed deletions yet).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -33,25 +33,10 @@ impl LifetimeDistribution {
 
     /// Records one observed lifetime in hours (negative values are clamped
     /// to zero).
-    pub fn record(&mut self, lifetime_hours: f64) {
+    pub(crate) fn record(&mut self, lifetime_hours: f64) {
         let v = lifetime_hours.max(0.0);
         let pos = self.samples.partition_point(|&s| s < v);
         self.samples.insert(pos, v);
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns `true` if no lifetime has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
     }
 
     /// Mean lifetime of the class in hours (the expected lifetime of a brand
@@ -85,7 +70,7 @@ impl LifetimeDistribution {
     }
 
     /// The largest observed lifetime, or `None` if empty.
-    pub fn max_lifetime(&self) -> Option<f64> {
+    pub(crate) fn max_lifetime(&self) -> Option<f64> {
         self.samples.last().copied()
     }
 
@@ -145,7 +130,7 @@ mod tests {
     #[test]
     fn expected_lifetime_of_new_object() {
         let d = fig5_distribution();
-        assert_eq!(d.len(), 20);
+        assert_eq!(d.samples.len(), 20);
         // Mean of 0.3..6.0 step 0.3 = 3.15, close to the paper's ≈3.25 h
         // reading for a fresh object of that class.
         let expected = d.expected_lifetime().unwrap();
@@ -180,7 +165,7 @@ mod tests {
     #[test]
     fn empty_distribution_behaviour() {
         let d = LifetimeDistribution::new();
-        assert!(d.is_empty());
+        assert!(d.samples.is_empty());
         assert!(d.expected_lifetime().is_none());
         assert!(d.expected_remaining(0.0).is_none());
         assert!(d.max_lifetime().is_none());
@@ -216,6 +201,6 @@ mod tests {
         d.record(1.0);
         d.record(-2.0);
         d.record(3.0);
-        assert_eq!(d.samples(), &[0.0, 1.0, 3.0, 5.0]);
+        assert_eq!(d.samples, [0.0, 1.0, 3.0, 5.0]);
     }
 }

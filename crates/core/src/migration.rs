@@ -31,7 +31,7 @@ pub struct MigrationPlan {
 impl MigrationPlan {
     /// Builds a migration plan, pricing both placements over the decision
     /// period described by `usage` and estimating the chunk-movement cost.
-    pub fn build(
+    pub(crate) fn build(
         from: Placement,
         to: Placement,
         usage: &PredictedUsage,
@@ -50,18 +50,18 @@ impl MigrationPlan {
 
     /// The expected saving over the next decision period if the migration is
     /// executed (may be negative).
-    pub fn expected_saving(&self) -> Money {
+    pub(crate) fn expected_saving(&self) -> Money {
         self.current_period_cost - self.new_period_cost - self.migration_cost
     }
 
     /// The paper's gate: migrate only if the benefit over the next decision
     /// period covers the migration cost.
-    pub fn is_beneficial(&self) -> bool {
+    pub(crate) fn is_beneficial(&self) -> bool {
         self.expected_saving().is_positive()
     }
 
     /// Returns `true` if the plan actually changes the placement.
-    pub fn changes_placement(&self) -> bool {
+    pub(crate) fn changes_placement(&self) -> bool {
         !self.from.same_as(&self.to)
     }
 
@@ -125,12 +125,6 @@ impl MigrationBudget {
         self
     }
 
-    /// Caps the migration spend per cycle.
-    pub fn with_max_cost(mut self, cost: Money) -> Self {
-        self.max_cost = Some(cost);
-        self
-    }
-
     /// Starts a fresh per-cycle ledger.
     pub fn start(&self) -> BudgetLedger {
         BudgetLedger {
@@ -169,11 +163,6 @@ impl BudgetLedger {
         }
         self.admitted += 1;
         true
-    }
-
-    /// Migrations admitted so far this cycle.
-    pub fn admitted(&self) -> usize {
-        self.admitted
     }
 }
 
@@ -300,18 +289,19 @@ mod tests {
         // guaranteed progress.
         assert!(ledger.admit(50_000, Money::from_dollars(1.0)));
         assert!(!ledger.admit(10, Money::ZERO), "budget exhausted");
-        assert_eq!(ledger.admitted(), 1);
+        assert_eq!(ledger.admitted, 1);
 
-        let both = MigrationBudget::default()
-            .with_max_bytes(1000)
-            .with_max_cost(Money::from_dollars(0.10));
+        let both = MigrationBudget {
+            max_bytes: Some(1000),
+            max_cost: Some(Money::from_dollars(0.10)),
+        };
         let mut ledger = both.start();
         assert!(ledger.admit(400, Money::from_dollars(0.04)));
         assert!(ledger.admit(400, Money::from_dollars(0.04)));
         // Bytes remain but the dollar cap is gone after the next admit.
         assert!(ledger.admit(100, Money::from_dollars(0.04)));
         assert!(!ledger.admit(1, Money::ZERO));
-        assert_eq!(ledger.admitted(), 3);
+        assert_eq!(ledger.admitted, 3);
 
         // Unlimited never refuses.
         let mut unlimited = MigrationBudget::UNLIMITED.start();
@@ -321,13 +311,14 @@ mod tests {
 
         // Even a zero budget admits exactly one candidate per cycle — the
         // progress guarantee that makes deferral terminate.
-        let mut zero = MigrationBudget::default()
-            .with_max_bytes(0)
-            .with_max_cost(Money::ZERO)
-            .start();
+        let mut zero = MigrationBudget {
+            max_bytes: Some(0),
+            max_cost: Some(Money::ZERO),
+        }
+        .start();
         assert!(zero.admit(100, Money::from_dollars(1.0)));
         assert!(!zero.admit(1, Money::ZERO));
-        assert_eq!(zero.admitted(), 1);
+        assert_eq!(zero.admitted, 1);
     }
 
     #[test]

@@ -28,12 +28,12 @@
 /// Maximum number of providers in one candidate set. Bounded by the `u64`
 /// bitmask width used by the subset search; 64 is far beyond any realistic
 /// provider catalog.
-pub const MAX_SET: usize = 64;
+pub(crate) const MAX_SET: usize = 64;
 
 /// The exact distribution of "how many providers are fine" for a set of
 /// independent providers, built incrementally one provider at a time.
 #[derive(Debug, Clone, Copy)]
-pub struct SurvivalDistribution {
+pub(crate) struct SurvivalDistribution {
     /// `exact[k]` = P(exactly `k` providers are fine), for `k <= n`.
     exact: [f64; MAX_SET + 1],
     n: usize,
@@ -47,14 +47,14 @@ impl Default for SurvivalDistribution {
 
 impl SurvivalDistribution {
     /// The distribution of the empty set: zero providers, all fine.
-    pub const fn empty() -> Self {
+    pub(crate) const fn empty() -> Self {
         let mut exact = [0.0; MAX_SET + 1];
         exact[0] = 1.0;
         SurvivalDistribution { exact, n: 0 }
     }
 
     /// Builds the distribution for the given per-provider probabilities.
-    pub fn from_probabilities(probs: impl IntoIterator<Item = f64>) -> Self {
+    pub(crate) fn from_probabilities(probs: impl IntoIterator<Item = f64>) -> Self {
         let mut dist = Self::empty();
         for p in probs {
             dist.push(p);
@@ -63,7 +63,7 @@ impl SurvivalDistribution {
     }
 
     /// Adds one provider that is fine with probability `p`. `O(n)`.
-    pub fn push(&mut self, p: f64) {
+    pub(crate) fn push(&mut self, p: f64) {
         assert!(
             self.n < MAX_SET,
             "survival distribution limited to {MAX_SET} providers"
@@ -82,7 +82,7 @@ impl SurvivalDistribution {
     /// `out`, copying only the live prefix (`O(n)`, bit-identical to
     /// [`push`](Self::push)). This is the branch-and-bound's descend step:
     /// the parent level's distribution stays intact for backtracking.
-    pub fn pushed_into(&self, p: f64, out: &mut SurvivalDistribution) {
+    pub(crate) fn pushed_into(&self, p: f64, out: &mut SurvivalDistribution) {
         assert!(
             self.n < MAX_SET,
             "survival distribution limited to {MAX_SET} providers"
@@ -97,17 +97,12 @@ impl SurvivalDistribution {
     }
 
     /// Number of providers folded in so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
     }
 
-    /// Returns `true` if no provider has been folded in.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// P(exactly `k` providers are fine). Zero for `k > n`.
-    pub fn exactly(&self, k: usize) -> f64 {
+    pub(crate) fn exactly(&self, k: usize) -> f64 {
         if k > self.n {
             0.0
         } else {
@@ -116,7 +111,7 @@ impl SurvivalDistribution {
     }
 
     /// P(at least `m` providers are fine) — the Poisson-binomial tail.
-    pub fn tail(&self, m: usize) -> f64 {
+    pub(crate) fn tail(&self, m: usize) -> f64 {
         if m == 0 {
             return 1.0;
         }
@@ -180,7 +175,7 @@ mod tests {
     #[test]
     fn empty_distribution_edge_cases() {
         let dist = SurvivalDistribution::empty();
-        assert!(dist.is_empty());
+        assert_eq!(dist.n, 0);
         assert_eq!(dist.tail(0), 1.0);
         assert_eq!(dist.tail(1), 0.0);
         assert_eq!(dist.exactly(0), 1.0);

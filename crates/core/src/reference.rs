@@ -113,7 +113,7 @@ pub fn get_availability_combinatorial(pset: &[ProviderDescriptor], m: u32) -> Re
 
 /// Evaluates one candidate set with the combinatorial constraint math,
 /// mirroring the seed's `PlacementEngine::evaluate_set` step for step.
-pub fn evaluate_set_combinatorial(
+pub(crate) fn evaluate_set_combinatorial(
     rule: &StorageRule,
     usage: &PredictedUsage,
     pset: &[ProviderDescriptor],

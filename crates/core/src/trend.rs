@@ -52,7 +52,7 @@ impl TrendDetector {
     /// the moving average ending at the last point and the one ending one
     /// point earlier. Returns `None` when fewer than `window + 1` points
     /// exist.
-    pub fn momentum(&self, series: &[u64]) -> Option<f64> {
+    pub(crate) fn momentum(&self, series: &[u64]) -> Option<f64> {
         if series.len() < self.window + 1 {
             return None;
         }

@@ -11,10 +11,10 @@
 //! An entry is its bytes cut into fixed-length **blocks** plus one XXH64
 //! digest per block, recorded at insert. A hit re-derives the digests of
 //! the blocks that cover the bytes it returns — all of them for a full
-//! [`Cache::get`], the one or two around a small [`Cache::get_range`] — and
+//! [`Cache::get`], the one or two around a small `Cache::get_range` — and
 //! fails closed on a mismatch, so a hit costs what it returns, not what the
 //! entry holds. The engine's populate supplies the digests instead of
-//! having them computed ([`BlockDigests`]): they are the stripe checksums
+//! having them computed (`BlockDigests`): they are the stripe checksums
 //! the metadata records, which the read path has just verified the payload
 //! against, so caching a freshly read object hashes nothing.
 //!
@@ -25,14 +25,14 @@
 //! writer may have committed a newer version and invalidated the entry.
 //! Inserting the stale payload *after* that invalidation would poison the
 //! cache until the next write. Each key therefore carries an
-//! **invalidation epoch**: readers snapshot it ([`Cache::read_epoch`])
+//! **invalidation epoch**: readers snapshot it (`Cache::read_epoch`)
 //! *before* reading metadata and populate conditionally
-//! ([`Cache::put_if_epoch`]) — if any invalidation touched the key in
+//! (`Cache::put_if_epoch`) — if any invalidation touched the key in
 //! between, the insert is skipped. This replaces the previous
 //! revalidate-by-re-reading-metadata scheme, eliminating one metadata read
 //! per uncached get.
 //!
-//! The epoch table is bounded: past [`EPOCH_CAP`] tracked keys it is
+//! The epoch table is bounded: past `EPOCH_CAP` tracked keys it is
 //! cleared and a *generation* counter (the epoch's high bits) is bumped,
 //! which conservatively invalidates every outstanding snapshot — readers
 //! skip their populate, never serve stale data.
@@ -47,7 +47,7 @@ use std::sync::Arc;
 /// The per-block digests vouching for a payload about to be cached, from
 /// whoever verified it: `digests[i]` is the XXH64 of bytes
 /// `[i * block_len, (i + 1) * block_len)`, the last block possibly short.
-pub struct BlockDigests {
+pub(crate) struct BlockDigests {
     /// Length of every block but the last, in bytes.
     pub block_len: usize,
     /// One digest per block, in block order.
@@ -114,7 +114,7 @@ impl Entry {
 
 /// Bound on per-key invalidation epochs kept; exceeding it clears the table
 /// and bumps the generation (safe: outstanding populates are skipped).
-pub const EPOCH_CAP: usize = 65_536;
+pub(crate) const EPOCH_CAP: usize = 65_536;
 
 struct CacheInner {
     map: HashMap<String, Entry>,
@@ -186,12 +186,12 @@ impl Cache {
     }
 
     /// Creates a shared cache.
-    pub fn shared(capacity: ByteSize) -> Arc<Self> {
+    pub(crate) fn shared(capacity: ByteSize) -> Arc<Self> {
         Arc::new(Self::new(capacity))
     }
 
     /// Looks up an object, refreshing its recency on a hit: the full-range
-    /// case of [`Cache::get_range`], so every block is verified.
+    /// case of `Cache::get_range`, so every block is verified.
     pub fn get(&self, key: &str) -> Option<Bytes> {
         self.get_range(key, 0, u64::MAX).map(|(data, _)| data)
     }
@@ -208,7 +208,7 @@ impl Cache {
     /// the corrupt entry is dropped and the lookup reported as a miss, so
     /// the engine refetches from the providers instead of serving damaged
     /// bytes.
-    pub fn get_range(&self, key: &str, offset: u64, len: u64) -> Option<(Bytes, u64)> {
+    pub(crate) fn get_range(&self, key: &str, offset: u64, len: u64) -> Option<(Bytes, u64)> {
         let entry = {
             let mut guard = self.inner.lock();
             let inner = &mut *guard;
@@ -254,7 +254,7 @@ impl Cache {
     /// reading the object's metadata, so [`Cache::put_if_epoch`] can tell
     /// whether any write invalidated the key while the payload was being
     /// fetched.
-    pub fn read_epoch(&self, key: &str) -> u64 {
+    pub(crate) fn read_epoch(&self, key: &str) -> u64 {
         if self.capacity == 0 {
             return 0; // no populate can follow, so there is nothing to gate
         }
@@ -280,7 +280,7 @@ impl Cache {
     /// hashed here. Without them — or when they do not fit the payload
     /// (wrong count, zero block length) — the payload is hashed once, as
     /// one block.
-    pub fn put_if_epoch(
+    pub(crate) fn put_if_epoch(
         &self,
         key: &str,
         data: Bytes,
@@ -356,13 +356,8 @@ impl Cache {
         inner.generation = inner.generation.wrapping_add(1);
     }
 
-    /// Bytes currently cached.
-    pub fn used_bytes(&self) -> u64 {
-        self.inner.lock().used
-    }
-
     /// Number of cached objects.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().map.len()
     }
 
@@ -415,7 +410,7 @@ mod tests {
         let (hits, misses) = cache.stats();
         assert_eq!((hits, misses), (1, 1));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.used_bytes(), 5);
+        assert_eq!(cache.inner.lock().used, 5);
     }
 
     #[test]
@@ -431,7 +426,7 @@ mod tests {
         assert!(cache.get("b").is_none(), "b should have been evicted");
         assert!(cache.get("c").is_some());
         assert!(cache.get("d").is_some());
-        assert!(cache.used_bytes() <= 30);
+        assert!(cache.inner.lock().used <= 30);
     }
 
     #[test]
@@ -452,7 +447,7 @@ mod tests {
         assert!(cache.get("b").is_some());
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.used_bytes(), 0);
+        assert_eq!(cache.inner.lock().used, 0);
         // Invalidating a missing key is a no-op.
         cache.invalidate("zzz");
     }
@@ -462,7 +457,7 @@ mod tests {
         let cache = Cache::new(ByteSize::from_bytes(100));
         cache.put("a", Bytes::from(vec![0u8; 40]));
         cache.put("a", Bytes::from(vec![0u8; 10]));
-        assert_eq!(cache.used_bytes(), 10);
+        assert_eq!(cache.inner.lock().used, 10);
         assert_eq!(cache.len(), 1);
     }
 
@@ -505,7 +500,7 @@ mod tests {
         assert!(cache.get("a").is_none());
         assert_eq!(cache.corruption_count(), 1);
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.used_bytes(), 100);
+        assert_eq!(cache.inner.lock().used, 100);
 
         // The healthy entry still verifies, and a re-insert of the damaged
         // key records a fresh digest that verifies again.
@@ -560,7 +555,7 @@ mod tests {
         assert_eq!(cache.corruption_count(), 1);
         assert_eq!(cache.stats(), (6, 1));
         assert!(cache.is_empty());
-        assert_eq!(cache.used_bytes(), 0);
+        assert_eq!(cache.inner.lock().used, 0);
 
         // …and so does a full get, which covers every block.
         four_block_entry(&cache, "k");

@@ -31,7 +31,7 @@
 //!   provider the last tick saw being slow is demoted to parity rank while
 //!   a latency-free catalog keeps the seed's exact price order. The moment
 //!   any raced fetch errors, or outlives its hedge deadline — the published
-//!   p95, [`HEDGE_MULTIPLIER`] × the modelled latency while none is
+//!   p95, `HEDGE_MULTIPLIER` × the modelled latency while none is
 //!   published ([`hedge_deadline_us`]) — the next-ranked parity provider is
 //!   promoted into the race. The read returns as soon as `m` chunks are in
 //!   hand; a straggler's reply is simply unneeded. Every outcome feeds the
@@ -39,9 +39,9 @@
 //!   ranking put behind the raced `m`, feeds the observatory
 //!   ([`Infrastructure::with_observatory`]), which the next clock advance
 //!   publishes: that closes the adaptation loop.
-//! * [`delete_chunks`] — **fanned-out delete** with the postponed-delete
+//! * `delete_chunks` — **fanned-out delete** with the postponed-delete
 //!   semantics for unreachable providers.
-//! * [`fetch_and_reassemble`] / [`fetch_stripe`] / [`fetch_range`] — the
+//! * `fetch_and_reassemble` / `fetch_stripe` / `fetch_range` — the
 //!   object-level reads over the stripe map, three faces of one verified
 //!   read (`read_stripes`): each stripe they touch is fetched (hedged
 //!   `m`-of-`n`), decoded and verified on its own, and a range read touches
@@ -116,16 +116,16 @@ use std::ops::Range;
 
 /// A hedge deadline is this multiple of a latency estimate: of the modelled
 /// latency while no p95 is published, and of the published write p95.
-pub const HEDGE_MULTIPLIER: u64 = 3;
+pub(crate) const HEDGE_MULTIPLIER: u64 = 3;
 
 /// Floor of every hedge deadline, in virtual microseconds, so zero-latency
 /// catalogs (the default) never hedge on latency — only on errors.
-pub const MIN_HEDGE_DEADLINE_US: u64 = 2_000;
+pub(crate) const MIN_HEDGE_DEADLINE_US: u64 = 2_000;
 
 /// The hedge deadline of one chunk fetch from `provider`: the read p95 in
-/// the last tick's `view`, or [`HEDGE_MULTIPLIER`] × the modelled latency
+/// the last tick's `view`, or `HEDGE_MULTIPLIER` × the modelled latency
 /// for the chunk size while none is published — floored at
-/// [`MIN_HEDGE_DEADLINE_US`] either way. The published p95 is tighter than
+/// `MIN_HEDGE_DEADLINE_US` either way. The published p95 is tighter than
 /// the modelled multiple for any healthy provider (≈ 1.1× nominal vs 3×),
 /// so deadlines tighten once a tick has observed the provider.
 pub fn hedge_deadline_us(
@@ -144,9 +144,9 @@ pub fn hedge_deadline_us(
 }
 
 /// The upload hedge deadline of one chunk-PUT to `provider`:
-/// [`HEDGE_MULTIPLIER`] × the write p95 in the last tick's `view`, or × the
+/// `HEDGE_MULTIPLIER` × the write p95 in the last tick's `view`, or × the
 /// modelled latency while none is published — floored at
-/// [`MIN_HEDGE_DEADLINE_US`]. An upload that outlives this
+/// `MIN_HEDGE_DEADLINE_US`. An upload that outlives this
 /// deadline is treated as a failed-slow provider: the chunk is rolled back
 /// and the write re-placed on the remaining providers, so a provider
 /// stalling anomalously on PUTs cannot hold a write hostage.
@@ -307,7 +307,7 @@ fn upload_one(
 /// Deletes every chunk of `stripes` in one fan-out, postponing chunks whose
 /// provider is unreachable ("the deletion of the chunk residing at a faulty
 /// provider is postponed until the provider recovers", §III-D3).
-pub fn delete_chunks(infra: &Infrastructure, stripes: &[StripeMeta]) {
+pub(crate) fn delete_chunks(infra: &Infrastructure, stripes: &[StripeMeta]) {
     let mut refs = stripes.iter().flat_map(StripeMeta::chunk_refs).peekable();
     if refs.peek().is_none() {
         return;
@@ -567,7 +567,7 @@ fn read_stripes(
 
 /// Reassembles the whole object, tolerating up to `n − m` failed or
 /// straggling providers per stripe (`read_stripes` over every stripe).
-pub fn fetch_and_reassemble(infra: &Infrastructure, meta: &ObjectMeta) -> Result<Bytes> {
+pub(crate) fn fetch_and_reassemble(infra: &Infrastructure, meta: &ObjectMeta) -> Result<Bytes> {
     let out = read_stripes(infra, meta, 0..meta.striping.stripe_count())?;
     if out.len() as u64 != meta.size.bytes() {
         return Err(short_stripe_map(meta));
@@ -586,7 +586,11 @@ fn short_stripe_map(meta: &ObjectMeta) -> ScaliaError {
 
 /// Fetches and decodes stripe `index` of an object with the hedged
 /// `m`-of-`n` race, verifying the stripe's recorded plaintext checksum.
-pub fn fetch_stripe(infra: &Infrastructure, meta: &ObjectMeta, index: usize) -> Result<Bytes> {
+pub(crate) fn fetch_stripe(
+    infra: &Infrastructure,
+    meta: &ObjectMeta,
+    index: usize,
+) -> Result<Bytes> {
     read_stripes(infra, meta, index..index + 1).map(Bytes::from)
 }
 
@@ -599,7 +603,7 @@ pub fn fetch_stripe(infra: &Infrastructure, meta: &ObjectMeta, index: usize) -> 
 /// twice; the slice keeps the covering stripes' buffer alive. The result
 /// equals the same slice of a full read, clamped to the object's end — an
 /// empty or past-EOF range is empty bytes and fetches nothing.
-pub fn fetch_range(
+pub(crate) fn fetch_range(
     infra: &Infrastructure,
     meta: &ObjectMeta,
     offset: u64,

@@ -20,7 +20,6 @@ use scalia_core::migration::MigrationBudget;
 use scalia_core::placement::PlacementEngine;
 use scalia_core::trend::TrendDetector;
 use scalia_metastore::logagg::{LogAgent, LogAggregator};
-use scalia_metastore::AntiEntropyReport;
 use scalia_providers::catalog::ProviderCatalog;
 use scalia_types::error::Result;
 use scalia_types::ids::{DatacenterId, EngineId};
@@ -50,7 +49,6 @@ pub struct ScaliaCluster {
     repair_budget: MigrationBudget,
     repair_placement: PlacementEngine,
     last_repair_drain: Mutex<RepairDrainReport>,
-    last_anti_entropy: Mutex<AntiEntropyReport>,
 }
 
 /// Builder for [`ScaliaCluster`].
@@ -59,7 +57,6 @@ pub struct ScaliaClusterBuilder {
     engines_per_datacenter: u32,
     catalog: Option<Arc<ProviderCatalog>>,
     cache_capacity: ByteSize,
-    sampling_period: Duration,
     migration_budget: MigrationBudget,
 }
 
@@ -70,7 +67,6 @@ impl Default for ScaliaClusterBuilder {
             engines_per_datacenter: 2,
             catalog: None,
             cache_capacity: ByteSize::from_mb(256),
-            sampling_period: Duration::HOUR,
             migration_budget: MigrationBudget::UNLIMITED,
         }
     }
@@ -101,12 +97,6 @@ impl ScaliaClusterBuilder {
         self
     }
 
-    /// Sampling period for statistics collection (default 1 hour).
-    pub fn sampling_period(mut self, period: Duration) -> Self {
-        self.sampling_period = period;
-        self
-    }
-
     /// Per-cycle migration budget of the periodic optimiser (default:
     /// unlimited). With a budget, candidate migrations are executed
     /// best-savings-per-byte-first and the tail is deferred to the next
@@ -119,7 +109,7 @@ impl ScaliaClusterBuilder {
     /// Builds the cluster.
     pub fn build(self) -> ScaliaCluster {
         let catalog = self.catalog.unwrap_or_else(ProviderCatalog::paper_catalog);
-        let infra = Infrastructure::new(catalog, self.datacenters, self.sampling_period);
+        let infra = Infrastructure::new(catalog, self.datacenters, Duration::HOUR);
 
         let mut datacenters = Vec::new();
         for dc in 0..self.datacenters {
@@ -161,7 +151,6 @@ impl ScaliaClusterBuilder {
             repair_budget: self.migration_budget,
             repair_placement: PlacementEngine::new(),
             last_repair_drain: Mutex::new(RepairDrainReport::default()),
-            last_anti_entropy: Mutex::new(AntiEntropyReport::default()),
         }
     }
 }
@@ -238,8 +227,7 @@ impl ScaliaCluster {
     /// round across the database replicas. That round replays hinted
     /// handoffs and compares the replicas' content digests; it moves rows
     /// only where they differ, so an hour without a partition pays for no
-    /// metadata traffic however large the store has grown (work counts in
-    /// [`Self::last_anti_entropy`]).
+    /// metadata traffic however large the store has grown.
     pub fn tick(&self, now: SimTime) {
         self.infra.advance_clock(now);
         let stats = self.infra.statistics(DatacenterId::new(0));
@@ -254,13 +242,7 @@ impl ScaliaCluster {
         ) {
             *self.last_repair_drain.lock() = report;
         }
-        *self.last_anti_entropy.lock() = self.infra.database().anti_entropy();
-    }
-
-    /// Work counts of the anti-entropy round of the most recent
-    /// [`Self::tick`].
-    pub fn last_anti_entropy(&self) -> AntiEntropyReport {
-        *self.last_anti_entropy.lock()
+        self.infra.database().anti_entropy();
     }
 
     /// Outcome of the repair-queue drain of the most recent [`Self::tick`].
@@ -286,11 +268,6 @@ impl ScaliaCluster {
     /// Total amount billed by all providers so far.
     pub fn total_cost(&self) -> Money {
         self.infra.total_cost()
-    }
-
-    /// Hit/miss counters of the deployment-wide placement decision cache.
-    pub fn placement_cache_stats(&self) -> crate::placement_cache::PlacementCacheStats {
-        self.infra.placement_cache_stats()
     }
 }
 
@@ -350,15 +327,16 @@ mod tests {
         for _ in 0..5 {
             cluster.get(&key).unwrap();
         }
+        // Every write of the hour reached both database replicas, so the
+        // tick's anti-entropy round finds equal digests and touches no row.
+        let nodes = cluster.infra().database().nodes();
+        assert!(nodes.len() > 1);
+        assert!(nodes.iter().all(|n| n.digest() == nodes[0].digest()));
         cluster.tick(SimTime::from_hours(1));
         let history = cluster.engine(0).history(&key);
         assert_eq!(history.len(), 1);
         assert_eq!(history.records()[0].reads, 5);
         assert_eq!(history.records()[0].writes, 1);
-        // Every write of the hour reached both database replicas, so the
-        // tick's anti-entropy round found equal digests and touched no row.
-        assert!(cluster.infra().database().nodes().len() > 1);
-        assert_eq!(cluster.last_anti_entropy(), AntiEntropyReport::default());
     }
 
     #[test]
@@ -390,7 +368,7 @@ mod tests {
                 .put(&key, vec![7u8; 300_000], "image/png", rule(), None)
                 .unwrap();
         }
-        let stats = cluster.placement_cache_stats();
+        let stats = cluster.infra().placement_cache_stats();
         assert_eq!(stats.misses, 1, "one search for the whole class");
         assert_eq!(stats.hits, 19, "remaining writes must be served from cache");
     }
@@ -411,7 +389,7 @@ mod tests {
         };
         put("a.png");
         put("b.png");
-        assert_eq!(cluster.placement_cache_stats().misses, 1);
+        assert_eq!(cluster.infra().placement_cache_stats().misses, 1);
         // A new provider bumps the catalog version: the next same-class
         // write must re-run the search (and may adopt the new provider).
         cluster
@@ -421,7 +399,7 @@ mod tests {
             ));
         put("c.png");
         assert_eq!(
-            cluster.placement_cache_stats().misses,
+            cluster.infra().placement_cache_stats().misses,
             2,
             "catalog mutation must invalidate the cache"
         );

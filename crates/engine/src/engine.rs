@@ -58,13 +58,13 @@ use std::sync::Arc;
 
 /// Default decision period, in sampling periods, for freshly written objects
 /// whose class has no statistics yet (24 hourly periods = 1 day).
-pub const DEFAULT_DECISION_PERIODS: usize = 24;
+pub(crate) const DEFAULT_DECISION_PERIODS: usize = 24;
 
 /// Bound on the landing attempts of one stripe: it runs at most this many
 /// parallel uploads, i.e. it survives up to `WRITE_ATTEMPTS − 1`
 /// provider-side upload failures before the error is surfaced (§III-D3's
 /// mark-unavailable-and-retry, made finite).
-pub const WRITE_ATTEMPTS: usize = 3;
+pub(crate) const WRITE_ATTEMPTS: usize = 3;
 
 /// A stateless Scalia engine.
 pub struct Engine {
@@ -82,7 +82,7 @@ impl Engine {
     ///
     /// `all_caches` must contain the cache of every datacenter (including
     /// this engine's own) so writes can invalidate them all.
-    pub fn new(
+    pub(crate) fn new(
         id: EngineId,
         datacenter: DatacenterId,
         infra: Arc<Infrastructure>,
@@ -108,7 +108,7 @@ impl Engine {
     }
 
     /// The datacenter hosting this engine.
-    pub fn datacenter(&self) -> DatacenterId {
+    pub(crate) fn datacenter(&self) -> DatacenterId {
         self.datacenter
     }
 
@@ -496,7 +496,7 @@ impl Engine {
     /// Deletes every chunk of a striping in parallel, postponing chunks
     /// whose provider is unreachable ("the deletion of the chunk residing
     /// at a faulty provider is postponed until the provider recovers").
-    pub fn delete_chunks(&self, striping: &StripingMeta) {
+    pub(crate) fn delete_chunks(&self, striping: &StripingMeta) {
         chunk_io::delete_chunks(&self.infra, &striping.stripes);
     }
 

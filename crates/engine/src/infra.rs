@@ -89,7 +89,7 @@ fn shard_of(key: &str) -> usize {
 /// (a retry skipped because the provider is still unreachable costs no
 /// attempt and adds no backoff).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingDelete {
+pub(crate) struct PendingDelete {
     /// Provider holding the stale chunk.
     pub provider: ProviderId,
     /// Chunk key to delete.
@@ -167,7 +167,7 @@ pub struct Infrastructure {
 /// 512 KiB keeps the pipeline's high-water buffering (one stripe encoding +
 /// one stripe of chunks in flight) comfortably under a few MiB at any
 /// realistic `n/m`.
-pub const DEFAULT_STRIPE_SIZE_BYTES: u64 = 512 * 1024;
+pub(crate) const DEFAULT_STRIPE_SIZE_BYTES: u64 = 512 * 1024;
 
 impl Infrastructure {
     /// Creates the infrastructure for a deployment spanning `datacenters`
@@ -356,7 +356,7 @@ impl Infrastructure {
     ///
     /// Detector-tripped providers are re-probed (and re-enabled when their
     /// backend responds again) on every clock advance.
-    pub fn report_provider_failure(&self, provider: ProviderId, error: &ScaliaError) {
+    pub(crate) fn report_provider_failure(&self, provider: ProviderId, error: &ScaliaError) {
         let tripped = match error {
             ScaliaError::ProviderUnavailable(_) => true,
             ScaliaError::ChunkMissing { .. }
@@ -377,17 +377,8 @@ impl Infrastructure {
 
     /// Feeds one chunk-I/O success into the failure detector, resetting the
     /// provider's consecutive-failure count.
-    pub fn report_provider_success(&self, provider: ProviderId) {
+    pub(crate) fn report_provider_success(&self, provider: ProviderId) {
         self.failure_counts.lock().remove(&provider);
-    }
-
-    /// Consecutive failures currently recorded against a provider.
-    pub fn provider_failure_count(&self, provider: ProviderId) -> u32 {
-        self.failure_counts
-            .lock()
-            .get(&provider)
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Re-probes every provider the failure detector disabled: if its
@@ -412,7 +403,7 @@ impl Infrastructure {
     /// Records the virtual makespan (µs) of one object-level chunk-I/O
     /// operation — the parallel fan-out's critical path, not the sum of its
     /// provider round-trips.
-    pub fn record_io_latency(&self, op: StoreOp, us: u64) {
+    pub(crate) fn record_io_latency(&self, op: StoreOp, us: u64) {
         self.io_latencies.lock().of(op).record(us);
         self.last_io_latencies.lock()[Self::op_index(op)] = Some(us);
     }
@@ -446,7 +437,7 @@ impl Infrastructure {
     /// sequence (see the `version_counter` field): version ids — and the
     /// storage keys derived from them — depend only on this deployment's
     /// operation history, never on other clusters in the same process.
-    pub fn next_version(&self, salt: &str) -> ObjectVersionId {
+    pub(crate) fn next_version(&self, salt: &str) -> ObjectVersionId {
         ObjectVersionId::with_counter(salt, self.version_counter.fetch_add(1, Ordering::Relaxed))
     }
 
@@ -487,7 +478,7 @@ impl Infrastructure {
     /// Queues a delete that could not reach its provider. The first retry is
     /// due immediately; backoff only accrues after a retry that reached the
     /// provider and still failed.
-    pub fn postpone_delete(&self, provider: ProviderId, chunk_key: String) {
+    pub(crate) fn postpone_delete(&self, provider: ProviderId, chunk_key: String) {
         self.pending_deletes.lock().push(PendingDelete {
             provider,
             chunk_key,
@@ -501,18 +492,11 @@ impl Infrastructure {
         self.pending_deletes.lock().len()
     }
 
-    /// Cumulative number of pending-delete retry attempts issued (the
-    /// provider was reachable and the delete was actually tried, whether or
-    /// not it succeeded). Exposed for deployment stats and tests.
-    pub fn pending_delete_retries(&self) -> u64 {
-        self.delete_retries.load(Ordering::SeqCst)
-    }
-
     /// Retries every *due* postponed delete whose provider is reachable
     /// again. An item whose provider is still down is kept untouched (no
     /// attempt is charged); an item that was actually retried and failed is
     /// re-queued with exponential backoff plus deterministic jitter (see
-    /// [`retry_backoff_secs`]).
+    /// `retry_backoff_secs`).
     pub fn retry_pending_deletes(&self) {
         let now_secs = self.clock_secs.load(Ordering::SeqCst);
         let mut pending = self.pending_deletes.lock();
@@ -543,7 +527,7 @@ impl Infrastructure {
 
     /// Installs (or clears, with `None`) the deterministic chaos plan. The
     /// plan's crash points are consulted by the engine's write path via
-    /// [`Infrastructure::crash_point`] and wired into the replicated store's
+    /// `Infrastructure::crash_point` and wired into the replicated store's
     /// transaction crash hook; its transport storms are armed onto the
     /// targeted provider backends immediately.
     pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
@@ -563,15 +547,10 @@ impl Infrastructure {
         }
     }
 
-    /// The currently installed chaos plan, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.fault_plan.lock().clone()
-    }
-
     /// Consults the installed chaos plan at a named engine step, failing
     /// with an injected crash if the point is armed. A no-op (always `Ok`)
     /// without a plan.
-    pub fn crash_point(&self, label: &str) -> Result<(), ScaliaError> {
+    pub(crate) fn crash_point(&self, label: &str) -> Result<(), ScaliaError> {
         let plan = self.fault_plan.lock().clone();
         if let Some(plan) = plan {
             if plan.check(label) {
@@ -621,7 +600,7 @@ impl Infrastructure {
     /// consistent latest version. The lock is sharded by row-key hash and is
     /// **never** held across a placement search or provider upload — only
     /// across the metadata mutation itself.
-    pub fn lock_row_commit(&self, row_key: &str) -> parking_lot::MutexGuard<'_, ()> {
+    pub(crate) fn lock_row_commit(&self, row_key: &str) -> parking_lot::MutexGuard<'_, ()> {
         self.row_commit_locks[shard_of(row_key)].lock()
     }
 }
@@ -634,6 +613,16 @@ mod tests {
 
     fn infra() -> Arc<Infrastructure> {
         Infrastructure::new(ProviderCatalog::paper_catalog(), 2, Duration::HOUR)
+    }
+
+    /// Consecutive failures currently recorded against a provider.
+    fn failure_count(infra: &Infrastructure, provider: ProviderId) -> u32 {
+        infra
+            .failure_counts
+            .lock()
+            .get(&provider)
+            .copied()
+            .unwrap_or(0)
     }
 
     #[test]
@@ -705,24 +694,24 @@ mod tests {
         let backend = infra.backend(target).unwrap();
         backend.put("stale", Bytes::from_static(b"x")).unwrap();
         infra.postpone_delete(target, "stale".to_string());
-        assert_eq!(infra.pending_delete_retries(), 0);
+        assert_eq!(infra.delete_retries.load(Ordering::SeqCst), 0);
 
         // A transport storm makes the first retry reach the provider and
         // still fail: the item is charged an attempt and backs off.
         backend.inject_transport_errors(1);
         infra.retry_pending_deletes();
         assert_eq!(infra.pending_delete_count(), 1);
-        assert_eq!(infra.pending_delete_retries(), 1);
+        assert_eq!(infra.delete_retries.load(Ordering::SeqCst), 1);
 
         // While backing off, further retry passes don't even attempt it.
         infra.retry_pending_deletes();
-        assert_eq!(infra.pending_delete_retries(), 1);
+        assert_eq!(infra.delete_retries.load(Ordering::SeqCst), 1);
 
         // First-failure backoff is at most 90 s; two minutes later the
         // retry runs (via the clock advance) and succeeds.
         infra.advance_clock(SimTime::from_secs(120));
         assert_eq!(infra.pending_delete_count(), 0);
-        assert_eq!(infra.pending_delete_retries(), 2);
+        assert_eq!(infra.delete_retries.load(Ordering::SeqCst), 2);
         assert!(!backend.exists("stale").unwrap());
     }
 
@@ -738,7 +727,7 @@ mod tests {
         assert!(infra.crash_point("put::after-upload").is_ok(), "one-shot");
         assert_eq!(plan.fired(), vec!["put::after-upload".to_string()]);
         infra.set_fault_plan(None);
-        assert!(infra.fault_plan().is_none());
+        assert!(infra.fault_plan.lock().is_none());
     }
 
     #[test]
@@ -755,7 +744,7 @@ mod tests {
         // restores the provider.
         infra.advance_clock(SimTime::from_hours(1));
         assert!(infra.catalog().is_available(target));
-        assert_eq!(infra.provider_failure_count(target), 0);
+        assert_eq!(failure_count(&infra, target), 0);
     }
 
     #[test]
@@ -768,12 +757,12 @@ mod tests {
         }
         assert!(infra.catalog().is_available(target), "below threshold");
         assert_eq!(
-            infra.provider_failure_count(target),
+            failure_count(&infra, target),
             FAILURE_DETECTOR_THRESHOLD - 1
         );
         // A success resets the streak.
         infra.report_provider_success(target);
-        assert_eq!(infra.provider_failure_count(target), 0);
+        assert_eq!(failure_count(&infra, target), 0);
         // A full streak trips the detector.
         for _ in 0..FAILURE_DETECTOR_THRESHOLD {
             infra.report_provider_failure(target, &soft);
@@ -797,7 +786,7 @@ mod tests {
             infra.report_provider_failure(target, &ScaliaError::CapacityExceeded(target));
         }
         assert!(infra.catalog().is_available(target));
-        assert_eq!(infra.provider_failure_count(target), 0);
+        assert_eq!(failure_count(&infra, target), 0);
     }
 
     #[test]

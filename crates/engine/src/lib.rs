@@ -60,20 +60,11 @@ pub mod placement_cache;
 pub mod repair;
 pub mod streaming;
 
-pub use cache::Cache;
-pub use cluster::{ScaliaCluster, ScaliaClusterBuilder};
-pub use engine::Engine;
-pub use infra::Infrastructure;
-pub use optimizer::{OptimizationReport, PeriodicOptimizer};
-pub use placement_cache::{PlacementCache, PlacementCacheStats};
-pub use streaming::MultipartUpload;
-
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::cache::Cache;
-    pub use crate::cluster::{ScaliaCluster, ScaliaClusterBuilder};
-    pub use crate::engine::Engine;
+
+    pub use crate::cluster::ScaliaCluster;
+
     pub use crate::infra::Infrastructure;
-    pub use crate::optimizer::{OptimizationReport, PeriodicOptimizer};
-    pub use crate::streaming::MultipartUpload;
+    pub use crate::optimizer::OptimizationReport;
 }

@@ -85,7 +85,7 @@ impl OptimizationReport {
     /// operation with [`OptimizationReport::default`] as its neutral
     /// element: folding per-class partials yields the same total in **any**
     /// order or association.
-    pub fn merged_with(self, other: OptimizationReport) -> OptimizationReport {
+    pub(crate) fn merged_with(self, other: OptimizationReport) -> OptimizationReport {
         OptimizationReport {
             leader: if self == OptimizationReport::default() {
                 other.leader
@@ -225,7 +225,7 @@ fn load_meta(engine: &Engine, row_key: &str) -> Option<ObjectMeta> {
 }
 
 /// The periodic optimiser.
-pub struct PeriodicOptimizer {
+pub(crate) struct PeriodicOptimizer {
     detector: TrendDetector,
     placement: PlacementEngine,
     last_run: Mutex<Timestamp>,
@@ -240,7 +240,7 @@ impl PeriodicOptimizer {
     /// Creates an optimiser with the given trend detector and placement
     /// engine (and no migration budget: every beneficial migration executes
     /// in the cycle that finds it).
-    pub fn new(detector: TrendDetector, placement: PlacementEngine) -> Self {
+    pub(crate) fn new(detector: TrendDetector, placement: PlacementEngine) -> Self {
         PeriodicOptimizer {
             detector,
             placement,
@@ -251,13 +251,13 @@ impl PeriodicOptimizer {
     }
 
     /// Builder-style override of the per-cycle migration budget.
-    pub fn with_migration_budget(mut self, budget: MigrationBudget) -> Self {
+    pub(crate) fn with_migration_budget(mut self, budget: MigrationBudget) -> Self {
         self.budget = budget;
         self
     }
 
     /// Row keys currently deferred by the migration budget.
-    pub fn deferred_backlog(&self) -> usize {
+    pub(crate) fn deferred_backlog(&self) -> usize {
         self.deferred.lock().len()
     }
 
@@ -301,7 +301,7 @@ impl PeriodicOptimizer {
     /// migrations best-savings-per-byte-first under the migration budget.
     /// With `force = true` every group is re-evaluated even if its class
     /// trend did not change (used after the provider catalog changes).
-    pub fn run(
+    pub(crate) fn run(
         &self,
         engines: &[Arc<Engine>],
         infra: &Arc<Infrastructure>,

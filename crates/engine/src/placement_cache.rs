@@ -8,7 +8,7 @@
 //! access behaviour; re-running the subset search for each member is pure
 //! waste.
 //!
-//! [`PlacementCache`] memoizes the chosen provider set + threshold, keyed by
+//! `PlacementCache` memoizes the chosen provider set + threshold, keyed by
 //!
 //! * the **storage rule** (all constraint fields),
 //! * the **object class** — the exact class identifier
@@ -43,12 +43,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default bound on distinct cached decisions.
-pub const DEFAULT_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_CAPACITY: usize = 4096;
 
 /// The quantized usage-class component of a cache key: every dimension is
 /// reduced to its power-of-two bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct UsageClassKey {
+pub(crate) struct UsageClassKey {
     size: u8,
     bw_in: u8,
     bw_out: u8,
@@ -67,7 +67,7 @@ fn bucket(v: u64) -> u8 {
 
 impl UsageClassKey {
     /// Quantizes a predicted usage.
-    pub fn of(usage: &PredictedUsage) -> Self {
+    pub(crate) fn of(usage: &PredictedUsage) -> Self {
         UsageClassKey {
             size: bucket(usage.size.bytes()),
             bw_in: bucket(usage.bw_in.bytes()),
@@ -82,7 +82,7 @@ impl UsageClassKey {
 /// The full cache key: rule + exact object class + usage bucket + catalog
 /// version.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlacementCacheKey {
+pub(crate) struct PlacementCacheKey {
     catalog_version: u64,
     rule_name: String,
     rule_fingerprint: [u64; 5],
@@ -107,7 +107,7 @@ impl PlacementCacheKey {
     }
 }
 
-/// Hit/miss counters of a [`PlacementCache`].
+/// Hit/miss counters of a `PlacementCache`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlacementCacheStats {
     /// Searches answered from the cache.
@@ -125,7 +125,7 @@ pub struct PlacementCacheStats {
 /// the same search on a miss; last insert wins, which is harmless because
 /// both computed the same optimum for the same catalog version.
 #[derive(Debug)]
-pub struct PlacementCache {
+pub(crate) struct PlacementCache {
     entries: RwLock<HashMap<PlacementCacheKey, Arc<Placement>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -140,12 +140,12 @@ impl Default for PlacementCache {
 
 impl PlacementCache {
     /// Creates a cache bounded to [`DEFAULT_CAPACITY`] entries.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_capacity(DEFAULT_CAPACITY)
     }
 
     /// Creates a cache bounded to `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         PlacementCache {
             entries: RwLock::new(HashMap::new()),
             hits: AtomicU64::new(0),
@@ -163,7 +163,7 @@ impl PlacementCache {
     /// usage and its cost recomputed exactly; on a miss (or failed
     /// revalidation) the full search runs and the winning placement is
     /// memoized.
-    pub fn best_placement(
+    pub(crate) fn best_placement(
         &self,
         engine: &PlacementEngine,
         rule: &StorageRule,
@@ -206,26 +206,11 @@ impl PlacementCache {
     }
 
     /// Hit/miss counters since creation.
-    pub fn stats(&self) -> PlacementCacheStats {
+    pub(crate) fn stats(&self) -> PlacementCacheStats {
         PlacementCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    /// Returns `true` if no decision is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached decision (tests and manual invalidation).
-    pub fn clear(&self) {
-        self.entries.write().clear();
     }
 }
 
@@ -365,8 +350,6 @@ mod tests {
                 .best_placement(&engine, &rule(), "cls", &usage, catalog, 1)
                 .unwrap();
         }
-        assert!(cache.len() <= 2);
-        cache.clear();
-        assert!(cache.is_empty());
+        assert!(cache.entries.read().len() <= 2);
     }
 }

@@ -17,7 +17,7 @@
 //! queue entry in the same journaled transaction as the metadata — a crash
 //! can never ack a degraded write without also queueing its backfill).
 //!
-//! [`drain_repair_queue`] runs each clock advance under the cluster's
+//! `drain_repair_queue` runs each clock advance under the cluster's
 //! [`MigrationBudget`] and processes entries in **durability-risk order**:
 //!
 //! 1. availability deficit, descending — how far the object's *currently
@@ -29,7 +29,7 @@
 //!
 //! Failed attempts back off exponentially (base 60 s doubling to a 1 h cap)
 //! with a deterministic per-item jitter, and after
-//! [`DEAD_LETTER_ATTEMPTS`] consecutive failures the entry turns *dead*: it
+//! `DEAD_LETTER_ATTEMPTS` consecutive failures the entry turns *dead*: it
 //! is no longer retried but stays in the metastore and is surfaced in every
 //! [`RepairDrainReport`] — dead-lettered work is visible, never dropped.
 //! Entries resolve (queue row deleted) when the object is repaired, has
@@ -58,10 +58,10 @@ use serde_json::{json, Value};
 use std::sync::Arc;
 
 /// Row-key prefix of repair-queue entries in the metastore.
-pub const REPAIR_QUEUE_PREFIX: &str = "repair:";
+pub(crate) const REPAIR_QUEUE_PREFIX: &str = "repair:";
 
 /// Consecutive failed attempts after which an entry is dead-lettered.
-pub const DEAD_LETTER_ATTEMPTS: u32 = 8;
+pub(crate) const DEAD_LETTER_ATTEMPTS: u32 = 8;
 
 /// Outcome of a repair pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,7 +74,7 @@ pub struct RepairReport {
     pub objects_failed: usize,
 }
 
-/// Outcome of one [`drain_repair_queue`] pass.
+/// Outcome of one `drain_repair_queue` pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RepairDrainReport {
     /// Queue entries examined this pass.
@@ -143,14 +143,14 @@ impl RepairQueueEntry {
 }
 
 /// The repair-queue row key of an object metadata row.
-pub fn queue_row_key(object_row_key: &str) -> String {
+pub(crate) fn queue_row_key(object_row_key: &str) -> String {
     format!("{REPAIR_QUEUE_PREFIX}{object_row_key}")
 }
 
 /// A fresh queue-entry value (attempt counter zeroed, immediately due) —
 /// also used by the engine's degraded-write commit, which journals the
 /// entry in the same transaction as the metadata.
-pub fn queue_item(key: &ObjectKey, reason: &str) -> Value {
+pub(crate) fn queue_item(key: &ObjectKey, reason: &str) -> Value {
     RepairQueueEntry {
         key: key.clone(),
         reason: reason.to_string(),
@@ -190,31 +190,6 @@ pub fn enqueue(infra: &Infrastructure, key: &ObjectKey, reason: &str) -> Result<
         .put(&queue_row, "item", queue_item(key, reason), timestamp)?;
     infra.database().prune_old_versions(&queue_row, "item");
     Ok(())
-}
-
-/// Operator override: re-admits every dead-lettered queue entry with a
-/// fresh attempt counter and no backoff, so the next
-/// [`drain_repair_queue`] retries it immediately. The operator calls this
-/// after fixing whatever kept the repairs failing (a provider restored, a
-/// catalog change); the entries themselves keep their original reason.
-/// Returns how many entries were re-admitted.
-pub fn requeue_dead_letters(infra: &Infrastructure) -> Result<usize> {
-    let mut revived = 0usize;
-    for (queue_row, entry) in queue_entries(infra)? {
-        if !entry.dead {
-            continue;
-        }
-        let timestamp = infra.next_timestamp();
-        infra.database().put(
-            &queue_row,
-            "item",
-            queue_item(&entry.key, &entry.reason),
-            timestamp,
-        )?;
-        infra.database().prune_old_versions(&queue_row, "item");
-        revived += 1;
-    }
-    Ok(revived)
 }
 
 /// All current repair-queue entries, keyed by queue row.
@@ -269,7 +244,7 @@ struct RepairCandidate {
 /// Every entry is either repaired, resolved, deferred (budget or backoff),
 /// failed (attempt counter bumped, backoff scheduled, dead-lettered past the
 /// attempt cap) or reported dead — never silently dropped.
-pub fn drain_repair_queue(
+pub(crate) fn drain_repair_queue(
     engine: &Arc<Engine>,
     infra: &Arc<Infrastructure>,
     placement_engine: &PlacementEngine,
@@ -713,82 +688,6 @@ mod tests {
         let (_, revived) = queue_entries(&infra).unwrap().pop().unwrap();
         assert!(!revived.dead);
         assert_eq!(revived.attempts, 0);
-    }
-
-    #[test]
-    fn operator_requeue_readmits_dead_letters_and_the_next_drain_repairs() {
-        let cluster = ScaliaCluster::builder().build();
-        let engine = cluster.engine(0).clone();
-        let infra = cluster.infra().clone();
-        let key = ObjectKey::new("c", "revivable.bin");
-        cluster
-            .put(&key, vec![9u8; 150_000], "application/x-tar", rule(), None)
-            .unwrap();
-        let meta = engine.read_metadata(&key).unwrap();
-
-        // Same incident as the dead-letter test: every provider but one
-        // chunk holder down, so repairs fail until the attempt cap.
-        let holders: Vec<ProviderId> = meta.striping.stripe_view(0).providers();
-        for p in infra.catalog().all() {
-            if p.id != holders[1] {
-                infra.set_provider_down(p.id, true);
-            }
-        }
-        enqueue(&infra, &key, "provider-outage").unwrap();
-        assert_eq!(
-            requeue_dead_letters(&infra).unwrap(),
-            0,
-            "a live entry must not be touched by the operator override"
-        );
-
-        let pe = PlacementEngine::new();
-        let mut now_secs = infra.now().secs();
-        for _ in 1..=DEAD_LETTER_ATTEMPTS {
-            drain_repair_queue(
-                &engine,
-                &infra,
-                &pe,
-                &MigrationBudget::UNLIMITED,
-                SimTime::from_secs(now_secs),
-            )
-            .unwrap();
-            let (_, entry) = queue_entries(&infra).unwrap().pop().unwrap();
-            now_secs = entry.not_before_secs;
-        }
-        let (_, entry) = queue_entries(&infra).unwrap().pop().unwrap();
-        assert!(entry.dead, "the attempt cap must dead-letter the entry");
-
-        // Operator fixes the world — every provider back except one original
-        // chunk holder, so the object is genuinely degraded (a resolve scan
-        // is not enough; chunks must move) — and re-admits the dead letter.
-        for p in infra.catalog().all() {
-            infra.set_provider_down(p.id, p.id == holders[0]);
-        }
-        assert_eq!(requeue_dead_letters(&infra).unwrap(), 1);
-        let (_, revived) = queue_entries(&infra).unwrap().pop().unwrap();
-        assert!(!revived.dead);
-        assert_eq!(revived.attempts, 0);
-        assert_eq!(
-            revived.not_before_secs, 0,
-            "a re-admitted entry must be immediately due"
-        );
-        assert_eq!(revived.reason, "provider-outage");
-
-        // The very next drain picks it up and actually repairs it.
-        let report = drain_repair_queue(
-            &engine,
-            &infra,
-            &pe,
-            &MigrationBudget::UNLIMITED,
-            SimTime::from_secs(now_secs),
-        )
-        .unwrap();
-        assert_eq!(report.repaired, 1, "re-admitted row must be repaired");
-        assert_eq!(report.dead_lettered, 0);
-        assert!(queue_entries(&infra).unwrap().is_empty(), "entry settled");
-        let repaired = engine.read_metadata(&key).unwrap();
-        assert!(!repaired.striping.provider_set().contains(&holders[0]));
-        assert_eq!(engine.get(&key).unwrap().len(), 150_000);
     }
 
     #[test]

@@ -42,19 +42,19 @@
 //!   is staged where it lands in its stripe, and the stripe seals whenever
 //!   a stripe's worth of bytes has accumulated. The assembled
 //!   stripe map commits in **one** metastore transaction
-//!   ([`Engine::commit_metadata_with_debt`]) under the row commit lock, so a
+//!   (`Engine::commit_metadata_with_debt`) under the row commit lock, so a
 //!   crash anywhere before [`MultipartUpload::complete_put`] returns leaves
 //!   the previous object version fully intact and at most some orphaned
 //!   stripe chunks for [`crate::gc::sweep_orphan_chunks`].
 //! * **Range reads** — [`Engine::get_range`] serves `[offset, offset+len)`
 //!   by fetching only the covering stripes (each still a hedged
-//!   `m`-of-`n` race), via [`crate::chunk_io::fetch_range`].
+//!   `m`-of-`n` race), via `crate::chunk_io::fetch_range`.
 //!
 //! # Per-stripe durability semantics
 //!
 //! A stripe lands through one ladder (`MultipartUpload::land_stripe`):
 //! fanned-out upload that stops at its first failure and rolls back, bounded
-//! re-placement (capped by [`crate::engine::WRITE_ATTEMPTS`]) excluding the
+//! re-placement (capped by `crate::engine::WRITE_ATTEMPTS`) excluding the
 //! failed provider, and — once re-placement is exhausted — a *degraded*
 //! tolerant landing accepted iff `k ≥ m` chunks survive **and** the
 //! surviving providers still clear the rule's availability floor. Degraded
@@ -298,7 +298,7 @@ impl Engine {
     /// is sliced in memory without provider traffic, after re-verifying the
     /// cached blocks (stripes) the range touches — and only those — against
     /// the digests recorded when the entry was populated
-    /// ([`crate::cache::Cache::get_range`]).
+    /// (`crate::cache::Cache::get_range`).
     pub fn get_range(&self, key: &ObjectKey, offset: u64, len: u64) -> Result<Bytes> {
         let row_key = key.row_key();
         if let Some((slice, size)) = self.local_cache().get_range(&row_key, offset, len) {

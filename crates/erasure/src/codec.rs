@@ -42,13 +42,8 @@ impl Chunk {
     }
 
     /// Size of the chunk payload in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// Returns `true` if the chunk payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 }
 
@@ -523,7 +518,7 @@ mod tests {
         let base = staged.as_ptr();
         let enc = encode_staged(staged, params(3, 5)).unwrap();
         let c = &enc.chunks[2];
-        assert_eq!((c.index, c.len(), c.is_empty()), (2, 334, false));
+        assert_eq!((c.index, c.len()), (2, 334));
         // Data chunks are the plaintext windows, zero-padded at the tail.
         assert_eq!(&enc.chunks[0].data[..], &data[..334]);
         assert_eq!(&c.data[..333], &data[668..]);

@@ -83,19 +83,19 @@ fn tables() -> &'static Tables {
 
 /// Adds two field elements (XOR).
 #[inline]
-pub fn add(a: u8, b: u8) -> u8 {
+pub(crate) fn add(a: u8, b: u8) -> u8 {
     a ^ b
 }
 
 /// Subtracts two field elements (identical to addition in GF(2⁸)).
 #[inline]
-pub fn sub(a: u8, b: u8) -> u8 {
+pub(crate) fn sub(a: u8, b: u8) -> u8 {
     a ^ b
 }
 
 /// Multiplies two field elements.
 #[inline]
-pub fn mul(a: u8, b: u8) -> u8 {
+pub(crate) fn mul(a: u8, b: u8) -> u8 {
     if a == 0 || b == 0 {
         return 0;
     }
@@ -109,7 +109,7 @@ pub fn mul(a: u8, b: u8) -> u8 {
 /// # Panics
 /// Panics if `b` is zero.
 #[inline]
-pub fn div(a: u8, b: u8) -> u8 {
+pub(crate) fn div(a: u8, b: u8) -> u8 {
     assert!(b != 0, "division by zero in GF(256)");
     if a == 0 {
         return 0;
@@ -124,12 +124,12 @@ pub fn div(a: u8, b: u8) -> u8 {
 /// # Panics
 /// Panics if `a` is zero.
 #[inline]
-pub fn inv(a: u8) -> u8 {
+pub(crate) fn inv(a: u8) -> u8 {
     div(1, a)
 }
 
 /// Raises `a` to the power `n`.
-pub fn pow(a: u8, n: u32) -> u8 {
+pub(crate) fn pow(a: u8, n: u32) -> u8 {
     if n == 0 {
         return 1;
     }
@@ -349,7 +349,7 @@ mod simd {
 /// `acc` (`acc[i] ^= c * slice[i]`). This is the inner loop of Reed–Solomon
 /// encoding and decoding.
 ///
-/// Slices of [`WIDE_KERNEL_THRESHOLD`] bytes or more go through the wide
+/// Slices of `WIDE_KERNEL_THRESHOLD` bytes or more go through the wide
 /// nibble-table kernel tier picked by [`active_kernel`] (see the module
 /// docs); shorter slices use the seed's per-byte log/exp loop, whose setup
 /// cost is zero.
@@ -582,22 +582,23 @@ mod tests {
 
     #[test]
     fn every_tier_matches_reference_all_coefficients_odd_lengths() {
-        let mut data = vec![0u8; 2048 + 9];
-        let mut base_acc = vec![0u8; 2048 + 9];
+        let mut data = vec![0u8; 2048 + 64];
+        let mut base_acc = vec![0u8; 2048 + 64];
         fill_pseudo(&mut data, 0x5eed_cafe_f00d_0001);
         fill_pseudo(&mut base_acc, 0x5eed_cafe_f00d_0002);
 
-        // Odd lengths, sub-64-byte slices, non-8- and non-32-aligned tails.
+        // Odd lengths, sub-64-byte slices, non-8- and non-32-aligned tails,
+        // each at every source alignment 0–63.
         let lengths = [
             0usize, 1, 3, 7, 13, 31, 32, 33, 63, 64, 65, 95, 127, 129, 191, 256, 257, 511, 1021,
             2048,
         ];
-        let offsets = [0usize, 1, 3, 7];
+        let offsets = 0..64usize;
         let tiers = [Kernel::Gfni, Kernel::Avx2, Kernel::Portable];
 
         for c in 0..=255u8 {
             for &len in &lengths {
-                for &off in &offsets {
+                for off in offsets.clone() {
                     let slice = &data[off..off + len];
                     let mut expect = base_acc[off..off + len].to_vec();
                     mul_slice_xor_reference(c, slice, &mut expect);

@@ -15,7 +15,7 @@
 //!   of the resulting encode matrix are invertible, which is exactly the
 //!   "any m-subset of the n chunks contains a complete copy" property.
 //! * [`codec`] — the object-level API used by the Scalia engine: cut a
-//!   staged stripe into [`Chunk`]s (the data chunks are windows of the
+//!   staged stripe into [`Chunk`](codec::Chunk)s (the data chunks are windows of the
 //!   staging buffer) and reassemble it from any `m` of them onto the
 //!   caller's buffer, hashing the bytes in the same copy. Corruption is
 //!   caught one layer up, by the per-stripe content checksum the engine
@@ -32,18 +32,3 @@ pub mod codec;
 pub mod gf256;
 pub mod matrix;
 pub mod rs;
-
-pub use codec::{
-    decode_object, decode_object_append, decode_object_into, encode_object, encode_staged,
-    staged_len, Chunk, EncodedObject,
-};
-pub use rs::ReedSolomon;
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::codec::{
-        decode_object, decode_object_append, decode_object_into, encode_object, encode_staged,
-        staged_len, Chunk, EncodedObject,
-    };
-    pub use crate::rs::ReedSolomon;
-}

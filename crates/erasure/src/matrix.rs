@@ -8,7 +8,7 @@ use crate::gf256;
 
 /// A dense row-major matrix over GF(256).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<u8>,
@@ -16,7 +16,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// Creates a zero matrix of the given shape.
-    pub fn zero(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zero(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
@@ -25,7 +25,7 @@ impl Matrix {
     }
 
     /// Creates an identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zero(n, n);
         for i in 0..n {
             m.set(i, i, 1);
@@ -36,7 +36,7 @@ impl Matrix {
     /// Creates a Vandermonde matrix with `rows × cols` entries:
     /// `V[r][c] = r^c` over GF(256). Any `cols` distinct rows of such a
     /// matrix form an invertible square matrix (for `rows ≤ 255`).
-    pub fn vandermonde(rows: usize, cols: usize) -> Self {
+    pub(crate) fn vandermonde(rows: usize, cols: usize) -> Self {
         let mut m = Matrix::zero(rows, cols);
         for r in 0..rows {
             for c in 0..cols {
@@ -46,38 +46,23 @@ impl Matrix {
         m
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Element at `(row, col)`.
     #[inline]
-    pub fn get(&self, row: usize, col: usize) -> u8 {
+    pub(crate) fn get(&self, row: usize, col: usize) -> u8 {
         self.data[row * self.cols + col]
     }
 
     /// Sets the element at `(row, col)`.
     #[inline]
-    pub fn set(&mut self, row: usize, col: usize, value: u8) {
+    pub(crate) fn set(&mut self, row: usize, col: usize, value: u8) {
         self.data[row * self.cols + col] = value;
-    }
-
-    /// A view of one row.
-    pub fn row(&self, row: usize) -> &[u8] {
-        &self.data[row * self.cols..(row + 1) * self.cols]
     }
 
     /// Matrix multiplication `self × rhs`.
     ///
     /// # Panics
     /// Panics if the shapes are incompatible.
-    pub fn mul(&self, rhs: &Matrix) -> Matrix {
+    pub(crate) fn mul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "matrix shape mismatch");
         let mut out = Matrix::zero(self.rows, rhs.cols);
         for i in 0..self.rows {
@@ -96,7 +81,7 @@ impl Matrix {
     }
 
     /// Builds a new matrix from the given subset of row indices of `self`.
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
+    pub(crate) fn select_rows(&self, indices: &[usize]) -> Matrix {
         let mut out = Matrix::zero(indices.len(), self.cols);
         for (new_r, &r) in indices.iter().enumerate() {
             for c in 0..self.cols {
@@ -108,7 +93,7 @@ impl Matrix {
 
     /// Gauss–Jordan inversion. Returns `None` if the matrix is singular or
     /// not square.
-    pub fn invert(&self) -> Option<Matrix> {
+    pub(crate) fn invert(&self) -> Option<Matrix> {
         if self.rows != self.cols {
             return None;
         }
@@ -177,8 +162,8 @@ mod tests {
     #[test]
     fn vandermonde_shape_and_first_column() {
         let v = Matrix::vandermonde(5, 3);
-        assert_eq!(v.rows(), 5);
-        assert_eq!(v.cols(), 3);
+        assert_eq!(v.rows, 5);
+        assert_eq!(v.cols, 3);
         // Column 0 is r^0 = 1 for every row.
         for r in 0..5 {
             assert_eq!(v.get(r, 0), 1);
@@ -217,9 +202,11 @@ mod tests {
     fn select_rows_extracts_submatrix() {
         let v = Matrix::vandermonde(5, 3);
         let sub = v.select_rows(&[0, 2, 4]);
-        assert_eq!(sub.rows(), 3);
-        assert_eq!(sub.row(1), v.row(2));
-        assert_eq!(sub.row(2), v.row(4));
+        assert_eq!(sub.rows, 3);
+        for c in 0..3 {
+            assert_eq!(sub.get(1, c), v.get(2, c));
+            assert_eq!(sub.get(2, c), v.get(4, c));
+        }
     }
 
     #[test]

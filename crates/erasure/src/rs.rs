@@ -96,16 +96,6 @@ impl ReedSolomon {
         Ok(())
     }
 
-    /// Number of data shards `m`.
-    pub fn data_shards(&self) -> usize {
-        self.data_shards
-    }
-
-    /// Total number of shards `n`.
-    pub fn total_shards(&self) -> usize {
-        self.total_shards
-    }
-
     fn validate_data_shards<S: AsRef<[u8]>>(&self, data_shards: &[S]) -> Result<usize, RsError> {
         if data_shards.len() != self.data_shards {
             return Err(RsError::NotEnoughShards {
@@ -157,7 +147,7 @@ impl ReedSolomon {
     /// Data shards that were supplied are copied into place; only the
     /// missing ones cost field arithmetic (one row of the inverted
     /// sub-matrix each).
-    pub fn reconstruct_into<S: AsRef<[u8]>>(
+    pub(crate) fn reconstruct_into<S: AsRef<[u8]>>(
         &self,
         shards: &[(usize, S)],
         out: &mut [u8],
@@ -243,7 +233,7 @@ mod tests {
     /// The `m` data shards rebuilt from `shards`.
     fn reconstruct(rs: &ReedSolomon, shards: &[(usize, Vec<u8>)]) -> Result<Vec<Vec<u8>>, RsError> {
         let shard_len = shards.first().map_or(0, |(_, s)| s.len());
-        let mut flat = vec![0xEEu8; rs.data_shards() * shard_len];
+        let mut flat = vec![0xEEu8; rs.data_shards * shard_len];
         rs.reconstruct_into(shards, &mut flat)?;
         Ok(flat.chunks(shard_len).map(<[u8]>::to_vec).collect())
     }

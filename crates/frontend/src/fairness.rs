@@ -29,7 +29,7 @@ struct TenantSched {
 }
 
 /// A weighted deficit round-robin scheduler over tenant indices.
-pub struct DrrScheduler {
+pub(crate) struct DrrScheduler {
     quantum: u64,
     tenants: Vec<TenantSched>,
     ring: VecDeque<usize>,
@@ -38,7 +38,7 @@ pub struct DrrScheduler {
 impl DrrScheduler {
     /// Creates a scheduler; `quantum` is the per-weight-unit number of ops a
     /// tenant may serve per round (≥ 1).
-    pub fn new(quantum: u64) -> Self {
+    pub(crate) fn new(quantum: u64) -> Self {
         DrrScheduler {
             quantum: quantum.max(1),
             tenants: Vec::new(),
@@ -47,7 +47,7 @@ impl DrrScheduler {
     }
 
     /// Registers a tenant with the given weight (≥ 1); returns its index.
-    pub fn add_tenant(&mut self, weight: u32) -> usize {
+    pub(crate) fn add_tenant(&mut self, weight: u32) -> usize {
         self.tenants.push(TenantSched {
             weight: weight.max(1),
             deficit: 0,
@@ -57,20 +57,10 @@ impl DrrScheduler {
         self.tenants.len() - 1
     }
 
-    /// Number of registered tenants.
-    pub fn len(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// True when no tenant is registered.
-    pub fn is_empty(&self) -> bool {
-        self.tenants.is_empty()
-    }
-
     /// Marks a tenant as having queued work. Call on every enqueue; a
     /// tenant already in the ring is left where it is (no queue-jumping by
     /// re-announcing).
-    pub fn activate(&mut self, tenant: usize) {
+    pub(crate) fn activate(&mut self, tenant: usize) {
         let state = &mut self.tenants[tenant];
         if !state.in_ring {
             state.in_ring = true;
@@ -83,7 +73,7 @@ impl DrrScheduler {
     /// deficit. `queue_len` reports a tenant's current queue length; the
     /// caller must pop exactly one op from the returned tenant's queue.
     /// Returns `None` when no tenant has queued work.
-    pub fn next(&mut self, queue_len: impl Fn(usize) -> usize) -> Option<usize> {
+    pub(crate) fn next(&mut self, queue_len: impl Fn(usize) -> usize) -> Option<usize> {
         // Each iteration either returns, removes a tenant from the ring, or
         // rotates one exhausted tenant to the tail after replenishing the
         // next visit — the loop terminates because every tenant in the ring
@@ -181,7 +171,6 @@ mod tests {
         assert_eq!(drr.next(|_| 1), None, "inactive tenant is never picked");
         drr.activate(t);
         assert_eq!(drr.next(|_| 0), None, "empty queue is never picked");
-        assert!(!drr.is_empty());
-        assert_eq!(drr.len(), 1);
+        assert_eq!(drr.tenants.len(), 1);
     }
 }

@@ -5,7 +5,7 @@
 //! run, when, and in what order** — where production traffic meets the
 //! brokerage.
 //!
-//! The engine ([`scalia_engine::Engine`]) executes any request handed to
+//! The engine ([`scalia_engine::engine::Engine`]) executes any request handed to
 //! it; under a flash crowd that policy melts down (unbounded queues, tail
 //! latencies dominated by queue wait, one hot tenant starving the rest).
 //! The front-end adds the two missing control loops:
@@ -32,7 +32,7 @@
 //! ## Per-tenant fairness
 //!
 //! Each tenant has its own FIFO queue and an integer weight; lanes pick the
-//! next op by **weighted deficit round-robin** ([`fairness::DrrScheduler`]):
+//! next op by **weighted deficit round-robin** (`fairness::DrrScheduler`):
 //! per round a tenant's deficit is replenished by `weight × quantum` and
 //! each served op costs one unit, so a backlogged tenant receives lane time
 //! proportional to its weight regardless of how hard it floods the queue —
@@ -57,18 +57,13 @@ pub mod multipart;
 pub mod service;
 pub mod stats;
 
-pub use fairness::DrrScheduler;
-pub use multipart::UploadId;
 pub use service::{
     FrontendConfig, FrontendService, OpKind, OpOutcome, OpStatus, S3Op, SubmitOutcome, TenantId,
 };
-pub use stats::{FrontendReport, TenantReport};
+pub use stats::FrontendReport;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::multipart::UploadId;
-    pub use crate::service::{
-        FrontendConfig, FrontendService, OpKind, OpOutcome, OpStatus, S3Op, SubmitOutcome, TenantId,
-    };
-    pub use crate::stats::{FrontendReport, TenantReport};
+
+    pub use crate::service::{FrontendConfig, FrontendService, OpKind, OpStatus, TenantId};
 }

@@ -138,7 +138,7 @@ pub enum S3Op {
 
 impl S3Op {
     /// The op's kind tag.
-    pub fn kind(&self) -> OpKind {
+    pub(crate) fn kind(&self) -> OpKind {
         match self {
             S3Op::Put { .. } => OpKind::Put,
             S3Op::Get { .. } => OpKind::Get,
@@ -312,11 +312,6 @@ impl FrontendService {
         });
         debug_assert_eq!(id + 1, self.tenants.len());
         TenantId(id)
-    }
-
-    /// The current virtual time, µs.
-    pub fn clock_us(&self) -> u64 {
-        self.clock_us
     }
 
     /// The cluster behind the service.

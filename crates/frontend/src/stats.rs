@@ -83,14 +83,6 @@ impl TenantReport {
     pub fn rejected(&self) -> u64 {
         self.rejected_queue + self.rejected_deadline
     }
-
-    /// Completed-op throughput over `horizon_us` of virtual time, ops/s.
-    pub fn throughput_ops_per_sec(&self, horizon_us: u64) -> f64 {
-        if horizon_us == 0 {
-            return 0.0;
-        }
-        self.completed as f64 * 1_000_000.0 / horizon_us as f64
-    }
 }
 
 /// Snapshot of the whole service: per-tenant outcomes plus the admission
@@ -116,15 +108,6 @@ impl FrontendReport {
     /// Total submitted ops across tenants.
     pub fn total_submitted(&self) -> u64 {
         self.tenants.iter().map(|t| t.submitted).sum()
-    }
-
-    /// Completed-op throughput over the replay horizon, ops/s of virtual
-    /// time.
-    pub fn throughput_ops_per_sec(&self) -> f64 {
-        if self.clock_us == 0 {
-            return 0.0;
-        }
-        self.total_completed() as f64 * 1_000_000.0 / self.clock_us as f64
     }
 
     /// A stable digest of every per-tenant outcome: same seed ⇒ same
@@ -184,7 +167,6 @@ mod tests {
         let mut other = report.clone();
         other.tenants[0].completed = 8;
         assert_ne!(d1, other.digest(), "digest must see counter changes");
-        assert!(report.throughput_ops_per_sec() > 0.0);
         assert_eq!(report.tenants[0].rejected(), 1);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! # Journal format
 //!
-//! The journal is an append-only sequence of [`JournalRecord`]s:
+//! The journal is an append-only sequence of `JournalRecord`s:
 //!
 //! * `Apply(op)` — a single auto-committed mutation (a statistics write, a
 //!   row deletion). Logged right after the nodes applied it
@@ -27,7 +27,7 @@
 //! # One value, shared
 //!
 //! Callers hand the store [`JournalOp`]s, which own their values. On entry
-//! each becomes a [`LoggedOp`], whose `Put` carries its cell behind an
+//! each becomes a `LoggedOp`, whose `Put` carries its cell behind an
 //! `Arc`: the `Begin` record, a hint queued for a node that is down and the
 //! column of every replica point at that one allocation, so a replicated
 //! put allocates its value tree once — when the caller built it. Cells are
@@ -83,7 +83,7 @@ pub enum JournalOp {
 /// shared" in the module docs). Every op names one row, which is what lets a
 /// node apply a batch with one row lookup per run of ops on the same row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LoggedOp {
+pub(crate) struct LoggedOp {
     /// Row key of the mutation.
     pub row_key: String,
     /// What happens to the row.
@@ -92,7 +92,7 @@ pub struct LoggedOp {
 
 /// The mutation a [`LoggedOp`] applies to its row.
 #[derive(Debug, Clone, PartialEq)]
-pub enum OpKind {
+pub(crate) enum OpKind {
     /// Write a versioned cell.
     Put {
         /// Column written.
@@ -138,7 +138,7 @@ impl From<JournalOp> for LoggedOp {
 
 /// One record of the append-only journal (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
-pub enum JournalRecord {
+pub(crate) enum JournalRecord {
     /// A single auto-committed mutation.
     Apply(LoggedOp),
     /// Start of a multi-operation transaction: the full op list, logged
@@ -166,24 +166,24 @@ pub struct WriteAheadJournal {
 
 impl WriteAheadJournal {
     /// Creates an empty journal.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WriteAheadJournal::default()
     }
 
     /// Logs a single auto-committed mutation.
-    pub fn log_apply(&self, op: LoggedOp) {
+    pub(crate) fn log_apply(&self, op: LoggedOp) {
         self.records.lock().push(JournalRecord::Apply(op));
     }
 
     /// Logs the start of a transaction, returning its id.
-    pub fn begin(&self, ops: Arc<[LoggedOp]>) -> u64 {
+    pub(crate) fn begin(&self, ops: Arc<[LoggedOp]>) -> u64 {
         let txid = self.next_txid.fetch_add(1, Ordering::Relaxed);
         self.records.lock().push(JournalRecord::Begin { txid, ops });
         txid
     }
 
     /// Logs the commit of transaction `txid`.
-    pub fn commit(&self, txid: u64) {
+    pub(crate) fn commit(&self, txid: u64) {
         self.records.lock().push(JournalRecord::Commit { txid });
     }
 
@@ -198,12 +198,12 @@ impl WriteAheadJournal {
     }
 
     /// A copy of every record, in append order.
-    pub fn records(&self) -> Vec<JournalRecord> {
+    pub(crate) fn records(&self) -> Vec<JournalRecord> {
         self.records.lock().clone()
     }
 
     /// Transaction ids that have a `Begin` but no `Commit` record.
-    pub fn uncommitted(&self) -> Vec<u64> {
+    pub(crate) fn uncommitted(&self) -> Vec<u64> {
         let records = self.records.lock();
         let committed: BTreeSet<u64> = records
             .iter()
@@ -225,7 +225,7 @@ impl WriteAheadJournal {
     /// committed transactions and their commits — keeping only `Begin`
     /// records still awaiting a commit. Returns the number of records
     /// dropped.
-    pub fn truncate_committed(&self) -> usize {
+    pub(crate) fn truncate_committed(&self) -> usize {
         let mut records = self.records.lock();
         let committed: BTreeSet<u64> = records
             .iter()

@@ -16,7 +16,6 @@
 //!   versioned cells.
 //! * [`store`] — a single database node with put/get/scan and an
 //!   incrementally maintained content digest.
-//! * [`mvcc`] — conflict detection and latest-timestamp resolution.
 //! * [`replication`] — a multi-datacenter replicated store with partition
 //!   tolerance, hinted handoff and digest-driven anti-entropy.
 //! * [`stats`] — the statistics tables: per-object access history,
@@ -33,23 +32,10 @@
 pub mod journal;
 pub mod logagg;
 pub mod model;
-pub mod mvcc;
 pub mod replication;
 pub mod stats;
 pub mod store;
 
-pub use journal::{JournalOp, JournalRecord, StoreCheckpoint, WriteAheadJournal};
-pub use logagg::{AccessLogRecord, LogAgent, LogAggregator};
-pub use model::{Cell, Timestamp};
-pub use replication::{AntiEntropyReport, ReplicatedStore};
-pub use stats::StatisticsStore;
-pub use store::NoSqlNode;
+pub use model::Timestamp;
 
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::logagg::{AccessLogRecord, LogAgent, LogAggregator};
-    pub use crate::model::{Cell, Timestamp};
-    pub use crate::replication::ReplicatedStore;
-    pub use crate::stats::StatisticsStore;
-    pub use crate::store::NoSqlNode;
-}
+pub use store::NoSqlNode;

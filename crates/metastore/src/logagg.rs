@@ -49,7 +49,7 @@ pub struct LogAgent {
 
 impl LogAgent {
     /// Creates an empty agent.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LogAgent::default()
     }
 
@@ -63,13 +63,8 @@ impl LogAgent {
         self.buffer.lock().push(record);
     }
 
-    /// Number of buffered records.
-    pub fn pending(&self) -> usize {
-        self.buffer.lock().len()
-    }
-
     /// Drains the buffer, returning all buffered records.
-    pub fn drain(&self) -> Vec<AccessLogRecord> {
+    pub(crate) fn drain(&self) -> Vec<AccessLogRecord> {
         std::mem::take(&mut *self.buffer.lock())
     }
 }
@@ -92,7 +87,7 @@ impl LogAggregator {
     /// dirty-set index carries the tag and the class-centric optimiser can
     /// group the accessed set with no metadata reads). The same pass folds
     /// the per-object aggregates into **one pre-aggregated delta per
-    /// `(class, period)`** ([`StatisticsStore::record_class_period`]), so a
+    /// `(class, period)`** (`StatisticsStore::record_class_period`), so a
     /// class's usage series costs O(periods) to read, not
     /// O(members × periods). Returns the number of `(object, period)`
     /// aggregates written.
@@ -189,12 +184,12 @@ mod tests {
     #[test]
     fn agent_buffers_and_drains() {
         let agent = LogAgent::new();
-        assert_eq!(agent.pending(), 0);
+        assert_eq!(agent.buffer.lock().len(), 0);
         agent.log(read_record("obj", 0, 10));
         agent.log(read_record("obj", 0, 10));
-        assert_eq!(agent.pending(), 2);
+        assert_eq!(agent.buffer.lock().len(), 2);
         assert_eq!(agent.drain().len(), 2);
-        assert_eq!(agent.pending(), 0);
+        assert_eq!(agent.buffer.lock().len(), 0);
         assert!(agent.drain().is_empty());
     }
 
@@ -233,8 +228,8 @@ mod tests {
         assert_eq!(h2.records()[0].reads, 1);
 
         // Agents were drained by the flush.
-        assert_eq!(a1.pending(), 0);
-        assert_eq!(a2.pending(), 0);
+        assert_eq!(a1.buffer.lock().len(), 0);
+        assert_eq!(a2.buffer.lock().len(), 0);
     }
 
     #[test]

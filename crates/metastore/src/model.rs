@@ -56,7 +56,7 @@ pub struct Cell {
 
 impl Cell {
     /// Creates a cell.
-    pub fn new(value: Value, timestamp: Timestamp) -> Self {
+    pub(crate) fn new(value: Value, timestamp: Timestamp) -> Self {
         Cell { value, timestamp }
     }
 }
@@ -65,16 +65,16 @@ impl Cell {
 /// version is immutable and **shared**: the journal record that logged it,
 /// every replica's column and any snapshot hold the same allocation, so a
 /// replicated write builds its value once.
-pub type Column = Vec<Arc<Cell>>;
+pub(crate) type Column = Vec<Arc<Cell>>;
 
 /// A row: named columns.
-pub type Row = BTreeMap<String, Column>;
+pub(crate) type Row = BTreeMap<String, Column>;
 
 /// Inserts a cell into a column, keeping versions sorted by timestamp and
 /// dropping an exact-duplicate timestamp write (last write wins for the same
 /// timestamp). Returns `true` if the column gained a version, `false` if the
 /// cell replaced the one already stored under its timestamp.
-pub fn insert_version(column: &mut Column, cell: Arc<Cell>) -> bool {
+pub(crate) fn insert_version(column: &mut Column, cell: Arc<Cell>) -> bool {
     match column.binary_search_by(|c| c.timestamp.cmp(&cell.timestamp)) {
         Ok(pos) => {
             column[pos] = cell;
@@ -88,7 +88,7 @@ pub fn insert_version(column: &mut Column, cell: Arc<Cell>) -> bool {
 }
 
 /// Returns the latest version of a column, if any.
-pub fn latest(column: &Column) -> Option<&Arc<Cell>> {
+pub(crate) fn latest(column: &Column) -> Option<&Arc<Cell>> {
     column.last()
 }
 
@@ -107,13 +107,20 @@ mod tests {
 
     #[test]
     fn insert_version_keeps_sorted_order() {
-        let mut col = Column::new();
-        insert_version(&mut col, Cell::new(json!(2), Timestamp::new(2, 0)).into());
-        insert_version(&mut col, Cell::new(json!(1), Timestamp::new(1, 0)).into());
-        insert_version(&mut col, Cell::new(json!(3), Timestamp::new(3, 0)).into());
-        let values: Vec<i64> = col.iter().map(|c| c.value.as_i64().unwrap()).collect();
-        assert_eq!(values, vec![1, 2, 3]);
-        assert_eq!(latest(&col).unwrap().value, json!(3));
+        // The freshest timestamp is the latest version whatever order the
+        // versions arrive in, a stale write landing after it included.
+        for order in [[2, 1, 3], [3, 1, 2], [1, 3, 2]] {
+            let mut col = Column::new();
+            for secs in order {
+                insert_version(
+                    &mut col,
+                    Cell::new(json!(secs), Timestamp::new(secs, 0)).into(),
+                );
+            }
+            let values: Vec<i64> = col.iter().map(|c| c.value.as_i64().unwrap()).collect();
+            assert_eq!(values, vec![1, 2, 3], "order {order:?}");
+            assert_eq!(latest(&col).unwrap().value, json!(3), "order {order:?}");
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@
 //! # A mutation is a batch
 //!
 //! Every front door — the single-op methods and `transaction` alike — turns
-//! its [`JournalOp`]s into [`LoggedOp`]s once and hands the whole slice to
+//! its [`JournalOp`]s into `LoggedOp`s once and hands the whole slice to
 //! each node in turn (`NoSqlNode::apply_batch`): one write-lock
 //! acquisition per replica, and for a `Put` one `Arc` bump per replica (see
 //! "One value, shared" in [`crate::journal`]). A node that is down misses
@@ -123,7 +123,7 @@ pub struct ReplicatedStore {
 
 impl ReplicatedStore {
     /// Creates a replicated store over the given nodes (one per datacenter).
-    pub fn new(nodes: Vec<Arc<NoSqlNode>>) -> Self {
+    pub(crate) fn new(nodes: Vec<Arc<NoSqlNode>>) -> Self {
         ReplicatedStore {
             nodes,
             hints: Mutex::new(VecDeque::new()),
@@ -146,7 +146,7 @@ impl ReplicatedStore {
     }
 
     /// The node of a specific datacenter, if it exists.
-    pub fn node(&self, datacenter: DatacenterId) -> Option<&Arc<NoSqlNode>> {
+    pub(crate) fn node(&self, datacenter: DatacenterId) -> Option<&Arc<NoSqlNode>> {
         self.nodes.iter().find(|n| n.datacenter() == datacenter)
     }
 
@@ -318,7 +318,7 @@ impl ReplicatedStore {
     /// the single read policy every best-effort single-replica read
     /// delegates to. Allocation-free: this sits under the hottest metadata
     /// reads.
-    pub fn read_node(&self, local: DatacenterId) -> Option<&Arc<NoSqlNode>> {
+    pub(crate) fn read_node(&self, local: DatacenterId) -> Option<&Arc<NoSqlNode>> {
         self.nodes
             .iter()
             .find(|n| n.is_up() && n.datacenter() == local)
@@ -366,7 +366,7 @@ impl ReplicatedStore {
 
     /// Applies `read` to the latest version of a column on the first
     /// reachable node (preferring `local`) without cloning the cell — see
-    /// [`NoSqlNode::with_latest`].
+    /// `NoSqlNode::with_latest`.
     pub fn with_latest<T>(
         &self,
         local: DatacenterId,
@@ -378,19 +378,11 @@ impl ReplicatedStore {
             .and_then(|n| n.with_latest(row_key, column, read))
     }
 
-    /// Reads every version of a column from the first reachable node
-    /// (preferring the caller's local datacenter).
-    pub fn get_versions(&self, local: DatacenterId, row_key: &str, column: &str) -> Column {
-        self.read_node(local)
-            .map(|n| n.get_versions(row_key, column))
-            .unwrap_or_default()
-    }
-
     /// Applies one auto-committed op and journals it — what [`Self::put`],
     /// [`Self::delete_row`], [`Self::delete_column`] and
     /// [`Self::prune_old_versions`] are shorthand for. Returns the cells a
     /// `Prune` removed.
-    pub fn apply(&self, op: JournalOp) -> Result<Column> {
+    pub(crate) fn apply(&self, op: JournalOp) -> Result<Column> {
         let op = LoggedOp::from(op);
         let removed = self.apply_batch(std::slice::from_ref(&op))?;
         self.journal.log_apply(op);
@@ -407,7 +399,7 @@ impl ReplicatedStore {
     /// Deletes a single column of a row on every reachable node, hinting
     /// the ones that are down (statistics garbage collection: dropping
     /// over-retention samples). Journaled.
-    pub fn delete_column(&self, row_key: &str, column: &str) {
+    pub(crate) fn delete_column(&self, row_key: &str, column: &str) {
         let _ = self.apply(JournalOp::DeleteColumn {
             row_key: row_key.to_string(),
             column: column.to_string(),

@@ -45,7 +45,7 @@ const DIRTY_END: &str = "stats:dirty;";
 /// partition (not a semantic sampling period): entries land in the bucket of
 /// their write timestamp, so a fetch "since `t`" only ever needs buckets
 /// `>= t / DIRTY_BUCKET_SECS`.
-pub const DIRTY_BUCKET_SECS: u64 = 3600;
+pub(crate) const DIRTY_BUCKET_SECS: u64 = 3600;
 /// Number of shards each dirty bucket is split into, spreading concurrent
 /// writers across rows.
 pub const DIRTY_SHARDS: u64 = 16;
@@ -56,7 +56,7 @@ pub const MAX_CLASS_SAMPLES: usize = 512;
 /// Rollup columns older than this many sampling periods are dropped by
 /// [`StatisticsStore::gc_statistics`] — matching the per-object history
 /// bound ([`scalia_types::stats::DEFAULT_HISTORY_LEN`]).
-pub const CLASS_ROLLUP_RETENTION: u64 = scalia_types::stats::DEFAULT_HISTORY_LEN as u64;
+pub(crate) const CLASS_ROLLUP_RETENTION: u64 = scalia_types::stats::DEFAULT_HISTORY_LEN as u64;
 
 /// One aggregated per-period class rollup record: the summed member
 /// statistics of the period and the number of distinct members contributing.
@@ -115,21 +115,11 @@ impl StatisticsStore {
     }
 
     /// Records the statistics of one completed sampling period for an
-    /// object and marks the object in the dirty-set index (tagged with its
-    /// class when the caller knows it — the log aggregator always does).
-    pub fn record_period(
-        &self,
-        object_row_key: &str,
-        stats: &PeriodStats,
-        timestamp: Timestamp,
-    ) -> Result<()> {
-        self.record_period_classified(object_row_key, None, stats, timestamp)
-    }
-
-    /// [`Self::record_period`] with the object's class supplied, so the
-    /// dirty-set entry carries it and the optimiser can group the accessed
-    /// set by class without reading any per-object metadata.
-    pub fn record_period_classified(
+    /// object and marks the object in the dirty-set index, tagged with its
+    /// class when the caller knows it (the log aggregator always does), so
+    /// the optimiser can group the accessed set by class without reading
+    /// any per-object metadata.
+    pub(crate) fn record_period_classified(
         &self,
         object_row_key: &str,
         class_id: Option<&str>,
@@ -155,7 +145,7 @@ impl StatisticsStore {
     /// object's class when known. The periodic optimiser's accessed-set
     /// fetch range-scans these rows, and the class tags let it group the
     /// set with no metadata reads at all.
-    pub fn mark_accessed(
+    pub(crate) fn mark_accessed(
         &self,
         object_row_key: &str,
         class_id: Option<&str>,
@@ -209,7 +199,7 @@ impl StatisticsStore {
     /// column (never conflicts, associative at read time), so reading a
     /// class's usage series costs O(periods), not O(members × periods) —
     /// the amortisation §III-A1 asks for.
-    pub fn record_class_period(
+    pub(crate) fn record_class_period(
         &self,
         class_id: &str,
         stats: &PeriodStats,
@@ -306,7 +296,10 @@ impl StatisticsStore {
     /// [`Self::objects_accessed_since`] plus the number of index cells the
     /// range scan examined (tests pin that the fetch is proportional to the
     /// touched set, not the stored rows).
-    pub fn objects_accessed_since_with_cost(&self, since: Timestamp) -> (Vec<String>, usize) {
+    pub(crate) fn objects_accessed_since_with_cost(
+        &self,
+        since: Timestamp,
+    ) -> (Vec<String>, usize) {
         let (classified, scanned) = self.objects_accessed_since_classified(since);
         (
             classified.into_iter().map(|(key, _)| key).collect(),
@@ -490,7 +483,7 @@ impl StatisticsStore {
 
     /// Garbage-collects the statistics tables: caps every class's lifetime
     /// and usage sample columns at [`MAX_CLASS_SAMPLES`] (oldest dropped)
-    /// and drops rollup columns older than [`CLASS_ROLLUP_RETENTION`]
+    /// and drops rollup columns older than `CLASS_ROLLUP_RETENTION`
     /// sampling periods. Returns the number of columns removed. Together
     /// with [`Self::delete_object_stats_op`] and [`Self::prune_dirty_before`]
     /// this bounds the statistics footprint by live objects + known classes.
@@ -561,28 +554,12 @@ impl StatisticsStore {
         lifetimes
     }
 
-    /// All class ids with at least one statistics row.
-    pub fn known_classes(&self) -> Vec<String> {
-        let Some(node) = self.read_node() else {
-            return Vec::new();
-        };
-        node.scan_prefix(CLASS_PREFIX)
-            .into_iter()
-            .filter_map(|k| k.strip_prefix(CLASS_PREFIX).map(str::to_string))
-            .collect()
-    }
-
     /// The op that deletes the statistics row of an object (as the object
     /// is deleted and its lifetime folded into its class statistics).
     pub fn delete_object_stats_op(object_row_key: &str) -> JournalOp {
         JournalOp::DeleteRow {
             row_key: Self::obj_row(object_row_key),
         }
-    }
-
-    /// The underlying replicated database.
-    pub fn database(&self) -> &Arc<ReplicatedStore> {
-        &self.db
     }
 }
 
@@ -599,6 +576,19 @@ mod tests {
         }
         fn record_class_usage(&self, c: &str, u: &ResourceUsage, ts: Timestamp) -> Result<()> {
             self.db.apply(Self::class_usage_op(c, u, ts)).map(drop)
+        }
+        fn record_period(&self, row: &str, stats: &PeriodStats, ts: Timestamp) -> Result<()> {
+            self.record_period_classified(row, None, stats, ts)
+        }
+        /// All class ids with at least one statistics row.
+        fn known_classes(&self) -> Vec<String> {
+            let Some(node) = self.read_node() else {
+                return Vec::new();
+            };
+            node.scan_prefix(CLASS_PREFIX)
+                .into_iter()
+                .filter_map(|k| k.strip_prefix(CLASS_PREFIX).map(str::to_string))
+                .collect()
         }
         fn record_class_lifetime(&self, c: &str, hours: f64, ts: Timestamp) -> Result<()> {
             self.db
@@ -937,7 +927,7 @@ mod tests {
         s.record_period("obj1", &stats(0, 3, 1), Timestamp::new(1, 0))
             .unwrap();
         // Local datacenter goes down; history is served by the replica.
-        s.database().nodes()[0].set_up(false);
+        s.db.nodes()[0].set_up(false);
         let history = s.history("obj1", 10);
         assert_eq!(history.len(), 1);
         assert_eq!(history.records()[0].reads, 3);

@@ -8,19 +8,18 @@
 //! # Content digest
 //!
 //! Every row carries a header next to its columns: its **row digest** —
-//! the XOR of [`cell_hash`]`(row_key,
-//! column, timestamp)` over the cell versions the row stores. The node keeps
-//! the XOR of all row digests as its **node digest**. Both are updated under
-//! the same write lock as the mutation that changes the version set, in time
-//! proportional to the versions added or removed, so replicas can compare
-//! what they hold (`ReplicatedStore::anti_entropy`) without reading a single
-//! cell. An empty row has digest 0, the same as a missing one.
+//! the XOR of `cell_hash(row_key, column, timestamp)` over the cell
+//! versions the row stores. The node keeps the XOR of all row digests as its
+//! **node digest**. Both are updated under the same write lock as the
+//! mutation that changes the version set, in time proportional to the
+//! versions added or removed, so replicas can compare what they hold
+//! (`ReplicatedStore::anti_entropy`) without reading a single cell. An
+//! empty row has digest 0, the same as a missing one.
 
 use crate::journal::{LoggedOp, OpKind};
 use crate::model::{insert_version, latest, Cell, Row, Timestamp};
 use parking_lot::RwLock;
 use scalia_types::ids::DatacenterId;
-use serde_json::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -208,7 +207,7 @@ pub struct NoSqlNode {
 
 impl NoSqlNode {
     /// Creates an empty node for the given datacenter.
-    pub fn new(datacenter: DatacenterId) -> Self {
+    pub(crate) fn new(datacenter: DatacenterId) -> Self {
         NoSqlNode {
             datacenter,
             table: RwLock::new(Table::default()),
@@ -217,7 +216,7 @@ impl NoSqlNode {
     }
 
     /// Creates a node wrapped in an [`Arc`].
-    pub fn shared(datacenter: DatacenterId) -> Arc<Self> {
+    pub(crate) fn shared(datacenter: DatacenterId) -> Arc<Self> {
         Arc::new(Self::new(datacenter))
     }
 
@@ -236,18 +235,6 @@ impl NoSqlNode {
         self.up.store(up, Ordering::Relaxed);
     }
 
-    /// Writes a versioned cell. Returns `false` (and stores nothing) if the
-    /// node is down.
-    pub fn put(&self, row_key: &str, column: &str, value: Value, timestamp: Timestamp) -> bool {
-        if !self.is_up() {
-            return false;
-        }
-        self.table
-            .write()
-            .insert(row_key, column, Arc::new(Cell::new(value, timestamp)));
-        true
-    }
-
     /// Applies a batch of ops in order under one write-lock acquisition and
     /// one row lookup per run of consecutive ops naming the same row — a put
     /// commit's five ops on the object's row cost one lock and one walk of
@@ -259,8 +246,8 @@ impl NoSqlNode {
     }
 
     /// Merges every cell version of `row` into this node's copy of
-    /// `row_key` under one write lock — the same effect as one [`Self::put`]
-    /// per cell. Returns the number of versions the node did not hold (0 if
+    /// `row_key` under one write lock — the same effect as one `Put` op per
+    /// cell. Returns the number of versions the node did not hold (0 if
     /// it is down).
     pub(crate) fn merge_row(&self, row_key: &str, row: &Row) -> usize {
         if !self.is_up() {
@@ -284,7 +271,7 @@ impl NoSqlNode {
     /// Applies `read` to the latest cell of a column **without cloning it**
     /// — the zero-copy variant of [`Self::get_latest`] for hot point reads
     /// (the optimiser decodes one digest per accessed object per cycle).
-    pub fn with_latest<T>(
+    pub(crate) fn with_latest<T>(
         &self,
         row_key: &str,
         column: &str,
@@ -351,45 +338,6 @@ impl NoSqlNode {
             .collect()
     }
 
-    /// Removes every version of a column older than the latest one,
-    /// returning the removed cells (the engine deletes their chunks).
-    pub fn prune_old_versions(&self, row_key: &str, column: &str) -> Vec<Arc<Cell>> {
-        if !self.is_up() {
-            return Vec::new();
-        }
-        let mut table = self.table.write();
-        let table = &mut *table;
-        let Some(row) = table.rows.get_mut(row_key) else {
-            return Vec::new();
-        };
-        let (removed, delta) = row.prune(row_key, column);
-        table.digest ^= delta;
-        removed
-    }
-
-    /// Deletes a whole row. Returns `true` if it existed.
-    pub fn delete_row(&self, row_key: &str) -> bool {
-        self.is_up() && self.table.write().delete_row(row_key)
-    }
-
-    /// Deletes a single column of a row.
-    pub fn delete_column(&self, row_key: &str, column: &str) -> bool {
-        if !self.is_up() {
-            return false;
-        }
-        let mut table = self.table.write();
-        let table = &mut *table;
-        let Some(delta) = table
-            .rows
-            .get_mut(row_key)
-            .and_then(|row| row.delete_column(row_key, column))
-        else {
-            return false;
-        };
-        table.digest ^= delta;
-        true
-    }
-
     /// Row keys starting with `prefix`, in lexicographic order.
     pub fn scan_prefix(&self, prefix: &str) -> Vec<String> {
         if !self.is_up() {
@@ -410,7 +358,7 @@ impl NoSqlNode {
     /// range scans (the optimiser's dirty-set fetch visits one cell per
     /// touched object per cycle; cloning whole rows there would cost more
     /// than the rest of the fetch combined).
-    pub fn visit_range_latest(
+    pub(crate) fn visit_range_latest(
         &self,
         start: &str,
         end: &str,
@@ -430,7 +378,7 @@ impl NoSqlNode {
     }
 
     /// Row keys with `start <= key < end`, in lexicographic order.
-    pub fn range_keys(&self, start: &str, end: &str) -> Vec<String> {
+    pub(crate) fn range_keys(&self, start: &str, end: &str) -> Vec<String> {
         if !self.is_up() {
             return Vec::new();
         }
@@ -454,7 +402,7 @@ impl NoSqlNode {
     /// All rows, cloned, whether or not the node is reachable — what a
     /// checkpoint saves: an outage hides a node's rows, it does not erase
     /// them.
-    pub fn durable_rows(&self) -> Vec<(String, Row)> {
+    pub(crate) fn durable_rows(&self) -> Vec<(String, Row)> {
         self.table
             .read()
             .rows
@@ -520,7 +468,7 @@ impl NoSqlNode {
     /// (see `ReplicatedStore::recover`); unlike normal mutations this works
     /// even while the node is marked down, because recovery is what brings
     /// it back.
-    pub fn restore(&self, rows: Vec<(String, Row)>) {
+    pub(crate) fn restore(&self, rows: Vec<(String, Row)>) {
         let mut table = Table::default();
         for (row_key, columns) in rows {
             let row = StoredRow::from_columns(&row_key, columns);
@@ -569,6 +517,69 @@ impl NoSqlNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
+
+    /// Single-op mutations applied straight to the table: the driver the
+    /// metastore's tests use (shipping code mutates through
+    /// [`NoSqlNode::apply_batch`]).
+    impl NoSqlNode {
+        /// Writes a versioned cell. Returns `false` (and stores nothing) if the
+        /// node is down.
+        pub(crate) fn put(
+            &self,
+            row_key: &str,
+            column: &str,
+            value: Value,
+            timestamp: Timestamp,
+        ) -> bool {
+            if !self.is_up() {
+                return false;
+            }
+            self.table
+                .write()
+                .insert(row_key, column, Arc::new(Cell::new(value, timestamp)));
+            true
+        }
+
+        /// Removes every version of a column older than the latest one,
+        /// returning the removed cells (the engine deletes their chunks).
+        pub(crate) fn prune_old_versions(&self, row_key: &str, column: &str) -> Vec<Arc<Cell>> {
+            if !self.is_up() {
+                return Vec::new();
+            }
+            let mut table = self.table.write();
+            let table = &mut *table;
+            let Some(row) = table.rows.get_mut(row_key) else {
+                return Vec::new();
+            };
+            let (removed, delta) = row.prune(row_key, column);
+            table.digest ^= delta;
+            removed
+        }
+
+        /// Deletes a whole row. Returns `true` if it existed.
+        pub(crate) fn delete_row(&self, row_key: &str) -> bool {
+            self.is_up() && self.table.write().delete_row(row_key)
+        }
+
+        /// Deletes a single column of a row.
+        pub(crate) fn delete_column(&self, row_key: &str, column: &str) -> bool {
+            if !self.is_up() {
+                return false;
+            }
+            let mut table = self.table.write();
+            let table = &mut *table;
+            let Some(delta) = table
+                .rows
+                .get_mut(row_key)
+                .and_then(|row| row.delete_column(row_key, column))
+            else {
+                return false;
+            };
+            table.digest ^= delta;
+            true
+        }
+    }
     use serde_json::json;
 
     fn node() -> NoSqlNode {

@@ -4,7 +4,7 @@
 //! object store with the S3-like put/get/delete/list interface the Scalia
 //! engine programs against, and:
 //!
-//! * request/bandwidth metering (feeding a [`BillingMeter`]),
+//! * request/bandwidth metering (feeding a `BillingMeter`),
 //! * storage metering via an explicit [`SimulatedStore::tick`] that charges
 //!   GB-hours for the bytes currently held,
 //! * failure injection — an [`OutageSchedule`] plus a manual up/down switch —
@@ -92,12 +92,12 @@ pub struct SimulatedStore {
 
 impl SimulatedStore {
     /// Creates a store for the given provider with no scheduled outages.
-    pub fn new(descriptor: ProviderDescriptor) -> Self {
+    pub(crate) fn new(descriptor: ProviderDescriptor) -> Self {
         Self::with_outages(descriptor, OutageSchedule::always_up())
     }
 
     /// Creates a store with a pre-programmed outage schedule.
-    pub fn with_outages(descriptor: ProviderDescriptor, outages: OutageSchedule) -> Self {
+    pub(crate) fn with_outages(descriptor: ProviderDescriptor, outages: OutageSchedule) -> Self {
         let meter = BillingMeter::new(descriptor.pricing);
         SimulatedStore {
             descriptor,
@@ -179,7 +179,7 @@ impl SimulatedStore {
     }
 
     /// The currently injected stall, in microseconds.
-    pub fn stall_us(&self) -> u64 {
+    pub(crate) fn stall_us(&self) -> u64 {
         self.stall_us.load(Ordering::SeqCst)
     }
 
@@ -555,7 +555,7 @@ mod tests {
             ProviderId::new(7),
             "nas",
             ProviderSla::from_percent(99.9, 99.5),
-            PricingPolicy::free(),
+            PricingPolicy::from_dollars(0.0, 0.0, 0.0, 0.0),
             ZoneSet::of(&[Zone::EU]),
             ByteSize::from_bytes(150),
         );

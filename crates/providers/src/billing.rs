@@ -1,6 +1,6 @@
 //! Billing meters.
 //!
-//! A [`BillingMeter`] accumulates the resources consumed at one provider and
+//! A `BillingMeter` accumulates the resources consumed at one provider and
 //! converts them into money using the provider's pricing policy. The
 //! simulator owns one meter per provider per accounted entity (e.g. per
 //! candidate placement strategy) to produce the cumulative-cost curves of the
@@ -13,14 +13,14 @@ use scalia_types::usage::ResourceUsage;
 
 /// Accumulates resource usage and prices it under a pricing policy.
 #[derive(Debug, Clone)]
-pub struct BillingMeter {
+pub(crate) struct BillingMeter {
     pricing: PricingPolicy,
     usage: ResourceUsage,
 }
 
 impl BillingMeter {
     /// Creates a meter with no accumulated usage.
-    pub fn new(pricing: PricingPolicy) -> Self {
+    pub(crate) fn new(pricing: PricingPolicy) -> Self {
         BillingMeter {
             pricing,
             usage: ResourceUsage::ZERO,
@@ -28,48 +28,38 @@ impl BillingMeter {
     }
 
     /// Records arbitrary usage.
-    pub fn record(&mut self, usage: ResourceUsage) {
+    pub(crate) fn record(&mut self, usage: ResourceUsage) {
         self.usage += usage;
     }
 
     /// Records an upload of `size` bytes plus one PUT operation.
-    pub fn record_put(&mut self, size: ByteSize) {
+    pub(crate) fn record_put(&mut self, size: ByteSize) {
         self.usage += ResourceUsage::upload(size) + ResourceUsage::operations(1);
     }
 
     /// Records a download of `size` bytes plus one GET operation.
-    pub fn record_get(&mut self, size: ByteSize) {
+    pub(crate) fn record_get(&mut self, size: ByteSize) {
         self.usage += ResourceUsage::download(size) + ResourceUsage::operations(1);
     }
 
     /// Records one DELETE operation (no bandwidth).
-    pub fn record_delete(&mut self) {
+    pub(crate) fn record_delete(&mut self) {
         self.usage += ResourceUsage::operations(1);
     }
 
     /// Records `size` bytes being held for `hours` hours.
-    pub fn record_storage(&mut self, size: ByteSize, hours: f64) {
+    pub(crate) fn record_storage(&mut self, size: ByteSize, hours: f64) {
         self.usage += ResourceUsage::storage(size, hours);
     }
 
     /// Total accumulated usage.
-    pub fn usage(&self) -> ResourceUsage {
+    pub(crate) fn usage(&self) -> ResourceUsage {
         self.usage
     }
 
     /// Total accumulated cost under the meter's pricing policy.
-    pub fn total_cost(&self) -> Money {
+    pub(crate) fn total_cost(&self) -> Money {
         self.pricing.cost(&self.usage)
-    }
-
-    /// The pricing policy in force.
-    pub fn pricing(&self) -> &PricingPolicy {
-        &self.pricing
-    }
-
-    /// Resets the accumulated usage (e.g. at the start of a new experiment).
-    pub fn reset(&mut self) {
-        self.usage = ResourceUsage::ZERO;
     }
 }
 
@@ -102,16 +92,6 @@ mod tests {
         m.record_storage(ByteSize::from_gb(10), 72.0);
         // 10 GB * 72 h = 720 GB-hours = 1 GB-month → $0.14
         assert!((m.total_cost().dollars() - 0.14).abs() < 1e-4);
-    }
-
-    #[test]
-    fn reset_clears_usage() {
-        let mut m = meter();
-        m.record_put(ByteSize::from_mb(5));
-        assert!(!m.usage().is_zero());
-        m.reset();
-        assert!(m.usage().is_zero());
-        assert_eq!(m.total_cost(), Money::ZERO);
     }
 
     #[test]

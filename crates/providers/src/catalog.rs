@@ -1,9 +1,9 @@
 //! The provider catalog.
 //!
 //! A [`ProviderCatalog`] is the dynamic set `P(obj)` of storage providers
-//! available for placement. Providers can be registered and deregistered at
-//! run time (new offerings appearing, providers going out of business —
-//! §IV-D), and marked unavailable during transient outages (§IV-E).
+//! available for placement. Providers can be registered at run time (new
+//! offerings appearing — §IV-D), and marked unavailable during transient
+//! outages (§IV-E).
 //!
 //! [`ProviderCatalog::paper_catalog`] reproduces the paper's Fig. 3 exactly.
 
@@ -33,7 +33,7 @@ pub struct ProviderCatalog {
 /// summary is considered noise: the published value is kept and the catalog
 /// version is *not* bumped, so steady-state refreshes don't thrash the
 /// placement cache. 25 % comfortably exceeds the latency models' jitter.
-pub const OBSERVED_LATENCY_SHIFT_PCT: u64 = 25;
+pub(crate) const OBSERVED_LATENCY_SHIFT_PCT: u64 = 25;
 
 #[derive(Debug, Default)]
 struct CatalogInner {
@@ -45,7 +45,7 @@ struct CatalogInner {
 
 impl ProviderCatalog {
     /// Creates an empty catalog.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -66,7 +66,7 @@ impl ProviderCatalog {
 
     /// Registers a provider described by a closure that receives the id the
     /// catalog assigned. Returns the assigned id.
-    pub fn register_with(
+    pub(crate) fn register_with(
         &self,
         build: impl FnOnce(ProviderId) -> ProviderDescriptor,
     ) -> ProviderId {
@@ -87,17 +87,6 @@ impl ProviderCatalog {
             descriptor.id = id;
             descriptor
         })
-    }
-
-    /// Removes a provider from the catalog (e.g. bankruptcy or boycott).
-    /// Returns the removed descriptor if it existed.
-    pub fn deregister(&self, id: ProviderId) -> Option<ProviderDescriptor> {
-        let mut inner = self.inner.write();
-        inner.unavailable.remove(&id);
-        let removed = inner.providers.remove(&id);
-        drop(inner);
-        self.bump_version();
-        removed
     }
 
     /// Returns the descriptor of a provider.
@@ -138,7 +127,7 @@ impl ProviderCatalog {
     /// descriptor, so placement searches and hedged reads see it.
     ///
     /// The update is **hysteretic**: a summary that did not shift materially
-    /// — same presence and within [`OBSERVED_LATENCY_SHIFT_PCT`] percent of
+    /// — same presence and within `OBSERVED_LATENCY_SHIFT_PCT` percent of
     /// the published value — is dropped entirely, leaving the descriptor and
     /// the catalog [`version`](Self::version) untouched. Rankings therefore
     /// only move (and placement caches only invalidate) when observations
@@ -312,19 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn register_and_deregister() {
-        let catalog = ProviderCatalog::new();
-        assert!(catalog.is_empty());
-        let id = catalog.register_with(cheapstor);
-        assert_eq!(catalog.len(), 1);
-        assert_eq!(catalog.get(id).unwrap().name, "CheapStor");
-        let removed = catalog.deregister(id).unwrap();
-        assert_eq!(removed.name, "CheapStor");
-        assert!(catalog.is_empty());
-        assert!(catalog.deregister(id).is_none());
-    }
-
-    #[test]
     fn ids_are_assigned_sequentially_and_stable() {
         let catalog = ProviderCatalog::new();
         let a = catalog.register_with(s3_high);
@@ -332,10 +308,9 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(catalog.get(a).unwrap().id, a);
         assert_eq!(catalog.get(b).unwrap().id, b);
-        // Deregistering does not recycle ids.
-        catalog.deregister(a);
         let c = catalog.register_with(azure);
         assert_ne!(c, a);
+        assert_ne!(c, b);
     }
 
     #[test]
@@ -367,10 +342,7 @@ mod tests {
         let v2 = catalog.version();
         assert!(v2 > v1, "outage must bump the version");
         catalog.mark_available(id);
-        let v3 = catalog.version();
-        assert!(v3 > v2, "recovery must bump the version");
-        catalog.deregister(id);
-        assert!(catalog.version() > v3, "deregister must bump the version");
+        assert!(catalog.version() > v2, "recovery must bump the version");
     }
 
     #[test]

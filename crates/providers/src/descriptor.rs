@@ -46,7 +46,7 @@ pub struct ProviderDescriptor {
     /// Total capacity, for private resources (`None` = effectively unlimited).
     pub capacity: Option<ByteSize>,
     /// Deterministic response-time model of the provider's data path
-    /// (defaults to [`LatencyModel::ZERO`]: instantaneous).
+    /// (defaults to `LatencyModel::ZERO`: instantaneous).
     pub latency: LatencyModel,
     /// Observed per-chunk read latency summary (typically a windowed p95 of
     /// real GET round-trips), in microseconds. `None` until enough samples
@@ -143,11 +143,6 @@ impl ProviderDescriptor {
             None => true,
         }
     }
-
-    /// Returns `true` if this is a private resource.
-    pub fn is_private(&self) -> bool {
-        self.kind == ProviderKind::Private
-    }
 }
 
 impl fmt::Display for ProviderDescriptor {
@@ -185,7 +180,7 @@ mod tests {
     fn public_provider_has_no_capacity_limit() {
         let p = sample();
         assert_eq!(p.kind, ProviderKind::PublicCloud);
-        assert!(!p.is_private());
+        assert_ne!(p.kind, ProviderKind::Private);
         assert!(p.capacity.is_none());
         assert!(p.accepts_chunk(ByteSize::from_gb(100)));
     }
@@ -204,11 +199,11 @@ mod tests {
             ProviderId::new(9),
             "nas-1",
             ProviderSla::from_percent(99.99, 99.5),
-            PricingPolicy::free(),
+            PricingPolicy::from_dollars(0.0, 0.0, 0.0, 0.0),
             ZoneSet::of(&[Zone::EU]),
             ByteSize::from_gb(10),
         );
-        assert!(p.is_private());
+        assert_eq!(p.kind, ProviderKind::Private);
         assert_eq!(p.capacity, Some(ByteSize::from_gb(10)));
     }
 

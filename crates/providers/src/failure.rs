@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 
 /// A single outage window `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OutageWindow {
+pub(crate) struct OutageWindow {
     /// Time the provider becomes unreachable.
     pub start: SimTime,
     /// Time the provider recovers.
@@ -45,7 +45,7 @@ pub struct OutageSchedule {
 
 impl OutageSchedule {
     /// A schedule with no outages.
-    pub fn always_up() -> Self {
+    pub(crate) fn always_up() -> Self {
         OutageSchedule::default()
     }
 
@@ -59,35 +59,20 @@ impl OutageSchedule {
     }
 
     /// Adds an outage window. Windows where `end <= start` are ignored.
-    pub fn add_window(&mut self, start: SimTime, end: SimTime) {
+    pub(crate) fn add_window(&mut self, start: SimTime, end: SimTime) {
         if end > start {
             self.windows.push(OutageWindow { start, end });
         }
     }
 
     /// Returns `true` if the provider is reachable at `time`.
-    pub fn is_up(&self, time: SimTime) -> bool {
+    pub(crate) fn is_up(&self, time: SimTime) -> bool {
         !self.windows.iter().any(|w| time >= w.start && time < w.end)
     }
 
     /// Returns `true` if the provider is down at `time`.
     pub fn is_down(&self, time: SimTime) -> bool {
         !self.is_up(time)
-    }
-
-    /// The scheduled outage windows.
-    pub fn windows(&self) -> &[OutageWindow] {
-        &self.windows
-    }
-
-    /// The next transition time (outage start or end) strictly after `time`,
-    /// if any. The simulator uses it to know when availability state changes.
-    pub fn next_transition(&self, time: SimTime) -> Option<SimTime> {
-        self.windows
-            .iter()
-            .flat_map(|w| [w.start, w.end])
-            .filter(|&t| t > time)
-            .min()
     }
 }
 
@@ -160,11 +145,6 @@ impl FaultPlan {
         self.fired.lock().clone()
     }
 
-    /// Number of crash points still armed (not yet fired).
-    pub fn armed_count(&self) -> usize {
-        self.armed.lock().len()
-    }
-
     /// Adds a transport-error storm to the plan.
     pub fn add_storm(&self, provider: ProviderId, ops: u32) {
         self.storms.lock().push(StormSpec { provider, ops });
@@ -185,7 +165,6 @@ mod tests {
         let s = OutageSchedule::always_up();
         assert!(s.is_up(SimTime::ZERO));
         assert!(s.is_up(SimTime::from_hours(10_000)));
-        assert!(s.next_transition(SimTime::ZERO).is_none());
     }
 
     #[test]
@@ -205,19 +184,6 @@ mod tests {
         assert!(s.is_down(SimTime::from_hours(15)));
         assert!(s.is_up(SimTime::from_hours(25)));
         assert!(s.is_down(SimTime::from_hours(35)));
-        assert_eq!(
-            s.next_transition(SimTime::ZERO),
-            Some(SimTime::from_hours(10))
-        );
-        assert_eq!(
-            s.next_transition(SimTime::from_hours(10)),
-            Some(SimTime::from_hours(20))
-        );
-        assert_eq!(
-            s.next_transition(SimTime::from_hours(25)),
-            Some(SimTime::from_hours(30))
-        );
-        assert_eq!(s.next_transition(SimTime::from_hours(40)), None);
     }
 
     #[test]
@@ -225,9 +191,8 @@ mod tests {
         let mut s = OutageSchedule::always_up();
         s.add_window(SimTime::from_hours(10), SimTime::from_hours(10));
         s.add_window(SimTime::from_hours(20), SimTime::from_hours(15));
-        assert_eq!(s.windows().len(), 0);
+        assert!(s.windows.is_empty());
         assert!(s.is_up(SimTime::from_hours(10)));
-        assert!(s.next_transition(SimTime::ZERO).is_none());
     }
 
     #[test]
@@ -257,18 +222,6 @@ mod tests {
             assert!(s.is_down(SimTime::from_hours(hour)), "hour {hour}");
         }
         assert!(s.is_up(SimTime::from_hours(50)));
-        // Transitions inside the overlapped span still enumerate every
-        // window edge (callers re-evaluate `is_up`, so interior edges are
-        // harmless — but none may be *missed*).
-        assert_eq!(
-            s.next_transition(SimTime::from_hours(9)),
-            Some(SimTime::from_hours(10))
-        );
-        assert_eq!(
-            s.next_transition(SimTime::from_hours(45)),
-            Some(SimTime::from_hours(50))
-        );
-        assert_eq!(s.next_transition(SimTime::from_hours(50)), None);
     }
 
     #[test]
@@ -279,7 +232,7 @@ mod tests {
         assert!(plan.check("journal::logged"), "armed label fires");
         assert!(!plan.check("journal::logged"), "fired label is disarmed");
         assert_eq!(plan.fired(), vec!["journal::logged".to_string()]);
-        assert_eq!(plan.armed_count(), 0);
+        assert!(plan.armed.lock().is_empty());
     }
 
     #[test]
@@ -316,9 +269,5 @@ mod tests {
         assert!(flap.is_down(SimTime::from_hours(19)));
         assert!(flap.is_up(SimTime::from_hours(20)));
         assert!(flap.is_down(SimTime::from_hours(21)));
-        assert_eq!(
-            flap.next_transition(SimTime::from_hours(20)),
-            Some(SimTime::from_hours(21))
-        );
     }
 }

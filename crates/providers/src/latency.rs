@@ -26,7 +26,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Deterministic latency model of one provider. The default model is
-/// [`LatencyModel::ZERO`]: every operation completes instantly, preserving
+/// `LatencyModel::ZERO`: every operation completes instantly, preserving
 /// the pre-latency behaviour of catalogs that do not opt in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyModel {
@@ -57,7 +57,7 @@ fn splitmix64(mut z: u64) -> u64 {
 
 /// FNV-1a over a byte string, used to salt the jitter draw with the request
 /// key so identical requests always see identical latency.
-pub fn salt_of(key: &str) -> u64 {
+pub(crate) fn salt_of(key: &str) -> u64 {
     let mut hash = 0xcbf29ce484222325u64;
     for byte in key.as_bytes() {
         hash ^= *byte as u64;
@@ -68,7 +68,7 @@ pub fn salt_of(key: &str) -> u64 {
 
 impl LatencyModel {
     /// The zero model: every operation is instantaneous.
-    pub const ZERO: LatencyModel = LatencyModel {
+    pub(crate) const ZERO: LatencyModel = LatencyModel {
         base_rtt_us: 0,
         throughput_bps: 0,
         jitter_pct: 0,
@@ -123,7 +123,7 @@ impl LatencyModel {
     }
 
     /// A deterministic latency draw for transferring `bytes`, salted by the
-    /// request (use [`salt_of`] on the storage key). Identical
+    /// request (use `salt_of` on the storage key). Identical
     /// `(model, bytes, salt)` always produce the identical latency.
     pub fn sample_us(&self, bytes: u64, salt: u64) -> u64 {
         let nominal = self.expected_us(bytes);

@@ -43,26 +43,12 @@ pub mod pricing;
 pub mod private;
 pub mod sla;
 
-pub use backend::SimulatedStore;
-pub use billing::BillingMeter;
-pub use catalog::ProviderCatalog;
-pub use descriptor::{ProviderDescriptor, ProviderKind};
-pub use failure::{FaultPlan, OutageSchedule};
-pub use latency::LatencyModel;
-pub use observatory::{LatencyObservatory, LatencyView};
-pub use pricing::PricingPolicy;
-pub use private::PrivateResource;
-pub use sla::ProviderSla;
-
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::backend::SimulatedStore;
-    pub use crate::billing::BillingMeter;
+
     pub use crate::catalog::ProviderCatalog;
-    pub use crate::descriptor::{ProviderDescriptor, ProviderKind};
-    pub use crate::failure::OutageSchedule;
-    pub use crate::latency::LatencyModel;
+
     pub use crate::pricing::PricingPolicy;
-    pub use crate::private::PrivateResource;
+
     pub use crate::sla::ProviderSla;
 }

@@ -40,7 +40,7 @@ pub const OBSERVED_MIN_SAMPLES: u64 = 16;
 /// The percentile published as a provider's observed latency: p95, the
 /// classic hedging percentile — high enough that healthy jitter stays under
 /// it, low enough that a limping provider's stragglers move it.
-pub const OBSERVED_PERCENTILE: f64 = 95.0;
+pub(crate) const OBSERVED_PERCENTILE: f64 = 95.0;
 
 /// What one publish saw of one provider: its chunk-read and chunk-write
 /// p95 (µs), each `None` below the sample floor or at 0.

@@ -33,19 +33,8 @@ impl PricingPolicy {
         }
     }
 
-    /// A zero-price policy (useful for tests and for modelling already-paid
-    /// private resources).
-    pub fn free() -> Self {
-        PricingPolicy {
-            storage_gb_month: Money::ZERO,
-            bandwidth_in_gb: Money::ZERO,
-            bandwidth_out_gb: Money::ZERO,
-            ops_per_1000: Money::ZERO,
-        }
-    }
-
     /// The cost of a resource-usage vector under this policy.
-    pub fn cost(&self, usage: &ResourceUsage) -> Money {
+    pub(crate) fn cost(&self, usage: &ResourceUsage) -> Money {
         // Scale the monthly price directly by fractional months to avoid the
         // precision loss of first rounding a per-hour price to micro-dollars.
         let storage = self
@@ -91,7 +80,7 @@ mod tests {
         let p = PricingPolicy::from_dollars(0.14, 0.1, 0.15, 0.01);
         assert_eq!(p.cost(&ResourceUsage::ZERO), Money::ZERO);
         assert_eq!(
-            PricingPolicy::free().cost(&ResourceUsage::operations(1000)),
+            PricingPolicy::from_dollars(0.0, 0.0, 0.0, 0.0).cost(&ResourceUsage::operations(1000)),
             Money::ZERO
         );
     }

@@ -16,7 +16,6 @@ use crate::descriptor::ProviderDescriptor;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scalia_types::error::{Result, ScaliaError};
-use scalia_types::ids::ProviderId;
 use scalia_types::md5::hmac_md5;
 use scalia_types::time::{Duration, SimTime};
 
@@ -50,7 +49,7 @@ impl SignedRequest {
     }
 
     /// Verifies the signature under `token`.
-    pub fn verify(&self, token: &[u8]) -> bool {
+    pub(crate) fn verify(&self, token: &[u8]) -> bool {
         let expected = hmac_md5(
             token,
             &Self::message(&self.operation, &self.key, self.timestamp),
@@ -88,16 +87,6 @@ impl PrivateResource {
         }
     }
 
-    /// The provider id of the resource.
-    pub fn provider_id(&self) -> ProviderId {
-        self.store.provider_id()
-    }
-
-    /// The underlying metered store (for billing inspection in experiments).
-    pub fn store(&self) -> &SimulatedStore {
-        &self.store
-    }
-
     /// Advances the resource clock (also charges storage GB-hours).
     pub fn tick(&self, now: SimTime) {
         *self.now.lock() = now;
@@ -132,12 +121,6 @@ impl PrivateResource {
         self.authenticate(request, "GET")?;
         self.store.get(&request.key)
     }
-
-    /// Deletes data through a signed DELETE request.
-    pub fn delete(&self, request: &SignedRequest) -> Result<()> {
-        self.authenticate(request, "DELETE")?;
-        self.store.delete(&request.key)
-    }
 }
 
 #[cfg(test)]
@@ -145,6 +128,7 @@ mod tests {
     use super::*;
     use crate::pricing::PricingPolicy;
     use crate::sla::ProviderSla;
+    use scalia_types::ids::ProviderId;
     use scalia_types::size::ByteSize;
     use scalia_types::zone::{Zone, ZoneSet};
 
@@ -173,9 +157,6 @@ mod tests {
         r.put(&put, Bytes::from_static(b"data")).unwrap();
         let get = SignedRequest::sign(b"secret-token", "GET", "backup.tar", t);
         assert_eq!(r.get(&get).unwrap(), Bytes::from_static(b"data"));
-        let del = SignedRequest::sign(b"secret-token", "DELETE", "backup.tar", t);
-        r.delete(&del).unwrap();
-        assert!(r.get(&get).is_err());
     }
 
     #[test]

@@ -16,14 +16,14 @@
 //!
 //! # Observation loop and SLA accounting
 //!
-//! [`run_policy_with_actual`] additionally separates what a provider
+//! `run_policy_with_actual` additionally separates what a provider
 //! *advertises* (its descriptor's latency model, all the policy would know
-//! a priori) from what it actually *does* (an [`ActualLatencies`] override
+//! a priori) from what it actually *does* (an `ActualLatencies` override
 //! by provider name). Every served read feeds the actual chunk latencies
 //! into a [`LatencyObservatory`] — the one the engine's `Infrastructure`
 //! records into, with its sample floor, percentile and forgiveness rule —
 //! and marks the placement's other members passed over; the windows rotate
-//! every [`OBSERVATION_WINDOW_PERIODS`] periods. At the start of every period
+//! every `OBSERVATION_WINDOW_PERIODS` periods. At the start of every period
 //! the observatory publishes one view: each provider's windowed p95 goes
 //! into the descriptors handed to the policy (`observed_read_latency_us`),
 //! so a latency-weighted rule can migrate objects off a provider that
@@ -55,13 +55,13 @@ use std::collections::{BTreeMap, HashMap};
 /// happens in the simulation: observed samples, latency percentiles and SLA
 /// checks. The policy itself never sees these — it only sees the
 /// observations they generate.
-pub type ActualLatencies = BTreeMap<String, LatencyModel>;
+pub(crate) type ActualLatencies = BTreeMap<String, LatencyModel>;
 
 /// Number of sampling periods per observation window: summaries cover the
 /// last two windows, so a provider is fully convicted — or, unless the
 /// read ranking keeps passing it over, forgiven — within
 /// `2 × OBSERVATION_WINDOW_PERIODS` periods.
-pub const OBSERVATION_WINDOW_PERIODS: u64 = 24;
+pub(crate) const OBSERVATION_WINDOW_PERIODS: u64 = 24;
 
 /// Aggregate resources consumed during one sampling period (across all
 /// providers).
@@ -111,18 +111,6 @@ pub struct PolicyRun {
     pub placement_searches: u64,
 }
 
-impl PolicyRun {
-    /// Fraction of SLA-governed reads that violated their latency bound
-    /// (0.0 when no rule declared one).
-    pub fn sla_violation_rate(&self) -> f64 {
-        if self.sla_reads_total == 0 {
-            0.0
-        } else {
-            self.sla_read_violations as f64 / self.sla_reads_total as f64
-        }
-    }
-}
-
 /// The latency model that actually answers for a provider: the
 /// [`ActualLatencies`] override when one exists, the advertised descriptor
 /// model otherwise.
@@ -158,76 +146,6 @@ fn read_providers(
     order
 }
 
-/// The modelled latency of one read of an object at `placement`: the
-/// engine fetches the `m` best-ranked chunks concurrently (fastest by
-/// advertised model, price order among latency ties), so the read takes as
-/// long as the slowest of those `m` providers.
-pub fn modelled_read_latency_us(placement: &Placement, size: ByteSize) -> u64 {
-    let chunk_bytes = chunk_bytes_for(size, placement.m);
-    read_providers(placement, size, &LatencyView::default())
-        .into_iter()
-        .map(|i| placement.providers[i].latency.expected_us(chunk_bytes))
-        .max()
-        .unwrap_or(0)
-}
-
-/// The modelled latency of one write of an object at `placement`: all `n`
-/// chunks upload concurrently, so the write takes as long as the slowest
-/// provider of the set.
-pub fn modelled_write_latency_us(placement: &Placement, size: ByteSize) -> u64 {
-    actual_write_latency_us(placement, size, &ActualLatencies::new())
-}
-
-/// The stripes of an object that the byte range `[offset, offset + len)`
-/// covers, clamped to the object's end — the same covering computation the
-/// engine's `get_range` uses. Empty for an empty or past-EOF range.
-pub fn covering_stripes(
-    size: ByteSize,
-    stripe_size: u64,
-    offset: u64,
-    len: u64,
-) -> std::ops::Range<u64> {
-    let total = size.bytes();
-    let end = offset.saturating_add(len).min(total);
-    if offset >= end || stripe_size == 0 {
-        return 0..0;
-    }
-    (offset / stripe_size)..end.div_ceil(stripe_size)
-}
-
-/// Chunk round-trips a range read performs: `m` per covering stripe.
-pub fn range_read_chunk_fetches(
-    placement: &Placement,
-    size: ByteSize,
-    stripe_size: u64,
-    offset: u64,
-    len: u64,
-) -> u64 {
-    let covering = covering_stripes(size, stripe_size, offset, len);
-    (covering.end - covering.start) * placement.m.max(1) as u64
-}
-
-/// The modelled latency of one range read at `placement`: the engine walks
-/// the covering stripes in order (each an `m`-chunk concurrent fetch of
-/// that stripe's chunk size), so the range read costs the *sum* of the
-/// covering stripes' fetch latencies — and a sub-stripe probe of a large
-/// object costs one stripe's fetch, not the whole object's.
-pub fn modelled_range_read_latency_us(
-    placement: &Placement,
-    size: ByteSize,
-    stripe_size: u64,
-    offset: u64,
-    len: u64,
-) -> u64 {
-    let total = size.bytes();
-    covering_stripes(size, stripe_size, offset, len)
-        .map(|i| {
-            let stripe_len = (total - i * stripe_size).min(stripe_size);
-            modelled_read_latency_us(placement, ByteSize::from_bytes(stripe_len))
-        })
-        .sum()
-}
-
 /// The actual latency of one write under the given overrides (slowest of
 /// the `n` parallel chunk uploads).
 fn actual_write_latency_us(placement: &Placement, size: ByteSize, actual: &ActualLatencies) -> u64 {
@@ -242,7 +160,7 @@ fn actual_write_latency_us(placement: &Placement, size: ByteSize, actual: &Actua
 
 /// The providers available during a given period, taking arrivals and
 /// outages into account.
-pub fn providers_at(
+pub(crate) fn providers_at(
     base: &[ProviderDescriptor],
     events: &[ProviderEvent],
     period: u64,
@@ -290,7 +208,7 @@ pub fn run_policy(
 /// the latencies in `actual` (falling back to their advertised models) and
 /// the resulting observations fed back into the descriptors the policy
 /// sees. See the module docs for the full loop.
-pub fn run_policy_with_actual(
+pub(crate) fn run_policy_with_actual(
     workload: &Workload,
     base_catalog: &[ProviderDescriptor],
     policy: &mut dyn PlacementPolicy,
@@ -638,98 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn modelled_latencies_are_the_fanout_critical_path_not_the_sum() {
-        let providers = crate::scenarios::latency_catalog(3);
-        let placement = Placement {
-            providers: providers[..3].to_vec(),
-            m: 2,
-        };
-        let size = ByteSize::from_mb(1);
-        let chunk_bytes = size.bytes().div_ceil(2);
-        let per_provider: Vec<u64> = placement
-            .providers
-            .iter()
-            .map(|p| p.latency.expected_us(chunk_bytes))
-            .collect();
-        let read = modelled_read_latency_us(&placement, size);
-        let write = modelled_write_latency_us(&placement, size);
-        let sum: u64 = per_provider.iter().sum();
-        let max = *per_provider.iter().max().unwrap();
-        assert!(read > 0 && read <= max, "read {read} ≤ slowest {max}");
-        assert_eq!(write, max, "write waits for the slowest of all n");
-        assert!(
-            write < sum,
-            "parallel upload {write} must beat the sequential sum {sum}"
-        );
-    }
-
-    #[test]
-    fn covering_stripes_clamps_to_the_object() {
-        let size = ByteSize::from_bytes(4_240);
-        // Stripe size 1000 ⇒ stripes [0,1000) … [4000,4240).
-        assert_eq!(covering_stripes(size, 1000, 0, 1), 0..1);
-        assert_eq!(covering_stripes(size, 1000, 999, 2), 0..2);
-        assert_eq!(covering_stripes(size, 1000, 1000, 1000), 1..2);
-        assert_eq!(covering_stripes(size, 1000, 0, u64::MAX), 0..5);
-        assert_eq!(covering_stripes(size, 1000, 4_239, 100), 4..5);
-        // Empty and past-EOF ranges cover nothing.
-        assert_eq!(covering_stripes(size, 1000, 100, 0), 0..0);
-        assert_eq!(covering_stripes(size, 1000, 4_240, 10), 0..0);
-        assert_eq!(covering_stripes(size, 1000, 9_999, 10), 0..0);
-    }
-
-    #[test]
-    fn range_reads_charge_only_the_covering_stripes() {
-        let providers = crate::scenarios::latency_catalog(3);
-        let placement = Placement {
-            providers: providers[..3].to_vec(),
-            m: 2,
-        };
-        let stripe = 1_000u64;
-        let size = ByteSize::from_bytes(20_000); // 20 stripes
-
-        // A sub-stripe probe fetches one stripe's m chunks and costs one
-        // stripe's fetch — a small fraction of the full read.
-        assert_eq!(
-            range_read_chunk_fetches(&placement, size, stripe, 5_100, 10),
-            2
-        );
-        let probe = modelled_range_read_latency_us(&placement, size, stripe, 5_100, 10);
-        let one_stripe = modelled_read_latency_us(&placement, ByteSize::from_bytes(stripe));
-        assert_eq!(probe, one_stripe);
-
-        // The whole-object range walks every stripe sequentially.
-        assert_eq!(
-            range_read_chunk_fetches(&placement, size, stripe, 0, u64::MAX),
-            40
-        );
-        let full = modelled_range_read_latency_us(&placement, size, stripe, 0, u64::MAX);
-        assert_eq!(full, 20 * one_stripe);
-        assert!(probe * 10 < full, "probe {probe} ≪ full scan {full}");
-
-        // Empty and past-EOF ranges are free.
-        assert_eq!(
-            range_read_chunk_fetches(&placement, size, stripe, 100, 0),
-            0
-        );
-        assert_eq!(
-            modelled_range_read_latency_us(&placement, size, stripe, 30_000, 5),
-            0
-        );
-
-        // A one-stripe object's range read is a read of the whole object.
-        let small = ByteSize::from_bytes(700);
-        assert_eq!(
-            range_read_chunk_fetches(&placement, small, stripe, 0, 10),
-            2
-        );
-        assert_eq!(
-            modelled_range_read_latency_us(&placement, small, stripe, 0, 10),
-            modelled_read_latency_us(&placement, small)
-        );
-    }
-
-    #[test]
     fn slow_provider_scenario_shows_up_in_the_latency_tail() {
         let (workload, slow_catalog) = crate::scenarios::slow_provider();
         let baseline_catalog = crate::scenarios::latency_catalog(11);
@@ -759,7 +585,6 @@ mod tests {
         let strict = run_policy(&workload, &providers, &mut IdealPolicy::new());
         assert_eq!(strict.sla_reads_total, 15);
         assert_eq!(strict.sla_read_violations, 15);
-        assert!((strict.sla_violation_rate() - 1.0).abs() < 1e-9);
 
         workload.objects[0].rule = workload.objects[0]
             .rule
@@ -767,7 +592,6 @@ mod tests {
             .with_read_sla_us(10_000_000);
         let lax = run_policy(&workload, &providers, &mut IdealPolicy::new());
         assert_eq!(lax.sla_read_violations, 0);
-        assert_eq!(lax.sla_violation_rate(), 0.0);
 
         // Rules without a bound keep the accounting off entirely.
         let none = run_policy(
@@ -776,7 +600,6 @@ mod tests {
             &mut IdealPolicy::new(),
         );
         assert_eq!(none.sla_reads_total, 0);
-        assert_eq!(none.sla_violation_rate(), 0.0);
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub fn run_cost_comparison(
 
 /// Same as [`run_cost_comparison`] but with a custom (e.g. ablated) Scalia
 /// policy.
-pub fn run_cost_comparison_with(
+pub(crate) fn run_cost_comparison_with(
     workload: &Workload,
     catalog: &[ProviderDescriptor],
     mut scalia_policy: ScaliaPolicy,

@@ -38,22 +38,11 @@ pub mod static_sets;
 pub mod traffic;
 pub mod workload;
 
-pub use experiment::{ExperimentResult, PolicyOutcome};
-pub use policy::{IdealPolicy, PlacementPolicy, ScaliaPolicy, StaticSetPolicy};
-pub use traffic::{
-    ArrivalPattern, OpMix, TenantSpec, TraceOp, TrafficEvent, TrafficOutcome, TrafficSpec,
-};
-pub use workload::{PeriodDemand, ProviderEvent, Workload, WorkloadObject};
-
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::experiment::{ExperimentResult, PolicyOutcome};
-    pub use crate::policy::{IdealPolicy, PlacementPolicy, ScaliaPolicy, StaticSetPolicy};
-    pub use crate::scenarios;
-    pub use crate::static_sets;
+
     pub use crate::traffic::{
-        generate_trace, replay_trace, run_traffic, trace_digest, ArrivalPattern, OpMix, TenantSpec,
-        TraceOp, TrafficEvent, TrafficOutcome, TrafficSpec,
+        generate_trace, run_traffic, trace_digest, ArrivalPattern, OpMix, TenantSpec, TrafficEvent,
+        TrafficSpec,
     };
-    pub use crate::workload::{PeriodDemand, ProviderEvent, Workload, WorkloadObject};
 }

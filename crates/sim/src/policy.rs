@@ -4,7 +4,7 @@
 //!   threshold is recomputed from the set and the object's rule, and during
 //!   an outage the set shrinks to its reachable members (as the paper does
 //!   in §IV-E for the static baseline).
-//! * [`IdealPolicy`] — the per-period oracle: with perfect knowledge of the
+//! * `IdealPolicy` — the per-period oracle: with perfect knowledge of the
 //!   period's demand it picks the cheapest feasible set; it pays no
 //!   migration cost (it is a lower bound, exactly as used for the "% over
 //!   cost" metric).
@@ -128,13 +128,13 @@ impl PlacementPolicy for StaticSetPolicy {
 /// The per-period ideal placement, computed with a-priori knowledge of the
 /// period's demand.
 #[derive(Default)]
-pub struct IdealPolicy {
+pub(crate) struct IdealPolicy {
     engine: PlacementEngine,
 }
 
 impl IdealPolicy {
     /// Creates the oracle.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }

@@ -17,7 +17,7 @@ use scalia_types::zone::ZoneSet;
 
 /// Total length of the Slashdot / Gallery / repair scenarios: 7.5 days of
 /// hourly sampling periods (the x-axis of Figs. 12, 15 and 18).
-pub const WEEK_AND_A_HALF_HOURS: u64 = 180;
+pub(crate) const WEEK_AND_A_HALF_HOURS: u64 = 180;
 
 /// §IV-B — the Slashdot effect: a single 1 MB object is quiet for two days,
 /// then its read rate jumps from 0 to 150 requests/hour within 3 hours and
@@ -202,13 +202,27 @@ pub fn latency_catalog(seed: u64) -> Vec<ProviderDescriptor> {
         .collect()
 }
 
+/// The per-period read counts of a single object following the reference
+/// website's pattern — the input series of the trend-detection Figs. 8
+/// (hourly samples over 7 days) and 9 (daily samples over 3 months).
+pub fn website_read_series(periods: u64, period_hours: u64, seed: u64) -> Vec<u64> {
+    let hourly = website_hourly_visits(periods * period_hours, 2500.0, seed);
+    // Aggregate hourly visits into the requested sampling period.
+    let expected: Vec<f64> = hourly
+        .chunks(period_hours as usize)
+        .map(|chunk| chunk.iter().sum())
+        .collect();
+    diffuse_rounding(&expected)
+}
+
+#[cfg(test)]
 /// **Slow-provider scenario**: Gallery-style traffic served from the
 /// latency-annotated catalog, with one provider (`S3(l)`, a frequent member
 /// of cheap read sets) moved far away — 10× the typical RTT and a fifth of
 /// the throughput. Every read that must touch it pays the distance; the
 /// tail of [`crate::accounting::PolicyRun::read_latency`] is where it
 /// shows.
-pub fn slow_provider() -> (Workload, Vec<ProviderDescriptor>) {
+pub(crate) fn slow_provider() -> (Workload, Vec<ProviderDescriptor>) {
     let mut catalog = latency_catalog(11);
     catalog[1].latency = LatencyModel::slow(97);
     let mut workload = gallery_with(40, 4.0, 7);
@@ -216,11 +230,12 @@ pub fn slow_provider() -> (Workload, Vec<ProviderDescriptor>) {
     (workload, catalog)
 }
 
+#[cfg(test)]
 /// **Limping-provider scenario**: same traffic, but one provider straggles
 /// instead of being uniformly slow — nominal latency near-typical with 90 %
 /// jitter, the profile hedged reads exist to absorb. The median barely
 /// moves while p99 blows up.
-pub fn limping_provider() -> (Workload, Vec<ProviderDescriptor>) {
+pub(crate) fn limping_provider() -> (Workload, Vec<ProviderDescriptor>) {
     let mut catalog = latency_catalog(23);
     catalog[1].latency = LatencyModel::limping(5);
     let mut workload = gallery_with(40, 4.0, 8);
@@ -228,12 +243,13 @@ pub fn limping_provider() -> (Workload, Vec<ProviderDescriptor>) {
     (workload, catalog)
 }
 
+#[cfg(test)]
 /// **Cheap-but-slow scenario**: the latency-annotated paper catalog plus
 /// "BargainBin" — a provider that undercuts everyone on price and
 /// *advertises* a typical latency profile. In reality both BargainBin and
 /// S3(l) — the two providers every cheap placement leans on — answer from
 /// the other side of the planet (10× RTT, a fifth of the throughput; the
-/// [`ActualLatencies`] override), so the cheapest feasible sets carry *two*
+/// [`crate::accounting::ActualLatencies`] override), so the cheapest feasible sets carry *two*
 /// slow members and the hedged read's ranking alone cannot dodge them: with
 /// `m`-of-`n` slack of one, some read chunk must come from a slow provider
 /// until the placement itself moves. Objects follow a read-heavy Gallery
@@ -248,7 +264,7 @@ pub fn limping_provider() -> (Workload, Vec<ProviderDescriptor>) {
 /// placements to the pricier fast providers. The same rules at weight 0
 /// keep paying the SLA violations forever — the baseline the scenario is
 /// asserted against.
-pub fn cheap_but_slow() -> (
+pub(crate) fn cheap_but_slow() -> (
     Workload,
     Vec<ProviderDescriptor>,
     crate::accounting::ActualLatencies,
@@ -282,6 +298,7 @@ pub fn cheap_but_slow() -> (
     (workload, catalog, actual)
 }
 
+#[cfg(test)]
 /// The scalability scenario behind the paper's class argument (§III-A1/A2):
 /// `objects` objects spread over `classes` classes — every member of a
 /// class has the identical size and the identical demand trajectory
@@ -290,7 +307,7 @@ pub fn cheap_but_slow() -> (
 /// the sim policy's exact-input search memo) runs `O(classes)` placement
 /// searches per re-evaluation where object-centric machinery runs
 /// `O(objects)`.
-pub fn many_objects_few_classes(objects: usize, classes: usize) -> Workload {
+pub(crate) fn many_objects_few_classes(objects: usize, classes: usize) -> Workload {
     let classes = classes.clamp(1, objects.max(1));
     let periods = 48u64;
     let rule = StorageRule::new(
@@ -334,19 +351,6 @@ pub fn many_objects_few_classes(objects: usize, classes: usize) -> Workload {
         sampling_period: Duration::HOUR,
         events: vec![],
     }
-}
-
-/// The per-period read counts of a single object following the reference
-/// website's pattern — the input series of the trend-detection Figs. 8
-/// (hourly samples over 7 days) and 9 (daily samples over 3 months).
-pub fn website_read_series(periods: u64, period_hours: u64, seed: u64) -> Vec<u64> {
-    let hourly = website_hourly_visits(periods * period_hours, 2500.0, seed);
-    // Aggregate hourly visits into the requested sampling period.
-    let expected: Vec<f64> = hourly
-        .chunks(period_hours as usize)
-        .map(|chunk| chunk.iter().sum())
-        .collect();
-    diffuse_rounding(&expected)
 }
 
 #[cfg(test)]
@@ -398,10 +402,7 @@ mod tests {
         ));
         // Objects keep accumulating (backups are never deleted).
         assert!(w.objects.iter().all(|o| o.deleted_period.is_none()));
-        assert_eq!(
-            w.bytes_stored_at(671).bytes(),
-            w.objects.len() as u64 * 40_000_000
-        );
+        assert!(w.objects.iter().all(|o| o.size.bytes() == 40_000_000));
     }
 
     #[test]

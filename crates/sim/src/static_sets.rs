@@ -29,7 +29,10 @@ impl StaticSet {
 
 /// Enumerates every subset of `providers` with at least `min_size` members,
 /// numbering them from 1 in a deterministic (bitmask) order.
-pub fn enumerate_static_sets(providers: &[ProviderDescriptor], min_size: usize) -> Vec<StaticSet> {
+pub(crate) fn enumerate_static_sets(
+    providers: &[ProviderDescriptor],
+    min_size: usize,
+) -> Vec<StaticSet> {
     let n = providers.len();
     let mut sets = Vec::new();
     let mut index = 0;

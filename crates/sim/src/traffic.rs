@@ -13,7 +13,7 @@
 //! A [`TrafficSpec`] is compiled by [`generate_trace`] into a flat,
 //! time-sorted list of [`TraceOp`]s using only seeded [`StdRng`] streams
 //! (one per tenant) and the error-diffusion rounding of
-//! [`crate::workload::diffuse_rounding`] — no wall clock, no thread
+//! `crate::workload::diffuse_rounding` — no wall clock, no thread
 //! interleaving. [`run_traffic`] then replays the trace single-threaded in
 //! virtual time. Both halves are bit-reproducible: the same spec yields the
 //! same trace and the same [`FrontendReport::digest`] regardless of how
@@ -211,46 +211,6 @@ pub struct TrafficSpec {
     /// When true (default), every tenant's object set is written before the
     /// trace starts, so reads have something to hit.
     pub prepopulate: bool,
-}
-
-impl TrafficSpec {
-    /// A small read-heavy two-tenant scenario used as a starting point by
-    /// tests and benches; override fields as needed.
-    pub fn small(seed: u64) -> Self {
-        TrafficSpec {
-            name: "small".into(),
-            seed,
-            horizon_us: 2_000_000,
-            slot_us: 10_000,
-            tenants: vec![
-                TenantSpec {
-                    name: "alpha".into(),
-                    weight: 1,
-                    sla_us: 0,
-                    objects: 50,
-                    object_size: 1024,
-                    zipf_s: 1.0,
-                    mix: OpMix::read_heavy(),
-                    arrivals: ArrivalPattern::Uniform { ops_per_sec: 400.0 },
-                },
-                TenantSpec {
-                    name: "beta".into(),
-                    weight: 2,
-                    sla_us: 0,
-                    objects: 50,
-                    object_size: 1024,
-                    zipf_s: 0.8,
-                    mix: OpMix::read_heavy(),
-                    arrivals: ArrivalPattern::Uniform { ops_per_sec: 400.0 },
-                },
-            ],
-            events: vec![],
-            tick_every_us: 500_000,
-            frontend: FrontendConfig::default(),
-            cache_capacity: ByteSize::from_mb(4),
-            prepopulate: true,
-        }
-    }
 }
 
 /// One request of a compiled trace.
@@ -548,6 +508,46 @@ pub fn replay_trace_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TrafficSpec {
+        /// A small read-heavy two-tenant scenario; tests override fields as
+        /// needed.
+        fn small(seed: u64) -> Self {
+            TrafficSpec {
+                name: "small".into(),
+                seed,
+                horizon_us: 2_000_000,
+                slot_us: 10_000,
+                tenants: vec![
+                    TenantSpec {
+                        name: "alpha".into(),
+                        weight: 1,
+                        sla_us: 0,
+                        objects: 50,
+                        object_size: 1024,
+                        zipf_s: 1.0,
+                        mix: OpMix::read_heavy(),
+                        arrivals: ArrivalPattern::Uniform { ops_per_sec: 400.0 },
+                    },
+                    TenantSpec {
+                        name: "beta".into(),
+                        weight: 2,
+                        sla_us: 0,
+                        objects: 50,
+                        object_size: 1024,
+                        zipf_s: 0.8,
+                        mix: OpMix::read_heavy(),
+                        arrivals: ArrivalPattern::Uniform { ops_per_sec: 400.0 },
+                    },
+                ],
+                events: vec![],
+                tick_every_us: 500_000,
+                frontend: FrontendConfig::default(),
+                cache_capacity: ByteSize::from_mb(4),
+                prepopulate: true,
+            }
+        }
+    }
 
     #[test]
     fn trace_generation_is_deterministic_and_shaped() {

@@ -42,7 +42,7 @@ pub struct WorkloadObject {
 impl WorkloadObject {
     /// The demand of the object during `period` (zero before creation,
     /// after deletion or beyond the demand vector).
-    pub fn demand_at(&self, period: u64) -> PeriodDemand {
+    pub(crate) fn demand_at(&self, period: u64) -> PeriodDemand {
         if period < self.created_period {
             return PeriodDemand::default();
         }
@@ -59,7 +59,7 @@ impl WorkloadObject {
 
     /// Returns `true` if the object exists (has been created and not yet
     /// deleted) during `period`.
-    pub fn alive_at(&self, period: u64) -> bool {
+    pub(crate) fn alive_at(&self, period: u64) -> bool {
         period >= self.created_period && self.deleted_period.map(|d| period < d).unwrap_or(true)
     }
 }
@@ -100,26 +100,6 @@ pub struct Workload {
     pub events: Vec<ProviderEvent>,
 }
 
-impl Workload {
-    /// Total bytes read across all objects during `period`.
-    pub fn bytes_read_at(&self, period: u64) -> ByteSize {
-        self.objects
-            .iter()
-            .map(|o| ByteSize::from_bytes(o.demand_at(period).reads * o.size.bytes()))
-            .sum()
-    }
-
-    /// Total bytes stored by alive objects during `period` (user data, not
-    /// counting erasure-coding overhead).
-    pub fn bytes_stored_at(&self, period: u64) -> ByteSize {
-        self.objects
-            .iter()
-            .filter(|o| o.alive_at(period))
-            .map(|o| o.size)
-            .sum()
-    }
-}
-
 /// The diurnal request-rate profile of the paper's reference website:
 /// roughly 2500 visitors per day, 62 % from Europe, 27 % from North America
 /// and 6 % from Asia (the remaining 5 % spread uniformly). Each regional
@@ -128,7 +108,7 @@ impl Workload {
 ///
 /// Returns the expected number of *visits* during each of `periods` hourly
 /// sampling periods.
-pub fn website_hourly_visits(periods: u64, daily_visitors: f64, seed: u64) -> Vec<f64> {
+pub(crate) fn website_hourly_visits(periods: u64, daily_visitors: f64, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut visits = Vec::with_capacity(periods as usize);
     // Regional peak hours in simulation (UTC-like) time.
@@ -152,7 +132,7 @@ pub fn website_hourly_visits(periods: u64, daily_visitors: f64, seed: u64) -> Ve
 /// Draws `n` popularity weights following a heavy-tailed Pareto distribution
 /// (shape 1) truncated at `cap`, normalised to sum to 1 — the paper's
 /// "popularity of the pictures follows a Pareto (1, 50)".
-pub fn pareto_popularity(n: usize, cap: f64, seed: u64) -> Vec<f64> {
+pub(crate) fn pareto_popularity(n: usize, cap: f64, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut weights: Vec<f64> = (0..n)
         .map(|_| {
@@ -172,7 +152,7 @@ pub fn pareto_popularity(n: usize, cap: f64, seed: u64) -> Vec<f64> {
 /// (`w_i ∝ 1/(i+1)^s`), normalised to sum to 1. `s = 0` is uniform; around
 /// `s ≈ 1` the classic hot-key skew of web object stores appears. Used by
 /// the traffic harness to pick which object each request touches.
-pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
+pub(crate) fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
     let mut weights: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(s)).collect();
     let total: f64 = weights.iter().sum();
     for w in &mut weights {
@@ -184,7 +164,7 @@ pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
 /// Cumulative distribution of a weight vector, for inverse-CDF sampling:
 /// `cdf[i]` is the probability of drawing an index ≤ `i`. The last entry is
 /// forced to exactly 1 so a uniform draw in `[0, 1)` always lands.
-pub fn cumulative_distribution(weights: &[f64]) -> Vec<f64> {
+pub(crate) fn cumulative_distribution(weights: &[f64]) -> Vec<f64> {
     let mut acc = 0.0;
     let mut cdf: Vec<f64> = weights
         .iter()
@@ -201,14 +181,14 @@ pub fn cumulative_distribution(weights: &[f64]) -> Vec<f64> {
 
 /// Inverse-CDF sample: the smallest index whose cumulative probability
 /// covers `u ∈ [0, 1)`.
-pub fn sample_cdf(cdf: &[f64], u: f64) -> usize {
+pub(crate) fn sample_cdf(cdf: &[f64], u: f64) -> usize {
     cdf.partition_point(|&c| c <= u).min(cdf.len() - 1)
 }
 
 /// Distributes an expected number of requests into an integer count in a
 /// deterministic, smoothly rounding way (error diffusion), so that the total
 /// over a long run matches the expectation without randomness.
-pub fn diffuse_rounding(expected: &[f64]) -> Vec<u64> {
+pub(crate) fn diffuse_rounding(expected: &[f64]) -> Vec<u64> {
     let mut carry = 0.0;
     expected
         .iter()
@@ -262,43 +242,6 @@ mod tests {
         assert!(!o.alive_at(1));
         assert!(o.alive_at(2));
         assert!(!o.alive_at(6));
-    }
-
-    #[test]
-    fn workload_aggregates() {
-        let w = Workload {
-            name: "t".into(),
-            objects: vec![
-                object(
-                    0,
-                    None,
-                    vec![
-                        PeriodDemand {
-                            reads: 2,
-                            writes: 0
-                        };
-                        3
-                    ],
-                ),
-                object(
-                    1,
-                    None,
-                    vec![
-                        PeriodDemand {
-                            reads: 1,
-                            writes: 0
-                        };
-                        3
-                    ],
-                ),
-            ],
-            periods: 3,
-            sampling_period: Duration::HOUR,
-            events: vec![],
-        };
-        assert_eq!(w.bytes_stored_at(0), ByteSize::from_mb(1));
-        assert_eq!(w.bytes_stored_at(1), ByteSize::from_mb(2));
-        assert_eq!(w.bytes_read_at(1), ByteSize::from_mb(3));
     }
 
     #[test]

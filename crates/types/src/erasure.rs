@@ -28,34 +28,10 @@ impl ErasureParams {
         }
     }
 
-    /// RAID-1-style mirroring over `n` providers (`m = 1`).
-    pub fn mirroring(n: u32) -> Option<Self> {
-        Self::new(1, n)
-    }
-
-    /// RAID-5-style striping with one parity chunk (`m = n - 1`).
-    pub fn raid5(n: u32) -> Option<Self> {
-        if n < 2 {
-            None
-        } else {
-            Self::new(n - 1, n)
-        }
-    }
-
-    /// The code rate `r = m / n`.
-    pub fn rate(self) -> f64 {
-        self.m as f64 / self.n as f64
-    }
-
     /// The storage overhead factor `1 / r = n / m`: how much raw capacity is
     /// consumed per byte of user data.
     pub fn storage_overhead(self) -> f64 {
         self.n as f64 / self.m as f64
-    }
-
-    /// Number of provider outages tolerated (`n - m`).
-    pub fn failures_tolerated(self) -> u32 {
-        self.n - self.m
     }
 }
 
@@ -80,22 +56,18 @@ mod tests {
 
     #[test]
     fn raid_analogues() {
-        let mirror = ErasureParams::mirroring(2).unwrap();
-        assert_eq!(mirror.m, 1);
+        // RAID-1 mirroring is (1, n); RAID-5 striping is (n - 1, n).
+        let mirror = ErasureParams::new(1, 2).unwrap();
         assert_eq!(mirror.storage_overhead(), 2.0);
-
-        let raid5 = ErasureParams::raid5(4).unwrap();
-        assert_eq!(raid5.m, 3);
-        assert_eq!(raid5.failures_tolerated(), 1);
-        assert!(ErasureParams::raid5(1).is_none());
+        let raid5 = ErasureParams::new(3, 4).unwrap();
+        assert_eq!(raid5.n - raid5.m, 1, "one parity chunk");
+        assert!(ErasureParams::new(1, 1).is_some() && ErasureParams::new(2, 1).is_none());
     }
 
     #[test]
     fn rate_and_overhead() {
         let p = ErasureParams::new(3, 4).unwrap();
-        assert!((p.rate() - 0.75).abs() < 1e-12);
         assert!((p.storage_overhead() - 4.0 / 3.0).abs() < 1e-12);
-        assert_eq!(p.failures_tolerated(), 1);
         assert_eq!(p.to_string(), "(3,4)");
     }
 }

@@ -93,7 +93,7 @@ impl LatencyHistogram {
     }
 
     /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
@@ -101,7 +101,7 @@ impl LatencyHistogram {
     /// Clamped to the exact max: once `count` saturates while `total_us`
     /// keeps accumulating, the raw quotient could exceed the largest
     /// sample ever seen, which no true mean can.
-    pub fn mean_us(&self) -> f64 {
+    pub(crate) fn mean_us(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -223,11 +223,6 @@ impl DecayingHistogram {
         let mut merged = self.current.clone();
         merged.merge(&self.previous);
         merged
-    }
-
-    /// Freezes the last two windows into a percentile summary.
-    pub fn snapshot(&self) -> LatencySnapshot {
-        self.combined().snapshot()
     }
 }
 
@@ -382,7 +377,7 @@ mod tests {
         d.rotate();
         d.rotate();
         assert_eq!(d.count(), 0);
-        assert_eq!(d.snapshot().p95_us, 0);
+        assert_eq!(d.percentile_us(95.0), 0);
     }
 
     #[test]
@@ -432,7 +427,7 @@ mod tests {
             u64::MAX - 3,
             "overflow bucket → exact max"
         );
-        assert_eq!(d.snapshot().max_us, u64::MAX - 3);
+        assert_eq!(d.combined().max_us(), u64::MAX - 3);
         // Eviction still works after saturation.
         d.rotate();
         d.rotate();

@@ -56,32 +56,19 @@ pub mod usage;
 pub mod zone;
 
 pub use erasure::ErasureParams;
-pub use error::ScaliaError;
-pub use ids::{DatacenterId, EngineId, ProviderId};
-pub use latency::{LatencyHistogram, LatencySnapshot};
-pub use money::Money;
-pub use object::{ObjectKey, ObjectMeta, ObjectVersionId, StripeMeta, StripingMeta};
-pub use reliability::Reliability;
-pub use rules::StorageRule;
-pub use size::ByteSize;
-pub use stats::{AccessHistory, PeriodStats};
-pub use time::{Duration, SimTime};
-pub use usage::ResourceUsage;
-pub use zone::{Zone, ZoneSet};
 
 /// Convenience prelude re-exporting the most commonly used types.
 pub mod prelude {
-    pub use crate::erasure::ErasureParams;
+
     pub use crate::error::ScaliaError;
-    pub use crate::ids::{DatacenterId, EngineId, ProviderId};
-    pub use crate::latency::{LatencyHistogram, LatencySnapshot};
-    pub use crate::money::Money;
+    pub use crate::ids::{DatacenterId, ProviderId};
+
     pub use crate::object::{ObjectKey, ObjectMeta, ObjectVersionId, StripeMeta, StripingMeta};
     pub use crate::reliability::Reliability;
     pub use crate::rules::StorageRule;
     pub use crate::size::ByteSize;
-    pub use crate::stats::{AccessHistory, PeriodStats};
+
     pub use crate::time::{Duration, SimTime};
-    pub use crate::usage::ResourceUsage;
+
     pub use crate::zone::{Zone, ZoneSet};
 }

@@ -48,7 +48,7 @@ const K: [u32; 64] = [
 /// The one-shot [`md5`] below is a thin wrapper and produces identical
 /// digests.
 #[derive(Debug, Clone)]
-pub struct Md5 {
+pub(crate) struct Md5 {
     state: [u32; 4],
     /// Partial block carried between `update` calls (< 64 bytes used).
     buffer: [u8; 64],
@@ -65,7 +65,7 @@ impl Default for Md5 {
 
 impl Md5 {
     /// Creates a fresh context (RFC 1321 initial state).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Md5 {
             state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476],
             buffer: [0u8; 64],
@@ -75,7 +75,7 @@ impl Md5 {
     }
 
     /// Absorbs `data`; may be called any number of times.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         self.len = self.len.wrapping_add(data.len() as u64);
         let mut rest = data;
         if self.buffered > 0 {
@@ -104,13 +104,8 @@ impl Md5 {
         self.buffered = tail.len();
     }
 
-    /// Total number of bytes absorbed so far.
-    pub fn bytes_seen(&self) -> u64 {
-        self.len
-    }
-
     /// Pads, runs the final block(s) and returns the 16-byte digest.
-    pub fn finalize(mut self) -> [u8; 16] {
+    pub(crate) fn finalize(mut self) -> [u8; 16] {
         // Padding: append 0x80, then zeros, then the 64-bit little-endian
         // message length in bits, so the total is a multiple of 64 bytes.
         let bit_len = self.len.wrapping_mul(8);
@@ -141,11 +136,6 @@ impl Md5 {
         out[8..12].copy_from_slice(&self.state[2].to_le_bytes());
         out[12..16].copy_from_slice(&self.state[3].to_le_bytes());
         out
-    }
-
-    /// Digest as a lowercase hex string.
-    pub fn finalize_hex(self) -> String {
-        hex_lower(&self.finalize())
     }
 
     /// One 64-byte block of the RFC 1321 compression function.
@@ -179,7 +169,7 @@ impl Md5 {
 }
 
 /// Computes the MD5 digest of `data` as 16 raw bytes.
-pub fn md5(data: &[u8]) -> [u8; 16] {
+pub(crate) fn md5(data: &[u8]) -> [u8; 16] {
     let mut ctx = Md5::new();
     ctx.update(data);
     ctx.finalize()
@@ -278,8 +268,8 @@ mod tests {
         for b in &data {
             ctx.update(std::slice::from_ref(b));
         }
-        assert_eq!(ctx.bytes_seen(), data.len() as u64);
-        assert_eq!(ctx.finalize_hex(), md5_hex(&data));
+        assert_eq!(ctx.len, data.len() as u64);
+        assert_eq!(ctx.finalize(), expected);
     }
 
     /// RFC 2202 HMAC-MD5 test vectors.

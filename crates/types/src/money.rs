@@ -13,11 +13,8 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-/// Number of micro-dollars in one dollar (kept for the public
-/// [`Money::from_micros`] / [`Money::micros`] interface).
-pub const MICROS_PER_DOLLAR: i64 = 1_000_000;
 /// Number of nano-dollars in one dollar (the internal resolution).
-pub const NANOS_PER_DOLLAR: i64 = 1_000_000_000;
+pub(crate) const NANOS_PER_DOLLAR: i64 = 1_000_000_000;
 
 /// A monetary amount, stored in nano-dollars (10⁻⁹ USD).
 #[derive(
@@ -37,11 +34,6 @@ impl Money {
         Money(nanos)
     }
 
-    /// Creates an amount from micro-dollars.
-    pub const fn from_micros(micros: i64) -> Self {
-        Money(micros * 1_000)
-    }
-
     /// Creates an amount from a floating-point dollar value, rounding to the
     /// nearest nano-dollar.
     pub fn from_dollars(dollars: f64) -> Self {
@@ -53,18 +45,13 @@ impl Money {
         self.0
     }
 
-    /// Value in micro-dollars (truncating towards zero).
-    pub const fn micros(self) -> i64 {
-        self.0 / 1_000
-    }
-
     /// Value in (floating point) dollars.
     pub fn dollars(self) -> f64 {
         self.0 as f64 / NANOS_PER_DOLLAR as f64
     }
 
     /// Returns `true` if the amount is exactly zero.
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
@@ -73,39 +60,11 @@ impl Money {
         self.0 > 0
     }
 
-    /// Saturating addition.
-    pub const fn saturating_add(self, other: Money) -> Money {
-        Money(self.0.saturating_add(other.0))
-    }
-
     /// Multiplies the amount by a non-negative floating point factor,
     /// rounding to the nearest micro-dollar. Used when a per-unit price is
     /// applied to a fractional resource quantity (e.g. 0.37 GB).
     pub fn scale(self, factor: f64) -> Money {
         Money((self.0 as f64 * factor).round() as i64)
-    }
-
-    /// Absolute value.
-    pub const fn abs(self) -> Money {
-        Money(self.0.abs())
-    }
-
-    /// Returns the minimum of two amounts.
-    pub fn min(self, other: Money) -> Money {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the maximum of two amounts.
-    pub fn max(self, other: Money) -> Money {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
     }
 
     /// Relative difference `(self - reference) / reference`, in percent.
@@ -195,7 +154,7 @@ mod tests {
     #[test]
     fn from_dollars_roundtrip() {
         let m = Money::from_dollars(0.093);
-        assert_eq!(m.micros(), 93_000);
+        assert_eq!(m.nanos(), 93_000_000);
         assert!((m.dollars() - 0.093).abs() < 1e-9);
     }
 
@@ -206,7 +165,7 @@ mod tests {
         assert_eq!((a + b).dollars(), 1.75);
         assert_eq!((a - b).dollars(), 1.25);
         assert_eq!((a * 4).dollars(), 6.0);
-        assert_eq!((a / 3).micros(), 500_000);
+        assert_eq!((a / 3).nanos(), 500_000_000);
         assert_eq!(-b, Money::from_dollars(-0.25));
     }
 
@@ -252,14 +211,6 @@ mod tests {
         assert_eq!(
             Money::from_dollars(0.1).max(Money::from_dollars(0.2)),
             Money::from_dollars(0.2)
-        );
-    }
-
-    #[test]
-    fn saturating_add_does_not_overflow() {
-        assert_eq!(
-            Money::MAX.saturating_add(Money::from_dollars(1.0)),
-            Money::MAX
         );
     }
 }

@@ -97,7 +97,7 @@ impl ObjectVersionId {
     }
 
     /// Hex representation used in storage keys.
-    pub fn to_hex(self) -> String {
+    pub(crate) fn to_hex(self) -> String {
         format!("{:032x}", self.0)
     }
 }

@@ -41,13 +41,8 @@ impl Reliability {
         self.0
     }
 
-    /// The failure probability `1 - p`.
-    pub fn failure_probability(self) -> f64 {
-        1.0 - self.0
-    }
-
     /// The value as a percentage.
-    pub fn percent(self) -> f64 {
+    pub(crate) fn percent(self) -> f64 {
         self.0 * 100.0
     }
 
@@ -93,11 +88,6 @@ mod tests {
         assert!(computed.meets(Reliability::from_percent(99.99)));
         assert!(!Reliability::from_percent(99.9).meets(Reliability::from_percent(99.99)));
         assert!(Reliability::ONE.meets(Reliability::nines(11)));
-    }
-
-    #[test]
-    fn failure_probability() {
-        assert!((Reliability::from_percent(99.9).failure_probability() - 0.001).abs() < 1e-12);
     }
 
     #[test]

@@ -137,12 +137,6 @@ impl StorageRule {
         )
     }
 
-    /// Builder-style override of the durability constraint.
-    pub fn with_durability(mut self, durability: Reliability) -> Self {
-        self.durability = durability;
-        self
-    }
-
     /// Builder-style override of the availability constraint.
     pub fn with_availability(mut self, availability: Reliability) -> Self {
         self.availability = availability;
@@ -244,10 +238,8 @@ mod tests {
     #[test]
     fn builder_overrides() {
         let r = StorageRule::default_rule()
-            .with_durability(Reliability::nines(11))
             .with_availability(Reliability::from_percent(99.99))
             .with_zones(ZoneSet::of(&[Zone::EU]));
-        assert_eq!(r.durability, Reliability::nines(11));
         assert_eq!(r.availability, Reliability::from_percent(99.99));
         assert!(r.zones.contains(Zone::EU) && !r.zones.contains(Zone::US));
     }

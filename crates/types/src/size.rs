@@ -9,11 +9,11 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 
 /// Bytes per (decimal) kilobyte.
-pub const KB: u64 = 1_000;
+pub(crate) const KB: u64 = 1_000;
 /// Bytes per (decimal) megabyte.
-pub const MB: u64 = 1_000_000;
+pub(crate) const MB: u64 = 1_000_000;
 /// Bytes per (decimal) gigabyte.
-pub const GB: u64 = 1_000_000_000;
+pub(crate) const GB: u64 = 1_000_000_000;
 
 /// A size in bytes.
 #[derive(
@@ -56,7 +56,7 @@ impl ByteSize {
     }
 
     /// Size in fractional megabytes.
-    pub fn as_mb(self) -> f64 {
+    pub(crate) fn as_mb(self) -> f64 {
         self.0 as f64 / MB as f64
     }
 

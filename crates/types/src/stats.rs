@@ -38,32 +38,19 @@ impl PeriodStats {
     }
 
     /// Total number of operations (reads + writes), the paper's `s_i[ops]`.
-    pub fn ops(&self) -> u64 {
+    pub(crate) fn ops(&self) -> u64 {
         self.reads + self.writes
     }
 
     /// Converts the record into a resource-usage vector over a sampling
     /// period of `period_hours` hours.
-    pub fn to_usage(&self, period_hours: f64) -> ResourceUsage {
+    pub(crate) fn to_usage(self, period_hours: f64) -> ResourceUsage {
         ResourceUsage {
             storage_gb_hours: self.storage.as_gb() * period_hours,
             bw_in: self.bw_in,
             bw_out: self.bw_out,
             ops: self.ops(),
         }
-    }
-
-    /// Records a read of `size` bytes.
-    pub fn record_read(&mut self, size: ByteSize) {
-        self.reads += 1;
-        self.bw_out += size;
-    }
-
-    /// Records a write of `size` bytes.
-    pub fn record_write(&mut self, size: ByteSize) {
-        self.writes += 1;
-        self.bw_in += size;
-        self.storage = size;
     }
 }
 
@@ -134,7 +121,7 @@ impl AccessHistory {
 
     /// Aggregated usage over the `n` most recent sampling periods, each of
     /// `period_hours` hours.
-    pub fn usage_over_last(&self, n: usize, period_hours: f64) -> ResourceUsage {
+    pub(crate) fn usage_over_last(&self, n: usize, period_hours: f64) -> ResourceUsage {
         self.last_n(n)
             .iter()
             .map(|r| r.to_usage(period_hours))
@@ -157,16 +144,6 @@ impl AccessHistory {
     pub fn ops_series(&self, n: usize) -> Vec<u64> {
         self.last_n(n).iter().map(|r| r.ops()).collect()
     }
-
-    /// Simple moving average of the operations count over the last `window`
-    /// periods. Returns `None` when fewer than `window` periods exist.
-    pub fn moving_average_ops(&self, window: usize) -> Option<f64> {
-        if window == 0 || self.records.len() < window {
-            return None;
-        }
-        let sum: u64 = self.last_n(window).iter().map(|r| r.ops()).sum();
-        Some(sum as f64 / window as f64)
-    }
 }
 
 #[cfg(test)]
@@ -182,20 +159,6 @@ mod tests {
             reads,
             writes: 0,
         }
-    }
-
-    #[test]
-    fn period_stats_records_accesses() {
-        let mut s = PeriodStats::empty(0);
-        s.record_write(ByteSize::from_mb(1));
-        s.record_read(ByteSize::from_mb(1));
-        s.record_read(ByteSize::from_mb(1));
-        assert_eq!(s.writes, 1);
-        assert_eq!(s.reads, 2);
-        assert_eq!(s.ops(), 3);
-        assert_eq!(s.bw_in, ByteSize::from_mb(1));
-        assert_eq!(s.bw_out, ByteSize::from_mb(2));
-        assert_eq!(s.storage, ByteSize::from_mb(1));
     }
 
     #[test]
@@ -234,22 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn moving_average() {
-        let mut h = AccessHistory::default();
-        assert_eq!(h.moving_average_ops(3), None);
-        for i in 0..3 {
-            h.push(stats(i, (i + 1) * 10));
-        }
-        assert_eq!(h.moving_average_ops(3), Some(20.0));
-        assert_eq!(h.moving_average_ops(0), None);
-        assert_eq!(h.moving_average_ops(4), None);
-    }
-
-    #[test]
     fn empty_history_means_zero_usage() {
         let h = AccessHistory::default();
         assert!(h.is_empty());
-        assert!(h.mean_usage_over_last(5, 1.0).is_zero());
+        assert_eq!(h.mean_usage_over_last(5, 1.0), ResourceUsage::ZERO);
         assert!(h.latest().is_none());
     }
 }

@@ -11,9 +11,9 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// Seconds per hour.
-pub const SECONDS_PER_HOUR: u64 = 3_600;
+pub(crate) const SECONDS_PER_HOUR: u64 = 3_600;
 /// Seconds per day.
-pub const SECONDS_PER_DAY: u64 = 24 * SECONDS_PER_HOUR;
+pub(crate) const SECONDS_PER_DAY: u64 = 24 * SECONDS_PER_HOUR;
 /// Hours per (30-day accounting) month, used to convert per-GB-month storage
 /// prices into per-GB-hour prices.
 pub const HOURS_PER_MONTH: u64 = 30 * 24;
@@ -44,18 +44,13 @@ impl SimTime {
         SimTime(hours * SECONDS_PER_HOUR)
     }
 
-    /// Creates a time from whole days since the epoch.
-    pub const fn from_days(days: u64) -> Self {
-        SimTime(days * SECONDS_PER_DAY)
-    }
-
     /// Seconds since the epoch.
     pub const fn secs(self) -> u64 {
         self.0
     }
 
     /// Fractional hours since the epoch.
-    pub fn as_hours(self) -> f64 {
+    pub(crate) fn as_hours(self) -> f64 {
         self.0 as f64 / SECONDS_PER_HOUR as f64
     }
 
@@ -77,8 +72,6 @@ impl Duration {
     pub const ZERO: Duration = Duration(0);
     /// One hour — the paper's default sampling period.
     pub const HOUR: Duration = Duration(SECONDS_PER_HOUR);
-    /// One day.
-    pub const DAY: Duration = Duration(SECONDS_PER_DAY);
 
     /// Creates a duration from seconds.
     pub const fn from_secs(secs: u64) -> Self {
@@ -95,24 +88,9 @@ impl Duration {
         Duration(days * SECONDS_PER_DAY)
     }
 
-    /// Length in seconds.
-    pub const fn secs(self) -> u64 {
-        self.0
-    }
-
     /// Length in fractional hours.
     pub fn as_hours(self) -> f64 {
         self.0 as f64 / SECONDS_PER_HOUR as f64
-    }
-
-    /// Length in fractional 30-day months, used for storage billing.
-    pub fn as_months(self) -> f64 {
-        self.0 as f64 / (HOURS_PER_MONTH * SECONDS_PER_HOUR) as f64
-    }
-
-    /// Returns `true` if the duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Number of whole sampling periods of length `period` that fit in this
@@ -130,24 +108,6 @@ impl Duration {
     /// Doubles the duration, used by the decision period adjustment (`2D`).
     pub const fn doubled(self) -> Duration {
         Duration(self.0 * 2)
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: Duration) -> Duration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: Duration) -> Duration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
     }
 
     /// Multiplies the duration by an integer factor.
@@ -209,9 +169,7 @@ mod tests {
     #[test]
     fn constructors() {
         assert_eq!(SimTime::from_hours(2).secs(), 7200);
-        assert_eq!(SimTime::from_days(1).secs(), 86_400);
         assert_eq!(Duration::from_days(7).as_hours(), 168.0);
-        assert!((Duration::from_hours(720).as_months() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -65,14 +65,6 @@ impl ResourceUsage {
         }
     }
 
-    /// Returns `true` if every component is zero.
-    pub fn is_zero(&self) -> bool {
-        self.storage_gb_hours == 0.0
-            && self.bw_in.is_zero()
-            && self.bw_out.is_zero()
-            && self.ops == 0
-    }
-
     /// Scales every component by a non-negative factor. Used to extrapolate
     /// per-sampling-period statistics over a whole decision period.
     pub fn scale(&self, factor: f64) -> ResourceUsage {
@@ -120,8 +112,6 @@ mod tests {
         assert!(ResourceUsage::upload(ByteSize::from_mb(1)).bw_in == ByteSize::from_mb(1));
         assert!(ResourceUsage::download(ByteSize::from_mb(1)).bw_out == ByteSize::from_mb(1));
         assert_eq!(ResourceUsage::operations(42).ops, 42);
-        assert!(ResourceUsage::ZERO.is_zero());
-        assert!(!ResourceUsage::operations(1).is_zero());
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub enum Zone {
 
 impl Zone {
     /// All known zones.
-    pub const ALL: [Zone; 3] = [Zone::EU, Zone::US, Zone::APAC];
+    pub(crate) const ALL: [Zone; 3] = [Zone::EU, Zone::US, Zone::APAC];
 }
 
 impl fmt::Display for Zone {
@@ -42,7 +42,7 @@ pub struct ZoneSet(u8);
 
 impl ZoneSet {
     /// The empty zone set.
-    pub const EMPTY: ZoneSet = ZoneSet(0);
+    pub(crate) const EMPTY: ZoneSet = ZoneSet(0);
 
     fn bit(zone: Zone) -> u8 {
         match zone {
@@ -67,7 +67,7 @@ impl ZoneSet {
     }
 
     /// Returns a copy of the set with `zone` added.
-    pub fn with(self, zone: Zone) -> ZoneSet {
+    pub(crate) fn with(self, zone: Zone) -> ZoneSet {
         ZoneSet(self.0 | Self::bit(zone))
     }
 
@@ -81,29 +81,14 @@ impl ZoneSet {
         self.0 & Self::bit(zone) != 0
     }
 
-    /// Returns `true` if the set is empty.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
     /// Returns `true` if the two sets share at least one zone.
     pub fn intersects(self, other: ZoneSet) -> bool {
         self.0 & other.0 != 0
     }
 
-    /// Returns `true` if every zone of `other` is contained in `self`.
-    pub fn is_superset_of(self, other: ZoneSet) -> bool {
-        self.0 & other.0 == other.0
-    }
-
     /// Iterates over the zones contained in the set.
-    pub fn iter(self) -> impl Iterator<Item = Zone> {
+    pub(crate) fn iter(self) -> impl Iterator<Item = Zone> {
         Zone::ALL.into_iter().filter(move |&z| self.contains(z))
-    }
-
-    /// Number of zones in the set.
-    pub fn len(self) -> usize {
-        self.0.count_ones() as usize
     }
 }
 
@@ -127,9 +112,6 @@ mod tests {
         assert!(s.contains(Zone::EU));
         assert!(s.contains(Zone::US));
         assert!(!s.contains(Zone::APAC));
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
-        assert!(ZoneSet::EMPTY.is_empty());
     }
 
     #[test]
@@ -139,9 +121,6 @@ mod tests {
         let apac = ZoneSet::of(&[Zone::APAC]);
         assert!(eu_us.intersects(us));
         assert!(!eu_us.intersects(apac));
-        assert!(eu_us.is_superset_of(us));
-        assert!(!us.is_superset_of(eu_us));
-        assert!(ZoneSet::all().is_superset_of(eu_us));
     }
 
     #[test]

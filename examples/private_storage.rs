@@ -43,6 +43,10 @@ fn main() {
     let forged = SignedRequest::sign(b"attacker-token", "GET", "finance/q2.xlsx", SimTime::ZERO);
     println!("forged request rejected: {}", nas.get(&forged).is_err());
 
+    // Two hours later the hour-old signature is stale: a replay is refused.
+    nas.tick(SimTime::from_hours(2));
+    println!("replayed request rejected: {}", nas.get(&get).is_err());
+
     // --- 2. The same NAS registered in a Scalia deployment ----------------
     let catalog = ProviderCatalog::paper_catalog();
     catalog.register(nas_descriptor);

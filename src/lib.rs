@@ -65,9 +65,7 @@ pub use scalia_types as types;
 pub mod prelude {
     pub use scalia_core::prelude::*;
     pub use scalia_engine::prelude::*;
-    pub use scalia_erasure::prelude::*;
     pub use scalia_frontend::prelude::*;
-    pub use scalia_metastore::prelude::*;
     pub use scalia_providers::prelude::*;
     pub use scalia_sim::prelude::*;
     pub use scalia_types::prelude::*;
