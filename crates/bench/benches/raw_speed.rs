@@ -5,17 +5,21 @@
 //! read and write paths move bytes with, a put's per-stripe data work (the
 //! staged encode against `encode_object`), and the 16–20-provider
 //! placement search with and without pairwise dominance pruning (vs the
-//! recorded 4.98 ms PR 1 baseline at 16 providers).
+//! recorded 4.98 ms PR 1 baseline at 16 providers), and a 4 KiB object's
+//! metadata as a `meta` cell stores it (the encoded record against the
+//! `Value` tree it replaced).
 //!
 //! Every measured number is published to `BENCH_raw_speed.json` at the
-//! repo root. Four acceptance gates are asserted inline (so a CI bench
+//! repo root. Five acceptance gates are asserted inline (so a CI bench
 //! smoke run fails loudly rather than recording a regression):
 //!
 //! * `rs_parity_1mib`: wide kernel ≥ 4× over the scalar seed kernel;
 //! * `xxh64`: ≤ 0.3 ns/B at 4 KiB, 512 KiB (a stripe) and 8 MiB;
 //! * `checksum.append`: `Xxh64::append` takes ≤ 0.7× the time of a copy
 //!   followed by a separate hash at 8 MiB;
-//! * `search_16`: dominance-pruned search beats the 4.98 ms baseline.
+//! * `search_16`: dominance-pruned search beats the 4.98 ms baseline;
+//! * `metastore.meta_record`: the record's encode + decode round trip
+//!   takes ≤ 1 µs.
 
 use scalia_core::cost::PredictedUsage;
 use scalia_core::placement::{exhaustive_search_without_dominance, PlacementEngine};
@@ -25,11 +29,14 @@ use scalia_providers::catalog::{azure, google, rackspace, s3_high, s3_low};
 use scalia_providers::descriptor::ProviderDescriptor;
 use scalia_providers::pricing::PricingPolicy;
 use scalia_providers::sla::ProviderSla;
-use scalia_types::checksum::{xxh64, Xxh64};
+use scalia_types::checksum::{checksum_hex, xxh64, Xxh64};
 use scalia_types::ids::ProviderId;
+use scalia_types::object::{ChunkLocation, ObjectKey, ObjectMeta, ObjectVersionId};
+use scalia_types::object::{StripeMeta, StripingMeta};
 use scalia_types::reliability::Reliability;
 use scalia_types::rules::StorageRule;
 use scalia_types::size::ByteSize;
+use scalia_types::time::SimTime;
 use scalia_types::zone::{Zone, ZoneSet};
 use scalia_types::ErasureParams;
 use std::hint::black_box;
@@ -372,6 +379,72 @@ fn placement_section() -> serde_json::Value {
     serde_json::json!(rows)
 }
 
+// ------------------------------------------------------------ metastore --
+
+/// The metadata of a 4 KiB object as a put commits it: one stripe, 3-of-4,
+/// under the benchmark's rule.
+fn small_object_meta() -> ObjectMeta {
+    let key = ObjectKey::new("c07", "k00001234");
+    let version = ObjectVersionId::next(&key.row_key());
+    let skey = StripingMeta::storage_key(&key, version);
+    ObjectMeta {
+        key,
+        version,
+        mime: "application/octet-stream".to_string(),
+        size: ByteSize::from_bytes(4096),
+        checksum: checksum_hex(b"object"),
+        rule: bench_rule(),
+        written_at: SimTime::from_secs(86_400),
+        ttl_hint_hours: None,
+        striping: StripingMeta {
+            stripe_size: 512 << 10,
+            stripes: vec![StripeMeta {
+                chunks: (0..4)
+                    .map(|index| ChunkLocation {
+                        index,
+                        provider: ProviderId::new(index * 3 + 1),
+                    })
+                    .collect(),
+                m: 3,
+                checksum: checksum_hex(b"object"),
+                skey,
+            }],
+        },
+    }
+}
+
+/// A 4 KiB object's metadata through a `meta` cell and back: the encoded
+/// record (`encode_record` + `decode_record`, what a put and a cold read
+/// do) against the `Value` tree (`to_value` + `ObjectMeta::deserialize`).
+/// Returns the JSON row; asserts the ≤ 1 µs record round-trip gate.
+fn meta_record_section() -> serde_json::Value {
+    const GATE_MAX_US: f64 = 1.0;
+    let meta = small_object_meta();
+    let iters = 100_000;
+    let record_us = time_per_iter_us(iters, || {
+        let record = black_box(&meta).encode_record();
+        black_box(ObjectMeta::decode_record(black_box(&record)).unwrap());
+    });
+    let tree_us = time_per_iter_us(iters, || {
+        let tree = serde_json::to_value(black_box(&meta)).unwrap();
+        black_box(serde_json::from_value::<ObjectMeta>(black_box(tree)).unwrap());
+    });
+    assert!(
+        record_us <= GATE_MAX_US,
+        "metadata record round trip {record_us:.3} µs > {GATE_MAX_US} µs"
+    );
+    serde_json::json!({
+        "layout": "4 KiB, 1 stripe, 3-of-4",
+        "record_bytes": meta.encode_record().len(),
+        "tree_heap_bytes": serde_json::to_value(&meta).unwrap().heap_bytes(),
+        "record_round_trip_us": record_us,
+        "tree_round_trip_us": tree_us,
+        "speedup": tree_us / record_us,
+        "gate_max_us": GATE_MAX_US,
+        "gate": "pass",
+    })
+}
+
 /// Runs every section once, publishes `BENCH_raw_speed.json`, and
 /// asserts the acceptance gates.
 fn raw_speed_baseline() {
@@ -381,6 +454,7 @@ fn raw_speed_baseline() {
     let append = checksum_append_section();
     let staged = encode_staged_section();
     let placement = placement_section();
+    let meta_record = meta_record_section();
     let report = serde_json::json!({
         "bench": "raw_speed",
         "gf256": gf256,
@@ -389,17 +463,21 @@ fn raw_speed_baseline() {
         "checksum.append": append,
         "erasure.encode_staged": staged,
         "placement_search": placement,
+        "metastore.meta_record": meta_record,
     });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_raw_speed.json");
     std::fs::write(path, format!("{report:#}\n")).unwrap();
     eprintln!(
-        "raw_speed baseline: kernel {} | parity {:.1}x | search-16 {:.3} ms -> {path}",
+        "raw_speed baseline: kernel {} | parity {:.1}x | search-16 {:.3} ms | meta record {:.2} µs -> {path}",
         gf256::active_kernel().name(),
         report["rs_parity_1mib"]["speedup"].as_f64().unwrap_or(0.0),
         report["placement_search"]
             .as_array()
             .and_then(|rows| rows.first())
             .and_then(|r| r["with_dominance_ms"].as_f64())
+            .unwrap_or(0.0),
+        report["metastore.meta_record"]["record_round_trip_us"]
+            .as_f64()
             .unwrap_or(0.0),
     );
 }

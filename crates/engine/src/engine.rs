@@ -52,8 +52,7 @@ use scalia_types::object::{ObjectKey, ObjectMeta, ObjectVersionId, StripeMeta, S
 use scalia_types::rules::StorageRule;
 use scalia_types::size::ByteSize;
 use scalia_types::stats::AccessHistory;
-use serde::Deserialize;
-use serde_json::json;
+use serde_json::{json, Value};
 use std::sync::Arc;
 
 /// Default decision period, in sampling periods, for freshly written objects
@@ -209,8 +208,8 @@ impl Engine {
     /// releasing the row commit lock — provider round-trips must not happen
     /// under the lock.
     #[must_use = "the returned stripings' chunks must be garbage-collected"]
-    fn commit_metadata(&self, meta: &ObjectMeta) -> Result<Vec<StripingMeta>> {
-        self.commit_metadata_with_debt(meta, None, None)
+    fn commit_metadata(&self, row_key: &str, meta: &ObjectMeta) -> Result<Vec<StripingMeta>> {
+        self.commit_metadata_with_debt(row_key, meta, None, None)
     }
 
     /// [`Self::commit_metadata`], optionally recording a durability debt
@@ -221,28 +220,30 @@ impl Engine {
     /// journaled transaction on the replicated store, so a crash at any
     /// point replays to either the old or the new placement, never a torn
     /// mixture, and never to an object stranded outside its class group.
+    ///
+    /// The `meta` cell holds `meta`'s encoded record
+    /// ([`ObjectMeta::encode_record`]); `row_key` is `meta`'s row.
     #[must_use = "the returned stripings' chunks must be garbage-collected"]
     pub(crate) fn commit_metadata_with_debt(
         &self,
+        row_key: &str,
         meta: &ObjectMeta,
         debt: Option<serde_json::Value>,
         class_id: Option<&str>,
     ) -> Result<Vec<StripingMeta>> {
-        let row_key = meta.row_key();
-        let value = serde_json::to_value(meta)
-            .map_err(|e| ScaliaError::Internal(format!("serialize metadata: {e}")))?;
+        let row_key = row_key.to_string();
         let timestamp = self.infra.next_timestamp();
         let mut ops = vec![
             JournalOp::Put {
                 row_key: row_key.clone(),
                 column: "meta".to_string(),
-                value,
+                value: Value::Bytes(meta.encode_record()),
                 timestamp,
             },
             // The optimiser digest: the compact slice of the metadata the
             // class-centric sweep needs per member (rule fingerprint,
             // current placement, size, lifetime hints). Reading it costs a
-            // fraction of deserialising full metadata, so a steady-state
+            // fraction of decoding full metadata, so a steady-state
             // optimisation cycle never touches the `meta` column of members
             // that stay put.
             JournalOp::Put {
@@ -303,9 +304,11 @@ impl Engine {
             ));
         }
         let pruned = self.infra.database().transaction(ops)?;
+        // The pruned set also holds `opt` and repair-queue cells: they are
+        // not metadata records, so they fail to decode and drop out.
         Ok(pruned
             .iter()
-            .filter_map(|cell| ObjectMeta::deserialize(&cell.value).ok())
+            .filter_map(|cell| decode_meta(&cell.value).ok())
             .filter(|old_meta| old_meta.version != meta.version)
             .map(|old_meta| old_meta.striping)
             .collect())
@@ -326,7 +329,7 @@ impl Engine {
         let row_key = key.row_key();
         if let Some(data) = self.local_cache.get(&row_key) {
             self.log_access(
-                key,
+                &row_key,
                 AccessKind::Read,
                 ByteSize::from_bytes(data.len() as u64),
                 ByteSize::from_bytes(data.len() as u64),
@@ -340,11 +343,11 @@ impl Engine {
             // Snapshot the cache's invalidation epoch BEFORE the metadata
             // read: any write committed after this point bumps it.
             let epoch = self.local_cache.read_epoch(&row_key);
-            let meta = self.read_metadata(key)?;
+            let meta = self.read_meta(key, &row_key)?;
             match chunk_io::fetch_and_reassemble(&self.infra, &meta) {
                 Ok(data) => {
                     self.populate_cache_if_unchanged(&row_key, &meta, &data, epoch);
-                    self.log_access(key, AccessKind::Read, meta.size, meta.size);
+                    self.log_access(&row_key, AccessKind::Read, meta.size, meta.size);
                     return Ok(data);
                 }
                 // Chunks vanished or failed mid-read: the version was likely
@@ -390,17 +393,21 @@ impl Engine {
             .put_if_epoch(row_key, data.clone(), digests, epoch);
     }
 
-    /// Reads and deserialises the current metadata version of an object.
+    /// Reads and decodes the current metadata version of an object.
     pub fn read_metadata(&self, key: &ObjectKey) -> Result<ObjectMeta> {
-        // Decoded straight out of the stored cell, under the node's read
-        // lock: no copy of the value tree is made.
+        self.read_meta(key, &key.row_key())
+    }
+
+    /// [`Self::read_metadata`] for a caller that already holds the row key.
+    /// The record is decoded straight out of the stored cell, under the
+    /// node's read lock, without copying it.
+    pub(crate) fn read_meta(&self, key: &ObjectKey, row_key: &str) -> Result<ObjectMeta> {
         self.infra
             .database()
-            .with_latest(self.datacenter, &key.row_key(), "meta", |cell| {
-                ObjectMeta::deserialize(&cell.value)
+            .with_latest(self.datacenter, row_key, "meta", |cell| {
+                decode_meta(&cell.value)
             })
             .ok_or_else(|| ScaliaError::ObjectNotFound(key.clone()))?
-            .map_err(|e| ScaliaError::Internal(format!("deserialize metadata: {e}")))
     }
 
     /// Lists the keys currently stored in a container.
@@ -443,7 +450,7 @@ impl Engine {
         // its freshly-written chunks); the provider-facing chunk deletion
         // happens after release, like every other call site.
         let commit_guard = self.infra.lock_row_commit(&row_key);
-        let meta = self.read_metadata(key)?;
+        let meta = self.read_meta(key, &row_key)?;
         let stats = self.infra.statistics(self.datacenter);
         let timestamp = self.infra.next_timestamp();
 
@@ -523,8 +530,9 @@ impl Engine {
         key: &ObjectKey,
         new_placement: &Placement,
     ) -> Result<ObjectMeta> {
-        let old_meta = self.read_metadata(key)?;
-        let version = self.infra.next_version(&key.row_key());
+        let row_key = key.row_key();
+        let old_meta = self.read_meta(key, &row_key)?;
+        let version = self.infra.next_version(&row_key);
         let base_skey = StripingMeta::storage_key(key, version);
         let params = new_placement.erasure_params();
 
@@ -568,7 +576,7 @@ impl Engine {
             },
             ..old_meta
         };
-        self.commit_replacement(key, old_meta.version, &new_meta)?;
+        self.commit_replacement(key, &row_key, old_meta.version, &new_meta)?;
         Ok(new_meta)
     }
 
@@ -580,6 +588,7 @@ impl Engine {
     fn commit_replacement(
         &self,
         key: &ObjectKey,
+        row_key: &str,
         old_version: ObjectVersionId,
         new_meta: &ObjectMeta,
     ) -> Result<()> {
@@ -594,12 +603,12 @@ impl Engine {
         // chunk deletions (GC of the old version, or rollback of ours)
         // happen after the lock is released.
         let outcome = {
-            let _commit = self.infra.lock_row_commit(&key.row_key());
-            match self.read_metadata(key) {
+            let _commit = self.infra.lock_row_commit(row_key);
+            match self.read_meta(key, row_key) {
                 Ok(current) if current.version == old_version => {
-                    match self.commit_metadata(new_meta) {
+                    match self.commit_metadata(row_key, new_meta) {
                         Ok(deprecated) => {
-                            self.invalidate_everywhere(&key.row_key());
+                            self.invalidate_everywhere(row_key);
                             CommitOutcome::Committed(deprecated)
                         }
                         Err(err) => CommitOutcome::Failed(err),
@@ -647,19 +656,30 @@ impl Engine {
 
     pub(crate) fn log_access(
         &self,
-        key: &ObjectKey,
+        row_key: &str,
         kind: AccessKind,
         bytes: ByteSize,
         size: ByteSize,
     ) {
         self.log_agent.log(AccessLogRecord {
             engine: self.id,
-            object_row_key: key.row_key(),
+            object_row_key: row_key.to_string(),
             period: self.infra.current_period(),
             kind,
             bytes,
             object_size: size,
         });
+    }
+}
+
+/// Decodes a `meta` cell: the record [`Engine::commit_metadata_with_debt`]
+/// wrote ([`ObjectMeta::decode_record`]). Any other value is an error.
+pub(crate) fn decode_meta(value: &Value) -> Result<ObjectMeta> {
+    match value {
+        Value::Bytes(record) => ObjectMeta::decode_record(record),
+        _ => Err(ScaliaError::Internal(
+            "metadata record: the meta cell holds no record".to_string(),
+        )),
     }
 }
 
@@ -718,6 +738,44 @@ mod tests {
         for idx in 0..cluster.engine_count() {
             let data = cluster.engine(idx).get(&key).unwrap();
             assert_eq!(data, payload);
+        }
+    }
+
+    /// A `meta` cell that holds no valid record — garbage bytes, or a value
+    /// tree — fails the read path with `Internal`, and the orphan sweep
+    /// skips it and completes.
+    #[test]
+    fn an_undecodable_meta_cell_is_an_internal_error() {
+        let cluster = cluster();
+        let engine = cluster.engine(0);
+        let infra = cluster.infra();
+        let key = ObjectKey::new("photos", "garbled.jpg");
+        engine
+            .put(
+                &key,
+                Bytes::from(vec![3u8; 5_000]),
+                "image/jpeg",
+                rule(),
+                None,
+            )
+            .unwrap();
+        for garbage in [
+            Value::Bytes(vec![1, 0xff, 0xff, 0xff, 0xff, 7].into_boxed_slice()),
+            Value::Bytes(Box::default()),
+            json!({ "key": "not a record" }),
+        ] {
+            infra
+                .database()
+                .put(&key.row_key(), "meta", garbage, infra.next_timestamp())
+                .unwrap();
+            let err = engine.get(&key).unwrap_err();
+            assert!(matches!(err, ScaliaError::Internal(_)), "{err}");
+            let report = crate::gc::sweep_orphan_chunks(infra);
+            assert!(
+                report.chunks_referenced > 0,
+                "the first version still counts"
+            );
+            assert_eq!(report.orphans_deleted, 0);
         }
     }
 

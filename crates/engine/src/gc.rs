@@ -14,9 +14,8 @@
 //! moment — the journal has been replayed, no client writes are running —
 //! and is the intended call site.
 
+use crate::engine::decode_meta;
 use crate::infra::Infrastructure;
-use scalia_types::object::ObjectMeta;
-use serde::Deserialize;
 use std::collections::HashSet;
 
 /// Outcome of one [`sweep_orphan_chunks`] pass.
@@ -55,7 +54,7 @@ pub fn sweep_orphan_chunks(infra: &Infrastructure) -> GcReport {
                 continue;
             };
             for cell in cells {
-                let Ok(meta) = ObjectMeta::deserialize(&cell.value) else {
+                let Ok(meta) = decode_meta(&cell.value) else {
                     continue;
                 };
                 for (_, key) in meta.striping.all_chunk_refs() {

@@ -31,7 +31,7 @@
 //! simulator's adaptive policy also runs: the decision-period bound, the
 //! `D/2`/`D`/`2D` adjustment and search, and the migration gate.
 
-use crate::engine::Engine;
+use crate::engine::{decode_meta, Engine};
 use crate::infra::Infrastructure;
 use parking_lot::Mutex;
 use scalia_core::classify::ClassUsage;
@@ -48,7 +48,6 @@ use scalia_types::object::{ObjectKey, ObjectMeta};
 use scalia_types::size::ByteSize;
 use scalia_types::stats::DEFAULT_HISTORY_LEN;
 use scalia_types::time::Duration;
-use serde::Deserialize;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -118,7 +117,7 @@ struct MigrationCandidate {
 /// class-centric sweep needs per member — rule identity for subgrouping,
 /// current placement for the already-there short-circuit, size and
 /// lifetime hints for the group's usage prediction. Reading and decoding it
-/// costs a fraction of deserialising full [`ObjectMeta`], so a cycle only
+/// costs a fraction of decoding full [`ObjectMeta`], so a cycle only
 /// pays the metadata read for members that actually diverge from their
 /// group's decision.
 #[derive(Debug, Clone)]
@@ -212,14 +211,14 @@ impl MemberDigest {
 }
 
 /// The current metadata of the object at `row_key`, decoded straight out of
-/// the stored cell (no copy of the value tree); `None` when the object is
+/// the stored cell (the record is not copied); `None` when the object is
 /// gone or its metadata does not parse.
 fn load_meta(engine: &Engine, row_key: &str) -> Option<ObjectMeta> {
     engine
         .infra()
         .database()
         .with_latest(engine.datacenter(), row_key, "meta", |cell| {
-            ObjectMeta::deserialize(&cell.value).ok()
+            decode_meta(&cell.value).ok()
         })
         .flatten()
 }

@@ -42,7 +42,7 @@
 //! in parallel with rollback on failure. A successful migration commits at
 //! full width, which settles any degraded-write debt atomically.
 
-use crate::engine::Engine;
+use crate::engine::{decode_meta, Engine};
 use crate::infra::{retry_backoff_secs, Infrastructure};
 use scalia_core::availability::get_availability;
 use scalia_core::cost::PredictedUsage;
@@ -53,7 +53,6 @@ use scalia_types::ids::ProviderId;
 use scalia_types::money::Money;
 use scalia_types::object::{ObjectKey, ObjectMeta};
 use scalia_types::time::SimTime;
-use serde::Deserialize;
 use serde_json::{json, Value};
 use std::sync::Arc;
 
@@ -384,7 +383,7 @@ pub fn repair_provider(
         .filter_map(|(_, row)| {
             row.get("meta")
                 .and_then(|cells| cells.last())
-                .and_then(|cell| ObjectMeta::deserialize(&cell.value).ok())
+                .and_then(|cell| decode_meta(&cell.value).ok())
         })
         .filter(|meta| meta.striping.provider_set().contains(&failed_provider))
         .collect();

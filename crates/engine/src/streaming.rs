@@ -178,6 +178,8 @@ fn is_injected_crash(err: &ScaliaError) -> bool {
 pub struct MultipartUpload<E: Borrow<Engine> = Arc<Engine>> {
     engine: E,
     key: ObjectKey,
+    /// `key`'s metadata row, computed once for the whole upload.
+    row_key: String,
     mime: String,
     rule: StorageRule,
     ttl_hint_hours: Option<f64>,
@@ -267,10 +269,12 @@ impl Engine {
         let hint = size_hint.unwrap_or(ByteSize::from_bytes(stripe_size as u64));
         let class = ObjectClass::of(mime, hint);
         let usage = this.predict_usage(&class, hint, ttl_hint_hours);
-        let version = this.infra().next_version(&key.row_key());
+        let row_key = key.row_key();
+        let version = this.infra().next_version(&row_key);
         MultipartUpload {
             engine,
             key: key.clone(),
+            row_key,
             mime: mime.to_string(),
             rule,
             ttl_hint_hours,
@@ -303,7 +307,7 @@ impl Engine {
         let row_key = key.row_key();
         if let Some((slice, size)) = self.local_cache().get_range(&row_key, offset, len) {
             self.log_access(
-                key,
+                &row_key,
                 AccessKind::Read,
                 ByteSize::from_bytes(slice.len() as u64),
                 ByteSize::from_bytes(size),
@@ -317,11 +321,11 @@ impl Engine {
         // cache — only full reads do.
         let mut last_err = ScaliaError::ObjectNotFound(key.clone());
         for _ in 0..RANGE_READ_ATTEMPTS {
-            let meta = self.read_metadata(key)?;
+            let meta = self.read_meta(key, &row_key)?;
             match chunk_io::fetch_range(self.infra(), &meta, offset, len) {
                 Ok(bytes) => {
                     self.log_access(
-                        key,
+                        &row_key,
                         AccessKind::Read,
                         ByteSize::from_bytes(bytes.len() as u64),
                         meta.size,
@@ -417,6 +421,7 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         let MultipartUpload {
             engine,
             key,
+            row_key,
             mime,
             rule,
             ttl_hint_hours,
@@ -489,10 +494,10 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
             })
         });
         let deprecated = {
-            let _commit = engine.infra().lock_row_commit(&meta.row_key());
+            let _commit = engine.infra().lock_row_commit(&row_key);
             let deprecated =
-                engine.commit_metadata_with_debt(&meta, debt, Some(final_class.id()))?;
-            engine.invalidate_everywhere(&meta.row_key());
+                engine.commit_metadata_with_debt(&row_key, &meta, debt, Some(final_class.id()))?;
+            engine.invalidate_everywhere(&row_key);
             deprecated
         };
         // Chaos crash point: the commit is durable but the deprecated-chunk
@@ -501,7 +506,7 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         for striping in &deprecated {
             engine.delete_chunks(striping);
         }
-        engine.log_access(&meta.key, AccessKind::Write, size, size);
+        engine.log_access(&row_key, AccessKind::Write, size, size);
         Ok(meta)
     }
 
@@ -686,7 +691,7 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
             } else {
                 None
             };
-            skey = skey_of(infra.next_version(&self.key.row_key()));
+            skey = skey_of(infra.next_version(&self.row_key));
             let Some(next) = replacement else {
                 // Degrade on the placement whose upload just failed, or
                 // surface that failure.

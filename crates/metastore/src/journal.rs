@@ -30,12 +30,12 @@
 //! each becomes a `LoggedOp`, whose `Put` carries its cell behind an
 //! `Arc`: the `Begin` record, a hint queued for a node that is down and the
 //! column of every replica point at that one allocation, so a replicated
-//! put allocates its value tree once — when the caller built it. Cells are
+//! put allocates its value once — when the caller built it. Cells are
 //! immutable once stored, so the sharing is never observable.
 //!
-//! The journal keeps every record, so each put holds its tree here for
-//! the life of the store: for a small object's metadata, 19 allocations
-//! and ≈ 2.1 KB of heap (see [`Cell`]).
+//! The journal keeps every record, so each put holds its value here for
+//! the life of the store: for a small object's metadata, one encoded
+//! record of ≈ 250 B (see [`Cell`]).
 
 use crate::model::{Cell, Row, Timestamp};
 use parking_lot::Mutex;

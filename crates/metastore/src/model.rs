@@ -38,14 +38,13 @@ impl Timestamp {
 
 /// One version of a column value.
 ///
-/// The value is a `serde_json::Value` tree, kept for as long as its version
-/// is: in the column, and in the journal record that logged it. A tree
-/// costs what it holds — each object's members sit in one exact-size
-/// vector and derived field names are static strings — so the
-/// `ObjectMeta` of a one-stripe 3-of-4 object is 19 allocations and
-/// ≈ 2.1 KB of heap (≈ 600 B as JSON text), and a 16-stripe 4-of-5 one
-/// 155 allocations and ≈ 17.6 KB (`Value::heap_bytes`, pinned by
-/// `scalia-types`' `meta_footprint` tests).
+/// The value is kept for as long as its version is: in the column, and in
+/// the journal record that logged it. An object's `meta` cell holds its
+/// `ObjectMeta` as one encoded record (`Value::Bytes`, one allocation):
+/// 253 B for a one-stripe 3-of-4 object and ≈ 1.9 KB for a 16-stripe
+/// 4-of-5 one (`Value::heap_bytes`, pinned by `scalia-types`'
+/// `meta_footprint` tests). The other row kinds are still small `Value`
+/// trees.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Cell {
     /// The stored value (JSON so heterogeneous metadata fits one model).

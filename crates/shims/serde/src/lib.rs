@@ -163,6 +163,12 @@ pub enum Value {
     Array(Vec<Value>),
     /// JSON object.
     Object(Map),
+    /// An opaque encoded record, such as the one `ObjectMeta` is stored
+    /// as in a metastore `meta` cell: one allocation, decoded by its owner
+    /// and by nothing here. Its JSON text is a string of lowercase hex. It
+    /// bridges until every row kind has its own record and cells hold
+    /// bytes rather than `Value`s.
+    Bytes(Box<[u8]>),
 }
 
 /// A JSON number. Non-negative integers normalize to `PosInt`, negative
@@ -270,6 +276,7 @@ impl Value {
                     + a.iter().map(Value::heap_bytes).sum::<usize>()
             }
             Value::Object(m) => m.heap_bytes(),
+            Value::Bytes(b) => b.len(),
         }
     }
 }
@@ -388,6 +395,13 @@ impl fmt::Display for Value {
                     write!(f, ":{v}")?;
                 }
                 write!(f, "}}")
+            }
+            Value::Bytes(b) => {
+                write!(f, "\"")?;
+                for byte in b.iter() {
+                    write!(f, "{byte:02x}")?;
+                }
+                write!(f, "\"")
             }
         }
     }
@@ -670,6 +684,15 @@ mod tests {
             format!("{printable:?}")
         );
         assert_eq!(Value::Number(Number::Float(2.5)).to_string(), "2.5");
+    }
+
+    #[test]
+    fn bytes_own_their_length_and_print_as_a_hex_string() {
+        let record = Value::Bytes(vec![0x00, 0x0f, 0xa0, 0xff].into_boxed_slice());
+        assert_eq!(record.heap_bytes(), 4);
+        assert_eq!(record.to_string(), r#""000fa0ff""#);
+        assert_eq!(Value::Bytes(Box::default()).to_string(), r#""""#);
+        assert_eq!(record.as_str(), None, "a record is not a string");
     }
 
     /// Runtime and static keys, with prefixes of one another, a control

@@ -7,11 +7,14 @@
 //! erasure-coded chunk lives: the paper's Fig. 11 record, one per stripe
 //! ([`StripingMeta`]).
 
+use crate::error::{self, ScaliaError};
 use crate::ids::ProviderId;
 use crate::md5;
+use crate::reliability::Reliability;
 use crate::rules::StorageRule;
 use crate::size::ByteSize;
 use crate::time::SimTime;
+use crate::zone::ZoneSet;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -308,6 +311,250 @@ impl ObjectMeta {
     /// The metadata row key of the object.
     pub fn row_key(&self) -> String {
         self.key.row_key()
+    }
+
+    /// The stored form of this version: one compact binary record in one
+    /// exact-size allocation. Layout (version
+    /// [`META_RECORD_VERSION`]; integers little-endian, `f64`s as their raw
+    /// bits, strings as a `u32` byte length then UTF-8, options as a `0`/`1`
+    /// tag byte then the value when `1`):
+    ///
+    /// ```text
+    /// u8 version | str container | str key | u128 version id | str mime
+    /// u64 size | str checksum
+    /// str rule.name | f64 durability | f64 availability | u8 zones
+    /// f64 lockin | f64 latency_weight | opt<u64> read_sla_us
+    /// u64 written_at | opt<f64> ttl_hint_hours
+    /// u64 stripe_size | u32 stripe count, then per stripe:
+    ///   u32 m | str checksum | str skey | u32 chunk count,
+    ///   then per chunk: u32 index | u32 provider
+    /// ```
+    ///
+    /// [`Self::decode_record`] is its inverse.
+    pub fn encode_record(&self) -> Box<[u8]> {
+        let mut out = Vec::with_capacity(self.record_len());
+        out.push(META_RECORD_VERSION);
+        put_str(&mut out, &self.key.container);
+        put_str(&mut out, &self.key.key);
+        out.extend_from_slice(&self.version.0.to_le_bytes());
+        put_str(&mut out, &self.mime);
+        out.extend_from_slice(&self.size.bytes().to_le_bytes());
+        put_str(&mut out, &self.checksum);
+        let rule = &self.rule;
+        put_str(&mut out, &rule.name);
+        for x in [
+            rule.durability.probability(),
+            rule.availability.probability(),
+        ] {
+            out.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+        out.push(rule.zones.bits());
+        for x in [rule.lockin, rule.latency_weight] {
+            out.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+        put_opt(&mut out, rule.read_sla_us);
+        out.extend_from_slice(&self.written_at.secs().to_le_bytes());
+        put_opt(&mut out, self.ttl_hint_hours.map(f64::to_bits));
+        out.extend_from_slice(&self.striping.stripe_size.to_le_bytes());
+        put_len(&mut out, self.striping.stripes.len());
+        for stripe in &self.striping.stripes {
+            out.extend_from_slice(&stripe.m.to_le_bytes());
+            put_str(&mut out, &stripe.checksum);
+            put_str(&mut out, &stripe.skey);
+            put_len(&mut out, stripe.chunks.len());
+            for chunk in &stripe.chunks {
+                out.extend_from_slice(&chunk.index.to_le_bytes());
+                out.extend_from_slice(&chunk.provider.index().to_le_bytes());
+            }
+        }
+        debug_assert_eq!(out.len(), out.capacity(), "record_len is exact");
+        out.into_boxed_slice()
+    }
+
+    /// The exact length of [`Self::encode_record`]'s output.
+    fn record_len(&self) -> usize {
+        let str_len = |s: &str| 4 + s.len();
+        let opt_len = |some: bool| if some { 9 } else { 1 };
+        let stripes: usize = self
+            .striping
+            .stripes
+            .iter()
+            .map(|s| 4 + str_len(&s.checksum) + str_len(&s.skey) + 4 + 8 * s.chunks.len())
+            .sum();
+        1 + str_len(&self.key.container)
+            + str_len(&self.key.key)
+            + 16
+            + str_len(&self.mime)
+            + 8
+            + str_len(&self.checksum)
+            + str_len(&self.rule.name)
+            + 8 * 4
+            + 1
+            + opt_len(self.rule.read_sla_us.is_some())
+            + 8
+            + opt_len(self.ttl_hint_hours.is_some())
+            + 8
+            + 4
+            + stripes
+    }
+
+    /// Decodes a record [`Self::encode_record`] wrote. Truncated input,
+    /// trailing bytes, an unknown version byte, a bad option tag or a
+    /// string that is not UTF-8 is an [`ScaliaError::Internal`] error,
+    /// never a panic.
+    pub fn decode_record(record: &[u8]) -> error::Result<ObjectMeta> {
+        let mut r = RecordReader { rest: record };
+        let version = r.u8()?;
+        if version != META_RECORD_VERSION {
+            return Err(record_error(format!("unknown version {version}")));
+        }
+        let key = ObjectKey {
+            container: r.string()?,
+            key: r.string()?,
+        };
+        let version = ObjectVersionId(u128::from_le_bytes(r.array()?));
+        let mime = r.string()?;
+        let size = ByteSize::from_bytes(r.u64()?);
+        let checksum = r.string()?;
+        // `from_probability` clamps into [0, 1], where every `Reliability`
+        // already is.
+        let rule = StorageRule {
+            name: r.string()?,
+            durability: Reliability::from_probability(r.f64()?),
+            availability: Reliability::from_probability(r.f64()?),
+            zones: ZoneSet::from_bits(r.u8()?),
+            lockin: r.f64()?,
+            latency_weight: r.f64()?,
+            read_sla_us: r.opt()?,
+        };
+        let written_at = SimTime::from_secs(r.u64()?);
+        let ttl_hint_hours = r.opt()?.map(f64::from_bits);
+        let stripe_size = r.u64()?;
+        // Every count is checked against the bytes left before anything is
+        // allocated for it: a stripe takes ≥ 16 bytes, a chunk 8.
+        let stripe_count = r.count(16)?;
+        let mut stripes = Vec::with_capacity(stripe_count);
+        for _ in 0..stripe_count {
+            let m = r.u32()?;
+            let checksum = r.string()?;
+            let skey = r.string()?;
+            let chunk_count = r.count(8)?;
+            let mut chunks = Vec::with_capacity(chunk_count);
+            for _ in 0..chunk_count {
+                chunks.push(ChunkLocation {
+                    index: r.u32()?,
+                    provider: ProviderId::new(r.u32()?),
+                });
+            }
+            stripes.push(StripeMeta {
+                chunks,
+                m,
+                checksum,
+                skey,
+            });
+        }
+        if !r.rest.is_empty() {
+            return Err(record_error(format!("{} trailing bytes", r.rest.len())));
+        }
+        Ok(ObjectMeta {
+            key,
+            version,
+            mime,
+            size,
+            checksum,
+            rule,
+            written_at,
+            ttl_hint_hours,
+            striping: StripingMeta {
+                stripe_size,
+                stripes,
+            },
+        })
+    }
+}
+
+/// The layout version [`ObjectMeta::encode_record`] writes as its first
+/// byte; [`ObjectMeta::decode_record`] refuses any other.
+pub const META_RECORD_VERSION: u8 = 1;
+
+fn put_len(out: &mut Vec<u8>, len: usize) {
+    let len = u32::try_from(len).expect("a metadata record field fits u32");
+    out.extend_from_slice(&len.to_le_bytes());
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_len(out, s.len());
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn put_opt(out: &mut Vec<u8>, value: Option<u64>) {
+    match value {
+        Some(v) => {
+            out.push(1);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        None => out.push(0),
+    }
+}
+
+fn record_error(what: String) -> ScaliaError {
+    ScaliaError::Internal(format!("metadata record: {what}"))
+}
+
+/// A cursor over a metadata record: every read takes bytes off the front
+/// of `rest`, or fails when too few are left.
+struct RecordReader<'a> {
+    rest: &'a [u8],
+}
+
+impl RecordReader<'_> {
+    fn array<const N: usize>(&mut self) -> error::Result<[u8; N]> {
+        let Some((head, rest)) = self.rest.split_first_chunk::<N>() else {
+            return Err(record_error("truncated".to_string()));
+        };
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> error::Result<u8> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> error::Result<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> error::Result<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> error::Result<f64> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// A `u32` count of items of at least `min_item_len` bytes each, which
+    /// the bytes left must be able to hold.
+    fn count(&mut self, min_item_len: usize) -> error::Result<usize> {
+        let count = self.u32()? as usize;
+        if count > self.rest.len() / min_item_len {
+            return Err(record_error(format!("count {count} overruns the record")));
+        }
+        Ok(count)
+    }
+
+    fn string(&mut self) -> error::Result<String> {
+        let len = self.count(1)?;
+        let (bytes, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        String::from_utf8(bytes.to_vec()).map_err(|e| record_error(e.to_string()))
+    }
+
+    fn opt(&mut self) -> error::Result<Option<u64>> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => self.u64().map(Some),
+            tag => Err(record_error(format!("option tag {tag}"))),
+        }
     }
 }
 

@@ -76,6 +76,11 @@ impl ZoneSet {
         self.0
     }
 
+    /// The set whose raw bitmask is `bits` (the inverse of [`Self::bits`]).
+    pub(crate) fn from_bits(bits: u8) -> ZoneSet {
+        ZoneSet(bits)
+    }
+
     /// Returns `true` if the set contains `zone`.
     pub fn contains(self, zone: Zone) -> bool {
         self.0 & Self::bit(zone) != 0

@@ -1,16 +1,16 @@
 //! What one stored version of an object's metadata costs in memory.
 //!
-//! The metastore keeps every version of every object's `ObjectMeta` as a
-//! `Value` tree for as long as the journal holds it, so the tree's heap
-//! footprint is the metastore's footprint per put. These tests pin it for
-//! the two layouts the benchmark's closed-loop workloads write: a 4 KiB
-//! object (one stripe, 3-of-4) and an 8 MiB one (16 stripes of 512 KiB,
-//! 4-of-5).
+//! The metastore keeps every version of every object's `ObjectMeta` as its
+//! encoded record (`ObjectMeta::encode_record`) for as long as the journal
+//! holds it: one boxed byte slice, so one allocation whose heap footprint
+//! is the record's length. These tests pin it for the two layouts the
+//! benchmark's closed-loop workloads write: a 4 KiB object (one stripe,
+//! 3-of-4) and an 8 MiB one (16 stripes of 512 KiB, 4-of-5).
 
 use scalia_types::checksum::checksum_hex;
 use scalia_types::object::ChunkLocation;
 use scalia_types::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Value;
 
 fn meta(stripes: usize, m: u32, n: u32) -> ObjectMeta {
     let key = ObjectKey::new("c07", "k00001234");
@@ -59,22 +59,26 @@ fn meta(stripes: usize, m: u32, n: u32) -> ObjectMeta {
     }
 }
 
-/// Serialises `meta`, checks the tree round-trips, and returns its heap
-/// bytes.
+/// Encodes `meta` as a `meta` cell stores it, checks the record
+/// round-trips, and returns the cell value's heap bytes: the one boxed
+/// slice the record is.
 fn stored_bytes(meta: &ObjectMeta) -> usize {
-    let value = meta.serialize();
-    assert_eq!(&ObjectMeta::deserialize(&value).unwrap(), meta);
-    value.heap_bytes()
+    let record = meta.encode_record();
+    assert_eq!(&ObjectMeta::decode_record(&record).unwrap(), meta);
+    let len = record.len();
+    let value = Value::Bytes(record);
+    assert_eq!(value.heap_bytes(), len);
+    len
 }
 
 #[test]
-fn a_small_objects_metadata_tree_stays_compact() {
+fn a_small_objects_metadata_record_stays_compact() {
     let bytes = stored_bytes(&meta(1, 3, 4));
-    assert!(bytes <= 2_200, "one-stripe 3-of-4 metadata holds {bytes} B");
+    assert!(bytes <= 300, "one-stripe 3-of-4 metadata holds {bytes} B");
 }
 
 #[test]
-fn a_striped_objects_metadata_tree_stays_compact() {
+fn a_striped_objects_metadata_record_stays_compact() {
     let bytes = stored_bytes(&meta(16, 4, 5));
-    assert!(bytes <= 18_000, "16-stripe 4-of-5 metadata holds {bytes} B");
+    assert!(bytes <= 2_200, "16-stripe 4-of-5 metadata holds {bytes} B");
 }

@@ -77,7 +77,10 @@ fn latest_meta(infra: &Infrastructure, key: &ObjectKey) -> Option<ObjectMeta> {
     infra
         .database()
         .get_latest(DatacenterId::new(0), &key.row_key(), "meta")
-        .and_then(|cell| serde_json::from_value::<ObjectMeta>(cell.value).ok())
+        .and_then(|cell| match cell.value {
+            serde_json::Value::Bytes(record) => ObjectMeta::decode_record(&record).ok(),
+            _ => None,
+        })
 }
 
 fn has_debt(infra: &Infrastructure, key: &ObjectKey) -> bool {
