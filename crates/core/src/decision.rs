@@ -98,7 +98,7 @@ impl DecisionPeriodController {
     /// windows of different lengths are comparable. `upper_bound` is
     /// `min(TTL_obj, |H_obj|)` — pass the available history length when the
     /// object's lifetime is unknown.
-    pub fn on_optimization(
+    pub(crate) fn on_optimization(
         &mut self,
         upper_bound: Duration,
         mut evaluate: impl FnMut(Duration) -> Money,

@@ -629,11 +629,10 @@ mod tests {
     use scalia_erasure::codec::encode_object;
     use scalia_providers::catalog::ProviderCatalog;
     use scalia_types::checksum::checksum_hex;
-    use scalia_types::time::Duration as SimDuration;
     use std::sync::Arc;
 
     fn infra() -> Arc<Infrastructure> {
-        Infrastructure::new(ProviderCatalog::paper_catalog(), 1, SimDuration::HOUR)
+        Infrastructure::new(ProviderCatalog::paper_catalog(), 1)
     }
 
     fn placement_of(infra: &Infrastructure, count: usize, m: u32) -> Placement {

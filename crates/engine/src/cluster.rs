@@ -10,7 +10,7 @@
 //! statistics tables and reconciles the database replicas.
 
 use crate::cache::Cache;
-use crate::engine::Engine;
+use crate::engine::{load_class, Engine};
 use crate::infra::Infrastructure;
 use crate::optimizer::{OptimizationReport, PeriodicOptimizer};
 use crate::repair::{drain_repair_queue, RepairDrainReport};
@@ -27,7 +27,7 @@ use scalia_types::money::Money;
 use scalia_types::object::{ObjectKey, ObjectMeta};
 use scalia_types::rules::StorageRule;
 use scalia_types::size::ByteSize;
-use scalia_types::time::{Duration, SimTime};
+use scalia_types::time::SimTime;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -109,7 +109,7 @@ impl ScaliaClusterBuilder {
     /// Builds the cluster.
     pub fn build(self) -> ScaliaCluster {
         let catalog = self.catalog.unwrap_or_else(ProviderCatalog::paper_catalog);
-        let infra = Infrastructure::new(catalog, self.datacenters, Duration::HOUR);
+        let infra = Infrastructure::new(catalog, self.datacenters);
 
         let mut datacenters = Vec::new();
         for dc in 0..self.datacenters {
@@ -221,7 +221,8 @@ impl ScaliaCluster {
 
     /// Advances simulated time: charges storage at every provider, retries
     /// postponed deletes, flushes the log-aggregation pipeline into the
-    /// statistics tables, garbage-collects the statistics footprint (class
+    /// statistics tables (each object's class derived from its metadata
+    /// record), garbage-collects the statistics footprint (class
     /// sample caps, rollup retention), drains the durability-repair queue
     /// under the configured migration budget and runs one anti-entropy
     /// round across the database replicas. That round replays hinted
@@ -230,8 +231,12 @@ impl ScaliaCluster {
     /// metadata traffic however large the store has grown.
     pub fn tick(&self, now: SimTime) {
         self.infra.advance_clock(now);
-        let stats = self.infra.statistics(DatacenterId::new(0));
-        self.aggregator.flush(&stats, self.infra.next_timestamp());
+        let local = DatacenterId::new(0);
+        let stats = self.infra.statistics(local);
+        self.aggregator
+            .flush(&stats, self.infra.next_timestamp(), |row_key| {
+                load_class(&self.infra, local, row_key)
+            });
         stats.gc_statistics(self.infra.current_period());
         if let Ok(report) = drain_repair_queue(
             &self.engines[0],

@@ -34,7 +34,7 @@
 
 use crate::cache::{BlockDigests, Cache};
 use crate::chunk_io;
-use crate::infra::Infrastructure;
+use crate::infra::{Infrastructure, SAMPLING_PERIOD};
 use crate::streaming::stripe_skey;
 use bytes::Bytes;
 use scalia_core::classify::ObjectClass;
@@ -167,7 +167,7 @@ impl Engine {
             size,
             stats.mean_class_usage(class.id()).as_ref(),
             DEFAULT_DECISION_PERIODS,
-            self.infra.sampling_period(),
+            SAMPLING_PERIOD,
             ttl_hint_hours,
         )
     }
@@ -214,15 +214,17 @@ impl Engine {
 
     /// [`Self::commit_metadata`], optionally recording a durability debt
     /// and — for a client write, which may have changed the object's class —
-    /// its class record and dirty-set mark. The whole commit — metadata,
-    /// optimiser digest, container index, debt column and repair-queue
-    /// entry (or debt clearance), version prunes, class record — is one
-    /// journaled transaction on the replicated store, so a crash at any
-    /// point replays to either the old or the new placement, never a torn
-    /// mixture, and never to an object stranded outside its class group.
+    /// its class-tagged dirty-set mark. The whole commit — metadata,
+    /// container index, debt column and repair-queue entry (or debt
+    /// clearance), version prune, dirty mark — is one journaled transaction
+    /// on the replicated store, so a crash at any point replays to either
+    /// the old or the new placement, never a torn mixture, and never to an
+    /// object the optimiser's accessed set misses.
     ///
     /// The `meta` cell holds `meta`'s encoded record
-    /// ([`ObjectMeta::encode_record`]); `row_key` is `meta`'s row.
+    /// ([`ObjectMeta::encode_record`]), the object's one record: its class
+    /// is `ObjectClass::of(&meta.mime, meta.size)`, derived wherever it is
+    /// needed. `row_key` is `meta`'s row.
     #[must_use = "the returned stripings' chunks must be garbage-collected"]
     pub(crate) fn commit_metadata_with_debt(
         &self,
@@ -231,6 +233,28 @@ impl Engine {
         debt: Option<serde_json::Value>,
         class_id: Option<&str>,
     ) -> Result<Vec<StripingMeta>> {
+        let ops = self.commit_ops(row_key, meta, debt, class_id);
+        let pruned = self.infra.database().transaction(ops)?;
+        // The pruned set also holds repair-queue cells: they are not
+        // metadata records, so they fail to decode and drop out.
+        Ok(pruned
+            .iter()
+            .filter_map(|cell| decode_meta(&cell.value).ok())
+            .filter(|old_meta| old_meta.version != meta.version)
+            .map(|old_meta| old_meta.striping)
+            .collect())
+    }
+
+    /// The ops of one [`Self::commit_metadata_with_debt`] transaction, all
+    /// under one fresh timestamp. A clean client write is five: metadata,
+    /// container index, debt clearance, metadata prune, dirty mark.
+    fn commit_ops(
+        &self,
+        row_key: &str,
+        meta: &ObjectMeta,
+        debt: Option<serde_json::Value>,
+        class_id: Option<&str>,
+    ) -> Vec<JournalOp> {
         let row_key = row_key.to_string();
         let timestamp = self.infra.next_timestamp();
         let mut ops = vec![
@@ -238,18 +262,6 @@ impl Engine {
                 row_key: row_key.clone(),
                 column: "meta".to_string(),
                 value: Value::Bytes(meta.encode_record()),
-                timestamp,
-            },
-            // The optimiser digest: the compact slice of the metadata the
-            // class-centric sweep needs per member (rule fingerprint,
-            // current placement, size, lifetime hints). Reading it costs a
-            // fraction of decoding full metadata, so a steady-state
-            // optimisation cycle never touches the `meta` column of members
-            // that stay put.
-            JournalOp::Put {
-                row_key: row_key.clone(),
-                column: "opt".to_string(),
-                value: crate::optimizer::optimizer_digest(meta),
                 timestamp,
             },
             // Container index for LIST.
@@ -286,32 +298,19 @@ impl Engine {
             }),
         }
         // MVCC: the freshest version wins; deprecated versions are removed
-        // from the database here, their chunks by the caller. `meta` must
-        // be the FIRST prune: the transaction's pruned-cell set
-        // deduplicates on timestamps, and a version's meta/opt/debt cells
-        // share one — insertion order makes the meta cell the survivor.
+        // from the database here, their chunks by the caller.
         ops.push(JournalOp::Prune {
             row_key: row_key.clone(),
             column: "meta".to_string(),
         });
-        ops.push(JournalOp::Prune {
-            row_key: row_key.clone(),
-            column: "opt".to_string(),
-        });
         if let Some(class_id) = class_id {
-            ops.extend(StatisticsStore::object_class_ops(
-                &row_key, class_id, timestamp,
+            ops.push(StatisticsStore::dirty_mark_op(
+                &row_key,
+                Some(class_id),
+                timestamp,
             ));
         }
-        let pruned = self.infra.database().transaction(ops)?;
-        // The pruned set also holds `opt` and repair-queue cells: they are
-        // not metadata records, so they fail to decode and drop out.
-        Ok(pruned
-            .iter()
-            .filter_map(|cell| decode_meta(&cell.value).ok())
-            .filter(|old_meta| old_meta.version != meta.version)
-            .map(|old_meta| old_meta.striping)
-            .collect())
+        ops
     }
 
     // ------------------------------------------------------------------
@@ -465,8 +464,7 @@ impl Engine {
         )];
         let history = stats.history(&row_key, scalia_types::stats::DEFAULT_HISTORY_LEN);
         if !history.is_empty() {
-            let mean = history
-                .mean_usage_over_last(history.len(), self.infra.sampling_period().as_hours());
+            let mean = history.mean_usage_over_last(history.len(), SAMPLING_PERIOD.as_hours());
             ops.push(StatisticsStore::class_usage_op(
                 class.id(),
                 &mean,
@@ -681,6 +679,35 @@ pub(crate) fn decode_meta(value: &Value) -> Result<ObjectMeta> {
             "metadata record: the meta cell holds no record".to_string(),
         )),
     }
+}
+
+/// The current metadata of the object at `row_key` as the replica nearest
+/// `datacenter` holds it, decoded straight out of the stored cell (the
+/// record is not copied); `None` when the object is gone or its record does
+/// not decode.
+pub(crate) fn load_meta(
+    infra: &Infrastructure,
+    datacenter: DatacenterId,
+    row_key: &str,
+) -> Option<ObjectMeta> {
+    infra
+        .database()
+        .with_latest(datacenter, row_key, "meta", |cell| {
+            decode_meta(&cell.value).ok()
+        })
+        .flatten()
+}
+
+/// The class of the object at `row_key`, derived from its metadata record
+/// ([`load_meta`]): no copy of it is stored. `None` when the object has no
+/// readable record.
+pub(crate) fn load_class(
+    infra: &Infrastructure,
+    datacenter: DatacenterId,
+    row_key: &str,
+) -> Option<String> {
+    load_meta(infra, datacenter, row_key)
+        .map(|meta| ObjectClass::of(&meta.mime, meta.size).id().to_string())
 }
 
 /// The block digests `meta` records for its payload, in the cache's terms:
@@ -1044,7 +1071,7 @@ mod tests {
         assert_eq!(
             doomed_rows(&db.nodes()[0]).len(),
             2,
-            "the metadata row (meta, digest and debt columns) and the statistics row"
+            "the metadata row and the statistics row"
         );
 
         // The local datacenter's node misses a put and a delete...
@@ -1093,7 +1120,7 @@ mod tests {
     }
 
     #[test]
-    fn class_record_commits_atomically_with_the_metadata() {
+    fn dirty_mark_commits_atomically_with_the_metadata() {
         use scalia_providers::failure::FaultPlan;
 
         let cluster = cluster();
@@ -1103,25 +1130,30 @@ mod tests {
         let stats = infra.statistics(DatacenterId::new(0));
         let payload = || Bytes::from(vec![6u8; 150_000]);
         let class = ObjectClass::of("application/pdf", ByteSize::from_bytes(150_000));
+        let tag_of = |key: &ObjectKey| {
+            stats
+                .objects_accessed_since_classified(scalia_metastore::Timestamp::ZERO)
+                .0
+                .into_iter()
+                .find(|(row_key, _)| *row_key == key.row_key())
+                .map(|(_, tag)| tag)
+        };
 
         // One put is one transaction: a Begin and a Commit record, nothing
-        // auto-committed beside them — the class record and the dirty mark
-        // ride in the batch.
+        // auto-committed beside them — the class-tagged dirty mark rides in
+        // the batch.
         let key = ObjectKey::new("docs", "classed.pdf");
         let records_before = db.journal().len();
         engine
             .put(&key, payload(), "application/pdf", rule(), None)
             .unwrap();
         assert_eq!(db.journal().len() - records_before, 2);
-        assert_eq!(
-            stats.object_class(&key.row_key()).as_deref(),
-            Some(class.id())
-        );
+        assert_eq!(tag_of(&key), Some(Some(class.id().to_string())));
 
-        // A crash once the batch is logged recovers to metadata *and* class
-        // record; a crash before it is logged recovers to neither. There is
-        // no state in which the object is committed but outside its class
-        // group.
+        // A crash once the batch is logged recovers to metadata *and* dirty
+        // mark; a crash before it is logged recovers to neither. There is
+        // no state in which the object is committed but missing from the
+        // optimiser's accessed set.
         for (label, commits) in [("txn::before-log", false), ("txn::torn", true)] {
             let key = ObjectKey::new("docs", format!("{label}.pdf"));
             let checkpoint = db.checkpoint();
@@ -1135,12 +1167,79 @@ mod tests {
             db.recover(&checkpoint);
             assert_eq!(engine.read_metadata(&key).is_ok(), commits, "{label}");
             assert_eq!(
-                stats.object_class(&key.row_key()).is_some(),
-                commits,
-                "{label}: the class record must share the metadata's fate"
+                tag_of(&key),
+                commits.then(|| Some(class.id().to_string())),
+                "{label}: the dirty mark must share the metadata's fate"
             );
-            let dirty = stats.objects_accessed_since(scalia_metastore::Timestamp::ZERO);
-            assert_eq!(dirty.contains(&key.row_key()), commits, "{label}");
         }
+    }
+
+    #[test]
+    fn an_object_row_holds_only_its_record_and_its_debt() {
+        let cluster = ScaliaCluster::builder()
+            .datacenters(1)
+            .engines_per_datacenter(1)
+            .build();
+        let engine = cluster.engine(0);
+        let infra = cluster.infra();
+        let db = infra.database();
+        let columns = |key: &ObjectKey| -> Vec<String> {
+            db.get_row_merged(&key.row_key()).into_keys().collect()
+        };
+        let stats_row = |key: &ObjectKey| {
+            db.get_row_merged(&format!("stats:obj:{}", key.row_key()))
+                .into_keys()
+                .collect::<Vec<_>>()
+        };
+        let payload = || Bytes::from(vec![4u8; 20_000]);
+
+        // A clean put commits five ops and leaves one column.
+        let clean = ObjectKey::new("rows", "clean.bin");
+        let meta = engine
+            .put(&clean, payload(), "image/png", rule(), None)
+            .unwrap();
+        let class = ObjectClass::of(&meta.mime, meta.size);
+        assert_eq!(
+            engine
+                .commit_ops(&clean.row_key(), &meta, None, Some(class.id()))
+                .len(),
+            5
+        );
+        assert_eq!(columns(&clean), ["meta"]);
+        assert!(
+            stats_row(&clean).is_empty(),
+            "no statistics row before the first flush"
+        );
+
+        // A degraded put adds the debt column, and nothing else.
+        let victim = infra.catalog().all()[0].id;
+        infra.backend(victim).unwrap().set_down(true);
+        let degraded = ObjectKey::new("rows", "degraded.bin");
+        let wide = StorageRule::new(
+            "wide",
+            Reliability::from_percent(99.999),
+            Reliability::from_percent(99.0),
+            scalia_types::zone::ZoneSet::all(),
+            0.2,
+        );
+        engine
+            .put(&degraded, payload(), "image/png", wide, None)
+            .unwrap();
+        assert_eq!(columns(&degraded), ["debt", "meta"]);
+        infra.set_provider_down(victim, false);
+
+        // A migration commits the record alone.
+        let meta = engine.read_metadata(&clean).unwrap();
+        let everywhere = Placement {
+            providers: infra.catalog().available(),
+            m: meta.striping.m(),
+        };
+        let moved = engine.replace_placement(&clean, &everywhere).unwrap();
+        assert_ne!(moved.version, meta.version);
+        assert_eq!(columns(&clean), ["meta"]);
+
+        // The first flush writes the statistics row.
+        cluster.tick(scalia_types::time::SimTime::from_hours(1));
+        assert!(!stats_row(&clean).is_empty());
     }
 }

@@ -3,11 +3,11 @@
 //! [`Infrastructure`] bundles everything every engine in every datacenter
 //! needs a handle to: the provider catalog and the per-provider simulated
 //! backends, the replicated metadata database and the statistics store, the
-//! simulation clock, the per-object decision-period controllers, the queue
-//! of deletes postponed because a provider was unreachable (§III-D3), the
-//! provider failure detector, the deployment-wide per-operation latency
-//! histograms behind [`Infrastructure::io_latency_snapshot`], and the
-//! provider [`LatencyObservatory`].
+//! simulation clock, the queue of deletes postponed because a provider was
+//! unreachable (§III-D3), the provider failure detector, the
+//! deployment-wide per-operation latency histograms behind
+//! [`Infrastructure::io_latency_snapshot`], and the provider
+//! [`LatencyObservatory`].
 //!
 //! # Failure detector
 //!
@@ -36,7 +36,6 @@
 use crate::placement_cache::{PlacementCache, PlacementCacheStats};
 use parking_lot::{Mutex, RwLock};
 use scalia_core::cost::PredictedUsage;
-use scalia_core::decision::DecisionPeriodController;
 use scalia_core::placement::{PlacementDecision, PlacementEngine};
 use scalia_metastore::model::Timestamp;
 use scalia_metastore::replication::{CrashHook, ReplicatedStore};
@@ -122,12 +121,10 @@ pub struct Infrastructure {
     database: Arc<ReplicatedStore>,
     clock_secs: AtomicU64,
     write_seq: AtomicU64,
-    sampling_period: Duration,
     pending_deletes: Mutex<Vec<PendingDelete>>,
     /// Cumulative count of pending-delete retry *attempts* (provider
     /// reachable, delete issued) — successful or not.
     delete_retries: AtomicU64,
-    decision_controllers: Mutex<HashMap<String, DecisionPeriodController>>,
     row_commit_locks: Vec<Mutex<()>>,
     placement_cache: PlacementCache,
     /// Failure detector: consecutive chunk-I/O failures per provider.
@@ -162,6 +159,11 @@ pub struct Infrastructure {
     version_counter: AtomicU64,
 }
 
+/// The sampling period of the statistics pipeline (§III-C2): one hour, as
+/// in the paper. Access logs aggregate per period, and decision periods are
+/// whole numbers of it.
+pub const SAMPLING_PERIOD: Duration = Duration::HOUR;
+
 /// Default stripe size — the one size policy of the write path: an object
 /// up to this size is one erasure group, a larger one a map of them.
 /// 512 KiB keeps the pipeline's high-water buffering (one stripe encoding +
@@ -172,11 +174,7 @@ pub(crate) const DEFAULT_STRIPE_SIZE_BYTES: u64 = 512 * 1024;
 impl Infrastructure {
     /// Creates the infrastructure for a deployment spanning `datacenters`
     /// datacenters, with backends for every provider already in the catalog.
-    pub fn new(
-        catalog: Arc<ProviderCatalog>,
-        datacenters: u32,
-        sampling_period: Duration,
-    ) -> Arc<Self> {
+    pub fn new(catalog: Arc<ProviderCatalog>, datacenters: u32) -> Arc<Self> {
         let database = Arc::new(ReplicatedStore::with_datacenters(datacenters.max(1)));
         let infra = Arc::new(Infrastructure {
             catalog: catalog.clone(),
@@ -184,10 +182,8 @@ impl Infrastructure {
             database,
             clock_secs: AtomicU64::new(0),
             write_seq: AtomicU64::new(0),
-            sampling_period,
             pending_deletes: Mutex::new(Vec::new()),
             delete_retries: AtomicU64::new(0),
-            decision_controllers: Mutex::new(HashMap::new()),
             row_commit_locks: (0..LOCK_SHARDS).map(|_| Mutex::new(())).collect(),
             placement_cache: PlacementCache::new(),
             failure_counts: Mutex::new(HashMap::new()),
@@ -253,11 +249,6 @@ impl Infrastructure {
         StatisticsStore::new(self.database.clone(), datacenter)
     }
 
-    /// The sampling period (1 hour in the paper).
-    pub fn sampling_period(&self) -> Duration {
-        self.sampling_period
-    }
-
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         SimTime::from_secs(self.clock_secs.load(Ordering::SeqCst))
@@ -265,7 +256,7 @@ impl Infrastructure {
 
     /// The index of the current sampling period.
     pub fn current_period(&self) -> u64 {
-        self.now().period_index(self.sampling_period)
+        self.now().period_index(SAMPLING_PERIOD)
     }
 
     /// Advances the simulated clock, ticking every provider backend so they
@@ -573,27 +564,6 @@ impl Infrastructure {
             .store(bytes.max(1), Ordering::Relaxed);
     }
 
-    /// The decision-period controller of an object, created on first use
-    /// with the given initial window.
-    pub fn decision_controller(
-        &self,
-        row_key: &str,
-        initial: Duration,
-    ) -> DecisionPeriodController {
-        self.decision_controllers
-            .lock()
-            .entry(row_key.to_string())
-            .or_insert_with(|| DecisionPeriodController::new(initial, self.sampling_period, 4096))
-            .clone()
-    }
-
-    /// Stores back an updated decision-period controller.
-    pub fn store_decision_controller(&self, row_key: &str, controller: DecisionPeriodController) {
-        self.decision_controllers
-            .lock()
-            .insert(row_key.to_string(), controller);
-    }
-
     /// Serialises metadata commits for one object: `Engine::put`, `delete`
     /// and `replace_placement` hold this guard around their read-validate-
     /// commit sections so MVCC pruning and version garbage collection see a
@@ -612,7 +582,7 @@ mod tests {
     use scalia_providers::catalog::cheapstor;
 
     fn infra() -> Arc<Infrastructure> {
-        Infrastructure::new(ProviderCatalog::paper_catalog(), 2, Duration::HOUR)
+        Infrastructure::new(ProviderCatalog::paper_catalog(), 2)
     }
 
     /// Consecutive failures currently recorded against a provider.
@@ -902,19 +872,5 @@ mod tests {
         let backend = infra.backends()[0].clone();
         backend.put("k", Bytes::from(vec![0u8; 1_000_000])).unwrap();
         assert!(infra.total_cost().is_positive());
-    }
-
-    #[test]
-    fn decision_controllers_persist_per_object() {
-        let infra = infra();
-        let c = infra.decision_controller("row1", Duration::from_hours(24));
-        assert_eq!(c.current(), Duration::from_hours(24));
-        let mut updated = c.clone();
-        updated.on_optimization(Duration::from_days(30), |d| {
-            Money::from_dollars(d.as_hours())
-        });
-        infra.store_decision_controller("row1", updated.clone());
-        let reloaded = infra.decision_controller("row1", Duration::from_hours(24));
-        assert_eq!(reloaded.current(), updated.current());
     }
 }

@@ -9,9 +9,9 @@
 //! (§III-A1/A2) is that statistics and re-placement amortise across a
 //! class: the optimiser therefore runs the trend detector and Algorithm 1
 //! **once per group** — `K` searches for `N` accessed objects in `K`
-//! classes — and maps each group decision onto every member (members whose
-//! persisted placement digest already matches the decision are done with
-//! zero further reads).
+//! classes — and maps each group decision onto every member. An evaluating
+//! class reads each member's metadata record once (`meta`, the one record
+//! an object has); a member already on the decided placement is done.
 //!
 //! Migrations are executed through a per-cycle **budget** (bytes uploaded
 //! and one-off dollars): candidates are ordered by expected saving per
@@ -31,24 +31,24 @@
 //! simulator's adaptive policy also runs: the decision-period bound, the
 //! `D/2`/`D`/`2D` adjustment and search, and the migration gate.
 
-use crate::engine::{decode_meta, Engine};
-use crate::infra::Infrastructure;
+use crate::engine::{load_class, load_meta, Engine};
+use crate::infra::{Infrastructure, SAMPLING_PERIOD};
 use parking_lot::Mutex;
 use scalia_core::classify::ClassUsage;
 use scalia_core::cost::PredictedUsage;
-use scalia_core::decision::{self, rule_fingerprint};
+use scalia_core::decision::{self, rule_fingerprint, DecisionPeriodController};
 use scalia_core::lifetime::LifetimeDistribution;
 use scalia_core::migration::{MigrationBudget, MigrationPlan};
 use scalia_core::placement::{Placement, PlacementEngine};
 use scalia_core::trend::TrendDetector;
 use scalia_metastore::model::Timestamp;
 use scalia_metastore::stats::StatisticsStore;
-use scalia_types::ids::EngineId;
+use scalia_types::ids::{EngineId, ProviderId};
 use scalia_types::object::{ObjectKey, ObjectMeta};
 use scalia_types::size::ByteSize;
 use scalia_types::stats::DEFAULT_HISTORY_LEN;
 use scalia_types::time::Duration;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Statistics of one optimisation procedure.
@@ -112,116 +112,9 @@ struct MigrationCandidate {
     plan: MigrationPlan,
 }
 
-/// The compact per-object **optimiser digest** the engine persists next to
-/// the metadata (`opt` column) on every commit: exactly the fields the
-/// class-centric sweep needs per member — rule identity for subgrouping,
-/// current placement for the already-there short-circuit, size and
-/// lifetime hints for the group's usage prediction. Reading and decoding it
-/// costs a fraction of decoding full [`ObjectMeta`], so a cycle only
-/// pays the metadata read for members that actually diverge from their
-/// group's decision.
-#[derive(Debug, Clone)]
-struct MemberDigest {
-    row_key: String,
-    rule_name: String,
-    rule_fingerprint: [u64; 5],
-    size: ByteSize,
-    m: u32,
-    /// Sorted provider ids of the current placement.
-    providers: Vec<u32>,
-    written_at: scalia_types::time::SimTime,
-    ttl_hint_hours: Option<f64>,
-}
-
-/// Serialises the optimiser digest of a metadata version (written by
-/// `Engine::commit_metadata` under the same timestamp as the `meta`
-/// column). One compact delimited string — a single allocation to read
-/// back, where a structured JSON object would clone a whole key/value tree
-/// per member per cycle. Layout (the rule name goes last because it is the
-/// only field that may contain the delimiter):
-///
-/// `1|rfp0|rfp1|rfp2|rfp3|rfp4|m|size|written_secs|ttl_bits-or-n|p0,p1,…|rule name`
-pub(crate) fn optimizer_digest(meta: &ObjectMeta) -> serde_json::Value {
-    // The sorted union across stripes.
-    let providers: Vec<u32> = meta.striping.provider_set().iter().map(|p| p.0).collect();
-    let rfp = rule_fingerprint(&meta.rule);
-    let providers = providers
-        .iter()
-        .map(|p| p.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let ttl = match meta.ttl_hint_hours {
-        Some(ttl) => ttl.to_bits().to_string(),
-        None => "n".to_string(),
-    };
-    serde_json::Value::String(format!(
-        "1|{}|{}|{}|{}|{}|{}|{}|{}|{ttl}|{providers}|{}",
-        rfp[0],
-        rfp[1],
-        rfp[2],
-        rfp[3],
-        rfp[4],
-        meta.striping.m(),
-        meta.size.bytes(),
-        meta.written_at.secs(),
-        meta.rule.name,
-    ))
-}
-
-impl MemberDigest {
-    /// Decodes a persisted digest; `None` on any structural mismatch. Every
-    /// commit writes the digest with the metadata, in one transaction and
-    /// under one timestamp, so a member without one has been deleted.
-    fn decode(row_key: String, value: &serde_json::Value) -> Option<MemberDigest> {
-        let mut fields = value.as_str()?.splitn(12, '|');
-        if fields.next()? != "1" {
-            return None;
-        }
-        let mut rule_fingerprint = [0u64; 5];
-        for slot in rule_fingerprint.iter_mut() {
-            *slot = fields.next()?.parse().ok()?;
-        }
-        let m: u32 = fields.next()?.parse().ok()?;
-        let size: u64 = fields.next()?.parse().ok()?;
-        let written_secs: u64 = fields.next()?.parse().ok()?;
-        let ttl_hint_hours = match fields.next()? {
-            "n" => None,
-            bits => Some(f64::from_bits(bits.parse().ok()?)),
-        };
-        let providers_field = fields.next()?;
-        let providers = if providers_field.is_empty() {
-            Vec::new()
-        } else {
-            providers_field
-                .split(',')
-                .map(|p| p.parse().ok())
-                .collect::<Option<Vec<u32>>>()?
-        };
-        Some(MemberDigest {
-            row_key,
-            rule_name: fields.next()?.to_string(),
-            rule_fingerprint,
-            size: ByteSize::from_bytes(size),
-            m,
-            providers,
-            written_at: scalia_types::time::SimTime::from_secs(written_secs),
-            ttl_hint_hours,
-        })
-    }
-}
-
-/// The current metadata of the object at `row_key`, decoded straight out of
-/// the stored cell (the record is not copied); `None` when the object is
-/// gone or its metadata does not parse.
-fn load_meta(engine: &Engine, row_key: &str) -> Option<ObjectMeta> {
-    engine
-        .infra()
-        .database()
-        .with_latest(engine.datacenter(), row_key, "meta", |cell| {
-            decode_meta(&cell.value).ok()
-        })
-        .flatten()
-}
+/// One member of an evaluating class: its rule fingerprint, row key and
+/// metadata record.
+type Member = ([u64; 5], String, ObjectMeta);
 
 /// The periodic optimiser.
 pub(crate) struct PeriodicOptimizer {
@@ -233,6 +126,9 @@ pub(crate) struct PeriodicOptimizer {
     /// cycle. Re-queued into the next accessed set and force-re-evaluated,
     /// so a deferral is never dropped.
     deferred: Mutex<BTreeSet<String>>,
+    /// The decision-period controller of each `(class, rule)` group, kept
+    /// across cycles.
+    controllers: Mutex<HashMap<String, DecisionPeriodController>>,
 }
 
 impl PeriodicOptimizer {
@@ -246,6 +142,7 @@ impl PeriodicOptimizer {
             last_run: Mutex::new(Timestamp::ZERO),
             budget: MigrationBudget::UNLIMITED,
             deferred: Mutex::new(BTreeSet::new()),
+            controllers: Mutex::new(HashMap::new()),
         }
     }
 
@@ -263,7 +160,7 @@ impl PeriodicOptimizer {
     /// The accessed set since the previous procedure (which advances
     /// `last_run`): a range scan over the dirty-set index, each entry
     /// carrying its class tag, merged with the taken deferred backlog
-    /// (whose tags are resolved from the objects' recorded classes).
+    /// (untagged).
     fn take_accessed_set(
         &self,
         stats: &StatisticsStore,
@@ -317,10 +214,9 @@ impl PeriodicOptimizer {
 
         // 3) Bucket the accessed keys by their dirty-index class tag — no
         // per-object metadata reads. Untagged entries (re-queued deferrals,
-        // marks written before the class was known) resolve through the
-        // class recorded at insertion; objects with neither have been
-        // deleted or never finished their first write, and fall through to
-        // the metadata read of step 4 if their class ever evaluates.
+        // marks of objects deleted before a flush) resolve their class from
+        // the object's metadata record; an object without one has been
+        // deleted and drops out.
         let objects_considered = accessed.len();
         // Hash-indexed first-seen-order grouping: O(1) per entry, no sort
         // of the whole accessed set (each class re-sorts its own members).
@@ -330,7 +226,7 @@ impl PeriodicOptimizer {
         for (row_key, class) in accessed {
             let class_id = match class {
                 Some(class_id) => Some(class_id),
-                None => stats.object_class(&row_key),
+                None => load_class(infra, leader.datacenter(), &row_key),
             };
             let Some(class_id) = class_id else { continue };
             match class_index.get(class_id.as_str()) {
@@ -397,8 +293,9 @@ impl PeriodicOptimizer {
     /// series **before** any member metadata is touched — a class whose
     /// access pattern did not change (and is not forced, and carries no
     /// deferral) costs one rollup read and nothing else. Classes that do
-    /// evaluate read their members' metadata, split by rule fingerprint and
-    /// run [`Self::optimize_group`] once per `(class, rule)` group.
+    /// evaluate read each member's metadata record once, split by rule
+    /// fingerprint and run [`Self::optimize_group`] once per `(class, rule)`
+    /// group.
     fn optimize_class(
         &self,
         engine: &Arc<Engine>,
@@ -434,40 +331,22 @@ impl PeriodicOptimizer {
             return (partial, candidates);
         }
 
-        // The class evaluates: now (and only now) read member digests,
-        // decoded in place, no cell clone. Objects deleted since they were
-        // accessed have none and drop out here.
-        let mut digests: Vec<MemberDigest> = Vec::with_capacity(member_keys.len());
-        for row_key in member_keys {
-            let digest = infra
-                .database()
-                .with_latest(engine.datacenter(), &row_key, "opt", |cell| {
-                    MemberDigest::decode(row_key.clone(), &cell.value)
-                })
-                .flatten();
-            digests.extend(digest);
-        }
-        // Split by rule identity: one sort with borrowed comparators (no
-        // per-member key clones), then slice-grouping of the consecutive
-        // runs. Members stay sorted by row key inside each group.
-        digests.sort_unstable_by(|a, b| {
-            a.rule_fingerprint
-                .cmp(&b.rule_fingerprint)
-                .then_with(|| a.rule_name.cmp(&b.rule_name))
-                .then_with(|| a.row_key.cmp(&b.row_key))
-        });
-        let mut groups: Vec<Vec<MemberDigest>> = Vec::new();
-        for digest in digests {
-            match groups.last_mut() {
-                Some(group)
-                    if group[0].rule_fingerprint == digest.rule_fingerprint
-                        && group[0].rule_name == digest.rule_name =>
-                {
-                    group.push(digest)
-                }
-                _ => groups.push(vec![digest]),
-            }
-        }
+        // The class evaluates: now (and only now) read each member's
+        // record, decoded in place, no cell clone. Objects deleted since
+        // they were accessed, or whose record does not decode, drop out.
+        let mut members: Vec<Member> = member_keys
+            .into_iter()
+            .filter_map(|row_key| {
+                let meta = load_meta(infra, engine.datacenter(), &row_key)?;
+                Some((rule_fingerprint(&meta.rule), row_key, meta))
+            })
+            .collect();
+        // Split by rule identity: a stable sort keeps each run of one
+        // `(fingerprint, rule name)` sorted by row key.
+        let by_rule = |(fa, _, a): &Member, (fb, _, b): &Member| {
+            fa.cmp(fb).then_with(|| a.rule.name.cmp(&b.rule.name))
+        };
+        members.sort_by(by_rule);
         // The class's lifetime samples are fetched — and the deletion-time
         // distribution built — once for the whole class, not once per
         // member, which would re-read the class row (and re-sort the
@@ -477,12 +356,11 @@ impl PeriodicOptimizer {
             .class_lifetimes(&class_id);
         let lifetime_dist = (!class_lifetimes.is_empty())
             .then(|| LifetimeDistribution::from_samples(class_lifetimes));
-        for members in groups {
+        for group in members.chunk_by(|a, b| by_rule(a, b).is_eq()) {
             let (group_partial, mut group_candidates) = self.optimize_group(
-                engine,
                 infra,
                 &class_id,
-                members,
+                group,
                 trend_changed,
                 &class_usage,
                 lifetime_dist.as_ref(),
@@ -495,27 +373,20 @@ impl PeriodicOptimizer {
 
     /// One `(class, rule)` group of an evaluating class: **one** decision
     /// through `scalia_core::decision`, and the per-member migration gate
-    /// against it. Members whose digest already matches the decided
-    /// placement are done with zero further reads (a plan that moves
-    /// nothing never passes the gate); only divergent members pay the full
-    /// metadata read for the exact gate. Returns the group's report partial
-    /// and its beneficial migration candidates.
-    #[allow(clippy::too_many_arguments)]
+    /// against it. A member already on the decided placement is done (a
+    /// plan that moves nothing never passes the gate). Returns the group's
+    /// report partial and its beneficial migration candidates.
     fn optimize_group(
         &self,
-        engine: &Arc<Engine>,
         infra: &Arc<Infrastructure>,
         class_id: &str,
-        members: Vec<MemberDigest>,
+        members: &[Member],
         trend_changed: bool,
         class_usage: &ClassUsage,
         lifetime_dist: Option<&LifetimeDistribution>,
     ) -> (OptimizationReport, Vec<MigrationCandidate>) {
         let mut partial = OptimizationReport::default();
         let mut candidates: Vec<MigrationCandidate> = Vec::new();
-        if members.is_empty() {
-            return (partial, candidates);
-        }
         if trend_changed {
             partial.trend_changes += members.len();
         }
@@ -523,103 +394,91 @@ impl PeriodicOptimizer {
         // The class's mean-member demand: for a singleton class this is the
         // member's own history, record for record.
         let mean_history = class_usage.mean_member_history(DEFAULT_HISTORY_LEN);
-        let sampling = infra.sampling_period();
         let mean_size = ByteSize::from_bytes(
-            (members.iter().map(|m| m.size.bytes()).sum::<u64>() as f64 / members.len() as f64)
+            (members
+                .iter()
+                .map(|(_, _, meta)| meta.size.bytes())
+                .sum::<u64>() as f64
+                / members.len() as f64)
                 .round() as u64,
         );
-        // The search needs the full rule; one representative member's
-        // metadata supplies it (every member of the group shares the rule
-        // fingerprint).
-        let Some(rule) = members
-            .iter()
-            .find_map(|member| load_meta(engine, &member.row_key).map(|meta| meta.rule))
-        else {
-            return (partial, candidates); // Every member vanished mid-cycle.
-        };
+        // Every member of the group shares the rule.
+        let rule = &members[0].2.rule;
 
         // Decision period for the group (adaptive, bounded by the tightest
         // member TTL), amortised across all members on one controller.
         let upper_bound = members
             .iter()
-            .map(|member| {
-                let remaining = match (member.ttl_hint_hours, lifetime_dist) {
+            .map(|(_, _, meta)| {
+                let remaining = match (meta.ttl_hint_hours, lifetime_dist) {
                     (None, Some(dist)) => {
-                        dist.expected_remaining(infra.now().since(member.written_at).as_hours())
+                        dist.expected_remaining(infra.now().since(meta.written_at).as_hours())
                     }
                     _ => None,
                 };
                 decision::period_bound(
-                    member.ttl_hint_hours,
+                    meta.ttl_hint_hours,
                     remaining,
                     mean_history.len(),
-                    sampling,
+                    SAMPLING_PERIOD,
                     Duration::from_hours(24),
                 )
             })
             .min()
             .expect("non-empty group");
-        let controller_key = format!("class:{class_id}:{}", rule.name);
-        let mut controller = infra.decision_controller(&controller_key, Duration::from_hours(24));
         // **One** placement search for the whole group (plus the three
-        // windows when the decision period is due for adjustment).
+        // windows when the decision period is due for adjustment), on the
+        // group's controller, updated in place.
         let decided = decision::decide(
-            &mut controller,
+            self.controllers
+                .lock()
+                .entry(format!("class:{class_id}:{}", rule.name))
+                .or_insert_with(|| {
+                    DecisionPeriodController::new(Duration::from_hours(24), SAMPLING_PERIOD, 4096)
+                }),
             Some(upper_bound),
             mean_size,
             &mean_history,
-            sampling,
+            SAMPLING_PERIOD,
             |usage| {
                 infra
-                    .best_placement_cached(&self.placement, &rule, class_id, usage)
+                    .best_placement_cached(&self.placement, rule, class_id, usage)
                     .ok()
             },
         );
-        infra.store_decision_controller(&controller_key, controller);
         let Some((usage, decision)) = decided else {
             return (partial, candidates);
         };
         partial.searches_executed += 1;
         partial.objects_covered += members.len();
-        let mut decision_providers: Vec<u32> = decision
-            .placement
-            .providers
-            .iter()
-            .map(|p| p.id.0)
-            .collect();
+        let mut decision_providers: Vec<ProviderId> =
+            decision.placement.providers.iter().map(|p| p.id).collect();
         decision_providers.sort_unstable();
-        let decision_m = decision.placement.m;
 
         // Map the decision onto every member: exact per-member pricing (the
         // class rates at the member's exact size), exact migration gate.
-        for member in members {
-            if member.m == decision_m && member.providers == decision_providers {
+        for (_, row_key, meta) in members {
+            // The union across stripes (the gate compares sets).
+            let providers = meta.striping.provider_set();
+            if meta.striping.m() == decision.placement.m && providers == decision_providers {
                 // Already on the decided placement: re-evaluated, nothing
-                // to move — no metadata read needed.
+                // to move.
                 partial.placements_recomputed += 1;
                 continue;
             }
-            // Divergent member: now (and only now) deserialise its full
-            // metadata for the exact migration gate.
-            let Some(meta) = load_meta(engine, &member.row_key) else {
-                continue; // Deleted mid-cycle.
-            };
             let member_usage = PredictedUsage {
                 size: meta.size,
                 ..usage
             };
             let Some((m, member_cost)) =
-                PlacementEngine::evaluate_set(&rule, &member_usage, &decision.placement.providers)
+                PlacementEngine::evaluate_set(rule, &member_usage, &decision.placement.providers)
             else {
                 continue; // Decision infeasible at this member's exact size.
             };
             partial.placements_recomputed += 1;
 
-            // The union across stripes (the gate compares sets).
             let current = Placement {
-                providers: meta
-                    .striping
-                    .provider_set()
+                providers: providers
                     .into_iter()
                     .filter_map(|p| infra.catalog().get(p))
                     .collect(),
@@ -634,8 +493,8 @@ impl PeriodicOptimizer {
             {
                 candidates.push(MigrationCandidate {
                     savings_per_byte: plan.savings_per_byte(meta.size),
-                    row_key: member.row_key,
-                    key: meta.key,
+                    row_key: row_key.clone(),
+                    key: meta.key.clone(),
                     size: meta.size,
                     plan,
                 });
@@ -650,6 +509,7 @@ mod tests {
     #[allow(unused_imports)]
     use super::*;
     use crate::cluster::ScaliaCluster;
+    use scalia_core::classify::ObjectClass;
     use scalia_types::object::ObjectKey;
     use scalia_types::reliability::Reliability;
     use scalia_types::rules::StorageRule;
@@ -889,6 +749,99 @@ mod tests {
         assert!(names.contains(&"UltraCheap".to_string()));
         cluster.caches().iter().for_each(|c| c.clear());
         assert_eq!(cluster.get(&key).unwrap().len(), 2_000_000);
+    }
+
+    #[test]
+    fn period_controllers_persist_across_cycles() {
+        let cluster = ScaliaCluster::builder().build();
+        let optimizer = PeriodicOptimizer::new(TrendDetector::default(), PlacementEngine::new());
+        let key = ObjectKey::new("c", "kept");
+        let meta = cluster
+            .put(&key, vec![1u8; 64_000], "image/png", rule(), None)
+            .unwrap();
+        let group = format!(
+            "class:{}:{}",
+            ObjectClass::of(&meta.mime, meta.size).id(),
+            meta.rule.name
+        );
+        let controller = || optimizer.controllers.lock().get(&group).cloned();
+        assert!(controller().is_none());
+
+        optimizer.run(cluster.engines(), cluster.infra(), true);
+        let first = controller().expect("a decision creates its group's controller");
+        let fresh = DecisionPeriodController::new(Duration::from_hours(24), SAMPLING_PERIOD, 4096);
+        assert_ne!(first, fresh, "the first decision updates the controller");
+
+        cluster.get(&key).unwrap();
+        cluster.tick(SimTime::from_hours(1));
+        optimizer.run(cluster.engines(), cluster.infra(), true);
+        assert_ne!(
+            controller().unwrap(),
+            first,
+            "the second cycle advances the stored controller, not a fresh one"
+        );
+        assert_eq!(optimizer.controllers.lock().len(), 1);
+    }
+
+    #[test]
+    fn an_undecodable_member_drops_out_and_the_rest_of_its_group_migrates() {
+        let cluster = ScaliaCluster::builder().build();
+        let infra = cluster.infra();
+        let keys: Vec<ObjectKey> = (0..4)
+            .map(|i| ObjectKey::new("backups", format!("part{i}.tar")))
+            .collect();
+        for key in &keys {
+            cluster
+                .put(
+                    key,
+                    vec![3u8; 2_000_000],
+                    "application/x-tar",
+                    rule().with_lockin(0.5),
+                    None,
+                )
+                .unwrap();
+        }
+        cluster.run_optimization(false);
+        cluster.tick(SimTime::from_hours(1));
+        for key in &keys {
+            cluster.get(key).unwrap();
+        }
+        cluster.tick(SimTime::from_hours(2));
+        let broken = keys[1].row_key();
+        infra
+            .database()
+            .put(
+                &broken,
+                "meta",
+                serde_json::Value::Bytes(vec![0xff; 7].into_boxed_slice()),
+                infra.next_timestamp(),
+            )
+            .unwrap();
+        let cheap =
+            infra.register_provider(scalia_providers::descriptor::ProviderDescriptor::public(
+                scalia_types::ids::ProviderId::new(0),
+                "UltraCheap",
+                "practically free storage",
+                scalia_providers::sla::ProviderSla::from_percent(99.9999, 99.9),
+                scalia_providers::pricing::PricingPolicy::from_dollars(0.001, 0.0, 0.01, 0.0),
+                ZoneSet::all(),
+            ));
+
+        let report = cluster.run_optimization(true);
+        assert_eq!(report.objects_considered, 4);
+        assert_eq!(report.searches_executed, 1);
+        assert_eq!(
+            report.objects_covered, 3,
+            "the undecodable member drops out"
+        );
+        assert_eq!(report.migrations_executed, 3);
+        for key in [&keys[0], &keys[2], &keys[3]] {
+            let meta = cluster.engine(0).read_metadata(key).unwrap();
+            assert!(meta.striping.provider_set().contains(&cheap));
+            cluster.caches().iter().for_each(|c| c.clear());
+            assert_eq!(cluster.get(key).unwrap().len(), 2_000_000);
+        }
+        assert!(cluster.engine(0).read_metadata(&keys[1]).is_err());
     }
 
     #[test]

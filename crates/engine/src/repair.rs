@@ -43,7 +43,7 @@
 //! full width, which settles any degraded-write debt atomically.
 
 use crate::engine::{decode_meta, Engine};
-use crate::infra::{retry_backoff_secs, Infrastructure};
+use crate::infra::{retry_backoff_secs, Infrastructure, SAMPLING_PERIOD};
 use scalia_core::availability::get_availability;
 use scalia_core::cost::PredictedUsage;
 use scalia_core::migration::MigrationBudget;
@@ -304,7 +304,7 @@ pub(crate) fn drain_repair_queue(
             .then_with(|| a.queue_row.cmp(&b.queue_row))
     });
 
-    let period_hours = infra.sampling_period().as_hours();
+    let period_hours = SAMPLING_PERIOD.as_hours();
     let mut ledger = budget.start();
     for candidate in candidates {
         let RepairCandidate {

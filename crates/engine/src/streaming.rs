@@ -471,11 +471,11 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
             },
         };
 
-        // One journaled transaction: metadata, optimiser digest, container
-        // index, debt + repair entry (or debt clearance), MVCC prunes, class
-        // record — the class-centric optimiser sweeps members *by class
-        // row*, so an object committed without one would never be
-        // reconsidered.
+        // One journaled transaction: metadata, container index, debt +
+        // repair entry (or debt clearance), MVCC prune and the dirty mark
+        // tagged with `final_class` — the class-centric optimiser sweeps
+        // the accessed set *by class tag*, so an object committed without
+        // its mark would not be reconsidered.
         //
         // The row commit lock serialises the commit against concurrent
         // puts/deletes/migrations of the same object so MVCC pruning always

@@ -17,10 +17,9 @@
 //!   reachable node took is an error to the caller and leaves no record.
 //!   Replay re-applies it.
 //! * `Begin { txid, ops }` — a multi-operation transaction (the engine's
-//!   put commit: metadata, optimizer digest, container index, debt,
-//!   version prunes, class record, dirty mark; its delete: class samples,
-//!   row drops, container tombstone). The *whole* op list is logged
-//!   atomically before any node sees any of it.
+//!   put commit: metadata, container index, debt, version prune, dirty
+//!   mark; its delete: class samples, row drops, container tombstone). The
+//!   *whole* op list is logged atomically before any node sees any of it.
 //! * `Commit { txid }` — appended after every op of transaction `txid` was
 //!   applied to the nodes.
 //!

@@ -83,9 +83,11 @@ impl LogAggregator {
 
     /// Drains every agent, aggregates the records per `(object, period)` and
     /// writes the aggregates to `stats` — each tagged with the object's
-    /// class (one point read of the class recorded at insertion, so the
+    /// class, which `class_of` resolves from the object's row key (asked
+    /// once per object per flush; the deployment derives it from the
+    /// object's metadata record, `None` once the object is gone). So the
     /// dirty-set index carries the tag and the class-centric optimiser can
-    /// group the accessed set with no metadata reads). The same pass folds
+    /// group the accessed set with no metadata reads. The same pass folds
     /// the per-object aggregates into **one pre-aggregated delta per
     /// `(class, period)`** (`StatisticsStore::record_class_period`), so a
     /// class's usage series costs O(periods) to read, not
@@ -96,7 +98,12 @@ impl LogAggregator {
     /// at period boundaries); a re-flush of the same `(object, period)`
     /// *replaces* the per-object column but *adds* a rollup delta — the
     /// rollup keeps the complete count, the object column the latest flush.
-    pub fn flush(&self, stats: &StatisticsStore, timestamp: Timestamp) -> usize {
+    pub fn flush(
+        &self,
+        stats: &StatisticsStore,
+        timestamp: Timestamp,
+        class_of: impl Fn(&str) -> Option<String>,
+    ) -> usize {
         let mut grouped: BTreeMap<(String, u64), PeriodStats> = BTreeMap::new();
         for agent in &self.agents {
             for record in agent.drain() {
@@ -129,7 +136,7 @@ impl LogAggregator {
         for ((object_row_key, period), period_stats) in &grouped {
             let class = classes
                 .entry(object_row_key.clone())
-                .or_insert_with(|| stats.object_class(object_row_key));
+                .or_insert_with(|| class_of(object_row_key));
             if stats
                 .record_period_classified(object_row_key, class.as_deref(), period_stats, timestamp)
                 .is_ok()
@@ -213,7 +220,7 @@ mod tests {
         a1.log(read_record("obj2", 0, 50));
 
         let aggregator = LogAggregator::new(vec![a1.clone(), a2.clone()]);
-        let written = aggregator.flush(&stats, Timestamp::new(3600, 0));
+        let written = aggregator.flush(&stats, Timestamp::new(3600, 0), |_| None);
         assert_eq!(written, 3);
 
         let h1 = stats.history("obj1", 10);
@@ -233,9 +240,51 @@ mod tests {
     }
 
     #[test]
+    fn the_resolvers_class_tags_every_mark_and_rollup_once_per_object() {
+        let stats = stats_store();
+        let agent = LogAgent::shared();
+        // obj1 in two periods, obj2 and obj3 in one; obj3 is gone (no
+        // class).
+        agent.log(read_record("obj1", 0, 10));
+        agent.log(read_record("obj1", 1, 10));
+        agent.log(read_record("obj1", 1, 10));
+        agent.log(read_record("obj2", 0, 30));
+        agent.log(read_record("obj3", 0, 50));
+        let asked = Mutex::new(Vec::new());
+        let written = LogAggregator::new(vec![agent]).flush(
+            &stats,
+            Timestamp::new(3600, 0),
+            |row_key: &str| {
+                asked.lock().push(row_key.to_string());
+                (row_key != "obj3").then(|| format!("class-of-{row_key}"))
+            },
+        );
+        assert_eq!(written, 4);
+        assert_eq!(*asked.lock(), ["obj1", "obj2", "obj3"]);
+
+        let (mut marks, _) = stats.objects_accessed_since_classified(Timestamp::ZERO);
+        marks.sort_unstable();
+        assert_eq!(
+            marks,
+            [
+                ("obj1".to_string(), Some("class-of-obj1".to_string())),
+                ("obj2".to_string(), Some("class-of-obj2".to_string())),
+                ("obj3".to_string(), None),
+            ]
+        );
+        let obj1 = stats.class_period_records("class-of-obj1", 10);
+        assert_eq!(obj1.len(), 2);
+        assert_eq!((obj1[0].1.stats.reads, obj1[0].1.objects), (1, 1));
+        assert_eq!((obj1[1].1.stats.reads, obj1[1].1.objects), (2, 1));
+        let obj2 = stats.class_period_records("class-of-obj2", 10);
+        assert_eq!(obj2.len(), 1);
+        assert_eq!(obj2[0].1.stats.bw_out, ByteSize::from_kb(30));
+    }
+
+    #[test]
     fn flush_with_no_records_writes_nothing() {
         let stats = stats_store();
         let aggregator = LogAggregator::new(vec![LogAgent::shared()]);
-        assert_eq!(aggregator.flush(&stats, Timestamp::new(1, 0)), 0);
+        assert_eq!(aggregator.flush(&stats, Timestamp::new(1, 0), |_| None), 0);
     }
 }

@@ -180,9 +180,12 @@ impl ReplicatedStore {
     /// it as hinted handoffs for every node that is down (no journaling —
     /// shared by the journaling front doors and the recovery replay).
     /// Returns the cells the batch's `Prune`s removed (union across nodes,
-    /// deduplicated by timestamp, sorted). Only a batch with a `Put` that no
-    /// node accepted is an error: a delete or prune of data no reachable
-    /// node holds has nothing to fail at.
+    /// deduplicated on the whole cell, sorted by timestamp). Cells of
+    /// different columns may share a timestamp — one commit stamps all it
+    /// writes with one — so a timestamp alone would let one hide another.
+    /// Only a batch with a `Put` that no node accepted is an error: a
+    /// delete or prune of data no reachable node holds has nothing to fail
+    /// at.
     fn apply_batch(&self, ops: &[LoggedOp]) -> Result<Column> {
         let mut accepted = 0;
         let mut removed = Column::new();
@@ -191,7 +194,7 @@ impl ReplicatedStore {
                 Some(cells) => {
                     accepted += 1;
                     for cell in cells {
-                        if !removed.iter().any(|c| c.timestamp == cell.timestamp) {
+                        if !removed.contains(&cell) {
                             removed.push(cell);
                         }
                     }
@@ -221,8 +224,8 @@ impl ReplicatedStore {
     /// record, new state otherwise).
     ///
     /// Returns the union of cells removed by the batch's `Prune` ops
-    /// (deduplicated by timestamp, sorted) — the engine deletes their
-    /// chunks.
+    /// (deduplicated, sorted by timestamp) — the engine deletes the chunks
+    /// of the metadata versions among them.
     ///
     /// Crash points visited (in order): `txn::before-log`, `txn::logged`,
     /// `txn::torn`, `txn::applied`. Each node applies the batch in one
@@ -408,7 +411,7 @@ impl ReplicatedStore {
 
     /// Prunes deprecated versions of a column on every reachable node
     /// (hinting the ones that are down) and returns the union of removed
-    /// cells (deduplicated by timestamp). Journaled.
+    /// cells (deduplicated). Journaled.
     pub fn prune_old_versions(&self, row_key: &str, column: &str) -> Column {
         self.apply(JournalOp::Prune {
             row_key: row_key.to_string(),

@@ -3,8 +3,10 @@
 //! Three families of rows are kept (paper Fig. 6, extended):
 //!
 //! * **per-object** access statistics — one column per sampling period with
-//!   the storage / bandwidth / operation counters of that period, plus the
-//!   object's class and creation time;
+//!   the storage / bandwidth / operation counters of that period. The row
+//!   appears at the object's first statistics flush. An object's class is
+//!   not stored here: it is derived from the object's metadata record
+//!   wherever it is needed, so it cannot drift from the record;
 //! * **per-class** statistics — resource-usage samples and lifetime samples
 //!   of all objects of a class, used to pick a good *first* placement for
 //!   new objects and to estimate time-left-to-live, plus incrementally
@@ -156,7 +158,13 @@ impl StatisticsStore {
             .map(drop)
     }
 
-    fn dirty_mark_op(
+    /// The op that marks an object in the dirty-set index, tagged with its
+    /// class when known. Besides the log aggregator's flush, the engine's
+    /// put commits one in the transaction that commits the metadata: a
+    /// freshly written object belongs in the optimiser's accessed set even
+    /// before its first statistics flush, and can never be stored yet
+    /// missing from it.
+    pub fn dirty_mark_op(
         object_row_key: &str,
         class_id: Option<&str>,
         timestamp: Timestamp,
@@ -170,27 +178,6 @@ impl StatisticsStore {
             value: class_id.map_or(json!(true), |class_id| json!(class_id)),
             timestamp,
         }
-    }
-
-    /// The ops that record the class an object belongs to (written at
-    /// insertion) and mark the object dirty — a freshly written object
-    /// belongs in the optimiser's accessed set even before its first
-    /// statistics flush. Ops, not a write: the engine's put commits them in
-    /// the transaction that commits the metadata, so an object can never be
-    /// stored yet missing from its class group.
-    pub fn object_class_ops(
-        object_row_key: &str,
-        class_id: &str,
-        timestamp: Timestamp,
-    ) -> [JournalOp; 2] {
-        let class = JournalOp::Put {
-            row_key: Self::obj_row(object_row_key),
-            column: "class".to_string(),
-            value: json!(class_id),
-            timestamp,
-        };
-        let dirty = Self::dirty_mark_op(object_row_key, Some(class_id), timestamp);
-        [class, dirty]
     }
 
     /// Folds one pre-aggregated per-period **delta** into a class rollup:
@@ -220,13 +207,6 @@ impl StatisticsStore {
         });
         self.db
             .put(&Self::class_row(class_id), &column, value, timestamp)
-    }
-
-    /// The class recorded for an object, if any.
-    pub fn object_class(&self, object_row_key: &str) -> Option<String> {
-        self.db
-            .get_latest(self.local, &Self::obj_row(object_row_key), "class")
-            .and_then(|c| c.value.as_str().map(str::to_string))
     }
 
     /// Reconstructs the access history of an object from its statistics row,
@@ -287,31 +267,12 @@ impl StatisticsStore {
     /// of rows stored. Dirty entries always land in the bucket of their
     /// write timestamp, so `ts >= since` implies `bucket >= bucket(since)` —
     /// no qualifying entry can hide in an earlier bucket.
-    pub fn objects_accessed_since(&self, since: Timestamp) -> Vec<String> {
-        let mut keys = self.objects_accessed_since_with_cost(since).0;
-        keys.sort_unstable();
-        keys
-    }
-
-    /// [`Self::objects_accessed_since`] plus the number of index cells the
-    /// range scan examined (tests pin that the fetch is proportional to the
-    /// touched set, not the stored rows).
-    pub(crate) fn objects_accessed_since_with_cost(
-        &self,
-        since: Timestamp,
-    ) -> (Vec<String>, usize) {
-        let (classified, scanned) = self.objects_accessed_since_classified(since);
-        (
-            classified.into_iter().map(|(key, _)| key).collect(),
-            scanned,
-        )
-    }
-
-    /// The accessed set with each entry's class tag (the value the log
+    ///
+    /// Each entry carries its class tag (the value the put commit or the log
     /// aggregator wrote into the dirty-set index), so the class-centric
     /// optimiser groups the set by class **without reading any per-object
-    /// metadata**. `None` tags mark entries written before the object's
-    /// class was known. Entries are deduplicated — the **newest classified**
+    /// metadata**. A `None` tag marks an object that had no readable
+    /// metadata record when its statistics were flushed. Entries are deduplicated — the **newest classified**
     /// mark wins, so an object reclassified by an overwrite is grouped
     /// under its current class — and returned in deterministic first-seen
     /// index order, **not** sorted by key; sorting a 10⁴-entry fetch every
@@ -570,10 +531,6 @@ mod tests {
     /// The op constructors, applied — the write-through form these tests
     /// were written against.
     impl StatisticsStore {
-        fn record_object_class(&self, row: &str, class: &str, ts: Timestamp) -> Result<()> {
-            let ops = Self::object_class_ops(row, class, ts);
-            self.db.transaction(ops.into()).map(drop)
-        }
         fn record_class_usage(&self, c: &str, u: &ResourceUsage, ts: Timestamp) -> Result<()> {
             self.db.apply(Self::class_usage_op(c, u, ts)).map(drop)
         }
@@ -597,6 +554,19 @@ mod tests {
         }
         fn delete_object_stats(&self, row: &str) {
             self.db.apply(Self::delete_object_stats_op(row)).unwrap();
+        }
+        /// The accessed set's keys, sorted.
+        fn objects_accessed_since(&self, since: Timestamp) -> Vec<String> {
+            let mut keys = self.objects_accessed_since_with_cost(since).0;
+            keys.sort_unstable();
+            keys
+        }
+        /// The accessed set's keys, plus the number of index cells the range
+        /// scan examined.
+        fn objects_accessed_since_with_cost(&self, since: Timestamp) -> (Vec<String>, usize) {
+            let (classified, scanned) = self.objects_accessed_since_classified(since);
+            let keys = classified.into_iter().map(|(key, _)| key).collect();
+            (keys, scanned)
         }
     }
 
@@ -666,15 +636,6 @@ mod tests {
         assert_eq!(bounded.records()[0].period, 3);
         // Unknown object yields an empty history.
         assert!(s.history("unknown", 10).is_empty());
-    }
-
-    #[test]
-    fn object_class_roundtrip() {
-        let s = store();
-        s.record_object_class("obj1", "class-abc", Timestamp::new(1, 0))
-            .unwrap();
-        assert_eq!(s.object_class("obj1").unwrap(), "class-abc");
-        assert!(s.object_class("other").is_none());
     }
 
     #[test]
@@ -756,7 +717,7 @@ mod tests {
     #[test]
     fn freshly_written_object_is_dirty_before_any_flush() {
         let s = store();
-        s.record_object_class("newborn", "class-x", Timestamp::new(50, 0))
+        s.mark_accessed("newborn", Some("class-x"), Timestamp::new(50, 0))
             .unwrap();
         assert_eq!(s.objects_accessed_since(Timestamp::ZERO), vec!["newborn"]);
     }
@@ -802,7 +763,7 @@ mod tests {
     #[test]
     fn accessed_set_carries_class_tags() {
         let s = store();
-        s.record_object_class("obj1", "cls-a", Timestamp::new(10, 0))
+        s.mark_accessed("obj1", Some("cls-a"), Timestamp::new(10, 0))
             .unwrap();
         // An unclassified mark (no class known at write time)…
         s.record_period("obj2", &stats(0, 1, 0), Timestamp::new(20, 0))
@@ -829,7 +790,7 @@ mod tests {
     #[test]
     fn gc_caps_class_samples_and_rollup_retention() {
         let s = store();
-        s.record_object_class("obj", "c", Timestamp::new(1, 0))
+        s.mark_accessed("obj", Some("c"), Timestamp::new(1, 0))
             .unwrap();
         for i in 0..MAX_CLASS_SAMPLES + 40 {
             s.record_class_lifetime("c", i as f64, Timestamp::new(10 + i as u64, 0))

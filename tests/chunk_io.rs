@@ -797,7 +797,7 @@ fn hedge_timeline(rtts_ms: [u64; 4]) -> (Arc<Infrastructure>, StripeMeta, Vec<Pr
         let model = LatencyModel::new(rtt_ms, 0, 0, i as u64);
         catalog.register(s3_high(ProviderId::new(i as u32)).with_latency(model));
     }
-    let infra = Infrastructure::new(catalog, 1, Duration::HOUR);
+    let infra = Infrastructure::new(catalog, 1);
     let placement = Placement {
         providers: infra.catalog().all(),
         m: 2,

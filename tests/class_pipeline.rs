@@ -15,12 +15,14 @@
 //!   stays bounded by live objects + known classes (+ recent dirty
 //!   buckets).
 
-use scalia::core::decision;
+use scalia::core::decision::{self, DecisionPeriodController};
+use scalia::engine::infra::SAMPLING_PERIOD;
 use scalia::metastore::model::Timestamp;
 use scalia::metastore::stats::{DIRTY_SHARDS, MAX_CLASS_SAMPLES};
 use scalia::prelude::*;
 use scalia::types::ids::DatacenterId;
 use scalia::types::time::Duration;
+use std::collections::HashMap;
 
 fn rule() -> StorageRule {
     StorageRule::new(
@@ -46,11 +48,16 @@ fn placements_of(cluster: &ScaliaCluster, keys: &[ObjectKey]) -> Vec<(u32, Vec<u
 /// The per-object oracle: one unforced optimisation cycle over `keys`,
 /// deciding each object alone from its own history — trend detection, the
 /// decision-period bound, `decision::decide` with adaptation and the
-/// migration gate — and migrating inline.
-fn per_object_cycle(cluster: &ScaliaCluster, keys: &[ObjectKey]) -> OptimizationReport {
+/// migration gate — and migrating inline. `controllers` holds each object's
+/// decision-period controller across cycles.
+fn per_object_cycle(
+    cluster: &ScaliaCluster,
+    keys: &[ObjectKey],
+    controllers: &mut HashMap<String, DecisionPeriodController>,
+) -> OptimizationReport {
     let engine = cluster.engine(0);
     let infra = cluster.infra();
-    let sampling = infra.sampling_period();
+    let sampling = SAMPLING_PERIOD;
     let mut report = OptimizationReport {
         leader: engine.id(),
         objects_considered: keys.len(),
@@ -80,10 +87,11 @@ fn per_object_cycle(cluster: &ScaliaCluster, keys: &[ObjectKey]) -> Optimization
             sampling,
             Duration::from_hours(24),
         );
-        let row_key = key.row_key();
-        let mut controller = infra.decision_controller(&row_key, Duration::from_hours(24));
+        let controller = controllers.entry(key.row_key()).or_insert_with(|| {
+            DecisionPeriodController::new(Duration::from_hours(24), sampling, 4096)
+        });
         let decided = decision::decide(
-            &mut controller,
+            controller,
             Some(bound),
             meta.size,
             &history,
@@ -94,7 +102,6 @@ fn per_object_cycle(cluster: &ScaliaCluster, keys: &[ObjectKey]) -> Optimization
                     .ok()
             },
         );
-        infra.store_decision_controller(&row_key, controller);
         let Some((usage, chosen)) = decided else {
             continue;
         };
@@ -178,7 +185,7 @@ fn run_singleton_cycle(ramp: &[u64], oracle: bool) -> (OptimizationReport, Vec<(
     }
 
     let report = if oracle {
-        per_object_cycle(&cluster, &keys)
+        per_object_cycle(&cluster, &keys, &mut HashMap::new())
     } else {
         cluster.run_optimization(false)
     };

@@ -295,7 +295,7 @@ fn hedge_infra() -> Arc<Infrastructure> {
             .with_latency(LatencyModel::new(30, 0, 0, i as u64)),
         );
     }
-    Infrastructure::new(catalog, 1, Duration::HOUR)
+    Infrastructure::new(catalog, 1)
 }
 
 /// Encodes `payload` for `placement` and uploads it as one stripe.

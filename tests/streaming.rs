@@ -487,6 +487,49 @@ fn degraded_streamed_put_commits_debt_and_backfills_stripe_by_stripe() {
     assert_exact_footprint(&infra, &[key], "after striped backfill");
 }
 
+/// A degraded overwrite of a degraded object deprecates the first version
+/// like any other commit: both commits stamp their `meta` and repair-queue
+/// cells with one timestamp each, and the old queue cell must not hide the
+/// old metadata from the garbage collection of its chunks.
+#[test]
+fn a_second_degraded_overwrite_collects_the_first_versions_chunks() {
+    let cluster = striped_cluster();
+    let infra = cluster.infra().clone();
+    let victim = infra.catalog().all()[0].id;
+    let key = ObjectKey::new("stream", "twice-degraded.bin");
+
+    infra.backend(victim).unwrap().set_down(true);
+    let first = cluster
+        .put(
+            &key,
+            payload(21, 2_000),
+            "application/x-tar",
+            wide_rule(),
+            None,
+        )
+        .unwrap();
+    assert!(has_debt(&infra, &key));
+    // The failure detector took the victim out; offer it to the next
+    // placement again so the overwrite lands degraded too.
+    infra.catalog().mark_available(victim);
+    let second = cluster
+        .put(
+            &key,
+            payload(22, 2_000),
+            "application/x-tar",
+            wide_rule(),
+            None,
+        )
+        .unwrap();
+    assert_ne!(second.version, first.version);
+    assert!(second.striping.stripes.iter().all(|s| s.n() == 4));
+    assert!(has_debt(&infra, &key));
+
+    infra.backend(victim).unwrap().set_down(false);
+    infra.retry_pending_deletes();
+    assert_exact_footprint(&infra, &[key], "after two degraded writes");
+}
+
 // ---------------------------------------------------------------------------
 // Multipart / append API
 // ---------------------------------------------------------------------------
