@@ -6,8 +6,7 @@
 //! staged encode against `encode_object`), and the 16–20-provider
 //! placement search with and without pairwise dominance pruning (vs the
 //! recorded 4.98 ms PR 1 baseline at 16 providers), and a 4 KiB object's
-//! metadata as a `meta` cell stores it (the encoded record against the
-//! `Value` tree it replaced).
+//! metadata as a `meta` cell stores it (the encoded record's round trip).
 //!
 //! Every measured number is published to `BENCH_raw_speed.json` at the
 //! repo root. Five acceptance gates are asserted inline (so a CI bench
@@ -415,8 +414,7 @@ fn small_object_meta() -> ObjectMeta {
 
 /// A 4 KiB object's metadata through a `meta` cell and back: the encoded
 /// record (`encode_record` + `decode_record`, what a put and a cold read
-/// do) against the `Value` tree (`to_value` + `ObjectMeta::deserialize`).
-/// Returns the JSON row; asserts the ≤ 1 µs record round-trip gate.
+/// do). Returns the JSON row; asserts the ≤ 1 µs record round-trip gate.
 fn meta_record_section() -> serde_json::Value {
     const GATE_MAX_US: f64 = 1.0;
     let meta = small_object_meta();
@@ -425,10 +423,6 @@ fn meta_record_section() -> serde_json::Value {
         let record = black_box(&meta).encode_record();
         black_box(ObjectMeta::decode_record(black_box(&record)).unwrap());
     });
-    let tree_us = time_per_iter_us(iters, || {
-        let tree = serde_json::to_value(black_box(&meta)).unwrap();
-        black_box(serde_json::from_value::<ObjectMeta>(black_box(tree)).unwrap());
-    });
     assert!(
         record_us <= GATE_MAX_US,
         "metadata record round trip {record_us:.3} µs > {GATE_MAX_US} µs"
@@ -436,10 +430,7 @@ fn meta_record_section() -> serde_json::Value {
     serde_json::json!({
         "layout": "4 KiB, 1 stripe, 3-of-4",
         "record_bytes": meta.encode_record().len(),
-        "tree_heap_bytes": serde_json::to_value(&meta).unwrap().heap_bytes(),
         "record_round_trip_us": record_us,
-        "tree_round_trip_us": tree_us,
-        "speedup": tree_us / record_us,
         "gate_max_us": GATE_MAX_US,
         "gate": "pass",
     })

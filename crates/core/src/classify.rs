@@ -12,11 +12,10 @@
 use scalia_types::md5::md5_hex;
 use scalia_types::size::ByteSize;
 use scalia_types::stats::{AccessHistory, PeriodStats};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The class of an object, identified by a stable hash of its metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectClass(String);
 
 impl ObjectClass {

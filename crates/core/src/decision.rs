@@ -40,10 +40,9 @@ use scalia_types::size::ByteSize;
 use scalia_types::stats::AccessHistory;
 use scalia_types::time::Duration;
 use scalia_types::usage::ResourceUsage;
-use serde::{Deserialize, Serialize};
 
 /// Controller for one object's decision period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionPeriodController {
     current: Duration,
     /// Adjust every `t` optimisation procedures.

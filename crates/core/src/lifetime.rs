@@ -7,10 +7,8 @@
 //! answer bounds the decision period so placements are not optimised for a
 //! horizon the object will not survive.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical lifetime distribution built from observed deletion times.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LifetimeDistribution {
     /// Observed lifetimes in hours, kept sorted ascending.
     samples: Vec<f64>,

@@ -9,11 +9,10 @@
 use crate::cost::{migration_cost, PredictedUsage};
 use crate::placement::Placement;
 use scalia_types::money::Money;
-use serde::{Deserialize, Serialize};
 
 /// A proposed migration of one object from its current placement to a new
 /// one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationPlan {
     /// The placement the object currently uses.
     pub from: Placement,

@@ -101,12 +101,11 @@ use scalia_types::money::Money;
 use scalia_types::rules::StorageRule;
 use scalia_types::time::HOURS_PER_MONTH;
 use scalia_types::ErasureParams;
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::fmt;
 
 /// A chosen placement: the provider set and the erasure-coding threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// The providers that will each hold one chunk.
     pub providers: Vec<ProviderDescriptor>,

@@ -7,10 +7,8 @@
 //! periods) of the per-period operation count. A change larger than a
 //! threshold `limit` (default 10 %) triggers re-placement.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple-moving-average momentum trend detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrendDetector {
     /// Moving-average window, in sampling periods (the paper uses `w = 3`).
     pub window: usize,

@@ -209,17 +209,17 @@ impl Engine {
     /// under the lock.
     #[must_use = "the returned stripings' chunks must be garbage-collected"]
     fn commit_metadata(&self, row_key: &str, meta: &ObjectMeta) -> Result<Vec<StripingMeta>> {
-        self.commit_metadata_with_debt(row_key, meta, None, None)
+        self.commit_metadata_with_debt(row_key, meta, false, None)
     }
 
-    /// [`Self::commit_metadata`], optionally recording a durability debt
-    /// and — for a client write, which may have changed the object's class —
-    /// its class-tagged dirty-set mark. The whole commit — metadata,
-    /// container index, debt column and repair-queue entry (or debt
-    /// clearance), version prune, dirty mark — is one journaled transaction
-    /// on the replicated store, so a crash at any point replays to either
-    /// the old or the new placement, never a torn mixture, and never to an
-    /// object the optimiser's accessed set misses.
+    /// [`Self::commit_metadata`], recording a durability debt when `debt`
+    /// (a degraded write) and — for a client write, which may have changed
+    /// the object's class — its class-tagged dirty-set mark. The whole
+    /// commit — metadata, container index, debt mark and repair-queue entry
+    /// (or debt clearance), version prune, dirty mark — is one journaled
+    /// transaction on the replicated store, so a crash at any point replays
+    /// to either the old or the new placement, never a torn mixture, and
+    /// never to an object the optimiser's accessed set misses.
     ///
     /// The `meta` cell holds `meta`'s encoded record
     /// ([`ObjectMeta::encode_record`]), the object's one record: its class
@@ -230,7 +230,7 @@ impl Engine {
         &self,
         row_key: &str,
         meta: &ObjectMeta,
-        debt: Option<serde_json::Value>,
+        debt: bool,
         class_id: Option<&str>,
     ) -> Result<Vec<StripingMeta>> {
         let ops = self.commit_ops(row_key, meta, debt, class_id);
@@ -252,7 +252,7 @@ impl Engine {
         &self,
         row_key: &str,
         meta: &ObjectMeta,
-        debt: Option<serde_json::Value>,
+        debt: bool,
         class_id: Option<&str>,
     ) -> Vec<JournalOp> {
         let row_key = row_key.to_string();
@@ -272,30 +272,30 @@ impl Engine {
                 timestamp,
             },
         ];
-        match debt {
-            Some(debt_value) => {
-                ops.push(JournalOp::Put {
-                    row_key: row_key.clone(),
-                    column: "debt".to_string(),
-                    value: debt_value,
-                    timestamp,
-                });
-                ops.push(JournalOp::Put {
-                    row_key: crate::repair::queue_row_key(&row_key),
-                    column: "item".to_string(),
-                    value: crate::repair::queue_item(&meta.key, "degraded-write"),
-                    timestamp,
-                });
-                ops.push(JournalOp::Prune {
-                    row_key: crate::repair::queue_row_key(&row_key),
-                    column: "item".to_string(),
-                });
-            }
-            // A full-width commit settles any outstanding debt.
-            None => ops.push(JournalOp::DeleteColumn {
+        if debt {
+            // The mark alone: the repair-queue item carries the reason.
+            ops.push(JournalOp::Put {
                 row_key: row_key.clone(),
                 column: "debt".to_string(),
-            }),
+                value: json!(true),
+                timestamp,
+            });
+            ops.push(JournalOp::Put {
+                row_key: crate::repair::queue_row_key(&row_key),
+                column: "item".to_string(),
+                value: crate::repair::queue_item(&meta.key, "degraded-write"),
+                timestamp,
+            });
+            ops.push(JournalOp::Prune {
+                row_key: crate::repair::queue_row_key(&row_key),
+                column: "item".to_string(),
+            });
+        } else {
+            // A full-width commit settles any outstanding debt.
+            ops.push(JournalOp::DeleteColumn {
+                row_key: row_key.clone(),
+                column: "debt".to_string(),
+            });
         }
         // MVCC: the freshest version wins; deprecated versions are removed
         // from the database here, their chunks by the caller.
@@ -1201,7 +1201,7 @@ mod tests {
         let class = ObjectClass::of(&meta.mime, meta.size);
         assert_eq!(
             engine
-                .commit_ops(&clean.row_key(), &meta, None, Some(class.id()))
+                .commit_ops(&clean.row_key(), &meta, false, Some(class.id()))
                 .len(),
             5
         );
@@ -1226,6 +1226,11 @@ mod tests {
             .put(&degraded, payload(), "image/png", wide, None)
             .unwrap();
         assert_eq!(columns(&degraded), ["debt", "meta"]);
+        assert_eq!(
+            db.get_row_merged(&degraded.row_key())["debt"].value,
+            json!(true),
+            "the debt cell is a mark; the queue item holds the reason"
+        );
         infra.set_provider_down(victim, false);
 
         // A migration commits the record alone.

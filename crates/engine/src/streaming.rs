@@ -486,13 +486,7 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         // can never be inserted after the invalidation that covers it.
         // Chunk uploads (above) and deprecated-chunk GC (below) stay outside
         // the lock — no provider round-trip happens under it.
-        let debt = (want_total > have_total).then(|| {
-            serde_json::json!({
-                "reason": "degraded-write",
-                "have": have_total,
-                "want": want_total,
-            })
-        });
+        let debt = want_total > have_total;
         let deprecated = {
             let _commit = engine.infra().lock_row_commit(&row_key);
             let deprecated =

@@ -6,7 +6,6 @@
 //! versions (MVCC). This mirrors the Cassandra-style model sketched in the
 //! paper's Figs. 6 and 10.
 
-use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -16,9 +15,7 @@ use std::sync::Arc;
 /// The paper requires engines to be time-synchronised (NTP) so the freshest
 /// version wins on conflict; the reproduction uses the simulation time in
 /// seconds, extended with a sequence number to break ties deterministically.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp {
     /// Simulated wall-clock seconds.
     pub secs: u64,
@@ -45,7 +42,7 @@ impl Timestamp {
 /// 4-of-5 one (`Value::heap_bytes`, pinned by `scalia-types`'
 /// `meta_footprint` tests). The other row kinds are still small `Value`
 /// trees.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// The stored value (JSON so heterogeneous metadata fits one model).
     pub value: Value,

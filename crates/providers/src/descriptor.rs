@@ -11,11 +11,10 @@ use crate::sla::ProviderSla;
 use scalia_types::ids::ProviderId;
 use scalia_types::size::ByteSize;
 use scalia_types::zone::ZoneSet;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether a provider is a public cloud or a corporate private resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProviderKind {
     /// A public cloud storage provider (billed per use).
     PublicCloud,
@@ -24,7 +23,7 @@ pub enum ProviderKind {
 }
 
 /// Full description of a storage provider.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProviderDescriptor {
     /// Stable identifier within the catalog.
     pub id: ProviderId,

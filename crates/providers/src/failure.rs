@@ -25,11 +25,10 @@
 use parking_lot::Mutex;
 use scalia_types::ids::ProviderId;
 use scalia_types::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A single outage window `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct OutageWindow {
     /// Time the provider becomes unreachable.
     pub start: SimTime,
@@ -38,7 +37,7 @@ pub(crate) struct OutageWindow {
 }
 
 /// A schedule of transient outages for one provider.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OutageSchedule {
     windows: Vec<OutageWindow>,
 }

@@ -23,12 +23,10 @@
 //! (the chunk-I/O layer's hedged read is an event loop over them), and no
 //! operation ever waits them out.
 
-use serde::{Deserialize, Serialize};
-
 /// Deterministic latency model of one provider. The default model is
 /// `LatencyModel::ZERO`: every operation completes instantly, preserving
 /// the pre-latency behaviour of catalogs that do not opt in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyModel {
     /// Fixed per-request round-trip, in microseconds (paid even by errors).
     pub base_rtt_us: u64,

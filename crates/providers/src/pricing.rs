@@ -7,10 +7,9 @@
 use scalia_types::money::Money;
 use scalia_types::time::HOURS_PER_MONTH;
 use scalia_types::usage::ResourceUsage;
-use serde::{Deserialize, Serialize};
 
 /// Prices charged by a storage provider.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PricingPolicy {
     /// USD per GB-month of storage.
     pub storage_gb_month: Money,

@@ -1,10 +1,9 @@
 //! Provider service-level agreements.
 
 use scalia_types::reliability::Reliability;
-use serde::{Deserialize, Serialize};
 
 /// The durability / availability guarantees a provider advertises.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProviderSla {
     /// Annual durability of a stored object (probability it is not lost).
     pub durability: Reliability,

@@ -1,36 +1,33 @@
 //! Offline shim for `serde`.
 //!
 //! The build environment has no access to crates.io, so this crate provides
-//! the tiny subset of serde the workspace actually uses: a JSON-like
-//! [`Value`] data model, [`Serialize`]/[`Deserialize`] traits that convert
-//! to/from that model, and re-exported derive macros (hand-rolled in the
-//! sibling `serde_derive` shim). The derive output is wire-compatible with
-//! serde_json's external enum tagging for the shapes used in this workspace
-//! (named structs, newtype structs, unit/struct/tuple enum variants).
+//! the tiny subset of serde the workspace actually uses:
 //!
-//! A value tree costs what it holds. Every stored version of an object's
-//! metadata is one such tree, so an object [`Map`] is a single key-sorted
-//! vector of `(key, value)` pairs at its exact size, and a field name the
-//! code knows at compile time is a borrowed `&'static str`: a derived
-//! struct allocates its entry vector and the values it holds, and nothing
-//! per field name.
+//! - a JSON-like [`Value`] data model, the form of every metastore cell;
+//! - [`Serialize`] for the scalars, strings, options, vectors and values
+//!   that `serde_json::json!` builds cells from;
+//! - the two traits themselves, which `ObjectMeta` (in `scalia-types`)
+//!   implements as a bridge to its encoded record: it serializes to a
+//!   [`Value::Bytes`] and deserializes from nothing else. [`Value`] is the
+//!   only other [`Deserialize`] implementor.
+//!
+//! There are no derive macros. A value tree costs what it holds: an object
+//! [`Map`] is a single key-sorted vector of `(key, value)` pairs at its
+//! exact size, and a key the code knows at compile time is a borrowed
+//! `&'static str`, so a `json!` object allocates its entry vector and the
+//! values it holds, and nothing per key.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::fmt;
-
-pub use serde_derive::{Deserialize, Serialize};
 
 /// A JSON object: `(key, value)` pairs in one vector, sorted by key with
 /// no duplicates, so iteration, equality and [`Display`](fmt::Display)
 /// follow key order as a `BTreeMap<String, Value>` would, and inserting an
 /// existing key replaces its value (last insert wins).
 ///
-/// Keys are `Cow<'static, str>`: a literal key (`"size".into()`, a derived
-/// field name, a `json!` key) borrows the binary's string, and only a key
-/// made at run time owns a `String`. Lookups and inserts binary-search the
-/// vector; `#[derive(Serialize)]` hands over its entries already sorted,
-/// at their exact count.
+/// Keys are `Cow<'static, str>`: a literal key (`"size".into()`, a `json!`
+/// key) borrows the binary's string, and only a key made at run time owns
+/// a `String`. Lookups and inserts binary-search the vector.
 #[derive(Clone, PartialEq, Default)]
 pub struct Map {
     entries: Vec<(Cow<'static, str>, Value)>,
@@ -47,15 +44,6 @@ impl Map {
         Map {
             entries: Vec::with_capacity(capacity),
         }
-    }
-
-    /// Implementation helper for `#[derive(Serialize)]` — not public API.
-    /// `entries` must already be sorted by key, without duplicates, which
-    /// the derive guarantees by sorting field names at expansion time.
-    #[doc(hidden)]
-    pub fn __from_sorted(entries: Vec<(Cow<'static, str>, Value)>) -> Self {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        Map { entries }
     }
 
     fn position(&self, key: &str) -> Result<usize, usize> {
@@ -416,11 +404,6 @@ impl Error {
     pub fn custom<T: fmt::Display>(msg: T) -> Self {
         Error(msg.to_string())
     }
-
-    /// Wraps an error with the field it occurred at.
-    pub fn field(name: &str, inner: Error) -> Self {
-        Error(format!("{name}: {}", inner.0))
-    }
 }
 
 impl fmt::Display for Error {
@@ -447,26 +430,18 @@ pub trait Deserialize: Sized {
 // Leaf implementations
 // ---------------------------------------------------------------------------
 
-macro_rules! impl_serde_uint {
+macro_rules! impl_serialize_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize(&self) -> Value {
                 Value::Number(Number::PosInt(*self as u64))
             }
         }
-        impl Deserialize for $t {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                value
-                    .as_u64()
-                    .and_then(|v| <$t>::try_from(v).ok())
-                    .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))
-            }
-        }
     )*};
 }
-impl_serde_uint!(u8, u16, u32, u64, usize);
+impl_serialize_uint!(u8, u16, u32, u64, usize);
 
-macro_rules! impl_serde_int {
+macro_rules! impl_serialize_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize(&self) -> Value {
@@ -478,36 +453,20 @@ macro_rules! impl_serde_int {
                 }
             }
         }
-        impl Deserialize for $t {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                value
-                    .as_i64()
-                    .and_then(|v| <$t>::try_from(v).ok())
-                    .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))
-            }
-        }
     )*};
 }
-impl_serde_int!(i8, i16, i32, i64, isize);
+impl_serialize_int!(i8, i16, i32, i64, isize);
 
-macro_rules! impl_serde_float {
+macro_rules! impl_serialize_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize(&self) -> Value {
                 Value::Number(Number::Float(*self as f64))
             }
         }
-        impl Deserialize for $t {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                value
-                    .as_f64()
-                    .map(|v| v as $t)
-                    .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))
-            }
-        }
     )*};
 }
-impl_serde_float!(f32, f64);
+impl_serialize_float!(f32, f64);
 
 impl Serialize for bool {
     fn serialize(&self) -> Value {
@@ -515,26 +474,9 @@ impl Serialize for bool {
     }
 }
 
-impl Deserialize for bool {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_bool()
-            .ok_or_else(|| Error::custom("expected bool"))
-    }
-}
-
 impl Serialize for String {
     fn serialize(&self) -> Value {
         Value::String(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| Error::custom("expected string"))
     }
 }
 
@@ -559,56 +501,9 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::deserialize(other).map(Some),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn serialize(&self) -> Value {
         Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_array()
-            .ok_or_else(|| Error::custom("expected array"))?
-            .iter()
-            .map(T::deserialize)
-            .collect()
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for BTreeMap<String, T> {
-    fn serialize(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.serialize()))
-                .collect(),
-        )
-    }
-}
-
-impl<T: Deserialize> Deserialize for BTreeMap<String, T> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        value
-            .as_object()
-            .ok_or_else(|| Error::custom("expected object"))?
-            .iter()
-            .map(|(k, v)| T::deserialize(v).map(|v| (k.to_string(), v)))
-            .collect()
     }
 }
 
@@ -633,6 +528,7 @@ impl Deserialize for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn number_normalization() {
@@ -645,9 +541,9 @@ mod tests {
     fn option_roundtrip() {
         let none: Option<f64> = None;
         assert_eq!(none.serialize(), Value::Null);
-        assert_eq!(Option::<f64>::deserialize(&Value::Null).unwrap(), None);
+        assert_eq!(Value::deserialize(&none.serialize()).unwrap(), Value::Null);
         let some = Some(2.5f64);
-        assert_eq!(Option::<f64>::deserialize(&some.serialize()).unwrap(), some);
+        assert_eq!(some.serialize().as_f64(), some);
     }
 
     #[test]
@@ -660,7 +556,8 @@ mod tests {
     #[test]
     fn u64_roundtrip_is_exact() {
         let big = u64::MAX - 3;
-        assert_eq!(u64::deserialize(&big.serialize()).unwrap(), big);
+        assert_eq!(big.serialize().as_u64(), Some(big));
+        assert_eq!(big.serialize().as_i64(), None, "beyond i64");
     }
 
     #[test]

@@ -56,10 +56,31 @@ mod tests {
         assert_eq!(arr.as_array().unwrap().len(), 2);
     }
 
+    /// A record type whose serde face is one byte, as `ObjectMeta`'s is
+    /// its encoded record.
+    #[derive(Debug, PartialEq)]
+    struct Tag(u8);
+
+    impl serde::Serialize for Tag {
+        fn serialize(&self) -> Value {
+            Value::Bytes(Box::new([self.0]))
+        }
+    }
+
+    impl serde::Deserialize for Tag {
+        fn deserialize(value: &Value) -> Result<Self, Error> {
+            match value {
+                Value::Bytes(b) if b.len() == 1 => Ok(Tag(b[0])),
+                _ => Err(Error::custom("expected a one-byte record")),
+            }
+        }
+    }
+
     #[test]
     fn to_from_value_roundtrip() {
-        let v = to_value(42u64).unwrap();
-        assert_eq!(from_value::<u64>(v).unwrap(), 42);
-        assert!(from_value::<u64>(Value::String("x".into())).is_err());
+        let v = to_value(Tag(42)).unwrap();
+        assert_eq!(from_value::<Tag>(v).unwrap(), Tag(42));
+        assert!(from_value::<Tag>(Value::String("x".into())).is_err());
+        assert_eq!(from_value::<Value>(json!(42)).unwrap(), json!(42));
     }
 }

@@ -5,11 +5,10 @@
 //! fraction of chunks required; the storage blow-up is `1/r = n/m`
 //! (§II-A1 of the paper).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Parameters of an `(m, n)` erasure code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ErasureParams {
     /// Reconstruction threshold: minimum chunks needed to rebuild the data.
     pub m: u32,

@@ -1,6 +1,5 @@
 //! Identifiers for providers, engines and datacenters.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a storage provider (public cloud or private resource).
@@ -8,9 +7,7 @@ use std::fmt;
 /// Providers are registered in a catalog; the id is a small integer index so
 /// that provider sets can be represented compactly as bitmasks during the
 /// combinatorial placement search.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ProviderId(pub u32);
 
 impl ProviderId {
@@ -32,9 +29,7 @@ impl fmt::Display for ProviderId {
 }
 
 /// Identifier of a Scalia engine instance (the stateless proxy component).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct EngineId(pub u32);
 
 impl EngineId {
@@ -51,9 +46,7 @@ impl fmt::Display for EngineId {
 }
 
 /// Identifier of a datacenter hosting engines, a cache and a database node.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct DatacenterId(pub u32);
 
 impl DatacenterId {

@@ -14,7 +14,6 @@
 //! read at all) is forgiven after two window rotations instead of dragging
 //! its bad history around forever.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of power-of-two buckets: bucket `b` holds samples in
@@ -227,7 +226,7 @@ impl DecayingHistogram {
 }
 
 /// A frozen percentile summary of a [`LatencyHistogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencySnapshot {
     /// Number of samples summarised.
     pub count: u64,

@@ -8,7 +8,6 @@
 //! while keeping exact reproducibility (no float drift) and ample range
 //! (±9.2 × 10⁹ USD).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -17,9 +16,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 pub(crate) const NANOS_PER_DOLLAR: i64 = 1_000_000_000;
 
 /// A monetary amount, stored in nano-dollars (10⁻⁹ USD).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Money(i64);
 
 impl Money {

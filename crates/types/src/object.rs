@@ -15,12 +15,11 @@ use crate::rules::StorageRule;
 use crate::size::ByteSize;
 use crate::time::SimTime;
 use crate::zone::ZoneSet;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The user-visible identity of an object: a container name and a key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectKey {
     /// Container (bucket) name.
     pub container: String,
@@ -58,24 +57,6 @@ impl fmt::Display for ObjectKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectVersionId(pub u128);
 
-impl serde::Serialize for ObjectVersionId {
-    fn serialize(&self) -> serde::Value {
-        // JSON numbers cannot hold 128 bits; serialise as a hex string.
-        serde::Value::String(self.to_hex())
-    }
-}
-
-impl serde::Deserialize for ObjectVersionId {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let hex = value
-            .as_str()
-            .ok_or_else(|| serde::Error::custom("expected hex string version id"))?;
-        u128::from_str_radix(hex, 16)
-            .map(ObjectVersionId)
-            .map_err(serde::Error::custom)
-    }
-}
-
 static VERSION_COUNTER: AtomicU64 = AtomicU64::new(1);
 
 impl ObjectVersionId {
@@ -112,7 +93,7 @@ impl fmt::Display for ObjectVersionId {
 }
 
 /// Location of one erasure-coded chunk: which provider holds which index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkLocation {
     /// Index of the chunk within the erasure coding (0-based).
     pub index: u32,
@@ -129,7 +110,7 @@ pub struct ChunkLocation {
 /// repair and range-read stripes without touching the rest of the object.
 /// The plaintext length is not stored: it follows from the object's size
 /// ([`StripingMeta::stripe_len`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StripeMeta {
     /// Chunk locations of this stripe, one per provider in its chosen set.
     pub chunks: Vec<ChunkLocation>,
@@ -192,7 +173,7 @@ impl StripeMeta {
 /// stripes of `stripe_size` (the last possibly shorter; an empty object is
 /// one empty stripe), each its own [`StripeMeta`]. An object no larger than
 /// one stripe is exactly the paper's record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StripingMeta {
     /// Nominal stripe size in bytes; every stripe except possibly the last
     /// has exactly this plaintext length.
@@ -276,7 +257,7 @@ impl StripingMeta {
 }
 
 /// File-level metadata of an object version (Fig. 11).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectMeta {
     /// The user-visible key.
     pub key: ObjectKey,
@@ -470,6 +451,28 @@ impl ObjectMeta {
                 stripes,
             },
         })
+    }
+}
+
+/// `ObjectMeta`'s serde face is its record: [`ObjectMeta::encode_record`]
+/// as a [`serde::Value::Bytes`], the form a metastore `meta` cell holds.
+impl serde::Serialize for ObjectMeta {
+    fn serialize(&self) -> serde::Value {
+        serde::Value::Bytes(self.encode_record())
+    }
+}
+
+/// The inverse of the `Serialize` impl: a [`serde::Value::Bytes`] record
+/// through [`ObjectMeta::decode_record`]. Any other value, and any record
+/// that does not decode, is an error, never a panic.
+impl serde::Deserialize for ObjectMeta {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        match value {
+            serde::Value::Bytes(record) => {
+                ObjectMeta::decode_record(record).map_err(serde::Error::custom)
+            }
+            _ => Err(serde::Error::custom("expected a metadata record")),
+        }
     }
 }
 
@@ -699,19 +702,6 @@ mod tests {
         assert_eq!(meta.covering(100, 140), 1..2);
         assert_eq!(meta.covering(50, 50), 0..0);
         assert!(meta.covering(500, 600).is_empty());
-    }
-
-    #[test]
-    fn striped_meta_round_trips() {
-        let meta = sample_striping();
-        let value = serde::Serialize::serialize(&meta);
-        let obj = value.as_object().expect("object");
-        assert_eq!(
-            obj.keys().collect::<Vec<_>>(),
-            vec!["stripe_size", "stripes"]
-        );
-        let back = <StripingMeta as serde::Deserialize>::deserialize(&value).unwrap();
-        assert_eq!(back, meta);
     }
 
     #[test]

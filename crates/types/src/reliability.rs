@@ -5,12 +5,11 @@
 //! probability in `[0, 1]` with convenient constructors from percentages and
 //! nines, and exact ordering semantics.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A probability of success in `[0, 1]` (e.g. the probability that an object
 /// survives a year, or that a request succeeds).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Reliability(f64);
 
 impl Reliability {

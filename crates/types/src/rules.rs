@@ -19,11 +19,10 @@
 
 use crate::reliability::Reliability;
 use crate::zone::ZoneSet;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A storage rule constraining where and how an object may be placed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageRule {
     /// Human-readable rule name (e.g. "Rule 1").
     pub name: String,

@@ -3,7 +3,6 @@
 //! Cloud providers bill storage and bandwidth per **decimal** gigabyte
 //! (1 GB = 10⁹ bytes), so [`ByteSize`] uses decimal multiples throughout.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
@@ -16,9 +15,7 @@ pub(crate) const MB: u64 = 1_000_000;
 pub(crate) const GB: u64 = 1_000_000_000;
 
 /// A size in bytes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(u64);
 
 impl ByteSize {

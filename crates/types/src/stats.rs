@@ -9,10 +9,9 @@
 use crate::size::ByteSize;
 use crate::time::SimTime;
 use crate::usage::ResourceUsage;
-use serde::{Deserialize, Serialize};
 
 /// Access statistics for one object during one sampling period.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PeriodStats {
     /// Index of the sampling period (monotonically increasing).
     pub period: u64,
@@ -56,7 +55,7 @@ impl PeriodStats {
 
 /// The access history `H(obj)` of an object: per-period statistics, newest
 /// last, bounded to a maximum length.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessHistory {
     records: Vec<PeriodStats>,
     max_len: usize,

@@ -6,7 +6,6 @@
 //! simulator advances a [`SimTime`] clock in whole seconds; helpers convert
 //! between seconds, hours, days and sampling-period counts.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -19,15 +18,11 @@ pub(crate) const SECONDS_PER_DAY: u64 = 24 * SECONDS_PER_HOUR;
 pub const HOURS_PER_MONTH: u64 = 30 * 24;
 
 /// A point in simulated time, in seconds since the start of the simulation.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in seconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl SimTime {

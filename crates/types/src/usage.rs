@@ -7,12 +7,11 @@
 //! `computePrice()` multiplies against a provider's pricing policy.
 
 use crate::size::ByteSize;
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};
 
 /// Resources consumed at (or predicted for) a storage provider.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceUsage {
     /// Storage held, in GB-hours (1 GB stored for 1 hour = 1.0).
     pub storage_gb_hours: f64,

@@ -5,11 +5,10 @@
 //! advertise the zones they operate in (Fig. 3: S3 in "EU, US, APAC", the
 //! others in "US").
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A geographic zone where a storage provider operates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Zone {
     /// Europe.
     EU,
@@ -35,9 +34,7 @@ impl fmt::Display for Zone {
 }
 
 /// A set of zones, stored as a small bitmask.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct ZoneSet(u8);
 
 impl ZoneSet {

@@ -1,11 +1,14 @@
 //! The metadata record codec: `ObjectMeta::encode_record` and
 //! `ObjectMeta::decode_record` round-trip every object's metadata exactly,
-//! and decoding anything else fails without panicking.
+//! and decoding anything else fails without panicking. `ObjectMeta`'s serde
+//! impls are the same codec: it serializes to its record as a
+//! `Value::Bytes` and deserializes from nothing else.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use scalia_types::object::{ChunkLocation, META_RECORD_VERSION};
 use scalia_types::prelude::*;
+use serde::{Deserialize, Serialize, Value};
 
 /// Arbitrary metadata: strings of any characters (empty ones included),
 /// 0–20 stripes with gaps in their chunk indices, and `Some`/`None` in both
@@ -90,7 +93,20 @@ proptest! {
     fn every_meta_round_trips(meta in AnyMeta) {
         let record = meta.encode_record();
         prop_assert_eq!(record[0], META_RECORD_VERSION);
-        prop_assert_eq!(ObjectMeta::decode_record(&record).unwrap(), meta);
+        prop_assert_eq!(&ObjectMeta::decode_record(&record).unwrap(), &meta);
+
+        // The serde bridge is the record, both ways.
+        let value = Serialize::serialize(&meta);
+        prop_assert_eq!(&value, &Value::Bytes(record.clone()));
+        prop_assert_eq!(&ObjectMeta::deserialize(&value).unwrap(), &meta);
+
+        // Anything but a whole record is an error, not a panic.
+        let mut tree = serde::Map::new();
+        tree.insert("meta".into(), value.clone());
+        prop_assert!(ObjectMeta::deserialize(&Value::Object(tree)).is_err());
+        prop_assert!(ObjectMeta::deserialize(&Value::String(meta.checksum.clone())).is_err());
+        let truncated = Value::Bytes(record[..record.len() - 1].into());
+        prop_assert!(ObjectMeta::deserialize(&truncated).is_err());
     }
 }
 
