@@ -79,8 +79,8 @@ pub enum JournalOp {
 }
 
 /// A [`JournalOp`] as the store logs, hints and applies it (see "One value,
-/// shared" in the module docs). Every op names one row, which is what lets a
-/// node apply a batch with one row lookup per run of ops on the same row.
+/// shared" in the module docs). Every op names one row, which a node finds
+/// with one hash probe of its row map.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LoggedOp {
     /// Row key of the mutation.

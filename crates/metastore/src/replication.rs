@@ -998,7 +998,7 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// A random batch through `transaction` — one lock and one row
-        /// lookup per run on each node — must be indistinguishable from the
+        /// lookup per op on each node — must be indistinguishable from the
         /// same ops applied one at a time: same rows, headers and digests on
         /// every node, same pruned cells, same hints (in op order) for a
         /// node that was down, and the same state after a crash at any

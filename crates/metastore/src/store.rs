@@ -5,6 +5,15 @@
 //! whose dirty-set index answers the optimiser's "which objects were
 //! accessed or modified since the last procedure?", §III-A3).
 //!
+//! # Row index
+//!
+//! Rows live in a hash map: every client op reads or commits rows by key
+//! (an object's row key is an MD5, §III-D1), so a point access costs one
+//! hash probe. Nothing observes the map's order. The few reads that return
+//! or visit several rows — prefix and range scans, snapshots, the
+//! anti-entropy merge-join — run once per tick, not once per op: they
+//! filter every row and sort the matches, and return them in key order.
+//!
 //! # Content digest
 //!
 //! Every row carries a header next to its columns: its **row digest** —
@@ -20,7 +29,8 @@ use crate::journal::{LoggedOp, OpKind};
 use crate::model::{insert_version, latest, Cell, Row, Timestamp};
 use parking_lot::RwLock;
 use scalia_types::ids::DatacenterId;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -122,7 +132,7 @@ impl StoredRow {
 /// Everything behind the node's one lock.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Table {
-    rows: BTreeMap<String, StoredRow>,
+    rows: HashMap<String, StoredRow>,
     /// XOR of every row's digest.
     digest: u64,
 }
@@ -153,46 +163,60 @@ impl Table {
         true
     }
 
-    /// Applies `ops` in order, looking each row up once per run of
-    /// consecutive ops that name it. Returns the cells the `Prune`s removed.
+    /// Drops a column. Returns `true` if the row had it.
+    fn delete_column(&mut self, row_key: &str, column: &str) -> bool {
+        let delta = self
+            .rows
+            .get_mut(row_key)
+            .and_then(|row| row.delete_column(row_key, column));
+        self.digest ^= delta.unwrap_or(0);
+        delta.is_some()
+    }
+
+    /// Drops every version of a column but its latest. Returns the removed
+    /// cells, oldest first.
+    fn prune(&mut self, row_key: &str, column: &str) -> Vec<Arc<Cell>> {
+        let Some(row) = self.rows.get_mut(row_key) else {
+            return Vec::new();
+        };
+        let (removed, delta) = row.prune(row_key, column);
+        self.digest ^= delta;
+        removed
+    }
+
+    /// Applies `ops` in order, one row lookup each. Returns the cells the
+    /// `Prune`s removed.
     fn apply(&mut self, ops: &[LoggedOp]) -> Vec<Arc<Cell>> {
         let mut removed = Vec::new();
-        let mut rest = ops;
-        while let Some(first) = rest.first() {
-            let row_key = first.row_key.as_str();
-            if matches!(first.kind, OpKind::DeleteRow) {
-                self.delete_row(row_key);
-                rest = &rest[1..];
-                continue;
-            }
-            let run = rest
-                .iter()
-                .take_while(|op| op.row_key == row_key && !matches!(op.kind, OpKind::DeleteRow))
-                .count();
-            let (run, tail) = rest.split_at(run);
-            rest = tail;
-            let writes = run.iter().any(|op| matches!(op.kind, OpKind::Put { .. }));
-            let row = match self.rows.get_mut(row_key) {
-                Some(row) => row,
-                None if writes => self.rows.entry(row_key.to_string()).or_default(),
-                // Deletes and prunes of a row the node does not hold.
-                None => continue,
-            };
-            for op in run {
-                let delta = match &op.kind {
-                    OpKind::Put { column, cell } => row.insert(row_key, column, Arc::clone(cell)),
-                    OpKind::DeleteColumn { column } => row.delete_column(row_key, column),
-                    OpKind::Prune { column } => {
-                        let (cells, delta) = row.prune(row_key, column);
-                        removed.extend(cells);
-                        Some(delta)
-                    }
-                    OpKind::DeleteRow => unreachable!("a DeleteRow ends the run before it"),
-                };
-                self.digest ^= delta.unwrap_or(0);
+        for op in ops {
+            let row_key = op.row_key.as_str();
+            match &op.kind {
+                OpKind::Put { column, cell } => {
+                    self.insert(row_key, column, Arc::clone(cell));
+                }
+                OpKind::DeleteColumn { column } => {
+                    self.delete_column(row_key, column);
+                }
+                OpKind::Prune { column } => removed.extend(self.prune(row_key, column)),
+                OpKind::DeleteRow => {
+                    self.delete_row(row_key);
+                }
             }
         }
         removed
+    }
+
+    /// The rows whose key lies in `range`, sorted by key: the one ordered
+    /// read of the row map. O(rows) to filter plus a sort of the matches.
+    fn sorted_rows(&self, range: impl RangeBounds<str>) -> Vec<(&str, &StoredRow)> {
+        let mut rows: Vec<_> = self
+            .rows
+            .iter()
+            .map(|(key, row)| (key.as_str(), row))
+            .filter(|(key, _)| range.contains(*key))
+            .collect();
+        rows.sort_unstable_by_key(|&(key, _)| key);
+        rows
     }
 }
 
@@ -235,12 +259,11 @@ impl NoSqlNode {
         self.up.store(up, Ordering::Relaxed);
     }
 
-    /// Applies a batch of ops in order under one write-lock acquisition and
-    /// one row lookup per run of consecutive ops naming the same row — a put
-    /// commit's five ops on the object's row cost one lock and one walk of
-    /// the row map, not five of each. Returns `None` — nothing applied — if
-    /// the node is down, otherwise the cells the batch's `Prune`s removed,
-    /// in op order.
+    /// Applies a batch of ops in order under one write-lock acquisition —
+    /// a put commit's five ops cost one lock, not five — and one hash probe
+    /// of the row map per op. Returns `None` — nothing applied — if the node
+    /// is down, otherwise the cells the batch's `Prune`s removed, in op
+    /// order.
     pub(crate) fn apply_batch(&self, ops: &[LoggedOp]) -> Option<Vec<Arc<Cell>>> {
         self.is_up().then(|| self.table.write().apply(ops))
     }
@@ -338,26 +361,31 @@ impl NoSqlNode {
             .collect()
     }
 
-    /// Row keys starting with `prefix`, in lexicographic order.
+    /// Row keys starting with `prefix`, in key order. O(rows) plus a sort
+    /// of the matches.
     pub fn scan_prefix(&self, prefix: &str) -> Vec<String> {
         if !self.is_up() {
             return Vec::new();
         }
-        self.table
+        let mut keys: Vec<String> = self
+            .table
             .read()
             .rows
             .keys()
             .filter(|k| k.starts_with(prefix))
             .cloned()
-            .collect()
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Visits the latest cell of every column of every row with
-    /// `start <= key < end`, in lexicographic order, **without cloning**
-    /// rows or cells — a true range query over the ordered row map for hot
-    /// range scans (the optimiser's dirty-set fetch visits one cell per
-    /// touched object per cycle; cloning whole rows there would cost more
-    /// than the rest of the fetch combined).
+    /// `start <= key < end`, in key order, **without cloning** rows or
+    /// cells (the optimiser's dirty-set fetch visits one cell per touched
+    /// object per cycle; cloning whole rows there would cost more than the
+    /// rest of the fetch combined). O(rows) plus a sort of the rows in the
+    /// range: the row map hashes, so the once-per-cycle range read pays
+    /// for the once-per-op point lookups.
     pub(crate) fn visit_range_latest(
         &self,
         start: &str,
@@ -368,7 +396,7 @@ impl NoSqlNode {
             return;
         }
         let table = self.table.read();
-        for (row_key, row) in table.rows.range(start.to_string()..end.to_string()) {
+        for (row_key, row) in table.sorted_rows((Bound::Included(start), Bound::Excluded(end))) {
             for (column, cells) in &row.columns {
                 if let Some(cell) = latest(cells) {
                     visit(row_key, column, cell);
@@ -377,21 +405,22 @@ impl NoSqlNode {
         }
     }
 
-    /// Row keys with `start <= key < end`, in lexicographic order.
+    /// Row keys with `start <= key < end`, in key order. O(rows) plus a
+    /// sort of the matches.
     pub(crate) fn range_keys(&self, start: &str, end: &str) -> Vec<String> {
         if !self.is_up() {
             return Vec::new();
         }
         self.table
             .read()
-            .rows
-            .range(start.to_string()..end.to_string())
-            .map(|(k, _)| k.clone())
+            .sorted_rows((Bound::Included(start), Bound::Excluded(end)))
+            .into_iter()
+            .map(|(key, _)| key.to_string())
             .collect()
     }
 
-    /// All rows, cloned, as a reader sees them: nothing while the node is
-    /// down.
+    /// All rows, cloned, in key order, as a reader sees them: nothing while
+    /// the node is down.
     pub fn snapshot(&self) -> Vec<(String, Row)> {
         if !self.is_up() {
             return Vec::new();
@@ -399,15 +428,15 @@ impl NoSqlNode {
         self.durable_rows()
     }
 
-    /// All rows, cloned, whether or not the node is reachable — what a
-    /// checkpoint saves: an outage hides a node's rows, it does not erase
-    /// them.
+    /// All rows, cloned, in key order, whether or not the node is reachable
+    /// — what a checkpoint saves: an outage hides a node's rows, it does not
+    /// erase them.
     pub(crate) fn durable_rows(&self) -> Vec<(String, Row)> {
         self.table
             .read()
-            .rows
-            .iter()
-            .map(|(k, row)| (k.clone(), row.columns.clone()))
+            .sorted_rows(..)
+            .into_iter()
+            .map(|(key, row)| (key.to_string(), row.columns.clone()))
             .collect()
     }
 
@@ -433,13 +462,17 @@ impl NoSqlNode {
         })
     }
 
-    /// Merge-joins the `(row_key, row_digest)` sequences of `nodes` under
-    /// their read locks, without cloning any row. Returns the number of
-    /// distinct row keys seen and the keys whose digest is not the same on
-    /// every node (a node without the row counts as digest 0).
+    /// Merge-joins the key-sorted `(row_key, row_digest)` sequences of
+    /// `nodes` under their read locks, without cloning any row. Returns the
+    /// number of distinct row keys seen and, in key order, the keys whose
+    /// digest is not the same on every node (a node without the row counts
+    /// as digest 0).
     pub(crate) fn divergent_rows(nodes: &[&NoSqlNode]) -> (usize, Vec<String>) {
         let tables: Vec<_> = nodes.iter().map(|n| n.table.read()).collect();
-        let mut cursors: Vec<_> = tables.iter().map(|t| t.rows.iter().peekable()).collect();
+        let mut cursors: Vec<_> = tables
+            .iter()
+            .map(|t| t.sorted_rows(..).into_iter().peekable())
+            .collect();
         let mut compared = 0;
         let mut divergent = Vec::new();
         while let Some(key) = cursors
@@ -455,7 +488,7 @@ impl NoSqlNode {
             let first = digests.next().unwrap_or(0);
             // `fold`, not `any`: every cursor standing on `key` must advance.
             if digests.fold(false, |differs, d| differs | (d != first)) {
-                divergent.push(key.clone());
+                divergent.push(key.to_string());
             }
         }
         (compared, divergent)
@@ -547,14 +580,7 @@ mod tests {
             if !self.is_up() {
                 return Vec::new();
             }
-            let mut table = self.table.write();
-            let table = &mut *table;
-            let Some(row) = table.rows.get_mut(row_key) else {
-                return Vec::new();
-            };
-            let (removed, delta) = row.prune(row_key, column);
-            table.digest ^= delta;
-            removed
+            self.table.write().prune(row_key, column)
         }
 
         /// Deletes a whole row. Returns `true` if it existed.
@@ -564,20 +590,7 @@ mod tests {
 
         /// Deletes a single column of a row.
         pub(crate) fn delete_column(&self, row_key: &str, column: &str) -> bool {
-            if !self.is_up() {
-                return false;
-            }
-            let mut table = self.table.write();
-            let table = &mut *table;
-            let Some(delta) = table
-                .rows
-                .get_mut(row_key)
-                .and_then(|row| row.delete_column(row_key, column))
-            else {
-                return false;
-            };
-            table.digest ^= delta;
-            true
+            self.is_up() && self.table.write().delete_column(row_key, column)
         }
     }
     use serde_json::json;
@@ -814,6 +827,111 @@ mod tests {
         target.assert_same_state(&source, "merged");
         target.set_up(false);
         assert_eq!(target.merge_row("r2", &row), 0);
+    }
+
+    /// A row key from one of the families the store holds — dirty-set
+    /// buckets, class rows, container rows, object rows (32 hex digits) —
+    /// drawn from a space small enough that keys repeat and share prefixes.
+    fn family_key(below: &mut impl FnMut(u64) -> u64) -> String {
+        match below(4) {
+            0 => format!("stats:dirty:{:012}:{:02}", below(4), below(3)),
+            1 => format!("stats:class:{}", below(6)),
+            2 => format!("container:{}", below(6)),
+            _ => format!("{:x}{:031x}", below(16), below(3)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Every read that returns or visits several rows does so in key
+        /// order, whatever order the rows were written in: each equals the
+        /// same read over a `BTreeMap` model of the same cells.
+        #[test]
+        fn ordered_reads_match_a_sorted_model(
+            seed in proptest::any::<u64>(),
+            len in 1usize..64,
+        ) {
+            use std::collections::{BTreeMap, BTreeSet};
+            let mut rng = proptest::TestRng::deterministic(&format!("ordered-{seed}"));
+            let mut below = move |n: u64| rng.next_u64() % n;
+            // Each write goes to node 0, node 1 or (2) both, so they diverge.
+            let writes: Vec<_> = (0..len as u64)
+                .map(|secs| {
+                    let row = family_key(&mut below);
+                    (row, format!("col-{}", below(3)), Timestamp::new(secs, 0), below(3))
+                })
+                .collect();
+            let nodes = [node(), node()];
+            let mut models: [BTreeMap<String, Row>; 2] = Default::default();
+            for (n, (node, model)) in nodes.iter().zip(&mut models).enumerate() {
+                // Each node sees the writes in an order of its own.
+                let mut order: Vec<usize> = (0..writes.len()).collect();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, below(i as u64 + 1) as usize);
+                }
+                for (row, column, timestamp, to) in order.into_iter().map(|i| &writes[i]) {
+                    if *to == n as u64 || *to == 2 {
+                        node.put(row, column, json!(timestamp.secs), *timestamp);
+                        let cell = Arc::new(Cell::new(json!(timestamp.secs), *timestamp));
+                        let columns = model.entry(row.clone()).or_default();
+                        insert_version(columns.entry(column.clone()).or_default(), cell);
+                    }
+                }
+            }
+
+            // Ascending, so every `start <= end` below.
+            let bounds = [
+                "", "0", "8", "container:", "container:3", "stats:", "stats:class:",
+                "stats:class:4", "stats:dirty:", "stats:dirty:000000000002", "stats:dirty;", "z",
+            ];
+            for (node, model) in nodes.iter().zip(&models) {
+                let rows: Vec<(String, Row)> =
+                    model.iter().map(|(k, row)| (k.clone(), row.clone())).collect();
+                assert_eq!(node.snapshot(), rows, "seed {seed}: snapshot");
+                assert_eq!(node.durable_rows(), rows, "seed {seed}: durable_rows");
+                for prefix in bounds {
+                    let expected: Vec<String> =
+                        model.keys().filter(|k| k.starts_with(prefix)).cloned().collect();
+                    assert_eq!(node.scan_prefix(prefix), expected, "seed {seed}: {prefix:?}");
+                }
+                for (i, start) in bounds.iter().enumerate() {
+                    for end in &bounds[i..] {
+                        let range = (Bound::Included(*start), Bound::Excluded(*end));
+                        let in_range = || model.range::<str, _>(range);
+                        let keys: Vec<String> = in_range().map(|(k, _)| k.clone()).collect();
+                        assert_eq!(node.range_keys(start, end), keys, "seed {seed}: {range:?}");
+                        let cells: Vec<(String, String, Timestamp)> = in_range()
+                            .flat_map(|(row, columns)| {
+                                columns.iter().filter_map(move |(column, cells)| {
+                                    latest(cells).map(|c| (row.clone(), column.clone(), c.timestamp))
+                                })
+                            })
+                            .collect();
+                        let mut visited = Vec::new();
+                        node.visit_range_latest(start, end, |row, column, cell| {
+                            visited.push((row.to_string(), column.to_string(), cell.timestamp));
+                        });
+                        assert_eq!(visited, cells, "seed {seed}: visit {range:?}");
+                    }
+                }
+            }
+
+            let keys: BTreeSet<&String> = models.iter().flat_map(|m| m.keys()).collect();
+            let digest = |model: &BTreeMap<String, Row>, key: &str| {
+                model.get(key).map_or(0, |row| row_hash(key, row))
+            };
+            let divergent: Vec<String> = keys
+                .iter()
+                .filter(|k| digest(&models[0], k) != digest(&models[1], k))
+                .map(|k| k.to_string())
+                .collect();
+            assert_eq!(
+                NoSqlNode::divergent_rows(&[&nodes[0], &nodes[1]]),
+                (keys.len(), divergent),
+                "seed {seed}: divergent_rows"
+            );
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use scalia_types::money::Money;
 use scalia_types::size::ByteSize;
 use scalia_types::time::SimTime;
 use scalia_types::usage::ResourceUsage;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -69,7 +69,9 @@ impl OpLatencies {
 }
 
 struct StoreState {
-    objects: BTreeMap<String, Bytes>,
+    /// Chunks by key. Every round-trip is a point access, so the map hashes;
+    /// only [`SimulatedStore::list`] needs key order, and sorts.
+    objects: HashMap<String, Bytes>,
     stored_bytes: ByteSize,
     meter: BillingMeter,
     latencies: OpLatencies,
@@ -103,7 +105,7 @@ impl SimulatedStore {
             descriptor,
             outages,
             state: Mutex::new(StoreState {
-                objects: BTreeMap::new(),
+                objects: HashMap::new(),
                 stored_bytes: ByteSize::ZERO,
                 meter,
                 latencies: OpLatencies::default(),
@@ -250,17 +252,20 @@ impl SimulatedStore {
         self.timed_delete(key).0
     }
 
-    /// Lists all keys with the given prefix.
+    /// Lists all keys with the given prefix, in key order. O(keys stored)
+    /// plus a sort of the matches.
     pub fn list(&self, prefix: &str) -> Result<Vec<String>> {
         let mut state = self.state.lock();
         self.check_up(&state)?;
         state.meter.record(ResourceUsage::operations(1));
-        Ok(state
+        let mut keys: Vec<String> = state
             .objects
             .keys()
             .filter(|k| k.starts_with(prefix))
             .cloned()
-            .collect())
+            .collect();
+        keys.sort_unstable();
+        Ok(keys)
     }
 
     /// Returns `true` if a value is stored under `key`.
@@ -408,12 +413,19 @@ mod tests {
     #[test]
     fn list_filters_by_prefix() {
         let s = store();
-        s.put("skey1.0", Bytes::from_static(b"x")).unwrap();
-        s.put("skey1.1", Bytes::from_static(b"y")).unwrap();
-        s.put("other.0", Bytes::from_static(b"z")).unwrap();
+        // Stored out of key order: `list` returns key order whatever the
+        // insertion order (six keys, so a hash order is rarely sorted).
+        for key in [
+            "other.0", "skey1.1", "skey1.0", "skey2.1", "skey1.2", "skey2.0",
+        ] {
+            s.put(key, Bytes::from_static(b"x")).unwrap();
+        }
         let keys = s.list("skey1").unwrap();
-        assert_eq!(keys, vec!["skey1.0".to_string(), "skey1.1".to_string()]);
-        assert_eq!(s.list("").unwrap().len(), 3);
+        assert_eq!(keys, ["skey1.0", "skey1.1", "skey1.2"]);
+        assert_eq!(
+            s.list("").unwrap(),
+            ["other.0", "skey1.0", "skey1.1", "skey1.2", "skey2.0", "skey2.1"]
+        );
     }
 
     #[test]
