@@ -410,6 +410,117 @@ mod tests {
         );
     }
 
+    /// With the only metastore node down, a put is refused — and stays
+    /// refused: no hint or journal record lands it once the node is back,
+    /// not at the next tick's anti-entropy round and not at recovery.
+    #[test]
+    fn a_put_the_metastore_refused_never_lands() {
+        let cluster = ScaliaCluster::builder().datacenters(1).build();
+        let db = cluster.infra().database();
+        let checkpoint = db.checkpoint();
+        let key = ObjectKey::new("c", "refused.bin");
+        db.nodes()[0].set_up(false);
+        let err = cluster
+            .put(&key, vec![5u8; 4096], "image/gif", rule(), None)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                scalia_types::error::ScaliaError::DatacenterUnavailable(0)
+            ),
+            "{err}"
+        );
+        assert_eq!(db.pending_hints(), 0);
+        db.nodes()[0].set_up(true);
+        cluster.tick(SimTime::from_hours(1));
+        let absent = |cluster: &ScaliaCluster| {
+            assert!(cluster.get(&key).is_err(), "a refused put is readable");
+            assert!(cluster.list("c").is_empty(), "a refused put is listed");
+        };
+        absent(&cluster);
+        db.recover(&checkpoint);
+        absent(&cluster);
+    }
+
+    /// A tick's statistics flush is one transaction — one `Begin` and one
+    /// `Commit` whatever it writes — and an idle tick journals nothing.
+    #[test]
+    fn a_ticks_statistics_commit_as_one_transaction() {
+        let cluster = ScaliaCluster::builder().build();
+        let db = cluster.infra().database();
+        for i in 0..3 {
+            let key = ObjectKey::new("c", format!("k{i}"));
+            let mime = ["image/png", "image/gif", "text/plain"][i];
+            cluster
+                .put(&key, vec![1u8; 10_000], mime, rule(), None)
+                .unwrap();
+            cluster.get(&key).unwrap();
+        }
+        let before = db.journal().len();
+        cluster.tick(SimTime::from_hours(1));
+        assert_eq!(
+            db.journal().len() - before,
+            2,
+            "three objects, three classes"
+        );
+        cluster.tick(SimTime::from_hours(2));
+        assert_eq!(
+            db.journal().len() - before,
+            2,
+            "an idle tick journals nothing"
+        );
+    }
+
+    /// A crash inside a tick's flush leaves all of its statistics or none:
+    /// once the flush's batch is logged, recovery restores the object's
+    /// period cell, its dirty mark and its class's rollup delta together;
+    /// a crash before the batch is logged restores none of them.
+    #[test]
+    fn a_ticks_statistics_are_all_or_nothing_across_a_crash() {
+        use scalia_core::classify::ObjectClass;
+        use scalia_metastore::model::Timestamp;
+        use scalia_providers::failure::FaultPlan;
+
+        for (label, lands) in [("txn::torn", true), ("txn::before-log", false)] {
+            let cluster = ScaliaCluster::builder().build();
+            let infra = cluster.infra();
+            let db = infra.database();
+            let stats = infra.statistics(DatacenterId::new(0));
+            // The only member of its class, so its rollup is its history.
+            let key = ObjectKey::new("c", "alone.bin");
+            let meta = cluster
+                .put(&key, vec![3u8; 12_345], "application/x-alone", rule(), None)
+                .unwrap();
+            let class = ObjectClass::of(&meta.mime, meta.size);
+            cluster.get(&key).unwrap();
+            cluster.get(&key).unwrap();
+
+            let checkpoint = db.checkpoint();
+            let plan = Arc::new(FaultPlan::new());
+            plan.arm(label);
+            infra.set_fault_plan(Some(plan));
+            cluster.tick(SimTime::from_hours(1));
+            infra.set_fault_plan(None);
+            db.recover(&checkpoint);
+
+            let history = stats.history(&key.row_key(), 24);
+            let rollup = stats.class_period_records(class.id(), 24);
+            let marked = stats
+                .objects_accessed_since_classified(Timestamp::new(3600, 0))
+                .0
+                .contains(&(key.row_key(), Some(class.id().to_string())));
+            assert_eq!(!history.is_empty(), lands, "{label}: period cell");
+            assert_eq!(marked, lands, "{label}: dirty mark");
+            assert_eq!(!rollup.is_empty(), lands, "{label}: rollup delta");
+            let from_rollup: Vec<_> = rollup
+                .iter()
+                .map(|(_, record)| (record.stats, record.objects))
+                .collect();
+            let from_history: Vec<_> = history.records().iter().map(|p| (*p, 1)).collect();
+            assert_eq!(from_rollup, from_history, "{label}: singleton rollup");
+        }
+    }
+
     #[test]
     fn zero_cache_cluster_still_serves_reads() {
         let cluster = ScaliaCluster::builder()

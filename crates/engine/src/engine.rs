@@ -793,7 +793,12 @@ mod tests {
         ] {
             infra
                 .database()
-                .put(&key.row_key(), "meta", garbage, infra.next_timestamp())
+                .transaction(vec![JournalOp::Put {
+                    row_key: key.row_key(),
+                    column: "meta".to_string(),
+                    value: garbage,
+                    timestamp: infra.next_timestamp(),
+                }])
                 .unwrap();
             let err = engine.get(&key).unwrap_err();
             assert!(matches!(err, ScaliaError::Internal(_)), "{err}");
@@ -1140,8 +1145,7 @@ mod tests {
         };
 
         // One put is one transaction: a Begin and a Commit record, nothing
-        // auto-committed beside them — the class-tagged dirty mark rides in
-        // the batch.
+        // beside them — the class-tagged dirty mark rides in the batch.
         let key = ObjectKey::new("docs", "classed.pdf");
         let records_before = db.journal().len();
         engine

@@ -810,12 +810,12 @@ mod tests {
         let broken = keys[1].row_key();
         infra
             .database()
-            .put(
-                &broken,
-                "meta",
-                serde_json::Value::Bytes(vec![0xff; 7].into_boxed_slice()),
-                infra.next_timestamp(),
-            )
+            .transaction(vec![scalia_metastore::journal::JournalOp::Put {
+                row_key: broken,
+                column: "meta".to_string(),
+                value: serde_json::Value::Bytes(vec![0xff; 7].into_boxed_slice()),
+                timestamp: infra.next_timestamp(),
+            }])
             .unwrap();
         let cheap =
             infra.register_provider(scalia_providers::descriptor::ProviderDescriptor::public(

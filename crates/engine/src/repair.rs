@@ -48,6 +48,7 @@ use scalia_core::availability::get_availability;
 use scalia_core::cost::PredictedUsage;
 use scalia_core::migration::MigrationBudget;
 use scalia_core::placement::PlacementEngine;
+use scalia_metastore::journal::JournalOp;
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::ProviderId;
 use scalia_types::money::Money;
@@ -183,12 +184,30 @@ pub fn enqueue(infra: &Infrastructure, key: &ObjectKey, reason: &str) -> Result<
     if matches!(existing, Some(ref entry) if !entry.dead) {
         return Ok(());
     }
-    let timestamp = infra.next_timestamp();
-    infra
+    put_item(infra, queue_row, queue_item(key, reason))
+}
+
+/// Writes a queue entry's `item` under a fresh timestamp and prunes its
+/// older versions, in one transaction.
+fn put_item(infra: &Infrastructure, queue_row: String, item: Value) -> Result<()> {
+    let prune = JournalOp::Prune {
+        row_key: queue_row.clone(),
+        column: "item".to_string(),
+    };
+    let put = JournalOp::Put {
+        row_key: queue_row,
+        column: "item".to_string(),
+        value: item,
+        timestamp: infra.next_timestamp(),
+    };
+    infra.database().transaction(vec![put, prune]).map(drop)
+}
+
+/// Retires a queue entry: one transaction that drops its row.
+fn delete_entry(infra: &Infrastructure, queue_row: String) {
+    let _ = infra
         .database()
-        .put(&queue_row, "item", queue_item(key, reason), timestamp)?;
-    infra.database().prune_old_versions(&queue_row, "item");
-    Ok(())
+        .transaction(vec![JournalOp::DeleteRow { row_key: queue_row }]);
 }
 
 /// All current repair-queue entries, keyed by queue row.
@@ -269,7 +288,7 @@ pub(crate) fn drain_repair_queue(
             Ok(meta) => meta,
             Err(_) => {
                 // The object is gone; its debt went with it.
-                infra.database().delete_row(&queue_row);
+                delete_entry(infra, queue_row);
                 report.resolved += 1;
                 continue;
             }
@@ -281,7 +300,7 @@ pub(crate) fn drain_repair_queue(
         if all_reachable && !has_debt {
             // Healthy again (e.g. the provider recovered before we got to
             // it) at full width: nothing to move.
-            infra.database().delete_row(&queue_row);
+            delete_entry(infra, queue_row);
             report.resolved += 1;
             continue;
         }
@@ -338,7 +357,7 @@ pub(crate) fn drain_repair_queue(
             Ok(_) => {
                 // The full-width commit settled any durability debt
                 // atomically; retire the queue entry.
-                infra.database().delete_row(&queue_row);
+                delete_entry(infra, queue_row);
                 report.repaired += 1;
                 report.bytes_moved += meta.size.bytes();
             }
@@ -350,11 +369,7 @@ pub(crate) fn drain_repair_queue(
                     entry.dead = true;
                     report.dead_lettered += 1;
                 }
-                let timestamp = infra.next_timestamp();
-                infra
-                    .database()
-                    .put(&queue_row, "item", entry.to_value(), timestamp)?;
-                infra.database().prune_old_versions(&queue_row, "item");
+                put_item(infra, queue_row, entry.to_value())?;
             }
         }
     }

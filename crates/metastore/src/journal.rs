@@ -1,25 +1,21 @@
 //! Write-ahead journal for crash-consistent metadata commits.
 //!
-//! The replicated store logs a multi-op transaction *before* any database
-//! node sees any of it, so that a crash at any point leaves enough durable
-//! intent to finish (or cleanly discard) the interrupted operation on
-//! restart. A single op has no partial state to tear, so it is applied
-//! first and logged once accepted — the record is what replay redoes onto a
-//! checkpoint, not intent.
+//! Every mutation of the replicated store is a transaction, logged *before*
+//! any database node sees any of it, so that a crash at any point leaves
+//! enough durable intent to finish the interrupted batch on restart.
 //!
 //! # Journal format
 //!
-//! The journal is an append-only sequence of `JournalRecord`s:
+//! The journal is an append-only sequence of `JournalRecord`s of two kinds:
 //!
-//! * `Apply(op)` — a single auto-committed mutation (a statistics write, a
-//!   row deletion). Logged right after the nodes applied it
-//!   (`ReplicatedStore::apply`), and only if they accepted it: a `Put` no
-//!   reachable node took is an error to the caller and leaves no record.
-//!   Replay re-applies it.
-//! * `Begin { txid, ops }` — a multi-operation transaction (the engine's
-//!   put commit: metadata, container index, debt, version prune, dirty
-//!   mark; its delete: class samples, row drops, container tombstone). The
-//!   *whole* op list is logged atomically before any node sees any of it.
+//! * `Begin { txid, ops }` — a transaction: the engine's put commit
+//!   (metadata, container index, debt, version prune, dirty mark), its
+//!   delete (class samples, row drops, container tombstone), a tick's
+//!   statistics flush, a repair-queue update. The *whole* op list is logged
+//!   atomically before any node sees any of it. A batch that writes a cell
+//!   no node accepted is refused, and its `Begin` is taken back out of the
+//!   journal (`WriteAheadJournal::abort`), so neither replay nor a
+//!   checkpoint ever sees it.
 //! * `Commit { txid }` — appended after every op of transaction `txid` was
 //!   applied to the nodes.
 //!
@@ -138,10 +134,8 @@ impl From<JournalOp> for LoggedOp {
 /// One record of the append-only journal (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum JournalRecord {
-    /// A single auto-committed mutation.
-    Apply(LoggedOp),
-    /// Start of a multi-operation transaction: the full op list, logged
-    /// before any node applies any of it.
+    /// Start of a transaction: the full op list, logged before any node
+    /// applies any of it.
     Begin {
         /// Transaction id (unique within this journal).
         txid: u64,
@@ -169,11 +163,6 @@ impl WriteAheadJournal {
         WriteAheadJournal::default()
     }
 
-    /// Logs a single auto-committed mutation.
-    pub(crate) fn log_apply(&self, op: LoggedOp) {
-        self.records.lock().push(JournalRecord::Apply(op));
-    }
-
     /// Logs the start of a transaction, returning its id.
     pub(crate) fn begin(&self, ops: Arc<[LoggedOp]>) -> u64 {
         let txid = self.next_txid.fetch_add(1, Ordering::Relaxed);
@@ -184,6 +173,18 @@ impl WriteAheadJournal {
     /// Logs the commit of transaction `txid`.
     pub(crate) fn commit(&self, txid: u64) {
         self.records.lock().push(JournalRecord::Commit { txid });
+    }
+
+    /// Takes the `Begin` of transaction `txid` back out: the batch was
+    /// refused, so nothing of it may be redone.
+    pub(crate) fn abort(&self, txid: u64) {
+        let mut records = self.records.lock();
+        if let Some(at) = records
+            .iter()
+            .rposition(|r| matches!(r, JournalRecord::Begin { txid: t, .. } if *t == txid))
+        {
+            records.remove(at);
+        }
     }
 
     /// Number of records currently in the journal.
@@ -220,10 +221,9 @@ impl WriteAheadJournal {
             .collect()
     }
 
-    /// Drops every record made durable by a checkpoint — applied singles,
-    /// committed transactions and their commits — keeping only `Begin`
-    /// records still awaiting a commit. Returns the number of records
-    /// dropped.
+    /// Drops every record made durable by a checkpoint — committed
+    /// transactions and their commits — keeping only `Begin` records still
+    /// awaiting a commit. Returns the number of records dropped.
     pub(crate) fn truncate_committed(&self) -> usize {
         let mut records = self.records.lock();
         let committed: BTreeSet<u64> = records
@@ -257,7 +257,7 @@ mod tests {
     use super::*;
     use serde_json::json;
 
-    fn put(row: &str, ts: u64) -> LoggedOp {
+    fn put_op(row: &str, ts: u64) -> LoggedOp {
         JournalOp::Put {
             row_key: row.to_string(),
             column: "c".to_string(),
@@ -270,8 +270,8 @@ mod tests {
     #[test]
     fn transactions_track_commit_state() {
         let j = WriteAheadJournal::new();
-        let t1 = j.begin([put("a", 1)].into());
-        let t2 = j.begin([put("b", 2)].into());
+        let t1 = j.begin([put_op("a", 1)].into());
+        let t2 = j.begin([put_op("b", 2)].into());
         assert_ne!(t1, t2);
         j.commit(t1);
         assert_eq!(j.uncommitted(), vec![t2]);
@@ -283,18 +283,32 @@ mod tests {
     #[test]
     fn truncate_keeps_only_uncommitted_begins() {
         let j = WriteAheadJournal::new();
-        j.log_apply(put("a", 1));
-        let t1 = j.begin([put("b", 2)].into());
+        let t0 = j.begin([put_op("a", 1)].into());
+        j.commit(t0);
+        let t1 = j.begin([put_op("b", 2)].into());
         j.commit(t1);
-        let t2 = j.begin([put("c", 3)].into());
+        let t2 = j.begin([put_op("c", 3)].into());
         let dropped = j.truncate_committed();
-        assert_eq!(dropped, 3, "apply + committed begin + commit are dropped");
+        assert_eq!(dropped, 4, "committed begins + their commits are dropped");
         assert_eq!(j.len(), 1);
         assert_eq!(j.uncommitted(), vec![t2]);
         assert!(matches!(
             j.records()[0],
             JournalRecord::Begin { txid, .. } if txid == t2
         ));
+    }
+
+    #[test]
+    fn an_aborted_begin_leaves_no_record() {
+        let j = WriteAheadJournal::new();
+        let t1 = j.begin([put_op("a", 1)].into());
+        let t2 = j.begin([put_op("b", 2)].into());
+        j.abort(t1);
+        assert_eq!(j.uncommitted(), vec![t2]);
+        j.commit(t2);
+        assert_eq!(j.len(), 2);
+        assert_eq!(j.truncate_committed(), 2);
+        assert!(j.is_empty());
     }
 
     #[test]

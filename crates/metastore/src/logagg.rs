@@ -82,17 +82,22 @@ impl LogAggregator {
     }
 
     /// Drains every agent, aggregates the records per `(object, period)` and
-    /// writes the aggregates to `stats` — each tagged with the object's
-    /// class, which `class_of` resolves from the object's row key (asked
-    /// once per object per flush; the deployment derives it from the
-    /// object's metadata record, `None` once the object is gone). So the
-    /// dirty-set index carries the tag and the class-centric optimiser can
-    /// group the accessed set with no metadata reads. The same pass folds
-    /// the per-object aggregates into **one pre-aggregated delta per
-    /// `(class, period)`** (`StatisticsStore::record_class_period`), so a
+    /// writes the aggregates to `stats` — each with a dirty mark tagged with
+    /// the object's class, which `class_of` resolves from the object's row
+    /// key (asked once per object per flush; the deployment derives it from
+    /// the object's metadata record, `None` once the object is gone). So
+    /// the dirty-set index carries the tag and the class-centric optimiser
+    /// can group the accessed set with no metadata reads. The same pass
+    /// folds the per-object aggregates into **one pre-aggregated delta per
+    /// `(class, period)`** (`StatisticsStore::class_period_op`), so a
     /// class's usage series costs O(periods) to read, not
-    /// O(members × periods). Returns the number of `(object, period)`
-    /// aggregates written.
+    /// O(members × periods).
+    ///
+    /// The whole flush — every object's period cell and dirty mark, then
+    /// every class delta — commits as **one transaction**, so a crash
+    /// leaves all of it or none of it, and a flush with nothing to write
+    /// journals nothing. Returns the number of `(object, period)`
+    /// aggregates written (0 if the store refused the batch).
     ///
     /// The aggregator flushes each sampling period once (the cluster ticks
     /// at period boundaries); a re-flush of the same `(object, period)`
@@ -125,7 +130,7 @@ impl LogAggregator {
         }
         let mut classes: BTreeMap<String, Option<String>> = BTreeMap::new();
         let mut rollups: BTreeMap<(String, u64), (PeriodStats, u64)> = BTreeMap::new();
-        let mut written = 0;
+        let mut ops = Vec::with_capacity(2 * grouped.len());
         // Every write of one flush shares the caller's timestamp: each
         // targets a distinct column (rollup column names embed the
         // timestamp), so nothing conflicts — and no timestamp beyond the
@@ -137,30 +142,34 @@ impl LogAggregator {
             let class = classes
                 .entry(object_row_key.clone())
                 .or_insert_with(|| class_of(object_row_key));
-            if stats
-                .record_period_classified(object_row_key, class.as_deref(), period_stats, timestamp)
-                .is_ok()
-            {
-                written += 1;
-                if let Some(class_id) = class {
-                    let (delta, objects) = rollups
-                        .entry((class_id.clone(), *period))
-                        .or_insert_with(|| (PeriodStats::empty(*period), 0));
-                    delta.storage += period_stats.storage;
-                    delta.bw_in += period_stats.bw_in;
-                    delta.bw_out += period_stats.bw_out;
-                    delta.reads += period_stats.reads;
-                    delta.writes += period_stats.writes;
-                    *objects += 1;
-                }
+            ops.push(StatisticsStore::period_op(
+                object_row_key,
+                period_stats,
+                timestamp,
+            ));
+            ops.push(StatisticsStore::dirty_mark_op(
+                object_row_key,
+                class.as_deref(),
+                timestamp,
+            ));
+            if let Some(class_id) = class {
+                let (delta, objects) = rollups
+                    .entry((class_id.clone(), *period))
+                    .or_insert_with(|| (PeriodStats::empty(*period), 0));
+                delta.storage += period_stats.storage;
+                delta.bw_in += period_stats.bw_in;
+                delta.bw_out += period_stats.bw_out;
+                delta.reads += period_stats.reads;
+                delta.writes += period_stats.writes;
+                *objects += 1;
             }
         }
         for ((class_id, _period), (delta, objects)) in &rollups {
-            stats
-                .record_class_period(class_id, delta, *objects, timestamp)
-                .ok();
+            ops.push(StatisticsStore::class_period_op(
+                class_id, delta, *objects, timestamp,
+            ));
         }
-        written
+        stats.db.transaction(ops).map_or(0, |_| grouped.len())
     }
 }
 
@@ -222,6 +231,7 @@ mod tests {
         let aggregator = LogAggregator::new(vec![a1.clone(), a2.clone()]);
         let written = aggregator.flush(&stats, Timestamp::new(3600, 0), |_| None);
         assert_eq!(written, 3);
+        assert_eq!(stats.db.journal().len(), 2, "one flush, one transaction");
 
         let h1 = stats.history("obj1", 10);
         assert_eq!(h1.len(), 2);
@@ -286,5 +296,21 @@ mod tests {
         let stats = stats_store();
         let aggregator = LogAggregator::new(vec![LogAgent::shared()]);
         assert_eq!(aggregator.flush(&stats, Timestamp::new(1, 0), |_| None), 0);
+        assert!(
+            stats.db.journal().is_empty(),
+            "an empty flush journals nothing"
+        );
+    }
+
+    #[test]
+    fn a_flush_the_store_refuses_writes_nothing() {
+        let stats = stats_store();
+        let agent = LogAgent::shared();
+        agent.log(read_record("obj", 0, 10));
+        stats.db.nodes()[0].set_up(false);
+        let aggregator = LogAggregator::new(vec![agent]);
+        assert_eq!(aggregator.flush(&stats, Timestamp::new(1, 0), |_| None), 0);
+        assert!(stats.db.journal().is_empty());
+        assert_eq!(stats.db.pending_hints(), 0);
     }
 }

@@ -58,29 +58,33 @@
 //! store survives a crash: [`ReplicatedStore::checkpoint`] snapshots the
 //! nodes and truncates the journal's committed prefix, and
 //! [`ReplicatedStore::recover`] rebuilds the nodes from a checkpoint plus a
-//! journal replay. Multi-operation commits go through
-//! [`ReplicatedStore::transaction`], whose write-ahead `Begin` record makes
-//! the whole batch atomic across a crash (see [`crate::journal`]).
+//! journal replay.
 //!
 //! # A mutation is a batch
 //!
-//! Every front door — the single-op methods and `transaction` alike — turns
-//! its [`JournalOp`]s into `LoggedOp`s once and hands the whole slice to
-//! each node in turn (`NoSqlNode::apply_batch`): one write-lock
-//! acquisition per replica, and for a `Put` one `Arc` bump per replica (see
-//! "One value, shared" in [`crate::journal`]). A node that is down misses
-//! the whole batch and is hinted its ops in op order, so replay keeps the
-//! order a put-then-delete depends on.
+//! [`ReplicatedStore::transaction`] is the one way to write: a single op is
+//! a batch of one. It journals the batch's [`JournalOp`]s as one `Begin`
+//! record, which makes the whole batch atomic across a crash (see
+//! [`crate::journal`]), turns them into `LoggedOp`s once and hands the
+//! whole slice to each node in turn (`NoSqlNode::apply_batch`): one
+//! write-lock acquisition per replica, and for a `Put` one `Arc` bump per
+//! replica (see "One value, shared" in [`crate::journal`]). A node that is
+//! down misses the whole batch and is hinted its ops in op order, so replay
+//! keeps the order a put-then-delete depends on.
+//!
+//! A batch that writes a cell and reaches no node is refused, and leaves no
+//! trace: no hint is queued for any node, and its `Begin` leaves the
+//! journal, so neither anti-entropy nor [`ReplicatedStore::recover`] lands
+//! it later.
 
 use crate::journal::{
     JournalOp, JournalRecord, LoggedOp, OpKind, StoreCheckpoint, WriteAheadJournal,
 };
-use crate::model::{Cell, Column, Timestamp};
+use crate::model::{Cell, Column};
 use crate::store::NoSqlNode;
 use parking_lot::Mutex;
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::DatacenterId;
-use serde_json::Value;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -155,73 +159,57 @@ impl ReplicatedStore {
         self.hints.lock().len()
     }
 
-    /// Writes a cell to every reachable node. Nodes that are down get a
-    /// hinted handoff replayed by [`Self::anti_entropy`]. Fails only if *no*
-    /// node accepted the write. Accepted writes are recorded in the
-    /// write-ahead journal (as auto-committed redo records) so crash
-    /// recovery can replay them.
-    pub fn put(
-        &self,
-        row_key: &str,
-        column: &str,
-        value: Value,
-        timestamp: Timestamp,
-    ) -> Result<()> {
-        let op = JournalOp::Put {
-            row_key: row_key.to_string(),
-            column: column.to_string(),
-            value,
-            timestamp,
-        };
-        self.apply(op).map(drop)
-    }
-
-    /// Applies a batch of ops, in order, to every reachable node and queues
-    /// it as hinted handoffs for every node that is down (no journaling —
-    /// shared by the journaling front doors and the recovery replay).
-    /// Returns the cells the batch's `Prune`s removed (union across nodes,
-    /// deduplicated on the whole cell, sorted by timestamp). Cells of
-    /// different columns may share a timestamp — one commit stamps all it
-    /// writes with one — so a timestamp alone would let one hide another.
-    /// Only a batch with a `Put` that no node accepted is an error: a
-    /// delete or prune of data no reachable node holds has nothing to fail
-    /// at.
+    /// Applies a batch of ops, in order, to every reachable node and, once
+    /// the batch is accepted, queues it as hinted handoffs for every node
+    /// that is down (no journaling — shared by [`Self::transaction`] and the
+    /// recovery replay). Returns the cells the batch's `Prune`s removed
+    /// (union across nodes, deduplicated on the whole cell, sorted by
+    /// timestamp). Cells of different columns may share a timestamp — one
+    /// commit stamps all it writes with one — so a timestamp alone would
+    /// let one hide another. Only a batch with a `Put` that no node
+    /// accepted is refused, and it queues no hint: a delete or prune of
+    /// data no reachable node holds has nothing to fail at.
     fn apply_batch(&self, ops: &[LoggedOp]) -> Result<Column> {
-        let mut accepted = 0;
+        let mut missed = Vec::new();
         let mut removed = Column::new();
         for node in &self.nodes {
             match node.apply_batch(ops) {
                 Some(cells) => {
-                    accepted += 1;
                     for cell in cells {
                         if !removed.contains(&cell) {
                             removed.push(cell);
                         }
                     }
                 }
-                None => self.hints.lock().extend(ops.iter().map(|op| Hint {
-                    datacenter: node.datacenter(),
-                    op: op.clone(),
-                })),
+                None => missed.push(node.datacenter()),
             }
         }
         let writes = ops.iter().any(|op| matches!(op.kind, OpKind::Put { .. }));
-        if accepted == 0 && writes {
+        if missed.len() == self.nodes.len() && writes {
             return Err(ScaliaError::DatacenterUnavailable(
                 self.nodes.first().map(|n| n.datacenter().0).unwrap_or(0),
             ));
+        }
+        let mut hints = self.hints.lock();
+        for datacenter in missed {
+            hints.extend(ops.iter().map(|op| Hint {
+                datacenter,
+                op: op.clone(),
+            }));
         }
         removed.sort_by_key(|c| c.timestamp);
         Ok(removed)
     }
 
-    /// Atomically applies a batch of operations under write-ahead logging:
-    /// the whole op list is journaled as one `Begin` record before any node
-    /// sees any of it, and a `Commit` record lands only after every op
-    /// applied. A crash anywhere in between leaves a `Begin` without a
-    /// `Commit`, which [`Self::recover`] redoes — so the batch is all-or-
-    /// nothing across a crash (old state if the crash beat the `Begin`
-    /// record, new state otherwise).
+    /// Atomically applies a batch of operations under write-ahead logging —
+    /// the store's only write. The whole op list is journaled as one
+    /// `Begin` record before any node sees any of it, and a `Commit` record
+    /// lands only after every op applied. A crash anywhere in between
+    /// leaves a `Begin` without a `Commit`, which [`Self::recover`] redoes —
+    /// so the batch is all-or-nothing across a crash (old state if the
+    /// crash beat the `Begin` record, new state otherwise). A refused batch
+    /// (see `apply_batch`) takes its `Begin` back out, and an empty one
+    /// journals nothing.
     ///
     /// Returns the union of cells removed by the batch's `Prune` ops
     /// (deduplicated, sorted by timestamp) — the engine deletes the chunks
@@ -236,17 +224,20 @@ impl ReplicatedStore {
     /// batch durable in the nodes, the rest only in the journal) for
     /// `recover` to finish.
     pub fn transaction(&self, ops: Vec<JournalOp>) -> Result<Column> {
+        if ops.is_empty() {
+            return Ok(Column::new());
+        }
         self.crash_check("txn::before-log")?;
         let ops: Arc<[LoggedOp]> = ops.into_iter().map(LoggedOp::from).collect();
         let txid = self.journal.begin(Arc::clone(&ops));
         self.crash_check("txn::logged")?;
-        if let Some(head) = ops.get(..1) {
-            if let Err(crash) = self.crash_check("txn::torn") {
-                self.apply_batch(head)?;
-                return Err(crash);
-            }
+        if let Err(crash) = self.crash_check("txn::torn") {
+            let _ = self.apply_batch(&ops[..1]);
+            return Err(crash);
         }
-        let removed = self.apply_batch(&ops)?;
+        let removed = self
+            .apply_batch(&ops)
+            .inspect_err(|_| self.journal.abort(txid))?;
         self.crash_check("txn::applied")?;
         self.journal.commit(txid);
         Ok(removed)
@@ -287,12 +278,13 @@ impl ReplicatedStore {
 
     /// Crash recovery: restores every node from `checkpoint` (bringing it
     /// up), drops volatile hinted handoffs, and replays the journal in
-    /// order. Committed transactions and auto-committed singles are redone
-    /// as logged; a `Begin` without a `Commit` (a transaction interrupted by
-    /// the crash) is **redone to completion** — its intent was durable — and
-    /// then marked committed, so recovery is idempotent. After recovery the
-    /// store holds either the pre-transaction or the post-transaction state
-    /// for every interrupted commit, never a torn mixture.
+    /// order. Committed transactions are redone as logged; a `Begin` without
+    /// a `Commit` (a transaction interrupted by the crash) is **redone to
+    /// completion** — its intent was durable — and then marked committed,
+    /// so recovery is idempotent. After recovery the store holds either the
+    /// pre-transaction or the post-transaction state for every interrupted
+    /// commit, never a torn mixture. A refused batch left no `Begin`, so it
+    /// is not redone.
     pub fn recover(&self, checkpoint: &StoreCheckpoint) {
         for (i, node) in self.nodes.iter().enumerate() {
             node.set_up(true);
@@ -302,14 +294,8 @@ impl ReplicatedStore {
         self.hints.lock().clear();
         let uncommitted = self.journal.uncommitted();
         for record in self.journal.records() {
-            match record {
-                JournalRecord::Apply(op) => {
-                    let _ = self.apply_batch(std::slice::from_ref(&op));
-                }
-                JournalRecord::Begin { ops, .. } => {
-                    let _ = self.apply_batch(&ops);
-                }
-                JournalRecord::Commit { .. } => {}
+            if let JournalRecord::Begin { ops, .. } = record {
+                let _ = self.apply_batch(&ops);
             }
         }
         for txid in uncommitted {
@@ -379,45 +365,6 @@ impl ReplicatedStore {
     ) -> Option<T> {
         self.read_node(local)
             .and_then(|n| n.with_latest(row_key, column, read))
-    }
-
-    /// Applies one auto-committed op and journals it — what [`Self::put`],
-    /// [`Self::delete_row`], [`Self::delete_column`] and
-    /// [`Self::prune_old_versions`] are shorthand for. Returns the cells a
-    /// `Prune` removed.
-    pub(crate) fn apply(&self, op: JournalOp) -> Result<Column> {
-        let op = LoggedOp::from(op);
-        let removed = self.apply_batch(std::slice::from_ref(&op))?;
-        self.journal.log_apply(op);
-        Ok(removed)
-    }
-
-    /// Deletes a row on every reachable node, hinting the ones that are
-    /// down (journaled).
-    pub fn delete_row(&self, row_key: &str) {
-        let row_key = row_key.to_string();
-        let _ = self.apply(JournalOp::DeleteRow { row_key });
-    }
-
-    /// Deletes a single column of a row on every reachable node, hinting
-    /// the ones that are down (statistics garbage collection: dropping
-    /// over-retention samples). Journaled.
-    pub(crate) fn delete_column(&self, row_key: &str, column: &str) {
-        let _ = self.apply(JournalOp::DeleteColumn {
-            row_key: row_key.to_string(),
-            column: column.to_string(),
-        });
-    }
-
-    /// Prunes deprecated versions of a column on every reachable node
-    /// (hinting the ones that are down) and returns the union of removed
-    /// cells (deduplicated). Journaled.
-    pub fn prune_old_versions(&self, row_key: &str, column: &str) -> Column {
-        self.apply(JournalOp::Prune {
-            row_key: row_key.to_string(),
-            column: column.to_string(),
-        })
-        .unwrap_or_default()
     }
 
     /// Delivers queued hinted handoffs, oldest first, to the nodes that are
@@ -510,16 +457,54 @@ impl ReplicatedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
+    use crate::model::Timestamp;
+    use serde_json::{json, Value};
 
     fn store() -> ReplicatedStore {
         ReplicatedStore::with_datacenters(2)
     }
 
+    /// A one-op transaction that writes one cell: the single write these
+    /// tests are phrased in.
+    fn write(
+        s: &ReplicatedStore,
+        row_key: &str,
+        column: &str,
+        value: Value,
+        timestamp: Timestamp,
+    ) -> Result<Column> {
+        s.transaction(vec![JournalOp::Put {
+            row_key: row_key.into(),
+            column: column.into(),
+            value,
+            timestamp,
+        }])
+    }
+
+    fn prune_op(row_key: &str, column: &str) -> JournalOp {
+        JournalOp::Prune {
+            row_key: row_key.into(),
+            column: column.into(),
+        }
+    }
+
+    fn delete_row_op(row_key: &str) -> JournalOp {
+        JournalOp::DeleteRow {
+            row_key: row_key.into(),
+        }
+    }
+
+    fn delete_column_op(row_key: &str, column: &str) -> JournalOp {
+        JournalOp::DeleteColumn {
+            row_key: row_key.into(),
+            column: column.into(),
+        }
+    }
+
     #[test]
     fn writes_replicate_to_all_datacenters() {
         let s = store();
-        s.put("r", "c", json!("v"), Timestamp::new(1, 0)).unwrap();
+        write(&s, "r", "c", json!("v"), Timestamp::new(1, 0)).unwrap();
         for node in s.nodes() {
             assert_eq!(node.get_latest("r", "c").unwrap().value, json!("v"));
         }
@@ -529,7 +514,7 @@ mod tests {
     #[test]
     fn reads_prefer_local_datacenter_but_fail_over() {
         let s = store();
-        s.put("r", "c", json!(1), Timestamp::new(1, 0)).unwrap();
+        write(&s, "r", "c", json!(1), Timestamp::new(1, 0)).unwrap();
         // Take dc_0 down; a dc_0-local read must still succeed via dc_1.
         s.nodes()[0].set_up(false);
         let cell = s.get_latest(DatacenterId::new(0), "r", "c").unwrap();
@@ -540,8 +525,7 @@ mod tests {
     fn write_succeeds_while_one_node_is_down_then_heals() {
         let s = store();
         s.nodes()[1].set_up(false);
-        s.put("r", "c", json!("during-outage"), Timestamp::new(5, 0))
-            .unwrap();
+        write(&s, "r", "c", json!("during-outage"), Timestamp::new(5, 0)).unwrap();
         assert_eq!(s.pending_hints(), 1);
         // The down node has nothing yet.
         s.nodes()[1].set_up(true);
@@ -558,10 +542,48 @@ mod tests {
     #[test]
     fn write_fails_only_when_all_nodes_down() {
         let s = store();
+        let checkpoint = s.checkpoint();
         s.nodes()[0].set_up(false);
         s.nodes()[1].set_up(false);
-        let err = s.put("r", "c", json!(1), Timestamp::new(1, 0)).unwrap_err();
+        let err = write(&s, "r", "c", json!(1), Timestamp::new(1, 0)).unwrap_err();
         assert!(matches!(err, ScaliaError::DatacenterUnavailable(_)));
+        let put = |row_key: &str| JournalOp::Put {
+            row_key: row_key.into(),
+            column: "c".into(),
+            value: json!(2),
+            timestamp: Timestamp::new(2, 0),
+        };
+        let err = s
+            .transaction(vec![put("r"), put("t"), prune_op("r", "c")])
+            .unwrap_err();
+        assert!(matches!(err, ScaliaError::DatacenterUnavailable(_)));
+        // A refused write leaves no trace: no hint, no journal record.
+        assert_eq!(s.pending_hints(), 0);
+        assert!(s.journal().is_empty());
+
+        // Nothing lands once the nodes are back, through anti-entropy…
+        s.nodes().iter().for_each(|n| n.set_up(true));
+        assert_eq!(s.anti_entropy(), AntiEntropyReport::default());
+        for node in s.nodes() {
+            assert_eq!(node.row_count(), 0);
+        }
+        // …or through crash recovery.
+        s.recover(&checkpoint);
+        for node in s.nodes() {
+            assert_eq!(node.row_count(), 0);
+        }
+
+        // A batch that only deletes has nothing to refuse: with every node
+        // down it is hinted to all of them.
+        write(&s, "r", "c", json!(3), Timestamp::new(3, 0)).unwrap();
+        s.nodes().iter().for_each(|n| n.set_up(false));
+        s.transaction(vec![delete_row_op("r")]).unwrap();
+        assert_eq!(s.pending_hints(), 2);
+        s.nodes().iter().for_each(|n| n.set_up(true));
+        s.anti_entropy();
+        for node in s.nodes() {
+            assert_eq!(node.row_count(), 0);
+        }
     }
 
     #[test]
@@ -582,23 +604,20 @@ mod tests {
     #[test]
     fn deletes_and_prunes_a_down_node_missed_are_hinted_and_not_resurrected() {
         let s = store();
-        s.put("r", "meta", json!("v1"), Timestamp::new(1, 0))
-            .unwrap();
-        s.put("r", "meta", json!("v2"), Timestamp::new(2, 0))
-            .unwrap();
-        s.put("r", "debt", json!(true), Timestamp::new(2, 1))
-            .unwrap();
-        s.put("gone", "c", json!(1), Timestamp::new(3, 0)).unwrap();
+        write(&s, "r", "meta", json!("v1"), Timestamp::new(1, 0)).unwrap();
+        write(&s, "r", "meta", json!("v2"), Timestamp::new(2, 0)).unwrap();
+        write(&s, "r", "debt", json!(true), Timestamp::new(2, 1)).unwrap();
+        write(&s, "gone", "c", json!(1), Timestamp::new(3, 0)).unwrap();
 
         // dc_1 misses one op of every kind, and a put + delete of one row.
         s.nodes()[1].set_up(false);
-        s.delete_row("gone");
-        s.delete_column("r", "debt");
-        assert_eq!(s.prune_old_versions("r", "meta").len(), 1);
-        s.put("r", "meta", json!("v3"), Timestamp::new(4, 0))
-            .unwrap();
-        s.put("brief", "c", json!(1), Timestamp::new(5, 0)).unwrap();
-        s.delete_row("brief");
+        s.transaction(vec![delete_row_op("gone")]).unwrap();
+        s.transaction(vec![delete_column_op("r", "debt")]).unwrap();
+        let pruned = s.transaction(vec![prune_op("r", "meta")]).unwrap();
+        assert_eq!(pruned.len(), 1);
+        write(&s, "r", "meta", json!("v3"), Timestamp::new(4, 0)).unwrap();
+        write(&s, "brief", "c", json!(1), Timestamp::new(5, 0)).unwrap();
+        s.transaction(vec![delete_row_op("brief")]).unwrap();
         assert_eq!(s.pending_hints(), 6);
 
         // Still down: nothing is delivered, nothing is dropped.
@@ -633,8 +652,14 @@ mod tests {
     fn anti_entropy_work_is_proportional_to_divergence() {
         let s = store();
         for i in 0..10_000u64 {
-            s.put(&format!("row-{i:05}"), "c", json!(i), Timestamp::new(1, i))
-                .unwrap();
+            write(
+                &s,
+                &format!("row-{i:05}"),
+                "c",
+                json!(i),
+                Timestamp::new(1, i),
+            )
+            .unwrap();
         }
         // In sync: the node digests match and nothing else is looked at.
         assert_eq!(s.anti_entropy(), AntiEntropyReport::default());
@@ -753,9 +778,9 @@ mod tests {
     #[test]
     fn prune_old_versions_across_datacenters() {
         let s = store();
-        s.put("r", "c", json!("old"), Timestamp::new(1, 0)).unwrap();
-        s.put("r", "c", json!("new"), Timestamp::new(2, 0)).unwrap();
-        let removed = s.prune_old_versions("r", "c");
+        write(&s, "r", "c", json!("old"), Timestamp::new(1, 0)).unwrap();
+        write(&s, "r", "c", json!("new"), Timestamp::new(2, 0)).unwrap();
+        let removed = s.transaction(vec![prune_op("r", "c")]).unwrap();
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].value, json!("old"));
         for node in s.nodes() {
@@ -766,8 +791,8 @@ mod tests {
     #[test]
     fn delete_row_everywhere() {
         let s = store();
-        s.put("r", "c", json!(1), Timestamp::new(1, 0)).unwrap();
-        s.delete_row("r");
+        write(&s, "r", "c", json!(1), Timestamp::new(1, 0)).unwrap();
+        s.transaction(vec![delete_row_op("r")]).unwrap();
         for node in s.nodes() {
             assert!(node.get_latest("r", "c").is_none());
         }
@@ -776,8 +801,7 @@ mod tests {
     #[test]
     fn transaction_applies_all_ops_and_returns_pruned_cells() {
         let s = store();
-        s.put("r", "meta", json!("old"), Timestamp::new(1, 0))
-            .unwrap();
+        write(&s, "r", "meta", json!("old"), Timestamp::new(1, 0)).unwrap();
         let removed = s
             .transaction(vec![
                 JournalOp::Put {
@@ -811,11 +835,11 @@ mod tests {
     #[test]
     fn recovery_replays_journal_onto_checkpoint() {
         let s = store();
-        s.put("a", "c", json!(1), Timestamp::new(1, 0)).unwrap();
+        write(&s, "a", "c", json!(1), Timestamp::new(1, 0)).unwrap();
         let cp = s.checkpoint();
         // Post-checkpoint history: a put, a delete, a committed transaction.
-        s.put("b", "c", json!(2), Timestamp::new(2, 0)).unwrap();
-        s.delete_row("a");
+        write(&s, "b", "c", json!(2), Timestamp::new(2, 0)).unwrap();
+        s.transaction(vec![delete_row_op("a")]).unwrap();
         s.transaction(vec![JournalOp::Put {
             row_key: "t".into(),
             column: "c".into(),
@@ -839,8 +863,7 @@ mod tests {
     fn crash_mid_transaction_recovers_to_new_state_atomically() {
         for label in ["txn::logged", "txn::torn", "txn::applied"] {
             let s = store();
-            s.put("r", "meta", json!("old"), Timestamp::new(1, 0))
-                .unwrap();
+            write(&s, "r", "meta", json!("old"), Timestamp::new(1, 0)).unwrap();
             let cp = s.checkpoint();
             let fire = label.to_string();
             s.set_crash_hook(Some(Arc::new(move |l: &str| l == fire)));
@@ -883,8 +906,7 @@ mod tests {
     #[test]
     fn crash_before_log_leaves_old_state() {
         let s = store();
-        s.put("r", "meta", json!("old"), Timestamp::new(1, 0))
-            .unwrap();
+        write(&s, "r", "meta", json!("old"), Timestamp::new(1, 0)).unwrap();
         let cp = s.checkpoint();
         s.set_crash_hook(Some(Arc::new(|l: &str| l == "txn::before-log")));
         assert!(s
@@ -907,9 +929,9 @@ mod tests {
     fn checkpoint_truncates_committed_journal_prefix() {
         let s = store();
         for i in 0..10 {
-            s.put("r", "c", json!(i), Timestamp::new(i, 0)).unwrap();
+            write(&s, "r", "c", json!(i), Timestamp::new(i, 0)).unwrap();
         }
-        assert_eq!(s.journal().len(), 10);
+        assert_eq!(s.journal().len(), 20, "a Begin and a Commit per write");
         let cp = s.checkpoint();
         assert_eq!(s.journal().len(), 0, "committed prefix dropped");
         // Recovery from a fresh checkpoint with an empty journal is exact.
@@ -923,7 +945,7 @@ mod tests {
     #[test]
     fn checkpoint_during_a_node_outage_keeps_that_nodes_rows() {
         let s = store();
-        s.put("a", "c", json!(1), Timestamp::new(1, 0)).unwrap();
+        write(&s, "a", "c", json!(1), Timestamp::new(1, 0)).unwrap();
         s.nodes()[1].set_up(false);
         let cp = s.checkpoint();
         s.recover(&cp);
@@ -1018,7 +1040,7 @@ mod tests {
             let build = || {
                 let s = ReplicatedStore::with_datacenters(datacenters);
                 for op in &history {
-                    s.apply(op.clone()).unwrap();
+                    s.transaction(vec![op.clone()]).unwrap();
                 }
                 s
             };
@@ -1032,7 +1054,7 @@ mod tests {
             let removed = batched.transaction(batch.clone()).unwrap();
             let mut one_by_one = Column::new();
             for op in &batch {
-                for cell in serial.apply(op.clone()).unwrap() {
+                for cell in serial.transaction(vec![op.clone()]).unwrap() {
                     if !one_by_one.iter().any(|c| c.timestamp == cell.timestamp) {
                         one_by_one.push(cell);
                     }
@@ -1110,7 +1132,7 @@ mod tests {
                 match below(16) {
                     0..=4 => {
                         // Fails only when every node is down.
-                        let _ = s.put(&row_key, &column, json!(seq), timestamp);
+                        let _ = write(&s, &row_key, &column, json!(seq), timestamp);
                     }
                     5 | 6 => {
                         let prune = JournalOp::Prune {
@@ -1120,10 +1142,14 @@ mod tests {
                         let _ = s.transaction(vec![put, prune]);
                     }
                     7 => {
-                        s.prune_old_versions(&row_key, &column);
+                        let _ = s.transaction(vec![prune_op(&row_key, &column)]);
                     }
-                    8 => s.delete_row(&row_key),
-                    9 => s.delete_column(&row_key, &column),
+                    8 => {
+                        let _ = s.transaction(vec![delete_row_op(&row_key)]);
+                    }
+                    9 => {
+                        let _ = s.transaction(vec![delete_column_op(&row_key, &column)]);
+                    }
                     10 | 11 => {
                         let node = &s.nodes()[below(datacenters as u64) as usize];
                         node.set_up(!node.is_up());

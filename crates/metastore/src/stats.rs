@@ -13,20 +13,22 @@
 //!   maintained **per-period rollups** (one column per `(period, member)`
 //!   contribution) that feed class-level trend detection and the
 //!   one-search-per-class optimisation pipeline;
-//! * the **dirty-set index** — sharded per-time-bucket rows whose columns
-//!   are the row keys of objects accessed or modified in that bucket. The
+//! * the **dirty-set index** — one row per time bucket whose columns are
+//!   the row keys of objects accessed or modified in that bucket. The
 //!   periodic optimiser's accessed-set fetch is a *range scan* over the
 //!   buckets since its previous run, so its cost scales with the number of
 //!   objects actually touched, not with the number of rows stored.
 //!
 //! Statistics rows are always written with globally unique `(row, column,
 //! timestamp)` coordinates, so — as the paper notes — they never conflict.
+//! Writers build [`JournalOp`]s and commit them through
+//! [`ReplicatedStore::transaction`]: the log aggregator a whole flush as one
+//! batch, the garbage collectors each pass's deletions as one batch.
 
 use crate::journal::JournalOp;
 use crate::model::Timestamp;
 use crate::replication::ReplicatedStore;
 use crate::store::NoSqlNode;
-use scalia_types::error::Result;
 use scalia_types::ids::DatacenterId;
 use scalia_types::size::ByteSize;
 use scalia_types::stats::{AccessHistory, PeriodStats};
@@ -38,7 +40,7 @@ use std::sync::Arc;
 const OBJ_PREFIX: &str = "stats:obj:";
 /// Prefix of per-class statistics rows.
 const CLASS_PREFIX: &str = "stats:class:";
-/// Prefix of dirty-set index rows (`stats:dirty:{bucket:012}:{shard:02}`).
+/// Prefix of dirty-set index rows (`stats:dirty:{bucket:012}`).
 const DIRTY_PREFIX: &str = "stats:dirty:";
 /// Exclusive upper bound of the dirty-set row-key range (`;` = `:` + 1, so
 /// every `stats:dirty:…` key sorts strictly below it).
@@ -48,9 +50,6 @@ const DIRTY_END: &str = "stats:dirty;";
 /// their write timestamp, so a fetch "since `t`" only ever needs buckets
 /// `>= t / DIRTY_BUCKET_SECS`.
 pub(crate) const DIRTY_BUCKET_SECS: u64 = 3600;
-/// Number of shards each dirty bucket is split into, spreading concurrent
-/// writers across rows.
-pub const DIRTY_SHARDS: u64 = 16;
 /// Cap on retained per-class lifetime and usage sample columns; garbage
 /// collection drops the oldest samples beyond it, so a churning deployment's
 /// class rows stay bounded.
@@ -72,7 +71,8 @@ pub struct ClassPeriodRecord {
 
 /// The statistics store shared by engines and the periodic optimiser.
 pub struct StatisticsStore {
-    db: Arc<ReplicatedStore>,
+    /// The store every statistics write commits to, as a transaction.
+    pub(crate) db: Arc<ReplicatedStore>,
     local: DatacenterId,
 }
 
@@ -91,23 +91,12 @@ impl StatisticsStore {
         format!("{CLASS_PREFIX}{class_id}")
     }
 
-    fn dirty_row(bucket: u64, shard: u64) -> String {
-        format!("{DIRTY_PREFIX}{bucket:012}:{shard:02}")
+    fn dirty_row(bucket: u64) -> String {
+        format!("{DIRTY_PREFIX}{bucket:012}")
     }
 
     fn dirty_bucket(timestamp: Timestamp) -> u64 {
         timestamp.secs / DIRTY_BUCKET_SECS
-    }
-
-    fn dirty_shard(object_row_key: &str) -> u64 {
-        // FNV-1a over the key bytes: stable across runs (unlike the std
-        // hasher's seed), cheap, and well-spread for MD5-hex row keys.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in object_row_key.bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash % DIRTY_SHARDS
     }
 
     /// The first reachable node, preferring the local datacenter (the same
@@ -116,97 +105,81 @@ impl StatisticsStore {
         self.db.read_node(self.local).cloned()
     }
 
-    /// Records the statistics of one completed sampling period for an
-    /// object and marks the object in the dirty-set index, tagged with its
-    /// class when the caller knows it (the log aggregator always does), so
-    /// the optimiser can group the accessed set by class without reading
-    /// any per-object metadata.
-    pub(crate) fn record_period_classified(
-        &self,
+    /// The op that records the statistics of one completed sampling period
+    /// of an object. The log aggregator commits it with the object's
+    /// [`Self::dirty_mark_op`], tagged with its class, so the optimiser can
+    /// group the accessed set by class without reading any per-object
+    /// metadata.
+    pub(crate) fn period_op(
         object_row_key: &str,
-        class_id: Option<&str>,
         stats: &PeriodStats,
         timestamp: Timestamp,
-    ) -> Result<()> {
-        let row = Self::obj_row(object_row_key);
-        let column = format!("period:{:012}", stats.period);
-        let value = json!({
-            "period": stats.period,
-            "storage": stats.storage.bytes(),
-            "bw_in": stats.bw_in.bytes(),
-            "bw_out": stats.bw_out.bytes(),
-            "reads": stats.reads,
-            "writes": stats.writes,
-        });
-        self.db.put(&row, &column, value, timestamp)?;
-        self.mark_accessed(object_row_key, class_id, timestamp)
+    ) -> JournalOp {
+        JournalOp::Put {
+            row_key: Self::obj_row(object_row_key),
+            column: format!("period:{:012}", stats.period),
+            value: json!({
+                "period": stats.period,
+                "storage": stats.storage.bytes(),
+                "bw_in": stats.bw_in.bytes(),
+                "bw_out": stats.bw_out.bytes(),
+                "reads": stats.reads,
+                "writes": stats.writes,
+            }),
+            timestamp,
+        }
     }
 
-    /// Marks an object accessed/modified in the dirty-set index: one cell in
-    /// the sharded row of the timestamp's bucket, whose value is the
-    /// object's class when known. The periodic optimiser's accessed-set
+    /// The op that marks an object accessed/modified in the dirty-set
+    /// index: one cell in the row of the timestamp's bucket, whose value is
+    /// the object's class when known. The periodic optimiser's accessed-set
     /// fetch range-scans these rows, and the class tags let it group the
-    /// set with no metadata reads at all.
-    pub(crate) fn mark_accessed(
-        &self,
-        object_row_key: &str,
-        class_id: Option<&str>,
-        timestamp: Timestamp,
-    ) -> Result<()> {
-        self.db
-            .apply(Self::dirty_mark_op(object_row_key, class_id, timestamp))
-            .map(drop)
-    }
-
-    /// The op that marks an object in the dirty-set index, tagged with its
-    /// class when known. Besides the log aggregator's flush, the engine's
-    /// put commits one in the transaction that commits the metadata: a
-    /// freshly written object belongs in the optimiser's accessed set even
-    /// before its first statistics flush, and can never be stored yet
-    /// missing from it.
+    /// set with no metadata reads at all. Besides the log aggregator's
+    /// flush, the engine's put commits one in the transaction that commits
+    /// the metadata: a freshly written object belongs in the optimiser's
+    /// accessed set even before its first statistics flush, and can never
+    /// be stored yet missing from it.
     pub fn dirty_mark_op(
         object_row_key: &str,
         class_id: Option<&str>,
         timestamp: Timestamp,
     ) -> JournalOp {
         JournalOp::Put {
-            row_key: Self::dirty_row(
-                Self::dirty_bucket(timestamp),
-                Self::dirty_shard(object_row_key),
-            ),
+            row_key: Self::dirty_row(Self::dirty_bucket(timestamp)),
             column: object_row_key.to_string(),
             value: class_id.map_or(json!(true), |class_id| json!(class_id)),
             timestamp,
         }
     }
 
-    /// Folds one pre-aggregated per-period **delta** into a class rollup:
-    /// `stats` summed over `objects` distinct members, as the log
-    /// aggregator computes per flush. Every delta lands under a unique
+    /// The op that folds one pre-aggregated per-period **delta** into a
+    /// class rollup: `stats` summed over `objects` distinct members, as the
+    /// log aggregator computes per flush. Every delta lands under a unique
     /// column (never conflicts, associative at read time), so reading a
     /// class's usage series costs O(periods), not O(members × periods) —
     /// the amortisation §III-A1 asks for.
-    pub(crate) fn record_class_period(
-        &self,
+    pub(crate) fn class_period_op(
         class_id: &str,
         stats: &PeriodStats,
         objects: u64,
         timestamp: Timestamp,
-    ) -> Result<()> {
-        let column = format!(
-            "p:{:012}:{}:{}",
-            stats.period, timestamp.secs, timestamp.seq
-        );
-        let value = json!({
-            "storage": stats.storage.bytes(),
-            "bw_in": stats.bw_in.bytes(),
-            "bw_out": stats.bw_out.bytes(),
-            "reads": stats.reads,
-            "writes": stats.writes,
-            "objects": objects,
-        });
-        self.db
-            .put(&Self::class_row(class_id), &column, value, timestamp)
+    ) -> JournalOp {
+        JournalOp::Put {
+            row_key: Self::class_row(class_id),
+            column: format!(
+                "p:{:012}:{}:{}",
+                stats.period, timestamp.secs, timestamp.seq
+            ),
+            value: json!({
+                "storage": stats.storage.bytes(),
+                "bw_in": stats.bw_in.bytes(),
+                "bw_out": stats.bw_out.bytes(),
+                "reads": stats.reads,
+                "writes": stats.writes,
+                "objects": objects,
+            }),
+            timestamp,
+        }
     }
 
     /// Reconstructs the access history of an object from its statistics row,
@@ -283,7 +256,7 @@ impl StatisticsStore {
         &self,
         since: Timestamp,
     ) -> (Vec<(String, Option<String>)>, usize) {
-        let start = Self::dirty_row(Self::dirty_bucket(since), 0);
+        let start = Self::dirty_row(Self::dirty_bucket(since));
         let mut entries: Vec<(String, Option<String>)> = Vec::new();
         // Per entry: the timestamp of the classified mark currently held
         // (ZERO while unclassified).
@@ -331,11 +304,12 @@ impl StatisticsStore {
     }
 
     /// Drops every dirty-set index row strictly older than `cutoff`'s
-    /// bucket. Safe to call with the previous procedure's `since`: entries
-    /// in older buckets have timestamps `< cutoff` and can never qualify for
-    /// a future fetch (whose `since` only grows).
+    /// bucket, in one transaction. Safe to call with the previous
+    /// procedure's `since`: entries in older buckets have timestamps
+    /// `< cutoff` and can never qualify for a future fetch (whose `since`
+    /// only grows).
     pub fn prune_dirty_before(&self, cutoff: Timestamp) -> usize {
-        let end = Self::dirty_row(Self::dirty_bucket(cutoff), 0);
+        let end = Self::dirty_row(Self::dirty_bucket(cutoff));
         let mut stale: Vec<String> = self
             .db
             .nodes()
@@ -345,10 +319,12 @@ impl StatisticsStore {
             .collect();
         stale.sort_unstable();
         stale.dedup();
-        for row_key in &stale {
-            self.db.delete_row(row_key);
-        }
-        stale.len()
+        let pruned = stale.len();
+        let ops = stale
+            .into_iter()
+            .map(|row_key| JournalOp::DeleteRow { row_key })
+            .collect();
+        self.db.transaction(ops).map_or(0, |_| pruned)
     }
 
     /// The op that records a per-period resource-usage sample for a class
@@ -445,16 +421,21 @@ impl StatisticsStore {
     /// Garbage-collects the statistics tables: caps every class's lifetime
     /// and usage sample columns at [`MAX_CLASS_SAMPLES`] (oldest dropped)
     /// and drops rollup columns older than `CLASS_ROLLUP_RETENTION`
-    /// sampling periods. Returns the number of columns removed. Together
-    /// with [`Self::delete_object_stats_op`] and [`Self::prune_dirty_before`]
-    /// this bounds the statistics footprint by live objects + known classes.
+    /// sampling periods, all in one transaction. Returns the number of
+    /// columns removed. Together with [`Self::delete_object_stats_op`] and
+    /// [`Self::prune_dirty_before`] this bounds the statistics footprint by
+    /// live objects + known classes.
     pub fn gc_statistics(&self, current_period: u64) -> usize {
         let Some(node) = self.read_node() else {
             return 0;
         };
         let rollup_cutoff = current_period.saturating_sub(CLASS_ROLLUP_RETENTION);
-        let mut removed = 0usize;
+        let mut ops = Vec::new();
         for class_row in node.scan_prefix(CLASS_PREFIX) {
+            let delete = |column| JournalOp::DeleteColumn {
+                row_key: class_row.clone(),
+                column,
+            };
             for (column, _) in node.latest_cells_with_prefix(&class_row, "p:") {
                 let stale = column
                     .strip_prefix("p:")
@@ -462,8 +443,7 @@ impl StatisticsStore {
                     .and_then(|p| p.parse::<u64>().ok())
                     .is_some_and(|period| period < rollup_cutoff);
                 if stale {
-                    self.db.delete_column(&class_row, &column);
-                    removed += 1;
+                    ops.push(delete(column));
                 }
             }
             for prefix in ["lifetime:", "usage:"] {
@@ -474,14 +454,13 @@ impl StatisticsStore {
                     .collect();
                 if samples.len() > MAX_CLASS_SAMPLES {
                     samples.sort_unstable();
-                    for (_, column) in samples.drain(..samples.len() - MAX_CLASS_SAMPLES) {
-                        self.db.delete_column(&class_row, &column);
-                        removed += 1;
-                    }
+                    let stale = samples.drain(..samples.len() - MAX_CLASS_SAMPLES);
+                    ops.extend(stale.map(|(_, column)| delete(column)));
                 }
             }
         }
-        removed
+        let removed = ops.len();
+        self.db.transaction(ops).map_or(0, |_| removed)
     }
 
     /// The op that records the observed lifetime (in hours) of a deleted
@@ -527,15 +506,45 @@ impl StatisticsStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scalia_types::error::Result;
 
-    /// The op constructors, applied — the write-through form these tests
-    /// were written against.
+    /// The op constructors, each committed as its own transaction — the
+    /// write-through form these tests were written against.
     impl StatisticsStore {
+        fn commit(&self, ops: Vec<JournalOp>) -> Result<()> {
+            self.db.transaction(ops).map(drop)
+        }
         fn record_class_usage(&self, c: &str, u: &ResourceUsage, ts: Timestamp) -> Result<()> {
-            self.db.apply(Self::class_usage_op(c, u, ts)).map(drop)
+            self.commit(vec![Self::class_usage_op(c, u, ts)])
+        }
+        /// An object's period cell and its dirty mark, as a flush writes
+        /// them.
+        fn flush_period(
+            &self,
+            row: &str,
+            class_id: Option<&str>,
+            stats: &PeriodStats,
+            ts: Timestamp,
+        ) -> Result<()> {
+            self.commit(vec![
+                Self::period_op(row, stats, ts),
+                Self::dirty_mark_op(row, class_id, ts),
+            ])
         }
         fn record_period(&self, row: &str, stats: &PeriodStats, ts: Timestamp) -> Result<()> {
-            self.record_period_classified(row, None, stats, ts)
+            self.flush_period(row, None, stats, ts)
+        }
+        fn mark_dirty(&self, row: &str, class_id: Option<&str>, ts: Timestamp) -> Result<()> {
+            self.commit(vec![Self::dirty_mark_op(row, class_id, ts)])
+        }
+        fn record_class_delta(
+            &self,
+            class_id: &str,
+            stats: &PeriodStats,
+            objects: u64,
+            ts: Timestamp,
+        ) -> Result<()> {
+            self.commit(vec![Self::class_period_op(class_id, stats, objects, ts)])
         }
         /// All class ids with at least one statistics row.
         fn known_classes(&self) -> Vec<String> {
@@ -548,12 +557,11 @@ mod tests {
                 .collect()
         }
         fn record_class_lifetime(&self, c: &str, hours: f64, ts: Timestamp) -> Result<()> {
-            self.db
-                .apply(Self::class_lifetime_op(c, hours, ts))
-                .map(drop)
+            self.commit(vec![Self::class_lifetime_op(c, hours, ts)])
         }
         fn delete_object_stats(&self, row: &str) {
-            self.db.apply(Self::delete_object_stats_op(row)).unwrap();
+            self.commit(vec![Self::delete_object_stats_op(row)])
+                .unwrap();
         }
         /// The accessed set's keys, sorted.
         fn objects_accessed_since(&self, since: Timestamp) -> Vec<String> {
@@ -703,21 +711,24 @@ mod tests {
             Timestamp::new(DIRTY_BUCKET_SECS + 1, 0),
         )
         .unwrap();
+        let records = s.db.journal().len();
         let pruned = s.prune_dirty_before(Timestamp::new(DIRTY_BUCKET_SECS, 0));
-        assert!(pruned >= 1, "bucket-0 dirty rows must be dropped");
+        assert_eq!(pruned, 1, "one dirty row per bucket");
+        assert_eq!(s.db.journal().len() - records, 2, "one transaction");
         // The pruned bucket's entries are gone; the newer bucket survives.
         assert_eq!(s.objects_accessed_since(Timestamp::ZERO), vec!["b"]);
-        // Pruning again is a no-op.
+        // Pruning again is a no-op, and journals nothing.
         assert_eq!(
             s.prune_dirty_before(Timestamp::new(DIRTY_BUCKET_SECS, 0)),
             0
         );
+        assert_eq!(s.db.journal().len() - records, 2);
     }
 
     #[test]
     fn freshly_written_object_is_dirty_before_any_flush() {
         let s = store();
-        s.mark_accessed("newborn", Some("class-x"), Timestamp::new(50, 0))
+        s.mark_dirty("newborn", Some("class-x"), Timestamp::new(50, 0))
             .unwrap();
         assert_eq!(s.objects_accessed_since(Timestamp::ZERO), vec!["newborn"]);
     }
@@ -729,9 +740,9 @@ mod tests {
         // period-1 delta over one (summed member statistics + count).
         let mut p0 = stats(0, 6, 1);
         p0.storage = ByteSize::from_mb(2);
-        s.record_class_period("cls", &p0, 2, Timestamp::new(3600, 0))
+        s.record_class_delta("cls", &p0, 2, Timestamp::new(3600, 0))
             .unwrap();
-        s.record_class_period("cls", &stats(1, 6, 0), 1, Timestamp::new(3600, 1))
+        s.record_class_delta("cls", &stats(1, 6, 0), 1, Timestamp::new(3600, 1))
             .unwrap();
         let records = s.class_period_records("cls", 100);
         assert_eq!(records.len(), 2);
@@ -747,7 +758,7 @@ mod tests {
         assert_eq!(r1.stats.reads, 6);
         // A later flush contributing to period 0 again *adds* — every delta
         // lands under a unique column, so reads aggregate associatively.
-        s.record_class_period("cls", &stats(0, 4, 0), 1, Timestamp::new(9000, 0))
+        s.record_class_delta("cls", &stats(0, 4, 0), 1, Timestamp::new(9000, 0))
             .unwrap();
         let records = s.class_period_records("cls", 100);
         assert_eq!(records[0].1.objects, 3);
@@ -763,13 +774,13 @@ mod tests {
     #[test]
     fn accessed_set_carries_class_tags() {
         let s = store();
-        s.mark_accessed("obj1", Some("cls-a"), Timestamp::new(10, 0))
+        s.mark_dirty("obj1", Some("cls-a"), Timestamp::new(10, 0))
             .unwrap();
         // An unclassified mark (no class known at write time)…
         s.record_period("obj2", &stats(0, 1, 0), Timestamp::new(20, 0))
             .unwrap();
         // …and a classified flush of obj1 in a later bucket.
-        s.record_period_classified(
+        s.flush_period(
             "obj1",
             Some("cls-a"),
             &stats(1, 2, 0),
@@ -790,7 +801,7 @@ mod tests {
     #[test]
     fn gc_caps_class_samples_and_rollup_retention() {
         let s = store();
-        s.mark_accessed("obj", Some("c"), Timestamp::new(1, 0))
+        s.mark_dirty("obj", Some("c"), Timestamp::new(1, 0))
             .unwrap();
         for i in 0..MAX_CLASS_SAMPLES + 40 {
             s.record_class_lifetime("c", i as f64, Timestamp::new(10 + i as u64, 0))
@@ -803,17 +814,19 @@ mod tests {
             .unwrap();
         }
         // One rollup delta far in the past, one recent.
-        s.record_class_period("c", &stats(0, 1, 0), 1, Timestamp::new(5000, 0))
+        s.record_class_delta("c", &stats(0, 1, 0), 1, Timestamp::new(5000, 0))
             .unwrap();
-        s.record_class_period(
+        s.record_class_delta(
             "c",
             &stats(CLASS_ROLLUP_RETENTION + 100, 1, 0),
             1,
             Timestamp::new(6000, 0),
         )
         .unwrap();
+        let journaled = s.db.journal().len();
         let removed = s.gc_statistics(CLASS_ROLLUP_RETENTION + 101);
         assert!(removed >= 81, "removed only {removed} columns");
+        assert_eq!(s.db.journal().len() - journaled, 2, "one transaction");
         let lifetimes = s.class_lifetimes("c");
         assert_eq!(lifetimes.len(), MAX_CLASS_SAMPLES);
         // The oldest samples were the ones dropped.
@@ -821,8 +834,9 @@ mod tests {
         let records = s.class_period_records("c", 100);
         assert_eq!(records.len(), 1, "over-retention rollup must be dropped");
         assert_eq!(records[0].0, CLASS_ROLLUP_RETENTION + 100);
-        // A second pass finds nothing left to remove.
+        // A second pass finds nothing left to remove, and journals nothing.
         assert_eq!(s.gc_statistics(CLASS_ROLLUP_RETENTION + 101), 0);
+        assert_eq!(s.db.journal().len() - journaled, 2);
     }
 
     #[test]

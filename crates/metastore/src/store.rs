@@ -3,7 +3,10 @@
 //! One node lives in each datacenter. It stores wide rows with versioned
 //! cells and supports prefix and range scans (for the statistics tables,
 //! whose dirty-set index answers the optimiser's "which objects were
-//! accessed or modified since the last procedure?", §III-A3).
+//! accessed or modified since the last procedure?", §III-A3: one row per
+//! hour bucket, `stats:dirty:{bucket:012}`, with one column per object
+//! touched in that hour, so the fetch is a range scan over the buckets
+//! since the last run).
 //!
 //! # Row index
 //!
@@ -834,7 +837,7 @@ mod tests {
     /// drawn from a space small enough that keys repeat and share prefixes.
     fn family_key(below: &mut impl FnMut(u64) -> u64) -> String {
         match below(4) {
-            0 => format!("stats:dirty:{:012}:{:02}", below(4), below(3)),
+            0 => format!("stats:dirty:{:012}", below(12)),
             1 => format!("stats:class:{}", below(6)),
             2 => format!("container:{}", below(6)),
             _ => format!("{:x}{:031x}", below(16), below(3)),

@@ -18,7 +18,7 @@
 use scalia::core::decision::{self, DecisionPeriodController};
 use scalia::engine::infra::SAMPLING_PERIOD;
 use scalia::metastore::model::Timestamp;
-use scalia::metastore::stats::{DIRTY_SHARDS, MAX_CLASS_SAMPLES};
+use scalia::metastore::stats::MAX_CLASS_SAMPLES;
 use scalia::prelude::*;
 use scalia::types::ids::DatacenterId;
 use scalia::types::time::Duration;
@@ -430,7 +430,7 @@ fn statistics_footprint_is_bounded_under_churn() {
     assert_eq!(class_rows, mimes.len(), "one row per known class, ever");
     let dirty_rows = node.scan_prefix("stats:dirty:").len();
     assert!(
-        dirty_rows <= 2 * DIRTY_SHARDS as usize,
+        dirty_rows <= 2,
         "stale dirty buckets must be pruned ({dirty_rows} rows)"
     );
     // Per-class samples stay capped even though 30 objects per class died.
