@@ -10,7 +10,7 @@
 //! statistics tables and reconciles the database replicas.
 
 use crate::cache::Cache;
-use crate::engine::{load_class, Engine};
+use crate::engine::{load_class, ClassIds, Engine};
 use crate::infra::Infrastructure;
 use crate::optimizer::{OptimizationReport, PeriodicOptimizer};
 use crate::repair::{drain_repair_queue, RepairDrainReport};
@@ -233,9 +233,10 @@ impl ScaliaCluster {
         self.infra.advance_clock(now);
         let local = DatacenterId::new(0);
         let stats = self.infra.statistics(local);
+        let mut class_ids = ClassIds::default();
         self.aggregator
-            .flush(&stats, self.infra.next_timestamp(), |row_key| {
-                load_class(&self.infra, local, row_key)
+            .flush(stats, self.infra.next_timestamp(), |row_key| {
+                load_class(&self.infra, local, row_key, &mut class_ids)
             });
         stats.gc_statistics(self.infra.current_period());
         if let Ok(report) = drain_repair_queue(
@@ -412,17 +413,22 @@ mod tests {
 
     /// With the only metastore node down, a put is refused — and stays
     /// refused: no hint or journal record lands it once the node is back,
-    /// not at the next tick's anti-entropy round and not at recovery.
-    #[test]
-    fn a_put_the_metastore_refused_never_lands() {
+    /// not at the next tick's anti-entropy round and not at recovery. Nor
+    /// does it leave a chunk at the providers: none right after the
+    /// refusal, none once the node is back and the cluster ticked.
+    fn assert_a_refused_put_never_lands(
+        put: impl Fn(&ScaliaCluster, &ObjectKey) -> Result<ObjectMeta>,
+    ) {
         let cluster = ScaliaCluster::builder().datacenters(1).build();
         let db = cluster.infra().database();
         let checkpoint = db.checkpoint();
         let key = ObjectKey::new("c", "refused.bin");
+        let stored_chunks = || -> usize {
+            let backends = cluster.infra().backends();
+            backends.iter().map(|b| b.object_count()).sum()
+        };
         db.nodes()[0].set_up(false);
-        let err = cluster
-            .put(&key, vec![5u8; 4096], "image/gif", rule(), None)
-            .unwrap_err();
+        let err = put(&cluster, &key).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -431,8 +437,14 @@ mod tests {
             "{err}"
         );
         assert_eq!(db.pending_hints(), 0);
+        assert_eq!(stored_chunks(), 0, "a refused put leaves its chunks");
         db.nodes()[0].set_up(true);
         cluster.tick(SimTime::from_hours(1));
+        assert_eq!(
+            stored_chunks(),
+            0,
+            "a refused put's chunks outlive the tick"
+        );
         let absent = |cluster: &ScaliaCluster| {
             assert!(cluster.get(&key).is_err(), "a refused put is readable");
             assert!(cluster.list("c").is_empty(), "a refused put is listed");
@@ -440,6 +452,72 @@ mod tests {
         absent(&cluster);
         db.recover(&checkpoint);
         absent(&cluster);
+    }
+
+    #[test]
+    fn a_put_the_metastore_refused_never_lands() {
+        assert_a_refused_put_never_lands(|cluster, key| {
+            cluster.put(key, vec![5u8; 4096], "image/gif", rule(), None)
+        });
+    }
+
+    #[test]
+    fn a_multipart_put_the_metastore_refused_never_lands() {
+        assert_a_refused_put_never_lands(|cluster, key| {
+            let mut upload = cluster.engine(0).begin_put(key, "image/gif", rule(), None);
+            upload.put_part(&[5u8; 4096])?;
+            upload.complete_put()
+        });
+    }
+
+    /// Across puts, deletes, ticks and the tick's statistics GC, the class
+    /// mean a put prices with — memoised in the deployment's one
+    /// statistics store per datacenter — equals what a fresh store scans,
+    /// bit for bit, in every datacenter.
+    #[test]
+    fn the_class_mean_a_put_prices_with_equals_a_fresh_scan() {
+        use scalia_core::classify::ObjectClass;
+        use scalia_metastore::stats::StatisticsStore;
+        let cluster = ScaliaCluster::builder().datacenters(2).build();
+        let infra = cluster.infra();
+        let class = ObjectClass::of("image/gif", ByteSize::from_bytes(4096));
+        let bits = |mean: Option<scalia_types::usage::ResourceUsage>| {
+            mean.map(|u| (u.storage_gb_hours.to_bits(), u.bw_in, u.bw_out, u.ops))
+        };
+        let check = |step: &str| {
+            for dc in (0..2).map(DatacenterId::new) {
+                let fresh = StatisticsStore::new(infra.database().clone(), dc);
+                assert_eq!(
+                    bits(infra.statistics(dc).mean_class_usage(class.id())),
+                    bits(fresh.mean_class_usage(class.id())),
+                    "{step}, {dc}"
+                );
+            }
+        };
+        // A delete samples the usage its statistics row recorded, so each
+        // hour deletes half of what the previous ticks flushed.
+        let mut live: Vec<ObjectKey> = Vec::new();
+        for hour in 1..=4u64 {
+            for i in 0..8 {
+                let key = ObjectKey::new("c", format!("h{hour}-{i}"));
+                cluster
+                    .put(&key, vec![hour as u8; 4096], "image/gif", rule(), None)
+                    .unwrap();
+                cluster.get(&key).unwrap();
+                live.push(key);
+            }
+            check(&format!("hour {hour}, puts"));
+            cluster.tick(SimTime::from_hours(hour));
+            check(&format!("hour {hour}, tick"));
+            for key in std::mem::take(&mut live).into_iter().step_by(2) {
+                cluster.delete(&key).unwrap();
+                check(&format!("hour {hour}, delete {key}"));
+            }
+        }
+        assert!(infra
+            .statistics(DatacenterId::new(0))
+            .mean_class_usage(class.id())
+            .is_some());
     }
 
     /// A tick's statistics flush is one transaction — one `Begin` and one

@@ -53,6 +53,7 @@ use scalia_types::rules::StorageRule;
 use scalia_types::size::ByteSize;
 use scalia_types::stats::AccessHistory;
 use serde_json::{json, Value};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Default decision period, in sampling periods, for freshly written objects
@@ -409,7 +410,7 @@ impl Engine {
             .ok_or_else(|| ScaliaError::ObjectNotFound(key.clone()))?
     }
 
-    /// Lists the keys currently stored in a container.
+    /// Lists the keys currently stored in a container, in key order.
     ///
     /// The container-index row is read through the replicated merged-row
     /// path ([`scalia_metastore::replication::ReplicatedStore::get_row_merged`]):
@@ -418,6 +419,9 @@ impl Engine {
     /// happened to be first, and a node that was down during writes and came
     /// back before anti-entropy replayed its hints would silently drop
     /// recent puts from (or resurrect recent deletes into) the listing.
+    /// That read takes each node's latest cells only, so a listed key costs
+    /// the returned [`ObjectKey`]'s strings and no copy of the index row's
+    /// version lists.
     pub fn list(&self, container: &str) -> Vec<ObjectKey> {
         let row = format!("container:{container}");
         self.infra
@@ -699,15 +703,38 @@ pub(crate) fn load_meta(
 }
 
 /// The class of the object at `row_key`, derived from its metadata record
-/// ([`load_meta`]): no copy of it is stored. `None` when the object has no
-/// readable record.
+/// ([`load_meta`]): no copy of it is stored; `ids` turns the record's mime
+/// and size into the class id. `None` when the object has no readable
+/// record.
 pub(crate) fn load_class(
     infra: &Infrastructure,
     datacenter: DatacenterId,
     row_key: &str,
+    ids: &mut ClassIds,
 ) -> Option<String> {
-    load_meta(infra, datacenter, row_key)
-        .map(|meta| ObjectClass::of(&meta.mime, meta.size).id().to_string())
+    load_meta(infra, datacenter, row_key).map(|meta| ids.id(&meta.mime, meta.size))
+}
+
+/// Class ids by mime, then by size in whole megabytes — the two inputs of
+/// [`ObjectClass::of`] — so a caller that resolves many objects (a flush,
+/// an optimisation pass) hashes each distinct class once.
+#[derive(Default)]
+pub(crate) struct ClassIds(HashMap<String, HashMap<u64, String>>);
+
+impl ClassIds {
+    /// `ObjectClass::of(mime, size).id()`, memoised.
+    fn id(&mut self, mime: &str, size: ByteSize) -> String {
+        let mb = size.discretize_mb();
+        if let Some(id) = self.0.get(mime).and_then(|by_mb| by_mb.get(&mb)) {
+            return id.clone();
+        }
+        let id = ObjectClass::of(mime, size).id().to_string();
+        self.0
+            .entry(mime.to_string())
+            .or_default()
+            .insert(mb, id.clone());
+        id
+    }
 }
 
 /// The block digests `meta` records for its payload, in the cache's terms:
@@ -768,9 +795,24 @@ mod tests {
         }
     }
 
+    /// The memoised class id is `ObjectClass::of`'s, for sizes on either
+    /// side of a megabyte boundary and on a second lookup.
+    #[test]
+    fn class_ids_are_object_class_ids() {
+        let mut ids = ClassIds::default();
+        for _ in 0..2 {
+            for mime in ["image/png", "text/plain", ""] {
+                for bytes in [0, 1, 999_999, 1_000_000, 1_000_001, 7_340_032] {
+                    let size = ByteSize::from_bytes(bytes);
+                    assert_eq!(ids.id(mime, size), ObjectClass::of(mime, size).id());
+                }
+            }
+        }
+    }
+
     /// A `meta` cell that holds no valid record — garbage bytes, or a value
-    /// tree — fails the read path with `Internal`, and the orphan sweep
-    /// skips it and completes.
+    /// tree — fails the read path with `Internal`, gives the object no
+    /// class, and the orphan sweep skips it and completes.
     #[test]
     fn an_undecodable_meta_cell_is_an_internal_error() {
         let cluster = cluster();
@@ -786,6 +828,13 @@ mod tests {
                 None,
             )
             .unwrap();
+        let class_of =
+            |ids: &mut ClassIds| load_class(infra, DatacenterId::new(0), &key.row_key(), ids);
+        let class = ObjectClass::of("image/jpeg", ByteSize::from_bytes(5_000));
+        assert_eq!(
+            class_of(&mut ClassIds::default()).as_deref(),
+            Some(class.id())
+        );
         for garbage in [
             Value::Bytes(vec![1, 0xff, 0xff, 0xff, 0xff, 7].into_boxed_slice()),
             Value::Bytes(Box::default()),
@@ -802,6 +851,7 @@ mod tests {
                 .unwrap();
             let err = engine.get(&key).unwrap_err();
             assert!(matches!(err, ScaliaError::Internal(_)), "{err}");
+            assert_eq!(class_of(&mut ClassIds::default()), None);
             let report = crate::gc::sweep_orphan_chunks(infra);
             assert!(
                 report.chunks_referenced > 0,
@@ -1188,11 +1238,15 @@ mod tests {
         let infra = cluster.infra();
         let db = infra.database();
         let columns = |key: &ObjectKey| -> Vec<String> {
-            db.get_row_merged(&key.row_key()).into_keys().collect()
+            db.get_row_merged(&key.row_key())
+                .into_iter()
+                .map(|(column, _)| column)
+                .collect()
         };
         let stats_row = |key: &ObjectKey| {
             db.get_row_merged(&format!("stats:obj:{}", key.row_key()))
-                .into_keys()
+                .into_iter()
+                .map(|(column, _)| column)
                 .collect::<Vec<_>>()
         };
         let payload = || Bytes::from(vec![4u8; 20_000]);
@@ -1230,8 +1284,10 @@ mod tests {
             .put(&degraded, payload(), "image/png", wide, None)
             .unwrap();
         assert_eq!(columns(&degraded), ["debt", "meta"]);
+        let row = db.get_row_merged(&degraded.row_key());
+        let (_, debt) = row.iter().find(|(column, _)| column == "debt").unwrap();
         assert_eq!(
-            db.get_row_merged(&degraded.row_key())["debt"].value,
+            debt.value,
             json!(true),
             "the debt cell is a mark; the queue item holds the reason"
         );

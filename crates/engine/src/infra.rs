@@ -119,6 +119,9 @@ pub struct Infrastructure {
     catalog: Arc<ProviderCatalog>,
     backends: RwLock<HashMap<ProviderId, Arc<SimulatedStore>>>,
     database: Arc<ReplicatedStore>,
+    /// One statistics store per datacenter, reading from its own node by
+    /// preference; each keeps its memo of class means across calls.
+    statistics: Vec<StatisticsStore>,
     clock_secs: AtomicU64,
     write_seq: AtomicU64,
     pending_deletes: Mutex<Vec<PendingDelete>>,
@@ -176,10 +179,14 @@ impl Infrastructure {
     /// datacenters, with backends for every provider already in the catalog.
     pub fn new(catalog: Arc<ProviderCatalog>, datacenters: u32) -> Arc<Self> {
         let database = Arc::new(ReplicatedStore::with_datacenters(datacenters.max(1)));
+        let statistics = (0..datacenters.max(1))
+            .map(|dc| StatisticsStore::new(database.clone(), DatacenterId::new(dc)))
+            .collect();
         let infra = Arc::new(Infrastructure {
             catalog: catalog.clone(),
             backends: RwLock::new(HashMap::new()),
             database,
+            statistics,
             clock_secs: AtomicU64::new(0),
             write_seq: AtomicU64::new(0),
             pending_deletes: Mutex::new(Vec::new()),
@@ -244,9 +251,13 @@ impl Infrastructure {
         self.placement_cache.stats()
     }
 
-    /// A statistics-store view for the given datacenter.
-    pub fn statistics(&self, datacenter: DatacenterId) -> StatisticsStore {
-        StatisticsStore::new(self.database.clone(), datacenter)
+    /// The statistics store of the given datacenter. A datacenter the
+    /// deployment does not have reads as datacenter 0's store does: from
+    /// the first reachable node.
+    pub fn statistics(&self, datacenter: DatacenterId) -> &StatisticsStore {
+        self.statistics
+            .get(datacenter.0 as usize)
+            .unwrap_or(&self.statistics[0])
     }
 
     /// The current simulated time.

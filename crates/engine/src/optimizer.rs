@@ -31,7 +31,7 @@
 //! simulator's adaptive policy also runs: the decision-period bound, the
 //! `D/2`/`D`/`2D` adjustment and search, and the migration gate.
 
-use crate::engine::{load_class, load_meta, Engine};
+use crate::engine::{load_class, load_meta, ClassIds, Engine};
 use crate::infra::{Infrastructure, SAMPLING_PERIOD};
 use parking_lot::Mutex;
 use scalia_core::classify::ClassUsage;
@@ -210,7 +210,7 @@ impl PeriodicOptimizer {
         // 1) + 2) The leader fetches the accessed/modified set from the
         // dirty-set index and merges in the budget-deferred backlog.
         let stats = infra.statistics(leader.datacenter());
-        let (accessed, deferred) = self.take_accessed_set(&stats, infra);
+        let (accessed, deferred) = self.take_accessed_set(stats, infra);
 
         // 3) Bucket the accessed keys by their dirty-index class tag — no
         // per-object metadata reads. Untagged entries (re-queued deferrals,
@@ -223,10 +223,11 @@ impl PeriodicOptimizer {
         let mut by_class: Vec<(String, Vec<String>)> = Vec::new();
         let mut class_index: std::collections::HashMap<String, usize> =
             std::collections::HashMap::new();
+        let mut class_ids = ClassIds::default();
         for (row_key, class) in accessed {
             let class_id = match class {
                 Some(class_id) => Some(class_id),
-                None => load_class(infra, leader.datacenter(), &row_key),
+                None => load_class(infra, leader.datacenter(), &row_key, &mut class_ids),
             };
             let Some(class_id) = class_id else { continue };
             match class_index.get(class_id.as_str()) {

@@ -45,7 +45,9 @@
 //!   (`Engine::commit_metadata_with_debt`) under the row commit lock, so a
 //!   crash anywhere before [`MultipartUpload::complete_put`] returns leaves
 //!   the previous object version fully intact and at most some orphaned
-//!   stripe chunks for [`crate::gc::sweep_orphan_chunks`].
+//!   stripe chunks for [`crate::gc::sweep_orphan_chunks`]. A commit the
+//!   metastore refuses (no database node up) leaves nothing: the refused
+//!   batch is not journaled, and the upload deletes every chunk it landed.
 //! * **Range reads** — [`Engine::get_range`] serves `[offset, offset+len)`
 //!   by fetching only the covering stripes (each still a hedged
 //!   `m`-of-`n` race), via `crate::chunk_io::fetch_range`.
@@ -412,7 +414,8 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
 
     /// Lands the tail, commits the assembled stripe map in one metastore
     /// transaction and returns the new metadata. An upload that cannot land
-    /// its tail rolls back every stripe that already landed.
+    /// its tail, or whose commit the metastore refuses, rolls back every
+    /// stripe that already landed; an injected crash rolls back nothing.
     pub fn complete_put(mut self) -> Result<ObjectMeta> {
         self.check_live()?;
         if let Err(err) = self.land_tail() {
@@ -487,12 +490,27 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         // Chunk uploads (above) and deprecated-chunk GC (below) stay outside
         // the lock — no provider round-trip happens under it.
         let debt = want_total > have_total;
-        let deprecated = {
+        let committed = {
             let _commit = engine.infra().lock_row_commit(&row_key);
-            let deprecated =
-                engine.commit_metadata_with_debt(&row_key, &meta, debt, Some(final_class.id()))?;
-            engine.invalidate_everywhere(&row_key);
-            deprecated
+            let committed =
+                engine.commit_metadata_with_debt(&row_key, &meta, debt, Some(final_class.id()));
+            if committed.is_ok() {
+                engine.invalidate_everywhere(&row_key);
+            }
+            committed
+        };
+        let deprecated = match committed {
+            Ok(deprecated) => deprecated,
+            Err(err) => {
+                // A refused batch left no trace in the metastore, so no
+                // record will ever name these chunks: take them back. An
+                // injected crash's commit may yet be redone by `recover`,
+                // so its chunks stay, as a real crash would leave them.
+                if !is_injected_crash(&err) {
+                    engine.delete_chunks(&meta.striping);
+                }
+                return Err(err);
+            }
         };
         // Chaos crash point: the commit is durable but the deprecated-chunk
         // GC below never runs — the orphan sweep reconciles the leak.

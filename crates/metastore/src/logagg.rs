@@ -85,7 +85,8 @@ impl LogAggregator {
     /// writes the aggregates to `stats` — each with a dirty mark tagged with
     /// the object's class, which `class_of` resolves from the object's row
     /// key (asked once per object per flush; the deployment derives it from
-    /// the object's metadata record, `None` once the object is gone). So
+    /// the object's metadata record, hashing each distinct class once per
+    /// flush, `None` once the object is gone). So
     /// the dirty-set index carries the tag and the class-centric optimiser
     /// can group the accessed set with no metadata reads. The same pass
     /// folds the per-object aggregates into **one pre-aggregated delta per
@@ -107,7 +108,7 @@ impl LogAggregator {
         &self,
         stats: &StatisticsStore,
         timestamp: Timestamp,
-        class_of: impl Fn(&str) -> Option<String>,
+        mut class_of: impl FnMut(&str) -> Option<String>,
     ) -> usize {
         let mut grouped: BTreeMap<(String, u64), PeriodStats> = BTreeMap::new();
         for agent in &self.agents {

@@ -85,7 +85,8 @@ use crate::store::NoSqlNode;
 use parking_lot::Mutex;
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::DatacenterId;
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A mutation that could not reach a node (hinted handoff).
@@ -323,7 +324,8 @@ impl ReplicatedStore {
 
     /// Reads one row from **every** up replica and merges it: per column,
     /// the cell with the highest timestamp across all replicas wins (the
-    /// same last-write-wins rule MVCC applies within a node).
+    /// same last-write-wins rule MVCC applies within a node; on a tie the
+    /// earlier node's cell). Returned in column order.
     ///
     /// This is the replicated read for row-shaped queries (e.g. the
     /// container index behind LIST): [`Self::get_latest`] serves from a
@@ -332,25 +334,18 @@ impl ReplicatedStore {
     /// before its hints replayed would otherwise serve arbitrarily stale
     /// cells. Merging across replicas reads through that lag: any up node
     /// that accepted the write supplies the fresh cell.
-    pub fn get_row_merged(&self, row_key: &str) -> BTreeMap<String, Arc<Cell>> {
-        let mut merged: BTreeMap<String, Arc<Cell>> = BTreeMap::new();
-        for node in self.nodes.iter().filter(|n| n.is_up()) {
-            let Some(row) = node.get_row(row_key) else {
-                continue;
-            };
-            for (column, cells) in row {
-                let Some(cell) = cells.into_iter().max_by_key(|c| c.timestamp) else {
-                    continue;
-                };
-                match merged.get(&column) {
-                    Some(existing) if existing.timestamp >= cell.timestamp => {}
-                    _ => {
-                        merged.insert(column, cell);
-                    }
-                }
-            }
-        }
-        merged
+    ///
+    /// Each node contributes its latest cells only
+    /// ([`NoSqlNode::latest_cells_with_prefix`], already in column order),
+    /// and the lists merge linearly, one node after another: no version
+    /// list is cloned, and a column allocates its name once per node.
+    pub fn get_row_merged(&self, row_key: &str) -> Vec<(String, Arc<Cell>)> {
+        self.nodes
+            .iter()
+            .filter(|n| n.is_up())
+            .fold(Vec::new(), |merged, node| {
+                merge_latest(merged, node.latest_cells_with_prefix(row_key, ""))
+            })
     }
 
     /// Applies `read` to the latest version of a column on the first
@@ -450,6 +445,41 @@ impl ReplicatedStore {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Merges two column-ordered lists of latest cells into one, in column
+/// order: per column the later timestamp wins, `ours` on a tie.
+fn merge_latest(
+    ours: Vec<(String, Arc<Cell>)>,
+    theirs: Vec<(String, Arc<Cell>)>,
+) -> Vec<(String, Arc<Cell>)> {
+    if ours.is_empty() {
+        return theirs;
+    }
+    let mut merged = Vec::with_capacity(ours.len().max(theirs.len()));
+    let (mut ours, mut theirs) = (ours.into_iter().peekable(), theirs.into_iter().peekable());
+    loop {
+        let next = match (ours.peek(), theirs.peek()) {
+            (Some(a), Some(b)) => match a.0.cmp(&b.0) {
+                Ordering::Less => ours.next(),
+                Ordering::Greater => theirs.next(),
+                Ordering::Equal if b.1.timestamp > a.1.timestamp => {
+                    ours.next();
+                    theirs.next()
+                }
+                Ordering::Equal => {
+                    theirs.next();
+                    ours.next()
+                }
+            },
+            (Some(_), None) => ours.next(),
+            (None, _) => theirs.next(),
+        };
+        match next {
+            Some(cell) => merged.push(cell),
+            None => return merged,
         }
     }
 }
@@ -1186,6 +1216,74 @@ mod tests {
             round_matches_oracle(&s, &format!("seed {seed} final"));
             assert_eq!(s.pending_hints(), 0);
             assert_eq!(s.anti_entropy(), AntiEntropyReport::default());
+        }
+    }
+
+    /// The oracle for [`ReplicatedStore::get_row_merged`]: every version
+    /// list of the row on each up node, cloned into a map, per column the
+    /// highest timestamp, the earlier node on a tie.
+    fn merged_from_all_versions(s: &ReplicatedStore, row_key: &str) -> Vec<(String, Arc<Cell>)> {
+        let mut merged: std::collections::BTreeMap<String, Arc<Cell>> = Default::default();
+        for node in s.nodes().iter().filter(|n| n.is_up()) {
+            let Some(row) = node.get_row(row_key) else {
+                continue;
+            };
+            for (column, cells) in row {
+                let Some(cell) = cells.into_iter().max_by_key(|c| c.timestamp) else {
+                    continue;
+                };
+                match merged.get(&column) {
+                    Some(existing) if existing.timestamp >= cell.timestamp => {}
+                    _ => {
+                        merged.insert(column, cell);
+                    }
+                }
+            }
+        }
+        merged.into_iter().collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The latest-cells merge returns exactly what the all-versions
+        /// merge did — the same cells, the very same allocations — on 1–3
+        /// nodes that diverged (each write reached one node), with several
+        /// versions per column, timestamps shared across nodes, and every
+        /// subset of the nodes down.
+        #[test]
+        fn merged_row_reads_match_the_all_versions_merge(
+            seed in proptest::any::<u64>(),
+            datacenters in 1u32..4,
+            writes in 0usize..48,
+        ) {
+            let mut rng = proptest::TestRng::deterministic(&format!("merged-{seed}"));
+            let mut below = move |n: u64| rng.next_u64() % n;
+            let s = ReplicatedStore::with_datacenters(datacenters);
+            for i in 0..writes {
+                let node = &s.nodes()[below(datacenters as u64) as usize];
+                let row = ["container:c", "container:d"][below(2) as usize];
+                let column = format!("k{}", below(8));
+                let timestamp = Timestamp::new(below(6), below(2));
+                node.put(row, &column, json!(i), timestamp);
+            }
+            for down in 0..1u32 << datacenters {
+                for (i, node) in s.nodes().iter().enumerate() {
+                    node.set_up(down & (1 << i) == 0);
+                }
+                for row in ["container:c", "container:d", "container:none"] {
+                    let merged = s.get_row_merged(row);
+                    let expected = merged_from_all_versions(&s, row);
+                    assert_eq!(merged.len(), expected.len(), "seed {seed} down {down:b} {row}");
+                    for ((column, cell), (want_column, want)) in merged.iter().zip(&expected) {
+                        assert_eq!(column, want_column, "seed {seed} down {down:b} {row}");
+                        assert!(
+                            Arc::ptr_eq(cell, want),
+                            "seed {seed} down {down:b} {row} {column}: {cell:?} != {want:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -29,11 +29,13 @@ use crate::journal::JournalOp;
 use crate::model::Timestamp;
 use crate::replication::ReplicatedStore;
 use crate::store::NoSqlNode;
+use parking_lot::Mutex;
 use scalia_types::ids::DatacenterId;
 use scalia_types::size::ByteSize;
 use scalia_types::stats::{AccessHistory, PeriodStats};
 use scalia_types::usage::ResourceUsage;
 use serde_json::json;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Prefix of per-object statistics rows.
@@ -74,13 +76,33 @@ pub struct StatisticsStore {
     /// The store every statistics write commits to, as a transaction.
     pub(crate) db: Arc<ReplicatedStore>,
     local: DatacenterId,
+    /// [`Self::mean_class_usage`]'s memo, by class id.
+    class_means: Mutex<HashMap<String, ClassMean>>,
+    /// Usage-sample scans [`Self::mean_class_usage`] ran (memo misses).
+    #[cfg(test)]
+    mean_scans: std::sync::atomic::AtomicUsize,
+}
+
+/// A memoised class mean: the mean of the usage samples of a class row as
+/// one node held it, and that row's digest when it did.
+#[derive(Debug, Clone, Copy)]
+struct ClassMean {
+    node: DatacenterId,
+    digest: u64,
+    mean: Option<ResourceUsage>,
 }
 
 impl StatisticsStore {
     /// Creates a statistics store on top of a replicated database, reading
     /// from the given local datacenter by preference.
     pub fn new(db: Arc<ReplicatedStore>, local: DatacenterId) -> Self {
-        StatisticsStore { db, local }
+        StatisticsStore {
+            db,
+            local,
+            class_means: Mutex::new(HashMap::new()),
+            #[cfg(test)]
+            mean_scans: Default::default(),
+        }
     }
 
     fn obj_row(object_row_key: &str) -> String {
@@ -261,7 +283,7 @@ impl StatisticsStore {
         // Per entry: the timestamp of the classified mark currently held
         // (ZERO while unclassified).
         let mut tag_ts: Vec<Timestamp> = Vec::new();
-        let mut index: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
+        let mut index: HashMap<String, usize> = HashMap::new();
         let mut scanned = 0usize;
         // Union over every reachable replica: the fetch must not miss a
         // mark a lagging replica never received, because the optimiser's
@@ -350,26 +372,51 @@ impl StatisticsStore {
 
     /// Mean per-period resource usage observed for a class, if any sample
     /// exists. This feeds the first placement of brand-new objects
-    /// (§III-A1, Fig. 6).
+    /// (§III-A1, Fig. 6), so every put asks it.
+    ///
+    /// The mean is memoised per class, under the node that answered and
+    /// the class row's digest there (see [`crate::store`], "Content
+    /// digest"). A call reads that digest — one hash probe — and returns
+    /// the memo while both match; otherwise it scans the row's `usage:`
+    /// samples and memoises their mean under the digest read under the
+    /// scan's own read lock, so a sample committed after the scan changes
+    /// the digest the next call reads and is never hidden behind a stale
+    /// mean. The memo is exact, not approximate: any version added to or
+    /// removed from the row (a delete's sample, a tick's rollup, garbage
+    /// collection) changes the digest, a stored version's value never
+    /// changes (a timestamp names one write), and the scan sums the samples
+    /// in column order as it always has — so a hit returns, bit for bit,
+    /// what a scan of the same row would.
     pub fn mean_class_usage(&self, class_id: &str) -> Option<ResourceUsage> {
+        let node = self.read_node()?;
         let row = Self::class_row(class_id);
-        let samples: Vec<ResourceUsage> = self
-            .read_node()?
-            .latest_cells_with_prefix(&row, "usage:")
-            .into_iter()
-            .map(|(_, cell)| ResourceUsage {
+        let digest = node.row_digest(&row)?;
+        let memo = self.class_means.lock().get(class_id).copied();
+        if let Some(memo) = memo.filter(|m| m.node == node.datacenter() && m.digest == digest) {
+            return memo.mean;
+        }
+        let mut total = ResourceUsage::ZERO;
+        let mut samples = 0usize;
+        let digest = node.visit_latest_with_prefix(&row, "usage:", |_, cell| {
+            total += ResourceUsage {
                 storage_gb_hours: cell.value["storage_gb_hours"].as_f64().unwrap_or(0.0),
                 bw_in: ByteSize::from_bytes(cell.value["bw_in"].as_u64().unwrap_or(0)),
                 bw_out: ByteSize::from_bytes(cell.value["bw_out"].as_u64().unwrap_or(0)),
                 ops: cell.value["ops"].as_u64().unwrap_or(0),
-            })
-            .collect();
-        if samples.is_empty() {
-            return None;
-        }
-        let n = samples.len() as f64;
-        let total: ResourceUsage = samples.into_iter().sum();
-        Some(total.scale(1.0 / n))
+            };
+            samples += 1;
+        })?;
+        #[cfg(test)]
+        self.mean_scans
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let mean = (samples > 0).then(|| total.scale(1.0 / samples as f64));
+        let memo = ClassMean {
+            node: node.datacenter(),
+            digest,
+            mean,
+        };
+        self.class_means.lock().insert(class_id.to_string(), memo);
+        mean
     }
 
     /// The class's per-period rollup, aggregated at read time: for each of
@@ -906,5 +953,143 @@ mod tests {
         let history = s.history("obj1", 10);
         assert_eq!(history.len(), 1);
         assert_eq!(history.records()[0].reads, 3);
+    }
+
+    /// The oracle the memo must equal: a plain scan of every `usage:`
+    /// sample of the class row on `node`, summed in column order.
+    fn scanned_mean(node: &NoSqlNode, class_id: &str) -> Option<ResourceUsage> {
+        let samples: Vec<ResourceUsage> = node
+            .latest_cells_with_prefix(&StatisticsStore::class_row(class_id), "usage:")
+            .into_iter()
+            .map(|(_, cell)| ResourceUsage {
+                storage_gb_hours: cell.value["storage_gb_hours"].as_f64().unwrap_or(0.0),
+                bw_in: ByteSize::from_bytes(cell.value["bw_in"].as_u64().unwrap_or(0)),
+                bw_out: ByteSize::from_bytes(cell.value["bw_out"].as_u64().unwrap_or(0)),
+                ops: cell.value["ops"].as_u64().unwrap_or(0),
+            })
+            .collect();
+        if samples.is_empty() {
+            return None;
+        }
+        let n = samples.len() as f64;
+        let total: ResourceUsage = samples.into_iter().sum();
+        Some(total.scale(1.0 / n))
+    }
+
+    /// A mean compared bit for bit, `f64` included.
+    fn bits(mean: Option<ResourceUsage>) -> Option<(u64, u64, u64, u64)> {
+        mean.map(|u| {
+            (
+                u.storage_gb_hours.to_bits(),
+                u.bw_in.bytes(),
+                u.bw_out.bytes(),
+                u.ops,
+            )
+        })
+    }
+
+    /// A usage sample that sums inexactly in floating point, so a mean
+    /// summed in another order would differ in its last bits.
+    fn sample(i: u64) -> ResourceUsage {
+        ResourceUsage {
+            storage_gb_hours: 0.1 * i as f64 + 1.0 / (i as f64 + 3.0),
+            bw_in: ByteSize::from_bytes(1_000 + 7 * i),
+            bw_out: ByteSize::from_bytes(3 * i),
+            ops: i % 5,
+        }
+    }
+
+    fn scans(s: &StatisticsStore) -> usize {
+        s.mean_scans.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// Across samples (deletes), rollups (ticks), a dropped column and
+    /// `gc_statistics` trims, the memoised mean equals a fresh scan bit for
+    /// bit after every step, and a row that did not change is not scanned
+    /// again.
+    #[test]
+    fn the_memoised_class_mean_equals_a_fresh_scan_bit_for_bit() {
+        let s = store();
+        let node = Arc::clone(&s.db.nodes()[0]);
+        let check = |step: &str| {
+            assert_eq!(
+                bits(s.mean_class_usage("c")),
+                bits(scanned_mean(&node, "c")),
+                "{step}"
+            );
+        };
+        check("no row");
+        let mut secs = 0;
+        for round in 0..6u64 {
+            for i in 0..110 {
+                secs += 1;
+                let ts = Timestamp::new(secs, 0);
+                s.record_class_usage("c", &sample(round * 110 + i), ts)
+                    .unwrap();
+                if i % 37 == 0 {
+                    check(&format!("round {round}, sample {i}"));
+                }
+            }
+            secs += 1;
+            s.record_class_delta("c", &stats(round, 2, 1), 2, Timestamp::new(secs, 0))
+                .unwrap();
+            check(&format!("round {round}, rollup"));
+            let before = scans(&s);
+            check(&format!("round {round}, unchanged"));
+            assert_eq!(scans(&s), before, "an unchanged row is not rescanned");
+            s.commit(vec![JournalOp::DeleteColumn {
+                row_key: StatisticsStore::class_row("c"),
+                column: format!("usage:{}:0", secs - 3),
+            }])
+            .unwrap();
+            check(&format!("round {round}, dropped column"));
+            s.gc_statistics(round);
+            check(&format!("round {round}, gc"));
+        }
+        assert_eq!(
+            node.latest_cells_with_prefix(&StatisticsStore::class_row("c"), "usage:")
+                .len(),
+            MAX_CLASS_SAMPLES,
+            "gc trimmed the samples"
+        );
+    }
+
+    /// With a full row of samples, a second call serves the memo: no scan.
+    #[test]
+    fn a_second_call_on_an_unchanged_row_does_no_scan() {
+        let s = store();
+        for i in 0..MAX_CLASS_SAMPLES as u64 {
+            s.record_class_usage("c", &sample(i), Timestamp::new(i + 1, 0))
+                .unwrap();
+        }
+        let first = s.mean_class_usage("c");
+        assert_eq!(scans(&s), 1);
+        let second = s.mean_class_usage("c");
+        assert_eq!(scans(&s), 1, "the second call scanned");
+        assert_eq!(bits(first), bits(second));
+        assert_eq!(bits(second), bits(scanned_mean(&s.db.nodes()[0], "c")));
+    }
+
+    /// A sample committed between two calls is seen by the second, on the
+    /// local node and on the node a read falls back to.
+    #[test]
+    fn a_sample_committed_between_two_calls_is_always_seen() {
+        let s = store();
+        for i in 0..40u64 {
+            s.record_class_usage("c", &sample(i), Timestamp::new(i + 1, 0))
+                .unwrap();
+            let node = s.read_node().unwrap();
+            assert_eq!(
+                bits(s.mean_class_usage("c")),
+                bits(scanned_mean(&node, "c")),
+                "sample {i}"
+            );
+            assert_eq!(scans(&s), i as usize + 1, "sample {i} was not rescanned");
+            // Switch the answering node every ten samples.
+            if i % 10 == 9 {
+                let local = &s.db.nodes()[0];
+                local.set_up(!local.is_up());
+            }
+        }
     }
 }

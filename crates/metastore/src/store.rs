@@ -16,6 +16,9 @@
 //! or visit several rows — prefix and range scans, snapshots, the
 //! anti-entropy merge-join — run once per tick, not once per op: they
 //! filter every row and sort the matches, and return them in key order.
+//! Per-op reads of a wide row — LIST's container row, the class mean's
+//! class row — read the latest cell of each column only, in column order,
+//! and clone no version list.
 //!
 //! # Content digest
 //!
@@ -350,18 +353,53 @@ impl NoSqlNode {
         row_key: &str,
         prefix: &str,
     ) -> Vec<(String, Arc<Cell>)> {
+        let mut cells = Vec::new();
+        self.visit_latest_with_prefix(row_key, prefix, |column, cell| {
+            cells.push((column.to_string(), Arc::clone(cell)));
+        });
+        cells
+    }
+
+    /// Visits the latest cell of every column of `row_key` whose name
+    /// starts with `prefix`, in column order, without cloning, and returns
+    /// the row's digest (0 for a missing row) read under the same read
+    /// lock: the digest names exactly the version set the visit saw.
+    /// `None`, and no visit, while the node is down.
+    pub(crate) fn visit_latest_with_prefix(
+        &self,
+        row_key: &str,
+        prefix: &str,
+        mut visit: impl FnMut(&str, &Arc<Cell>),
+    ) -> Option<u64> {
         if !self.is_up() {
-            return Vec::new();
+            return None;
         }
         let table = self.table.read();
         let Some(row) = table.rows.get(row_key) else {
-            return Vec::new();
+            return Some(0);
         };
-        row.columns
-            .range(prefix.to_string()..)
-            .take_while(|(column, _)| column.starts_with(prefix))
-            .filter_map(|(column, cells)| latest(cells).map(|c| (column.clone(), c.clone())))
-            .collect()
+        let columns = row
+            .columns
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(column, _)| column.starts_with(prefix));
+        for (column, cells) in columns {
+            if let Some(cell) = latest(cells) {
+                visit(column, cell);
+            }
+        }
+        Some(row.digest)
+    }
+
+    /// The digest of `row_key` (see the module docs; 0 for a missing row),
+    /// or `None` while the node is down. One hash probe.
+    pub(crate) fn row_digest(&self, row_key: &str) -> Option<u64> {
+        self.is_up().then(|| {
+            self.table
+                .read()
+                .rows
+                .get(row_key)
+                .map_or(0, |row| row.digest)
+        })
     }
 
     /// Row keys starting with `prefix`, in key order. O(rows) plus a sort
