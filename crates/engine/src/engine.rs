@@ -203,52 +203,79 @@ impl Engine {
         Ok(decision.placement)
     }
 
-    /// Writes the metadata version and prunes deprecated versions from the
-    /// database. Returns the deprecated versions' stripings: the caller must
-    /// garbage-collect their chunks with [`Self::delete_chunks`] **after**
-    /// releasing the row commit lock — provider round-trips must not happen
-    /// under the lock.
-    #[must_use = "the returned stripings' chunks must be garbage-collected"]
-    fn commit_metadata(&self, row_key: &str, meta: &ObjectMeta) -> Result<Vec<StripingMeta>> {
-        self.commit_metadata_with_debt(row_key, meta, false, None)
-    }
-
-    /// [`Self::commit_metadata`], recording a durability debt when `debt`
-    /// (a degraded write) and — for a client write, which may have changed
-    /// the object's class — its class-tagged dirty-set mark. The whole
-    /// commit — metadata, container index, debt mark and repair-queue entry
-    /// (or debt clearance), version prune, dirty mark — is one journaled
-    /// transaction on the replicated store, so a crash at any point replays
-    /// to either the old or the new placement, never a torn mixture, and
-    /// never to an object the optimiser's accessed set misses.
+    /// Commits `meta` as the object's new version — the one commit step of
+    /// every put and re-placement — and reclaims exactly the chunks its
+    /// outcome orphans. `row_key` is `meta`'s row.
     ///
-    /// The `meta` cell holds `meta`'s encoded record
-    /// ([`ObjectMeta::encode_record`]), the object's one record: its class
-    /// is `ObjectClass::of(&meta.mime, meta.size)`, derived wherever it is
-    /// needed. `row_key` is `meta`'s row.
-    #[must_use = "the returned stripings' chunks must be garbage-collected"]
-    pub(crate) fn commit_metadata_with_debt(
+    /// Under the row commit lock it checks `expect`: a re-placement passes
+    /// the version it re-coded and the object must still be at it, a put
+    /// passes `None` and reads nothing. It then commits
+    /// [`Self::commit_ops`] as one journaled transaction, so a crash
+    /// replays to the old or the new version, never a torn mixture, and
+    /// invalidates the caches — atomically with the commit, since a
+    /// reader's epoch-gated populate ([`Engine::get`]) takes the same lock.
+    /// No provider round trip happens under the lock. After it:
+    /// - a commit deletes the deprecated versions' chunks once the
+    ///   `after_commit` crash point has passed;
+    /// - a conflict, a vanished object or a refused batch (no metastore
+    ///   node up) leaves no record naming `meta`'s chunks: they are deleted;
+    /// - a crash ([`ScaliaError::Crashed`]) deletes nothing: recovery
+    ///   redoes a logged batch, and the orphan sweep ([`crate::gc`]) takes
+    ///   whatever no record names.
+    pub(crate) fn commit_version(
         &self,
         row_key: &str,
         meta: &ObjectMeta,
+        expect: Option<ObjectVersionId>,
         debt: bool,
         class_id: Option<&str>,
-    ) -> Result<Vec<StripingMeta>> {
-        let ops = self.commit_ops(row_key, meta, debt, class_id);
-        let pruned = self.infra.database().transaction(ops)?;
-        // The pruned set also holds repair-queue cells: they are not
-        // metadata records, so they fail to decode and drop out.
-        Ok(pruned
-            .iter()
-            .filter_map(|cell| decode_meta(&cell.value).ok())
-            .filter(|old_meta| old_meta.version != meta.version)
-            .map(|old_meta| old_meta.striping)
-            .collect())
+        after_commit: &str,
+    ) -> Result<()> {
+        let committed = {
+            let _commit = self.infra.lock_row_commit(row_key);
+            let current = expect.map(|_| self.read_meta(&meta.key, row_key));
+            match current.transpose() {
+                Ok(Some(current)) if Some(current.version) != expect => {
+                    Err(ScaliaError::Conflict(format!(
+                        "{} moved to version {} before version {} committed",
+                        meta.key, current.version, meta.version
+                    )))
+                }
+                Ok(_) => {
+                    let ops = self.commit_ops(row_key, meta, debt, class_id);
+                    let pruned = self.infra.database().transaction(ops);
+                    if pruned.is_ok() {
+                        self.invalidate_everywhere(row_key);
+                    }
+                    pruned
+                }
+                Err(err) => Err(err),
+            }
+        };
+        match committed {
+            Ok(pruned) => {
+                self.infra.crash_point(after_commit)?;
+                // The pruned set also holds repair-queue cells: they are not
+                // metadata records, so they fail to decode and drop out.
+                let deprecated = pruned
+                    .iter()
+                    .filter_map(|cell| decode_meta(&cell.value).ok());
+                for old in deprecated.filter(|old| old.version != meta.version) {
+                    self.delete_chunks(&old.striping);
+                }
+                Ok(())
+            }
+            Err(crash @ ScaliaError::Crashed(_)) => Err(crash),
+            Err(err) => {
+                self.delete_chunks(&meta.striping);
+                Err(err)
+            }
+        }
     }
 
-    /// The ops of one [`Self::commit_metadata_with_debt`] transaction, all
-    /// under one fresh timestamp. A clean client write is five: metadata,
-    /// container index, debt clearance, metadata prune, dirty mark.
+    /// The ops of one [`Self::commit_version`] transaction, all under one
+    /// fresh timestamp. A clean client write is five: metadata, container
+    /// index, debt clearance, metadata prune, dirty mark.
     fn commit_ops(
         &self,
         row_key: &str,
@@ -516,8 +543,9 @@ impl Engine {
     /// Moves an object to a new placement, stripe by stripe: each stripe is
     /// fetched (hedged) and verified, re-encoded for the new `(m, n)` and
     /// uploaded under the keys of a fresh version, keeping the resident
-    /// working set O(stripe); then the new metadata version commits and the
-    /// old chunks are deleted. Returns the new metadata. The commit is
+    /// working set O(stripe); then the new metadata version commits through
+    /// the engine's one commit step (`commit_version`, the put's too) and
+    /// the old chunks are deleted. Returns the new metadata. The commit is
     /// full-width, so it settles any degraded-write debt atomically.
     ///
     /// The commit is **conditional** (optimistic concurrency): the re-coded
@@ -526,7 +554,12 @@ impl Engine {
     /// meantime, committing ours would silently revert the client's data.
     /// In that case the freshly-written chunks are rolled back and
     /// [`ScaliaError::Conflict`] is returned — the optimiser simply skips
-    /// the object; it will be reconsidered next cycle.
+    /// the object; it will be reconsidered next cycle. A commit the
+    /// metastore refuses rolls them back too. A crash
+    /// ([`ScaliaError::Crashed`]) rolls back nothing: once its transaction
+    /// was logged, recovery commits the new version, whose chunks must then
+    /// be there. Crash points visited: the transaction's `txn::*`, then
+    /// `replace::after-commit` (committed, old chunks not yet deleted).
     pub fn replace_placement(
         &self,
         key: &ObjectKey,
@@ -570,6 +603,7 @@ impl Engine {
             }
         }
 
+        let old_version = old_meta.version;
         let new_meta = ObjectMeta {
             version,
             striping: StripingMeta {
@@ -578,68 +612,15 @@ impl Engine {
             },
             ..old_meta
         };
-        self.commit_replacement(key, &row_key, old_meta.version, &new_meta)?;
+        self.commit_version(
+            &row_key,
+            &new_meta,
+            Some(old_version),
+            false,
+            None,
+            "replace::after-commit",
+        )?;
         Ok(new_meta)
-    }
-
-    /// The conditional (optimistic) commit of a re-placement: validates that
-    /// the object is still at `old_version` under the row lock, commits
-    /// `new_meta` and invalidates the caches atomically, and garbage-collects
-    /// the deprecated versions' chunks after release. On conflict or commit
-    /// failure the **new** chunks are rolled back and the error surfaced.
-    fn commit_replacement(
-        &self,
-        key: &ObjectKey,
-        row_key: &str,
-        old_version: ObjectVersionId,
-        new_meta: &ObjectMeta,
-    ) -> Result<()> {
-        enum CommitOutcome {
-            Committed(Vec<StripingMeta>),
-            Conflicted(ObjectVersionId),
-            Failed(ScaliaError),
-        }
-        // Validate-then-commit under the row lock: the object must still
-        // exist and still be at the version we re-encoded. The cache
-        // invalidation is atomic with the commit (see `Engine::put`). All
-        // chunk deletions (GC of the old version, or rollback of ours)
-        // happen after the lock is released.
-        let outcome = {
-            let _commit = self.infra.lock_row_commit(row_key);
-            match self.read_meta(key, row_key) {
-                Ok(current) if current.version == old_version => {
-                    match self.commit_metadata(row_key, new_meta) {
-                        Ok(deprecated) => {
-                            self.invalidate_everywhere(row_key);
-                            CommitOutcome::Committed(deprecated)
-                        }
-                        Err(err) => CommitOutcome::Failed(err),
-                    }
-                }
-                Ok(current) => CommitOutcome::Conflicted(current.version),
-                Err(err) => CommitOutcome::Failed(err),
-            }
-        };
-        match outcome {
-            CommitOutcome::Committed(deprecated) => {
-                for striping in &deprecated {
-                    self.delete_chunks(striping);
-                }
-                Ok(())
-            }
-            CommitOutcome::Conflicted(current_version) => {
-                // Lost the race: roll back our chunks and report it.
-                self.delete_chunks(&new_meta.striping);
-                Err(ScaliaError::Conflict(format!(
-                    "placement of {key} moved from version {old_version} to {current_version} \
-                     during migration"
-                )))
-            }
-            CommitOutcome::Failed(err) => {
-                self.delete_chunks(&new_meta.striping);
-                Err(err)
-            }
-        }
     }
 
     /// The access history of an object, as recorded by the statistics
@@ -674,8 +655,8 @@ impl Engine {
     }
 }
 
-/// Decodes a `meta` cell: the record [`Engine::commit_metadata_with_debt`]
-/// wrote ([`ObjectMeta::decode_record`]). Any other value is an error.
+/// Decodes a `meta` cell: the record [`Engine::commit_version`] wrote
+/// ([`ObjectMeta::decode_record`]). Any other value is an error.
 pub(crate) fn decode_meta(value: &Value) -> Result<ObjectMeta> {
     match value {
         Value::Bytes(record) => ObjectMeta::decode_record(record),
@@ -1226,6 +1207,210 @@ mod tests {
                 "{label}: the dirty mark must share the metadata's fate"
             );
         }
+    }
+
+    /// Lands `data` (one stripe) on `placement` as a fresh, uncommitted
+    /// version of `base`'s object: what a re-placement holds when it
+    /// reaches its commit.
+    fn landed_version(
+        engine: &Engine,
+        base: &ObjectMeta,
+        data: &[u8],
+        placement: &Placement,
+    ) -> ObjectMeta {
+        let version = engine.infra.next_version(&base.key.row_key());
+        let skey = StripingMeta::storage_key(&base.key, version);
+        let encoded = encode_object(data, placement.erasure_params()).unwrap();
+        let chunks = chunk_io::upload(&engine.infra, placement, &skey, &encoded, true).unwrap();
+        let stripe = StripeMeta {
+            chunks,
+            m: placement.m,
+            checksum: base.checksum.clone(),
+            skey,
+        };
+        ObjectMeta {
+            version,
+            striping: StripingMeta {
+                stripe_size: base.striping.stripe_size,
+                stripes: vec![stripe],
+            },
+            ..base.clone()
+        }
+    }
+
+    fn stored_chunks(cluster: &ScaliaCluster) -> u32 {
+        let backends = cluster.infra().backends();
+        backends.iter().map(|b| b.object_count() as u32).sum()
+    }
+
+    /// A commit that expects a version the object has moved past is a
+    /// conflict: nothing commits, the new version's chunks are deleted, and
+    /// the newer write stays readable.
+    #[test]
+    fn a_stale_expectation_conflicts_and_takes_its_chunks_back() {
+        let cluster = cluster();
+        let engine = cluster.engine(0);
+        let key = ObjectKey::new("commit", "stale.bin");
+        let payload = |fill: u8| Bytes::from(vec![fill; 30_000]);
+        let first = engine
+            .put(&key, payload(1), "image/png", rule(), None)
+            .unwrap();
+        let moved = landed_version(
+            engine,
+            &first,
+            &payload(1),
+            &Placement {
+                providers: cluster.infra().catalog().available(),
+                m: 2,
+            },
+        );
+        let newer = engine
+            .put(&key, payload(2), "image/png", rule(), None)
+            .unwrap();
+        assert!(stored_chunks(&cluster) > newer.striping.n());
+
+        let err = engine
+            .commit_version(
+                &key.row_key(),
+                &moved,
+                Some(first.version),
+                false,
+                None,
+                "replace::after-commit",
+            )
+            .unwrap_err();
+        assert!(matches!(err, ScaliaError::Conflict(_)), "{err}");
+        assert_eq!(stored_chunks(&cluster), newer.striping.n());
+        assert_eq!(engine.read_metadata(&key).unwrap(), newer);
+        cluster.caches().iter().for_each(|c| c.clear());
+        assert_eq!(engine.get(&key).unwrap(), payload(2));
+    }
+
+    /// A commit no metastore node accepts leaves no record naming the new
+    /// version's chunks, so it deletes them; the old version is untouched.
+    #[test]
+    fn a_refused_commit_takes_its_chunks_back() {
+        let cluster = ScaliaCluster::builder()
+            .datacenters(1)
+            .engines_per_datacenter(1)
+            .build();
+        let engine = cluster.engine(0);
+        let db = cluster.infra().database();
+        let key = ObjectKey::new("commit", "refused.bin");
+        let data = Bytes::from(vec![5u8; 30_000]);
+        let old = engine
+            .put(&key, data.clone(), "image/png", rule(), None)
+            .unwrap();
+        let all = cluster.infra().catalog().all();
+        let mirrored = Placement {
+            providers: vec![all[0].clone(), all[1].clone()],
+            m: 1,
+        };
+        let new = landed_version(engine, &old, &data, &mirrored);
+        assert_eq!(stored_chunks(&cluster), old.striping.n() + 2);
+
+        db.nodes()[0].set_up(false);
+        let err = engine
+            .commit_version(&key.row_key(), &new, None, false, None, "put::after-commit")
+            .unwrap_err();
+        db.nodes()[0].set_up(true);
+        assert_eq!(err, ScaliaError::DatacenterUnavailable(0));
+        assert_eq!(stored_chunks(&cluster), old.striping.n());
+        assert_eq!(engine.read_metadata(&key).unwrap(), old);
+        assert_eq!(engine.get(&key).unwrap(), data);
+    }
+
+    /// What each commit costs, counted: the journal records it appends, the
+    /// per-provider usage it adds (`[ops, bytes in, bytes out]`, in provider
+    /// id order) and the chunks the providers hold after it — for a 4 KiB
+    /// put, its overwrite, a re-placement, a put the metastore refuses and a
+    /// delete. With cache 0 no step is served from memory, so every count
+    /// is exact.
+    #[test]
+    fn each_commit_costs_exactly_its_counted_round_trips() {
+        let cluster = ScaliaCluster::builder()
+            .datacenters(1)
+            .engines_per_datacenter(1)
+            .cache_capacity(ByteSize::ZERO)
+            .build();
+        let engine = cluster.engine(0);
+        let infra = cluster.infra();
+        let db = infra.database();
+        let key = ObjectKey::new("costs", "k.bin");
+        let put = |fill: u8| {
+            engine.put(
+                &key,
+                Bytes::from(vec![fill; 4096]),
+                "image/png",
+                rule(),
+                None,
+            )
+        };
+        let counters = || {
+            let mut backends = infra.backends();
+            backends.sort_by_key(|b| b.descriptor().id);
+            let usage: Vec<[u64; 3]> = backends
+                .iter()
+                .map(|b| b.usage())
+                .map(|u| [u.ops, u.bw_in.bytes(), u.bw_out.bytes()])
+                .collect();
+            let chunks: usize = backends.iter().map(|b| b.object_count()).sum();
+            (db.journal().len(), usage, chunks)
+        };
+        let mut costs = Vec::new();
+        let mut measure = |op: &'static str, run: &dyn Fn()| {
+            let (records, usage, _) = counters();
+            run();
+            let (records_after, usage_after, chunks) = counters();
+            let usage: Vec<[u64; 3]> = usage_after
+                .iter()
+                .zip(&usage)
+                .map(|(after, before)| [0, 1, 2].map(|i| after[i] - before[i]))
+                .collect();
+            costs.push((op, records_after - records, usage, chunks));
+        };
+
+        measure("put", &|| {
+            put(1).unwrap();
+        });
+        measure("overwrite", &|| {
+            put(2).unwrap();
+        });
+        measure("replace", &|| {
+            let all = infra.catalog().all();
+            let mirrored = Placement {
+                providers: vec![all[0].clone(), all[1].clone()],
+                m: 1,
+            };
+            engine.replace_placement(&key, &mirrored).unwrap();
+        });
+        measure("refused put", &|| {
+            db.nodes()[0].set_up(false);
+            let refused = put(3).unwrap_err();
+            db.nodes()[0].set_up(true);
+            assert!(matches!(refused, ScaliaError::DatacenterUnavailable(0)));
+        });
+        measure("delete", &|| engine.delete(&key).unwrap());
+        assert_eq!(
+            engine.get(&key),
+            Err(ScaliaError::ObjectNotFound(key.clone()))
+        );
+
+        // A put lands a 3-of-4 stripe of 1 366-byte chunks in one Begin +
+        // Commit pair; its overwrite also deletes the four old chunks. The
+        // re-placement reads three data chunks, writes the 4 KiB mirror
+        // twice and deletes the four old chunks. A refused put lands its
+        // chunks, takes them back and journals nothing. A delete removes
+        // the two mirrored chunks.
+        #[rustfmt::skip]
+        let expected = vec![
+            ("put", 2, vec![[1, 1366, 0], [1, 1366, 0], [1, 1366, 0], [1, 1366, 0], [0; 3]], 4),
+            ("overwrite", 2, vec![[2, 1366, 0], [2, 1366, 0], [2, 1366, 0], [2, 1366, 0], [0; 3]], 4),
+            ("replace", 2, vec![[3, 4096, 1366], [3, 4096, 1366], [2, 0, 1366], [1, 0, 0], [0; 3]], 2),
+            ("refused put", 0, vec![[2, 1366, 0], [2, 1366, 0], [2, 1366, 0], [2, 1366, 0], [0; 3]], 2),
+            ("delete", 2, vec![[1, 0, 0], [1, 0, 0], [0; 3], [0; 3], [0; 3]], 0),
+        ];
+        assert_eq!(costs, expected);
     }
 
     #[test]

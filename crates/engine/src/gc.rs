@@ -1,12 +1,22 @@
 //! Orphan-chunk garbage collection.
 //!
-//! A crash between chunk upload and metadata commit (or between commit and
-//! the deferred delete of a deprecated version's chunks) can leave chunk
-//! bytes at providers that no surviving metadata references. Those orphans
-//! are invisible to reads — the metadata is the only map — but they bill
-//! storage forever. [`sweep_orphan_chunks`] reconciles each provider's key
-//! space against the union of chunk keys referenced by **any** metadata
-//! version on any reachable database node, and deletes the difference.
+//! A put and a re-placement commit a new version through one step
+//! (`Engine::commit_version`). A commit deletes the deprecated versions'
+//! chunks itself. A conflict (a re-placement overtaken by a newer write)
+//! or a refusal (no metastore node up) leaves no record naming the new
+//! chunks, so the engine deletes them at once. A crash
+//! ([`scalia_types::error::ScaliaError::Crashed`]) deletes nothing, since
+//! its outcome is unknown until recovery: it orphans the new version's
+//! chunks if it beat the transaction's `Begin` record, and the deprecated
+//! version's if recovery redoes the commit or the crash came after it
+//! (`put::after-commit`, `replace::after-commit`). A delete that crashes
+//! after its commit (`delete::after-commit`) orphans the object's chunks.
+//!
+//! Those orphans are invisible to reads — the metadata is the only map —
+//! but they bill storage forever. [`sweep_orphan_chunks`] reconciles each
+//! provider's key space against the union of chunk keys referenced by
+//! **any** metadata version on any reachable database node, and deletes
+//! the difference.
 //!
 //! The sweep is safe only on a *quiescent* cluster (no in-flight writes):
 //! an upload racing the sweep has chunks at providers before its metadata

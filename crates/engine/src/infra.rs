@@ -550,16 +550,14 @@ impl Infrastructure {
     }
 
     /// Consults the installed chaos plan at a named engine step, failing
-    /// with an injected crash if the point is armed. A no-op (always `Ok`)
-    /// without a plan.
+    /// with [`ScaliaError::Crashed`] if the point is armed. A no-op (always
+    /// `Ok`) without a plan.
     pub(crate) fn crash_point(&self, label: &str) -> Result<(), ScaliaError> {
         let plan = self.fault_plan.lock().clone();
-        if let Some(plan) = plan {
-            if plan.check(label) {
-                return Err(ScaliaError::Internal(format!("crash injected at {label}")));
-            }
+        match plan {
+            Some(plan) if plan.check(label) => Err(ScaliaError::Crashed(label.to_string())),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Stripe size of the write pipeline, in bytes.
@@ -575,12 +573,13 @@ impl Infrastructure {
             .store(bytes.max(1), Ordering::Relaxed);
     }
 
-    /// Serialises metadata commits for one object: `Engine::put`, `delete`
-    /// and `replace_placement` hold this guard around their read-validate-
-    /// commit sections so MVCC pruning and version garbage collection see a
-    /// consistent latest version. The lock is sharded by row-key hash and is
-    /// **never** held across a placement search or provider upload — only
-    /// across the metadata mutation itself.
+    /// Serialises metadata commits for one object: `Engine::commit_version`
+    /// (the commit of every put and re-placement) and `Engine::delete` hold
+    /// this guard around their read-validate-commit sections so MVCC
+    /// pruning and version garbage collection see a consistent latest
+    /// version. The lock is sharded by row-key hash and is **never** held
+    /// across a placement search or provider upload — only across the
+    /// metadata mutation itself.
     pub(crate) fn lock_row_commit(&self, row_key: &str) -> parking_lot::MutexGuard<'_, ()> {
         self.row_commit_locks[shard_of(row_key)].lock()
     }

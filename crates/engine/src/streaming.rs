@@ -41,13 +41,15 @@
 //!   callers that produce data incrementally. Parts may be any size; a part
 //!   is staged where it lands in its stripe, and the stripe seals whenever
 //!   a stripe's worth of bytes has accumulated. The assembled
-//!   stripe map commits in **one** metastore transaction
-//!   (`Engine::commit_metadata_with_debt`) under the row commit lock, so a
-//!   crash anywhere before [`MultipartUpload::complete_put`] returns leaves
-//!   the previous object version fully intact and at most some orphaned
-//!   stripe chunks for [`crate::gc::sweep_orphan_chunks`]. A commit the
-//!   metastore refuses (no database node up) leaves nothing: the refused
-//!   batch is not journaled, and the upload deletes every chunk it landed.
+//!   stripe map commits in **one** metastore transaction through the
+//!   engine's one commit step (`Engine::commit_version`, a re-placement's
+//!   too). A landing that fails, or a commit the metastore refuses (no
+//!   database node up, so nothing is journaled), leaves nothing: the
+//!   upload deletes every chunk it landed. A crash
+//!   ([`ScaliaError::Crashed`]) deletes nothing, as a dead process would
+//!   not: the previous version stands unless recovery redoes a logged
+//!   commit, and [`crate::gc::sweep_orphan_chunks`] takes whatever chunks
+//!   no record names.
 //! * **Range reads** — [`Engine::get_range`] serves `[offset, offset+len)`
 //!   by fetching only the covering stripes (each still a hedged
 //!   `m`-of-`n` race), via `crate::chunk_io::fetch_range`.
@@ -154,13 +156,6 @@ pub(crate) fn stripe_skey(skey: String, index: usize) -> String {
     } else {
         format!("{skey}.s{index}")
     }
-}
-
-/// `true` for errors produced by [`crate::infra::Infrastructure::crash_point`]:
-/// an injected crash must propagate *without* cleanup (a real crash would
-/// not run it) so chaos tests observe genuine crash debris.
-fn is_injected_crash(err: &ScaliaError) -> bool {
-    matches!(err, ScaliaError::Internal(msg) if msg.starts_with("crash injected"))
 }
 
 /// An in-progress upload (see the module docs).
@@ -415,7 +410,8 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
     /// Lands the tail, commits the assembled stripe map in one metastore
     /// transaction and returns the new metadata. An upload that cannot land
     /// its tail, or whose commit the metastore refuses, rolls back every
-    /// stripe that already landed; an injected crash rolls back nothing.
+    /// stripe that already landed; a crash ([`ScaliaError::Crashed`]) rolls
+    /// back nothing.
     pub fn complete_put(mut self) -> Result<ObjectMeta> {
         self.check_live()?;
         if let Err(err) = self.land_tail() {
@@ -478,46 +474,17 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         // repair entry (or debt clearance), MVCC prune and the dirty mark
         // tagged with `final_class` — the class-centric optimiser sweeps
         // the accessed set *by class tag*, so an object committed without
-        // its mark would not be reconsidered.
-        //
-        // The row commit lock serialises the commit against concurrent
-        // puts/deletes/migrations of the same object so MVCC pruning always
-        // sees a settled latest version. The cache invalidation happens
-        // under the same lock: a reader's epoch-gated populate (see
-        // `Engine::get`) also runs under the row lock, so commit +
-        // invalidation are atomic with respect to it — a deprecated payload
-        // can never be inserted after the invalidation that covers it.
-        // Chunk uploads (above) and deprecated-chunk GC (below) stay outside
-        // the lock — no provider round-trip happens under it.
+        // its mark would not be reconsidered. A put expects no version: the
+        // freshest write wins.
         let debt = want_total > have_total;
-        let committed = {
-            let _commit = engine.infra().lock_row_commit(&row_key);
-            let committed =
-                engine.commit_metadata_with_debt(&row_key, &meta, debt, Some(final_class.id()));
-            if committed.is_ok() {
-                engine.invalidate_everywhere(&row_key);
-            }
-            committed
-        };
-        let deprecated = match committed {
-            Ok(deprecated) => deprecated,
-            Err(err) => {
-                // A refused batch left no trace in the metastore, so no
-                // record will ever name these chunks: take them back. An
-                // injected crash's commit may yet be redone by `recover`,
-                // so its chunks stay, as a real crash would leave them.
-                if !is_injected_crash(&err) {
-                    engine.delete_chunks(&meta.striping);
-                }
-                return Err(err);
-            }
-        };
-        // Chaos crash point: the commit is durable but the deprecated-chunk
-        // GC below never runs — the orphan sweep reconciles the leak.
-        engine.infra().crash_point("put::after-commit")?;
-        for striping in &deprecated {
-            engine.delete_chunks(striping);
-        }
+        engine.commit_version(
+            &row_key,
+            &meta,
+            None,
+            debt,
+            Some(final_class.id()),
+            "put::after-commit",
+        )?;
         engine.log_access(&row_key, AccessKind::Write, size, size);
         Ok(meta)
     }
@@ -556,12 +523,12 @@ impl<E: Borrow<Engine>> MultipartUpload<E> {
         Ok(())
     }
 
-    /// Marks the upload failed by `err` and — unless `err` is an injected
-    /// crash, whose debris must stay for the GC sweep exactly as a real
-    /// crash would leave it — rolls back what it landed.
+    /// Marks the upload failed by `err` and — unless `err` is a crash,
+    /// whose debris must stay for the GC sweep exactly as a dead process
+    /// would leave it — rolls back what it landed.
     fn fail(&mut self, err: ScaliaError) -> ScaliaError {
         self.failed = true;
-        if !is_injected_crash(&err) {
+        if !matches!(err, ScaliaError::Crashed(_)) {
             self.roll_back();
         }
         err

@@ -33,6 +33,7 @@
 //! record of ≈ 250 B (see [`Cell`]).
 
 use crate::model::{Cell, Row, Timestamp};
+use crate::replication::Hint;
 use parking_lot::Mutex;
 use serde_json::Value;
 use std::collections::BTreeSet;
@@ -242,14 +243,18 @@ impl WriteAheadJournal {
     }
 }
 
-/// A point-in-time snapshot of every node's rows, paired with the journal
-/// truncation that made it the recovery baseline. Produced by
+/// A point-in-time snapshot of every node's rows and of the hinted
+/// handoffs still queued for them, paired with the journal truncation that
+/// made it the recovery baseline. Produced by
 /// [`crate::replication::ReplicatedStore::checkpoint`] and consumed by
 /// [`crate::replication::ReplicatedStore::recover`].
 #[derive(Debug, Clone, Default)]
 pub struct StoreCheckpoint {
     /// Per-node row snapshots, parallel to the store's node list.
     pub node_rows: Vec<Vec<(String, Row)>>,
+    /// The hints queued when the checkpoint was taken, oldest first: ops a
+    /// down node missed whose journal records the checkpoint truncated.
+    pub(crate) hints: Vec<Hint>,
 }
 
 #[cfg(test)]

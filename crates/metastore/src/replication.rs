@@ -51,14 +51,16 @@
 //! the merge — which only ever adds versions — would copy them back to all
 //! of them: a deleted object's metadata would reappear with its chunks
 //! gone. A row that diverged *without* a hint (a write applied to one node
-//! directly, a hint queue lost in a crash) still merges to the union of its
-//! versions, pruned ones included.
+//! directly) still merges to the union of its versions, pruned ones
+//! included.
 //!
 //! Every mutation is additionally recorded in a [`WriteAheadJournal`] so the
 //! store survives a crash: [`ReplicatedStore::checkpoint`] snapshots the
-//! nodes and truncates the journal's committed prefix, and
-//! [`ReplicatedStore::recover`] rebuilds the nodes from a checkpoint plus a
-//! journal replay.
+//! nodes and the queued hints and truncates the journal's committed prefix,
+//! and [`ReplicatedStore::recover`] rebuilds the nodes from a checkpoint —
+//! its hints delivered — plus a journal replay. A checkpoint taken while a
+//! node is down therefore keeps what that node missed: a delete it was
+//! hinted is not undone by the merge after recovery.
 //!
 //! # A mutation is a batch
 //!
@@ -91,7 +93,7 @@ use std::sync::Arc;
 
 /// A mutation that could not reach a node (hinted handoff).
 #[derive(Debug, Clone)]
-struct Hint {
+pub(crate) struct Hint {
     datacenter: DatacenterId,
     op: LoggedOp,
 }
@@ -250,14 +252,12 @@ impl ReplicatedStore {
         *self.crash_hook.lock() = hook;
     }
 
-    /// Visits a crash point: aborts with an internal error when the
+    /// Visits a crash point: aborts with [`ScaliaError::Crashed`] when the
     /// installed hook says the label is armed.
     fn crash_check(&self, label: &str) -> Result<()> {
         let hook = self.crash_hook.lock().clone();
         match hook {
-            Some(hook) if hook(label) => {
-                Err(ScaliaError::Internal(format!("crash injected at {label}")))
-            }
+            Some(hook) if hook(label) => Err(ScaliaError::Crashed(label.to_string())),
             _ => Ok(()),
         }
     }
@@ -273,19 +273,25 @@ impl ReplicatedStore {
     /// checkpoints at quiescent points (no in-flight transactions).
     pub fn checkpoint(&self) -> StoreCheckpoint {
         let node_rows = self.nodes.iter().map(|n| n.durable_rows()).collect();
+        let hints = self.hints.lock().iter().cloned().collect();
         self.journal.truncate_committed();
-        StoreCheckpoint { node_rows }
+        StoreCheckpoint { node_rows, hints }
     }
 
     /// Crash recovery: restores every node from `checkpoint` (bringing it
-    /// up), drops volatile hinted handoffs, and replays the journal in
-    /// order. Committed transactions are redone as logged; a `Begin` without
-    /// a `Commit` (a transaction interrupted by the crash) is **redone to
-    /// completion** — its intent was durable — and then marked committed,
-    /// so recovery is idempotent. After recovery the store holds either the
-    /// pre-transaction or the post-transaction state for every interrupted
-    /// commit, never a torn mixture. A refused batch left no `Begin`, so it
-    /// is not redone.
+    /// up), delivers the hints the checkpoint carried to their nodes, and
+    /// replays the journal in order. The hints go first: their ops are
+    /// older than every journaled batch, and a hint replayed *after* a
+    /// later batch could undo it (a `DeleteRow` leaves no tombstone, so a
+    /// put hinted before it would bring the row back). The hint queue ends
+    /// empty: the replay reaches every node, which covers whatever was
+    /// hinted after the checkpoint. Committed transactions are redone as
+    /// logged; a `Begin` without a `Commit` (a transaction interrupted by
+    /// the crash) is **redone to completion** — its intent was durable —
+    /// and then marked committed, so recovery is idempotent. After recovery
+    /// the store holds either the pre-transaction or the post-transaction
+    /// state for every interrupted commit, never a torn mixture. A refused
+    /// batch left no `Begin`, so it is not redone.
     pub fn recover(&self, checkpoint: &StoreCheckpoint) {
         for (i, node) in self.nodes.iter().enumerate() {
             node.set_up(true);
@@ -293,6 +299,11 @@ impl ReplicatedStore {
             node.restore(rows);
         }
         self.hints.lock().clear();
+        for hint in &checkpoint.hints {
+            if let Some(node) = self.node(hint.datacenter) {
+                let _ = node.apply_batch(std::slice::from_ref(&hint.op));
+            }
+        }
         let uncommitted = self.journal.uncommitted();
         for record in self.journal.records() {
             if let JournalRecord::Begin { ops, .. } = record {
@@ -911,7 +922,7 @@ mod tests {
                     },
                 ])
                 .unwrap_err();
-            assert!(matches!(err, ScaliaError::Internal(_)), "{label}");
+            assert!(matches!(err, ScaliaError::Crashed(_)), "{label}");
             s.set_crash_hook(None);
             s.recover(&cp);
             // The Begin record was durable, so recovery redoes the whole
@@ -982,6 +993,53 @@ mod tests {
         let local = s.get_latest(DatacenterId::new(1), "a", "c");
         assert_eq!(local.unwrap().value, json!(1), "served by node 1 itself");
         assert_eq!(s.nodes()[1].row_count(), 1);
+    }
+
+    /// A checkpoint taken while a node is down keeps the delete that node
+    /// was hinted: write `r`, take node 0 down, delete `r` (acked, applied
+    /// on node 1 and hinted to node 0), checkpoint, recover, anti-entropy.
+    /// The checkpoint truncated the delete's journal records, so only its
+    /// hint can still bring node 0 up to date; were it dropped, the merge
+    /// would copy node 0's `r` back to node 1.
+    #[test]
+    fn a_checkpoint_keeps_a_delete_hinted_to_a_down_node() {
+        let s = store();
+        write(&s, "r", "c", json!(1), Timestamp::new(1, 0)).unwrap();
+        s.nodes()[0].set_up(false);
+        s.transaction(vec![delete_row_op("r")]).unwrap();
+        assert_eq!(s.pending_hints(), 1);
+        let checkpoint = s.checkpoint();
+        assert!(s.journal().is_empty(), "the delete's records are truncated");
+        s.recover(&checkpoint);
+        assert_eq!(s.pending_hints(), 0);
+        s.anti_entropy();
+        for node in s.nodes() {
+            assert!(node.get_row("r").is_none(), "{}", node.datacenter());
+        }
+        assert_eq!(s.nodes()[0].digest(), s.nodes()[1].digest());
+    }
+
+    /// The checkpoint's hints are delivered *before* the journal redo, not
+    /// queued behind it: a put hinted to a down node before the checkpoint
+    /// and a delete of the same row after it leave the row gone. Replayed
+    /// after the redo, the hinted put would land on a node the delete had
+    /// already passed — a `DeleteRow` leaves no tombstone — and the merge
+    /// would copy the row back everywhere.
+    #[test]
+    fn a_hint_the_checkpoint_carried_replays_before_the_journal() {
+        let s = store();
+        s.nodes()[0].set_up(false);
+        write(&s, "r", "c", json!(1), Timestamp::new(1, 0)).unwrap();
+        let checkpoint = s.checkpoint();
+        s.transaction(vec![delete_row_op("r")]).unwrap();
+        assert_eq!(s.pending_hints(), 2, "the put and the delete");
+        s.recover(&checkpoint);
+        assert_eq!(s.pending_hints(), 0);
+        s.anti_entropy();
+        for node in s.nodes() {
+            assert!(node.get_row("r").is_none(), "{}", node.datacenter());
+        }
+        assert_eq!(s.nodes()[0].digest(), s.nodes()[1].digest());
     }
 
     // -----------------------------------------------------------------

@@ -62,6 +62,14 @@ pub enum ScaliaError {
     /// A multipart part violated the upload's part-numbering contract
     /// (parts are 1-based and strictly consecutive).
     InvalidPart(String),
+    /// The operation was cut short at the named crash point (a chaos fault
+    /// plan armed it), as if its process had died there. Its outcome is
+    /// unknown until the metastore recovers: a transaction whose `Begin`
+    /// record was logged is redone by recovery, one that was not never
+    /// happened. A caller therefore runs no cleanup for it — a dead
+    /// process would not — and what it left behind is recovery's and the
+    /// orphan sweep's to settle.
+    Crashed(String),
     /// Any other internal error.
     Internal(String),
 }
@@ -94,6 +102,9 @@ impl fmt::Display for ScaliaError {
             }
             ScaliaError::NoSuchUpload(id) => write!(f, "no such multipart upload: {id}"),
             ScaliaError::InvalidPart(msg) => write!(f, "invalid multipart part: {msg}"),
+            ScaliaError::Crashed(label) => {
+                write!(f, "crashed at {label}: the outcome is unknown until recovery")
+            }
             ScaliaError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
@@ -134,6 +145,8 @@ mod tests {
         assert!(e.to_string().contains("mp-7"));
         let e = ScaliaError::InvalidPart("part 3 after part 1".into());
         assert!(e.to_string().contains("part 3"));
+        let e = ScaliaError::Crashed("txn::logged".into());
+        assert!(e.to_string().contains("txn::logged"));
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //! * **No acked write is ever unreadable.** A put that returned `Ok` must
 //!   read back bit-exactly through every fault schedule, including degraded
 //!   (k < n) landings.
-//! * **Crash atomicity.** A crash at any labelled point of the put path
-//!   (`put::after-upload`, `put::after-commit`, `txn::before-log`,
-//!   `txn::logged`, `txn::torn`, `txn::applied`) followed by
+//! * **Crash atomicity.** A crash at any labelled point followed by
 //!   checkpoint-based recovery leaves the *old* object or the *new* object —
 //!   never a torn hybrid — with the journal's Begin record as the commit
-//!   point.
+//!   point. The labels are the put path's (`put_part::after-stripe`,
+//!   `put::after-upload`, `txn::before-log`, `txn::logged`, `txn::torn`,
+//!   `txn::applied`, `put::after-commit`), a re-placement's (the four
+//!   `txn::*`, then `replace::after-commit`) and a delete's (the four
+//!   `txn::*`, then `delete::after-commit`). A crashed call returns
+//!   `ScaliaError::Crashed` and cleans nothing up, as a dead process would
+//!   not, so a re-placement that recovery commits keeps its new chunks.
 //! * **No orphan bytes survive GC.** After recovery plus one
 //!   [`gc::sweep_orphan_chunks`] pass, provider bytes equal the footprint of
 //!   the surviving metadata exactly.
@@ -485,6 +489,69 @@ fn crash_at_every_point_of_a_delete_leaves_the_object_whole_or_gone() {
     infra.retry_pending_deletes();
     gc::sweep_orphan_chunks(&infra);
     assert_exact_footprint(&infra, &survivors, "after the delete crash matrix");
+}
+
+#[test]
+fn crash_at_every_point_of_a_replacement_leaves_the_payload_readable() {
+    let cluster = ScaliaCluster::builder()
+        .datacenters(1)
+        .engines_per_datacenter(1)
+        .build();
+    let infra = cluster.infra().clone();
+    let db = infra.database();
+    let all = infra.catalog().all();
+    let mirrored = Placement {
+        providers: vec![all[0].clone(), all[1].clone()],
+        m: 1,
+    };
+    let mut keys = Vec::new();
+
+    // A re-placement commits through the put's one commit step, so it
+    // visits the same four transaction points, then its own.
+    let labels = [
+        "txn::before-log",
+        "txn::logged",
+        "txn::torn",
+        "txn::applied",
+        "replace::after-commit",
+    ];
+    for (i, label) in labels.iter().enumerate() {
+        let key = ObjectKey::new("crash-replace", format!("victim-{i}.bin"));
+        let data = payload(400 + i as u64, 20_000);
+        let old = cluster
+            .put(&key, data.clone(), "application/x-tar", flex_rule(), None)
+            .unwrap();
+        assert_ne!(old.striping.m(), 1, "the move must change the placement");
+
+        let checkpoint = db.checkpoint();
+        let plan = Arc::new(FaultPlan::new());
+        plan.arm(*label);
+        infra.set_fault_plan(Some(plan.clone()));
+        let err = cluster
+            .engine(0)
+            .replace_placement(&key, &mirrored)
+            .unwrap_err();
+        assert_eq!(err, ScaliaError::Crashed(label.to_string()), "{label}");
+        assert_eq!(plan.fired(), vec![label.to_string()], "{label} must fire");
+        infra.set_fault_plan(None);
+
+        db.recover(&checkpoint);
+        clear_caches(&cluster);
+        gc::sweep_orphan_chunks(&infra);
+
+        // Old placement before the Begin record is durable, new after —
+        // and whichever it is, its chunks are all there.
+        assert_eq!(cluster.get(&key).unwrap().as_ref(), &data[..], "{label}");
+        let meta = latest_meta(&infra, &key).unwrap();
+        if *label == "txn::before-log" {
+            assert_eq!(meta, old, "{label}");
+        } else {
+            assert_ne!(meta.version, old.version, "{label}");
+            assert_eq!((meta.striping.m(), meta.striping.n()), (1, 2), "{label}");
+        }
+        keys.push(key);
+        assert_exact_footprint(&infra, &keys, label);
+    }
 }
 
 #[test]
