@@ -599,6 +599,92 @@ mod tests {
         }
     }
 
+    /// Which replica answers each read, pinned on two metastore nodes that
+    /// diverged: node 0 holds what was written while node 1 was down, and
+    /// node 1 what was written while node 0 was down (no anti-entropy ran,
+    /// so the hints stay queued). The repair reads prefer datacenter 0, a
+    /// class mean its store's own datacenter, and LIST merges every up
+    /// node. With both nodes down the repair reads fail.
+    #[test]
+    fn each_read_is_served_by_the_replica_it_prefers() {
+        use crate::repair::{enqueue, queue_entries, repair_provider};
+        use scalia_metastore::stats::StatisticsStore;
+        use scalia_types::error::ScaliaError;
+        use scalia_types::usage::ResourceUsage;
+
+        let cluster = ScaliaCluster::builder()
+            .datacenters(2)
+            .engines_per_datacenter(1)
+            .build();
+        let (infra, engine) = (cluster.infra(), cluster.engine(0));
+        let db = infra.database();
+        let put = |name: &str| {
+            let key = ObjectKey::new("c", name);
+            let data = Bytes::from(vec![1u8; 4096]);
+            engine.put(&key, data, "image/gif", rule(), None).unwrap();
+            key
+        };
+        let shared = put("shared");
+        // Objects, queue entries and a class usage sample that reach only
+        // the node that is up.
+        let diverge = |down: usize, names: &[&str], ops: u64| {
+            db.nodes()[down].set_up(false);
+            for name in names {
+                enqueue(infra, &put(name), "provider-outage").unwrap();
+            }
+            let usage = ResourceUsage::operations(ops);
+            let sample = StatisticsStore::class_usage_op("pin", &usage, infra.next_timestamp());
+            db.transaction(vec![sample]).unwrap();
+            db.nodes()[down].set_up(true);
+        };
+        diverge(1, &["on-0-a", "on-0-b"], 10);
+        diverge(0, &["on-1"], 70);
+        let victim = engine.read_metadata(&shared).unwrap().striping.stripes[0].chunks[0].provider;
+
+        let listed = || -> Vec<String> { engine.list("c").into_iter().map(|k| k.key).collect() };
+        let means = || {
+            [0, 1].map(|dc| {
+                let stats = infra.statistics(DatacenterId::new(dc));
+                stats.mean_class_usage("pin").map(|u| u.ops)
+            })
+        };
+        let queued = || -> Result<Vec<String>> {
+            let mut keys: Vec<String> = queue_entries(infra)?
+                .into_iter()
+                .map(|(_, entry)| entry.key.key)
+                .collect();
+            keys.sort_unstable();
+            Ok(keys)
+        };
+        let affected = || {
+            repair_provider(engine, infra, victim, &PlacementEngine::new())
+                .map(|report| report.objects_affected)
+        };
+
+        assert_eq!(listed(), ["on-0-a", "on-0-b", "on-1", "shared"]);
+        assert_eq!(means(), [Some(10), Some(70)]);
+
+        db.nodes()[0].set_up(false);
+        assert_eq!(queued().unwrap(), ["on-1"]);
+        assert_eq!(affected().unwrap(), 2);
+        assert_eq!(listed(), ["on-1", "shared"]);
+        assert_eq!(means(), [Some(70), Some(70)]);
+
+        db.nodes()[0].set_up(true);
+        db.nodes()[1].set_up(false);
+        assert_eq!(queued().unwrap(), ["on-0-a", "on-0-b"]);
+        assert_eq!(affected().unwrap(), 3);
+        assert_eq!(listed(), ["on-0-a", "on-0-b", "shared"]);
+        assert_eq!(means(), [Some(10), Some(10)]);
+
+        db.nodes()[0].set_up(false);
+        let unavailable = |err| matches!(err, ScaliaError::DatacenterUnavailable(_));
+        assert!(queued().is_err_and(unavailable));
+        assert!(affected().is_err_and(unavailable));
+        assert!(listed().is_empty());
+        assert_eq!(means(), [None, None]);
+    }
+
     #[test]
     fn zero_cache_cluster_still_serves_reads() {
         let cluster = ScaliaCluster::builder()
