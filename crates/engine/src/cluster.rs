@@ -19,6 +19,7 @@ use parking_lot::Mutex;
 use scalia_core::migration::MigrationBudget;
 use scalia_core::placement::PlacementEngine;
 use scalia_core::trend::TrendDetector;
+use scalia_metastore::journal::StoreCheckpoint;
 use scalia_metastore::logagg::{LogAgent, LogAggregator};
 use scalia_providers::catalog::ProviderCatalog;
 use scalia_types::error::Result;
@@ -217,6 +218,16 @@ impl ScaliaCluster {
     /// Lists a container through a (round-robin chosen) engine.
     pub fn list(&self, container: &str) -> Vec<ObjectKey> {
         self.route().list(container)
+    }
+
+    /// Crash recovery: recovers the metastore from `checkpoint` and empties
+    /// every datacenter's cache, soft state a crash loses. A commit that
+    /// crashed before invalidating the caches, and that recovery completes,
+    /// would otherwise leave a datacenter serving the old payload. Clearing
+    /// a cache bumps its generation, so a populate in flight is refused.
+    pub fn recover(&self, checkpoint: &StoreCheckpoint) {
+        self.infra.database().recover(checkpoint);
+        self.datacenters.iter().for_each(|dc| dc.cache.clear());
     }
 
     /// Advances simulated time: charges storage at every provider, retries
@@ -683,6 +694,46 @@ mod tests {
         assert!(affected().is_err_and(unavailable));
         assert!(listed().is_empty());
         assert_eq!(means(), [None, None]);
+    }
+
+    /// An overwrite that crashes after its commit is logged never reaches
+    /// the cache invalidation, and recovery then commits it. Recovering the
+    /// cluster empties every datacenter's cache, so the datacenter that had
+    /// cached the old payload reads the recovered version too.
+    #[test]
+    fn after_a_crashed_overwrite_every_datacenter_reads_the_recovered_version() {
+        use scalia_providers::failure::FaultPlan;
+
+        let cluster = ScaliaCluster::builder()
+            .datacenters(2)
+            .engines_per_datacenter(1)
+            .build();
+        let infra = cluster.infra();
+        let key = ObjectKey::new("c", "k");
+        let put = |byte: u8| {
+            let data = Bytes::from(vec![byte; 4096]);
+            cluster.engine(0).put(&key, data, "image/gif", rule(), None)
+        };
+        put(1).unwrap();
+        assert_eq!(cluster.engine(1).get(&key).unwrap()[0], 1);
+
+        let checkpoint = infra.database().checkpoint();
+        let plan = Arc::new(FaultPlan::new());
+        plan.arm("txn::applied");
+        infra.set_fault_plan(Some(plan));
+        let err = put(2).unwrap_err();
+        assert!(
+            matches!(&err, scalia_types::error::ScaliaError::Crashed(label) if label == "txn::applied"),
+            "{err}"
+        );
+        infra.set_fault_plan(None);
+        cluster.recover(&checkpoint);
+
+        for engine in cluster.engines() {
+            let read = engine.get(&key).unwrap();
+            let bytes = (read.len(), read.iter().all(|&b| b == 2));
+            assert_eq!(bytes, (4096, true), "{}", engine.datacenter());
+        }
     }
 
     #[test]

@@ -1099,10 +1099,13 @@ mod tests {
         // rows, so the delete below has every kind of row to drop.
         cluster.tick(scalia_types::time::SimTime::from_hours(1));
         let doomed_rows = |node: &scalia_metastore::NoSqlNode| -> Vec<String> {
-            node.scan_prefix("")
-                .into_iter()
-                .filter(|row| row.contains(&doomed.row_key()))
-                .collect()
+            let mut rows = Vec::new();
+            node.visit(scalia_metastore::store::Rows::Prefix(""), |row| {
+                if row.key().contains(&doomed.row_key()) {
+                    rows.push(row.key().to_string());
+                }
+            });
+            rows
         };
         assert_eq!(
             doomed_rows(&db.nodes()[0]).len(),

@@ -15,8 +15,9 @@
 //! Those orphans are invisible to reads — the metadata is the only map —
 //! but they bill storage forever. [`sweep_orphan_chunks`] reconciles each
 //! provider's key space against the union of chunk keys referenced by
-//! **any** metadata version on any reachable database node, and deletes
-//! the difference.
+//! **any** metadata version on any database node, and deletes the
+//! difference. While a node is down that union is unknown — the node may
+//! hold the only record of an acked write — so the sweep deletes nothing.
 //!
 //! The sweep is safe only on a *quiescent* cluster (no in-flight writes):
 //! an upload racing the sweep has chunks at providers before its metadata
@@ -26,6 +27,7 @@
 
 use crate::engine::decode_meta;
 use crate::infra::Infrastructure;
+use scalia_metastore::store::Rows;
 use std::collections::HashSet;
 
 /// Outcome of one [`sweep_orphan_chunks`] pass.
@@ -39,41 +41,44 @@ pub struct GcReport {
     pub orphans_deleted: usize,
     /// Providers skipped because their backend was unreachable.
     pub providers_skipped: usize,
+    /// Metastore nodes that could not be read because they were down. A
+    /// sweep that skipped one scans and deletes nothing.
+    pub metastore_nodes_skipped: usize,
 }
 
 /// Deletes every provider chunk that no metadata version references.
 ///
-/// Every version of every object's `meta` column on every up node counts as
-/// a reference — deprecated-but-unpruned versions keep their chunks until
-/// the prune lands, so the sweep never races MVCC. Down providers are
-/// skipped (their keys cannot be listed) and reported; re-run the sweep
-/// when they recover.
+/// Every version of every object's `meta` column on every node counts as a
+/// reference — deprecated-but-unpruned versions keep their chunks until the
+/// prune lands, so the sweep never races MVCC. With a metastore node down
+/// the sweep stops before it lists any provider, and down providers are
+/// skipped (their keys cannot be listed); both are reported. Re-run the
+/// sweep when they recover.
 pub fn sweep_orphan_chunks(infra: &Infrastructure) -> GcReport {
     let mut report = GcReport::default();
 
-    // The union of referenced chunk keys across all reachable nodes: nodes
-    // may briefly diverge (anti-entropy pending), and a chunk referenced by
-    // *any* replica must survive.
+    // The union of referenced chunk keys across all nodes: nodes may
+    // briefly diverge (anti-entropy pending), and a chunk referenced by
+    // *any* replica must survive. Each record is decoded where it lies.
     let mut referenced: HashSet<String> = HashSet::new();
-    for node in infra.database().nodes() {
-        if !node.is_up() {
-            continue;
+    report.metastore_nodes_skipped = infra.database().visit_each_up(Rows::Prefix(""), |row| {
+        for meta in row
+            .versions("meta")
+            .iter()
+            .filter_map(|c| decode_meta(&c.value).ok())
+        {
+            referenced.extend(
+                meta.striping
+                    .all_chunk_refs()
+                    .into_iter()
+                    .map(|(_, key)| key),
+            );
         }
-        for (_, row) in node.snapshot() {
-            let Some(cells) = row.get("meta") else {
-                continue;
-            };
-            for cell in cells {
-                let Ok(meta) = decode_meta(&cell.value) else {
-                    continue;
-                };
-                for (_, key) in meta.striping.all_chunk_refs() {
-                    referenced.insert(key);
-                }
-            }
-        }
-    }
+    });
     report.chunks_referenced = referenced.len();
+    if report.metastore_nodes_skipped > 0 {
+        return report;
+    }
 
     for backend in infra.backends() {
         let Ok(keys) = backend.list("") else {
@@ -140,6 +145,60 @@ mod tests {
 
         // A second sweep finds nothing.
         assert_eq!(sweep_orphan_chunks(&infra).orphans_deleted, 0);
+    }
+
+    /// A sweep that cannot read every metastore node deletes nothing: with
+    /// both nodes down it sees no reference at all, and with one down it
+    /// misses what only the other holds (`k2`, put while node 0 was
+    /// down). Every acked object reads back once the nodes return and
+    /// anti-entropy has caught them up.
+    #[test]
+    fn a_sweep_with_a_metastore_node_down_deletes_nothing() {
+        let cluster = ScaliaCluster::builder().datacenters(2).build();
+        let infra = cluster.infra().clone();
+        let nodes = infra.database().nodes();
+        let put = |name: &str, byte: u8| {
+            let key = ObjectKey::new("c", name);
+            cluster
+                .put(&key, vec![byte; 4096], "image/gif", rule(), None)
+                .unwrap();
+            key
+        };
+        let read_back = |keys: &[&ObjectKey]| {
+            infra.database().anti_entropy();
+            cluster.caches().iter().for_each(|c| c.clear());
+            for (byte, key) in (1u8..).zip(keys) {
+                let read = cluster.get(key).unwrap();
+                assert!(
+                    read.len() == 4096 && read.iter().all(|&b| b == byte),
+                    "{key}"
+                );
+            }
+        };
+        let k = put("k", 1);
+
+        nodes.iter().for_each(|n| n.set_up(false));
+        let report = sweep_orphan_chunks(&infra);
+        assert_eq!(report.orphans_deleted, 0, "all nodes down: {report:?}");
+        assert_eq!(report.metastore_nodes_skipped, 2);
+        nodes.iter().for_each(|n| n.set_up(true));
+        read_back(&[&k]);
+
+        nodes[0].set_up(false);
+        let k2 = put("k2", 2);
+        nodes[0].set_up(true);
+        nodes[1].set_up(false);
+        let report = sweep_orphan_chunks(&infra);
+        assert_eq!(report.orphans_deleted, 0, "node 1 down: {report:?}");
+        assert_eq!(report.metastore_nodes_skipped, 1);
+        nodes[1].set_up(true);
+        read_back(&[&k, &k2]);
+
+        // Every node read: the sweep runs, and finds nothing to delete.
+        let report = sweep_orphan_chunks(&infra);
+        assert_eq!(report.metastore_nodes_skipped, 0);
+        assert!(report.chunks_referenced >= 8, "{report:?}");
+        assert_eq!(report.orphans_deleted, 0);
     }
 
     #[test]

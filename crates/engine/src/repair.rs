@@ -49,8 +49,9 @@ use scalia_core::cost::PredictedUsage;
 use scalia_core::migration::MigrationBudget;
 use scalia_core::placement::PlacementEngine;
 use scalia_metastore::journal::JournalOp;
-use scalia_types::error::{Result, ScaliaError};
-use scalia_types::ids::ProviderId;
+use scalia_metastore::store::{RowView, Rows};
+use scalia_types::error::Result;
+use scalia_types::ids::{DatacenterId, ProviderId};
 use scalia_types::money::Money;
 use scalia_types::object::{ObjectKey, ObjectMeta};
 use scalia_types::time::SimTime;
@@ -62,6 +63,15 @@ pub(crate) const REPAIR_QUEUE_PREFIX: &str = "repair:";
 
 /// Consecutive failed attempts after which an entry is dead-lettered.
 pub(crate) const DEAD_LETTER_ATTEMPTS: u32 = 8;
+
+/// The datacenter whose metastore node serves the repair reads while it is
+/// up; the replicated store falls back to another node otherwise.
+const REPAIR_READS: DatacenterId = DatacenterId::new(0);
+
+/// The queue entry a queue row holds, if it parses.
+fn entry_of(row: &RowView) -> Option<RepairQueueEntry> {
+    RepairQueueEntry::from_value(&row.latest("item")?.value)
+}
 
 /// Outcome of a repair pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -161,27 +171,19 @@ pub(crate) fn queue_item(key: &ObjectKey, reason: &str) -> Value {
     .to_value()
 }
 
-fn first_up_node(infra: &Infrastructure) -> Result<Arc<scalia_metastore::store::NoSqlNode>> {
-    infra
-        .database()
-        .nodes()
-        .iter()
-        .find(|n| n.is_up())
-        .cloned()
-        .ok_or(ScaliaError::DatacenterUnavailable(0))
-}
-
 /// Queues an object for repair. Keeps an existing live entry untouched (so
 /// its backoff state survives re-discovery by a later outage scan); a dead
 /// entry is revived with a fresh attempt counter — a new incident earns a
 /// new round of retries.
 pub fn enqueue(infra: &Infrastructure, key: &ObjectKey, reason: &str) -> Result<()> {
     let queue_row = queue_row_key(&key.row_key());
-    let node = first_up_node(infra)?;
-    let existing = node
-        .get_latest(&queue_row, "item")
-        .and_then(|cell| RepairQueueEntry::from_value(&cell.value));
-    if matches!(existing, Some(ref entry) if !entry.dead) {
+    let mut live = false;
+    infra
+        .database()
+        .visit(REPAIR_READS, Rows::Key(&queue_row), |row| {
+            live = entry_of(&row).is_some_and(|entry| !entry.dead);
+        })?;
+    if live {
         return Ok(());
     }
     put_item(infra, queue_row, queue_item(key, reason))
@@ -212,16 +214,12 @@ fn delete_entry(infra: &Infrastructure, queue_row: String) {
 
 /// All current repair-queue entries, keyed by queue row.
 pub fn queue_entries(infra: &Infrastructure) -> Result<Vec<(String, RepairQueueEntry)>> {
-    let node = first_up_node(infra)?;
-    Ok(node
-        .scan_prefix(REPAIR_QUEUE_PREFIX)
-        .into_iter()
-        .filter_map(|queue_row| {
-            let cell = node.get_latest(&queue_row, "item")?;
-            let entry = RepairQueueEntry::from_value(&cell.value)?;
-            Some((queue_row, entry))
-        })
-        .collect())
+    let mut entries = Vec::new();
+    let queue = Rows::Prefix(REPAIR_QUEUE_PREFIX);
+    infra.database().visit(REPAIR_READS, queue, |row| {
+        entries.extend(entry_of(&row).map(|entry| (row.key().to_string(), entry)));
+    })?;
+    Ok(entries)
 }
 
 /// Reachability and worst-case availability of a striping. Each stripe is
@@ -270,7 +268,6 @@ pub(crate) fn drain_repair_queue(
     now: SimTime,
 ) -> Result<RepairDrainReport> {
     let mut report = RepairDrainReport::default();
-    let node = first_up_node(infra)?;
     let catalog = infra.catalog();
 
     let mut candidates: Vec<RepairCandidate> = Vec::new();
@@ -294,9 +291,12 @@ pub(crate) fn drain_repair_queue(
             }
         };
         let (all_reachable, achieved) = striping_health(catalog, &meta.striping);
-        let has_debt = node
-            .get_latest(&meta.row_key(), "debt")
-            .is_some_and(|cell| !cell.value.is_null());
+        let has_debt = infra
+            .database()
+            .with_latest(REPAIR_READS, &meta.row_key(), "debt", |c| {
+                !c.value.is_null()
+            })
+            .unwrap_or(false);
         if all_reachable && !has_debt {
             // Healthy again (e.g. the provider recovered before we got to
             // it) at full width: nothing to move.
@@ -389,19 +389,15 @@ pub fn repair_provider(
     failed_provider: ProviderId,
     placement_engine: &PlacementEngine,
 ) -> Result<RepairReport> {
-    let node = first_up_node(infra)?;
-
-    // Find every object whose striping references the failed provider.
-    let affected: Vec<ObjectMeta> = node
-        .snapshot()
-        .into_iter()
-        .filter_map(|(_, row)| {
-            row.get("meta")
-                .and_then(|cells| cells.last())
-                .and_then(|cell| decode_meta(&cell.value).ok())
-        })
-        .filter(|meta| meta.striping.provider_set().contains(&failed_provider))
-        .collect();
+    // Find every object whose striping references the failed provider,
+    // decoding each record where it lies.
+    let mut affected: Vec<ObjectMeta> = Vec::new();
+    infra
+        .database()
+        .visit(REPAIR_READS, Rows::Prefix(""), |row| {
+            let meta = row.latest("meta").and_then(|c| decode_meta(&c.value).ok());
+            affected.extend(meta.filter(|m| m.striping.provider_set().contains(&failed_provider)));
+        })?;
 
     for meta in &affected {
         enqueue(infra, &meta.key, "provider-outage")?;

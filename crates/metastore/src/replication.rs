@@ -78,12 +78,23 @@
 //! trace: no hint is queued for any node, and its `Begin` leaves the
 //! journal, so neither anti-entropy nor [`ReplicatedStore::recover`] lands
 //! it later.
+//!
+//! # Reads
+//!
+//! Only this module picks the replica a read goes to. The nearest one
+//! ([`ReplicatedStore::visit`]) is the caller's datacenter's node while it
+//! is up (§III-D3: reads are served locally), else the first up node;
+//! object metadata, statistics and the repair queue read this way. Every
+//! up one ([`ReplicatedStore::visit_each_up`], which counts the nodes it
+//! skipped as down) serves the reads that must not miss a write only a
+//! lagging replica holds: LIST, the dirty-set fetch and its pruning, and
+//! the orphan sweep.
 
 use crate::journal::{
     JournalOp, JournalRecord, LoggedOp, OpKind, StoreCheckpoint, WriteAheadJournal,
 };
 use crate::model::{Cell, Column};
-use crate::store::NoSqlNode;
+use crate::store::{NoSqlNode, RowView, Rows};
 use parking_lot::Mutex;
 use scalia_types::error::{Result, ScaliaError};
 use scalia_types::ids::DatacenterId;
@@ -315,22 +326,35 @@ impl ReplicatedStore {
         }
     }
 
-    /// The first reachable node, preferring the caller's local datacenter —
-    /// the single read policy every best-effort single-replica read
-    /// delegates to. Allocation-free: this sits under the hottest metadata
-    /// reads.
-    pub(crate) fn read_node(&self, local: DatacenterId) -> Option<&Arc<NoSqlNode>> {
+    /// The nearest up replica (see "Reads" in the module docs); the only
+    /// replica chooser, allocation-free under the hottest metadata reads.
+    fn read_node(&self, local: DatacenterId) -> Option<&Arc<NoSqlNode>> {
         self.nodes
             .iter()
             .find(|n| n.is_up() && n.datacenter() == local)
             .or_else(|| self.nodes.iter().find(|n| n.is_up()))
     }
 
-    /// Reads the latest version of a column from the first reachable node
-    /// (preferring the caller's local datacenter).
+    /// Visits the rows `rows` selects on the nearest up replica (see
+    /// [`NoSqlNode::visit`]), or fails with
+    /// [`ScaliaError::DatacenterUnavailable`] when no node is up.
+    pub fn visit(&self, local: DatacenterId, rows: Rows, f: impl FnMut(RowView)) -> Result<()> {
+        let node = self
+            .read_node(local)
+            .ok_or(ScaliaError::DatacenterUnavailable(local.0))?;
+        node.visit(rows, f);
+        Ok(())
+    }
+
+    /// Visits the rows `rows` selects on every up replica, in datacenter
+    /// order, and returns how many nodes it skipped as down.
+    pub fn visit_each_up(&self, rows: Rows, mut f: impl FnMut(RowView)) -> usize {
+        self.nodes.iter().filter(|n| !n.visit(rows, &mut f)).count()
+    }
+
+    /// Reads the latest version of a column from the nearest up replica.
     pub fn get_latest(&self, local: DatacenterId, row_key: &str, column: &str) -> Option<Cell> {
-        self.read_node(local)
-            .and_then(|n| n.get_latest(row_key, column))
+        self.read_node(local)?.get_latest(row_key, column)
     }
 
     /// Reads one row from **every** up replica and merges it: per column,
@@ -346,31 +370,32 @@ impl ReplicatedStore {
     /// cells. Merging across replicas reads through that lag: any up node
     /// that accepted the write supplies the fresh cell.
     ///
-    /// Each node contributes its latest cells only
-    /// ([`NoSqlNode::latest_cells_with_prefix`], already in column order),
-    /// and the lists merge linearly, one node after another: no version
-    /// list is cloned, and a column allocates its name once per node.
+    /// Each node contributes its latest cells only, already in column
+    /// order, and the lists merge linearly, one node after another: no
+    /// version list is cloned, and a column allocates its name once per
+    /// node.
     pub fn get_row_merged(&self, row_key: &str) -> Vec<(String, Arc<Cell>)> {
-        self.nodes
-            .iter()
-            .filter(|n| n.is_up())
-            .fold(Vec::new(), |merged, node| {
-                merge_latest(merged, node.latest_cells_with_prefix(row_key, ""))
-            })
+        let mut merged = Vec::new();
+        self.visit_each_up(Rows::Key(row_key), |row| {
+            let theirs = row
+                .latest_with_prefix("")
+                .map(|(column, cell)| (column.to_string(), Arc::clone(cell)))
+                .collect();
+            merged = merge_latest(std::mem::take(&mut merged), theirs);
+        });
+        merged
     }
 
-    /// Applies `read` to the latest version of a column on the first
-    /// reachable node (preferring `local`) without cloning the cell — see
-    /// `NoSqlNode::with_latest`.
+    /// Applies `read` to the latest version of a column on the nearest up
+    /// replica without cloning the cell — see `NoSqlNode::with_latest`.
     pub fn with_latest<T>(
         &self,
         local: DatacenterId,
         row_key: &str,
         column: &str,
-        read: impl FnOnce(&Cell) -> T,
+        read: impl FnMut(&Cell) -> T,
     ) -> Option<T> {
-        self.read_node(local)
-            .and_then(|n| n.with_latest(row_key, column, read))
+        self.read_node(local)?.with_latest(row_key, column, read)
     }
 
     /// Delivers queued hinted handoffs, oldest first, to the nodes that are
@@ -444,7 +469,7 @@ impl ReplicatedStore {
             .nodes
             .iter()
             .filter(|n| n.is_up())
-            .map(|n| (n.clone(), n.snapshot()))
+            .map(|n| (n.clone(), n.durable_rows()))
             .collect();
         for (_, snapshot) in &snapshots {
             for (row_key, row) in snapshot {
@@ -1179,7 +1204,7 @@ mod tests {
                 crashed.recover(&checkpoint);
                 let expected = if label == "txn::before-log" { &before } else { &after };
                 for (node, expected) in crashed.nodes().iter().zip(expected.nodes()) {
-                    assert_eq!(node.snapshot(), expected.snapshot(), "seed {seed} {label}");
+                    assert_eq!(node.durable_rows(), expected.durable_rows(), "seed {seed} {label}");
                     node.assert_digests_consistent(&format!("seed {seed} {label}"));
                 }
                 assert!(crashed.journal().uncommitted().is_empty(), "{label}");

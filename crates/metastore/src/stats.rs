@@ -15,9 +15,10 @@
 //!   one-search-per-class optimisation pipeline;
 //! * the **dirty-set index** — one row per time bucket whose columns are
 //!   the row keys of objects accessed or modified in that bucket. The
-//!   periodic optimiser's accessed-set fetch is a *range scan* over the
-//!   buckets since its previous run, so its cost scales with the number of
-//!   objects actually touched, not with the number of rows stored.
+//!   periodic optimiser's accessed-set fetch visits the range of buckets
+//!   since its previous run on every up replica, so the cells it reads
+//!   scale with the number of objects actually touched, not with the
+//!   number of rows stored.
 //!
 //! Statistics rows are always written with globally unique `(row, column,
 //! timestamp)` coordinates, so — as the paper notes — they never conflict.
@@ -28,7 +29,7 @@
 use crate::journal::JournalOp;
 use crate::model::Timestamp;
 use crate::replication::ReplicatedStore;
-use crate::store::NoSqlNode;
+use crate::store::{RowView, Rows};
 use parking_lot::Mutex;
 use scalia_types::ids::DatacenterId;
 use scalia_types::size::ByteSize;
@@ -121,10 +122,10 @@ impl StatisticsStore {
         timestamp.secs / DIRTY_BUCKET_SECS
     }
 
-    /// The first reachable node, preferring the local datacenter (the same
-    /// read policy as [`ReplicatedStore::get_latest`]).
-    fn read_node(&self) -> Option<Arc<NoSqlNode>> {
-        self.db.read_node(self.local).cloned()
+    /// Visits `rows` on the nearest up replica, this store's datacenter
+    /// first. With no node up there is nothing to read, and no row is seen.
+    fn visit(&self, rows: Rows, visit: impl FnMut(RowView)) {
+        let _ = self.db.visit(self.local, rows, visit);
     }
 
     /// The op that records the statistics of one completed sampling period
@@ -207,25 +208,22 @@ impl StatisticsStore {
     /// Reconstructs the access history of an object from its statistics row,
     /// keeping at most `max_periods` most recent periods.
     pub fn history(&self, object_row_key: &str, max_periods: usize) -> AccessHistory {
-        let row = Self::obj_row(object_row_key);
         let mut history = AccessHistory::new(max_periods.max(1));
         // Period columns sort lexicographically because the period index is
         // zero-padded.
-        let Some(node) = self.read_node() else {
-            return history;
-        };
-        let mut periods: Vec<PeriodStats> = node
-            .latest_cells_with_prefix(&row, "period:")
-            .into_iter()
-            .map(|(_, cell)| PeriodStats {
-                period: cell.value["period"].as_u64().unwrap_or(0),
-                storage: ByteSize::from_bytes(cell.value["storage"].as_u64().unwrap_or(0)),
-                bw_in: ByteSize::from_bytes(cell.value["bw_in"].as_u64().unwrap_or(0)),
-                bw_out: ByteSize::from_bytes(cell.value["bw_out"].as_u64().unwrap_or(0)),
-                reads: cell.value["reads"].as_u64().unwrap_or(0),
-                writes: cell.value["writes"].as_u64().unwrap_or(0),
-            })
-            .collect();
+        let mut periods: Vec<PeriodStats> = Vec::new();
+        self.visit(Rows::Key(&Self::obj_row(object_row_key)), |row| {
+            for (_, cell) in row.latest_with_prefix("period:") {
+                periods.push(PeriodStats {
+                    period: cell.value["period"].as_u64().unwrap_or(0),
+                    storage: ByteSize::from_bytes(cell.value["storage"].as_u64().unwrap_or(0)),
+                    bw_in: ByteSize::from_bytes(cell.value["bw_in"].as_u64().unwrap_or(0)),
+                    bw_out: ByteSize::from_bytes(cell.value["bw_out"].as_u64().unwrap_or(0)),
+                    reads: cell.value["reads"].as_u64().unwrap_or(0),
+                    writes: cell.value["writes"].as_u64().unwrap_or(0),
+                });
+            }
+        });
         periods.sort_by_key(|p| p.period);
         // Fill the gaps: a sampling period with no recorded accesses is a
         // real observation of zero activity, which the trend detector must
@@ -256,12 +254,13 @@ impl StatisticsStore {
     /// Object row keys accessed or modified at or after `since` — the set
     /// `A` the periodic optimiser shards across engines.
     ///
-    /// Served by a **range scan** over the dirty-set index rows of the
-    /// buckets `>= bucket(since)`: the fetch cost scales with the number of
-    /// entries written since the previous procedure, never with the number
-    /// of rows stored. Dirty entries always land in the bucket of their
-    /// write timestamp, so `ts >= since` implies `bucket >= bucket(since)` —
-    /// no qualifying entry can hide in an earlier bucket.
+    /// Served by a [`Rows::Range`] visit of the dirty-set rows of buckets
+    /// `>= bucket(since)` on every up replica: it reads only the cells
+    /// written since the previous procedure, though finding those rows in
+    /// the hashed row index filters every row key (see [`crate::store`]).
+    /// Dirty entries always land in the bucket of their write timestamp, so
+    /// `ts >= since` implies `bucket >= bucket(since)` — no qualifying entry
+    /// can hide in an earlier bucket.
     ///
     /// Each entry carries its class tag (the value the put commit or the log
     /// aggregator wrote into the dirty-set index), so the class-centric
@@ -285,18 +284,19 @@ impl StatisticsStore {
         let mut tag_ts: Vec<Timestamp> = Vec::new();
         let mut index: HashMap<String, usize> = HashMap::new();
         let mut scanned = 0usize;
-        // Union over every reachable replica: the fetch must not miss a
-        // mark a lagging replica never received, because the optimiser's
-        // `last_run` watermark advances past it and would filter the
-        // healed cell forever. The newest-classified-wins merge below is
-        // replica-order independent. The visit is zero-copy: only
-        // qualifying keys (and their class tags) are ever cloned out of
-        // the store, once per distinct object.
-        for node in self.db.nodes().iter().filter(|n| n.is_up()) {
-            node.visit_range_latest(&start, DIRTY_END, |_, column, cell| {
+        // Union over every up replica: the fetch must not miss a mark a
+        // lagging replica holds alone, because the optimiser's `last_run`
+        // watermark advances past it and would filter the healed cell
+        // forever. The newest-classified-wins merge below is replica-order
+        // independent. The visit borrows every cell: only qualifying keys
+        // (and their class tags) are cloned out of the store, once per
+        // distinct object.
+        let buckets = Rows::Range(&start, DIRTY_END);
+        self.db.visit_each_up(buckets, |row| {
+            for (column, cell) in row.latest_with_prefix("") {
                 scanned += 1;
                 if cell.timestamp < since {
-                    return;
+                    continue;
                 }
                 let class = cell.value.as_str();
                 match index.get(column) {
@@ -320,8 +320,8 @@ impl StatisticsStore {
                         entries.push((column.to_string(), class.map(str::to_string)));
                     }
                 }
-            });
-        }
+            }
+        });
         (entries, scanned)
     }
 
@@ -332,13 +332,11 @@ impl StatisticsStore {
     /// only grows).
     pub fn prune_dirty_before(&self, cutoff: Timestamp) -> usize {
         let end = Self::dirty_row(Self::dirty_bucket(cutoff));
-        let mut stale: Vec<String> = self
-            .db
-            .nodes()
-            .iter()
-            .filter(|n| n.is_up())
-            .flat_map(|n| n.range_keys(DIRTY_PREFIX, &end))
-            .collect();
+        let mut stale: Vec<String> = Vec::new();
+        let buckets = Rows::Range(DIRTY_PREFIX, &end);
+        self.db.visit_each_up(buckets, |row| {
+            stale.push(row.key().to_string());
+        });
         stale.sort_unstable();
         stale.dedup();
         let pruned = stale.len();
@@ -376,46 +374,48 @@ impl StatisticsStore {
     ///
     /// The mean is memoised per class, under the node that answered and
     /// the class row's digest there (see [`crate::store`], "Content
-    /// digest"). A call reads that digest — one hash probe — and returns
-    /// the memo while both match; otherwise it scans the row's `usage:`
-    /// samples and memoises their mean under the digest read under the
-    /// scan's own read lock, so a sample committed after the scan changes
-    /// the digest the next call reads and is never hidden behind a stale
-    /// mean. The memo is exact, not approximate: any version added to or
+    /// digest"). A call visits the row — one hash probe — and returns the
+    /// memo while both match; otherwise it scans the row's `usage:` samples
+    /// and memoises their mean under the digest read under the scan's own
+    /// read lock, so a sample committed after the scan changes the digest
+    /// the next call reads and is never hidden behind a stale mean. The
+    /// memo is exact, not approximate: any version added to or
     /// removed from the row (a delete's sample, a tick's rollup, garbage
     /// collection) changes the digest, a stored version's value never
     /// changes (a timestamp names one write), and the scan sums the samples
     /// in column order as it always has — so a hit returns, bit for bit,
     /// what a scan of the same row would.
     pub fn mean_class_usage(&self, class_id: &str) -> Option<ResourceUsage> {
-        let node = self.read_node()?;
-        let row = Self::class_row(class_id);
-        let digest = node.row_digest(&row)?;
         let memo = self.class_means.lock().get(class_id).copied();
-        if let Some(memo) = memo.filter(|m| m.node == node.datacenter() && m.digest == digest) {
-            return memo.mean;
+        let (mut mean, mut scanned) = (None, None);
+        self.visit(Rows::Key(&Self::class_row(class_id)), |row| {
+            let (node, digest) = (row.datacenter(), row.digest());
+            if let Some(memo) = memo.filter(|m| m.node == node && m.digest == digest) {
+                mean = memo.mean;
+                return;
+            }
+            let mut total = ResourceUsage::ZERO;
+            let mut samples = 0usize;
+            for (_, cell) in row.latest_with_prefix("usage:") {
+                total += ResourceUsage {
+                    storage_gb_hours: cell.value["storage_gb_hours"].as_f64().unwrap_or(0.0),
+                    bw_in: ByteSize::from_bytes(cell.value["bw_in"].as_u64().unwrap_or(0)),
+                    bw_out: ByteSize::from_bytes(cell.value["bw_out"].as_u64().unwrap_or(0)),
+                    ops: cell.value["ops"].as_u64().unwrap_or(0),
+                };
+                samples += 1;
+            }
+            mean = (samples > 0).then(|| total.scale(1.0 / samples as f64));
+            scanned = Some(ClassMean { node, digest, mean });
+        });
+        if let Some(scanned) = scanned {
+            #[cfg(test)]
+            self.mean_scans
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.class_means
+                .lock()
+                .insert(class_id.to_string(), scanned);
         }
-        let mut total = ResourceUsage::ZERO;
-        let mut samples = 0usize;
-        let digest = node.visit_latest_with_prefix(&row, "usage:", |_, cell| {
-            total += ResourceUsage {
-                storage_gb_hours: cell.value["storage_gb_hours"].as_f64().unwrap_or(0.0),
-                bw_in: ByteSize::from_bytes(cell.value["bw_in"].as_u64().unwrap_or(0)),
-                bw_out: ByteSize::from_bytes(cell.value["bw_out"].as_u64().unwrap_or(0)),
-                ops: cell.value["ops"].as_u64().unwrap_or(0),
-            };
-            samples += 1;
-        })?;
-        #[cfg(test)]
-        self.mean_scans
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mean = (samples > 0).then(|| total.scale(1.0 / samples as f64));
-        let memo = ClassMean {
-            node: node.datacenter(),
-            digest,
-            mean,
-        };
-        self.class_means.lock().insert(class_id.to_string(), memo);
         mean
     }
 
@@ -429,35 +429,32 @@ impl StatisticsStore {
         class_id: &str,
         max_periods: usize,
     ) -> Vec<(u64, ClassPeriodRecord)> {
-        let Some(node) = self.read_node() else {
-            return Vec::new();
-        };
         let mut by_period: std::collections::BTreeMap<u64, ClassPeriodRecord> =
             std::collections::BTreeMap::new();
         // Every delta column is a pre-aggregated per-flush contribution
         // (summed member statistics + distinct-object count); period-wise
         // addition over them is associative, so any write interleaving
         // reads back to the same aggregate.
-        for (column, cell) in node.latest_cells_with_prefix(&Self::class_row(class_id), "p:") {
-            let Some(period) = column
-                .strip_prefix("p:")
-                .and_then(|rest| rest.get(..12))
-                .and_then(|p| p.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            let entry = by_period.entry(period).or_insert(ClassPeriodRecord {
-                stats: PeriodStats::empty(period),
-                objects: 0,
-            });
-            entry.objects += cell.value["objects"].as_u64().unwrap_or(0);
-            entry.stats.storage +=
-                ByteSize::from_bytes(cell.value["storage"].as_u64().unwrap_or(0));
-            entry.stats.bw_in += ByteSize::from_bytes(cell.value["bw_in"].as_u64().unwrap_or(0));
-            entry.stats.bw_out += ByteSize::from_bytes(cell.value["bw_out"].as_u64().unwrap_or(0));
-            entry.stats.reads += cell.value["reads"].as_u64().unwrap_or(0);
-            entry.stats.writes += cell.value["writes"].as_u64().unwrap_or(0);
-        }
+        self.visit(Rows::Key(&Self::class_row(class_id)), |row| {
+            for (column, cell) in row.latest_with_prefix("p:") {
+                let Some(period) = rollup_period(column) else {
+                    continue;
+                };
+                let entry = by_period.entry(period).or_insert(ClassPeriodRecord {
+                    stats: PeriodStats::empty(period),
+                    objects: 0,
+                });
+                entry.objects += cell.value["objects"].as_u64().unwrap_or(0);
+                entry.stats.storage +=
+                    ByteSize::from_bytes(cell.value["storage"].as_u64().unwrap_or(0));
+                entry.stats.bw_in +=
+                    ByteSize::from_bytes(cell.value["bw_in"].as_u64().unwrap_or(0));
+                entry.stats.bw_out +=
+                    ByteSize::from_bytes(cell.value["bw_out"].as_u64().unwrap_or(0));
+                entry.stats.reads += cell.value["reads"].as_u64().unwrap_or(0);
+                entry.stats.writes += cell.value["writes"].as_u64().unwrap_or(0);
+            }
+        });
         let mut records: Vec<(u64, ClassPeriodRecord)> = by_period.into_iter().collect();
         if records.len() > max_periods.max(1) {
             records.drain(..records.len() - max_periods.max(1));
@@ -473,30 +470,21 @@ impl StatisticsStore {
     /// [`Self::prune_dirty_before`] this bounds the statistics footprint by
     /// live objects + known classes.
     pub fn gc_statistics(&self, current_period: u64) -> usize {
-        let Some(node) = self.read_node() else {
-            return 0;
-        };
         let rollup_cutoff = current_period.saturating_sub(CLASS_ROLLUP_RETENTION);
         let mut ops = Vec::new();
-        for class_row in node.scan_prefix(CLASS_PREFIX) {
-            let delete = |column| JournalOp::DeleteColumn {
-                row_key: class_row.clone(),
-                column,
+        self.visit(Rows::Prefix(CLASS_PREFIX), |row| {
+            let delete = |column: &str| JournalOp::DeleteColumn {
+                row_key: row.key().to_string(),
+                column: column.to_string(),
             };
-            for (column, _) in node.latest_cells_with_prefix(&class_row, "p:") {
-                let stale = column
-                    .strip_prefix("p:")
-                    .and_then(|rest| rest.get(..12))
-                    .and_then(|p| p.parse::<u64>().ok())
-                    .is_some_and(|period| period < rollup_cutoff);
-                if stale {
+            for (column, _) in row.latest_with_prefix("p:") {
+                if rollup_period(column).is_some_and(|period| period < rollup_cutoff) {
                     ops.push(delete(column));
                 }
             }
             for prefix in ["lifetime:", "usage:"] {
-                let mut samples: Vec<(Timestamp, String)> = node
-                    .latest_cells_with_prefix(&class_row, prefix)
-                    .into_iter()
+                let mut samples: Vec<(Timestamp, &str)> = row
+                    .latest_with_prefix(prefix)
                     .map(|(column, cell)| (cell.timestamp, column))
                     .collect();
                 if samples.len() > MAX_CLASS_SAMPLES {
@@ -505,7 +493,7 @@ impl StatisticsStore {
                     ops.extend(stale.map(|(_, column)| delete(column)));
                 }
             }
-        }
+        });
         let removed = ops.len();
         self.db.transaction(ops).map_or(0, |_| removed)
     }
@@ -528,15 +516,11 @@ impl StatisticsStore {
 
     /// All recorded lifetime samples (hours) of a class.
     pub fn class_lifetimes(&self, class_id: &str) -> Vec<f64> {
-        let row = Self::class_row(class_id);
-        let Some(node) = self.read_node() else {
-            return Vec::new();
-        };
-        let mut lifetimes: Vec<f64> = node
-            .latest_cells_with_prefix(&row, "lifetime:")
-            .into_iter()
-            .filter_map(|(_, cell)| cell.value.as_f64())
-            .collect();
+        let mut lifetimes: Vec<f64> = Vec::new();
+        self.visit(Rows::Key(&Self::class_row(class_id)), |row| {
+            let samples = row.latest_with_prefix("lifetime:");
+            lifetimes.extend(samples.filter_map(|(_, cell)| cell.value.as_f64()));
+        });
         lifetimes.sort_by(|a, b| a.partial_cmp(b).unwrap());
         lifetimes
     }
@@ -550,9 +534,18 @@ impl StatisticsStore {
     }
 }
 
+/// The period of a class rollup column (`p:{period:012}:…`).
+fn rollup_period(column: &str) -> Option<u64> {
+    column
+        .strip_prefix("p:")
+        .and_then(|rest| rest.get(..12))
+        .and_then(|p| p.parse().ok())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::NoSqlNode;
     use scalia_types::error::Result;
 
     /// The op constructors, each committed as its own transaction — the
@@ -595,13 +588,11 @@ mod tests {
         }
         /// All class ids with at least one statistics row.
         fn known_classes(&self) -> Vec<String> {
-            let Some(node) = self.read_node() else {
-                return Vec::new();
-            };
-            node.scan_prefix(CLASS_PREFIX)
-                .into_iter()
-                .filter_map(|k| k.strip_prefix(CLASS_PREFIX).map(str::to_string))
-                .collect()
+            let mut classes = Vec::new();
+            self.visit(Rows::Prefix(CLASS_PREFIX), |row| {
+                classes.extend(row.key().strip_prefix(CLASS_PREFIX).map(str::to_string));
+            });
+            classes
         }
         fn record_class_lifetime(&self, c: &str, hours: f64, ts: Timestamp) -> Result<()> {
             self.commit(vec![Self::class_lifetime_op(c, hours, ts)])
@@ -958,16 +949,18 @@ mod tests {
     /// The oracle the memo must equal: a plain scan of every `usage:`
     /// sample of the class row on `node`, summed in column order.
     fn scanned_mean(node: &NoSqlNode, class_id: &str) -> Option<ResourceUsage> {
-        let samples: Vec<ResourceUsage> = node
-            .latest_cells_with_prefix(&StatisticsStore::class_row(class_id), "usage:")
-            .into_iter()
-            .map(|(_, cell)| ResourceUsage {
-                storage_gb_hours: cell.value["storage_gb_hours"].as_f64().unwrap_or(0.0),
-                bw_in: ByteSize::from_bytes(cell.value["bw_in"].as_u64().unwrap_or(0)),
-                bw_out: ByteSize::from_bytes(cell.value["bw_out"].as_u64().unwrap_or(0)),
-                ops: cell.value["ops"].as_u64().unwrap_or(0),
-            })
-            .collect();
+        let mut samples: Vec<ResourceUsage> = Vec::new();
+        node.visit(Rows::Key(&StatisticsStore::class_row(class_id)), |row| {
+            samples.extend(
+                row.latest_with_prefix("usage:")
+                    .map(|(_, cell)| ResourceUsage {
+                        storage_gb_hours: cell.value["storage_gb_hours"].as_f64().unwrap_or(0.0),
+                        bw_in: ByteSize::from_bytes(cell.value["bw_in"].as_u64().unwrap_or(0)),
+                        bw_out: ByteSize::from_bytes(cell.value["bw_out"].as_u64().unwrap_or(0)),
+                        ops: cell.value["ops"].as_u64().unwrap_or(0),
+                    }),
+            );
+        });
         if samples.is_empty() {
             return None;
         }
@@ -1046,12 +1039,11 @@ mod tests {
             s.gc_statistics(round);
             check(&format!("round {round}, gc"));
         }
-        assert_eq!(
-            node.latest_cells_with_prefix(&StatisticsStore::class_row("c"), "usage:")
-                .len(),
-            MAX_CLASS_SAMPLES,
-            "gc trimmed the samples"
-        );
+        let mut samples = 0;
+        node.visit(Rows::Key(&StatisticsStore::class_row("c")), |row| {
+            samples = row.latest_with_prefix("usage:").count();
+        });
+        assert_eq!(samples, MAX_CLASS_SAMPLES, "gc trimmed the samples");
     }
 
     /// With a full row of samples, a second call serves the memo: no scan.
@@ -1078,10 +1070,11 @@ mod tests {
         for i in 0..40u64 {
             s.record_class_usage("c", &sample(i), Timestamp::new(i + 1, 0))
                 .unwrap();
-            let node = s.read_node().unwrap();
+            // The local node while it is up, else the other one.
+            let node = &s.db.nodes()[usize::from(!s.db.nodes()[0].is_up())];
             assert_eq!(
                 bits(s.mean_class_usage("c")),
-                bits(scanned_mean(&node, "c")),
+                bits(scanned_mean(node, "c")),
                 "sample {i}"
             );
             assert_eq!(scans(&s), i as usize + 1, "sample {i} was not rescanned");

@@ -8,17 +8,18 @@
 //! touched in that hour, so the fetch is a range scan over the buckets
 //! since the last run).
 //!
-//! # Row index
+//! # One read door
 //!
-//! Rows live in a hash map: every client op reads or commits rows by key
-//! (an object's row key is an MD5, §III-D1), so a point access costs one
-//! hash probe. Nothing observes the map's order. The few reads that return
-//! or visit several rows — prefix and range scans, snapshots, the
-//! anti-entropy merge-join — run once per tick, not once per op: they
-//! filter every row and sort the matches, and return them in key order.
-//! Per-op reads of a wide row — LIST's container row, the class mean's
-//! class row — read the latest cell of each column only, in column order,
-//! and clone no version list.
+//! Every read goes through [`NoSqlNode::visit`]: one read lock, and a
+//! borrowed [`RowView`] of each row a [`Rows`] selects, in key order, so a
+//! visitor clones only what it keeps. Rows live in a hash map, since every
+//! client op reads or commits rows by key (an object's row key is an MD5,
+//! §III-D1). A [`Rows::Key`] read — every per-op read — costs one hash
+//! probe. A [`Rows::Prefix`] or [`Rows::Range`] read filters every row and
+//! sorts the matches, O(rows); only reads that run once per tick or per
+//! incident span rows (the dirty-set fetch, statistics GC, the repair
+//! queue, repair's and the orphan sweep's scans). The checkpoint copy and
+//! the anti-entropy merge-join read a node even while it is down.
 //!
 //! # Content digest
 //!
@@ -36,7 +37,7 @@ use crate::model::{insert_version, latest, Cell, Row, Timestamp};
 use parking_lot::RwLock;
 use scalia_types::ids::DatacenterId;
 use std::collections::HashMap;
-use std::ops::{Bound, RangeBounds};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -212,17 +213,74 @@ impl Table {
         removed
     }
 
-    /// The rows whose key lies in `range`, sorted by key: the one ordered
+    /// The rows whose key passes `select`, sorted by key: the one ordered
     /// read of the row map. O(rows) to filter plus a sort of the matches.
-    fn sorted_rows(&self, range: impl RangeBounds<str>) -> Vec<(&str, &StoredRow)> {
-        let mut rows: Vec<_> = self
-            .rows
-            .iter()
-            .map(|(key, row)| (key.as_str(), row))
-            .filter(|(key, _)| range.contains(*key))
-            .collect();
+    fn sorted_rows(&self, select: impl Fn(&str) -> bool) -> Vec<(&String, &StoredRow)> {
+        let mut rows: Vec<_> = self.rows.iter().filter(|(key, _)| select(key)).collect();
         rows.sort_unstable_by_key(|&(key, _)| key);
         rows
+    }
+}
+
+/// The rows a [`NoSqlNode::visit`] reads (see the module docs for what
+/// each costs).
+#[derive(Debug, Clone, Copy)]
+pub enum Rows<'a> {
+    /// The row with this key, if there is one.
+    Key(&'a str),
+    /// Every row whose key starts with this prefix, in key order.
+    Prefix(&'a str),
+    /// Every row with `start <= key < end`, in key order.
+    Range(&'a str, &'a str),
+}
+
+/// One row as [`NoSqlNode::visit`] shows it: borrowed under the node's
+/// read lock, so the visitor clones only what it keeps.
+pub struct RowView<'a> {
+    dc: DatacenterId,
+    key: &'a str,
+    row: &'a StoredRow,
+}
+
+impl<'a> RowView<'a> {
+    /// The datacenter of the node that holds the row.
+    pub fn datacenter(&self) -> DatacenterId {
+        self.dc
+    }
+
+    /// The row key.
+    pub fn key(&self) -> &'a str {
+        self.key
+    }
+
+    /// The row digest (see the module docs), read under the same lock as
+    /// the cells: it names exactly the version set this view shows.
+    pub fn digest(&self) -> u64 {
+        self.row.digest
+    }
+
+    /// Every version of `column`, oldest first; empty if the row has no
+    /// such column.
+    pub fn versions(&self, column: &str) -> &'a [Arc<Cell>] {
+        self.row.columns.get(column).map_or(&[], Vec::as_slice)
+    }
+
+    /// The latest version of `column`.
+    pub fn latest(&self, column: &str) -> Option<&'a Arc<Cell>> {
+        self.row.columns.get(column).and_then(latest)
+    }
+
+    /// The latest cell of every column whose name starts with `prefix`, in
+    /// column order.
+    pub fn latest_with_prefix(
+        &self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = (&'a str, &'a Arc<Cell>)> {
+        self.row
+            .columns
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |(column, _)| column.starts_with(prefix))
+            .filter_map(|(column, cells)| Some((column.as_str(), latest(cells)?)))
     }
 }
 
@@ -292,6 +350,28 @@ impl NoSqlNode {
         copied
     }
 
+    /// The node's one read door: calls `visit` with each row `rows`
+    /// selects, in key order, all under one read lock. Returns `false`,
+    /// having visited nothing, while the node is down. The visitor must not
+    /// call back into the node: a write would deadlock on the lock it
+    /// holds, and so could a nested read while a writer waits.
+    pub fn visit(&self, rows: Rows, mut visit: impl FnMut(RowView)) -> bool {
+        if !self.is_up() {
+            return false;
+        }
+        let table = self.table.read();
+        let (point, sorted) = match rows {
+            Rows::Key(key) => (table.rows.get_key_value(key), Vec::new()),
+            Rows::Prefix(prefix) => (None, table.sorted_rows(|key| key.starts_with(prefix))),
+            Rows::Range(start, end) => (None, table.sorted_rows(|key| start <= key && key < end)),
+        };
+        let dc = self.datacenter;
+        for (key, row) in point.into_iter().chain(sorted) {
+            visit(RowView { dc, key, row });
+        }
+        true
+    }
+
     /// Latest version of a column, if present (and the node is up).
     pub fn get_latest(&self, row_key: &str, column: &str) -> Option<Cell> {
         self.with_latest(row_key, column, Cell::clone)
@@ -299,174 +379,36 @@ impl NoSqlNode {
 
     /// Applies `read` to the latest cell of a column **without cloning it**
     /// — the zero-copy variant of [`Self::get_latest`] for hot point reads
-    /// (the optimiser decodes one digest per accessed object per cycle).
+    /// (every get and put decodes an object's metadata this way).
     pub(crate) fn with_latest<T>(
         &self,
         row_key: &str,
         column: &str,
-        read: impl FnOnce(&Cell) -> T,
+        mut read: impl FnMut(&Cell) -> T,
     ) -> Option<T> {
-        if !self.is_up() {
-            return None;
-        }
-        self.table
-            .read()
-            .rows
-            .get(row_key)
-            .and_then(|row| row.columns.get(column))
-            .and_then(latest)
-            .map(|cell| read(cell))
+        let mut out = None;
+        self.visit(Rows::Key(row_key), |row| {
+            out = row.latest(column).map(|c| read(c))
+        });
+        out
     }
 
     /// All versions of a column, oldest first.
     pub fn get_versions(&self, row_key: &str, column: &str) -> Vec<Arc<Cell>> {
-        if !self.is_up() {
-            return Vec::new();
-        }
-        self.table
-            .read()
-            .rows
-            .get(row_key)
-            .and_then(|row| row.columns.get(column))
-            .cloned()
-            .unwrap_or_default()
+        let mut versions = Vec::new();
+        self.visit(Rows::Key(row_key), |row| {
+            versions = row.versions(column).to_vec()
+        });
+        versions
     }
 
     /// The full row (all columns, all versions), if present.
     pub fn get_row(&self, row_key: &str) -> Option<Row> {
-        if !self.is_up() {
-            return None;
-        }
-        self.table
-            .read()
-            .rows
-            .get(row_key)
-            .map(|row| row.columns.clone())
-    }
-
-    /// The latest cell of every column of `row_key` whose name starts with
-    /// `prefix`, in column order. Wide rows mixing several column families
-    /// (class rows: lifetime samples, usage samples, per-period rollups)
-    /// can be read one family at a time without cloning the whole row.
-    pub fn latest_cells_with_prefix(
-        &self,
-        row_key: &str,
-        prefix: &str,
-    ) -> Vec<(String, Arc<Cell>)> {
-        let mut cells = Vec::new();
-        self.visit_latest_with_prefix(row_key, prefix, |column, cell| {
-            cells.push((column.to_string(), Arc::clone(cell)));
+        let mut out = None;
+        self.visit(Rows::Key(row_key), |view| {
+            out = Some(view.row.columns.clone())
         });
-        cells
-    }
-
-    /// Visits the latest cell of every column of `row_key` whose name
-    /// starts with `prefix`, in column order, without cloning, and returns
-    /// the row's digest (0 for a missing row) read under the same read
-    /// lock: the digest names exactly the version set the visit saw.
-    /// `None`, and no visit, while the node is down.
-    pub(crate) fn visit_latest_with_prefix(
-        &self,
-        row_key: &str,
-        prefix: &str,
-        mut visit: impl FnMut(&str, &Arc<Cell>),
-    ) -> Option<u64> {
-        if !self.is_up() {
-            return None;
-        }
-        let table = self.table.read();
-        let Some(row) = table.rows.get(row_key) else {
-            return Some(0);
-        };
-        let columns = row
-            .columns
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(|(column, _)| column.starts_with(prefix));
-        for (column, cells) in columns {
-            if let Some(cell) = latest(cells) {
-                visit(column, cell);
-            }
-        }
-        Some(row.digest)
-    }
-
-    /// The digest of `row_key` (see the module docs; 0 for a missing row),
-    /// or `None` while the node is down. One hash probe.
-    pub(crate) fn row_digest(&self, row_key: &str) -> Option<u64> {
-        self.is_up().then(|| {
-            self.table
-                .read()
-                .rows
-                .get(row_key)
-                .map_or(0, |row| row.digest)
-        })
-    }
-
-    /// Row keys starting with `prefix`, in key order. O(rows) plus a sort
-    /// of the matches.
-    pub fn scan_prefix(&self, prefix: &str) -> Vec<String> {
-        if !self.is_up() {
-            return Vec::new();
-        }
-        let mut keys: Vec<String> = self
-            .table
-            .read()
-            .rows
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// Visits the latest cell of every column of every row with
-    /// `start <= key < end`, in key order, **without cloning** rows or
-    /// cells (the optimiser's dirty-set fetch visits one cell per touched
-    /// object per cycle; cloning whole rows there would cost more than the
-    /// rest of the fetch combined). O(rows) plus a sort of the rows in the
-    /// range: the row map hashes, so the once-per-cycle range read pays
-    /// for the once-per-op point lookups.
-    pub(crate) fn visit_range_latest(
-        &self,
-        start: &str,
-        end: &str,
-        mut visit: impl FnMut(&str, &str, &Cell),
-    ) {
-        if !self.is_up() {
-            return;
-        }
-        let table = self.table.read();
-        for (row_key, row) in table.sorted_rows((Bound::Included(start), Bound::Excluded(end))) {
-            for (column, cells) in &row.columns {
-                if let Some(cell) = latest(cells) {
-                    visit(row_key, column, cell);
-                }
-            }
-        }
-    }
-
-    /// Row keys with `start <= key < end`, in key order. O(rows) plus a
-    /// sort of the matches.
-    pub(crate) fn range_keys(&self, start: &str, end: &str) -> Vec<String> {
-        if !self.is_up() {
-            return Vec::new();
-        }
-        self.table
-            .read()
-            .sorted_rows((Bound::Included(start), Bound::Excluded(end)))
-            .into_iter()
-            .map(|(key, _)| key.to_string())
-            .collect()
-    }
-
-    /// All rows, cloned, in key order, as a reader sees them: nothing while
-    /// the node is down.
-    pub fn snapshot(&self) -> Vec<(String, Row)> {
-        if !self.is_up() {
-            return Vec::new();
-        }
-        self.durable_rows()
+        out
     }
 
     /// All rows, cloned, in key order, whether or not the node is reachable
@@ -475,7 +417,7 @@ impl NoSqlNode {
     pub(crate) fn durable_rows(&self) -> Vec<(String, Row)> {
         self.table
             .read()
-            .sorted_rows(..)
+            .sorted_rows(|_| true)
             .into_iter()
             .map(|(key, row)| (key.to_string(), row.columns.clone()))
             .collect()
@@ -512,7 +454,7 @@ impl NoSqlNode {
         let tables: Vec<_> = nodes.iter().map(|n| n.table.read()).collect();
         let mut cursors: Vec<_> = tables
             .iter()
-            .map(|t| t.sorted_rows(..).into_iter().peekable())
+            .map(|t| t.sorted_rows(|_| true).into_iter().peekable())
             .collect();
         let mut compared = 0;
         let mut divergent = Vec::new();
@@ -695,16 +637,25 @@ mod tests {
         assert_eq!(n.row_count(), 0);
     }
 
+    /// The keys of the rows a visit selects, in visit order.
+    fn visited_keys(n: &NoSqlNode, rows: Rows) -> Vec<String> {
+        let mut keys = Vec::new();
+        n.visit(rows, |row| keys.push(row.key().to_string()));
+        keys
+    }
+
     #[test]
-    fn scan_prefix_and_snapshot() {
+    fn prefix_visits_and_durable_rows() {
         let n = node();
         n.put("stats:class1", "ops", json!(5), Timestamp::new(1, 0));
         n.put("stats:class2", "ops", json!(9), Timestamp::new(1, 1));
         n.put("meta:obj1", "file_meta", json!({}), Timestamp::new(1, 2));
-        assert_eq!(n.scan_prefix("stats:").len(), 2);
-        assert_eq!(n.scan_prefix("meta:").len(), 1);
-        assert_eq!(n.scan_prefix("zzz").len(), 0);
-        assert_eq!(n.snapshot().len(), 3);
+        assert_eq!(visited_keys(&n, Rows::Prefix("stats:")).len(), 2);
+        assert_eq!(visited_keys(&n, Rows::Prefix("meta:")).len(), 1);
+        assert_eq!(visited_keys(&n, Rows::Prefix("zzz")).len(), 0);
+        assert_eq!(visited_keys(&n, Rows::Key("meta:obj1")), ["meta:obj1"]);
+        assert_eq!(visited_keys(&n, Rows::Key("meta:obj2")).len(), 0);
+        assert_eq!(n.durable_rows().len(), 3);
     }
 
     #[test]
@@ -715,7 +666,7 @@ mod tests {
         other.put("a", "c", json!(10), Timestamp::new(10, 0));
         other.put("a", "d", json!(11), Timestamp::new(12, 0));
         other.put("b", "c", json!(20), Timestamp::new(20, 0));
-        n.restore(other.snapshot());
+        n.restore(other.durable_rows());
         assert!(n.get_latest("old", "c").is_none(), "old contents replaced");
         assert_eq!(n.get_latest("a", "d").unwrap().value, json!(11));
         assert_eq!(n.row_count(), 2);
@@ -805,12 +756,12 @@ mod tests {
         n.put("b", "c", json!(20), Timestamp::new(20, 0));
         let restored = node();
         restored.put("stale", "c", json!(0), Timestamp::new(1, 0));
-        restored.restore(n.snapshot());
+        restored.restore(n.durable_rows());
         restored.assert_digests_consistent("restore");
         restored.assert_same_state(&n, "restore of a snapshot");
         n.deep_clone().assert_same_state(&n, "deep clone");
         // A key listed twice: the later entry wins, digest included.
-        let mut twice = n.snapshot();
+        let mut twice = n.durable_rows();
         twice.push(("a".to_string(), Row::new()));
         restored.restore(twice);
         restored.assert_digests_consistent("duplicate key");
@@ -926,34 +877,56 @@ mod tests {
                 "", "0", "8", "container:", "container:3", "stats:", "stats:class:",
                 "stats:class:4", "stats:dirty:", "stats:dirty:000000000002", "stats:dirty;", "z",
             ];
+            type Latest = (String, String, Timestamp);
+            // The keys and latest cells of the rows a visit selects.
+            let visited = |node: &NoSqlNode, rows: Rows| -> (Vec<String>, Vec<Latest>) {
+                let (mut keys, mut cells) = (Vec::new(), Vec::new());
+                node.visit(rows, |row| {
+                    keys.push(row.key().to_string());
+                    for (column, cell) in row.latest_with_prefix("") {
+                        cells.push((row.key().to_string(), column.to_string(), cell.timestamp));
+                    }
+                });
+                (keys, cells)
+            };
+            // The same read of the model.
+            let expected = |rows: Vec<(&String, &Row)>| -> (Vec<String>, Vec<Latest>) {
+                let keys = rows.iter().map(|(k, _)| k.to_string()).collect();
+                let cells = rows
+                    .iter()
+                    .flat_map(|(row, columns)| {
+                        columns.iter().filter_map(move |(column, cells)| {
+                            latest(cells).map(|c| (row.to_string(), column.clone(), c.timestamp))
+                        })
+                    })
+                    .collect();
+                (keys, cells)
+            };
             for (node, model) in nodes.iter().zip(&models) {
                 let rows: Vec<(String, Row)> =
                     model.iter().map(|(k, row)| (k.clone(), row.clone())).collect();
-                assert_eq!(node.snapshot(), rows, "seed {seed}: snapshot");
+                let mut whole = Vec::new();
+                node.visit(Rows::Prefix(""), |row| {
+                    whole.push((row.key().to_string(), row.row.columns.clone()));
+                });
+                assert_eq!(whole, rows, "seed {seed}: every row");
                 assert_eq!(node.durable_rows(), rows, "seed {seed}: durable_rows");
                 for prefix in bounds {
-                    let expected: Vec<String> =
-                        model.keys().filter(|k| k.starts_with(prefix)).cloned().collect();
-                    assert_eq!(node.scan_prefix(prefix), expected, "seed {seed}: {prefix:?}");
+                    let matching = model.iter().filter(|(k, _)| k.starts_with(prefix)).collect();
+                    assert_eq!(
+                        visited(node, Rows::Prefix(prefix)),
+                        expected(matching),
+                        "seed {seed}: {prefix:?}"
+                    );
                 }
                 for (i, start) in bounds.iter().enumerate() {
                     for end in &bounds[i..] {
                         let range = (Bound::Included(*start), Bound::Excluded(*end));
-                        let in_range = || model.range::<str, _>(range);
-                        let keys: Vec<String> = in_range().map(|(k, _)| k.clone()).collect();
-                        assert_eq!(node.range_keys(start, end), keys, "seed {seed}: {range:?}");
-                        let cells: Vec<(String, String, Timestamp)> = in_range()
-                            .flat_map(|(row, columns)| {
-                                columns.iter().filter_map(move |(column, cells)| {
-                                    latest(cells).map(|c| (row.clone(), column.clone(), c.timestamp))
-                                })
-                            })
-                            .collect();
-                        let mut visited = Vec::new();
-                        node.visit_range_latest(start, end, |row, column, cell| {
-                            visited.push((row.to_string(), column.to_string(), cell.timestamp));
-                        });
-                        assert_eq!(visited, cells, "seed {seed}: visit {range:?}");
+                        assert_eq!(
+                            visited(node, Rows::Range(start, end)),
+                            expected(model.range::<str, _>(range).collect()),
+                            "seed {seed}: visit {range:?}"
+                        );
                     }
                 }
             }
@@ -983,7 +956,7 @@ mod tests {
         assert!(!n.is_up());
         assert!(!n.put("r", "c", json!(2), Timestamp::new(2, 0)));
         assert!(n.get_latest("r", "c").is_none());
-        assert!(n.scan_prefix("").is_empty());
+        assert!(!n.visit(Rows::Prefix(""), |_| panic!("a down node was read")));
         n.set_up(true);
         assert_eq!(n.get_latest("r", "c").unwrap().value, json!(1));
     }

@@ -377,8 +377,7 @@ fn crash_at_every_labelled_point_leaves_old_or_new_state_and_no_orphans() {
 
         // Restart: recover from the checkpoint (journal redo included) with
         // cold caches, then reconcile provider bytes.
-        db.recover(&checkpoint);
-        clear_caches(&cluster);
+        cluster.recover(&checkpoint);
         gc::sweep_orphan_chunks(&infra);
 
         let expected: &[u8] = if crash_commits(label) { &new } else { &old };
@@ -452,8 +451,7 @@ fn crash_at_every_point_of_a_delete_leaves_the_object_whole_or_gone() {
         assert_eq!(plan.fired(), vec![label.to_string()], "{label} must fire");
         infra.set_fault_plan(None);
 
-        db.recover(&checkpoint);
-        clear_caches(&cluster);
+        cluster.recover(&checkpoint);
         gc::sweep_orphan_chunks(&infra);
 
         // All or nothing: metadata, LIST entry, statistics row and class
@@ -535,8 +533,7 @@ fn crash_at_every_point_of_a_replacement_leaves_the_payload_readable() {
         assert_eq!(plan.fired(), vec![label.to_string()], "{label} must fire");
         infra.set_fault_plan(None);
 
-        db.recover(&checkpoint);
-        clear_caches(&cluster);
+        cluster.recover(&checkpoint);
         gc::sweep_orphan_chunks(&infra);
 
         // Old placement before the Begin record is durable, new after —
@@ -587,9 +584,8 @@ fn recovery_is_idempotent_and_preserves_unrelated_objects() {
 
     // Recovering twice must land on the same state (journal redo is
     // idempotent), and the bystander must be untouched.
-    db.recover(&checkpoint);
-    db.recover(&checkpoint);
-    clear_caches(&cluster);
+    cluster.recover(&checkpoint);
+    cluster.recover(&checkpoint);
     gc::sweep_orphan_chunks(&infra);
     assert_eq!(cluster.get(&victim).unwrap().as_ref(), &victim_data[..]);
     assert_eq!(
@@ -695,8 +691,7 @@ fn chaos_scenario(seed: u64) -> String {
                     "seed {seed}: crash at {label} must not ack"
                 );
                 infra.set_fault_plan(None);
-                db.recover(&checkpoint);
-                clear_caches(&cluster);
+                cluster.recover(&checkpoint);
                 gc::sweep_orphan_chunks(&infra);
                 if crash_commits(label) {
                     model.insert(name, data);

@@ -19,6 +19,7 @@ use scalia::core::decision::{self, DecisionPeriodController};
 use scalia::engine::infra::SAMPLING_PERIOD;
 use scalia::metastore::model::Timestamp;
 use scalia::metastore::stats::MAX_CLASS_SAMPLES;
+use scalia::metastore::store::Rows;
 use scalia::prelude::*;
 use scalia::types::ids::DatacenterId;
 use scalia::types::time::Duration;
@@ -421,24 +422,30 @@ fn statistics_footprint_is_bounded_under_churn() {
     }
 
     let node = &cluster.infra().database().nodes()[0];
-    let obj_rows = node.scan_prefix("stats:obj:").len();
+    let rows = |prefix: &str| {
+        let mut count = 0;
+        node.visit(Rows::Prefix(prefix), |_| count += 1);
+        count
+    };
+    let obj_rows = rows("stats:obj:");
     assert_eq!(
         obj_rows, 0,
         "per-object statistics of deleted objects remain"
     );
-    let class_rows = node.scan_prefix("stats:class:").len();
+    let class_rows = rows("stats:class:");
     assert_eq!(class_rows, mimes.len(), "one row per known class, ever");
-    let dirty_rows = node.scan_prefix("stats:dirty:").len();
+    let dirty_rows = rows("stats:dirty:");
     assert!(
         dirty_rows <= 2,
         "stale dirty buckets must be pruned ({dirty_rows} rows)"
     );
     // Per-class samples stay capped even though 30 objects per class died.
-    for class_row in node.scan_prefix("stats:class:") {
-        assert!(node.latest_cells_with_prefix(&class_row, "lifetime:").len() <= MAX_CLASS_SAMPLES);
-        assert!(node.latest_cells_with_prefix(&class_row, "usage:").len() <= MAX_CLASS_SAMPLES);
+    node.visit(Rows::Prefix("stats:class:"), |class_row| {
+        let columns = |prefix| class_row.latest_with_prefix(prefix).count();
+        assert!(columns("lifetime:") <= MAX_CLASS_SAMPLES);
+        assert!(columns("usage:") <= MAX_CLASS_SAMPLES);
         // Rollup deltas: bounded by flushes × periods touched, far below
         // one column per dead member.
-        assert!(node.latest_cells_with_prefix(&class_row, "p:").len() <= 2 * hour as usize);
-    }
+        assert!(columns("p:") <= 2 * hour as usize);
+    });
 }
