@@ -59,20 +59,13 @@ pub fn sweep_orphan_chunks(infra: &Infrastructure) -> GcReport {
 
     // The union of referenced chunk keys across all nodes: nodes may
     // briefly diverge (anti-entropy pending), and a chunk referenced by
-    // *any* replica must survive. Each record is decoded where it lies.
+    // *any* replica must survive.
     let mut referenced: HashSet<String> = HashSet::new();
     report.metastore_nodes_skipped = infra.database().visit_each_up(Rows::Prefix(""), |row| {
-        for meta in row
-            .versions("meta")
-            .iter()
-            .filter_map(|c| decode_meta(&c.value).ok())
-        {
-            referenced.extend(
-                meta.striping
-                    .all_chunk_refs()
-                    .into_iter()
-                    .map(|(_, key)| key),
-            );
+        for cell in row.versions("meta") {
+            if let Ok(meta) = decode_meta(&cell.value) {
+                referenced.extend(meta.striping.all_chunk_refs().into_iter().map(|(_, k)| k));
+            }
         }
     });
     report.chunks_referenced = referenced.len();
